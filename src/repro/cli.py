@@ -574,8 +574,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     ``bench sim`` instead runs the standalone simulator benchmark
     (``benchmarks/bench_simulator.py``) in a subprocess: it times the
-    legacy vs vector TTI loop, records ``BENCH_simulator.json`` at the
-    repo root, and exits non-zero if the speedup falls below its floor.
+    legacy vs vector TTI loop on a crowded cell and per TTI across cell
+    sizes, records ``BENCH_simulator.json`` at the repo root, and exits
+    non-zero if a speedup floor or the per-size guard fails.
     ``bench infer`` does the same for the inference plane
     (``benchmarks/bench_inference.py``): flattened-forest predict vs
     the object descent and the batched similarity matrix vs its scalar

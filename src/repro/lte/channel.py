@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from .tbs import cqi_to_mcs
 
@@ -114,15 +115,26 @@ class CaptureChannel:
         self.captured += 1
         return True
 
+    def draw_flip(self, payload_len: int) -> Optional[Tuple[int, int]]:
+        """Decide whether a captured payload is corrupted, and where.
+
+        Returns ``(byte index, bit mask)`` of the flipped bit, or ``None``
+        for an intact payload.  Makes exactly the draws of :meth:`corrupt`.
+        """
+        if self._profile.corruption_prob <= 0.0:
+            return None
+        if self._rng.random() >= self._profile.corruption_prob:
+            return None
+        self.corrupted += 1
+        index = self._rng.randrange(payload_len)
+        return index, 1 << self._rng.randrange(8)
+
     def corrupt(self, payload: bytes) -> bytes:
         """Possibly flip a bit in a captured payload (returns new bytes)."""
-        if self._profile.corruption_prob <= 0.0:
+        flip = self.draw_flip(len(payload))
+        if flip is None:
             return payload
-        if self._rng.random() >= self._profile.corruption_prob:
-            return payload
-        self.corrupted += 1
-        index = self._rng.randrange(len(payload))
-        bit = 1 << self._rng.randrange(8)
+        index, bit = flip
         mutated = bytearray(payload)
         mutated[index] ^= bit
         return bytes(mutated)

@@ -45,6 +45,9 @@ class DCIFormat(enum.IntEnum):
 
 _PAYLOAD_STRUCT = struct.Struct(">BBBH")  # format, mcs, n_prb, prb_start
 
+#: Length of every encoded DCI payload, in bytes.
+DCI_PAYLOAD_BYTES = _PAYLOAD_STRUCT.size
+
 
 @dataclass(frozen=True)
 class DCIMessage:

@@ -185,10 +185,15 @@ class ENodeB:
         if announce:
             self._emit_control(
                 RRCConnectionRelease(self._clock.now_us, context.rnti))
-        forget = getattr(self._dl_scheduler, "forget", None)
-        if forget is not None:
-            forget(context.rnti)
+        self._forget_rnti(context.rnti)
         ue.on_released()
+
+    def _forget_rnti(self, rnti: int) -> None:
+        """Drop a retired RNTI's scheduler state in both directions."""
+        for scheduler in (self._dl_scheduler, self._ul_scheduler):
+            forget = getattr(scheduler, "forget", None)
+            if forget is not None:
+                forget(rnti)
 
     def detach_for_handover(self, ue: UE) -> "HandoverContext":
         """Remove a UE that is handing over.
@@ -271,9 +276,7 @@ class ENodeB:
         context.ue.identity.rnti = new_rnti
         context.ue.rnti_history.append(
             (self._clock.now_us, self.cell_id, new_rnti))
-        forget = getattr(self._dl_scheduler, "forget", None)
-        if forget is not None:
-            forget(old_rnti)
+        self._forget_rnti(old_rnti)
         self.obfuscation_stats.rnti_refreshes += 1
         self._schedule_rnti_refresh(context)
 

@@ -1,16 +1,38 @@
-"""Array-backed eNodeB: the vectorised TTI hot loop.
+"""Array-backed eNodeB: the TTI hot loop in two size-adaptive lanes.
 
 :class:`VectorENodeB` re-implements :meth:`ENodeB._on_tti` over parallel
-numpy arrays keyed by UE slot — backlogs, CQI, RNTIs and activity
-timestamps live in dense int64 columns, and each TTI computes demands,
-scheduler grants and drains for *all* UEs with array operations
-(:mod:`repro.lte.vecsched`).  Everything else — RRC lifecycle, paging,
-handover, inactivity, RNTI refresh — is inherited unchanged from
-:class:`ENodeB` and operates through :class:`VecUEContext`, a
-per-UE facade whose attributes are properties over the engine arrays.
+numpy columns keyed by UE slot — backlogs, CQI, RNTIs and activity
+timestamps live in dense int64 arrays.  Everything else — RRC lifecycle,
+paging, handover, inactivity, RNTI refresh — is inherited unchanged from
+:class:`ENodeB` and operates through :class:`VecUEContext`, a per-UE
+facade whose attributes are properties over the engine arrays.
 
-**Bit-exact parity** with the legacy object loop is a hard contract,
-enforced by the golden suite (``tests/integration/test_sim_golden.py``).
+Each TTI runs on one of two lanes over those same columns:
+
+* the **scalar lane** (:meth:`VectorENodeB._scalar_tti`) while the cell
+  has at most :data:`SCALAR_LANE_MAX` connected UEs and no padding or
+  chaff.  It reads the columns as Python ints, calls each scheduler's
+  ``allocate_scalar`` entry point and writes the drained backlogs back.
+  This is the paper's regime — one victim or one conversation pair per
+  cell — where a TTI touches a handful of UEs and the array lane's fixed
+  cost of small numpy calls would dominate.
+* the **array lane** (:meth:`VectorENodeB._array_tti`) for crowded or
+  obfuscating cells: demands, grants and drains for all UEs at once
+  with array operations (:mod:`repro.lte.vecsched`).  Padding and chaff
+  always take it, through the legacy helpers on materialised
+  allocations, so their scalar draws keep their order.
+
+The schedulers keep one state for both entry points (the RR rotation
+pointer, the dense PF averages), so a cell changes lanes between any two
+TTIs with no copy or migration.  ``SCALAR_LANE_MAX`` comes from the
+crossover sweep in ``benchmarks/bench_simulator.py``: below it the
+scalar lane is the faster one, above it the array lane's cost grows
+more slowly with the UE count.
+
+**Bit-exact parity** with the legacy object loop is a hard contract for
+both lanes, enforced by the golden suite
+(``tests/integration/test_sim_golden.py``), which runs every scenario
+pinned to each lane and one scenario that crosses the bound both ways.
 The shared eNB :class:`random.Random` stream makes this subtle: every
 scalar draw of the legacy loop must happen in exactly the same order.
 Per TTI the legacy draw order is
@@ -21,11 +43,10 @@ Per TTI the legacy draw order is
 3. one ``random()`` per UE for the CQI walk, plus a ``choice`` on step
    events, in RRC-connection (dict) order.
 
-Steps 1-2 involve at most a handful of draws and stay scalar.  Step 3 is
-per-UE and *cannot* be batched: ``Random.choice`` consumes a variable
-number of Mersenne-Twister words (rejection sampling), so no numpy
-generator can reproduce the stream.  That single scalar walk is the
-engine's floor; all O(n) grant work above it is vectorised.
+Both lanes make these draws in this order.  Step 3 is per-UE and
+*cannot* be batched: ``Random.choice`` consumes a variable number of
+Mersenne-Twister words (rejection sampling), so no numpy generator can
+reproduce the stream; it is a scalar loop in both lanes.
 
 Grants leave the cell as :class:`GrantBatch` columns so an attached
 sniffer can ingest whole TTIs without materialising per-record
@@ -38,7 +59,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -54,6 +75,13 @@ from .vecsched import make_vector_scheduler
 
 #: Environment knob selecting the default simulation engine per process.
 ENGINE_ENV = "REPRO_SIM_ENGINE"
+
+#: Largest connected-UE count whose TTIs run on the scalar lane.  Below
+#: it, the array lane's fixed cost of small numpy calls outweighs the
+#: per-UE Python loop; the crossover sweep in
+#: ``benchmarks/bench_simulator.py`` (``BENCH_simulator.json``,
+#: ``crossover``) is the evidence for the value.
+SCALAR_LANE_MAX = 32
 
 #: CQI random-walk steps — shared tuple so ``choice`` cost stays flat.
 _CQI_STEPS = (-1, 1)
@@ -210,6 +238,12 @@ class VectorENodeB(ENodeB):
         self._free_slots = list(range(capacity - 1, -1, -1))
         self._order_dirty = True
         self._ordered_slots = np.empty(0, dtype=np.int64)
+        self._slot_list: List[int] = []
+        # Padding / chaff mutate and extend the allocation list with
+        # scalar rng draws; those TTIs always take the array lane's
+        # legacy-helper path to keep the draw order exact.
+        self._obfuscating = (self.obfuscation.padding_quantum > 0
+                             or self.obfuscation.chaff_probability > 0.0)
         #: Columnar grant feed: one :class:`GrantBatch` per direction per
         #: TTI (plus single-record batches for HARQ retransmissions).
         self.grant_batch_observers: List[GrantBatchObserver] = []
@@ -232,9 +266,9 @@ class VectorENodeB(ENodeB):
     def _ordered(self) -> np.ndarray:
         """Slots of live contexts in RRC-connection (dict) order."""
         if self._order_dirty:
-            self._ordered_slots = np.fromiter(
-                (context._slot for context in self._contexts.values()),
-                dtype=np.int64, count=len(self._contexts))
+            self._slot_list = [context._slot
+                               for context in self._contexts.values()]
+            self._ordered_slots = np.array(self._slot_list, dtype=np.int64)
             self._order_dirty = False
         return self._ordered_slots
 
@@ -276,15 +310,17 @@ class VectorENodeB(ENodeB):
 
     # -- grant emission --------------------------------------------------------
 
-    def _emit_grant_arrays(self, time_us: int, direction: Direction,
-                           rntis: np.ndarray, mcs: np.ndarray,
-                           n_prb: np.ndarray, tbs: np.ndarray) -> None:
+    def _emit_grants(self, time_us: int, direction: Direction,
+                     rntis: Sequence[int], mcs: Sequence[int],
+                     n_prb: Sequence[int], tbs: Sequence[int]) -> None:
+        """Air one TTI's grants: int64 columns or lists of Python ints."""
         if len(rntis) == 0:
             return
         if self.grant_batch_observers:
+            columns = np.array((rntis, mcs, n_prb, tbs), dtype=np.int64)
             batch = GrantBatch(time_us=time_us, direction=direction,
-                               rntis=rntis, mcs=mcs, n_prb=n_prb,
-                               tbs_bytes=tbs)
+                               rntis=columns[0], mcs=columns[1],
+                               n_prb=columns[2], tbs_bytes=columns[3])
             for observer in self.grant_batch_observers:
                 observer(batch)
         if self.pdcch_observers:
@@ -293,7 +329,8 @@ class VectorENodeB(ENodeB):
             fmt = (DCIFormat.FORMAT_1A if direction is Direction.DOWNLINK
                    else DCIFormat.FORMAT_0)
             for rnti, grant_mcs, grant_prb in zip(
-                    rntis.tolist(), mcs.tolist(), n_prb.tolist()):
+                    np.asarray(rntis).tolist(), np.asarray(mcs).tolist(),
+                    np.asarray(n_prb).tolist()):
                 dci = DCIMessage(fmt=fmt, rnti=rnti, mcs=grant_mcs,
                                  n_prb=grant_prb)
                 self._emit_pdcch(
@@ -302,7 +339,7 @@ class VectorENodeB(ENodeB):
     def _vec_maybe_retransmit(self, direction: Direction, rnti: int,
                               mcs: int, n_prb: int, tbs: int,
                               attempt: int) -> None:
-        """Array-path twin of ``_maybe_retransmit`` — identical draws."""
+        """Twin of ``_maybe_retransmit`` for both lanes — identical draws."""
         if attempt >= self._HARQ_MAX_ATTEMPTS:
             return
         if self._rng.random() >= self._profile.harq_bler:
@@ -311,12 +348,8 @@ class VectorENodeB(ENodeB):
         def retransmit() -> None:
             if rnti not in self._contexts:
                 return
-            self._emit_grant_arrays(
-                self._clock.now_us, direction,
-                np.array([rnti], dtype=np.int64),
-                np.array([mcs], dtype=np.int64),
-                np.array([n_prb], dtype=np.int64),
-                np.array([tbs], dtype=np.int64))
+            self._emit_grants(self._clock.now_us, direction, [rnti], [mcs],
+                              [n_prb], [tbs])
             self.harq_retransmissions += 1
             self.grants_issued += 1
             self._grants_obs.inc()
@@ -325,7 +358,7 @@ class VectorENodeB(ENodeB):
 
         self._clock.schedule(self._HARQ_RTT_TTIS * self._tti_us, retransmit)
 
-    # -- the vectorised TTI loop ----------------------------------------------
+    # -- the TTI loop: scalar lane for small cells, array lane otherwise -------
 
     def _on_tti(self) -> None:
         now = self._clock.now_us
@@ -334,14 +367,89 @@ class VectorENodeB(ENodeB):
                                                     self._rng)
         available = max(1, self._total_prb - occupied)
         slots = self._ordered()
+        # Read at call time so a test can pin either lane by patching it.
+        if len(slots) <= SCALAR_LANE_MAX and not self._obfuscating:
+            any_backlog = self._scalar_tti(now, available, slots)
+        else:
+            any_backlog = self._array_tti(now, available, slots)
+        if any_backlog:
+            self._clock.schedule(self._tti_us, self._on_tti)
+        else:
+            self._tti_running = False
+
+    def _scalar_tti(self, now: int, available: int,
+                    slots: np.ndarray) -> bool:
+        """One TTI on Python ints read from the engine columns.
+
+        Same grants, state writes and rng draws as :meth:`_array_tti`;
+        the schedulers' ``allocate_scalar`` entry points run over the
+        state their ``allocate_batch`` twins keep.  Every loop here is
+        bounded by ``SCALAR_LANE_MAX`` connected UEs.  Returns whether
+        any UE still holds backlog.
+        """
+        slot_list = self._slot_list
+        rntis = self._arr_rnti[slots].tolist()
+        cqi_column = self._arr_cqi[slots]
+        cqis = cqi_column.tolist()
+        mcs = mcs_of_cqi_array()[cqi_column].tolist()
+        harq = self._profile.harq_bler > 0.0
+        last_col = self._arr_last
+        any_backlog = False
+        for direction, scheduler, backlog_col in (
+                (Direction.DOWNLINK, self._dl_scheduler, self._arr_dl),
+                (Direction.UPLINK, self._ul_scheduler, self._arr_ul)):
+            backlog = backlog_col[slots].tolist()
+            if all(backlog):
+                # Every UE has data: the demand batch is the whole cell.
+                demand = None
+                positions, grant_prb, grant_tbs = scheduler.allocate_scalar(
+                    rntis, backlog, mcs, available)
+            else:
+                demand = [index for index, pending in enumerate(backlog)
+                          if pending > 0]
+                if not demand:
+                    continue
+                positions, grant_prb, grant_tbs = scheduler.allocate_scalar(
+                    [rntis[index] for index in demand],
+                    [backlog[index] for index in demand],
+                    [mcs[index] for index in demand], available)
+            grant_rntis = []
+            grant_mcs = []
+            for position, size in zip(positions, grant_tbs):
+                index = position if demand is None else demand[position]
+                left = backlog[index] - size
+                backlog[index] = left if left > 0 else 0
+                slot = slot_list[index]
+                backlog_col[slot] = backlog[index]
+                last_col[slot] = now
+                grant_rntis.append(rntis[index])
+                grant_mcs.append(mcs[index])
+            any_backlog = any_backlog or any(backlog)
+            granted_bytes = sum(grant_tbs)
+            self.obfuscation_stats.useful_bytes += granted_bytes
+            count = len(grant_tbs)
+            self.grants_issued += count
+            self._grants_obs.inc(count)
+            self.bytes_granted += granted_bytes
+            self._emit_grants(now, direction, grant_rntis, grant_mcs,
+                              grant_prb, grant_tbs)
+            if harq:
+                for rnti, rate, n_prb, size in zip(grant_rntis, grant_mcs,
+                                                   grant_prb, grant_tbs):
+                    self._vec_maybe_retransmit(direction, rnti, rate, n_prb,
+                                               size, attempt=1)
+        self._walk_cqi(slots, cqis)
+        return any_backlog
+
+    def _array_tti(self, now: int, available: int,
+                   slots: np.ndarray) -> bool:
+        """One TTI over whole UE columns: the lane for crowded cells.
+
+        Returns whether any UE still holds backlog.
+        """
         rntis = self._arr_rnti[slots]
         mcs = mcs_of_cqi_array()[self._arr_cqi[slots]]
         harq = self._profile.harq_bler > 0.0
-        # Padding / chaff mutate and extend the allocation list with
-        # scalar rng draws; that path routes through the legacy helpers
-        # on materialised Allocation objects to keep draw order exact.
-        obfuscating = (self.obfuscation.padding_quantum > 0
-                       or self.obfuscation.chaff_probability > 0.0)
         for direction, scheduler, backlog_col in (
                 (Direction.DOWNLINK, self._dl_scheduler, self._arr_dl),
                 (Direction.UPLINK, self._ul_scheduler, self._arr_ul)):
@@ -355,7 +463,7 @@ class VectorENodeB(ENodeB):
             else:
                 grant_positions = np.empty(0, dtype=np.int64)
                 grant_prb = grant_tbs = grant_positions
-            if obfuscating:
+            if self._obfuscating:
                 self._obfuscated_tti(direction, now, rntis, mcs,
                                      grant_positions, grant_prb, grant_tbs,
                                      slots, backlog_col, available, harq)
@@ -374,8 +482,8 @@ class VectorENodeB(ENodeB):
             self.grants_issued += count
             self._grants_obs.inc(count)
             self.bytes_granted += granted_bytes
-            self._emit_grant_arrays(now, direction, grant_rntis, grant_mcs,
-                                    grant_prb, grant_tbs)
+            self._emit_grants(now, direction, grant_rntis, grant_mcs,
+                              grant_prb, grant_tbs)
             if harq:
                 for rnti, grant_mcs_i, grant_prb_i, grant_tbs_i in zip(
                         grant_rntis.tolist(), grant_mcs.tolist(),
@@ -383,16 +491,23 @@ class VectorENodeB(ENodeB):
                     self._vec_maybe_retransmit(direction, rnti, grant_mcs_i,
                                                grant_prb_i, grant_tbs_i,
                                                attempt=1)
-        # CQI random walk: the *shared* eNB rng must advance draw-for-draw
-        # in context order (Random.choice rejection-samples a variable
-        # number of words), so this stays a scalar loop per design.
+        self._walk_cqi(slots, self._arr_cqi[slots].tolist())
+        return bool((self._arr_dl[slots] > 0).any()
+                    or (self._arr_ul[slots] > 0).any())
+
+    def _walk_cqi(self, slots: np.ndarray, cqis: List[int]) -> None:
+        """Advance every UE's CQI walk, in context order, on the eNB rng.
+
+        The *shared* eNB rng must advance draw-for-draw in context order
+        (``Random.choice`` rejection-samples a variable number of words),
+        so this stays a scalar loop in both lanes.
+        """
         profile = self._profile
         step_prob = profile.cqi_step_prob
         floor = profile.cqi_floor
         ceiling = profile.cqi_ceiling
         draw = self._rng.random
         pick = self._rng.choice
-        cqis = self._arr_cqi[slots].tolist()
         stepped_any = False
         for index, cqi in enumerate(cqis):
             if draw() < step_prob:
@@ -405,12 +520,6 @@ class VectorENodeB(ENodeB):
                 stepped_any = True
         if stepped_any:
             self._arr_cqi[slots] = cqis
-        any_backlog = bool((self._arr_dl[slots] > 0).any()
-                           or (self._arr_ul[slots] > 0).any())
-        if any_backlog:
-            self._clock.schedule(self._tti_us, self._on_tti)
-        else:
-            self._tti_running = False
 
     def _obfuscated_tti(self, direction: Direction, now: int,
                         rntis: np.ndarray, mcs: np.ndarray,
@@ -449,8 +558,8 @@ class VectorENodeB(ENodeB):
             out_prb[index] = allocation.n_prb
             out_tbs[index] = allocation.tbs_bytes
             index += 1
-        self._emit_grant_arrays(now, direction, out_rntis, out_mcs,
-                                out_prb, out_tbs)
+        self._emit_grants(now, direction, out_rntis, out_mcs, out_prb,
+                          out_tbs)
         if harq:
             for allocation in allocations:  # repro: noqa[PAR004] — HARQ draws must follow allocation order
                 self._vec_maybe_retransmit(direction, allocation.rnti,

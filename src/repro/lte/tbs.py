@@ -203,6 +203,32 @@ def neg_pf_instantaneous_bytes_array() -> np.ndarray:
     return arr
 
 
+# --- scalar-lane lookup views ------------------------------------------------
+#
+# The engine's scalar lane (few-UE cells) runs one TTI on Python ints;
+# tuples of Python numbers index several times faster than numpy scalars
+# there.  They are copies of the arrays above, so the lanes share every
+# value bit for bit.
+
+
+@lru_cache(maxsize=None)
+def tbs_bytes_rows() -> Tuple[Tuple[int, ...], ...]:
+    """:func:`tbs_bytes_array` as nested tuples of Python ints."""
+    return tuple(tuple(row) for row in tbs_bytes_array().tolist())
+
+
+@lru_cache(maxsize=None)
+def itbs_of_mcs_tuple() -> Tuple[int, ...]:
+    """:func:`itbs_of_mcs_array` as a tuple of Python ints."""
+    return tuple(itbs_of_mcs_array().tolist())
+
+
+@lru_cache(maxsize=None)
+def neg_pf_instantaneous_bytes_tuple() -> Tuple[float, ...]:
+    """:func:`neg_pf_instantaneous_bytes_array` as Python floats."""
+    return tuple(neg_pf_instantaneous_bytes_array().tolist())
+
+
 def prb_needed_batch(pending_bytes: np.ndarray,
                      i_tbs: np.ndarray) -> np.ndarray:
     """Unbounded-budget :func:`grant_for_bytes` for a batch of demands.

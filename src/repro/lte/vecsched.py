@@ -1,31 +1,45 @@
 """Vectorised MAC schedulers: batched twins of :mod:`repro.lte.scheduler`.
 
-The array-backed engine (:mod:`repro.lte.engine`) hands each scheduler
-one *batch* per TTI — parallel arrays of RNTI, backlog and MCS for every
-UE with pending data — instead of a list of :class:`Demand` objects.
-Each scheduler here is grant-for-grant identical to its object twin:
+The array-backed engine (:mod:`repro.lte.engine`) calls each scheduler
+once per direction per TTI through one of two entry points, matching
+the engine's two lanes:
+
+* ``allocate_batch`` (array lane, crowded cells) takes parallel arrays
+  of RNTI, backlog and MCS for every UE with pending data;
+* ``allocate_scalar`` (scalar lane, at most ``SCALAR_LANE_MAX`` UEs)
+  takes the same three columns as Python lists and loops over them.
+
+Both run over one scheduler state — the RR rotation pointer, the dense
+PF averages — so the engine may switch entry points between any two
+TTIs.  Each scheduler here is grant-for-grant identical to its object
+twin through either entry point:
 
 * the service **order** is reproduced exactly (RR rotation pointer, PF
   priority sort, MaxCQI sort — all stable, like ``sorted``);
-* the shared PRB budget is consumed **sequentially** in that order via a
-  closed-form "terminal index" computation (see ``_sequential_grants``),
-  matching the scalar ``grant_for_bytes`` loop including its saturation
-  edge where the final grant absorbs *all* remaining PRBs;
+* the shared PRB budget is consumed **sequentially** in that order —
+  in the batch entry via a closed-form "terminal index" computation
+  (see ``_sequential_grants``), in the scalar entry via the
+  ``grant_for_bytes`` loop itself (``_scalar_grants``) — including the
+  saturation edge where the final grant absorbs *all* remaining PRBs;
 * PF keeps its throughput average in a dense float64 array indexed by
-  RNTI, updated with the same ``(1-a)*avg + a*served`` expression, so
-  every average is IEEE-identical to the dict-based implementation.
+  RNTI, updated with the same ``(1-a)*avg + a*served`` expression in
+  both entries, so every average is IEEE-identical to the dict-based
+  implementation.
 
 Nothing here draws randomness; determinism is inherited from the inputs.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from bisect import bisect_left
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .tbs import (MAX_PRB, itbs_of_mcs_array,
-                  neg_pf_instantaneous_bytes_array, tbs_bytes_array)
+from .tbs import (MAX_PRB, itbs_of_mcs_array, itbs_of_mcs_tuple,
+                  neg_pf_instantaneous_bytes_array,
+                  neg_pf_instantaneous_bytes_tuple, tbs_bytes_array,
+                  tbs_bytes_rows)
 
 #: Grants for one direction of one TTI: positions into the demand batch
 #: (in service order), PRBs granted, and TBS bytes granted.
@@ -34,6 +48,9 @@ GrantArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
 _EMPTY_GRANTS: GrantArrays = (np.empty(0, dtype=np.int64),
                               np.empty(0, dtype=np.int64),
                               np.empty(0, dtype=np.int64))
+
+#: The same triple as Python lists: the scalar entry points' result.
+GrantLists = Tuple[List[int], List[int], List[int]]
 
 #: Size of the dense PF state arrays: the full 16-bit RNTI space.
 _RNTI_SPACE = 1 << 16
@@ -130,6 +147,41 @@ def _sequential_grants(order: np.ndarray, pending: np.ndarray,
     return positions, n_prb, tbs
 
 
+def _scalar_grants(order: Sequence[int], pending: Sequence[int],
+                   mcs: Sequence[int], total_prb: int) -> GrantLists:
+    """:func:`_sequential_grants` on Python ints, for the scalar lane.
+
+    This is the scalar ``grant_for_bytes`` loop itself: a saturating
+    demand takes every remaining PRB, any other takes the smallest
+    fitting count (``bisect_left`` on the non-decreasing TBS row).
+    """
+    if not 1 <= total_prb <= MAX_PRB:
+        raise ValueError(
+            f"max_prb out of range [1, {MAX_PRB}]: {total_prb}")
+    if min(pending, default=1) <= 0:
+        raise ValueError("demand backlog must be positive")
+    rows = tbs_bytes_rows()
+    i_tbs = itbs_of_mcs_tuple()
+    positions: List[int] = []
+    prbs: List[int] = []
+    sizes: List[int] = []
+    remaining = total_prb
+    for position in order:
+        if remaining <= 0:
+            break
+        row = rows[i_tbs[mcs[position]]]
+        backlog = pending[position]
+        if row[remaining - 1] <= backlog:
+            n_prb = remaining
+        else:
+            n_prb = bisect_left(row, backlog, 0, remaining) + 1
+        positions.append(position)
+        prbs.append(n_prb)
+        sizes.append(row[n_prb - 1])
+        remaining -= n_prb
+    return positions, prbs, sizes
+
+
 class VectorRoundRobinScheduler:
     """Batched twin of :class:`repro.lte.scheduler.RoundRobinScheduler`."""
 
@@ -149,6 +201,17 @@ class VectorRoundRobinScheduler:
         self._next_index = (start + 1) % count
         i_tbs = itbs_of_mcs_array()[mcs]
         return _sequential_grants(order, pending, i_tbs, total_prb)
+
+    def allocate_scalar(self, rntis: Sequence[int], pending: Sequence[int],
+                        mcs: Sequence[int], total_prb: int) -> GrantLists:
+        """:meth:`allocate_batch` on Python lists (same rotation pointer)."""
+        count = len(rntis)
+        if count == 0:
+            return [], [], []
+        start = self._next_index % count
+        self._next_index = (start + 1) % count
+        order = [*range(start, count), *range(start)]
+        return _scalar_grants(order, pending, mcs, total_prb)
 
 
 class VectorProportionalFairScheduler:
@@ -207,6 +270,47 @@ class VectorProportionalFairScheduler:
         self._served[granted_rntis] = 0.0
         return positions, n_prb, tbs
 
+    def allocate_scalar(self, rntis: Sequence[int], pending: Sequence[int],
+                        mcs: Sequence[int], total_prb: int) -> GrantLists:
+        """:meth:`allocate_batch` on Python lists, over the same averages.
+
+        Reads and writes the dense ``_avg`` array element by element with
+        the batched path's exact float expressions, so either path may
+        run any TTI.  The decay sweep walks ``_known``, which holds only
+        live RNTIs once the eNB forgets released ones.
+        """
+        count = len(rntis)
+        if count == 0:
+            return [], [], []
+        avg = self._avg
+        if count == 1:
+            order = [0]  # one demand: nothing to rank
+        else:
+            neg_instantaneous = neg_pf_instantaneous_bytes_tuple()
+            i_tbs = itbs_of_mcs_tuple()
+            neg_priority = [neg_instantaneous[i_tbs[rate]]
+                            / max(avg.item(rnti), 1e-9)
+                            for rnti, rate in zip(rntis, mcs)]
+            order = sorted(range(count), key=neg_priority.__getitem__)
+        positions, n_prb, tbs = _scalar_grants(order, pending, mcs,
+                                               total_prb)
+        # Last grant wins for a duplicated RNTI, as in the batched path.
+        served = {}
+        for position, size in zip(positions, tbs):
+            served[rntis[position]] = size
+        known_mask = self._known_mask
+        for rnti in rntis:
+            if not known_mask.item(rnti):
+                new = np.asarray(rntis, dtype=np.int64)
+                self._known = np.union1d(self._known, new)
+                known_mask[new] = True
+                break
+        keep = 1.0 - self._alpha
+        alpha = self._alpha
+        for rnti in self._known.tolist():
+            avg[rnti] = keep * avg.item(rnti) + alpha * served.get(rnti, 0.0)
+        return positions, n_prb, tbs
+
     def forget(self, rnti: int) -> None:
         """Drop a released RNTI from the average (same as dict ``pop``)."""
         self._avg[rnti] = 1.0
@@ -231,6 +335,14 @@ class VectorMaxCQIScheduler:
         order = np.argsort(-np.asarray(mcs, dtype=np.int64), kind="stable")
         i_tbs = itbs_of_mcs_array()[mcs]
         return _sequential_grants(order, pending, i_tbs, total_prb)
+
+    def allocate_scalar(self, rntis: Sequence[int], pending: Sequence[int],
+                        mcs: Sequence[int], total_prb: int) -> GrantLists:
+        """:meth:`allocate_batch` on Python lists (stable MCS ranking)."""
+        if not rntis:
+            return [], [], []
+        order = sorted(range(len(rntis)), key=lambda i: -mcs[i])
+        return _scalar_grants(order, pending, mcs, total_prb)
 
 
 _VECTOR_SCHEDULERS = {

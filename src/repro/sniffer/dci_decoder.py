@@ -19,8 +19,9 @@ import numpy as np
 
 from .. import obs
 from ..lte.channel import CaptureChannel, ChannelProfile
-from ..lte.dci import (DCIFormat, DCIMessage, DecodeError, Direction,
-                       EncodedDCI, PDCCHTransmission)
+from ..lte.dci import (DCI_PAYLOAD_BYTES, DCIFormat, DCIMessage,
+                       DecodeError, Direction, EncodedDCI,
+                       PDCCHTransmission)
 from ..lte.identifiers import CRNTI_MAX, CRNTI_MIN, is_crnti
 from ..lte.sim import to_seconds
 from .trace import TraceRecord
@@ -107,17 +108,22 @@ class DCIDecoder:
         except DecodeError:
             self._rejected.inc()
             return
-        if self._drop_non_crnti and not is_crnti(dci.rnti):
+        self._emit(to_seconds(transmission.time_us), dci.rnti,
+                   int(dci.direction), dci.tbs_bytes)
+
+    def _emit(self, time_s: float, rnti: int, direction: int,
+              tbs_bytes: int) -> None:
+        """Fan one decoded DCI out to the sinks (non-C-RNTIs rejected)."""
+        if self._drop_non_crnti and not is_crnti(rnti):
             self._rejected.inc()
             return
         self._decoded.inc()
-        time_s = to_seconds(transmission.time_us)
         for raw_sink, _ in self._raw_sinks:
-            raw_sink(time_s, dci.rnti, int(dci.direction), dci.tbs_bytes)
+            raw_sink(time_s, rnti, direction, tbs_bytes)
         if self._sinks:
-            record = TraceRecord(time_s=time_s, rnti=dci.rnti,
-                                 direction=dci.direction,
-                                 tbs_bytes=dci.tbs_bytes)
+            record = TraceRecord(time_s=time_s, rnti=rnti,
+                                 direction=Direction(direction),
+                                 tbs_bytes=tbs_bytes)
             for sink in self._sinks:
                 sink(record)
 
@@ -133,24 +139,18 @@ class DCIDecoder:
           per-record capture draws are skipped — they are outcome-free
           at zero loss/corruption, and the capture rng is private to
           this decoder, so no other component sees the stream move.
-        * **lossy channel**: each record is materialised and routed
-          through the scalar path so loss/corruption draws and blind
-          decoding happen in exactly the legacy order.
+        * **lossy channel**: the loss and corruption draws run per grant
+          in :meth:`on_pdcch`'s order.  The payload length is fixed, so
+          the draws need no payload: only a corrupted grant is encoded,
+          bit-flipped and blind-decoded, while an intact one goes to the
+          per-record sinks straight from the engine's columns.
         """
         count = len(batch.rntis)
         if count == 0:
             return
         profile = self._capture._profile
         if profile.capture_loss > 0.0 or profile.corruption_prob > 0.0:
-            fmt = (DCIFormat.FORMAT_1A
-                   if batch.direction is Direction.DOWNLINK
-                   else DCIFormat.FORMAT_0)
-            for rnti, mcs, n_prb in zip(batch.rntis.tolist(),
-                                        batch.mcs.tolist(),
-                                        batch.n_prb.tolist()):
-                dci = DCIMessage(fmt=fmt, rnti=rnti, mcs=mcs, n_prb=n_prb)
-                self.on_pdcch(PDCCHTransmission(time_us=batch.time_us,
-                                                encoded=dci.encode()))
+            self._lossy_batch(batch)
             return
         self._capture.captured += count
         self._captured_obs.inc(count)
@@ -184,6 +184,42 @@ class DCIDecoder:
                                      tbs_bytes=int(tbs[index]))
                 for sink in self._sinks:
                     sink(record)
+
+    def _lossy_batch(self, batch) -> None:
+        """Capture draws per grant; blind-decode only the corrupted ones."""
+        deliver = self._capture.deliver
+        draw_flip = self._capture.draw_flip
+        fmt = (DCIFormat.FORMAT_1A if batch.direction is Direction.DOWNLINK
+               else DCIFormat.FORMAT_0)
+        direction = int(batch.direction)
+        time_s = to_seconds(batch.time_us)
+        rntis = batch.rntis.tolist()
+        tbs = batch.tbs_bytes.tolist()
+        lost = corrupted = 0
+        for index, rnti in enumerate(rntis):
+            if not deliver():
+                lost += 1
+                continue
+            flip = draw_flip(DCI_PAYLOAD_BYTES)
+            if flip is None:
+                self._emit(time_s, rnti, direction, tbs[index])
+                continue
+            corrupted += 1
+            encoded = DCIMessage(fmt=fmt, rnti=rnti,
+                                 mcs=int(batch.mcs[index]),
+                                 n_prb=int(batch.n_prb[index])).encode()
+            payload = bytearray(encoded.payload)
+            payload[flip[0]] ^= flip[1]
+            try:
+                dci = EncodedDCI(payload=bytes(payload),
+                                 masked_crc=encoded.masked_crc).blind_decode()
+            except DecodeError:
+                self._rejected.inc()
+                continue
+            self._emit(time_s, dci.rnti, int(dci.direction), dci.tbs_bytes)
+        self._lost_obs.inc(lost)
+        self._captured_obs.inc(len(rntis) - lost)
+        self._corrupted_obs.inc(corrupted)
 
     @property
     def capture_stats(self) -> dict:

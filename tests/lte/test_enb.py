@@ -7,6 +7,7 @@ import pytest
 from repro.lte.channel import ChannelProfile
 from repro.lte.dci import Direction
 from repro.lte.enb import ENodeB
+from repro.lte.engine import VectorENodeB
 from repro.lte.epc import EPC
 from repro.lte.identifiers import is_crnti, make_imsi
 from repro.lte.rrc import (PagingMessage, RACHPreamble,
@@ -233,3 +234,39 @@ class TestPaging:
         enb.page(ue.tmsi)
         assert isinstance(messages[0], PagingMessage)
         assert messages[0].s_tmsi == ue.tmsi
+
+
+class TestSchedulerForget:
+    """Released RNTIs leave both schedulers' proportional-fair state."""
+
+    @staticmethod
+    def _ul_known(enb):
+        scheduler = enb._ul_scheduler
+        if hasattr(scheduler, "_known"):
+            return set(scheduler._known.tolist())
+        return set(scheduler._avg_rate)
+
+    @pytest.mark.parametrize("engine", [ENodeB, VectorENodeB])
+    def test_ul_state_holds_only_live_rntis(self, engine):
+        clock = SimClock()
+        enb = engine("cell-pf", clock, random.Random(5),
+                     scheduler_name="proportional-fair",
+                     inactivity_timeout_s=10.0)
+        epc = EPC(random.Random(6))
+        ues = []
+        for _ in range(3):
+            ue = UE(make_imsi(random.Random(len(ues) + 10)))
+            epc.attach(ue)
+            ue.serving_cell = "cell-pf"
+            ues.append(ue)
+        keeper = ues[0]
+        enb.connect(keeper)
+        for cycle in range(6):
+            churner = ues[1 + cycle % 2]
+            enb.connect(churner)
+            for ue in (keeper, churner):
+                enb.enqueue(ue, Direction.UPLINK, 4_000)
+                enb.enqueue(ue, Direction.DOWNLINK, 4_000)
+            clock.run_until(clock.now_us + 20_000)
+            enb.release(churner)
+        assert self._ul_known(enb) <= {keeper.rnti}

@@ -15,6 +15,12 @@ generator deliberately covers the paper-relevant corner cases:
 * degenerate budgets (1 PRB) and saturating backlogs (many MB against a
   handful of PRBs).
 
+The engine's scalar lane calls each vector scheduler's
+``allocate_scalar`` over the same state ``allocate_batch`` keeps, so a
+third property runs one random state sequence through both entry
+points, and through a scheduler that switches between them, and asserts
+identical grants and bit-identical PF averages.
+
 ``derandomize=True`` pins the example stream to the test id so CI
 failures replay locally without sharing a database.
 """
@@ -109,3 +115,44 @@ def test_pf_averages_identical_across_rnti_release(load, total_prb,
     for demand in demands:
         expected = legacy._avg_rate.get(demand.rnti, 1.0)
         assert float(vector._avg[demand.rnti]) == expected
+
+
+#: One state sequence: per round a load, a budget, and which lane the
+#: lane-switching scheduler takes; optionally an RNTI to release after.
+_ROUNDS = st.lists(
+    st.tuples(_LOADS, st.integers(1, MAX_PRB), st.booleans(),
+              st.one_of(st.none(), st.integers(0, 15))),
+    min_size=1, max_size=6)
+
+
+@SETTINGS
+@given(name=_SCHEDULER_NAMES, rounds=_ROUNDS)
+def test_scalar_entry_point_equals_allocate_batch(name, rounds):
+    batched = make_vector_scheduler(name)
+    scalar = make_vector_scheduler(name)
+    switching = make_vector_scheduler(name)
+    for load, total_prb, scalar_lane, release in rounds:
+        demands = _build_demands(load)
+        rntis, pending, mcs = _batch(demands)
+        expected = [part.tolist() for part in batched.allocate_batch(
+            rntis, pending, mcs, total_prb)]
+        lists = (rntis.tolist(), pending.tolist(), mcs.tolist())
+        assert list(scalar.allocate_scalar(*lists, total_prb)) == expected
+        # A scheduler may change lanes between any two TTIs.
+        if scalar_lane:
+            got = list(switching.allocate_scalar(*lists, total_prb))
+        else:
+            got = [part.tolist() for part in switching.allocate_batch(
+                rntis, pending, mcs, total_prb)]
+        assert got == expected
+        if release is not None and name == "proportional-fair":
+            victim = demands[release % len(demands)].rnti
+            for scheduler in (batched, scalar, switching):
+                scheduler.forget(victim)
+    if name == "proportional-fair":
+        for scheduler in (scalar, switching):
+            assert scheduler._avg.tobytes() == batched._avg.tobytes()
+            assert np.array_equal(scheduler._known, batched._known)
+    else:
+        for scheduler in (scalar, switching):
+            assert vars(scheduler) == vars(batched)
