@@ -20,9 +20,10 @@ test-faults:
 	$(PYTHON) -m pytest tests/faults tests/properties \
 		tests/integration/test_fault_degradation.py -q
 
-## Attack scanner: the detector-vs-legacy differential harness, golden
-## reports, schema/baseline units, the batch-vs-stream parity suite,
-## and the Hypothesis scan invariants (what the CI scan job runs).
+## Attack scanner: detector findings vs the table driver results they
+## run (with golden driver tables), golden reports, schema/baseline
+## units, the batch-vs-stream parity suite, and the Hypothesis scan
+## invariants (what the CI scan job runs).
 test-scan:
 	$(PYTHON) -m pytest tests/scan \
 		tests/properties/test_scan_invariants.py -q

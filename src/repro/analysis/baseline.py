@@ -64,17 +64,46 @@ def write_baseline(path: Union[str, Path],
     return document
 
 
-def load_baseline(path: Union[str, Path]) -> Dict[str, int]:
-    """Grandfathered fingerprints -> max occurrences, from ``path``."""
+def read_entry_counts(path: Union[str, Path], version: int,
+                      kind: str) -> Dict[str, int]:
+    """Fingerprint -> max occurrences from a versioned baseline file.
+
+    Shared by the lint and scan baselines.  Anything but a
+    ``{"version": version, "entries": [...]}`` document whose entries
+    each carry a string ``fingerprint`` and an integer ``count`` >= 1
+    (default 1) raises ValueError, which the CLIs report as bad input.
+    """
     document = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(document, dict) or "entries" not in document:
-        raise ValueError(f"not a lint baseline: {path}")
-    version = document.get("version")
-    if version != BASELINE_VERSION:
+        raise ValueError(f"not a {kind} baseline: {path}")
+    found = document.get("version")
+    if found != version:
         raise ValueError(
-            f"unsupported baseline version {version!r} in {path}")
-    return {entry["fingerprint"]: int(entry.get("count", 1))
-            for entry in document["entries"]}
+            f"unsupported {kind} baseline version {found!r} in {path}")
+    entries = document["entries"]
+    if not isinstance(entries, list):
+        raise ValueError(f"{kind} baseline entries must be a list: {path}")
+    counts: Dict[str, int] = {}
+    for index, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(
+                f"{kind} baseline entry {index} is not an object: {path}")
+        fp = entry.get("fingerprint")
+        count = entry.get("count", 1)
+        if not isinstance(fp, str):
+            raise ValueError(f"{kind} baseline entry {index} has no "
+                             f"string fingerprint: {path}")
+        if isinstance(count, bool) or not isinstance(count, int) \
+                or count < 1:
+            raise ValueError(f"{kind} baseline entry {index} has count "
+                             f"{count!r}, not an integer >= 1: {path}")
+        counts[fp] = count
+    return counts
+
+
+def load_baseline(path: Union[str, Path]) -> Dict[str, int]:
+    """Grandfathered fingerprints -> max occurrences, from ``path``."""
+    return read_entry_counts(path, BASELINE_VERSION, "lint")
 
 
 def apply_baseline(findings: Iterable[Finding],

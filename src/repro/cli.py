@@ -218,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="campaign sizing (smoke: seconds, for CI)")
     scan.add_argument("--seed", type=int, default=None,
                       help="override every detector's seed (default: "
-                           "each detector's legacy experiment seed)")
+                           "each table driver's own seed)")
     scan.add_argument("--environments", default=None, metavar="NAMES",
                       help="comma-separated operator profiles for the "
                            "correlation sweep (default: all four)")
@@ -646,6 +646,17 @@ def _cmd_scan(args: argparse.Namespace, manifest=None) -> int:
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2
+    baseline_path = args.baseline
+    if baseline_path is None and _DEFAULT_SCAN_BASELINE.exists():
+        baseline_path = _DEFAULT_SCAN_BASELINE
+    suppressed = None
+    if baseline_path is not None and not args.update_baseline:
+        # Validate the baseline before paying for any campaign.
+        try:
+            suppressed = baseline_mod.load_baseline(baseline_path)
+        except (OSError, ValueError) as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
     config = ScanConfig(scale=args.scale, seed=args.seed,
                         environments=environments)
     try:
@@ -655,21 +666,13 @@ def _cmd_scan(args: argparse.Namespace, manifest=None) -> int:
         # runtime failure: the --faults exit-code convention.
         print(str(exc), file=sys.stderr)
         return 2
-    baseline_path = args.baseline
-    if baseline_path is None and _DEFAULT_SCAN_BASELINE.exists():
-        baseline_path = _DEFAULT_SCAN_BASELINE
     if args.update_baseline:
         target = baseline_path if baseline_path is not None \
             else _DEFAULT_SCAN_BASELINE
         document = baseline_mod.write_baseline(target, result.findings)
         print(f"wrote {len(document['entries'])} entries to {target}")
         return 0
-    if baseline_path is not None:
-        try:
-            suppressed = baseline_mod.load_baseline(baseline_path)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
+    if suppressed is not None:
         new, old = baseline_mod.apply_baseline(result.findings,
                                                suppressed)
         result = engine_mod.ScanResult(
@@ -788,7 +791,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         return 0
     baselined = 0
     if baseline_path is not None:
-        grandfathered = baseline_mod.load_baseline(baseline_path)
+        try:
+            grandfathered = baseline_mod.load_baseline(baseline_path)
+        except (OSError, ValueError) as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
         new, old = baseline_mod.apply_baseline(result.findings,
                                                grandfathered)
         baselined = len(old)

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from .. import obs, runtime
 from ..apps import app_names
 from ..core.dataset import collect_traces, windows_from_traces
@@ -29,11 +31,24 @@ DIRECTION_VIEWS = (("Down+UP", None),
 
 @dataclass
 class FingerprintResult:
-    """Per-app scores for each direction view."""
+    """Per-app scores for each direction view.
+
+    The primary (first) view also keeps what a per-victim verdict needs
+    — the ``app-fingerprint`` scan detector reads these fields.
+    """
 
     operator: str
     scores: Dict[str, Dict[str, tuple]]   # view -> app -> (f, p, r)
     apps: List[str]
+    #: Primary view: predicted app id of every held-out test window ...
+    predictions: np.ndarray
+    #: ... and the index of the test trace each window came from.
+    trace_ids: np.ndarray
+    app_classes: List[str]
+    category_classes: List[str]
+    app_of_category: np.ndarray
+    #: Per test trace: user, cell, start_s, end_s, windows.
+    test_meta: List[dict]
 
     def table(self) -> str:
         rows = []
@@ -76,6 +91,7 @@ def run_fingerprinting(operator: OperatorProfile, scale: Scale,
                           duration_s=scale.trace_duration_s,
                           seed=seed + 5000, day=day)
     scores: Dict[str, Dict[str, tuple]] = {}
+    primary = None
     for view_name, direction in views:
         config = WindowConfig(direction=direction)
         w_train = windows_from_traces(train, config)
@@ -94,9 +110,22 @@ def run_fingerprinting(operator: OperatorProfile, scale: Scale,
             app: (per_class[i].f_score, per_class[i].precision,
                   per_class[i].recall)
             for i, app in enumerate(w_train.app_encoder.classes_)}
+        if primary is None:
+            primary = (w_train, w_test, predictions)
+    w_train, w_test, predictions = primary
+    test_meta = [{"user": trace.user or "victim",
+                  "cell": trace.cell or "cell",
+                  "start_s": float(trace.start_s) if len(trace) else 0.0,
+                  "end_s": float(trace.end_s) if len(trace) else 0.0,
+                  "windows": int(np.sum(w_test.trace_ids == index))}
+                 for index, trace in enumerate(test)]
     # Order apps as the paper does (registry order).
-    return FingerprintResult(operator=operator.name, scores=scores,
-                             apps=apps)
+    return FingerprintResult(
+        operator=operator.name, scores=scores, apps=apps,
+        predictions=predictions, trace_ids=w_test.trace_ids,
+        app_classes=list(w_train.app_encoder.classes_),
+        category_classes=list(w_train.category_encoder.classes_),
+        app_of_category=w_train.app_of_category, test_meta=test_meta)
 
 
 @obs.timed("experiment.table3")

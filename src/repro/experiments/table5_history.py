@@ -41,10 +41,15 @@ TABLE_V_SCRIPT: Tuple[Tuple[int, str, str], ...] = (
 
 @dataclass
 class HistoryResult:
-    """The attacker's reconstructed Table V."""
+    """The attacker's reconstructed Table V.
+
+    ``attack`` keeps the campaign's identity state (per-zone sniffers,
+    victim TMSI, horizon) for the identity-layer scan detectors.
+    """
 
     findings: List[HistoryFinding]
     summary: dict
+    attack: HistoryAttack
 
     def table(self) -> str:
         headers = ["Zone", "Start", "End", "Duration", "Prediction",
@@ -111,7 +116,8 @@ def run(scale="fast", seed: int = 31,
         visits = build_visits(resolved)
         findings = attack.run(visits, seed=seed + 2)
     summary = evaluate_findings(findings, visits)
-    return HistoryResult(findings=findings, summary=summary)
+    return HistoryResult(findings=findings, summary=summary,
+                         attack=attack)
 
 
 def main() -> None:  # pragma: no cover - CLI entry

@@ -22,12 +22,24 @@ from .common import format_table, get_scale
 from .table6_similarity import ENVIRONMENTS, conversational_apps
 
 
+#: (environment name, app) — one cell of the sweep.
+Cell = Tuple[str, str]
+
+
 @dataclass
 class CorrelationResult:
-    """(precision, recall) per environment and app."""
+    """(precision, recall) per environment and app.
+
+    Each cell also keeps its fitted attack, its held-out pairs
+    (positives first) and their predicted labels, so the
+    ``identity-correlation`` scan detector can report flagged pairs.
+    """
 
     scores: Dict[str, Dict[str, Tuple[float, float]]]
     apps: List[str]
+    attacks: Dict[Cell, CorrelationAttack]
+    pairs: Dict[Cell, list]
+    y_pred: Dict[Cell, np.ndarray]
 
     def table(self) -> str:
         envs = list(self.scores)
@@ -88,14 +100,15 @@ def run(scale="fast", seed: int = 53,
     ``environments`` restricts the sweep (default: the paper's full
     set).  Each environment's per-cell seeds depend only on its index
     *within the sweep*, so a restricted run matches the corresponding
-    prefix of the full table — the scan differential harness relies on
-    that to compare against the scanner at an affordable scale.
+    prefix of the full table.
     """
     resolved = get_scale(scale)
     if environments is None:
         environments = ENVIRONMENTS
     apps = [name for name, _ in conversational_apps()]
     scores: Dict[str, Dict[str, Tuple[float, float]]] = {}
+    result = CorrelationResult(scores=scores, apps=apps, attacks={},
+                               pairs={}, y_pred={})
     n_train = max(3, resolved.pairs_per_app)
     n_test = max(2, resolved.pairs_per_app // 2 + 1)
     with runtime.overrides(workers=workers):
@@ -115,8 +128,12 @@ def run(scale="fast", seed: int = 53,
                 y_true = np.array([1] * len(test_pos) + [0] * len(test_neg))
                 y_pred = attack.predict_pairs(pairs)
                 per_app[app] = precision_recall(y_true, y_pred)
+                cell = (environment.name, app)
+                result.attacks[cell] = attack
+                result.pairs[cell] = pairs
+                result.y_pred[cell] = y_pred
             scores[environment.name] = per_app
-    return CorrelationResult(scores=scores, apps=apps)
+    return result
 
 
 def main() -> None:  # pragma: no cover - CLI entry

@@ -8,9 +8,10 @@ emitting structured, confidence-scored
 report pipeline (text/JSON reporters, count-bounded suppression
 baselines, a ``repro.cli scan`` subcommand).
 
-Every detector is proven bit-identical to its legacy experiment driver
-by the differential harness in ``tests/scan``; the streaming service
-routes its fused verdicts through the same schema via
+Each attack detector runs its table driver in
+:mod:`repro.experiments` (III, V, VII) and turns the result into
+findings, so every campaign has one implementation; the streaming
+service routes its fused verdicts through the same schema via
 :mod:`repro.scan.adapters`.
 """
 

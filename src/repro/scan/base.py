@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from ..experiments.common import Scale, get_scale
-from ..operators.profiles import LAB, TMOBILE, OperatorProfile
+from ..operators.profiles import OperatorProfile
 from .findings import Finding
 
 #: The fixed composition order — reports and dependency resolution both
@@ -37,22 +37,15 @@ DETECTOR_ORDER: Tuple[str, ...] = (
 class ScanConfig:
     """Knobs shared by every detector in one scan run.
 
-    ``seed=None`` means *each detector uses its legacy experiment
-    driver's default seed* (table III: 11, table V: 31, table VII: 53),
-    which is what the differential harness compares against.  Passing a
-    seed overrides all of them with the same value, exactly as passing
-    ``seed=`` to the legacy drivers would.
+    ``scale`` sizes every campaign.  ``seed=None`` keeps each table
+    driver's default seed (table III: 11, table V: 31, table VII: 53);
+    an integer replaces all three.  ``environments`` restricts the
+    table VII correlation sweep (None = the paper's full set).
     """
 
     scale: object = "fast"                      # Scale or preset name
     seed: Optional[int] = None
-    fingerprint_operator: OperatorProfile = LAB
-    history_operator: OperatorProfile = TMOBILE
-    use_imsi_catcher: bool = True
-    #: Correlation environments; None = table VII's full set.
     environments: Optional[Tuple[OperatorProfile, ...]] = None
-    #: Direction views for the fingerprint detector; None = table III's.
-    views: Optional[Tuple[Tuple[str, object], ...]] = None
 
 
 class ScanContext:
@@ -72,7 +65,7 @@ class ScanContext:
         self._artifacts: Dict[str, object] = {}
 
     def seed(self, default: int) -> int:
-        """The configured seed, or the detector's legacy default."""
+        """The configured seed, or the table driver's default."""
         if self.config.seed is None:
             return default
         return int(self.config.seed)

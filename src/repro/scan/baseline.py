@@ -16,6 +16,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Dict, Iterable, List, Tuple, Union
 
+from ..analysis.baseline import read_entry_counts
 from .findings import Finding
 
 BASELINE_VERSION = 1
@@ -47,15 +48,7 @@ def write_baseline(path: Union[str, Path],
 
 def load_baseline(path: Union[str, Path]) -> Dict[str, int]:
     """Suppressed fingerprints -> max occurrences, from ``path``."""
-    document = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(document, dict) or "entries" not in document:
-        raise ValueError(f"not a scan baseline: {path}")
-    version = document.get("version")
-    if version != BASELINE_VERSION:
-        raise ValueError(
-            f"unsupported scan baseline version {version!r} in {path}")
-    return {entry["fingerprint"]: int(entry.get("count", 1))
-            for entry in document["entries"]}
+    return read_entry_counts(path, BASELINE_VERSION, "scan")
 
 
 def apply_baseline(findings: Iterable[Finding],

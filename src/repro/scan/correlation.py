@@ -1,84 +1,23 @@
 """``identity-correlation``: attack III (table VII) as a detector.
 
-Replicates ``table7_correlation.run`` — the same per-cell seed
-arithmetic (``seed + 3001 * env_index + 331 * app_index``), pair
-builders and train/test split — and asserts nothing the legacy driver
-would not: ``predict_pairs`` drives the flagged/not-flagged decision,
-while ``decision_scores`` (the logistic model's P(communicating), a
-pure function of the already-fitted weights) calibrates each flagged
-pair's confidence.
+Runs the table VII sweep (``table7_correlation.run``, seed 53 unless
+the scan overrides it, over the scan's environments) and reports every
+held-out pair the sweep's verdict flagged: ``predict_pairs`` drives the
+flagged/not-flagged decision, while ``decision_scores`` (the logistic
+model's P(communicating), a pure function of the already-fitted
+weights) calibrates each flagged pair's confidence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List
 
 import numpy as np
 
-from ..core.correlation import CorrelationAttack, precision_recall
-from ..experiments.table6_similarity import ENVIRONMENTS, conversational_apps
-from ..experiments.table7_correlation import _pairs_for
+from ..experiments import table7_correlation
 from .base import Detector, ScanContext, register
 from .findings import (EvidenceWindow, Finding, clip01, make_finding,
                        severity_from_confidence)
-
-
-@dataclass
-class CorrelationArtifact:
-    """Per-(environment, app) predictions for the differential harness."""
-
-    seed: int
-    environments: List[str]
-    apps: List[str]
-    #: env -> app -> (precision, recall); == CorrelationResult.scores.
-    scores: Dict[str, Dict[str, Tuple[float, float]]]
-    y_true: Dict[Tuple[str, str], np.ndarray] = field(default_factory=dict)
-    y_pred: Dict[Tuple[str, str], np.ndarray] = field(default_factory=dict)
-    decision: Dict[Tuple[str, str], np.ndarray] = field(
-        default_factory=dict)
-    #: env/app -> held-out (trace_a, trace_b) pairs, prediction order.
-    pairs: Dict[Tuple[str, str], list] = field(default_factory=dict)
-
-
-def build_correlation_artifact(ctx: ScanContext) -> CorrelationArtifact:
-    """Run the table VII sweep, keeping per-pair predictions."""
-    config = ctx.config
-    scale = ctx.scale
-    seed = ctx.seed(53)
-    environments = (config.environments if config.environments is not None
-                    else ENVIRONMENTS)
-    apps = [name for name, _ in conversational_apps()]
-    n_train = max(3, scale.pairs_per_app)
-    n_test = max(2, scale.pairs_per_app // 2 + 1)
-    artifact = CorrelationArtifact(
-        seed=seed, environments=[env.name for env in environments],
-        apps=apps, scores={})
-    findings_pairs: Dict[Tuple[str, str], list] = {}
-    for env_index, environment in enumerate(environments):
-        per_app: Dict[str, Tuple[float, float]] = {}
-        for app_index, (app, kind) in enumerate(conversational_apps()):
-            base = seed + 3001 * env_index + 331 * app_index
-            train_pos, train_neg = _pairs_for(
-                app, kind, environment, n_train,
-                scale.trace_duration_s, base)
-            test_pos, test_neg = _pairs_for(
-                app, kind, environment, n_test,
-                scale.trace_duration_s, base + 50_000)
-            attack = CorrelationAttack(seed=base)
-            attack.fit(train_pos, train_neg)
-            pairs = list(test_pos) + list(test_neg)
-            y_true = np.array([1] * len(test_pos) + [0] * len(test_neg))
-            y_pred = attack.predict_pairs(pairs)
-            per_app[app] = precision_recall(y_true, y_pred)
-            key = (environment.name, app)
-            artifact.y_true[key] = y_true
-            artifact.y_pred[key] = y_pred
-            artifact.decision[key] = attack.decision_scores(pairs)
-            findings_pairs[key] = pairs
-        artifact.scores[environment.name] = per_app
-    artifact.pairs.update(findings_pairs)
-    return artifact
 
 
 @register
@@ -89,15 +28,17 @@ class IdentityCorrelationDetector(Detector):
     title = "DTW + logistic communicating-pair verdict (table VII)"
 
     def run(self, ctx: ScanContext) -> List[Finding]:
-        artifact = ctx.artifact(
-            "correlation", lambda: build_correlation_artifact(ctx))
+        result = ctx.artifact("correlation", lambda: table7_correlation.run(
+            ctx.scale, seed=ctx.seed(53),
+            environments=ctx.config.environments))
+        environments = list(result.scores)
         findings: List[Finding] = []
-        for env_name in artifact.environments:
-            for app in artifact.apps:
+        for env_name in environments:
+            for app in result.apps:
                 key = (env_name, app)
-                y_pred = artifact.y_pred[key]
-                decision = artifact.decision[key]
-                pairs = artifact.pairs[key]
+                y_pred = result.y_pred[key]
+                pairs = result.pairs[key]
+                decision = result.attacks[key].decision_scores(pairs)
                 for pair_index in np.flatnonzero(y_pred == 1):
                     pair_index = int(pair_index)
                     trace_a, trace_b = pairs[pair_index]
@@ -124,20 +65,20 @@ class IdentityCorrelationDetector(Detector):
                                  "pair_index": float(pair_index)}))
         precision_metrics = {}
         flagged = 0
-        for env_name in artifact.environments:
-            for app in artifact.apps:
-                p, r = artifact.scores[env_name][app]
+        for env_name in environments:
+            for app in result.apps:
+                p, r = result.scores[env_name][app]
                 precision_metrics[f"precision.{env_name}.{app}"] = float(p)
                 precision_metrics[f"recall.{env_name}.{app}"] = float(r)
-                flagged += int(np.sum(artifact.y_pred[(env_name, app)]))
+                flagged += int(np.sum(result.y_pred[(env_name, app)]))
         mean_precision = float(np.mean(
-            [artifact.scores[env][app][0] for env in artifact.environments
-             for app in artifact.apps]))
+            [result.scores[env][app][0] for env in environments
+             for app in result.apps]))
         precision_metrics["flagged_pairs"] = float(flagged)
         findings.append(make_finding(
             detector=self.detector_id, victim="campaign",
             summary=(f"correlation sweep: {flagged} pair(s) flagged "
-                     f"across {len(artifact.environments)} "
+                     f"across {len(environments)} "
                      f"environment(s)"),
             severity="info", confidence=clip01(mean_precision),
             metrics=precision_metrics))

@@ -28,8 +28,8 @@ class ScanResult:
     detectors: Tuple[str, ...]          # ids actually run, in order
     baselined: int = 0
     baselined_findings: Tuple[Finding, ...] = ()
-    #: Shared intermediates (models, campaigns) — the differential
-    #: harness reads these to compare against the legacy drivers.
+    #: The table driver results the detectors shared, by artifact name
+    #: ("fingerprint", "history", "correlation").
     artifacts: Dict[str, object] = field(default_factory=dict)
 
 

@@ -3,7 +3,7 @@
 Each attack detector emits :class:`Finding` objects — a victim handle,
 evidence windows, a confidence in [0, 1] calibrated from classifier
 margins / DTW decision scores, a severity, the detector id — instead of
-its legacy ad-hoc result tuple.  The schema is deliberately closed and
+its table driver's ad-hoc result.  The schema is deliberately closed and
 fully validated so reports round-trip byte-identically through JSON:
 
 * every field is a plain string / float / int / list of the same;
@@ -62,8 +62,8 @@ def vote_confidence(top_votes: int, total_votes: int) -> float:
     """Majority-vote confidence: fraction of windows voting the winner.
 
     The same ratio :class:`~repro.core.fingerprint.TraceVerdict` carries,
-    so detector confidences are directly comparable to the legacy
-    pipeline's.
+    so detector confidences are directly comparable to the per-trace
+    verdict API's.
     """
     if total_votes <= 0:
         return 0.0

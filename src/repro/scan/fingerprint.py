@@ -1,127 +1,24 @@
 """``app-fingerprint``: attack I (table III) as a scanner detector.
 
-Replicates ``table3_lab.run_fingerprinting`` arithmetic exactly — same
-campaign seeds (train ``seed``, test ``seed + 5000``), same model seed
-(``seed + 1``), same per-view scoring — so the differential harness can
-assert bit-identity against the legacy driver, then re-expresses each
-held-out test trace as a per-victim :class:`~repro.scan.findings.Finding`
-whose confidence is the majority-vote share (the same ratio
-``TraceVerdict.confidence`` carries) and whose metrics record the vote
-margin.
+Runs the table III campaign (``table3_lab.run_fingerprinting`` in the
+lab, seed 11 unless the scan overrides it), then re-expresses each
+held-out test trace as a per-victim
+:class:`~repro.scan.findings.Finding` whose confidence is the
+majority-vote share (the same ratio ``TraceVerdict.confidence``
+carries) and whose metrics record the vote margin.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
-from ..apps import app_names
-from ..core.dataset import collect_traces, windows_from_traces
-from ..core.features import WindowConfig
-from ..core.fingerprint import HierarchicalFingerprinter
-from ..experiments.table3_lab import DIRECTION_VIEWS
-from ..ml.metrics import confusion_matrix, per_class_scores
+from ..experiments.table3_lab import run_fingerprinting
+from ..operators.profiles import LAB
 from .base import Detector, ScanContext, register
 from .findings import (EvidenceWindow, Finding, clip01, make_finding,
                        severity_from_confidence, vote_confidence)
-
-
-@dataclass
-class FingerprintArtifact:
-    """Everything the differential harness and later stages consume."""
-
-    seed: int
-    operator: str
-    apps: List[str]
-    #: view -> app -> (f, p, r); identical to FingerprintResult.scores.
-    scores: Dict[str, Dict[str, tuple]]
-    #: view -> per-window predicted app ids over the test windows.
-    window_predictions: Dict[str, np.ndarray] = field(default_factory=dict)
-    #: view -> app-label confusion matrix over the test windows.
-    confusions: Dict[str, np.ndarray] = field(default_factory=dict)
-    #: view -> per-test-trace majority-vote app ids (scanner victims).
-    trace_predictions: Dict[str, np.ndarray] = field(default_factory=dict)
-    #: The primary-view (first view) fitted model, for victim-profile.
-    model: HierarchicalFingerprinter = None
-    app_classes: List[str] = field(default_factory=list)
-    category_classes: List[str] = field(default_factory=list)
-    app_of_category: np.ndarray = None
-    test_meta: List[dict] = field(default_factory=list)
-    #: Primary-view per-window predictions + trace-id grouping, kept so
-    #: the detector can re-derive per-victim verdicts without repredicting.
-    primary_predictions: np.ndarray = None
-    primary_trace_ids: np.ndarray = None
-
-
-def build_fingerprint_artifact(ctx: ScanContext) -> FingerprintArtifact:
-    """Run the table III campaign and keep every intermediate."""
-    config = ctx.config
-    scale = ctx.scale
-    operator = config.fingerprint_operator
-    seed = ctx.seed(11)
-    views = config.views if config.views is not None else DIRECTION_VIEWS
-    apps = list(app_names())
-    train = collect_traces(apps, operator=operator,
-                           traces_per_app=scale.traces_per_app,
-                           duration_s=scale.trace_duration_s, seed=seed,
-                           day=0)
-    test = collect_traces(apps, operator=operator,
-                          traces_per_app=max(1, scale.traces_per_app // 2),
-                          duration_s=scale.trace_duration_s,
-                          seed=seed + 5000, day=0)
-    artifact = FingerprintArtifact(seed=seed, operator=operator.name,
-                                   apps=apps, scores={})
-    for view_name, direction in views:
-        window_config = WindowConfig(direction=direction)
-        w_train = windows_from_traces(train, window_config)
-        w_test = windows_from_traces(
-            test, window_config, app_encoder=w_train.app_encoder,
-            category_encoder=w_train.category_encoder)
-        model = HierarchicalFingerprinter(window_config=window_config,
-                                          n_trees=scale.n_trees,
-                                          seed=seed + 1)
-        model.fit(w_train)
-        predictions = model.predict_apps(w_test.X)
-        per_class = per_class_scores(
-            w_test.app_labels, predictions,
-            n_classes=w_train.app_encoder.n_classes)
-        artifact.scores[view_name] = {
-            app: (per_class[i].f_score, per_class[i].precision,
-                  per_class[i].recall)
-            for i, app in enumerate(w_train.app_encoder.classes_)}
-        artifact.window_predictions[view_name] = predictions
-        artifact.confusions[view_name] = confusion_matrix(
-            w_test.app_labels, predictions,
-            n_classes=w_train.app_encoder.n_classes)
-        # Per-trace majority vote: windows are grouped by trace id in
-        # feature-matrix order, so this reproduces classify_trace's
-        # bincount-argmax verdict per held-out capture.
-        trace_apps = np.full(len(test), -1, dtype=np.int64)
-        for trace_index in range(len(test)):
-            votes = predictions[w_test.trace_ids == trace_index]
-            if len(votes):
-                counts = np.bincount(
-                    votes, minlength=w_train.app_encoder.n_classes)
-                trace_apps[trace_index] = int(np.argmax(counts))
-        artifact.trace_predictions[view_name] = trace_apps
-        if view_name == views[0][0]:
-            artifact.model = model
-            artifact.app_classes = list(w_train.app_encoder.classes_)
-            artifact.category_classes = list(
-                w_train.category_encoder.classes_)
-            artifact.app_of_category = w_train.app_of_category
-            artifact.test_meta = [
-                {"user": trace.user or "victim",
-                 "cell": trace.cell or "cell",
-                 "start_s": float(trace.start_s) if len(trace) else 0.0,
-                 "end_s": float(trace.end_s) if len(trace) else 0.0,
-                 "windows": int(np.sum(w_test.trace_ids == index))}
-                for index, trace in enumerate(test)]
-            artifact.primary_predictions = predictions
-            artifact.primary_trace_ids = w_test.trace_ids
-    return artifact
 
 
 @register
@@ -132,20 +29,19 @@ class AppFingerprintDetector(Detector):
     title = "mobile-app fingerprinting of captured traces (table III)"
 
     def run(self, ctx: ScanContext) -> List[Finding]:
-        artifact = ctx.artifact(
-            "fingerprint", lambda: build_fingerprint_artifact(ctx))
+        result = ctx.artifact("fingerprint", lambda: run_fingerprinting(
+            LAB, ctx.scale, seed=ctx.seed(11)))
         findings: List[Finding] = []
-        n_apps = len(artifact.app_classes)
-        for index, meta in enumerate(artifact.test_meta):
-            votes = artifact.primary_predictions[
-                artifact.primary_trace_ids == index]
+        n_apps = len(result.app_classes)
+        for index, meta in enumerate(result.test_meta):
+            votes = result.predictions[result.trace_ids == index]
             if not len(votes):
                 continue
             counts = np.bincount(votes, minlength=n_apps)
             app_id = int(np.argmax(counts))
-            app = artifact.app_classes[app_id]
-            category = artifact.category_classes[
-                int(artifact.app_of_category[app_id])]
+            app = result.app_classes[app_id]
+            category = result.category_classes[
+                int(result.app_of_category[app_id])]
             top = int(counts[app_id])
             second = int(np.partition(counts, -2)[-2]) if n_apps > 1 else 0
             confidence = vote_confidence(top, len(votes))
@@ -163,15 +59,15 @@ class AppFingerprintDetector(Detector):
                 metrics={"windows": float(len(votes)),
                          "vote_margin": margin,
                          "top_votes": float(top)}))
-        primary = next(iter(artifact.scores))
-        mean_f = float(np.mean([artifact.scores[primary][app][0]
-                                for app in artifact.apps]))
+        primary = next(iter(result.scores))
+        mean_f = float(np.mean([result.scores[primary][app][0]
+                                for app in result.apps]))
         findings.append(make_finding(
             detector=self.detector_id, victim="campaign",
-            summary=(f"fingerprint campaign over {len(artifact.apps)} "
-                     f"apps ({artifact.operator})"),
+            summary=(f"fingerprint campaign over {len(result.apps)} "
+                     f"apps ({result.operator})"),
             severity="info", confidence=clip01(mean_f),
             metrics={"mean_f": mean_f,
-                     "test_traces": float(len(artifact.test_meta)),
-                     "views": float(len(artifact.scores))}))
+                     "test_traces": float(len(result.test_meta)),
+                     "views": float(len(result.scores))}))
         return findings

@@ -1,82 +1,33 @@
 """``app-history``: attack II (table V) as a scanner detector.
 
-Replicates ``table5_history.run`` exactly — same training campaign
-(``seed``), model seed (``seed + 1``), attack seed (``seed + 2``),
-episode gap (30 s) and visit script — then emits one finding per
+Runs the table V campaign (``table5_history.run`` on T-Mobile, seed 31
+unless the scan overrides it), then emits one finding per
 reconstructed timeline row.  The victim handle is the attacker-side
 identity (the TMSI learned by the zone sniffers), not the simulator's
 ground-truth UE name: findings describe what the attacker can actually
 claim.
 
-The campaign artifact (attack object, per-zone sniffers, victim TMSI)
-is shared through :meth:`ScanContext.artifact` so the identity-layer
-detectors (``tmsi-exposure``, ``paging-linkability``) read the same
-mappers instead of re-simulating the scenario.
+The campaign result (including the attack's per-zone sniffers and
+victim TMSI) is shared through :func:`history_campaign` so the
+identity-layer detectors (``tmsi-exposure``, ``paging-linkability``)
+read the same mappers instead of re-simulating the scenario.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
-from ..apps import app_names
-from ..core.dataset import collect_traces, windows_from_traces
-from ..core.fingerprint import HierarchicalFingerprinter
-from ..core.history import (HistoryAttack, HistoryFinding, ZoneVisit,
-                            evaluate_findings)
-from ..experiments.table5_history import build_visits
+from ..experiments import table5_history
 from .base import Detector, ScanContext, register
 from .findings import (EvidenceWindow, Finding, clip01, make_finding,
                        severity_from_confidence)
 
 
-@dataclass
-class HistoryArtifact:
-    """The table V campaign plus its attacker-side identity state."""
-
-    seed: int
-    operator: str
-    attack: HistoryAttack
-    findings: List[HistoryFinding]
-    visits: List[ZoneVisit]
-    summary: dict
-
-    @property
-    def victim_tmsi(self) -> int:
-        return self.attack.victim_tmsi
-
-    @property
-    def sniffers(self):
-        return self.attack.sniffers
-
-    @property
-    def horizon_s(self) -> float:
-        return self.attack.horizon_s
-
-
-def build_history_artifact(ctx: ScanContext) -> HistoryArtifact:
-    """Run the table V campaign, keeping the attack's identity state."""
-    config = ctx.config
-    scale = ctx.scale
-    operator = config.history_operator
-    seed = ctx.seed(31)
-    train = collect_traces(list(app_names()), operator=operator,
-                           traces_per_app=scale.traces_per_app,
-                           duration_s=scale.trace_duration_s,
-                           seed=seed)
-    windows = windows_from_traces(train)
-    fingerprinter = HierarchicalFingerprinter(n_trees=scale.n_trees,
-                                              seed=seed + 1)
-    fingerprinter.fit(windows)
-    attack = HistoryAttack(fingerprinter, operator=operator,
-                           use_imsi_catcher=config.use_imsi_catcher,
-                           episode_gap_s=30.0)
-    visits = build_visits(scale)
-    findings = attack.run(visits, seed=seed + 2)
-    summary = evaluate_findings(findings, visits)
-    return HistoryArtifact(seed=seed, operator=operator.name,
-                           attack=attack, findings=findings,
-                           visits=visits, summary=summary)
+def history_campaign(ctx: ScanContext
+                     ) -> table5_history.HistoryResult:
+    """The table V campaign, run once per scan and shared."""
+    return ctx.artifact("history", lambda: table5_history.run(
+        ctx.scale, seed=ctx.seed(31)))
 
 
 def victim_handle(tmsi: int) -> str:
@@ -92,11 +43,11 @@ class AppHistoryDetector(Detector):
     title = "history-of-applications timeline reconstruction (table V)"
 
     def run(self, ctx: ScanContext) -> List[Finding]:
-        artifact = ctx.artifact("history",
-                                lambda: build_history_artifact(ctx))
-        victim = victim_handle(artifact.victim_tmsi)
+        result = history_campaign(ctx)
+        attack = result.attack
+        victim = victim_handle(attack.victim_tmsi)
         findings: List[Finding] = []
-        for row in artifact.findings:
+        for row in result.findings:
             confidence = clip01(row.confidence)
             findings.append(make_finding(
                 detector=self.detector_id, victim=victim,
@@ -111,17 +62,17 @@ class AppHistoryDetector(Detector):
                 metrics={"duration_s": float(row.duration_s)}))
         findings.append(make_finding(
             detector=self.detector_id, victim="campaign",
-            summary=(f"history campaign: {len(artifact.findings)} "
+            summary=(f"history campaign: {len(result.findings)} "
                      f"episode(s) across "
-                     f"{len(artifact.sniffers)} zones "
-                     f"({artifact.operator})"),
+                     f"{len(attack.sniffers)} zones "
+                     f"({attack.operator.name})"),
             severity="info",
-            confidence=clip01(artifact.summary["success_rate"]),
-            metrics={"visits": float(artifact.summary["visits"]),
-                     "detected": float(artifact.summary["detected"]),
-                     "correct": float(artifact.summary["correct"]),
+            confidence=clip01(result.summary["success_rate"]),
+            metrics={"visits": float(result.summary["visits"]),
+                     "detected": float(result.summary["detected"]),
+                     "correct": float(result.summary["correct"]),
                      "success_rate": float(
-                         artifact.summary["success_rate"]),
+                         result.summary["success_rate"]),
                      "category_accuracy": float(
-                         artifact.summary["category_accuracy"])}))
+                         result.summary["category_accuracy"])}))
         return findings

@@ -1,8 +1,9 @@
 """Identity-layer detectors: TMSI exposure and paging linkability.
 
 Both read the per-zone :class:`~repro.sniffer.identity.IdentityMapper`
-state that the table V capture campaign populated (shared via the
-``history`` artifact, so a combined scan pays for one simulation):
+state that the table V capture campaign populated (shared via
+:func:`~repro.scan.history.history_campaign`, so a combined scan pays
+for one simulation):
 
 * ``tmsi-exposure`` — one finding per zone where the victim's TMSI was
   bound to C-RNTIs via the cleartext Msg3/Msg4 pairing; confidence
@@ -28,7 +29,7 @@ from typing import List
 from .base import Detector, ScanContext, register
 from .findings import (EvidenceWindow, Finding, evidence_confidence,
                        make_finding)
-from .history import build_history_artifact, victim_handle
+from .history import history_campaign, victim_handle
 
 #: DCI records at which TMSI-exposure confidence reaches 0.5.
 EXPOSURE_HALF_LIFE = 50.0
@@ -57,17 +58,16 @@ class TmsiExposureDetector(Detector):
     title = "RNTI-TMSI identity exposure per sniffed zone"
 
     def run(self, ctx: ScanContext) -> List[Finding]:
-        artifact = ctx.artifact("history",
-                                lambda: build_history_artifact(ctx))
-        tmsi = artifact.victim_tmsi
+        attack = history_campaign(ctx).attack
+        tmsi = attack.victim_tmsi
         victim = victim_handle(tmsi)
         imsi = None
-        catcher = getattr(artifact.attack, "catcher", None)
+        catcher = getattr(attack, "catcher", None)
         if catcher is not None:
             imsi = catcher.resolve_tmsi(tmsi)
         findings: List[Finding] = []
-        for zone in sorted(artifact.sniffers):
-            sniffer = artifact.sniffers[zone]
+        for zone in sorted(attack.sniffers):
+            sniffer = attack.sniffers[zone]
             bindings = sniffer.mapper.bindings_for_tmsi(tmsi)
             if not bindings:
                 continue
@@ -81,7 +81,7 @@ class TmsiExposureDetector(Detector):
                 summary=(f"TMSI exposed in {zone}: {len(bindings)} "
                          f"binding(s), {records} DCI records{resolved}"),
                 severity=severity, confidence=confidence,
-                evidence=_binding_windows(bindings, artifact.horizon_s,
+                evidence=_binding_windows(bindings, attack.horizon_s,
                                           "binding"),
                 metrics={"bindings": float(len(bindings)),
                          "records": float(records),
@@ -99,13 +99,12 @@ class PagingLinkabilityDetector(Detector):
     title = "cross-reconnect / cross-zone RNTI linkability"
 
     def run(self, ctx: ScanContext) -> List[Finding]:
-        artifact = ctx.artifact("history",
-                                lambda: build_history_artifact(ctx))
-        tmsi = artifact.victim_tmsi
+        attack = history_campaign(ctx).attack
+        tmsi = attack.victim_tmsi
         bindings = []
         zones_observed = []
-        for zone in sorted(artifact.sniffers):
-            zone_bindings = artifact.sniffers[zone].mapper \
+        for zone in sorted(attack.sniffers):
+            zone_bindings = attack.sniffers[zone].mapper \
                 .bindings_for_tmsi(tmsi)
             if zone_bindings:
                 zones_observed.append(zone)
@@ -122,7 +121,7 @@ class PagingLinkabilityDetector(Detector):
             summary=(f"victim linkable across {len(zones_observed)} "
                      f"zone(s) via {len(bindings)} RNTI binding(s)"),
             severity=severity, confidence=confidence,
-            evidence=_binding_windows(bindings, artifact.horizon_s,
+            evidence=_binding_windows(bindings, attack.horizon_s,
                                       "linkage"),
             metrics={"bindings": float(len(bindings)),
                      "links": float(links),

@@ -36,11 +36,15 @@ from .findings import (SCHEMA_VERSION, SEVERITIES, max_severity,
 
 REPORT_VERSION = 1
 
-#: Sources whose behaviour defines scan output: the scan package plus
-#: the attack implementations it wraps.
+#: Sources whose behaviour defines scan output: the scan package, the
+#: table drivers whose campaigns the detectors run, and the attack
+#: implementations underneath them.
 _FINGERPRINT_MODULES = (
-    "scan", "core/fingerprint.py", "core/history.py",
-    "core/correlation.py", "sniffer/identity.py", "stream/fusion.py",
+    "scan", "experiments/common.py", "experiments/table3_lab.py",
+    "experiments/table5_history.py", "experiments/table6_similarity.py",
+    "experiments/table7_correlation.py", "core/features.py",
+    "core/fingerprint.py", "core/history.py", "core/correlation.py",
+    "sniffer/identity.py", "stream/fusion.py",
 )
 
 _CODE_FINGERPRINT: Optional[str] = None

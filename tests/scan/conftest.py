@@ -2,9 +2,8 @@
 
 One micro-scale scan (all six detectors, lab-only correlation sweep)
 is run once per session and shared by the differential, golden, and
-engine tests — the same campaign the legacy drivers are compared
-against, so every suite reads one set of artifacts instead of paying
-for its own simulations.
+engine tests, so every suite reads one set of artifacts (the table
+driver results) instead of paying for its own simulations.
 """
 
 import pytest
@@ -14,14 +13,13 @@ from repro.operators import LAB
 from repro.scan import ScanConfig, run_scan
 
 #: Micro sizing (cf. tests/experiments): every stage runs end to end
-#: in seconds; the differential harness only needs *identical* numbers
-#: on both sides, not accurate ones.
+#: in seconds; the goldens pin the numbers, not their accuracy.
 MICRO = Scale(name="micro", traces_per_app=2, trace_duration_s=12.0,
               n_trees=8, pairs_per_app=2, history_visit_s=15.0,
               drift_test_days=2)
 
 #: The scan config every fixture below runs under: default seeds (the
-#: legacy drivers' 11/31/53), lab-only correlation environments.
+#: table drivers' 11/31/53), lab-only correlation environments.
 MICRO_CONFIG = ScanConfig(scale=MICRO, environments=(LAB,))
 
 

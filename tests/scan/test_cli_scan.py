@@ -1,9 +1,8 @@
 """The ``scan`` subcommand: exit codes, gating, baselines, byte-identity.
 
 Runs use the smoke scale with the correlation-only selection (lab
-environment): the cheapest real campaign, and — per the differential
-harness — bit-identical to the legacy table VII prefix, so every exit
-code asserted here is deterministic.
+environment): the cheapest real campaign, and a fixed-seed run of the
+table VII driver, so every exit code asserted here is deterministic.
 """
 
 import json
@@ -105,3 +104,35 @@ class TestScanBaselineCLI:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"version": 99, "entries": []}))
         assert main(FAST_ARGS + ["--baseline", str(path)]) == 2
+
+
+#: Malformed baseline entries lists: each must be rejected as bad input.
+MALFORMED_ENTRIES = {
+    "no-fingerprint": [{"count": 1}],
+    "fingerprint-not-string": [{"fingerprint": 5, "count": 1}],
+    "negative-count": [{"fingerprint": "0123456789abcdef", "count": -1}],
+    "entry-not-object": [1],
+    "entries-not-list": {"0123456789abcdef": 1},
+}
+
+
+@pytest.mark.parametrize("command", ["scan", "lint"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_ENTRIES) + ["missing"])
+def test_malformed_baseline_exits_2(tmp_path, capsys, command, case):
+    # Both CLIs share one baseline loader; a bad baseline is bad input
+    # (exit 2), never a traceback, and the scan rejects it before
+    # running any campaign.
+    path = tmp_path / "baseline.json"
+    if case != "missing":
+        version = 1 if command == "scan" else 3
+        path.write_text(json.dumps({"version": version,
+                                    "entries": MALFORMED_ENTRIES[case]}))
+    if command == "scan":
+        args = FAST_ARGS
+    else:
+        source = tmp_path / "clean"
+        source.mkdir()
+        (source / "module.py").write_text("VALUE = 1\n")
+        args = ["lint", str(source), "--no-cache"]
+    assert main(args + ["--baseline", str(path)]) == 2
+    assert "baseline" in capsys.readouterr().err

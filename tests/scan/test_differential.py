@@ -1,24 +1,22 @@
-"""The equivalence proof: every detector vs its legacy driver.
+"""Detector findings vs the table driver results they are built from.
 
-Each attack detector replicates its experiment driver's arithmetic
-(same campaign seeds, same model seeds, same splits); this harness runs
-both sides at micro scale and asserts *bit* equality — float-exact
-scores, ``np.array_equal`` predictions and confusion matrices, and
-per-victim verdicts matching the legacy ``classify_trace`` API — then
-repeats the whole scan on the process backend and asserts the rendered
-JSON report is byte-identical.
+Each attack detector runs its table driver (III, V, VII) once per scan
+and shares the result as a scan artifact.  These tests pin that result
+to golden tables rendered from the drivers, check that every finding
+says what the driver result says — per-victim verdicts matching the
+``classify_trace`` API, timeline rows, flagged pairs, identity
+bindings — and repeat the whole scan on the process backend to assert
+the rendered JSON is byte-identical.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import runtime
-from repro.core.correlation import precision_recall
 from repro.core.dataset import collect_traces, windows_from_traces
 from repro.core.fingerprint import HierarchicalFingerprinter
-from repro.experiments import table5_history, table7_correlation
-from repro.experiments.table3_lab import run_fingerprinting
-from repro.ml.metrics import confusion_matrix
 from repro.operators import LAB
 from repro.scan import run_scan
 from repro.scan.findings import evidence_confidence
@@ -29,82 +27,69 @@ from tests.scan.conftest import MICRO, MICRO_CONFIG
 
 pytestmark = pytest.mark.tier1
 
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("artifact, golden", [
+    ("fingerprint", "table3_micro.txt"),
+    ("history", "table5_micro.txt"),
+    ("correlation", "table7_micro.txt"),
+])
+def test_driver_tables_match_golden(micro_scan, artifact, golden):
+    # Rendered by run_fingerprinting(LAB, MICRO, seed=11),
+    # table5_history.run(MICRO) and
+    # table7_correlation.run(MICRO, environments=(LAB,)).
+    expected = (GOLDEN_DIR / golden).read_text(encoding="utf-8")
+    assert micro_scan.artifacts[artifact].table() + "\n" == expected
+
 
 class TestFingerprintDifferential:
-    """``app-fingerprint`` vs ``table3_lab.run_fingerprinting``."""
+    """``app-fingerprint`` findings vs ``classify_trace`` verdicts."""
 
-    def test_scores_bit_identical(self, micro_scan):
-        legacy = run_fingerprinting(LAB, MICRO, seed=11)
-        artifact = micro_scan.artifacts["fingerprint"]
-        assert artifact.operator == legacy.operator
-        assert artifact.apps == legacy.apps
-        # Dict equality on float tuples is exact equality — no
-        # tolerance anywhere in this harness.
-        assert artifact.scores == legacy.scores
-
-    def test_window_predictions_and_confusions(self, micro_scan):
-        # Re-run the legacy pipeline independently for the primary view
-        # and demand array-exact agreement with the scanner's stored
-        # intermediates.
-        artifact = micro_scan.artifacts["fingerprint"]
-        train = collect_traces(artifact.apps, operator=LAB,
+    @pytest.fixture(scope="class")
+    def held_out(self, micro_scan):
+        """The test traces and a refit primary-view (Down+UP) model."""
+        apps = micro_scan.artifacts["fingerprint"].apps
+        train = collect_traces(apps, operator=LAB,
                                traces_per_app=MICRO.traces_per_app,
                                duration_s=MICRO.trace_duration_s,
                                seed=11, day=0)
-        test = collect_traces(artifact.apps, operator=LAB,
+        test = collect_traces(apps, operator=LAB,
                               traces_per_app=max(
                                   1, MICRO.traces_per_app // 2),
                               duration_s=MICRO.trace_duration_s,
                               seed=11 + 5000, day=0)
-        w_train = windows_from_traces(train)
-        w_test = windows_from_traces(
-            test, app_encoder=w_train.app_encoder,
-            category_encoder=w_train.category_encoder)
-        model = HierarchicalFingerprinter(n_trees=MICRO.n_trees,
-                                          seed=12)
-        model.fit(w_train)
-        predictions = model.predict_apps(w_test.X)
-        assert np.array_equal(predictions, artifact.primary_predictions)
-        assert np.array_equal(w_test.trace_ids,
-                              artifact.primary_trace_ids)
-        expected_confusion = confusion_matrix(
-            w_test.app_labels, predictions,
-            n_classes=w_train.app_encoder.n_classes)
-        assert np.array_equal(expected_confusion,
-                              artifact.confusions["Down+UP"])
+        model = HierarchicalFingerprinter(n_trees=MICRO.n_trees, seed=12)
+        model.fit(windows_from_traces(train))
+        return test, model
 
-    def test_per_victim_verdicts_match_classify_trace(self, micro_scan):
-        # The scanner's bincount/argmax per-trace grouping must agree
-        # with the legacy per-trace verdict API on every held-out
-        # capture.
-        artifact = micro_scan.artifacts["fingerprint"]
-        test = collect_traces(artifact.apps, operator=LAB,
-                              traces_per_app=max(
-                                  1, MICRO.traces_per_app // 2),
-                              duration_s=MICRO.trace_duration_s,
-                              seed=11 + 5000, day=0)
-        predicted = artifact.trace_predictions["Down+UP"]
-        assert len(predicted) == len(test)
+    def test_per_victim_verdicts_match_classify_trace(self, micro_scan,
+                                                      held_out):
+        # The detector's bincount/argmax per-trace grouping of the
+        # driver's window predictions must agree with the per-trace
+        # verdict API on every held-out capture.
+        result = micro_scan.artifacts["fingerprint"]
+        test, model = held_out
+        assert len(result.test_meta) == len(test)
         for index, trace in enumerate(test):
-            verdict = artifact.model.classify_trace(trace)
+            votes = result.predictions[result.trace_ids == index]
+            verdict = model.classify_trace(trace)
             if verdict is None:
-                assert predicted[index] == -1
+                assert not len(votes)
                 continue
-            assert artifact.app_classes[predicted[index]] == verdict.app
+            app_id = int(np.argmax(np.bincount(
+                votes, minlength=len(result.app_classes))))
+            assert result.app_classes[app_id] == verdict.app
 
-    def test_findings_carry_verdict_confidences(self, micro_scan):
-        artifact = micro_scan.artifacts["fingerprint"]
-        test = collect_traces(artifact.apps, operator=LAB,
-                              traces_per_app=max(
-                                  1, MICRO.traces_per_app // 2),
-                              duration_s=MICRO.trace_duration_s,
-                              seed=11 + 5000, day=0)
+    def test_findings_carry_verdict_confidences(self, micro_scan,
+                                                held_out):
+        test, model = held_out
         findings = [f for f in micro_scan.findings
                     if f.detector == "app-fingerprint"
                     and f.victim != "campaign"]
         by_index = {int(f.victim.rsplit("#", 1)[1]): f for f in findings}
         for index, trace in enumerate(test):
-            verdict = artifact.model.classify_trace(trace)
+            verdict = model.classify_trace(trace)
             if verdict is None:
                 assert index not in by_index
                 continue
@@ -114,36 +99,17 @@ class TestFingerprintDifferential:
 
 
 class TestHistoryDifferential:
-    """``app-history`` vs ``table5_history.run``."""
-
-    @pytest.fixture(scope="class")
-    def legacy(self):
-        return table5_history.run(MICRO)
-
-    def test_timeline_rows_bit_identical(self, micro_scan, legacy):
-        artifact = micro_scan.artifacts["history"]
-        assert len(artifact.findings) == len(legacy.findings)
-        for ours, theirs in zip(artifact.findings, legacy.findings):
-            assert ours.zone == theirs.zone
-            assert ours.start_s == theirs.start_s
-            assert ours.end_s == theirs.end_s
-            assert ours.predicted_app == theirs.predicted_app
-            assert ours.predicted_category == theirs.predicted_category
-            assert ours.confidence == theirs.confidence
-            assert ours.correct == theirs.correct
-
-    def test_summary_bit_identical(self, micro_scan, legacy):
-        assert micro_scan.artifacts["history"].summary == legacy.summary
+    """``app-history`` findings vs the table V timeline."""
 
     def test_findings_mirror_timeline(self, micro_scan):
-        artifact = micro_scan.artifacts["history"]
+        result = micro_scan.artifacts["history"]
         findings = [f for f in micro_scan.findings
                     if f.detector == "app-history"
                     and f.victim != "campaign"]
-        assert len(findings) == len(artifact.findings)
+        assert len(findings) == len(result.findings)
         expected = sorted(
             (row.start_s, row.end_s, row.zone, float(row.confidence))
-            for row in artifact.findings)
+            for row in result.findings)
         actual = sorted(
             (f.evidence[0].start_s, f.evidence[0].end_s,
              f.evidence[0].cell, f.confidence) for f in findings)
@@ -153,27 +119,12 @@ class TestHistoryDifferential:
 
 
 class TestCorrelationDifferential:
-    """``identity-correlation`` vs ``table7_correlation.run``."""
-
-    def test_scores_bit_identical(self, micro_scan):
-        legacy = table7_correlation.run(MICRO, environments=(LAB,))
-        artifact = micro_scan.artifacts["correlation"]
-        assert artifact.environments == list(legacy.scores)
-        assert artifact.apps == legacy.apps
-        assert artifact.scores == legacy.scores
-
-    def test_predictions_reproduce_scores(self, micro_scan):
-        artifact = micro_scan.artifacts["correlation"]
-        for env in artifact.environments:
-            for app in artifact.apps:
-                key = (env, app)
-                assert artifact.scores[env][app] == precision_recall(
-                    artifact.y_true[key], artifact.y_pred[key])
+    """``identity-correlation`` findings vs the table VII predictions."""
 
     def test_flagged_findings_match_predictions(self, micro_scan):
-        artifact = micro_scan.artifacts["correlation"]
-        flagged = sum(int(np.sum(artifact.y_pred[key]))
-                      for key in artifact.y_pred)
+        result = micro_scan.artifacts["correlation"]
+        flagged = sum(int(np.sum(result.y_pred[key]))
+                      for key in result.y_pred)
         findings = [f for f in micro_scan.findings
                     if f.detector == "identity-correlation"
                     and f.victim != "campaign"]
@@ -182,26 +133,27 @@ class TestCorrelationDifferential:
             metrics = dict(finding.metrics)
             env, app, pair = finding.victim.split(":")
             index = int(pair.replace("pair", ""))
-            assert artifact.y_pred[(env, app)][index] == 1
-            assert (metrics["decision_score"]
-                    == float(artifact.decision[(env, app)][index]))
+            assert result.y_pred[(env, app)][index] == 1
+            decision = result.attacks[(env, app)].decision_scores(
+                result.pairs[(env, app)])
+            assert metrics["decision_score"] == float(decision[index])
 
 
 class TestIdentityDifferential:
     """Identity-layer detectors vs the mappers they read."""
 
     def test_tmsi_exposure_recomputation(self, micro_scan):
-        artifact = micro_scan.artifacts["history"]
-        tmsi = artifact.victim_tmsi
+        attack = micro_scan.artifacts["history"].attack
+        tmsi = attack.victim_tmsi
         findings = {f.summary.split(":")[0].replace("TMSI exposed in ", "")
                     : f for f in micro_scan.findings
                     if f.detector == "tmsi-exposure"}
-        expected_zones = [zone for zone in sorted(artifact.sniffers)
-                          if artifact.sniffers[zone].mapper
+        expected_zones = [zone for zone in sorted(attack.sniffers)
+                          if attack.sniffers[zone].mapper
                           .bindings_for_tmsi(tmsi)]
         assert sorted(findings) == expected_zones
         for zone in expected_zones:
-            sniffer = artifact.sniffers[zone]
+            sniffer = attack.sniffers[zone]
             bindings = sniffer.mapper.bindings_for_tmsi(tmsi)
             records = len(sniffer.trace_for_tmsi(tmsi))
             finding = findings[zone]
@@ -213,12 +165,12 @@ class TestIdentityDifferential:
             assert len(finding.evidence) == len(bindings)
 
     def test_paging_linkability_recomputation(self, micro_scan):
-        artifact = micro_scan.artifacts["history"]
-        tmsi = artifact.victim_tmsi
+        attack = micro_scan.artifacts["history"].attack
+        tmsi = attack.victim_tmsi
         bindings = []
         zones = 0
-        for zone in sorted(artifact.sniffers):
-            zone_bindings = artifact.sniffers[zone].mapper \
+        for zone in sorted(attack.sniffers):
+            zone_bindings = attack.sniffers[zone].mapper \
                 .bindings_for_tmsi(tmsi)
             if zone_bindings:
                 zones += 1
