@@ -1,15 +1,16 @@
-"""Golden equivalence: the vectorized engine is bit-identical to legacy.
+"""Golden traces: the simulator's grant stream, pinned by committed digests.
 
-The array-backed :class:`~repro.lte.engine.VectorENodeB` replaced the
-per-UE object hot loop as the default simulator.  Its contract is not
-"statistically similar" but **bit-identical**: same seeds in, same trace
-bytes out, for every scheduler, every obfuscation knob, HARQ, capture
-loss/corruption, and RNTI refresh.  These goldens pin that contract:
+Every attack reads the per-TTI PDCCH grant stream, so the simulator's
+contract is not "statistically similar" but **bit-identical**: same
+seeds in, same trace bytes out, for every scheduler, every obfuscation
+knob, HARQ, capture loss/corruption, and RNTI refresh.  The digests and
+counters below are committed constants recorded from the per-UE object
+loop (``engine="legacy"``); both engines must reproduce them:
 
-* single-cell scenario sweep, legacy vs vector, comparing every trace
-  column plus capture/tracker observability — run once with every TTI
-  pinned to the vector engine's array lane and once pinned to its
-  scalar lane, since every scenario here sits below the crossover;
+* a single-cell LTE scenario sweep, and the same knobs on a 5G NR cell
+  (0.5 ms slots, proportional-fair, 100 PRB), each run with every TTI
+  pinned to the array engine's array lane and once pinned to its scalar
+  lane, since every scenario here sits below the crossover;
 * a crossing scenario whose connections push the cell above
   ``SCALAR_LANE_MAX`` and whose inactivity releases bring it back, so
   the engine changes lanes mid-run in both directions;
@@ -20,11 +21,13 @@ loss/corruption, and RNTI refresh.  These goldens pin that contract:
 """
 
 import hashlib
+from dataclasses import dataclass
 
-import numpy as np
 import pytest
 
 from repro.core.dataset import collect_trace
+from repro.fiveg import gnb as gnb_module
+from repro.fiveg.gnb import NR_SLOT_US, GNodeB, add_nr_cell
 from repro.lte.channel import ChannelProfile
 from repro.lte.city import CityScenario, run_city
 from repro.lte.dci import Direction
@@ -38,7 +41,19 @@ from repro.operators import LAB
 from repro.runtime.parallel import ParallelMap
 from repro.sniffer.capture import CellSniffer
 
-#: Scenario sweep: (scheduler, cell kwargs, capture profile kwargs).
+
+@dataclass(frozen=True)
+class Golden:
+    """What one seeded scenario must produce, recorded once."""
+
+    digest: str
+    grants_issued: int
+    bytes_granted: int
+    harq_retransmissions: int
+    active_rntis: int
+
+
+#: LTE scenario sweep: (scheduler, cell kwargs, capture profile kwargs).
 SCENARIOS = [
     ("round-robin", {}, {}),
     ("proportional-fair", {}, {}),
@@ -54,12 +69,89 @@ SCENARIOS = [
      {}),
 ]
 
+#: ``SCENARIOS[i]`` must reproduce ``GOLDENS[i]``.
+GOLDENS = [
+    Golden("e48f22ab318b3d845f1fd6940453a402"
+           "3e11a81173121af53923b7683ab4199f",
+           763, 2282320, 0, 4),
+    Golden("cb6e0ea2c427ea84a6aed61fcdf05bae"
+           "b6af677cd1ff9824bed02b67a808cf73",
+           764, 2282259, 0, 4),
+    Golden("9dbe76950cbecffd91c73008da6dff7b"
+           "4a075c01a68e34d1ddd95b5a10dfe2b7",
+           721, 2282162, 0, 4),
+    Golden("e4b08a9ca1db5414b96f00855cce4f0e"
+           "56f8ab073beece45c277b6adf1a97003",
+           1213, 2282107, 131, 34),
+    Golden("16ff1613c49a87b0944aefd5b9be7596"
+           "1c9ff25cf7c8d8cf1ff5dd3336df9e46",
+           983, 2420772, 0, 7),
+]
+
+#: NR scenario sweep on a gNodeB (proportional-fair, 100 PRB, 0.5 ms
+#: slots): clean; HARQ with capture loss and corruption; padding, chaff
+#: and RNTI refresh.  (cell kwargs, capture profile kwargs).
+NR_SCENARIOS = [
+    ({}, {}),
+    ({"channel_profile": ChannelProfile(harq_bler=0.12),
+      "cross_traffic": CrossTraffic(mean_load=0.3)},
+     {"capture_loss": 0.05, "corruption_prob": 0.05}),
+    ({"obfuscation": ObfuscationConfig(padding_quantum=8,
+                                       chaff_probability=0.2,
+                                       rnti_refresh_s=0.6)},
+     {}),
+]
+
+#: ``NR_SCENARIOS[i]`` must reproduce ``NR_GOLDENS[i]``.
+NR_GOLDENS = [
+    Golden("54bc4b9af8c552174422458c00a04e91"
+           "ea39c1e36f3870d54076c6681628263b",
+           353, 2282278, 0, 4),
+    Golden("016851143ac2f54f487a3abf99ff0fdd"
+           "56ac6d7f795d20a230d7563aeb56e377",
+           661, 2282161, 86, 22),
+    Golden("bb868fa9fba643b77035dd2cd5a9ac76"
+           "852c1ebc01ee7beb8054e11729d89a26",
+           502, 2374009, 0, 5),
+]
+
+#: The crossing scenario: trace digest, grants, HARQ retransmissions
+#: and RNTI refreshes.
+CROSSING_GOLDEN = (
+    "534351c9133ddd262e5f76fe186faecde03edeaff04c1aa45e526d6b11622739",
+    664, 69, 47)
+
+#: ``collect_trace("Netflix", LAB, 6 s, seed 77)``.
+DRIVER_DIGEST = (
+    "f43db5a2514c42a6dfaffa73f3dd1643527d054a94495a2d07b23c6cc14bc50b")
+
+#: ``TestShardedCityGoldens.SCENARIO`` merged over all cells.
+CITY_DIGEST = (
+    "21f04d4fe428ff636b0b53ea1bbc21650772a08dea0690eb4dcf23f3c71af1ce")
+
+
+class _VectorGNodeB(GNodeB, VectorENodeB):
+    """A gNodeB on the array engine (``GNodeB`` itself runs legacy)."""
+
+
+def _add_cell(net, nr, engine, scheduler_name, cell_kwargs):
+    if nr:
+        gnb_class = _VectorGNodeB if engine == "vector" else GNodeB
+        original = gnb_module.GNodeB
+        gnb_module.GNodeB = gnb_class
+        try:
+            add_nr_cell(net, "golden", **cell_kwargs)
+        finally:
+            gnb_module.GNodeB = original
+    else:
+        net.add_cell("golden", scheduler_name=scheduler_name, total_prb=50,
+                     engine=engine, **cell_kwargs)
+
 
 def _simulate(engine, scheduler_name, cell_kwargs, capture_kwargs,
-              seed=42, duration_s=1.5):
+              nr=False, seed=42, duration_s=1.5):
     net = LTENetwork(seed=seed)
-    net.add_cell("golden", scheduler_name=scheduler_name, total_prb=50,
-                 engine=engine, **cell_kwargs)
+    _add_cell(net, nr, engine, scheduler_name, cell_kwargs)
     profile = (ChannelProfile(**capture_kwargs) if capture_kwargs
                else None)
     sniffer = CellSniffer("golden", capture_profile=profile,
@@ -76,7 +168,7 @@ def _simulate(engine, scheduler_name, cell_kwargs, capture_kwargs,
                            lambda u=ues[index], d=direction, s=size:
                            net.deliver_traffic(u, d, s))
     net.run_for(duration_s)
-    return net, sniffer
+    return net.cells["golden"].enb, sniffer
 
 
 def _trace_digest(sniffer):
@@ -89,6 +181,18 @@ def _trace_digest(sniffer):
         digest.update(trace.directions.tobytes())
         digest.update(trace.tbs_bytes.tobytes())
     return digest.hexdigest()
+
+
+def _observed(enb, sniffer):
+    return Golden(_trace_digest(sniffer), enb.grants_issued,
+                  enb.bytes_granted, enb.harq_retransmissions,
+                  len(sniffer.tracker.active_rntis()))
+
+
+def _obfuscating(cell_kwargs):
+    config = cell_kwargs.get("obfuscation")
+    return config is not None and (config.padding_quantum > 0
+                                   or config.chaff_probability > 0.0)
 
 
 @pytest.fixture
@@ -116,36 +220,58 @@ def lane_spy(monkeypatch):
 LANE_BOUNDS = {"array": 0, "scalar": 1 << 30}
 
 
+def _assert_lane(lane_spy, lane, cell_kwargs):
+    ran = "array" if _obfuscating(cell_kwargs) else lane
+    assert lane_spy[ran] > 0
+    assert lane_spy["scalar" if ran == "array" else "array"] == 0
+
+
 @pytest.mark.parametrize("lane", sorted(LANE_BOUNDS))
 @pytest.mark.parametrize("scheduler_name,cell_kwargs,capture_kwargs",
                          SCENARIOS)
 def test_vector_engine_trace_golden(scheduler_name, cell_kwargs,
                                     capture_kwargs, lane, lane_spy,
                                     monkeypatch):
-    legacy_net, legacy_sniffer = _simulate("legacy", scheduler_name,
-                                           cell_kwargs, capture_kwargs)
+    golden = GOLDENS[SCENARIOS.index(
+        (scheduler_name, cell_kwargs, capture_kwargs))]
     monkeypatch.setattr(engine_module, "SCALAR_LANE_MAX", LANE_BOUNDS[lane])
-    vector_net, vector_sniffer = _simulate("vector", scheduler_name,
-                                           cell_kwargs, capture_kwargs)
-    assert _trace_digest(legacy_sniffer) == _trace_digest(vector_sniffer)
-    obfuscating = "obfuscation" in cell_kwargs and (
-        cell_kwargs["obfuscation"].padding_quantum > 0
-        or cell_kwargs["obfuscation"].chaff_probability > 0.0)
-    ran = "array" if obfuscating else lane
-    assert lane_spy[ran] > 0
-    assert lane_spy["scalar" if ran == "array" else "array"] == 0
-    assert (legacy_sniffer.total_records > 0
-            or not capture_kwargs)  # lossy runs may drop, clean must see
-    legacy_enb = legacy_net.cells["golden"].enb
-    vector_enb = vector_net.cells["golden"].enb
-    assert isinstance(vector_enb, VectorENodeB)
-    assert type(legacy_enb) is ENodeB
-    assert vector_enb.grants_issued == legacy_enb.grants_issued
-    assert vector_enb.bytes_granted == legacy_enb.bytes_granted
-    assert (vector_enb.harq_retransmissions
-            == legacy_enb.harq_retransmissions)
-    assert (vector_sniffer.tracker.active_rntis()
-            == legacy_sniffer.tracker.active_rntis())
+    enb, sniffer = _simulate("vector", scheduler_name, cell_kwargs,
+                             capture_kwargs)
+    assert isinstance(enb, VectorENodeB)
+    assert _observed(enb, sniffer) == golden
+    _assert_lane(lane_spy, lane, cell_kwargs)
+    assert sniffer.total_records > 0 or capture_kwargs
+
+
+@pytest.mark.parametrize("lane", sorted(LANE_BOUNDS))
+@pytest.mark.parametrize("cell_kwargs,capture_kwargs", NR_SCENARIOS)
+def test_nr_cell_trace_golden(cell_kwargs, capture_kwargs, lane, lane_spy,
+                              monkeypatch):
+    golden = NR_GOLDENS[NR_SCENARIOS.index((cell_kwargs, capture_kwargs))]
+    monkeypatch.setattr(engine_module, "SCALAR_LANE_MAX", LANE_BOUNDS[lane])
+    gnb, sniffer = _simulate("vector", None, cell_kwargs, capture_kwargs,
+                             nr=True)
+    assert isinstance(gnb, GNodeB) and isinstance(gnb, VectorENodeB)
+    assert gnb._tti_us == NR_SLOT_US
+    assert _observed(gnb, sniffer) == golden
+    _assert_lane(lane_spy, lane, cell_kwargs)
+    assert sniffer.total_records > 0
+
+
+@pytest.mark.parametrize("nr,index", (
+    [(False, index) for index in range(len(SCENARIOS))]
+    + [(True, index) for index in range(len(NR_SCENARIOS))]))
+def test_legacy_engine_matches_goldens(nr, index):
+    if nr:
+        cell_kwargs, capture_kwargs = NR_SCENARIOS[index]
+        enb, sniffer = _simulate("legacy", None, cell_kwargs,
+                                 capture_kwargs, nr=True)
+        assert type(enb) is GNodeB
+        assert _observed(enb, sniffer) == NR_GOLDENS[index]
+    else:
+        enb, sniffer = _simulate("legacy", *SCENARIOS[index])
+        assert type(enb) is ENodeB
+        assert _observed(enb, sniffer) == GOLDENS[index]
 
 
 def _crossing_simulation(engine):
@@ -184,40 +310,43 @@ def _crossing_simulation(engine):
                            lambda u=ue: net.deliver_traffic(
                                u, Direction.UPLINK, 20_000))
     net.run_for(1.7)
-    return net, sniffer, peak[0]
+    enb = net.cells["crossing"].enb
+    observed = (_trace_digest(sniffer), enb.grants_issued,
+                enb.harq_retransmissions,
+                enb.obfuscation_stats.rnti_refreshes)
+    return enb, observed, peak[0]
 
 
 def test_crossing_scenario_switches_lanes_and_matches_legacy(lane_spy):
-    legacy_net, legacy_sniffer, _ = _crossing_simulation("legacy")
-    vector_net, vector_sniffer, peak = _crossing_simulation("vector")
+    enb, observed, peak = _crossing_simulation("vector")
     bound = engine_module.SCALAR_LANE_MAX
     assert peak > bound
-    assert vector_net.cells["crossing"].enb.connected_count <= bound
+    assert enb.connected_count <= bound
     assert lane_spy["changes"] == ["scalar", "array", "scalar"]
-    assert _trace_digest(vector_sniffer) == _trace_digest(legacy_sniffer)
-    legacy_enb = legacy_net.cells["crossing"].enb
-    vector_enb = vector_net.cells["crossing"].enb
-    assert vector_enb.grants_issued == legacy_enb.grants_issued
-    assert (vector_enb.harq_retransmissions
-            == legacy_enb.harq_retransmissions)
-    assert (vector_enb.obfuscation_stats.rnti_refreshes
-            == legacy_enb.obfuscation_stats.rnti_refreshes > 0)
+    assert observed == CROSSING_GOLDEN
+    assert CROSSING_GOLDEN[3] > 0
+
+
+def test_legacy_crossing_matches_golden():
+    _, observed, _ = _crossing_simulation("legacy")
+    assert observed == CROSSING_GOLDEN
+
+
+def _driver_digest():
+    trace = collect_trace("Netflix", operator=LAB, duration_s=6.0, seed=77)
+    assert len(trace) > 0
+    return hashlib.sha256(
+        trace.times_s.tobytes() + trace.rntis.tobytes()
+        + trace.directions.tobytes()
+        + trace.tbs_bytes.tobytes()).hexdigest()
 
 
 def test_engine_env_override_reaches_experiment_drivers(monkeypatch):
     """``collect_trace`` is engine-agnostic: the env knob decides."""
     monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
-    digests = {}
     for engine in ("legacy", "vector"):
         monkeypatch.setenv(ENGINE_ENV, engine)
-        trace = collect_trace("Netflix", operator=LAB, duration_s=6.0,
-                              seed=77)
-        digests[engine] = hashlib.sha256(
-            trace.times_s.tobytes() + trace.rntis.tobytes()
-            + trace.directions.tobytes()
-            + trace.tbs_bytes.tobytes()).hexdigest()
-        assert len(trace) > 0
-    assert digests["legacy"] == digests["vector"]
+        assert _driver_digest() == DRIVER_DIGEST
 
 
 def test_resolve_engine_precedence(monkeypatch):
@@ -246,29 +375,24 @@ class TestShardedCityGoldens:
     SCENARIO = CityScenario(n_cells=4, ues_per_cell=3, epochs=2,
                             epoch_s=1.0, seed=11, migration_prob=0.4)
 
-    @pytest.fixture(scope="class")
-    def reference(self):
-        result = run_city(self.SCENARIO, ParallelMap(workers=1), shards=1)
-        assert result.total_records > 0
-        assert result.spilled_bytes > 0
-        return _city_digest(result)
-
     @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_serial_backend_bit_identical(self, reference, shards):
+    def test_serial_backend_bit_identical(self, shards):
         result = run_city(self.SCENARIO,
                           ParallelMap(workers=1, backend="serial"),
                           shards=shards)
-        assert _city_digest(result) == reference
+        assert result.total_records > 0
+        assert result.spilled_bytes > 0
+        assert _city_digest(result) == CITY_DIGEST
         assert result.shards == shards
 
     @pytest.mark.parametrize("shards", [2, 4])
-    def test_process_backend_bit_identical(self, reference, shards):
+    def test_process_backend_bit_identical(self, shards):
         result = run_city(self.SCENARIO,
                           ParallelMap(workers=2, backend="process"),
                           shards=shards)
-        assert _city_digest(result) == reference
+        assert _city_digest(result) == CITY_DIGEST
 
-    def test_legacy_engine_city_matches(self, reference):
+    def test_legacy_engine_city_matches(self):
         result = run_city(self.SCENARIO, ParallelMap(workers=1), shards=2,
                           engine="legacy")
-        assert _city_digest(result) == reference
+        assert _city_digest(result) == CITY_DIGEST
