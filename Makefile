@@ -62,9 +62,10 @@ lint-changed:
 bench-lint:
 	$(PYTHON) benchmarks/bench_lint.py
 
-## Simulator engine benchmark: legacy vs vectorized TTI loop plus the
-## sharded city scaling sweep; writes BENCH_simulator.json and fails
-## if the speedup drops below its floor (cf. `lte-fingerprint bench sim`).
+## Simulator benchmark: TTI-loop grants/s on a 2048-UE cell, per-TTI
+## cost across cell sizes for each lane, and the sharded city scaling
+## sweep; writes BENCH_simulator.json and fails below the grants/s
+## floor or above a per-TTI ceiling (cf. `lte-fingerprint bench sim`).
 bench-sim:
 	$(PYTHON) benchmarks/bench_simulator.py
 

@@ -16,8 +16,9 @@ harness:
   as a detector emitting confidence-scored findings into one text/JSON
   report, with suppression baselines and severity exit-code gating;
 * ``bench`` — run the component micro-benchmarks once (timings off),
-  ``bench sim`` for the legacy-vs-vector simulator engine benchmark
-  (writes ``BENCH_simulator.json``, enforces the speedup floor), or
+  ``bench sim`` for the simulator TTI-loop benchmark (writes
+  ``BENCH_simulator.json``, enforces its grants/s floor and per-TTI
+  ceilings), or
   ``bench infer`` for the inference-plane benchmark (flattened forest
   descent + batched DTW matrix, writes ``BENCH_inference.json``);
 * ``cache`` — inspect or clear the on-disk trace cache;
@@ -197,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=("components", "sim", "infer", "stream"),
                        help="'components' (default) runs the pytest "
                             "micro-benchmarks; 'sim' runs the simulator "
-                            "engine benchmark with its speedup guard; "
+                            "TTI-loop benchmark with its absolute guards; "
                             "'infer' runs the inference-plane benchmark "
                             "(flattened forest + batched DTW); 'stream' "
                             "runs the streaming data-plane benchmark "
@@ -574,9 +575,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     ``bench sim`` instead runs the standalone simulator benchmark
     (``benchmarks/bench_simulator.py``) in a subprocess: it times the
-    legacy vs vector TTI loop on a crowded cell and per TTI across cell
-    sizes, records ``BENCH_simulator.json`` at the repo root, and exits
-    non-zero if a speedup floor or the per-size guard fails.
+    TTI loop in grants/s on a crowded cell and per TTI across cell
+    sizes (as shipped and pinned to each lane), records
+    ``BENCH_simulator.json`` at the repo root, and exits non-zero if
+    the grants/s floor, its 2x regression guard or a per-TTI ceiling
+    fails.
     ``bench infer`` does the same for the inference plane
     (``benchmarks/bench_inference.py``): flattened-forest predict vs
     the object descent and the batched similarity matrix vs its scalar

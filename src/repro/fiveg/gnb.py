@@ -10,10 +10,12 @@ What changes relative to :class:`repro.lte.enb.ENodeB`:
   (emitted as :class:`NRRegistrationRequest`), defeating the passive
   identity-mapping trick of the LTE attack.
 
-Everything else — DCI-with-masked-CRC on the PDCCH, demand-driven
-slot loop, inactivity release — is inherited: NR kept those mechanisms,
-which is precisely why the paper expects the *fingerprinting* half of
-the attack to transfer (§VIII-C).
+Everything else — DCI-with-masked-CRC on the PDCCH, the demand-driven
+slot loop with its scalar and array lanes, HARQ, padding/chaff,
+inactivity release — is inherited from the one eNodeB: NR kept those
+mechanisms, which is precisely why the paper expects the
+*fingerprinting* half of the attack to transfer (§VIII-C).  The golden
+suite pins NR cells' grant streams alongside the LTE ones.
 """
 
 from __future__ import annotations

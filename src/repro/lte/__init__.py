@@ -8,7 +8,7 @@ lifecycles with inactivity-driven RNTI churn, paging, and multi-cell
 handover.
 """
 
-from .channel import CaptureChannel, ChannelProfile, UELink
+from .channel import CaptureChannel, ChannelProfile
 from .cell import Cell, MobilityStep
 from .crc import crc16, crc24a, mask_crc_with_rnti, unmask_rnti
 from .dci import (DCIFormat, DCIMessage, DecodeError, Direction, EncodedDCI,
@@ -43,7 +43,7 @@ __all__ = [
     "RNTIAllocator", "RRCConnectionRelease", "RRCConnectionRequest",
     "RRCConnectionSetup", "RRCState", "SECOND_US", "SI_RNTI", "SimClock",
     "SubscriberIdentity", "TMSIAllocator", "TrafficEvent", "TTI_US", "UE",
-    "UEContext", "UELink", "cqi_to_mcs", "crc16", "crc24a", "grant_for_bytes",
+    "UEContext", "cqi_to_mcs", "crc16", "crc24a", "grant_for_bytes",
     "is_crnti", "make_imsi", "make_scheduler", "mask_crc_with_rnti",
     "mcs_to_itbs", "scheduler_names", "seconds", "to_seconds",
     "transport_block_bytes", "transport_block_size", "unmask_rnti",

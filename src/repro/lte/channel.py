@@ -12,7 +12,8 @@ Two distinct channels matter to the reproduction:
 
 CQI evolves as a bounded random walk per UE — a standard stand-in for
 slow fading — so consecutive grants to the same UE are correlated, just
-as they are on a real link.
+as they are on a real link.  The eNB advances the walk each TTI on its
+CQI column (:meth:`repro.lte.engine.TTILoop._walk_cqi`).
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from typing import Optional, Tuple
-
-from .tbs import cqi_to_mcs
 
 
 @dataclass(frozen=True)
@@ -69,32 +68,6 @@ class ChannelProfile:
     @property
     def cqi_ceiling(self) -> int:
         return min(15, self.mean_cqi + self.cqi_span)
-
-
-class UELink:
-    """Per-UE link state: a CQI random walk and its MCS projection."""
-
-    def __init__(self, profile: ChannelProfile, rng: random.Random) -> None:
-        self._profile = profile
-        self._rng = rng
-        self._cqi = rng.randint(profile.cqi_floor, profile.cqi_ceiling)
-
-    @property
-    def cqi(self) -> int:
-        return self._cqi
-
-    def update(self) -> int:
-        """Advance the CQI random walk one step; returns the new CQI."""
-        profile = self._profile
-        if self._rng.random() < profile.cqi_step_prob:
-            step = self._rng.choice((-1, 1))
-            self._cqi = min(profile.cqi_ceiling,
-                            max(profile.cqi_floor, self._cqi + step))
-        return self._cqi
-
-    def current_mcs(self) -> int:
-        """The MCS link adaptation selects for the current CQI."""
-        return cqi_to_mcs(self._cqi)
 
 
 class CaptureChannel:

@@ -102,14 +102,13 @@ class CityResult:
         return sum(len(trace) for trace in self.traces.values())
 
 
-def _run_cell_epoch(scenario: CityScenario, engine: Optional[str],
-                    cell_id: str, epoch: int,
+def _run_cell_epoch(scenario: CityScenario, cell_id: str, epoch: int,
                     carried: Residuals) -> Tuple[Trace, Residuals]:
     """Simulate one cell for one epoch — a pure function of its seeds."""
     net = LTENetwork(seed=_entity_seed(scenario.seed, "net", cell_id, epoch))
     net.add_cell(cell_id, channel_profile=scenario.channel_profile,
                  scheduler_name=scenario.scheduler_name,
-                 total_prb=scenario.total_prb, engine=engine)
+                 total_prb=scenario.total_prb)
     sniffer = CellSniffer(
         cell_id,
         seed=_entity_seed(scenario.seed, "sniffer", cell_id, epoch)
@@ -155,8 +154,8 @@ def _run_cell_epoch(scenario: CityScenario, engine: Optional[str],
     return trace, residuals
 
 
-def _run_shard_epoch(scenario: CityScenario, engine: Optional[str],
-                     spill_dir: str, payload) -> Tuple[str, List[Residuals]]:
+def _run_shard_epoch(scenario: CityScenario, spill_dir: str,
+                     payload) -> Tuple[str, List[Residuals]]:
     """Worker task: simulate one shard's cells for one epoch, spill traces.
 
     Returns the spill path plus per-cell residuals — the only data that
@@ -166,8 +165,7 @@ def _run_shard_epoch(scenario: CityScenario, engine: Optional[str],
     traces: List[Trace] = []
     residuals: List[Residuals] = []
     for cell_id, carried in cells:
-        trace, residual = _run_cell_epoch(scenario, engine, cell_id, epoch,
-                                          carried)
+        trace, residual = _run_cell_epoch(scenario, cell_id, epoch, carried)
         traces.append(trace)
         residuals.append(residual)
     spill_path = (Path(spill_dir)
@@ -187,8 +185,7 @@ def _shard_cells(cell_ids: Sequence[str], shards: int) -> List[List[str]]:
 
 
 def run_city(scenario: CityScenario, mapper: Optional[ParallelMap] = None,
-             shards: int = 1, engine: Optional[str] = None,
-             spill_dir: Optional[Path] = None) -> CityResult:
+             shards: int = 1, spill_dir: Optional[Path] = None) -> CityResult:
     """Run a sharded city scenario; bit-identical for any shards/backend.
 
     Each epoch fans (shard, epoch) tasks through ``mapper.map_batched``;
@@ -211,8 +208,7 @@ def run_city(scenario: CityScenario, mapper: Optional[ParallelMap] = None,
                 (shard_index, epoch,
                  [(cell_id, carried[cell_id]) for cell_id in shard])
                 for shard_index, shard in enumerate(shard_lists)]
-            worker = partial(_run_shard_epoch, scenario, engine,
-                             str(spill_root))
+            worker = partial(_run_shard_epoch, scenario, str(spill_root))
             results = mapper.map_batched(worker, payloads)
             epoch_residuals: Dict[str, Residuals] = {}
             offset_s = epoch * scenario.epoch_s

@@ -11,33 +11,43 @@ This is the heart of the radio-layer substrate.  The eNB:
   releasing idle UEs and thereby forcing the RNTI churn that the
   attack's identity-mapping stage must cope with.
 
-The TTI loop is demand-driven: it only runs while some UE has backlog,
-so quiet air time costs nothing to simulate.
+Per-UE state lives in parallel int64 *slot columns* — RNTI, backlogs,
+CQI, last-activity time — that the TTI loop (:mod:`repro.lte.engine`,
+a scalar lane for small cells and an array lane for crowded ones)
+reads and writes directly; :class:`UEContext` is the RRC side's handle
+on one UE's slot.  The loop is demand-driven: it only runs while some
+UE has backlog, so quiet air time costs nothing to simulate.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
+import numpy as np
+
 from .. import obs
-from .channel import ChannelProfile, UELink
-from .dci import DCIFormat, DCIMessage, Direction, PDCCHTransmission
+from .channel import ChannelProfile
+from .dci import Direction, PDCCHTransmission
+from .engine import GrantBatchObserver, TTILoop
 from .identifiers import RA_RNTI_MAX, RA_RNTI_MIN, RNTIAllocator
 from .obfuscation import (NO_OBFUSCATION, ObfuscationConfig,
                           ObfuscationStats)
 from .rrc import (ControlMessage, PagingMessage, RACHPreamble,
                   RandomAccessResponse, RRCConnectionRelease,
                   RRCConnectionRequest, RRCConnectionSetup)
-from .scheduler import (Allocation, CrossTraffic, Demand, MACScheduler,
-                        make_scheduler)
+from .scheduler import Allocation, CrossTraffic
 from .sim import SECOND_US, TTI_US, SimClock
-from .tbs import grant_for_bytes
+from .tbs import cqi_to_mcs, grant_for_bytes
 from .ue import UE
+from .vecsched import make_vector_scheduler
 
 PDCCHObserver = Callable[[PDCCHTransmission], None]
 ControlObserver = Callable[[ControlMessage], None]
+
+#: The slot columns, all int64 and indexed by UE slot.
+_COLUMNS = ("_arr_rnti", "_arr_dl", "_arr_ul", "_arr_cqi", "_arr_last")
 
 
 @dataclass(frozen=True)
@@ -49,33 +59,49 @@ class HandoverContext:
     ul_backlog: int
 
 
-@dataclass
 class UEContext:
-    """eNB-side state for one RRC-connected UE."""
+    """eNB-side handle for one RRC-connected UE.
 
-    ue: UE
-    rnti: int
-    link: UELink
-    dl_backlog: int = 0
-    ul_backlog: int = 0
-    last_activity_us: int = 0
-    release_pending: bool = field(default=False, repr=False)
+    The UE's scalar state — backlogs, CQI, last-activity time — lives
+    in the eNB's slot columns at ``slot``; the properties below read it
+    from there, so the TTI loop and the RRC code always see one state.
+    """
 
-    def backlog(self, direction: Direction) -> int:
-        return self.dl_backlog if direction is Direction.DOWNLINK else self.ul_backlog
+    __slots__ = ("_enb", "slot", "ue", "rnti")
 
-    def drain(self, direction: Direction, amount: int) -> None:
-        if direction is Direction.DOWNLINK:
-            self.dl_backlog = max(0, self.dl_backlog - amount)
-        else:
-            self.ul_backlog = max(0, self.ul_backlog - amount)
+    def __init__(self, enb: "ENodeB", slot: int, ue: UE, rnti: int) -> None:
+        self._enb = enb
+        self.slot = slot
+        self.ue = ue
+        self.rnti = rnti
+
+    @property
+    def dl_backlog(self) -> int:
+        return int(self._enb._arr_dl[self.slot])
+
+    @property
+    def ul_backlog(self) -> int:
+        return int(self._enb._arr_ul[self.slot])
 
     @property
     def total_backlog(self) -> int:
         return self.dl_backlog + self.ul_backlog
 
+    @property
+    def last_activity_us(self) -> int:
+        return int(self._enb._arr_last[self.slot])
 
-class ENodeB:
+    @property
+    def cqi(self) -> int:
+        return int(self._enb._arr_cqi[self.slot])
+
+    @property
+    def mcs(self) -> int:
+        """The MCS link adaptation selects for the UE's current CQI."""
+        return cqi_to_mcs(self.cqi)
+
+
+class ENodeB(TTILoop):
     """A base station serving one cell."""
 
     def __init__(
@@ -101,8 +127,8 @@ class ENodeB:
         self._clock = clock
         self._rng = rng
         self._profile = channel_profile or ChannelProfile()
-        self._dl_scheduler: MACScheduler = make_scheduler(scheduler_name)
-        self._ul_scheduler: MACScheduler = make_scheduler(scheduler_name)
+        self._dl_scheduler = make_vector_scheduler(scheduler_name)
+        self._ul_scheduler = make_vector_scheduler(scheduler_name)
         self._total_prb = total_prb
         self._inactivity_us = int(inactivity_timeout_s * SECOND_US)
         self._cross_traffic = cross_traffic or CrossTraffic(mean_load=0.0)
@@ -112,8 +138,24 @@ class ENodeB:
         self._tti_running = False
         self.pdcch_observers: List[PDCCHObserver] = []
         self.control_observers: List[ControlObserver] = []
+        #: Columnar grant feed: one :class:`~repro.lte.engine.GrantBatch`
+        #: per direction per TTI (plus single-record batches for HARQ
+        #: retransmissions).
+        self.grant_batch_observers: List[GrantBatchObserver] = []
         self.obfuscation = obfuscation or NO_OBFUSCATION
         self.obfuscation_stats = ObfuscationStats()
+        # Padding / chaff mutate and extend the allocation list with
+        # scalar rng draws; those TTIs always take the array lane's
+        # padding/chaff path to keep the draw order exact.
+        self._obfuscating = (self.obfuscation.padding_quantum > 0
+                             or self.obfuscation.chaff_probability > 0.0)
+        self._capacity = 16
+        for name in _COLUMNS:
+            setattr(self, name, np.zeros(self._capacity, dtype=np.int64))
+        self._free_slots = list(range(self._capacity - 1, -1, -1))
+        self._order_dirty = True
+        self._ordered_slots = np.empty(0, dtype=np.int64)
+        self._slot_list: List[int] = []
         #: Counters for tests and capacity accounting.
         self.grants_issued = 0
         self.bytes_granted = 0
@@ -132,6 +174,32 @@ class ENodeB:
     def _emit_control(self, message: ControlMessage) -> None:
         for observer in self.control_observers:
             observer(message)
+
+    # -- slot columns ------------------------------------------------------------
+
+    def _allocate_slot(self) -> int:
+        if not self._free_slots:
+            old = self._capacity
+            new = old * 2
+            for name in _COLUMNS:
+                grown = np.zeros(new, dtype=np.int64)
+                grown[:old] = getattr(self, name)
+                setattr(self, name, grown)
+            self._free_slots.extend(range(new - 1, old - 1, -1))
+            self._capacity = new
+        return self._free_slots.pop()
+
+    def _ordered(self) -> np.ndarray:
+        """Slots of live contexts in RRC-connection (dict) order."""
+        if self._order_dirty:
+            self._slot_list = [context.slot
+                               for context in self._contexts.values()]
+            self._ordered_slots = np.array(self._slot_list, dtype=np.int64)
+            self._order_dirty = False
+        return self._ordered_slots
+
+    def _backlog_column(self, direction: Direction) -> np.ndarray:
+        return self._arr_dl if direction is Direction.DOWNLINK else self._arr_ul
 
     # -- RRC connection management ---------------------------------------------
 
@@ -165,12 +233,22 @@ class ENodeB:
         return rnti
 
     def _register(self, ue: UE, rnti: int) -> None:
-        context = UEContext(ue=ue, rnti=rnti,
-                            link=UELink(self._profile, self._rng),
-                            last_activity_us=self._clock.now_us)
+        # One draw on the shared rng: the UE's initial CQI.
+        profile = self._profile
+        initial_cqi = self._rng.randint(profile.cqi_floor,
+                                        profile.cqi_ceiling)
+        slot = self._allocate_slot()
+        now = self._clock.now_us
+        self._arr_rnti[slot] = rnti
+        self._arr_dl[slot] = 0
+        self._arr_ul[slot] = 0
+        self._arr_cqi[slot] = initial_cqi
+        self._arr_last[slot] = now
+        context = UEContext(self, slot, ue, rnti)
         self._contexts[rnti] = context
         self._context_by_ue[ue] = context
-        ue.on_connected(self._clock.now_us, self.cell_id, rnti)
+        self._order_dirty = True
+        ue.on_connected(now, self.cell_id, rnti)
         self._schedule_inactivity_check(context)
         if self.obfuscation.rnti_refresh_s is not None:
             self._schedule_rnti_refresh(context)
@@ -181,6 +259,8 @@ class ENodeB:
         if context is None:
             return
         del self._contexts[context.rnti]
+        self._free_slots.append(context.slot)
+        self._order_dirty = True
         self._rnti_pool.release(context.rnti)
         if announce:
             self._emit_control(
@@ -215,8 +295,8 @@ class ENodeB:
         context = self._context_by_ue.get(ue)
         if context is None:
             raise RuntimeError(f"{ue.name} not connected to {self.cell_id}")
-        context.dl_backlog += dl_backlog
-        context.ul_backlog += ul_backlog
+        self._arr_dl[context.slot] += dl_backlog
+        self._arr_ul[context.slot] += ul_backlog
         if context.total_backlog > 0:
             self._ensure_tti_loop()
 
@@ -237,11 +317,8 @@ class ENodeB:
         context = self._context_by_ue.get(ue)
         if context is None:
             raise RuntimeError(f"{ue.name} not connected to {self.cell_id}")
-        if direction is Direction.DOWNLINK:
-            context.dl_backlog += size_bytes
-        else:
-            context.ul_backlog += size_bytes
-        context.last_activity_us = self._clock.now_us
+        self._backlog_column(direction)[context.slot] += size_bytes
+        self._arr_last[context.slot] = self._clock.now_us
         self._ensure_tti_loop()
 
     def is_connected(self, ue: UE) -> bool:
@@ -269,7 +346,11 @@ class ENodeB:
         del self._contexts[old_rnti]
         self._rnti_pool.release(old_rnti)
         context.rnti = new_rnti
+        self._arr_rnti[context.slot] = new_rnti
         self._contexts[new_rnti] = context
+        # The context moves to the end of the dict; the cached slot
+        # order must follow so CQI draws stay in order.
+        self._order_dirty = True
         # The reassignment rides an *encrypted* RRC reconfiguration —
         # nothing is emitted on the cleartext control feed, which is
         # exactly why it disrupts the sniffer's identity tracking.
@@ -297,7 +378,7 @@ class ENodeB:
         else:
             self._schedule_inactivity_check(context)
 
-    # -- the TTI grant loop ----------------------------------------------------------
+    # -- padding / chaff countermeasures (§VIII-B) ----------------------------------
 
     def _pad_allocations(self, allocations, available: int):
         """Round each grant up to the padding quantum (morphing defence)."""
@@ -327,102 +408,16 @@ class ENodeB:
             return []
         if self._rng.random() >= probability:
             return []
+        backlog = self._backlog_column(direction)
         idle = [context for context in self._contexts.values()
-                if context.backlog(direction) == 0]
+                if backlog[context.slot] == 0]
         if not idle:
             return []
         target = self._rng.choice(idle)
         size = self._rng.randint(64, self.obfuscation.chaff_max_bytes)
-        n_prb, tbs = grant_for_bytes(size, target.link.current_mcs(),
-                                     max(1, available // 4))
+        mcs = target.mcs
+        n_prb, tbs = grant_for_bytes(size, mcs, max(1, available // 4))
         self.obfuscation_stats.chaff_bytes += tbs
         self.obfuscation_stats.chaff_grants += 1
-        return [Allocation(rnti=target.rnti, direction=direction,
-                           mcs=target.link.current_mcs(), n_prb=n_prb,
-                           tbs_bytes=tbs)]
-
-    #: HARQ round-trip time in TTIs (FDD LTE: 8 ms).
-    _HARQ_RTT_TTIS = 8
-    #: Maximum HARQ transmission attempts (standard default: 4).
-    _HARQ_MAX_ATTEMPTS = 4
-
-    def _maybe_retransmit(self, dci: DCIMessage, attempt: int) -> None:
-        """Queue a HARQ retransmission of a failed transport block.
-
-        A retransmission re-airs the *same grant* one HARQ RTT later —
-        visible to the sniffer as a duplicate-size DCI, a real artefact
-        of live captures that the classifier must tolerate.
-        """
-        if attempt >= self._HARQ_MAX_ATTEMPTS:
-            return
-        if self._rng.random() >= self._profile.harq_bler:
-            return
-
-        def retransmit() -> None:
-            # The UE may have been released meanwhile; retransmissions
-            # to a retired RNTI are simply not sent.
-            if dci.rnti not in self._contexts:
-                return
-            self._emit_pdcch(PDCCHTransmission(time_us=self._clock.now_us,
-                                               encoded=dci.encode()))
-            self.harq_retransmissions += 1
-            self.grants_issued += 1
-            self._grants_obs.inc()
-            self._maybe_retransmit(dci, attempt + 1)
-
-        self._clock.schedule(self._HARQ_RTT_TTIS * self._tti_us, retransmit)
-
-    def _ensure_tti_loop(self) -> None:
-        if not self._tti_running:
-            self._tti_running = True
-            self._clock.schedule(self._tti_us, self._on_tti)
-
-    def _demands(self, direction: Direction) -> List[Demand]:
-        demands = []
-        for context in self._contexts.values():
-            backlog = context.backlog(direction)
-            if backlog > 0:
-                demands.append(Demand(rnti=context.rnti, direction=direction,
-                                      backlog_bytes=backlog,
-                                      mcs=context.link.current_mcs()))
-        return demands
-
-    def _on_tti(self) -> None:
-        now = self._clock.now_us
-        self._ttis_obs.inc()
-        occupied = self._cross_traffic.occupied_prb(self._total_prb, self._rng)
-        available = max(1, self._total_prb - occupied)
-        any_backlog = False
-        for direction, scheduler in ((Direction.DOWNLINK, self._dl_scheduler),
-                                     (Direction.UPLINK, self._ul_scheduler)):
-            demands = self._demands(direction)
-            allocations = (scheduler.allocate(demands, available)
-                           if demands else [])
-            self.obfuscation_stats.useful_bytes += sum(
-                a.tbs_bytes for a in allocations)
-            if self.obfuscation.padding_quantum > 0:
-                allocations = self._pad_allocations(allocations, available)
-            allocations.extend(self._chaff_allocations(direction, available))
-            for allocation in allocations:
-                fmt = (DCIFormat.FORMAT_1A
-                       if direction is Direction.DOWNLINK else DCIFormat.FORMAT_0)
-                dci = DCIMessage(fmt=fmt, rnti=allocation.rnti,
-                                 mcs=allocation.mcs, n_prb=allocation.n_prb)
-                self._emit_pdcch(PDCCHTransmission(time_us=now,
-                                                   encoded=dci.encode()))
-                context = self._contexts[allocation.rnti]
-                context.drain(direction, allocation.tbs_bytes)
-                context.last_activity_us = now
-                self.grants_issued += 1
-                self._grants_obs.inc()
-                self.bytes_granted += allocation.tbs_bytes
-                if self._profile.harq_bler > 0.0:
-                    self._maybe_retransmit(dci, attempt=1)
-        for context in self._contexts.values():
-            context.link.update()
-            if context.total_backlog > 0:
-                any_backlog = True
-        if any_backlog:
-            self._clock.schedule(self._tti_us, self._on_tti)
-        else:
-            self._tti_running = False
+        return [Allocation(rnti=target.rnti, direction=direction, mcs=mcs,
+                           n_prb=n_prb, tbs_bytes=tbs)]

@@ -1,26 +1,23 @@
-"""Array-backed eNodeB: the TTI hot loop in two size-adaptive lanes.
+"""The eNodeB's TTI grant loop: two size-adaptive lanes over slot columns.
 
-:class:`VectorENodeB` re-implements :meth:`ENodeB._on_tti` over parallel
-numpy columns keyed by UE slot — backlogs, CQI, RNTIs and activity
-timestamps live in dense int64 arrays.  Everything else — RRC lifecycle,
-paging, handover, inactivity, RNTI refresh — is inherited unchanged from
-:class:`ENodeB` and operates through :class:`VecUEContext`, a per-UE
-facade whose attributes are properties over the engine arrays.
+:class:`TTILoop` is the grant-loop half of :class:`repro.lte.enb.ENodeB`.
+The eNB keeps every connected UE's scalar state — RNTI, downlink and
+uplink backlog, CQI, last-activity time — in parallel int64 columns
+indexed by the UE's slot; each TTI turns those backlogs into DCI
+grants on one of two lanes over the same columns:
 
-Each TTI runs on one of two lanes over those same columns:
-
-* the **scalar lane** (:meth:`VectorENodeB._scalar_tti`) while the cell
-  has at most :data:`SCALAR_LANE_MAX` connected UEs and no padding or
+* the **scalar lane** (:meth:`TTILoop._scalar_tti`) while the cell has
+  at most :data:`SCALAR_LANE_MAX` connected UEs and no padding or
   chaff.  It reads the columns as Python ints, calls each scheduler's
   ``allocate_scalar`` entry point and writes the drained backlogs back.
   This is the paper's regime — one victim or one conversation pair per
   cell — where a TTI touches a handful of UEs and the array lane's fixed
   cost of small numpy calls would dominate.
-* the **array lane** (:meth:`VectorENodeB._array_tti`) for crowded or
+* the **array lane** (:meth:`TTILoop._array_tti`) for crowded or
   obfuscating cells: demands, grants and drains for all UEs at once
   with array operations (:mod:`repro.lte.vecsched`).  Padding and chaff
-  always take it, through the legacy helpers on materialised
-  allocations, so their scalar draws keep their order.
+  always take it, through the eNB's padding/chaff helpers on
+  materialised allocations, so their scalar draws keep their order.
 
 The schedulers keep one state for both entry points (the RR rotation
 pointer, the dense PF averages), so a cell changes lanes between any two
@@ -29,13 +26,12 @@ crossover sweep in ``benchmarks/bench_simulator.py``: below it the
 scalar lane is the faster one, above it the array lane's cost grows
 more slowly with the UE count.
 
-**Bit-exact parity** with the legacy object loop is a hard contract for
-both lanes, enforced by the golden suite
-(``tests/integration/test_sim_golden.py``), which runs every scenario
-pinned to each lane and one scenario that crosses the bound both ways.
-The shared eNB :class:`random.Random` stream makes this subtle: every
-scalar draw of the legacy loop must happen in exactly the same order.
-Per TTI the legacy draw order is
+**Both lanes emit the same bits.**  The golden suite
+(``tests/integration/test_sim_golden.py``) pins committed trace digests
+for LTE and 5G NR cells, runs every scenario pinned to each lane and
+one scenario that crosses the bound both ways.  The shared eNB
+:class:`random.Random` stream makes this subtle: every scalar draw must
+happen in exactly the same order.  Per TTI the draw order is
 
 1. ``CrossTraffic.occupied_prb`` (one ``gauss``, only when configured);
 2. per direction (DL first): chaff draws, then one ``random()`` per
@@ -51,30 +47,19 @@ reproduce the stream; it is a scalar loop in both lanes.
 Grants leave the cell as :class:`GrantBatch` columns so an attached
 sniffer can ingest whole TTIs without materialising per-record
 ``PDCCHTransmission`` objects; plain ``pdcch_observers`` still receive
-fully encoded transmissions for compatibility.
+fully encoded transmissions.
 """
 
 from __future__ import annotations
 
-import os
-import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
-from .channel import ChannelProfile
 from .dci import DCIFormat, DCIMessage, Direction, PDCCHTransmission
-from .enb import ENodeB
-from .obfuscation import ObfuscationConfig
-from .scheduler import Allocation, CrossTraffic
-from .sim import TTI_US, SimClock
-from .tbs import cqi_to_mcs, mcs_of_cqi_array
-from .ue import UE
-from .vecsched import make_vector_scheduler
-
-#: Environment knob selecting the default simulation engine per process.
-ENGINE_ENV = "REPRO_SIM_ENGINE"
+from .scheduler import Allocation
+from .tbs import mcs_of_cqi_array
 
 #: Largest connected-UE count whose TTIs run on the scalar lane.  Below
 #: it, the array lane's fixed cost of small numpy calls outweighs the
@@ -93,7 +78,7 @@ class GrantBatch:
 
     ``rntis``, ``mcs``, ``n_prb`` and ``tbs_bytes`` are equal-length
     int64 arrays in emission order — the exact per-record sequence the
-    legacy loop would have aired as individual DCIs.
+    cell airs as individual DCIs to its ``pdcch_observers``.
     """
 
     time_us: int
@@ -110,203 +95,21 @@ class GrantBatch:
 GrantBatchObserver = Callable[[GrantBatch], None]
 
 
-class VecLink:
-    """`UELink` facade over the engine's CQI column for one slot."""
+class TTILoop:
+    """The demand-driven TTI loop of :class:`~repro.lte.enb.ENodeB`.
 
-    __slots__ = ("_engine", "_slot")
-
-    def __init__(self, engine: "VectorENodeB", slot: int) -> None:
-        self._engine = engine
-        self._slot = slot
-
-    @property
-    def cqi(self) -> int:
-        return int(self._engine._arr_cqi[self._slot])
-
-    def current_mcs(self) -> int:
-        return cqi_to_mcs(self.cqi)
-
-    def update(self) -> int:
-        """Advance the CQI walk with the same draws as ``UELink.update``."""
-        engine = self._engine
-        profile = engine._profile
-        if engine._rng.random() < profile.cqi_step_prob:
-            step = engine._rng.choice(_CQI_STEPS)
-            engine._arr_cqi[self._slot] = min(
-                profile.cqi_ceiling,
-                max(profile.cqi_floor, self.cqi + step))
-        return self.cqi
-
-
-class VecUEContext:
-    """`UEContext` facade whose scalar fields live in engine arrays.
-
-    Inherited :class:`ENodeB` code (enqueue, handover, inactivity, RNTI
-    refresh) reads and writes ``dl_backlog``/``ul_backlog``/
-    ``last_activity_us``/``rnti`` as plain attributes; the properties
-    below route every access to the engine's columns so the vector TTI
-    loop and the object API always observe one state.
+    Runs over the eNB's slot columns (``_arr_rnti``, ``_arr_dl``,
+    ``_arr_ul``, ``_arr_cqi``, ``_arr_last``), its two vector schedulers
+    and its shared rng; the loop only runs while some UE has backlog,
+    so quiet air time costs nothing to simulate.  It lives apart from
+    the RRC code in ``enb.py`` so that the vectorised-hot-path lint rule
+    (PAR004) covers exactly the TTI loop.
     """
 
-    __slots__ = ("_engine", "_slot", "ue", "_rnti", "link", "release_pending")
-
-    def __init__(self, engine: "VectorENodeB", slot: int, ue: UE,
-                 rnti: int) -> None:
-        self._engine = engine
-        self._slot = slot
-        self.ue = ue
-        self._rnti = rnti
-        self.link = VecLink(engine, slot)
-        self.release_pending = False
-
-    @property
-    def rnti(self) -> int:
-        return self._rnti
-
-    @rnti.setter
-    def rnti(self, value: int) -> None:
-        self._rnti = value
-        self._engine._arr_rnti[self._slot] = value
-
-    @property
-    def dl_backlog(self) -> int:
-        return int(self._engine._arr_dl[self._slot])
-
-    @dl_backlog.setter
-    def dl_backlog(self, value: int) -> None:
-        self._engine._arr_dl[self._slot] = value
-
-    @property
-    def ul_backlog(self) -> int:
-        return int(self._engine._arr_ul[self._slot])
-
-    @ul_backlog.setter
-    def ul_backlog(self, value: int) -> None:
-        self._engine._arr_ul[self._slot] = value
-
-    @property
-    def last_activity_us(self) -> int:
-        return int(self._engine._arr_last[self._slot])
-
-    @last_activity_us.setter
-    def last_activity_us(self, value: int) -> None:
-        self._engine._arr_last[self._slot] = value
-
-    def backlog(self, direction: Direction) -> int:
-        return (self.dl_backlog if direction is Direction.DOWNLINK
-                else self.ul_backlog)
-
-    def drain(self, direction: Direction, amount: int) -> None:
-        if direction is Direction.DOWNLINK:
-            self.dl_backlog = max(0, self.dl_backlog - amount)
-        else:
-            self.ul_backlog = max(0, self.ul_backlog - amount)
-
-    @property
-    def total_backlog(self) -> int:
-        return self.dl_backlog + self.ul_backlog
-
-
-class VectorENodeB(ENodeB):
-    """Drop-in :class:`ENodeB` with the batched, array-backed TTI loop."""
-
-    def __init__(
-        self,
-        cell_id: str,
-        clock: SimClock,
-        rng: random.Random,
-        channel_profile: Optional[ChannelProfile] = None,
-        scheduler_name: str = "round-robin",
-        total_prb: int = 50,
-        inactivity_timeout_s: float = 10.0,
-        cross_traffic: Optional[CrossTraffic] = None,
-        obfuscation: Optional[ObfuscationConfig] = None,
-        tti_us: int = TTI_US,
-    ) -> None:
-        super().__init__(cell_id, clock, rng, channel_profile,
-                         scheduler_name, total_prb, inactivity_timeout_s,
-                         cross_traffic, obfuscation, tti_us)
-        self._dl_scheduler = make_vector_scheduler(scheduler_name)
-        self._ul_scheduler = make_vector_scheduler(scheduler_name)
-        capacity = 16
-        self._capacity = capacity
-        self._arr_rnti = np.zeros(capacity, dtype=np.int64)
-        self._arr_dl = np.zeros(capacity, dtype=np.int64)
-        self._arr_ul = np.zeros(capacity, dtype=np.int64)
-        self._arr_cqi = np.zeros(capacity, dtype=np.int64)
-        self._arr_last = np.zeros(capacity, dtype=np.int64)
-        self._free_slots = list(range(capacity - 1, -1, -1))
-        self._order_dirty = True
-        self._ordered_slots = np.empty(0, dtype=np.int64)
-        self._slot_list: List[int] = []
-        # Padding / chaff mutate and extend the allocation list with
-        # scalar rng draws; those TTIs always take the array lane's
-        # legacy-helper path to keep the draw order exact.
-        self._obfuscating = (self.obfuscation.padding_quantum > 0
-                             or self.obfuscation.chaff_probability > 0.0)
-        #: Columnar grant feed: one :class:`GrantBatch` per direction per
-        #: TTI (plus single-record batches for HARQ retransmissions).
-        self.grant_batch_observers: List[GrantBatchObserver] = []
-
-    # -- slot management ------------------------------------------------------
-
-    def _allocate_slot(self) -> int:
-        if not self._free_slots:
-            old = self._capacity
-            new = old * 2
-            for name in ("_arr_rnti", "_arr_dl", "_arr_ul", "_arr_cqi",
-                         "_arr_last"):
-                grown = np.zeros(new, dtype=np.int64)
-                grown[:old] = getattr(self, name)
-                setattr(self, name, grown)
-            self._free_slots.extend(range(new - 1, old - 1, -1))
-            self._capacity = new
-        return self._free_slots.pop()
-
-    def _ordered(self) -> np.ndarray:
-        """Slots of live contexts in RRC-connection (dict) order."""
-        if self._order_dirty:
-            self._slot_list = [context._slot
-                               for context in self._contexts.values()]
-            self._ordered_slots = np.array(self._slot_list, dtype=np.int64)
-            self._order_dirty = False
-        return self._ordered_slots
-
-    # -- lifecycle overrides (same draws, array-backed state) ------------------
-
-    def _register(self, ue: UE, rnti: int) -> None:
-        # Same single draw as UELink.__init__ on the shared rng.
-        profile = self._profile
-        initial_cqi = self._rng.randint(profile.cqi_floor,
-                                        profile.cqi_ceiling)
-        slot = self._allocate_slot()
-        now = self._clock.now_us
-        self._arr_rnti[slot] = rnti
-        self._arr_dl[slot] = 0
-        self._arr_ul[slot] = 0
-        self._arr_cqi[slot] = initial_cqi
-        self._arr_last[slot] = now
-        context = VecUEContext(self, slot, ue, rnti)
-        self._contexts[rnti] = context
-        self._context_by_ue[ue] = context
-        self._order_dirty = True
-        ue.on_connected(now, self.cell_id, rnti)
-        self._schedule_inactivity_check(context)
-        if self.obfuscation.rnti_refresh_s is not None:
-            self._schedule_rnti_refresh(context)
-
-    def release(self, ue: UE, announce: bool = True) -> None:
-        context = self._context_by_ue.get(ue)
-        super().release(ue, announce)
-        if context is not None and ue not in self._context_by_ue:
-            self._free_slots.append(context._slot)
-            self._order_dirty = True
-
-    def _refresh_rnti(self, context) -> None:
-        super()._refresh_rnti(context)
-        # The refresh moves the context to the end of the dict; the
-        # cached slot order must follow so CQI draws stay in order.
-        self._order_dirty = True
+    #: HARQ round-trip time in TTIs (FDD LTE: 8 ms).
+    _HARQ_RTT_TTIS = 8
+    #: Maximum HARQ transmission attempts (standard default: 4).
+    _HARQ_MAX_ATTEMPTS = 4
 
     # -- grant emission --------------------------------------------------------
 
@@ -324,8 +127,8 @@ class VectorENodeB(ENodeB):
             for observer in self.grant_batch_observers:
                 observer(batch)
         if self.pdcch_observers:
-            # Compatibility: materialise per-record transmissions only
-            # when someone actually listens for them.
+            # Materialise per-record transmissions only when someone
+            # actually listens for them.
             fmt = (DCIFormat.FORMAT_1A if direction is Direction.DOWNLINK
                    else DCIFormat.FORMAT_0)
             for rnti, grant_mcs, grant_prb in zip(
@@ -336,16 +139,22 @@ class VectorENodeB(ENodeB):
                 self._emit_pdcch(
                     PDCCHTransmission(time_us=time_us, encoded=dci.encode()))
 
-    def _vec_maybe_retransmit(self, direction: Direction, rnti: int,
-                              mcs: int, n_prb: int, tbs: int,
-                              attempt: int) -> None:
-        """Twin of ``_maybe_retransmit`` for both lanes — identical draws."""
+    def _maybe_retransmit(self, direction: Direction, rnti: int, mcs: int,
+                          n_prb: int, tbs: int, attempt: int) -> None:
+        """Queue a HARQ retransmission of a failed transport block.
+
+        A retransmission re-airs the *same grant* one HARQ RTT later —
+        visible to the sniffer as a duplicate-size DCI, a real artefact
+        of live captures that the classifier must tolerate.
+        """
         if attempt >= self._HARQ_MAX_ATTEMPTS:
             return
         if self._rng.random() >= self._profile.harq_bler:
             return
 
         def retransmit() -> None:
+            # The UE may have been released meanwhile; retransmissions
+            # to a retired RNTI are simply not sent.
             if rnti not in self._contexts:
                 return
             self._emit_grants(self._clock.now_us, direction, [rnti], [mcs],
@@ -353,12 +162,17 @@ class VectorENodeB(ENodeB):
             self.harq_retransmissions += 1
             self.grants_issued += 1
             self._grants_obs.inc()
-            self._vec_maybe_retransmit(direction, rnti, mcs, n_prb, tbs,
-                                       attempt + 1)
+            self._maybe_retransmit(direction, rnti, mcs, n_prb, tbs,
+                                   attempt + 1)
 
         self._clock.schedule(self._HARQ_RTT_TTIS * self._tti_us, retransmit)
 
     # -- the TTI loop: scalar lane for small cells, array lane otherwise -------
+
+    def _ensure_tti_loop(self) -> None:
+        if not self._tti_running:
+            self._tti_running = True
+            self._clock.schedule(self._tti_us, self._on_tti)
 
     def _on_tti(self) -> None:
         now = self._clock.now_us
@@ -436,8 +250,8 @@ class VectorENodeB(ENodeB):
             if harq:
                 for rnti, rate, n_prb, size in zip(grant_rntis, grant_mcs,
                                                    grant_prb, grant_tbs):
-                    self._vec_maybe_retransmit(direction, rnti, rate, n_prb,
-                                               size, attempt=1)
+                    self._maybe_retransmit(direction, rnti, rate, n_prb,
+                                           size, attempt=1)
         self._walk_cqi(slots, cqis)
         return any_backlog
 
@@ -466,7 +280,7 @@ class VectorENodeB(ENodeB):
             if self._obfuscating:
                 self._obfuscated_tti(direction, now, rntis, mcs,
                                      grant_positions, grant_prb, grant_tbs,
-                                     slots, backlog_col, available, harq)
+                                     backlog_col, available, harq)
                 continue
             if not len(grant_positions):
                 continue
@@ -488,9 +302,9 @@ class VectorENodeB(ENodeB):
                 for rnti, grant_mcs_i, grant_prb_i, grant_tbs_i in zip(
                         grant_rntis.tolist(), grant_mcs.tolist(),
                         grant_prb.tolist(), grant_tbs.tolist()):
-                    self._vec_maybe_retransmit(direction, rnti, grant_mcs_i,
-                                               grant_prb_i, grant_tbs_i,
-                                               attempt=1)
+                    self._maybe_retransmit(direction, rnti, grant_mcs_i,
+                                           grant_prb_i, grant_tbs_i,
+                                           attempt=1)
         self._walk_cqi(slots, self._arr_cqi[slots].tolist())
         return bool((self._arr_dl[slots] > 0).any()
                     or (self._arr_ul[slots] > 0).any())
@@ -498,9 +312,12 @@ class VectorENodeB(ENodeB):
     def _walk_cqi(self, slots: np.ndarray, cqis: List[int]) -> None:
         """Advance every UE's CQI walk, in context order, on the eNB rng.
 
-        The *shared* eNB rng must advance draw-for-draw in context order
-        (``Random.choice`` rejection-samples a variable number of words),
-        so this stays a scalar loop in both lanes.
+        CQI evolves as a bounded random walk per UE — with probability
+        ``cqi_step_prob`` it moves one step, clamped to the profile's
+        floor and ceiling.  The *shared* eNB rng must advance
+        draw-for-draw in context order (``Random.choice`` rejection-
+        samples a variable number of words), so this stays a scalar
+        loop in both lanes.
         """
         profile = self._profile
         step_prob = profile.cqi_step_prob
@@ -524,10 +341,9 @@ class VectorENodeB(ENodeB):
     def _obfuscated_tti(self, direction: Direction, now: int,
                         rntis: np.ndarray, mcs: np.ndarray,
                         grant_positions: np.ndarray, grant_prb: np.ndarray,
-                        grant_tbs: np.ndarray, slots: np.ndarray,
-                        backlog_col: np.ndarray, available: int,
-                        harq: bool) -> None:
-        """Padding/chaff path: legacy helpers over materialised grants."""
+                        grant_tbs: np.ndarray, backlog_col: np.ndarray,
+                        available: int, harq: bool) -> None:
+        """Padding/chaff path: the eNB's helpers over materialised grants."""
         allocations = [
             Allocation(rnti=int(rntis[position]), direction=direction,
                        mcs=int(mcs[position]), n_prb=int(prb),
@@ -546,10 +362,11 @@ class VectorENodeB(ENodeB):
         out_prb = np.empty(len(allocations), dtype=np.int64)
         out_tbs = np.empty(len(allocations), dtype=np.int64)
         index = 0
-        for allocation in allocations:  # repro: noqa[PAR004] — scalar legacy-parity obfuscation path
-            context = self._contexts[allocation.rnti]
-            context.drain(direction, allocation.tbs_bytes)
-            context.last_activity_us = now
+        for allocation in allocations:  # repro: noqa[PAR004] — scalar padding/chaff path keeps its draw order
+            slot = self._contexts[allocation.rnti].slot
+            backlog_col[slot] = max(0, backlog_col[slot]
+                                    - allocation.tbs_bytes)
+            self._arr_last[slot] = now
             self.grants_issued += 1
             self._grants_obs.inc()
             self.bytes_granted += allocation.tbs_bytes
@@ -562,29 +379,6 @@ class VectorENodeB(ENodeB):
                           out_tbs)
         if harq:
             for allocation in allocations:  # repro: noqa[PAR004] — HARQ draws must follow allocation order
-                self._vec_maybe_retransmit(direction, allocation.rnti,
-                                           allocation.mcs, allocation.n_prb,
-                                           allocation.tbs_bytes, attempt=1)
-
-
-#: Engine registry: the stable names accepted by ``LTENetwork.add_cell``.
-ENGINES = {
-    "legacy": ENodeB,
-    "vector": VectorENodeB,
-}
-
-
-def resolve_engine(name: Optional[str] = None):
-    """Resolve an engine name to its eNodeB class.
-
-    Precedence: explicit ``name`` argument, then the ``REPRO_SIM_ENGINE``
-    environment variable, then the default ``"vector"``.
-    """
-    if name is None:
-        name = os.environ.get(ENGINE_ENV, "").strip().lower() or "vector"
-    try:
-        return ENGINES[name]
-    except KeyError:
-        known = ", ".join(sorted(ENGINES))
-        raise ValueError(f"unknown simulation engine {name!r} "
-                         f"(known: {known})") from None
+                self._maybe_retransmit(direction, allocation.rnti,
+                                       allocation.mcs, allocation.n_prb,
+                                       allocation.tbs_bytes, attempt=1)

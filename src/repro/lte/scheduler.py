@@ -9,6 +9,11 @@ plus a greedy max-CQI discipline, and let operator profiles choose.
 
 Downlink and uplink are scheduled independently (FDD), each over its own
 ``total_prb`` resource grid per TTI.
+
+The eNodeB runs the batched twins in :mod:`repro.lte.vecsched`; these
+object schedulers are their reference, compared grant for grant by the
+differential and property suites.  :class:`Allocation` also carries
+grants through the eNodeB's padding/chaff path.
 """
 
 from __future__ import annotations

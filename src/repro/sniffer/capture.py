@@ -49,11 +49,10 @@ class CellSniffer:
     def attach(self, network: LTENetwork) -> "CellSniffer":
         """Hook this sniffer onto its cell's radio feeds.
 
-        Registers both the scalar and the columnar PDCCH paths; the
-        network wires up whichever one the cell's engine emits.
+        The decoder ingests the cell's columnar grant feed, one
+        :class:`~repro.lte.engine.GrantBatch` per direction per TTI.
         """
-        network.observe(self.cell_id, pdcch=self.decoder.on_pdcch,
-                        control=self.on_control,
+        network.observe(self.cell_id, control=self.on_control,
                         pdcch_batch=self.decoder.on_pdcch_batch)
         return self
 

@@ -8,6 +8,11 @@ grant parsed, and the transport block size computed — yielding the raw
 surface as garbage RNTIs or parse failures, which downstream RNTI
 tracking (:mod:`repro.sniffer.owl`) must filter, exactly as a real
 sniffer must.
+
+An attached sniffer ingests the eNodeB's columnar grant feed through
+:meth:`DCIDecoder.on_pdcch_batch`.  :meth:`DCIDecoder.on_pdcch` decodes
+one encoded transmission at a time (any ``pdcch_observers`` hook); it
+is the per-record reference the batch lanes must match.
 """
 
 from __future__ import annotations
@@ -134,7 +139,7 @@ class DCIDecoder:
         grant through :meth:`on_pdcch`:
 
         * **clean channel** (no loss, no corruption): every grant is
-          captured and decodes back to exactly the columns the engine
+          captured and decodes back to exactly the columns the eNodeB
           emitted, so the whole batch is accepted with array ops.  The
           per-record capture draws are skipped — they are outcome-free
           at zero loss/corruption, and the capture rng is private to
@@ -143,7 +148,7 @@ class DCIDecoder:
           in :meth:`on_pdcch`'s order.  The payload length is fixed, so
           the draws need no payload: only a corrupted grant is encoded,
           bit-flipped and blind-decoded, while an intact one goes to the
-          per-record sinks straight from the engine's columns.
+          per-record sinks straight from the eNodeB's columns.
         """
         count = len(batch.rntis)
         if count == 0:

@@ -4,18 +4,18 @@ Every attack reads the per-TTI PDCCH grant stream, so the simulator's
 contract is not "statistically similar" but **bit-identical**: same
 seeds in, same trace bytes out, for every scheduler, every obfuscation
 knob, HARQ, capture loss/corruption, and RNTI refresh.  The digests and
-counters below are committed constants recorded from the per-UE object
-loop (``engine="legacy"``); both engines must reproduce them:
+counters below are committed constants.  They were recorded from the
+per-UE object loop the array-backed eNodeB replaced, and both engines
+reproduced them before that loop was deleted.  They pin:
 
 * a single-cell LTE scenario sweep, and the same knobs on a 5G NR cell
-  (0.5 ms slots, proportional-fair, 100 PRB), each run with every TTI
-  pinned to the array engine's array lane and once pinned to its scalar
+  (0.5 ms slots, proportional-fair, 100 PRB), each run once with every
+  TTI pinned to the eNodeB's array lane and once pinned to its scalar
   lane, since every scenario here sits below the crossover;
 * a crossing scenario whose connections push the cell above
   ``SCALAR_LANE_MAX`` and whose inactivity releases bring it back, so
   the engine changes lanes mid-run in both directions;
-* the experiment driver path (``collect_trace``) under the
-  ``REPRO_SIM_ENGINE`` override, proving drivers need no changes;
+* the experiment driver path (``collect_trace``);
 * the sharded city simulator across shard counts {1, 2, 4} on both the
   serial and the process ``ParallelMap`` backends.
 """
@@ -26,13 +26,11 @@ from dataclasses import dataclass
 import pytest
 
 from repro.core.dataset import collect_trace
-from repro.fiveg import gnb as gnb_module
 from repro.fiveg.gnb import NR_SLOT_US, GNodeB, add_nr_cell
 from repro.lte.channel import ChannelProfile
 from repro.lte.city import CityScenario, run_city
 from repro.lte.dci import Direction
 from repro.lte import engine as engine_module
-from repro.lte.engine import ENGINE_ENV, VectorENodeB, resolve_engine
 from repro.lte.enb import ENodeB
 from repro.lte.network import LTENetwork
 from repro.lte.obfuscation import ObfuscationConfig
@@ -130,28 +128,14 @@ CITY_DIGEST = (
     "21f04d4fe428ff636b0b53ea1bbc21650772a08dea0690eb4dcf23f3c71af1ce")
 
 
-class _VectorGNodeB(GNodeB, VectorENodeB):
-    """A gNodeB on the array engine (``GNodeB`` itself runs legacy)."""
-
-
-def _add_cell(net, nr, engine, scheduler_name, cell_kwargs):
+def _simulate(scheduler_name, cell_kwargs, capture_kwargs, nr=False,
+              seed=42, duration_s=1.5):
+    net = LTENetwork(seed=seed)
     if nr:
-        gnb_class = _VectorGNodeB if engine == "vector" else GNodeB
-        original = gnb_module.GNodeB
-        gnb_module.GNodeB = gnb_class
-        try:
-            add_nr_cell(net, "golden", **cell_kwargs)
-        finally:
-            gnb_module.GNodeB = original
+        add_nr_cell(net, "golden", **cell_kwargs)
     else:
         net.add_cell("golden", scheduler_name=scheduler_name, total_prb=50,
-                     engine=engine, **cell_kwargs)
-
-
-def _simulate(engine, scheduler_name, cell_kwargs, capture_kwargs,
-              nr=False, seed=42, duration_s=1.5):
-    net = LTENetwork(seed=seed)
-    _add_cell(net, nr, engine, scheduler_name, cell_kwargs)
+                     **cell_kwargs)
     profile = (ChannelProfile(**capture_kwargs) if capture_kwargs
                else None)
     sniffer = CellSniffer("golden", capture_profile=profile,
@@ -197,13 +181,13 @@ def _obfuscating(cell_kwargs):
 
 @pytest.fixture
 def lane_spy(monkeypatch):
-    """Count the vector engine's TTIs per lane, and record lane changes.
+    """Count the eNodeB's TTIs per lane, and record lane changes.
 
     ``counts["changes"]`` lists the lanes in the order they took over.
     """
     counts = {"scalar": 0, "array": 0, "changes": []}
     for lane in ("scalar", "array"):
-        original = getattr(VectorENodeB, f"_{lane}_tti")
+        original = getattr(ENodeB, f"_{lane}_tti")
 
         def spy(self, *args, _lane=lane, _original=original):
             counts[_lane] += 1
@@ -211,7 +195,7 @@ def lane_spy(monkeypatch):
                 counts["changes"].append(_lane)
             return _original(self, *args)
 
-        monkeypatch.setattr(VectorENodeB, f"_{lane}_tti", spy)
+        monkeypatch.setattr(ENodeB, f"_{lane}_tti", spy)
     return counts
 
 
@@ -235,9 +219,7 @@ def test_vector_engine_trace_golden(scheduler_name, cell_kwargs,
     golden = GOLDENS[SCENARIOS.index(
         (scheduler_name, cell_kwargs, capture_kwargs))]
     monkeypatch.setattr(engine_module, "SCALAR_LANE_MAX", LANE_BOUNDS[lane])
-    enb, sniffer = _simulate("vector", scheduler_name, cell_kwargs,
-                             capture_kwargs)
-    assert isinstance(enb, VectorENodeB)
+    enb, sniffer = _simulate(scheduler_name, cell_kwargs, capture_kwargs)
     assert _observed(enb, sniffer) == golden
     _assert_lane(lane_spy, lane, cell_kwargs)
     assert sniffer.total_records > 0 or capture_kwargs
@@ -249,32 +231,15 @@ def test_nr_cell_trace_golden(cell_kwargs, capture_kwargs, lane, lane_spy,
                               monkeypatch):
     golden = NR_GOLDENS[NR_SCENARIOS.index((cell_kwargs, capture_kwargs))]
     monkeypatch.setattr(engine_module, "SCALAR_LANE_MAX", LANE_BOUNDS[lane])
-    gnb, sniffer = _simulate("vector", None, cell_kwargs, capture_kwargs,
-                             nr=True)
-    assert isinstance(gnb, GNodeB) and isinstance(gnb, VectorENodeB)
+    gnb, sniffer = _simulate(None, cell_kwargs, capture_kwargs, nr=True)
+    assert isinstance(gnb, GNodeB)
     assert gnb._tti_us == NR_SLOT_US
     assert _observed(gnb, sniffer) == golden
     _assert_lane(lane_spy, lane, cell_kwargs)
     assert sniffer.total_records > 0
 
 
-@pytest.mark.parametrize("nr,index", (
-    [(False, index) for index in range(len(SCENARIOS))]
-    + [(True, index) for index in range(len(NR_SCENARIOS))]))
-def test_legacy_engine_matches_goldens(nr, index):
-    if nr:
-        cell_kwargs, capture_kwargs = NR_SCENARIOS[index]
-        enb, sniffer = _simulate("legacy", None, cell_kwargs,
-                                 capture_kwargs, nr=True)
-        assert type(enb) is GNodeB
-        assert _observed(enb, sniffer) == NR_GOLDENS[index]
-    else:
-        enb, sniffer = _simulate("legacy", *SCENARIOS[index])
-        assert type(enb) is ENodeB
-        assert _observed(enb, sniffer) == GOLDENS[index]
-
-
-def _crossing_simulation(engine):
+def _crossing_simulation():
     """A PF cell that grows past the scalar-lane bound and shrinks back.
 
     Three UEs stay busy throughout; at 0.3 s every other UE sends one
@@ -285,7 +250,7 @@ def _crossing_simulation(engine):
     n_ues = engine_module.SCALAR_LANE_MAX + 6
     net = LTENetwork(seed=5)
     net.add_cell("crossing", scheduler_name="proportional-fair",
-                 total_prb=50, engine=engine, inactivity_timeout_s=0.25,
+                 total_prb=50, inactivity_timeout_s=0.25,
                  channel_profile=ChannelProfile(harq_bler=0.1),
                  obfuscation=ObfuscationConfig(rnti_refresh_s=0.4))
     sniffer = CellSniffer("crossing", seed=3,
@@ -318,18 +283,13 @@ def _crossing_simulation(engine):
 
 
 def test_crossing_scenario_switches_lanes_and_matches_legacy(lane_spy):
-    enb, observed, peak = _crossing_simulation("vector")
+    enb, observed, peak = _crossing_simulation()
     bound = engine_module.SCALAR_LANE_MAX
     assert peak > bound
     assert enb.connected_count <= bound
     assert lane_spy["changes"] == ["scalar", "array", "scalar"]
     assert observed == CROSSING_GOLDEN
     assert CROSSING_GOLDEN[3] > 0
-
-
-def test_legacy_crossing_matches_golden():
-    _, observed, _ = _crossing_simulation("legacy")
-    assert observed == CROSSING_GOLDEN
 
 
 def _driver_digest():
@@ -341,22 +301,10 @@ def _driver_digest():
         + trace.tbs_bytes.tobytes()).hexdigest()
 
 
-def test_engine_env_override_reaches_experiment_drivers(monkeypatch):
-    """``collect_trace`` is engine-agnostic: the env knob decides."""
+def test_collect_trace_driver_golden(monkeypatch):
+    """The experiment driver path reproduces its committed digest."""
     monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
-    for engine in ("legacy", "vector"):
-        monkeypatch.setenv(ENGINE_ENV, engine)
-        assert _driver_digest() == DRIVER_DIGEST
-
-
-def test_resolve_engine_precedence(monkeypatch):
-    monkeypatch.delenv(ENGINE_ENV, raising=False)
-    assert resolve_engine() is VectorENodeB
-    monkeypatch.setenv(ENGINE_ENV, "legacy")
-    assert resolve_engine() is ENodeB
-    assert resolve_engine("vector") is VectorENodeB  # explicit beats env
-    with pytest.raises(ValueError):
-        resolve_engine("warp")
+    assert _driver_digest() == DRIVER_DIGEST
 
 
 def _city_digest(result):
@@ -390,9 +338,4 @@ class TestShardedCityGoldens:
         result = run_city(self.SCENARIO,
                           ParallelMap(workers=2, backend="process"),
                           shards=shards)
-        assert _city_digest(result) == CITY_DIGEST
-
-    def test_legacy_engine_city_matches(self):
-        result = run_city(self.SCENARIO, ParallelMap(workers=1), shards=2,
-                          engine="legacy")
         assert _city_digest(result) == CITY_DIGEST

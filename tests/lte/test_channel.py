@@ -1,4 +1,8 @@
-"""Tests for the channel model: link adaptation and capture impairments."""
+"""Tests for the channel model: link adaptation and capture impairments.
+
+The CQI walk runs on the eNodeB's CQI column; ``TestCQIWalk`` drives it
+for one connected UE.
+"""
 
 import random
 
@@ -6,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lte.channel import CaptureChannel, ChannelProfile, UELink
+from repro.lte.channel import CaptureChannel, ChannelProfile
+from repro.lte.enb import ENodeB
+from repro.lte.epc import EPC
+from repro.lte.identifiers import make_imsi
+from repro.lte.sim import SimClock
+from repro.lte.tbs import cqi_to_mcs
+from repro.lte.ue import UE
 
 
 class TestChannelProfile:
@@ -42,40 +52,67 @@ class TestChannelProfile:
             ChannelProfile(cqi_span=-1)
 
 
-class TestUELink:
+def _cqi_walk(profile, seed):
+    """One UE connected to an eNB; ``step()`` advances its CQI walk once.
+
+    Returns the UE's context and ``step``, which runs the eNB's CQI-walk
+    pass over its CQI column and returns the new CQI.
+    """
+    enb = ENodeB("cqi", SimClock(), random.Random(seed),
+                 channel_profile=profile)
+    ue = UE(make_imsi(random.Random(seed)))
+    EPC(random.Random(seed)).attach(ue)
+    ue.serving_cell = "cqi"
+    enb.connect(ue)
+    context = enb.context_for(ue)
+    slots = enb._ordered()
+
+    def step():
+        enb._walk_cqi(slots, enb._arr_cqi[slots].tolist())
+        return context.cqi
+
+    return context, step
+
+
+class TestCQIWalk:
     def test_initial_cqi_in_bounds(self):
         profile = ChannelProfile(mean_cqi=10, cqi_span=3)
         for seed in range(20):
-            link = UELink(profile, random.Random(seed))
-            assert profile.cqi_floor <= link.cqi <= profile.cqi_ceiling
+            context, _ = _cqi_walk(profile, seed)
+            assert profile.cqi_floor <= context.cqi <= profile.cqi_ceiling
 
     def test_walk_stays_in_bounds(self):
         profile = ChannelProfile(mean_cqi=8, cqi_span=2, cqi_step_prob=0.9)
-        link = UELink(profile, random.Random(7))
+        _, step = _cqi_walk(profile, 7)
         for _ in range(1_000):
-            cqi = link.update()
+            cqi = step()
             assert profile.cqi_floor <= cqi <= profile.cqi_ceiling
 
     def test_walk_moves_at_most_one_step(self):
         profile = ChannelProfile(mean_cqi=8, cqi_span=4, cqi_step_prob=1.0)
-        link = UELink(profile, random.Random(9))
-        previous = link.cqi
+        context, step = _cqi_walk(profile, 9)
+        previous = context.cqi
+        moved = 0
         for _ in range(200):
-            current = link.update()
+            current = step()
             assert abs(current - previous) <= 1
+            moved += current != previous
             previous = current
+        assert moved > 0
 
     def test_zero_step_prob_freezes_cqi(self):
         profile = ChannelProfile(mean_cqi=10, cqi_span=3, cqi_step_prob=0.0)
-        link = UELink(profile, random.Random(3))
-        initial = link.cqi
+        context, step = _cqi_walk(profile, 3)
+        initial = context.cqi
         for _ in range(100):
-            assert link.update() == initial
+            assert step() == initial
 
     def test_mcs_follows_cqi(self):
-        profile = ChannelProfile(mean_cqi=10, cqi_span=0)
-        link = UELink(profile, random.Random(0))
-        assert link.current_mcs() >= 0
+        profile = ChannelProfile(mean_cqi=8, cqi_span=4, cqi_step_prob=1.0)
+        context, step = _cqi_walk(profile, 0)
+        for _ in range(50):
+            cqi = step()
+            assert context.mcs == cqi_to_mcs(cqi)
 
     @settings(max_examples=30)
     @given(st.integers(min_value=1, max_value=15),
@@ -83,9 +120,9 @@ class TestUELink:
     def test_property_walk_respects_any_profile(self, mean, span):
         profile = ChannelProfile(mean_cqi=mean, cqi_span=span,
                                  cqi_step_prob=0.8)
-        link = UELink(profile, random.Random(42))
+        _, step = _cqi_walk(profile, 42)
         for _ in range(100):
-            cqi = link.update()
+            cqi = step()
             assert profile.cqi_floor <= cqi <= profile.cqi_ceiling
 
 

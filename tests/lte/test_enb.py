@@ -7,7 +7,6 @@ import pytest
 from repro.lte.channel import ChannelProfile
 from repro.lte.dci import Direction
 from repro.lte.enb import ENodeB
-from repro.lte.engine import VectorENodeB
 from repro.lte.epc import EPC
 from repro.lte.identifiers import is_crnti, make_imsi
 from repro.lte.rrc import (PagingMessage, RACHPreamble,
@@ -239,17 +238,9 @@ class TestPaging:
 class TestSchedulerForget:
     """Released RNTIs leave both schedulers' proportional-fair state."""
 
-    @staticmethod
-    def _ul_known(enb):
-        scheduler = enb._ul_scheduler
-        if hasattr(scheduler, "_known"):
-            return set(scheduler._known.tolist())
-        return set(scheduler._avg_rate)
-
-    @pytest.mark.parametrize("engine", [ENodeB, VectorENodeB])
-    def test_ul_state_holds_only_live_rntis(self, engine):
+    def test_ul_state_holds_only_live_rntis(self):
         clock = SimClock()
-        enb = engine("cell-pf", clock, random.Random(5),
+        enb = ENodeB("cell-pf", clock, random.Random(5),
                      scheduler_name="proportional-fair",
                      inactivity_timeout_s=10.0)
         epc = EPC(random.Random(6))
@@ -269,4 +260,4 @@ class TestSchedulerForget:
                 enb.enqueue(ue, Direction.DOWNLINK, 4_000)
             clock.run_until(clock.now_us + 20_000)
             enb.release(churner)
-        assert self._ul_known(enb) <= {keeper.rnti}
+        assert set(enb._ul_scheduler._known.tolist()) <= {keeper.rnti}
