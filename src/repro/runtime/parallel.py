@@ -63,6 +63,22 @@ def workers_from_env(default: int = 1) -> int:
             f"{WORKERS_ENV} must be an integer: {raw!r}") from None
 
 
+class _TaskError(Exception):
+    """Carries an exception raised by ``fn`` itself out of a worker.
+
+    Tagging it keeps ``fn``'s own ``TypeError``/``AttributeError`` apart
+    from the pickling failures that send a batch to the serial backend.
+    """
+
+
+def _call(fn: Callable, item):
+    """Run ``fn`` on one item in a worker, tagging its exceptions."""
+    try:
+        return fn(item)
+    except Exception as error:
+        raise _TaskError(error) from error
+
+
 def _run_batch(fn: Callable, batch: Sequence) -> List:
     """Apply ``fn`` item-wise to one batch (module-level: picklable)."""
     return [fn(item) for item in batch]
@@ -108,9 +124,11 @@ class ParallelMap:
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
         """Apply ``fn`` to every item; results in submission order.
 
-        The process backend silently degrades to serial when ``fn`` or
-        the items cannot be pickled (lambdas, closures over sockets...),
-        so callers never need to special-case the backend.
+        The process backend silently degrades to serial when ``fn``, the
+        items or the results cannot be pickled (lambdas, closures over
+        sockets...), so callers never need to special-case the backend.
+        An exception raised by ``fn`` itself propagates once, chained to
+        the worker's traceback; the batch is not rerun.
         """
         items = list(items)
         with obs.span("parallel.map"):
@@ -123,10 +141,13 @@ class ParallelMap:
                 return [fn(item) for item in items]
             try:
                 return self._process_map(fn, items)
+            except _TaskError as failure:
+                raise failure.args[0] from failure.__cause__
             except (pickle.PicklingError, BrokenProcessPool, TypeError,
                     AttributeError):
-                # Unpicklable items/results or a torn-down pool: redo the
-                # whole batch serially — fn is pure, so this is safe.
+                # Unpicklable items/results or a torn-down pool (fn's
+                # own exceptions arrive as _TaskError): redo the whole
+                # batch serially — fn is pure, so this is safe.
                 obs.counter("runtime.parallel.serial_fallbacks").inc()
                 return [fn(item) for item in items]
 
@@ -166,7 +187,8 @@ class ParallelMap:
         with ProcessPoolExecutor(max_workers=n_workers,
                                  mp_context=_pool_context(),
                                  initializer=_mark_worker) as pool:
-            return list(pool.map(fn, items, chunksize=chunksize))
+            return list(pool.map(functools.partial(_call, fn), items,
+                                 chunksize=chunksize))
 
     @staticmethod
     def _picklable(obj) -> bool:

@@ -6,10 +6,13 @@ forest fitting, CV folds, the pairwise similarity matrix) must return
 bit-identical results for any ``workers`` value.
 """
 
+import threading
+from functools import partial
+
 import numpy as np
 import pytest
 
-from repro import runtime
+from repro import obs, runtime
 from repro.core.correlation import similarity_matrix
 from repro.core.dataset import PairSpec, collect_pairs, collect_traces
 from repro.ml.crossval import cross_validate
@@ -20,6 +23,17 @@ from repro.runtime.parallel import ParallelMap, workers_from_env
 
 def _square(x):
     return x * x
+
+
+def _log_and_raise(log_path, item):
+    with open(log_path, "a") as log:
+        log.write(f"{item}\n")
+    raise TypeError(f"fn rejects {item}")
+
+
+def _serial_fallbacks():
+    return obs.snapshot()["counters"].get(
+        "runtime.parallel.serial_fallbacks", 0)
 
 
 class TestParallelMap:
@@ -47,6 +61,29 @@ class TestParallelMap:
         # crash, it must just run them in-process.
         result = ParallelMap(workers=2).map(lambda x: x + 1, [1, 2, 3])
         assert result == [2, 3, 4]
+
+    def test_fn_exception_raises_once_without_fallback(self, tmp_path):
+        # A TypeError raised by fn itself is a bug in fn, not a pickling
+        # failure: it must surface once, with no serial rerun.
+        log = tmp_path / "calls.log"
+        items = [1, 2, 3, 4]
+        with obs.override(True):
+            before = _serial_fallbacks()
+            with pytest.raises(TypeError, match="fn rejects"):
+                ParallelMap(workers=2).map(
+                    partial(_log_and_raise, str(log)), items)
+            assert _serial_fallbacks() == before
+        calls = log.read_text().split()
+        assert 0 < len(calls) <= len(items)
+        assert len(set(calls)) == len(calls)
+
+    def test_unpicklable_items_fall_back_to_serial(self):
+        items = [threading.Lock(), threading.Lock()]
+        with obs.override(True):
+            before = _serial_fallbacks()
+            result = ParallelMap(workers=2).map(type, items)
+            assert _serial_fallbacks() == before + 1
+        assert result == [type(items[0])] * 2
 
     def test_empty_and_singleton_inputs(self):
         assert ParallelMap(workers=2).map(_square, []) == []
