@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.fiveg.gnb import GNodeB
 from repro.lte.channel import ChannelProfile
 from repro.lte.dci import Direction
 from repro.lte.enb import ENodeB
@@ -238,9 +239,10 @@ class TestPaging:
 class TestSchedulerForget:
     """Released RNTIs leave both schedulers' proportional-fair state."""
 
-    def test_ul_state_holds_only_live_rntis(self):
+    @pytest.mark.parametrize("engine", [ENodeB, GNodeB])
+    def test_ul_state_holds_only_live_rntis(self, engine):
         clock = SimClock()
-        enb = ENodeB("cell-pf", clock, random.Random(5),
+        enb = engine("cell-pf", clock, random.Random(5),
                      scheduler_name="proportional-fair",
                      inactivity_timeout_s=10.0)
         epc = EPC(random.Random(6))
