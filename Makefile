@@ -70,8 +70,9 @@ bench-sim:
 	$(PYTHON) benchmarks/bench_simulator.py
 
 ## Inference-plane benchmark: flattened forest predict vs the object
-## descent and the batched DTW similarity matrix vs its scalar
-## reference; writes BENCH_inference.json and fails below the floors
+## descent, the small-batch forest lane sweep and the batched DTW
+## similarity matrix vs its scalar reference; writes
+## BENCH_inference.json and fails below the floors
 ## (cf. `lte-fingerprint bench infer`).
 bench-infer:
 	$(PYTHON) benchmarks/bench_inference.py

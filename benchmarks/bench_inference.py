@@ -1,24 +1,33 @@
 #!/usr/bin/env python
 """Benchmark guard: flattened-forest predict and batched DTW scoring.
 
-Measures the two inference hot paths the attack pipeline spends its
+Measures the inference hot paths the attack pipeline spends its
 prediction time in:
 
 * **forest predict** — a 100-tree Random Forest classifying a large
-  window batch, once through the legacy per-tree object descent and
-  once through the flattened node-table descent (all trees × all rows
-  in one level-synchronous gather loop);
+  window batch, once through the legacy per-tree object descent (the
+  oracle in ``tests/ml/oracles.py``) and once through the flattened
+  node-table descent (all trees × all rows in one level-synchronous
+  gather loop);
+* **small-batch lane sweep** — per-call ``predict_apps`` of a
+  hierarchical fingerprinter at 1-64 rows, as shipped and pinned to
+  each lane of ``repro.ml.tables`` (scalar walk vs vector descent), on
+  a shallow model (the ``serve`` benchmark's: LAB captures, 16 trees)
+  and a deep one (label-noise windows, trees reach max_depth 14).  The
+  sweep is the evidence for ``SCALAR_LANE_MAX``;
 * **similarity matrix** — the correlation attack's all-pairs DTW
   scoring over a population of synthetic traces, once as the scalar
   per-cell reference and once through the chunked multi-pair
   wavefront behind ``similarity_matrix``.
 
-Both comparisons assert bit-identical outputs before timing counts.
+Every comparison asserts identical outputs before timing counts.
 Results land in ``BENCH_inference.json`` at the repo root, then two
 guards run per workload:
 
 * the batched path must be at least ``MIN_SPEEDUP``× faster than the
-  scalar reference on the same inputs;
+  scalar reference on the same inputs; for the lane sweep, the shipped
+  lane must be at least ``MIN_LANE_SPEEDUP``× faster than the vector
+  lane at ``LANE_FLOOR_ROWS`` rows on the shallow model;
 * the measured speedup must not regress by more than 2× against the
   committed ``BENCH_inference.json`` (loaded before overwriting).
 
@@ -38,6 +47,7 @@ OUT = REPO_ROOT / "BENCH_inference.json"
 
 MIN_FOREST_SPEEDUP = 5.0
 MIN_MATRIX_SPEEDUP = 3.0
+MIN_LANE_SPEEDUP = 3.0
 REGRESSION_FACTOR = 2.0
 ROUNDS = 3
 
@@ -51,6 +61,16 @@ N_CLASSES = 6
 N_TRACES = 40
 TRACE_SPAN_S = 45.0
 DTW_WINDOW = 3
+
+#: Lane sweep: batch sizes, the floor's batch size, and per point the
+#: calls per timed round and the rounds (interleaved across lanes).
+LANE_ROWS = (1, 2, 3, 4, 8, 16, 32, 64)
+LANE_FLOOR_ROWS = 3
+LANE_CALLS = 20
+LANE_ROUNDS = 5
+#: Deep model: label-noise windows, so trees grow to the depth cap.
+DEEP_ROWS = 3000
+DEEP_MAX_DEPTH = 14
 
 
 def _fit_forest():
@@ -70,15 +90,17 @@ def _fit_forest():
 def _bench_forest():
     import numpy as np
 
+    from tests.ml.oracles import forest_predict_proba
+
     forest, X = _fit_forest()
     flat = forest.predict_proba(X)
-    legacy = forest._predict_proba_object(X)
+    legacy = forest_predict_proba(forest, X)
     if not np.array_equal(flat, legacy):
         return None
     object_s = flat_s = float("inf")
     for _ in range(ROUNDS):
         started = time.perf_counter()
-        forest._predict_proba_object(X)
+        forest_predict_proba(forest, X)
         object_s = min(object_s, time.perf_counter() - started)
         started = time.perf_counter()
         forest.predict_proba(X)
@@ -135,13 +157,94 @@ def _bench_matrix():
     return scalar_s, batch_s
 
 
+def _shallow_model():
+    """The ``serve`` benchmark's fingerprinter: LAB captures, 16 trees."""
+    from repro.apps import app_names
+    from repro.core.dataset import collect_traces, windows_from_traces
+    from repro.core.fingerprint import HierarchicalFingerprinter
+    from repro.operators.profiles import LAB
+
+    train = collect_traces(list(app_names()), operator=LAB,
+                           traces_per_app=2, duration_s=4.0, seed=23)
+    windows = windows_from_traces(train)
+    model = HierarchicalFingerprinter(n_trees=16, seed=24).fit(windows)
+    return model, windows.X
+
+
+def _deep_model(n_features):
+    """A 16-tree fingerprinter on label-noise windows (depth-capped)."""
+    from repro.core.fingerprint import HierarchicalFingerprinter
+    from tests.ml.oracles import catalogue_windows
+
+    windows = catalogue_windows(n=DEEP_ROWS, n_features=n_features,
+                                shift=0.0, seed=31)
+    model = HierarchicalFingerprinter(n_trees=16, max_depth=DEEP_MAX_DEPTH,
+                                      min_samples_leaf=1, seed=24)
+    return model.fit(windows), windows.X
+
+
+def _lane_point(model, X, rows):
+    """Best per-call ``predict_apps`` µs as shipped and on each lane."""
+    import numpy as np
+
+    from repro.ml.tables import SCALAR_LANE_MAX as shipped
+    from tests.ml.oracles import SCALAR, VECTOR, pinned_lane
+
+    probe = X[np.random.default_rng(rows).integers(0, len(X), rows)]
+    variants = (("shipped", shipped), ("scalar", SCALAR),
+                ("vector", VECTOR))
+    best = {name: float("inf") for name, _ in variants}
+    outputs = []
+    for _ in range(LANE_ROUNDS):
+        for name, bound in variants:
+            with pinned_lane(bound):
+                outputs.append(model.predict_apps(probe))
+                started = time.perf_counter()
+                for _ in range(LANE_CALLS):
+                    model.predict_apps(probe)
+                best[name] = min(best[name], (time.perf_counter()
+                                              - started) / LANE_CALLS)
+    if any(not np.array_equal(out, outputs[0]) for out in outputs):
+        return None
+    return {"rows": rows,
+            "lane": "scalar" if rows <= shipped else "vector",
+            **{f"{name}_us": round(value * 1e6, 1)
+               for name, value in best.items()}}
+
+
+def _lane_sweep():
+    """Per-call ``predict_apps`` cost across batch sizes and lanes."""
+    shallow, X = _shallow_model()
+    deep, X_deep = _deep_model(X.shape[1])
+    sweep = {}
+    for name, model, rows_X in (("shallow", shallow, X),
+                                ("deep", deep, X_deep)):
+        forests = [model._category_model, *model._app_models.values()]
+        points = [_lane_point(model, rows_X, rows) for rows in LANE_ROWS]
+        if any(point is None for point in points):
+            return None
+        scalar_wins = [point["rows"] for point in points
+                       if point["scalar_us"] <= point["vector_us"]]
+        sweep[name] = {
+            "trees": sum(forest.n_trees for forest in forests),
+            "max_depth": max(tree.depth() for forest in forests
+                             for tree in forest.trees_),
+            "nodes": int(sum(forest.table().n_nodes.sum()
+                             for forest in forests)),
+            "largest_scalar_win_rows": max(scalar_wins, default=0),
+            "points": points,
+        }
+    return sweep
+
+
 def _previous_speedups():
     if not OUT.exists():
         return {}
     try:
         results = json.loads(OUT.read_text())["results"]
         return {name: results[name]["speedup"]
-                for name in ("forest_predict", "similarity_matrix")
+                for name in ("forest_predict", "similarity_matrix",
+                             "small_batch_lane")
                 if name in results}
     except (ValueError, KeyError, TypeError):
         return {}
@@ -163,6 +266,7 @@ def _guard(name, speedup, floor, previous) -> int:
 
 def main() -> int:
     sys.path.insert(0, str(SRC))
+    sys.path.insert(0, str(REPO_ROOT))     # the tests.ml.oracles oracle
     previous = _previous_speedups()
 
     forest_times = _bench_forest()
@@ -181,14 +285,29 @@ def main() -> int:
     scalar_s, batch_s = matrix_times
     matrix_speedup = scalar_s / batch_s
 
+    from repro.ml.tables import SCALAR_LANE_MAX
+
+    sweep = _lane_sweep()
+    if sweep is None:
+        print("FAIL: the forest lanes disagreed on predict_apps",
+              file=sys.stderr)
+        return 1
+    floor_point = next(point for point in sweep["shallow"]["points"]
+                       if point["rows"] == LANE_FLOOR_ROWS)
+    lane_speedup = floor_point["vector_us"] / floor_point["shipped_us"]
+
     document = {
         "description": "Inference-plane hot paths, best of "
                        f"{ROUNDS}: {N_TREES}-tree forest predict_proba "
                        f"over {N_ROWS} rows (object descent vs flattened "
                        "node tables) and the all-pairs DTW similarity "
                        f"matrix over {N_TRACES} traces (per-cell scalar "
-                       "reference vs chunked multi-pair wavefront).  "
-                       "Outputs asserted bit-identical before timing.",
+                       "reference vs chunked multi-pair wavefront), and "
+                       "per-call hierarchical predict_apps across batch "
+                       "sizes as shipped and pinned to each forest lane "
+                       f"(best of {LANE_ROUNDS} rounds of {LANE_CALLS} "
+                       "calls).  Outputs asserted identical before "
+                       "timing.",
         "workload": {
             "n_trees": N_TREES,
             "max_depth": MAX_DEPTH,
@@ -216,6 +335,16 @@ def main() -> int:
                 "speedup": matrix_speedup,
                 "min_speedup": MIN_MATRIX_SPEEDUP,
             },
+            "small_batch_lane": {
+                "scalar_lane_max": SCALAR_LANE_MAX,
+                "floor_model": "shallow",
+                "floor_rows": LANE_FLOOR_ROWS,
+                "shipped_us": floor_point["shipped_us"],
+                "vector_us": floor_point["vector_us"],
+                "speedup": lane_speedup,
+                "min_speedup": MIN_LANE_SPEEDUP,
+            },
+            "lane_sweep": sweep,
         },
     }
     OUT.write_text(json.dumps(document, indent=2) + "\n")
@@ -223,12 +352,27 @@ def main() -> int:
           f"-> {forest_speedup:.1f}x (target >= {MIN_FOREST_SPEEDUP:.0f}x)")
     print(f"similarity matrix: scalar {scalar_s:.3f} s, batched "
           f"{batch_s:.3f} s -> {matrix_speedup:.1f}x "
-          f"(target >= {MIN_MATRIX_SPEEDUP:.0f}x) -> {OUT.name}")
+          f"(target >= {MIN_MATRIX_SPEEDUP:.0f}x)")
+    for name, model_sweep in sweep.items():
+        print(f"lane sweep ({name}, {model_sweep['trees']} trees, depth "
+              f"{model_sweep['max_depth']}): scalar lane wins up to "
+              f"{model_sweep['largest_scalar_win_rows']} rows; shipped "
+              f"bound {SCALAR_LANE_MAX}")
+        for point in model_sweep["points"]:
+            print(f"  {point['rows']:3d} rows: shipped "
+                  f"{point['shipped_us']:7.1f} us, scalar "
+                  f"{point['scalar_us']:7.1f} us, vector "
+                  f"{point['vector_us']:7.1f} us")
+    print(f"small-batch lane at {LANE_FLOOR_ROWS} rows: {lane_speedup:.1f}x "
+          f"the vector lane (target >= {MIN_LANE_SPEEDUP:.0f}x) "
+          f"-> {OUT.name}")
 
     return (_guard("forest_predict", forest_speedup,
                    MIN_FOREST_SPEEDUP, previous)
             or _guard("similarity_matrix", matrix_speedup,
-                      MIN_MATRIX_SPEEDUP, previous))
+                      MIN_MATRIX_SPEEDUP, previous)
+            or _guard("small_batch_lane", lane_speedup,
+                      MIN_LANE_SPEEDUP, previous))
 
 
 if __name__ == "__main__":

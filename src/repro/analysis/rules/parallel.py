@@ -237,8 +237,8 @@ class PerPredictionLoopRule(Rule):
     ``pair``, ``vote``, ...) or by iterating a ``.trees_`` attribute.
 
     Legitimate scalar loops — IEEE accumulation-order parity with a
-    legacy path, scalar reference implementations the golden suites
-    pin against — carry an inline ``# repro: noqa[PAR005]`` with a
+    legacy path, a small-batch scalar lane whose crossover a benchmark
+    measured — carry an inline ``# repro: noqa[PAR005]`` with a
     justification; the baseline stays empty.
     """
 

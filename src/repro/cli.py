@@ -20,7 +20,8 @@ harness:
   ``BENCH_simulator.json``, enforces its grants/s floor and per-TTI
   ceilings), or
   ``bench infer`` for the inference-plane benchmark (flattened forest
-  descent + batched DTW matrix, writes ``BENCH_inference.json``);
+  descent, forest lane sweep + batched DTW matrix, writes
+  ``BENCH_inference.json``);
 * ``cache`` — inspect or clear the on-disk trace cache;
 * ``report`` — render JSONL run manifests written by ``--obs-out``;
 * ``lint`` — run the repo's static-analysis ruleset (determinism,
@@ -582,8 +583,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     fails.
     ``bench infer`` does the same for the inference plane
     (``benchmarks/bench_inference.py``): flattened-forest predict vs
-    the object descent and the batched similarity matrix vs its scalar
-    reference, recorded in ``BENCH_inference.json``.
+    the object descent, the small-batch forest lane vs the vector lane
+    and the batched similarity matrix vs its scalar reference, recorded
+    in ``BENCH_inference.json``.
     """
     standalone = {"sim": "bench_simulator.py",
                   "infer": "bench_inference.py",

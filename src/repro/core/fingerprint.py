@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .. import obs
-from ..ml.forest import RandomForest
+from ..ml.forest import RandomForest, predict_proba_joint
 from ..sniffer.trace import Trace
 from .dataset import LabeledWindows
 from .features import WindowConfig, extract_features
@@ -116,17 +116,20 @@ class HierarchicalFingerprinter:
         Routing is *soft*: the app posterior marginalises over the
         stage-1 category posterior, ``P(app) = Σ_c P(c) · P(app | c)``,
         so a near-tie at the category stage cannot hard-fail an entire
-        window the way argmax routing would.
+        window the way argmax routing would.  All forests descend
+        together (:func:`predict_proba_joint`).
         """
         windows = self._require_fit()
         with obs.span("fingerprint.predict"):
             if not self.hierarchical:
                 return self._flat_model.predict(X)
-            category_proba = self._category_model.predict_proba(X)
+            category_proba, *app_probas = predict_proba_joint(
+                [self._category_model, *self._app_models.values()], X)
             scores = np.zeros((len(X), windows.app_encoder.n_classes))
-            for category_id, model in self._app_models.items():
+            for category_id, app_proba in zip(self._app_models,
+                                              app_probas):
                 scores += (category_proba[:, category_id:category_id + 1]
-                           * model.predict_proba(X))
+                           * app_proba)
             return np.argmax(scores, axis=1)
 
     # -- trace-level verdicts ----------------------------------------------------------

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import functools
 import random
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .. import obs, runtime
 from .base import Classifier, check_fit_inputs
-from .tables import ForestTable
+from .tables import ForestTable, predict_proba_sums
 from .tree import DecisionTree
 
 
@@ -126,24 +126,14 @@ class RandomForest(Classifier):
     # -- inference -------------------------------------------------------------------
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        if not self.trees_ and self._table is None:
-            raise RuntimeError("forest is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        table = self.table()
-        if X.ndim != 2 or X.shape[1] != table.n_features:
-            raise ValueError(
-                f"X must have shape (n, {table.n_features}), got {X.shape}")
-        return table.predict_proba_sum(X) / self.n_trees
+        return predict_proba_joint([self], X)[0]
 
-    def _predict_proba_object(self, X: np.ndarray) -> np.ndarray:
-        """Legacy per-tree object descent — the differential reference."""
-        if not self.trees_:
-            raise RuntimeError("forest is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        total = np.zeros((len(X), self.n_classes_), dtype=np.float64)
-        for tree in self.trees_:  # repro: noqa[PAR005] — reference path the golden suites pin the table descent against
-            total += tree._predict_proba_nodes(X)
-        return total / self.n_trees
+    def __getstate__(self) -> dict:
+        """Pickle without the table the trees rebuild (kept if no trees)."""
+        state = self.__dict__.copy()
+        if self.trees_:
+            state["_table"] = None
+        return state
 
     def feature_importances(self) -> np.ndarray:
         """Crude importance: how often each feature is used for a split.
@@ -157,3 +147,22 @@ class RandomForest(Classifier):
         counts = self.table().split_counts()
         total = counts.sum()
         return counts / total if total else counts
+
+
+def predict_proba_joint(forests: Sequence[RandomForest],
+                        X: np.ndarray) -> List[np.ndarray]:
+    """``[forest.predict_proba(X) for forest in forests]``, bit for bit,
+    with one scalar-lane pass over all their trees for small batches.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    tables = []
+    for forest in forests:
+        if not forest.trees_ and forest._table is None:
+            raise RuntimeError("forest is not fitted")
+        table = forest.table()
+        if X.ndim != 2 or X.shape[1] != table.n_features:
+            raise ValueError(
+                f"X must have shape (n, {table.n_features}), got {X.shape}")
+        tables.append(table)
+    return [total / forest.n_trees for forest, total
+            in zip(forests, predict_proba_sums(tables, X))]

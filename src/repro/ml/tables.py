@@ -11,10 +11,14 @@ matrix of shape (trees, rows) is advanced with `np.where` gathers until
 every lane sits on a leaf — no per-tree Python loop, no per-node index
 stacks.
 
-Every gather evaluates the exact comparison (``x <= threshold``) and
-reads the exact float64 leaf distributions the object descent would,
-so flattened predictions are bit-identical to the pointer-chasing path
-(pinned by the golden and Hypothesis suites in ``tests/ml``).
+Batches of at most :data:`SCALAR_LANE_MAX` rows, where that descent's
+fixed cost per level dominates, take a scalar lane instead: one Python
+walk over the cached preorder lists of every tree of several forests
+(:func:`descend_scalar`).  Both lanes make the exact comparisons
+(``x <= threshold``) on the same float64 values and sum the exact leaf
+distributions in tree order, so predictions are bit-identical to the
+object walk (``tests/ml/oracles.py``, pinned by the golden and
+Hypothesis suites).
 
 The arrays are also the persistence format: ``repro.ml.persistence``
 saves them as an uncompressed NPZ that loads back with ``np.memmap``
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -40,6 +44,11 @@ LEAF = -1
 #: unlimited-depth forests.  Chunking cannot change results: every lane
 #: descends independently.
 DESCEND_CHUNK = 256
+
+#: Largest batch, in rows, that descends on the scalar lane; the lane
+#: sweep in ``benchmarks/bench_inference.py`` (``BENCH_inference.json``,
+#: ``lane_sweep``) is the evidence for the value.
+SCALAR_LANE_MAX = 16
 
 #: Dtype of the descent's node/lane index arrays.  Node tables are far
 #: smaller than 2**31 entries, so 32-bit indices are exact; they halve
@@ -406,17 +415,45 @@ class ForestTable:
                                                    stop - start)
         return out
 
-    def predict_proba_sum(self, X: np.ndarray) -> np.ndarray:
-        """Sum of the member trees' leaf distributions per row.
+    def _lane_lists(self) -> list:
+        """Per tree, ``(features, thresholds, left, right)`` as lists.
 
-        The gather descent finds every (tree, row) leaf at once; only
-        the final reduction walks trees one by one, because the legacy
-        forest accumulated ``total += tree.predict_proba(X)`` in tree
-        order and IEEE addition order is observable in the low bits —
-        ``np.sum``'s pairwise reduction would change results.
+        The scalar lane's form of the table (cached); Python floats
+        hold the float64 thresholds exactly.
         """
-        leaves = self.descend(X)
-        total = np.zeros((len(X), self.n_classes), dtype=np.float64)
+        if getattr(self, "_lane_cache", None) is None:
+            self._lane_cache = [
+                (self.features[index, :count].tolist(),
+                 self.thresholds[index, :count].tolist(),
+                 self.left[index, :count].tolist(),
+                 self.right[index, :count].tolist())
+                for index, count in enumerate(self.n_nodes.tolist())]
+        return self._lane_cache
+
+    def __getstate__(self) -> dict:
+        """Pickle the columns only; both lanes' caches rebuild on demand."""
+        state = self.__dict__.copy()
+        state.pop("_flat_cache", None)
+        state.pop("_lane_cache", None)
+        return state
+
+    def leaf_sum(self, leaves: np.ndarray) -> np.ndarray:
+        """Per row, the sum of the trees' distributions at ``leaves``.
+
+        ``leaves`` is the (tree, row) leaf id array of either lane.
+        Sums run in tree order, as the legacy ``total +=
+        tree.predict_proba(X)`` did: IEEE addition order shows in the
+        low bits, and ``np.sum`` turns pairwise when the other axes
+        have length 1.  Small batches use one sequential
+        ``np.add.accumulate`` instead of a numpy call per tree; adding
+        0.0 maps a -0.0 total to +0.0 like the zero-started loop.
+        """
+        if leaves.shape[1] <= SCALAR_LANE_MAX:
+            trees = np.arange(self.n_trees)[:, None]
+            gathered = self.leaf_proba[trees, leaves]
+            return np.add.accumulate(gathered, axis=0)[-1] + 0.0
+        total = np.zeros((leaves.shape[1], self.n_classes),
+                         dtype=np.float64)
         for tree in range(self.n_trees):  # repro: noqa[PAR005] — sequential tree-order accumulation keeps IEEE addition order identical to the legacy per-tree loop
             total += self.leaf_proba[tree, leaves[tree]]
         return total
@@ -429,3 +466,43 @@ class ForestTable:
         used = self.features[self.features >= 0]
         return np.bincount(used, minlength=self.n_features) \
             .astype(np.float64)
+
+
+def descend_scalar(tables: Sequence[ForestTable],
+                   X: np.ndarray) -> np.ndarray:
+    """The scalar lane: leaf id per (tree, row) of all tables' trees.
+
+    Rows of the result follow ``tables``, then tree order; each table's
+    block equals its :meth:`ForestTable.descend`.
+    """
+    rows = X.tolist()
+    leaves = []
+    for table in tables:
+        for features, thresholds, left, right in table._lane_lists():
+            for row in rows:  # repro: noqa[PAR005] — the scalar small-batch lane: below SCALAR_LANE_MAX rows a Python walk beats the vector descent's fixed per-level cost
+                node = 0
+                feature = features[0]
+                while feature >= 0:
+                    node = (left[node] if row[feature] <= thresholds[node]
+                            else right[node])
+                    feature = features[node]
+                leaves.append(node)
+    n_trees = sum(table.n_trees for table in tables)
+    return np.array(leaves, dtype=np.intp).reshape(n_trees, len(rows))
+
+
+def predict_proba_sums(tables: Sequence[ForestTable],
+                       X: np.ndarray) -> List[np.ndarray]:
+    """Each table's :meth:`ForestTable.leaf_sum` over ``X``.
+
+    Up to :data:`SCALAR_LANE_MAX` rows, one :func:`descend_scalar` pass
+    serves every table; larger batches descend table by table.
+    """
+    if len(X) > SCALAR_LANE_MAX:
+        return [table.leaf_sum(table.descend(X)) for table in tables]
+    leaves = descend_scalar(tables, X)
+    sums = []
+    for table in tables:
+        sums.append(table.leaf_sum(leaves[:table.n_trees]))
+        leaves = leaves[table.n_trees:]
+    return sums

@@ -299,33 +299,6 @@ class DecisionTree(Classifier):
                 f"X must have shape (n, {self.n_features_}), got {X.shape}")
         return self.table().predict_proba(X)
 
-    def _predict_proba_nodes(self, X: np.ndarray) -> np.ndarray:
-        """Legacy object-graph descent — the differential-test reference.
-
-        Routes index groups down the pointer tree exactly as the
-        pre-table implementation did; the golden suites pin
-        :meth:`predict_proba` bit-identical to this path.
-        """
-        if self._root is None:
-            raise RuntimeError("tree is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features_:
-            raise ValueError(
-                f"X must have shape (n, {self.n_features_}), got {X.shape}")
-        out = np.empty((len(X), self.n_classes_), dtype=np.float64)
-        stack = [(self._root, np.arange(len(X)))]
-        while stack:
-            node, idx = stack.pop()
-            if len(idx) == 0:
-                continue
-            if node.is_leaf:
-                out[idx] = node.distribution
-                continue
-            mask = X[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[mask]))
-            stack.append((node.right, idx[~mask]))
-        return out
-
     def depth(self) -> int:
         """Actual depth of the fitted tree (0 = a lone leaf).
 

@@ -4,16 +4,18 @@ The inference plane rides on ``repro.ml.tables``; these tests pin the
 whole compilation chain — ``DecisionTree.to_table`` / ``from_table``
 round-trips, the padded ``ForestTable`` stack, and the gather descent —
 **bit-identical** (``np.array_equal``, not ``allclose``) to the
-pointer-chasing object walk across depths, degenerate trees and input
-dtypes.
+pointer-chasing object walk (``tests/ml/oracles.py``) across depths,
+degenerate trees and input dtypes.
 """
 
 import numpy as np
 import pytest
 
 from repro.ml.forest import RandomForest
-from repro.ml.tables import ForestTable, TreeTable
+from repro.ml.tables import ForestTable, TreeTable, predict_proba_sums
 from repro.ml.tree import DecisionTree
+from tests.ml.oracles import (SCALAR, VECTOR, forest_predict_proba,
+                              pinned_lane, tree_predict_proba)
 
 
 def blobs(n_per_class=50, k=3, d=5, spread=0.9, seed=0):
@@ -58,7 +60,7 @@ class TestTreeTableRoundTrip:
         tree = DecisionTree(max_depth=6).fit(X, y)
         probe = np.random.default_rng(1).normal(size=(150, X.shape[1]))
         assert np.array_equal(tree.to_table().predict_proba(probe),
-                              tree._predict_proba_nodes(probe))
+                              tree_predict_proba(tree, probe))
 
     def test_unfitted_rejected(self):
         with pytest.raises(RuntimeError):
@@ -103,7 +105,7 @@ class TestForestTable:
                               seed=5).fit(X, y)
         probe = np.random.default_rng(9).normal(size=(333, X.shape[1]))
         assert np.array_equal(forest.predict_proba(probe),
-                              forest._predict_proba_object(probe))
+                              forest_predict_proba(forest, probe))
 
     def test_descent_covers_chunk_remainders(self):
         # Probe sizes straddling the DESCEND_CHUNK boundary exercise
@@ -116,7 +118,7 @@ class TestForestTable:
             probe = np.random.default_rng(rows).normal(
                 size=(rows, X.shape[1]))
             assert np.array_equal(forest.predict_proba(probe),
-                                  forest._predict_proba_object(probe))
+                                  forest_predict_proba(forest, probe))
 
     def test_empty_probe(self):
         X, y = blobs()
@@ -132,10 +134,10 @@ class TestForestTable:
         strided = wide[:, ::2]               # non-contiguous view
         assert not strided.flags["C_CONTIGUOUS"]
         assert np.array_equal(forest.predict_proba(strided),
-                              forest._predict_proba_object(strided))
+                              forest_predict_proba(forest, strided))
         f32 = rng.normal(size=(80, X.shape[1])).astype(np.float32)
         assert np.array_equal(forest.predict_proba(f32),
-                              forest._predict_proba_object(f32))
+                              forest_predict_proba(forest, f32))
 
     def test_stack_pads_to_widest_tree(self):
         X, y = blobs()
@@ -152,7 +154,7 @@ class TestForestTable:
         forest = RandomForest(n_trees=4, seed=1).fit(X, y)
         probe = np.random.default_rng(2).normal(size=(17, 3))
         assert np.array_equal(forest.predict_proba(probe),
-                              forest._predict_proba_object(probe))
+                              forest_predict_proba(forest, probe))
 
     def test_sum_matches_sequential_tree_order(self):
         # The reduction must accumulate in tree order: the low bits of
@@ -164,7 +166,10 @@ class TestForestTable:
         total = np.zeros((len(probe), table.n_classes))
         for index in range(table.n_trees):
             total += table.tree(index).predict_proba(probe)
-        assert np.array_equal(table.predict_proba_sum(probe), total)
+        for bound in (SCALAR, VECTOR):
+            with pinned_lane(bound):
+                assert np.array_equal(
+                    predict_proba_sums([table], probe)[0], total)
 
     def test_split_counts_match_object_trees(self):
         X, y = blobs()
@@ -202,3 +207,31 @@ class TestForestTable:
         importances = forest.feature_importances()
         assert importances.shape == (X.shape[1],)
         assert np.isclose(importances.sum(), 1.0)
+
+
+class TestPickledForest:
+    """Derived caches never ride along in pickles (e.g. to pool workers)."""
+
+    def test_predict_leaves_pickled_bytes_unchanged(self):
+        import pickle
+
+        X, y = noisy(n=300)
+        forest = RandomForest(n_trees=8, seed=1).fit(X, y)
+        before = pickle.dumps(forest)
+        forest.predict_proba(X[:3])        # scalar lane
+        forest.predict_proba(X)            # vector lane
+        assert pickle.dumps(forest) == before
+
+    def test_table_forest_keeps_its_table(self):
+        import pickle
+
+        X, y = noisy(n=300)
+        fitted = RandomForest(n_trees=8, seed=1).fit(X, y)
+        forest = RandomForest.from_table(fitted.table())
+        before = pickle.dumps(forest)
+        expected = forest.predict_proba(X)
+        forest.predict_proba(X[:3])
+        assert pickle.dumps(forest) == before
+        clone = pickle.loads(before)
+        assert clone._table is not None
+        assert np.array_equal(clone.predict_proba(X), expected)

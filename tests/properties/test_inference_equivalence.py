@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro.ml.dtw import dtw_distance, dtw_distance_batch
 from repro.ml.forest import RandomForest
 from repro.ml.tree import DecisionTree
+from tests.ml.oracles import forest_predict_proba
 
 SETTINGS = settings(derandomize=True, max_examples=25, deadline=None)
 
@@ -53,7 +54,7 @@ class TestForestEquivalence:
             X, y, n_classes=classes)
         probe = rng.normal(size=(rng.integers(1, 300), features))
         assert np.array_equal(forest.predict_proba(probe),
-                              forest._predict_proba_object(probe))
+                              forest_predict_proba(forest, probe))
 
     @given(case=_FOREST_CASE)
     @SETTINGS
