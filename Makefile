@@ -3,7 +3,7 @@ export PYTHONPATH := src
 
 .PHONY: test test-fast test-faults test-scan bench bench-features \
 	bench-smoke bench-lint bench-sim bench-infer bench-stream \
-	clean-cache lint lint-changed report
+	clean-cache lint report
 
 ## Tier-1: full test suite (what CI runs).
 test:
@@ -51,14 +51,8 @@ bench-smoke:
 lint:
 	$(PYTHON) -m repro.cli lint src
 
-## Incremental lint: only files changed since BASE (default HEAD) plus
-## their import dependents.  Warm-cache runs finish in milliseconds.
-BASE ?= HEAD
-lint-changed:
-	$(PYTHON) -m repro.cli lint src --changed $(BASE)
-
-## Cold + warm full-repo lint wall time (cold target < 2 s, warm
-## speedup floor 5x); writes BENCH_lint.json.
+## Full-repo lint wall time (cold target < 2 s, no >2x regression
+## against the committed BENCH_lint.json); writes BENCH_lint.json.
 bench-lint:
 	$(PYTHON) benchmarks/bench_lint.py
 

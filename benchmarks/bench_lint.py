@@ -1,28 +1,24 @@
 #!/usr/bin/env python
-"""Benchmark guard: cold and warm full-repo lint wall time.
+"""Benchmark guard: full-repo lint wall time.
 
 The linter runs on every CI push, so it must stay cheap enough that
-nobody is tempted to skip it.  This script measures two phases against
-a throwaway cache directory:
+nobody is tempted to skip it.  This script times ``lint_paths`` over
+``src`` — one sequential pass that parses every file, runs the
+file-scope rules and the whole-program dataflow pass — best of a few
+rounds.  Every run is cold: there is no result cache.  Target: < 2 s.
 
-* **cold** — an empty cache: every file is parsed, linted, and stored
-  (best of a few rounds, each on a fresh directory).  Target: < 2 s.
-* **warm** — the populated cache: imports, file, and project entries
-  all hit, so the run is pure key arithmetic plus JSON loads.  Target:
-  at least 5x faster than the cold run.
-
-Both numbers land in ``BENCH_lint.json`` at the repo root.  If a
-committed ``BENCH_lint.json`` exists, its cold time also acts as a
-regression baseline: more than 2x slower fails the run the same way a
-rule violation would.
+The number lands in ``BENCH_lint.json`` at the repo root, with the file
+count and ``cpu_count`` of the measuring host.  If a committed
+``BENCH_lint.json`` exists, its cold time also acts as a regression
+baseline: more than 2x slower fails the run the same way a rule
+violation would.
 
 Run via ``make bench-lint`` or ``python benchmarks/bench_lint.py``.
 """
 
 import json
-import shutil
+import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -31,7 +27,6 @@ SRC = REPO_ROOT / "src"
 OUT = REPO_ROOT / "BENCH_lint.json"
 
 COLD_TARGET_S = 2.0
-WARM_SPEEDUP_FLOOR = 5.0
 REGRESSION_FACTOR = 2.0
 ROUNDS = 3
 
@@ -39,7 +34,7 @@ sys.path.insert(0, str(SRC))
 
 
 def main() -> int:
-    from repro.analysis import LintCache, all_rules, lint_paths
+    from repro.analysis import all_rules, lint_paths
 
     # Warm-up: import and register the ruleset outside the timed runs.
     rules = all_rules()
@@ -51,78 +46,41 @@ def main() -> int:
         except ValueError:
             previous = None
 
-    scratch = Path(tempfile.mkdtemp(prefix="bench-lint-"))
-    try:
-        cold_timings = []
-        cold_result = None
-        for round_index in range(ROUNDS):
-            cache_dir = scratch / f"cold-{round_index}"
-            started = time.perf_counter()
-            cold_result = lint_paths([SRC], cache=LintCache(cache_dir))
-            cold_timings.append(time.perf_counter() - started)
-        cold = min(cold_timings)
+    timings = []
+    result = None
+    for _ in range(ROUNDS):
+        started = time.perf_counter()
+        result = lint_paths([SRC])
+        timings.append(time.perf_counter() - started)
+    cold = min(timings)
 
-        # Warm phase: reuse the last cold round's cache directory.
-        warm_cache_dir = scratch / f"cold-{ROUNDS - 1}"
-        warm_timings = []
-        warm_result = None
-        warm_hits = warm_misses = 0
-        for _ in range(ROUNDS):
-            cache = LintCache(warm_cache_dir)
-            started = time.perf_counter()
-            warm_result = lint_paths([SRC], cache=cache)
-            warm_timings.append(time.perf_counter() - started)
-            warm_hits, warm_misses = cache.hits, cache.misses
-        warm = min(warm_timings)
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
-
-    speedup = cold / warm if warm > 0 else float("inf")
     document = {
         "description": "Full-repo static analysis (python -m repro.cli "
                        "lint src): stdlib-ast engine plus whole-program "
-                       "dataflow, content-addressed lint cache, "
-                       "deterministic parallel fan-out.",
+                       "dataflow, one sequential pass, no result cache.",
         "workload": {
-            "files": cold_result.files_scanned,
+            "files": result.files_scanned,
             "rules": len(rules),
             "rounds": ROUNDS,
             "timing": "best of rounds, seconds",
+            "cpu_count": os.cpu_count(),
         },
         "results": {
             "cold_wall_s": cold,
-            "warm_wall_s": warm,
-            "warm_speedup": speedup,
             "cold_target_s": COLD_TARGET_S,
-            "warm_speedup_floor": WARM_SPEEDUP_FLOOR,
-            "warm_cache_hits": warm_hits,
-            "warm_cache_misses": warm_misses,
-            "findings": len(cold_result.findings),
-            "suppressed": cold_result.suppressed,
+            "findings": len(result.findings),
+            "suppressed": result.suppressed,
         },
     }
     OUT.write_text(json.dumps(document, indent=2) + "\n")
-    print(f"lint: {cold_result.files_scanned} files, {len(rules)} rules | "
-          f"cold {cold:.3f} s (target {COLD_TARGET_S:.1f} s) | "
-          f"warm {warm:.3f} s ({speedup:.1f}x, floor "
-          f"{WARM_SPEEDUP_FLOOR:.0f}x) -> {OUT.name}")
+    print(f"lint: {result.files_scanned} files, {len(rules)} rules | "
+          f"cold {cold:.3f} s (target {COLD_TARGET_S:.1f} s) "
+          f"-> {OUT.name}")
 
     failed = False
     if cold > COLD_TARGET_S:
         print(f"FAIL: cold lint wall time {cold:.3f} s exceeds the "
               f"{COLD_TARGET_S:.1f} s target", file=sys.stderr)
-        failed = True
-    if speedup < WARM_SPEEDUP_FLOOR:
-        print(f"FAIL: warm speedup {speedup:.1f}x is below the "
-              f"{WARM_SPEEDUP_FLOOR:.0f}x floor", file=sys.stderr)
-        failed = True
-    if warm_misses != 0:
-        print(f"FAIL: warm run missed the cache {warm_misses} time(s)",
-              file=sys.stderr)
-        failed = True
-    if len(warm_result.findings) != len(cold_result.findings):
-        print("FAIL: warm findings differ from cold findings",
-              file=sys.stderr)
         failed = True
     if previous is not None:
         prior_cold = previous.get("results", {}).get("cold_wall_s")

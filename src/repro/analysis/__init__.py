@@ -19,18 +19,17 @@ library) enforcing the invariants the reproduction's claims rest on:
   of :mod:`repro.analysis.graph` and the fixpoint summaries of
   :mod:`repro.analysis.dataflow`.
 
-Run it as ``python -m repro.cli lint src`` (or ``make lint``); the
-driver (:mod:`repro.analysis.driver`) adds a content-addressed result
-cache, a ``ParallelMap`` fan-out, and a git-aware ``--changed`` mode.
-See :mod:`repro.analysis.engine` for suppression and baseline
-semantics, and EXPERIMENTS.md for how to add a rule.
+Run it as ``python -m repro.cli lint src`` (or ``make lint``):
+:func:`~repro.analysis.engine.lint_paths` lints the tree in one
+sequential pass, every run from scratch.  See
+:mod:`repro.analysis.engine` for suppression and baseline semantics,
+and EXPERIMENTS.md for how to add a rule.
 """
 
-from .driver import LintCache, default_lint_cache_dir, lint_paths
-from .engine import (Finding, LintResult, Rule, all_rules, lint_source,
-                     register)
+from .engine import (Finding, LintResult, Rule, all_rules, lint_paths,
+                     lint_source, register)
 
 __all__ = [
-    "Finding", "LintCache", "LintResult", "Rule", "all_rules",
-    "default_lint_cache_dir", "lint_paths", "lint_source", "register",
+    "Finding", "LintResult", "Rule", "all_rules", "lint_paths",
+    "lint_source", "register",
 ]

@@ -1,9 +1,14 @@
 """Single-pass AST lint engine: rules, dispatch, inline suppressions.
 
-The engine parses each file exactly once, builds one parent map, and
-dispatches every node to the rules that registered interest in its
-type — so adding a rule costs a dictionary lookup per node, not a
-re-walk of the tree.  Rules are plain classes registered with
+:func:`lint_paths` is the one entry point the CLI, CI, and tests call
+(:func:`lint_source` is its one-module case).  It is a plain
+sequential loop: each file is read and parsed exactly once, gets one
+parent map, and has every node dispatched to the file-scope rules that
+registered interest in its type — so adding a rule costs a dictionary
+lookup per node, not a re-walk of the tree.  The project-scope rules
+then run once over all parsed modules (:mod:`repro.analysis.dataflow`),
+and each file's ``# repro: noqa`` comments are tokenized only when it
+has a finding to suppress.  Rules are plain classes registered with
 :func:`register`; each declares the node types it wants and yields
 ``(node, message)`` pairs from :meth:`Rule.check`.
 
@@ -370,52 +375,104 @@ def split_rules(rules: Sequence[Rule]
 
 def lint_source(source: str, path: Path,
                 rules: Optional[Sequence[Rule]] = None) -> LintResult:
-    """Lint one already-read source string (single parse, single walk).
+    """Lint one already-read source string: :func:`lint_paths` over a
+    one-module project (so fixture tests exercise the semantic rules
+    exactly like a tree lint, minus cross-module edges)."""
+    return _lint_modules([(path, source)], resolve_rules(rules))
 
-    Project-scope rules run too, over a one-module project — so fixture
-    tests exercise the semantic rules exactly like the full driver does
-    (minus cross-module edges, which need :func:`lint_paths`).
+
+def lint_paths(paths: Iterable[Path],
+               rules: Optional[Sequence[Rule]] = None,
+               select: Optional[Iterable[str]] = None) -> LintResult:
+    """Lint files and directory trees in one sequential pass.
+
+    Args:
+        paths: files or directory trees to scan; each must exist.
+        rules: explicit rule instances (tests); overrides ``select``.
+        select: rule ids to run; ``None`` runs the whole registry.
+
+    Raises:
+        ValueError: a path does not exist, or ``select`` names an
+            unknown rule id.
     """
-    if rules is None:
-        rules = list(all_rules().values())
+    paths = [Path(path) for path in paths]
+    missing = [path.as_posix() for path in paths if not path.exists()]
+    if missing:
+        raise ValueError(f"no such file or directory: {', '.join(missing)}")
+    rule_list = resolve_rules(rules, select)
+    sources: List[Tuple[Path, str]] = []
+    for path in iter_python_files(paths):
+        try:
+            raw = path.read_bytes()
+        except OSError:
+            continue
+        sources.append((path, raw.decode("utf-8", errors="replace")))
+    return _lint_modules(sources, rule_list)
+
+
+def _lint_modules(sources: Sequence[Tuple[Path, str]],
+                  rules: Sequence[Rule]) -> LintResult:
+    """Parse each module once, run the file-scope rules per module, the
+    project-scope rules once over every module that parsed, then apply
+    each file's ``# repro: noqa`` comments to its findings."""
     file_rules, project_rules = split_rules(rules)
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        finding = Finding(path=path.as_posix(), line=exc.lineno or 1,
-                          col=exc.offset or 0, rule="ENG001",
-                          family="engine",
-                          message=f"file does not parse: {exc.msg}",
-                          snippet="")
-        return LintResult(findings=[finding], files_scanned=1, suppressed=0)
-    module = ModuleContext(path, source, tree)
-    raw: List[Tuple[Finding, Set[int]]] = []
-    active = [rule for rule in file_rules if rule.applies_to(module)]
+    findings: List[Finding] = []
+    raw: Dict[str, List[Tuple[Finding, Set[int]]]] = {}
+    parsed: List[Tuple[Path, str, ast.Module]] = []
+    for path, source in sources:
+        try:
+            tree = ast.parse(source, filename=str(path))
+        except SyntaxError as exc:
+            findings.append(Finding(
+                path=path.as_posix(), line=exc.lineno or 1,
+                col=exc.offset or 0, rule="ENG001", family="engine",
+                message=f"file does not parse: {exc.msg}", snippet=""))
+            continue
+        parsed.append((path, source, tree))
+        raw[path.as_posix()] = _file_findings(
+            ModuleContext(path, source, tree), file_rules)
+    if project_rules and parsed:
+        from .dataflow import analyze_project
+
+        for finding, anchors in project_findings(analyze_project(parsed),
+                                                 project_rules):
+            raw[finding.path].append((finding, anchors))
+    suppressed = 0
+    for path, source, _ in parsed:
+        pairs = raw[path.as_posix()]
+        if not pairs:
+            continue
+        noqa = suppressions(source)
+        kept = [f for f, anchors in pairs
+                if not _suppressed(f.rule, anchors, noqa)]
+        findings.extend(kept)
+        suppressed += len(pairs) - len(kept)
+    findings.sort()
+    return LintResult(findings=findings, files_scanned=len(sources),
+                      suppressed=suppressed)
+
+
+def _file_findings(module: ModuleContext, file_rules: Sequence[Rule]
+                   ) -> List[Tuple[Finding, Set[int]]]:
+    """Dispatch every node of one module to the file-scope rules."""
     dispatch: Dict[Type[ast.AST], List[Rule]] = {}
-    for rule in active:
-        for node_type in rule.node_types:
-            dispatch.setdefault(node_type, []).append(rule)
-    for node in ast.walk(tree):
+    for rule in file_rules:
+        if rule.applies_to(module):
+            for node_type in rule.node_types:
+                dispatch.setdefault(node_type, []).append(rule)
+    out: List[Tuple[Finding, Set[int]]] = []
+    path = module.path.as_posix()
+    for node in ast.walk(module.tree):
         for rule in dispatch.get(type(node), ()):
             for where, message in rule.check(node, module):
                 line = getattr(where, "lineno", 1)
-                raw.append((Finding(
-                    path=path.as_posix(), line=line,
+                out.append((Finding(
+                    path=path, line=line,
                     col=getattr(where, "col_offset", 0),
                     rule=rule.id, family=rule.family, message=message,
                     snippet=module.line_text(line)),
                     anchor_lines(where, module.parents)))
-    if project_rules:
-        from .dataflow import analyze_project
-
-        analysis = analyze_project([(path, source, tree)])
-        raw.extend(project_findings(analysis, project_rules))
-    noqa = suppressions(source)
-    findings = [f for f, anchors in raw
-                if not _suppressed(f.rule, anchors, noqa)]
-    findings.sort()
-    return LintResult(findings=findings, files_scanned=1,
-                      suppressed=len(raw) - len(findings))
+    return out
 
 
 def project_findings(analysis, project_rules: Sequence[Rule]
@@ -441,8 +498,10 @@ def iter_python_files(paths: Iterable[Path]) -> List[Path]:
 
     Files are deduplicated by *resolved* path, so a symlink next to its
     target (or the same tree passed twice) yields one entry; of several
-    aliases the lexicographically smallest scanned path is kept.  The
-    parallel driver's deterministic merge depends on this ordering.
+    aliases the lexicographically smallest scanned path is kept, so the
+    result does not depend on the order of ``paths``.  ``__pycache__``
+    and ``.``-prefixed directories are skipped below a scanned root, but
+    a root that itself sits under a hidden directory is still linted.
     """
     found: Dict[Path, Path] = {}
 
@@ -459,10 +518,9 @@ def iter_python_files(paths: Iterable[Path]) -> List[Path]:
         path = Path(path)
         if path.is_dir():
             for candidate in path.rglob("*.py"):
-                if "__pycache__" in candidate.parts:
-                    continue
-                if any(part.startswith(".")
-                       for part in candidate.parts):
+                below = candidate.relative_to(path).parts
+                if "__pycache__" in below or any(
+                        part.startswith(".") for part in below):
                     continue
                 _add(candidate)
         elif path.suffix == ".py":

@@ -22,8 +22,7 @@ JSON schema (version 1)::
          "family": ..., "message": ..., "snippet": ...},
       ],
       "counts": {"DET001": 1, ...},          # per rule id, sorted
-      "cache": {"hits": 74, "misses": 2, "stores": 2}   # only when the
-    }                                        # run used a lint cache
+    }
 """
 
 from __future__ import annotations
@@ -64,17 +63,10 @@ def render_text(result: LintResult, baselined: int = 0) -> str:
     return "\n".join(lines)
 
 
-def as_document(result: LintResult, baselined: int = 0,
-                cache=None) -> dict:
-    """The JSON-format report as a plain dict.
-
-    ``cache`` (a :class:`~repro.analysis.driver.LintCache`, optional)
-    adds a hit/miss/store stats block — CI's warm-cache assertions read
-    it, so incremental jobs gate on deterministic reuse counts instead
-    of wall-clock time.
-    """
+def as_document(result: LintResult, baselined: int = 0) -> dict:
+    """The JSON-format report as a plain dict."""
     counts = Counter(f.rule for f in result.findings)
-    document = {
+    return {
         "version": REPORT_VERSION,
         "files_scanned": result.files_scanned,
         "suppressed": result.suppressed,
@@ -82,16 +74,10 @@ def as_document(result: LintResult, baselined: int = 0,
         "findings": [f.as_dict() for f in result.findings],
         "counts": {rule_id: counts[rule_id] for rule_id in sorted(counts)},
     }
-    if cache is not None:
-        document["cache"] = {"hits": cache.hits, "misses": cache.misses,
-                             "stores": cache.stores}
-    return document
 
 
-def render_json(result: LintResult, baselined: int = 0,
-                cache=None) -> str:
-    return json.dumps(as_document(result, baselined=baselined,
-                                  cache=cache),
+def render_json(result: LintResult, baselined: int = 0) -> str:
+    return json.dumps(as_document(result, baselined=baselined),
                       indent=2, sort_keys=True)
 
 

@@ -286,19 +286,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            "(default: all)")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the registered rules and exit")
-    lint.add_argument("--changed", nargs="?", const="HEAD", default=None,
-                      metavar="BASE",
-                      help="lint only files changed since the git rev "
-                           "BASE (default HEAD) or whose import closure "
-                           "contains a changed file")
-    lint.add_argument("--workers", type=int, default=None,
-                      help="parallel lint fan-out width "
-                           "(default: REPRO_WORKERS)")
-    lint.add_argument("--no-cache", action="store_true",
-                      help="disable the on-disk lint result cache")
-    lint.add_argument("--cache-dir", type=Path, default=None,
-                      help="lint cache directory (default: "
-                           "REPRO_LINT_CACHE_DIR or the XDG cache home)")
 
     sub.add_parser("list", help="show apps, operators, experiments")
     return parser
@@ -773,15 +760,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if args.select:
         select = [part.strip() for part in args.select.split(",")
                   if part.strip()]
-    cache = None
-    if not args.no_cache:
-        from .analysis import LintCache
-
-        cache = LintCache(args.cache_dir)
     try:
-        result = lint_paths(args.paths, select=select, cache=cache,
-                            workers=args.workers,
-                            changed_base=args.changed)
+        result = lint_paths(args.paths, select=select)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -808,8 +788,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                             files_scanned=result.files_scanned,
                             suppressed=result.suppressed)
     if args.lint_format == "json":
-        print(report_mod.render_json(result, baselined=baselined,
-                                     cache=cache))
+        print(report_mod.render_json(result, baselined=baselined))
     elif args.lint_format == "sarif":
         print(report_mod.render_sarif(result))
     else:

@@ -241,6 +241,21 @@ def test_findings_are_deterministically_ordered(tmp_path):
     assert result.files_scanned == 2
 
 
+def test_select_narrows_findings(tmp_path):
+    # One file-scope and one project-scope finding; select keeps only
+    # the named rule's, in either scope.
+    tree = tmp_path / "repro" / "core"
+    tree.mkdir(parents=True)
+    (tree / "clock.py").write_text("import time\nSTART = time.time()\n")
+    (tree / "rng.py").write_text("import random\nRNG = random.Random(7)\n")
+    full = lint_paths([tmp_path])
+    assert sorted(f.rule for f in full.findings) == ["DET001", "SEED001"]
+    for rule_id in ("DET001", "SEED001"):
+        narrowed = lint_paths([tmp_path], select=[rule_id])
+        assert [f.rule for f in narrowed.findings] == [rule_id]
+        assert narrowed.files_scanned == 2
+
+
 def test_pycache_and_hidden_dirs_are_skipped(tmp_path):
     tree = tmp_path / "repro"
     (tree / "__pycache__").mkdir(parents=True)
@@ -253,6 +268,19 @@ def test_pycache_and_hidden_dirs_are_skipped(tmp_path):
     result = lint_paths([tmp_path])
     assert result.findings == []
     assert result.files_scanned == 1
+
+
+def test_hidden_ancestor_of_the_scanned_root_is_linted(tmp_path):
+    # Only components below the scanned root are tested for a leading
+    # dot: a checkout under a hidden directory (CI workspaces, tool
+    # caches) still lints every file.
+    root = tmp_path / ".ci" / "pkg"
+    (root / "repro").mkdir(parents=True)
+    (root / "repro" / "clock.py").write_text(
+        "import time\nx = time.time()\n")
+    result = lint_paths([root])
+    assert result.files_scanned == 1
+    assert [f.rule for f in result.findings] == ["DET001"]
 
 
 # -- file discovery ----------------------------------------------------------------

@@ -95,6 +95,15 @@ def test_cli_update_baseline_then_clean(tmp_path, capsys):
                      "--baseline", str(baseline)]) == 1
 
 
+def test_cli_lint_missing_path_exits_2(tmp_path, capsys):
+    # A typo in a CI lint path is bad input, not a clean run.
+    missing = tmp_path / "no" / "such" / "path"
+    assert cli.main(["lint", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert missing.as_posix() in captured.err
+    assert "clean" not in captured.out
+
+
 def test_cli_select_limits_rules(tmp_path):
     rel_path, source = _FAMILY_VIOLATIONS["determinism"]
     target = tmp_path / rel_path

@@ -28,18 +28,6 @@ def test_json_document_schema():
         assert isinstance(finding["col"], int)
 
 
-def test_json_document_cache_stats_block():
-    # Without a cache the key is absent (schema unchanged); with one,
-    # the stats block carries the counters CI's warm-run gate asserts.
-    class FakeCache:
-        hits, misses, stores = 7, 1, 1
-
-    result = lint_source(_DIRTY, FIXTURE)
-    assert "cache" not in as_document(result)
-    document = as_document(result, cache=FakeCache())
-    assert document["cache"] == {"hits": 7, "misses": 1, "stores": 1}
-
-
 def test_render_json_round_trips():
     result = lint_source(_DIRTY, FIXTURE)
     parsed = json.loads(render_json(result, baselined=2))

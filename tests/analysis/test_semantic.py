@@ -10,6 +10,7 @@ the cross-module fixpoints exactly as the CLI does.
 from pathlib import Path
 
 from repro.analysis import lint_paths, lint_source
+from repro.analysis.report import render_json
 
 #: Inside the repro tree, outside any scoped package.
 GENERIC = Path("repro/core/fixture.py")
@@ -321,3 +322,39 @@ def test_cache001_unresolvable_key_is_skipped():
            "    value = simulate(app, day)\n"
            "    cache.put(mystery.key_for(app), value)\n")
     assert "CACHE001" not in fired(src)
+
+
+# -- project-pass module set ------------------------------------------------------
+
+
+def test_import_cycle_members_report_their_own_findings(tmp_path):
+    # Modules that import each other share one import closure; each
+    # still reports the project finding anchored in its own source.
+    result = lint_tree(tmp_path, {
+        "repro/core/a.py": ("import repro.core.b\n"
+                            "import random\n"
+                            "RNG = random.Random(12345)\n"),
+        "repro/core/b.py": ("import repro.core.a\n"
+                            "import random\n"
+                            "RNG = random.Random(678)\n"),
+    })
+    assert [(f.rule, Path(f.path).name) for f in result.findings] == [
+        ("SEED001", "a.py"), ("SEED001", "b.py")]
+
+
+def test_dotted_name_collision_analyses_the_first_file(tmp_path):
+    # Two trees both carry repro.core.util: the project pass keeps the
+    # first in scan order while the file-scope rules still see both
+    # files, and the output does not depend on the path argument order.
+    source = ("import random\nimport time\n"
+              "RNG = random.Random(1)\n"
+              "START = time.time()\n")
+    for root in ("one", "two"):
+        target = tmp_path / root / "repro" / "core" / "util.py"
+        target.parent.mkdir(parents=True)
+        target.write_text(source)
+    one, two = tmp_path / "one", tmp_path / "two"
+    forward = lint_paths([one, two])
+    assert [(f.rule, Path(f.path).parts[-4]) for f in forward.findings] \
+        == [("SEED001", "one"), ("DET001", "one"), ("DET001", "two")]
+    assert render_json(lint_paths([two, one])) == render_json(forward)

@@ -133,6 +133,6 @@ def test_malformed_baseline_exits_2(tmp_path, capsys, command, case):
         source = tmp_path / "clean"
         source.mkdir()
         (source / "module.py").write_text("VALUE = 1\n")
-        args = ["lint", str(source), "--no-cache"]
+        args = ["lint", str(source)]
     assert main(args + ["--baseline", str(path)]) == 2
     assert "baseline" in capsys.readouterr().err
