@@ -22,10 +22,11 @@ test-faults:
 
 ## Attack scanner: detector findings vs the table driver results they
 ## run (with golden driver tables), golden reports, schema/baseline
-## units, the batch-vs-stream parity suite, and the Hypothesis scan
-## invariants (what the CI scan job runs).
+## units (including the baseline core shared with lint), the
+## batch-vs-stream parity suite, and the Hypothesis scan invariants
+## (what the CI scan job runs).
 test-scan:
-	$(PYTHON) -m pytest tests/scan \
+	$(PYTHON) -m pytest tests/scan tests/test_baseline.py \
 		tests/properties/test_scan_invariants.py -q
 
 ## Component micro-benchmarks with timing enabled (slow; writes results/).

@@ -19,7 +19,7 @@ Findings can be silenced three ways, in order of preference:
    (comma-separate several ids; a bare ``# repro: noqa`` silences every
    rule on that line) — for the rare *legitimate* exception, with a
    justifying comment;
-3. a baseline entry (:mod:`repro.analysis.baseline`) — for
+3. a baseline entry (:mod:`repro.baseline`) — for
    grandfathered findings only; the shipped baseline is empty and CI
    keeps it that way.
 """
@@ -27,6 +27,7 @@ Findings can be silenced three ways, in order of preference:
 from __future__ import annotations
 
 import ast
+import hashlib
 import re
 import tokenize
 from dataclasses import dataclass, field
@@ -60,6 +61,23 @@ class Finding:
         return {"path": self.path, "line": self.line, "col": self.col,
                 "rule": self.rule, "family": self.family,
                 "message": self.message, "snippet": self.snippet}
+
+    def fingerprint(self) -> str:
+        """Location-independent identity: rule + normalised source line.
+
+        Path-free, so a baseline survives line shifts and renames; the
+        occurrence bound lives in the baseline entry, not here.
+        """
+        normalised = " ".join(self.snippet.split())
+        payload = f"{self.rule}\0{normalised}"
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+    def baseline_key(self) -> tuple:
+        return ((self.path, self.rule), self.line, self.col)
+
+    def baseline_entry(self) -> dict:
+        return {"path": self.path, "rule": self.rule,
+                "snippet": self.snippet}
 
 
 class ModuleContext:
@@ -535,7 +553,7 @@ def resolve_rules(rules: Optional[Sequence[Rule]] = None,
         return list(rules)
     registry = all_rules()
     if select is not None:
-        wanted = list(select)
+        wanted = list(dict.fromkeys(select))
         unknown = sorted(set(wanted) - set(registry))
         if unknown:
             raise ValueError(f"unknown rule ids: {', '.join(unknown)}")

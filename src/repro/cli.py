@@ -48,7 +48,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from . import obs, runtime
+from . import baseline, obs, runtime
 from .apps import app_names
 from .operators import PROFILES, get_profile
 
@@ -604,14 +604,55 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return int(pytest.main(pytest_args))
 
 
-#: Default scan suppression baseline (repo root, used when present).
-_DEFAULT_SCAN_BASELINE = Path("scan-baseline.json")
+def _parse_ids(text: Optional[str]) -> Optional[List[str]]:
+    """A comma-separated id list (``--select``, ``--detectors``)."""
+    if not text:
+        return None
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
+class _BaselineFlow:
+    """One tool's suppression baseline around one lint or scan run.
+
+    Built before the run, so bad input exits 2 before any work: the
+    file is ``--baseline``, else the tool's default when it exists;
+    ``--update-baseline`` is refused on a partial run (it would drop
+    every entry outside the selection); otherwise the baseline is
+    loaded and validated.  Raises OSError / ValueError on bad input.
+    """
+
+    def __init__(self, args: argparse.Namespace, kind: str,
+                 partial: Optional[str]) -> None:
+        self.kind = kind
+        self.update = args.update_baseline
+        default = baseline.DEFAULT_PATHS[kind]
+        self.path = args.baseline
+        if self.path is None and default.exists():
+            self.path = default
+        self.counts = {}
+        if self.update:
+            if partial:
+                raise ValueError(
+                    f"--update-baseline rewrites the whole {kind} "
+                    f"baseline; drop {partial} to update it")
+            self.path = self.path or default
+        elif self.path is not None:
+            self.counts = baseline.load_baseline(self.path, kind)
+
+    def write(self, findings) -> int:
+        """``--update-baseline``: rewrite the file; exit code 0."""
+        document = baseline.write_baseline(self.path, findings, self.kind)
+        print(f"wrote {len(document['entries'])} entries to {self.path}")
+        return 0
+
+    def split(self, findings):
+        """(new, baselined) findings."""
+        return baseline.apply_baseline(findings, self.counts)
 
 
 def _cmd_scan(args: argparse.Namespace, manifest=None) -> int:
     """Run the attack scanner; exit 1 when the severity gate trips."""
     from .scan import ScanConfig, all_detectors, run_scan, severity_rank
-    from .scan import baseline as baseline_mod
     from .scan import engine as engine_mod
     from .scan import report as report_mod
 
@@ -625,52 +666,33 @@ def _cmd_scan(args: argparse.Namespace, manifest=None) -> int:
                         if cls.requires else "")
             print(f"{detector_id:22s} {cls.title}{requires}")
         return 0
-    detectors = None
-    if args.detectors:
-        detectors = [part.strip() for part in args.detectors.split(",")
-                     if part.strip()]
-    environments = None
-    if args.environments:
-        try:
-            environments = tuple(
-                get_profile(part.strip())
-                for part in args.environments.split(",") if part.strip())
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    baseline_path = args.baseline
-    if baseline_path is None and _DEFAULT_SCAN_BASELINE.exists():
-        baseline_path = _DEFAULT_SCAN_BASELINE
-    suppressed = None
-    if baseline_path is not None and not args.update_baseline:
-        # Validate the baseline before paying for any campaign.
-        try:
-            suppressed = baseline_mod.load_baseline(baseline_path)
-        except (OSError, ValueError) as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    config = ScanConfig(scale=args.scale, seed=args.seed,
-                        environments=environments)
+    detectors = _parse_ids(args.detectors)
     try:
-        result = run_scan(detectors, config)
+        environments = None
+        if args.environments:
+            environments = tuple(get_profile(name) for name
+                                 in _parse_ids(args.environments))
+        flow = _BaselineFlow(args, "scan",
+                             "--detectors" if detectors is not None
+                             else None)
+    except (OSError, ValueError) as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    try:
+        result = run_scan(detectors, ScanConfig(
+            scale=args.scale, seed=args.seed, environments=environments))
     except ValueError as exc:
         # Bad selection (unknown detector id) is bad input, not a
         # runtime failure: the --faults exit-code convention.
         print(str(exc), file=sys.stderr)
         return 2
-    if args.update_baseline:
-        target = baseline_path if baseline_path is not None \
-            else _DEFAULT_SCAN_BASELINE
-        document = baseline_mod.write_baseline(target, result.findings)
-        print(f"wrote {len(document['entries'])} entries to {target}")
-        return 0
-    if suppressed is not None:
-        new, old = baseline_mod.apply_baseline(result.findings,
-                                               suppressed)
-        result = engine_mod.ScanResult(
-            findings=tuple(new), detectors=result.detectors,
-            baselined=len(old), baselined_findings=tuple(old),
-            artifacts=result.artifacts)
+    if flow.update:
+        return flow.write(result.findings)
+    new, old = flow.split(result.findings)
+    result = engine_mod.ScanResult(
+        findings=tuple(new), detectors=result.detectors,
+        baselined=len(old), baselined_findings=tuple(old),
+        artifacts=result.artifacts)
     rendered = (report_mod.render_json(result)
                 if args.scan_format == "json"
                 else report_mod.render_text(result))
@@ -741,14 +763,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Default baseline location (repo root, committed, empty by policy).
-_DEFAULT_BASELINE = Path("lint-baseline.json")
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     """Run the static analyser; exit 0 clean / 1 on new findings."""
     from .analysis import all_rules, lint_paths
-    from .analysis import baseline as baseline_mod
     from .analysis import report as report_mod
     from .analysis.engine import LintResult
 
@@ -756,37 +773,24 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         for rule_id, rule in sorted(all_rules().items()):
             print(f"{rule_id}  [{rule.family}] {rule.title}")
         return 0
-    select = None
-    if args.select:
-        select = [part.strip() for part in args.select.split(",")
-                  if part.strip()]
+    select = _parse_ids(args.select)
+    try:
+        flow = _BaselineFlow(args, "lint",
+                             "--select" if select is not None else None)
+    except (OSError, ValueError) as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     try:
         result = lint_paths(args.paths, select=select)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    baseline_path = args.baseline
-    if baseline_path is None and _DEFAULT_BASELINE.exists():
-        baseline_path = _DEFAULT_BASELINE
-    if args.update_baseline:
-        target = baseline_path if baseline_path is not None \
-            else _DEFAULT_BASELINE
-        document = baseline_mod.write_baseline(target, result.findings)
-        print(f"wrote {len(document['entries'])} entries to {target}")
-        return 0
-    baselined = 0
-    if baseline_path is not None:
-        try:
-            grandfathered = baseline_mod.load_baseline(baseline_path)
-        except (OSError, ValueError) as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        new, old = baseline_mod.apply_baseline(result.findings,
-                                               grandfathered)
-        baselined = len(old)
-        result = LintResult(findings=new,
-                            files_scanned=result.files_scanned,
-                            suppressed=result.suppressed)
+    if flow.update:
+        return flow.write(result.findings)
+    new, old = flow.split(result.findings)
+    baselined = len(old)
+    result = LintResult(findings=new, files_scanned=result.files_scanned,
+                        suppressed=result.suppressed)
     if args.lint_format == "json":
         print(report_mod.render_json(result, baselined=baselined))
     elif args.lint_format == "sarif":

@@ -1,7 +1,7 @@
 """Detector registry and shared scan state.
 
-Mirrors the :mod:`repro.analysis` rule registry (itself modelled on
-trueseeing's ``Detector``/``Issue`` architecture): each attack is a
+Modelled on trueseeing's ``Detector``/``Issue`` architecture, like the
+:mod:`repro.analysis` rule registry: each attack is a
 :class:`Detector` subclass registered under a stable id, a scan
 resolves a selection (plus declared dependencies) into the fixed
 composition order, and every detector runs over one shared

@@ -180,6 +180,13 @@ class Finding:
                              separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
+    def baseline_key(self) -> tuple:
+        return ((self.detector, self.victim),)
+
+    def baseline_entry(self) -> dict:
+        return {"detector": self.detector, "victim": self.victim,
+                "summary": self.summary}
+
     def as_dict(self) -> dict:
         document = self._identity()
         document["fingerprint"] = self.fingerprint()

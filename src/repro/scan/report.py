@@ -1,8 +1,7 @@
 """Scan reporters: render a :class:`~repro.scan.engine.ScanResult`.
 
-Mirrors :mod:`repro.analysis.report`: a ``text`` format for humans and
-CI logs, and a versioned, fully deterministic ``json`` document for
-tooling.  JSON schema (version 1)::
+A ``text`` format for humans and CI logs, and a versioned, fully
+deterministic ``json`` document for tooling.  JSON schema (version 1)::
 
     {
       "version": 1,

@@ -1,14 +1,13 @@
 """Engine mechanics: suppressions, baselines, scoping, file discovery."""
 
-import json
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import lint_paths, lint_source
-from repro.analysis.baseline import (apply_baseline, fingerprint,
-                                     load_baseline, write_baseline)
-from repro.analysis.engine import _dotted_module_name, suppressions
+from repro.analysis.engine import (_dotted_module_name, resolve_rules,
+                                   suppressions)
+from repro.baseline import apply_baseline, load_baseline, write_baseline
 
 FIXTURE = Path("repro/core/fixture.py")
 
@@ -100,23 +99,7 @@ def test_manifest_noqa_exemplar_is_live():
     assert result.suppressed >= 1
 
 
-# -- baseline round-trip ----------------------------------------------------------
-
-
-def test_baseline_round_trip(tmp_path):
-    src = "import time\nstart = time.time()\n"
-    result = lint_source(src, FIXTURE)
-    assert len(result.findings) == 1
-    baseline_file = tmp_path / "baseline.json"
-    document = write_baseline(baseline_file, result.findings)
-    assert document["version"] == 3
-    assert len(document["entries"]) == 1
-    assert document["entries"][0]["count"] == 1
-
-    grandfathered = load_baseline(baseline_file)
-    new, old = apply_baseline(result.findings, grandfathered)
-    assert new == []
-    assert len(old) == 1
+# -- lint baselines: path-free fingerprints ---------------------------------------
 
 
 def test_baseline_fingerprint_survives_line_shift():
@@ -125,18 +108,19 @@ def test_baseline_fingerprint_survives_line_shift():
     finding_a = lint_source(src_a, FIXTURE).findings[0]
     finding_b = lint_source(src_b, FIXTURE).findings[0]
     assert finding_a.line != finding_b.line
-    assert fingerprint(finding_a) == fingerprint(finding_b)
+    assert finding_a.fingerprint() == finding_b.fingerprint()
 
 
 def test_baseline_does_not_mask_new_findings(tmp_path):
     old_src = "import time\nstart = time.time()\n"
     baseline_file = tmp_path / "baseline.json"
-    write_baseline(baseline_file, lint_source(old_src, FIXTURE).findings)
+    write_baseline(baseline_file, lint_source(old_src, FIXTURE).findings,
+                   "lint")
 
     new_src = ("import time\nimport numpy as np\n"
                "start = time.time()\n"
                "x = np.random.rand(3)\n")
-    grandfathered = load_baseline(baseline_file)
+    grandfathered = load_baseline(baseline_file, "lint")
     new, old = apply_baseline(lint_source(new_src, FIXTURE).findings,
                               grandfathered)
     assert [f.rule for f in old] == ["DET001"]
@@ -149,11 +133,12 @@ def test_baseline_survives_file_move(tmp_path):
     src = "import time\nstart = time.time()\n"
     old = lint_source(src, Path("repro/core/clock.py")).findings
     baseline_file = tmp_path / "baseline.json"
-    write_baseline(baseline_file, old)
+    write_baseline(baseline_file, old, "lint")
 
     moved = lint_source(src, Path("repro/runtime2/clock.py")).findings
-    assert [fingerprint(f) for f in moved] == [fingerprint(f) for f in old]
-    new, grandfathered = apply_baseline(moved, load_baseline(baseline_file))
+    assert [f.fingerprint() for f in moved] == [f.fingerprint() for f in old]
+    new, grandfathered = apply_baseline(
+        moved, load_baseline(baseline_file, "lint"))
     assert new == []
     assert len(grandfathered) == 1
 
@@ -167,10 +152,10 @@ def test_baseline_matching_is_count_bounded(tmp_path):
     src = "import time\nstart = time.time()\n"
     baseline_file = tmp_path / "baseline.json"
     document = write_baseline(baseline_file,
-                              lint_source(src, FIXTURE).findings)
+                              lint_source(src, FIXTURE).findings, "lint")
     assert document["entries"][0]["count"] == 1
 
-    grandfathered = load_baseline(baseline_file)
+    grandfathered = load_baseline(baseline_file, "lint")
     copies = (lint_source(src, FIXTURE).findings
               + lint_source(src, Path("repro/core/other.py")).findings)
     new, old = apply_baseline(copies, grandfathered)
@@ -180,17 +165,6 @@ def test_baseline_matching_is_count_bounded(tmp_path):
     new2, old2 = apply_baseline(
         lint_source(src, FIXTURE).findings, grandfathered)
     assert new2 == [] and len(old2) == 1
-
-
-def test_load_baseline_rejects_other_documents(tmp_path):
-    bogus = tmp_path / "bogus.json"
-    bogus.write_text(json.dumps({"version": 99, "entries": []}))
-    with pytest.raises(ValueError):
-        load_baseline(bogus)
-    not_a_baseline = tmp_path / "other.json"
-    not_a_baseline.write_text(json.dumps([1, 2, 3]))
-    with pytest.raises(ValueError):
-        load_baseline(not_a_baseline)
 
 
 # -- module scoping ---------------------------------------------------------------
@@ -254,6 +228,18 @@ def test_select_narrows_findings(tmp_path):
         narrowed = lint_paths([tmp_path], select=[rule_id])
         assert [f.rule for f in narrowed.findings] == [rule_id]
         assert narrowed.files_scanned == 2
+
+
+def test_select_duplicate_ids_run_each_rule_once(tmp_path):
+    # A repeated id must not run its rule twice (doubling every
+    # finding); ids keep their first-seen order.
+    tree = tmp_path / "repro" / "core"
+    tree.mkdir(parents=True)
+    (tree / "clock.py").write_text("import time\nSTART = time.time()\n")
+    result = lint_paths([tmp_path], select=["DET001", "DET001"])
+    assert [f.rule for f in result.findings] == ["DET001"]
+    assert [rule.id for rule in resolve_rules(
+        select=["SEED001", "DET001", "SEED001"])] == ["SEED001", "DET001"]
 
 
 def test_pycache_and_hidden_dirs_are_skipped(tmp_path):

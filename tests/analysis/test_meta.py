@@ -95,6 +95,24 @@ def test_cli_update_baseline_then_clean(tmp_path, capsys):
                      "--baseline", str(baseline)]) == 1
 
 
+def test_cli_partial_update_baseline_exits_2(tmp_path, capsys):
+    # Rewriting the baseline from a --select run would silently drop
+    # every entry outside the selection; refuse it before linting.
+    rel_path, source = _FAMILY_VIOLATIONS["determinism"]
+    target = tmp_path / rel_path
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(source)
+    baseline = tmp_path / "baseline.json"
+    assert cli.main(["lint", str(target), "--baseline", str(baseline),
+                     "--update-baseline"]) == 0
+    written = baseline.read_bytes()
+    capsys.readouterr()
+    assert cli.main(["lint", str(target), "--baseline", str(baseline),
+                     "--select", "NUM001", "--update-baseline"]) == 2
+    assert "--select" in capsys.readouterr().err
+    assert baseline.read_bytes() == written
+
+
 def test_cli_lint_missing_path_exits_2(tmp_path, capsys):
     # A typo in a CI lint path is bad input, not a clean run.
     missing = tmp_path / "no" / "such" / "path"

@@ -1,11 +1,11 @@
-"""Suppression-baseline semantics: round trip and count-bounded matching."""
+"""Scan baselines: the content fingerprint decides what a baseline holds.
 
-import json
+The kind-independent baseline semantics (round trip, bytes, count
+bounds, strict loading) run over both finding kinds in
+``tests/test_baseline.py``.
+"""
 
-import pytest
-
-from repro.scan.baseline import (BASELINE_VERSION, apply_baseline,
-                                 load_baseline, write_baseline)
+from repro.baseline import apply_baseline
 from repro.scan.findings import make_finding
 
 
@@ -15,54 +15,7 @@ def finding(victim="v1", confidence=0.5, detector="tmsi-exposure"):
                         confidence=confidence)
 
 
-class TestRoundTrip:
-    def test_write_then_load(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        findings = [finding("v1"), finding("v2"), finding("v1")]
-        document = write_baseline(path, findings)
-        assert document["version"] == BASELINE_VERSION
-        suppressed = load_baseline(path)
-        assert suppressed == {finding("v1").fingerprint(): 2,
-                              finding("v2").fingerprint(): 1}
-
-    def test_written_file_is_deterministic(self, tmp_path):
-        findings = [finding("v2"), finding("v1")]
-        write_baseline(tmp_path / "a.json", findings)
-        write_baseline(tmp_path / "b.json", list(reversed(findings)))
-        assert ((tmp_path / "a.json").read_bytes()
-                == (tmp_path / "b.json").read_bytes())
-
-    def test_load_rejects_wrong_version(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": 99, "entries": []}))
-        with pytest.raises(ValueError):
-            load_baseline(path)
-
-    def test_load_rejects_non_baseline(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"not": "a baseline"}))
-        with pytest.raises(ValueError):
-            load_baseline(path)
-
-
 class TestApply:
-    def test_splits_new_and_baselined(self):
-        known = finding("v1")
-        fresh = finding("v2")
-        new, old = apply_baseline([known, fresh],
-                                  {known.fingerprint(): 1})
-        assert new == [fresh]
-        assert old == [known]
-
-    def test_count_bounded(self):
-        # Two identical findings, baseline recorded one: the second is
-        # NOT grandfathered.
-        first, second = finding("v1"), finding("v1")
-        new, old = apply_baseline([first, second],
-                                  {first.fingerprint(): 1})
-        assert len(old) == 1
-        assert len(new) == 1
-
     def test_confidence_change_escapes_baseline(self):
         # The fingerprint is content-addressed: a finding whose
         # confidence moved no longer matches its baseline entry.
@@ -71,10 +24,4 @@ class TestApply:
         new, old = apply_baseline([moved],
                                   {old_finding.fingerprint(): 1})
         assert new == [moved]
-        assert old == []
-
-    def test_empty_baseline_passes_everything_through(self):
-        findings = [finding("v1"), finding("v2")]
-        new, old = apply_baseline(findings, {})
-        assert new == findings
         assert old == []

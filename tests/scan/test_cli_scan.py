@@ -9,8 +9,10 @@ import json
 
 import pytest
 
+from repro.baseline import write_baseline
 from repro.cli import main
-from repro.scan import DETECTOR_ORDER
+from repro.operators import get_profile
+from repro.scan import DETECTOR_ORDER, ScanConfig, run_scan
 from repro.scan.report import validate_document
 
 FAST_ARGS = ["scan", "--detectors", "identity-correlation",
@@ -75,12 +77,14 @@ class TestScanCLI:
 
 class TestScanBaselineCLI:
     @pytest.fixture()
-    def baseline(self, tmp_path, capsys):
+    def baseline(self, tmp_path):
+        # The FAST_ARGS scan's own findings as a baseline.  Written
+        # through the library: `--update-baseline` refuses a
+        # `--detectors` run, and a full scan costs seconds.
         path = tmp_path / "baseline.json"
-        assert main(FAST_ARGS + ["--update-baseline",
-                                 "--baseline", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "wrote" in out
+        result = run_scan(["identity-correlation"], ScanConfig(
+            scale="smoke", environments=(get_profile("Lab"),)))
+        write_baseline(path, result.findings, "scan")
         return path
 
     def test_baseline_suppresses_and_ungates(self, baseline, capsys):
@@ -99,6 +103,15 @@ class TestScanBaselineCLI:
         assert document["findings"] == []
         assert document["baselined"] > 0
         assert document["max_severity"] is None
+
+    def test_partial_update_baseline_exits_2(self, tmp_path, capsys):
+        # A --detectors run cannot rewrite the baseline (it would drop
+        # the other detectors' entries); refused before any campaign.
+        path = tmp_path / "baseline.json"
+        assert main(FAST_ARGS + ["--update-baseline",
+                                 "--baseline", str(path)]) == 2
+        assert "--detectors" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_corrupt_baseline_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
