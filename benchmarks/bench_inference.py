@@ -18,7 +18,12 @@ prediction time in:
 * **similarity matrix** — the correlation attack's all-pairs DTW
   scoring over a population of synthetic traces, once as the scalar
   per-cell reference and once through the chunked multi-pair
-  wavefront behind ``similarity_matrix``.
+  wavefront behind ``similarity_matrix``;
+* **pair-scoring lane sweep** — per-call ``decision_scores`` of a
+  fitted correlation attack at 1-32 pairs, as shipped and pinned to
+  each lane of its feature assembly (scalar ``similarity_score`` calls
+  vs one ``similarity_score_batch``).  The sweep is the evidence for
+  ``BATCH_MIN_COMPARISONS``.
 
 Every comparison asserts identical outputs before timing counts.
 Results land in ``BENCH_inference.json`` at the repo root, then two
@@ -71,6 +76,13 @@ LANE_ROUNDS = 5
 #: Deep model: label-noise windows, so trees grow to the depth cap.
 DEEP_ROWS = 3000
 DEEP_MAX_DEPTH = 14
+
+#: Pair-scoring lane sweep: pairs per ``decision_scores`` call, and per
+#: point the calls per timed round (``LANE_ROUNDS`` rounds, interleaved
+#: across lanes).  Every synthetic trace has both link directions, so a
+#: pair is four directional comparisons.
+PAIR_LANE_PAIRS = (1, 2, 3, 4, 8, 16, 32)
+PAIR_LANE_CALLS = 10
 
 
 def _fit_forest():
@@ -183,6 +195,28 @@ def _deep_model(n_features):
     return model.fit(windows), windows.X
 
 
+def _best_per_call(call, pin, variants, calls):
+    """Best per-call seconds of ``call()`` with each ``(name, bound)`` of
+    ``variants`` pinned by ``pin``, interleaved over ``LANE_ROUNDS``
+    rounds of ``calls`` calls; ``None`` if any two outputs differ."""
+    import numpy as np
+
+    best = {name: float("inf") for name, _ in variants}
+    outputs = []
+    for _ in range(LANE_ROUNDS):
+        for name, bound in variants:
+            with pin(bound):
+                outputs.append(call())
+                started = time.perf_counter()
+                for _ in range(calls):
+                    call()
+                best[name] = min(best[name], (time.perf_counter()
+                                              - started) / calls)
+    if any(not np.array_equal(out, outputs[0]) for out in outputs):
+        return None
+    return best
+
+
 def _lane_point(model, X, rows):
     """Best per-call ``predict_apps`` µs as shipped and on each lane."""
     import numpy as np
@@ -191,20 +225,10 @@ def _lane_point(model, X, rows):
     from tests.ml.oracles import SCALAR, VECTOR, pinned_lane
 
     probe = X[np.random.default_rng(rows).integers(0, len(X), rows)]
-    variants = (("shipped", shipped), ("scalar", SCALAR),
-                ("vector", VECTOR))
-    best = {name: float("inf") for name, _ in variants}
-    outputs = []
-    for _ in range(LANE_ROUNDS):
-        for name, bound in variants:
-            with pinned_lane(bound):
-                outputs.append(model.predict_apps(probe))
-                started = time.perf_counter()
-                for _ in range(LANE_CALLS):
-                    model.predict_apps(probe)
-                best[name] = min(best[name], (time.perf_counter()
-                                              - started) / LANE_CALLS)
-    if any(not np.array_equal(out, outputs[0]) for out in outputs):
+    best = _best_per_call(lambda: model.predict_apps(probe), pinned_lane,
+                          (("shipped", shipped), ("scalar", SCALAR),
+                           ("vector", VECTOR)), LANE_CALLS)
+    if best is None:
         return None
     return {"rows": rows,
             "lane": "scalar" if rows <= shipped else "vector",
@@ -235,6 +259,53 @@ def _lane_sweep():
             "points": points,
         }
     return sweep
+
+
+def _pair_attack():
+    """A correlation attack fitted on synthetic pairs, plus probe pairs."""
+    from repro.core.correlation import CorrelationAttack
+
+    traces = _make_traces()
+    probes = [(traces[i], traces[(7 * i + 3) % N_TRACES])
+              for i in range(N_TRACES)]
+    attack = CorrelationAttack(dtw_window=DTW_WINDOW).fit(probes[:8],
+                                                          probes[8:16])
+    return attack, probes
+
+
+def _pair_lane_point(attack, probes, count):
+    """Best per-call ``decision_scores`` ms as shipped and on each lane."""
+    from repro.core.correlation import BATCH_MIN_COMPARISONS as shipped
+    from tests.ml.oracles import PAIR_BATCH, PAIR_SCALAR, pinned_pair_lane
+
+    probe = probes[:count]
+    best = _best_per_call(lambda: attack.decision_scores(probe),
+                          pinned_pair_lane,
+                          (("shipped", shipped), ("scalar", PAIR_SCALAR),
+                           ("batch", PAIR_BATCH)), PAIR_LANE_CALLS)
+    if best is None:
+        return None
+    comparisons = 4 * count
+    return {"pairs": count, "comparisons": comparisons,
+            "lane": "batch" if comparisons >= shipped else "scalar",
+            **{f"{name}_ms": round(value * 1e3, 3)
+               for name, value in best.items()}}
+
+
+def _pair_lane_sweep():
+    """Per-call ``decision_scores`` cost across pair counts and lanes."""
+    from repro.core.correlation import BATCH_MIN_COMPARISONS
+
+    attack, probes = _pair_attack()
+    points = [_pair_lane_point(attack, probes, count)
+              for count in PAIR_LANE_PAIRS]
+    if any(point is None for point in points):
+        return None
+    scalar_wins = [point["pairs"] for point in points
+                   if point["scalar_ms"] <= point["batch_ms"]]
+    return {"batch_min_comparisons": BATCH_MIN_COMPARISONS,
+            "largest_scalar_win_pairs": max(scalar_wins, default=0),
+            "points": points}
 
 
 def _previous_speedups():
@@ -296,6 +367,12 @@ def main() -> int:
                        if point["rows"] == LANE_FLOOR_ROWS)
     lane_speedup = floor_point["vector_us"] / floor_point["shipped_us"]
 
+    pair_sweep = _pair_lane_sweep()
+    if pair_sweep is None:
+        print("FAIL: the pair-scoring lanes disagreed on decision_scores",
+              file=sys.stderr)
+        return 1
+
     document = {
         "description": "Inference-plane hot paths, best of "
                        f"{ROUNDS}: {N_TREES}-tree forest predict_proba "
@@ -306,8 +383,11 @@ def main() -> int:
                        "per-call hierarchical predict_apps across batch "
                        "sizes as shipped and pinned to each forest lane "
                        f"(best of {LANE_ROUNDS} rounds of {LANE_CALLS} "
-                       "calls).  Outputs asserted identical before "
-                       "timing.",
+                       "calls), and per-call correlation decision_scores "
+                       "across pair counts as shipped and pinned to each "
+                       "pair-scoring lane (best of "
+                       f"{LANE_ROUNDS} rounds of {PAIR_LANE_CALLS} calls).  "
+                       "Outputs asserted identical before timing.",
         "workload": {
             "n_trees": N_TREES,
             "max_depth": MAX_DEPTH,
@@ -345,6 +425,7 @@ def main() -> int:
                 "min_speedup": MIN_LANE_SPEEDUP,
             },
             "lane_sweep": sweep,
+            "pair_lane_sweep": pair_sweep,
         },
     }
     OUT.write_text(json.dumps(document, indent=2) + "\n")
@@ -364,8 +445,16 @@ def main() -> int:
                   f"{point['scalar_us']:7.1f} us, vector "
                   f"{point['vector_us']:7.1f} us")
     print(f"small-batch lane at {LANE_FLOOR_ROWS} rows: {lane_speedup:.1f}x "
-          f"the vector lane (target >= {MIN_LANE_SPEEDUP:.0f}x) "
-          f"-> {OUT.name}")
+          f"the vector lane (target >= {MIN_LANE_SPEEDUP:.0f}x)")
+    print(f"pair-scoring lane sweep: scalar lane wins up to "
+          f"{pair_sweep['largest_scalar_win_pairs']} pairs; shipped bound "
+          f"{pair_sweep['batch_min_comparisons']} comparisons")
+    for point in pair_sweep["points"]:
+        print(f"  {point['pairs']:3d} pairs: shipped "
+              f"{point['shipped_ms']:7.3f} ms, scalar "
+              f"{point['scalar_ms']:7.3f} ms, batch "
+              f"{point['batch_ms']:7.3f} ms")
+    print(f"-> {OUT.name}")
 
     return (_guard("forest_predict", forest_speedup,
                    MIN_FOREST_SPEEDUP, previous)

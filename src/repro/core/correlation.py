@@ -12,6 +12,11 @@ verdict of Table VII:
    data at a certain time and the receiver received an equal amount");
 3. a binary logistic-regression model over the similarity features
    decides whether the pair is actually communicating.
+
+Multi-pair calls (``fit``, ``decision_scores``, ``predict_pairs``)
+bin each distinct trace once and, from ``BATCH_MIN_COMPARISONS``
+directional comparisons on, score them in one batched DTW wavefront;
+a one-pair verdict stays on scalar DTW, which is cheaper at that size.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +44,21 @@ PAIR_FEATURE_NAMES: Tuple[str, ...] = (
     "duration_ratio",   # min/max of trace durations
     "activity_match",   # fraction of seconds with matching on/off state
 )
+
+
+#: Series order of ``CorrelationAttack._bin``: frames up, frames down,
+#: bytes up, bytes down.  Entry k is the slot of series k's opposite
+#: link direction: what one user sends, the other receives.
+_OPPOSITE = (1, 0, 3, 2)
+
+#: Directional comparisons in one feature-assembly call from which a
+#: single ``similarity_score_batch`` beats scalar ``similarity_score``
+#: calls.  Measured by the pair-scoring lane sweep of
+#: ``benchmarks/bench_inference.py`` (``pair_lane_sweep`` in
+#: BENCH_inference.json): scalar calls win at 1 pair and mostly at 2,
+#: the batch from 3 pairs (four comparisons each), so the bound is 12
+#: comparisons.
+BATCH_MIN_COMPARISONS = 12
 
 
 @dataclass(frozen=True)
@@ -80,50 +100,77 @@ class CorrelationAttack:
         voice while the other side talks — so they carry no pairing
         signal.
         """
-        up_a_frames = volume_series(trace_a, self.bin_s,
-                                    direction=Direction.UPLINK,
-                                    value="frames")
-        down_b_frames = volume_series(trace_b, self.bin_s,
-                                      direction=Direction.DOWNLINK,
-                                      value="frames")
-        down_a_frames = volume_series(trace_a, self.bin_s,
-                                      direction=Direction.DOWNLINK,
-                                      value="frames")
-        up_b_frames = volume_series(trace_b, self.bin_s,
-                                    direction=Direction.UPLINK,
-                                    value="frames")
-        if (len(up_a_frames) + len(down_a_frames) == 0
-                or len(up_b_frames) + len(down_b_frames) == 0):
-            empty = np.zeros(len(PAIR_FEATURE_NAMES))
-            return PairScore(similarity=0.0, features=empty)
-        sim_total = 0.5 * (self._directional(up_a_frames, down_b_frames)
-                           + self._directional(down_a_frames, up_b_frames))
-        up_a = volume_series(trace_a, self.bin_s,
-                             direction=Direction.UPLINK, value="bytes")
-        down_b = volume_series(trace_b, self.bin_s,
-                               direction=Direction.DOWNLINK, value="bytes")
-        down_a = volume_series(trace_a, self.bin_s,
-                               direction=Direction.DOWNLINK, value="bytes")
-        up_b = volume_series(trace_b, self.bin_s,
-                             direction=Direction.UPLINK, value="bytes")
-        sim_ud = self._directional(up_a, down_b)
-        sim_du = self._directional(down_a, up_b)
-        bytes_a = float(trace_a.total_bytes)
-        bytes_b = float(trace_b.total_bytes)
-        volume_ratio = (min(bytes_a, bytes_b) / max(bytes_a, bytes_b)
-                        if max(bytes_a, bytes_b) > 0 else 0.0)
-        dur_a, dur_b = trace_a.duration_s, trace_b.duration_s
-        duration_ratio = (min(dur_a, dur_b) / max(dur_a, dur_b)
-                          if max(dur_a, dur_b) > 0 else 0.0)
-        activity = self._activity_match(up_a_frames, down_b_frames)
-        features = np.array([sim_total, sim_ud, sim_du, volume_ratio,
-                             duration_ratio, activity])
-        return PairScore(similarity=sim_total, features=features)
+        features = self._pair_features([(trace_a, trace_b)])[0]
+        return PairScore(similarity=float(features[0]), features=features)
 
-    def _directional(self, a: np.ndarray, b: np.ndarray) -> float:
-        if len(a) == 0 or len(b) == 0:
-            return 0.0
-        return similarity_score(a, b, window=self.dtw_window)
+    def _pair_features(self, pairs: Sequence[Tuple[Trace, Trace]]
+                       ) -> np.ndarray:
+        """Feature rows (``PAIR_FEATURE_NAMES``) of many candidate pairs.
+
+        The one feature-assembly path behind :meth:`score_pair`,
+        :meth:`fit`, :meth:`predict_pairs` and :meth:`decision_scores`.
+        Each distinct trace is binned once per call.  A pair has four
+        directional DTW comparisons (A's uplink against B's downlink
+        and the reverse, for frames and for bytes); a call holding at
+        least ``BATCH_MIN_COMPARISONS`` of them scores all in one
+        ``similarity_score_batch``, a smaller one (such as a one-pair
+        verdict) with scalar ``similarity_score`` calls.  Both lanes
+        give bit-identical scores.  A silent user zeroes the whole row,
+        a silent direction only its own comparisons.
+        """
+        pairs = list(pairs)
+        count = len(pairs)
+        rows = np.zeros((count, len(PAIR_FEATURE_NAMES)), dtype=np.float64)
+        if not pairs:
+            return rows
+        slots: Dict[int, int] = {}
+        traces: List[Trace] = []
+        index = []
+        for trace in [trace for pair in pairs for trace in pair]:
+            slot = slots.get(id(trace))
+            if slot is None:
+                slot = slots[id(trace)] = len(traces)
+                traces.append(trace)
+            index.append(slot)
+        a, b = np.array(index).reshape(count, 2).T
+        binned = [self._bin(trace) for trace in traces]
+        present = np.array([[len(series) > 0 for series in per_trace]
+                            for per_trace in binned])
+        heard = present[:, 0] | present[:, 1]      # frames either way
+        live = heard[a] & heard[b]
+        # Comparison k of a pair: A's series k against B's series
+        # _OPPOSITE[k]; flat position pair * 4 + k.
+        runs = live[:, None] & present[a] & present[b][:, _OPPOSITE]
+        positions = np.flatnonzero(runs)
+        owners, kinds = np.divmod(positions, len(_OPPOSITE))
+        operands = [(binned[left][kind], binned[right][_OPPOSITE[kind]])
+                    for left, right, kind in zip(a[owners].tolist(),
+                                                 b[owners].tolist(),
+                                                 kinds.tolist())]
+        sims = np.zeros((count, len(_OPPOSITE)), dtype=np.float64)
+        if len(operands) >= BATCH_MIN_COMPARISONS:
+            sims.flat[positions] = similarity_score_batch(
+                operands, window=self.dtw_window)
+        else:
+            sims.flat[positions] = [
+                similarity_score(x, y, window=self.dtw_window)
+                for x, y in operands]
+        totals = np.array([(float(trace.total_bytes), trace.duration_s)
+                           for trace in traces], dtype=np.float64)
+        rows[:, 0] = 0.5 * (sims[:, 0] + sims[:, 1])
+        rows[:, 1:3] = sims[:, 2:]
+        rows[:, 3:5] = _ratio(totals[a], totals[b])
+        rows[:, 5] = [self._activity_match(binned[left][0], binned[right][1])
+                      for left, right in zip(a.tolist(), b.tolist())]
+        rows[~live] = 0.0
+        return rows
+
+    def _bin(self, trace: Trace) -> List[np.ndarray]:
+        """Frames up, frames down, bytes up, bytes down series of a trace."""
+        links = [trace.direction_filtered(direction)
+                 for direction in (Direction.UPLINK, Direction.DOWNLINK)]
+        return [volume_series(link, self.bin_s, value=value)
+                for value in ("frames", "bytes") for link in links]
 
     @staticmethod
     def _activity_match(a: np.ndarray, b: np.ndarray) -> float:
@@ -141,14 +188,10 @@ class CorrelationAttack:
         """Train the communicating / not-communicating decision model."""
         if not positive_pairs or not negative_pairs:
             raise ValueError("need both positive and negative pairs")
-        X, y = [], []
-        for a, b in positive_pairs:
-            X.append(self.score_pair(a, b).features)
-            y.append(1)
-        for a, b in negative_pairs:
-            X.append(self.score_pair(a, b).features)
-            y.append(0)
-        self._model.fit(np.array(X), np.array(y, dtype=np.int64))
+        X = self._pair_features([*positive_pairs, *negative_pairs])
+        y = np.array([1] * len(positive_pairs) + [0] * len(negative_pairs),
+                     dtype=np.int64)
+        self._model.fit(X, y)
         self.is_fitted = True
         return self
 
@@ -157,16 +200,21 @@ class CorrelationAttack:
         """1 = communicating, 0 = unrelated, per pair."""
         if not self.is_fitted:
             raise RuntimeError("correlation model is not fitted")
-        X = np.array([self.score_pair(a, b).features for a, b in pairs])
-        return self._model.predict(X)
+        return self._model.predict(self._pair_features(pairs))
 
     def decision_scores(self, pairs: Sequence[Tuple[Trace, Trace]]
                         ) -> np.ndarray:
         """P(communicating) per pair."""
         if not self.is_fitted:
             raise RuntimeError("correlation model is not fitted")
-        X = np.array([self.score_pair(a, b).features for a, b in pairs])
-        return self._model.decision_scores(X)
+        return self._model.decision_scores(self._pair_features(pairs))
+
+
+def _ratio(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise ``min / max`` of non-negative arrays; 0 where both are 0."""
+    larger = np.maximum(x, y)
+    return np.divide(np.minimum(x, y), larger, out=np.zeros_like(larger),
+                     where=larger > 0)
 
 
 def _matrix_cell(pair: Tuple[int, int], *, traces: List[Trace],

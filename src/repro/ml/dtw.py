@@ -18,7 +18,7 @@ for the calculation (§VII-C).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -127,6 +127,30 @@ def _dtw_wavefront(a: np.ndarray, b: np.ndarray, window: int) -> float:
     return float(buffers[(n + m) % 3][n])
 
 
+def _distinct_series(pairs: Sequence[Tuple[np.ndarray, np.ndarray]]
+                     ) -> Tuple[List[np.ndarray], np.ndarray]:
+    """Each distinct input series once, plus ``(pairs, 2)`` indices into it.
+
+    Inputs are told apart by object identity: the correlation attack
+    hands the same binned series to many comparisons, so per-series
+    work (conversion, level, padding) runs once per series, not once
+    per comparison.  Equal-valued distinct objects are simply converted
+    twice.  ``inputs`` holds every object alive while this runs, so no
+    id is reused.
+    """
+    slots: Dict[int, int] = {}
+    series: List[np.ndarray] = []
+    index = []
+    inputs = [values for pair in pairs for values in pair]
+    for values in inputs:
+        slot = slots.get(id(values))
+        if slot is None:
+            slot = slots[id(values)] = len(series)
+            series.append(np.asarray(values, dtype=np.float64).ravel())
+        index.append(slot)
+    return series, np.array(index, dtype=np.int64).reshape(-1, 2)
+
+
 def dtw_distance_batch(pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
                        window: Optional[int] = None) -> np.ndarray:
     """Accumulated DTW distance of many series pairs at once.
@@ -143,60 +167,99 @@ def dtw_distance_batch(pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
     ``dtw_distance(a, b, window=window)`` on that pair alone — for any
     mix of lengths, any band width (including ``window=0``), and
     either scalar strategy the single-pair path would have picked.
+    Each distinct input series is padded once (the ``b`` side
+    reversed), so every anti-diagonal reads its costs' operands as
+    contiguous slices; see :func:`_wavefront_batch`.
+    """
+    return _wavefront_batch(*_distinct_series(pairs), window)
+
+
+def _wavefront_batch(series: List[np.ndarray], index: np.ndarray,
+                     window: Optional[int]) -> np.ndarray:
+    """DTW distance of ``series[index[k, 0]]`` vs ``series[index[k, 1]]``.
+
+    Every anti-diagonal reads both operands as contiguous slices: ``a``
+    rows are right-padded, ``b`` rows are stored reversed and
+    right-aligned in ``max_n + max_m`` columns.  Row ``i`` of diagonal
+    ``s`` costs ``|a[i - 1] - b[j]|`` with ``j = s - i - 1``, and
+    ``b[j]`` sits at column ``max_n + max_m - s + i``, so one
+    diagonal's ``b`` values are one slice.  Padding cells are masked
+    off-band.
     """
     if window is not None and window < 0:
         raise ValueError(f"window must be >= 0: {window}")
-    series_a = [np.asarray(a, dtype=np.float64).ravel() for a, _ in pairs]
-    series_b = [np.asarray(b, dtype=np.float64).ravel() for _, b in pairs]
-    count = len(series_a)
+    count = len(index)
     if count == 0:
         return np.zeros(0, dtype=np.float64)
-    n = np.array([len(a) for a in series_a], dtype=np.int64)
-    m = np.array([len(b) for b in series_b], dtype=np.int64)
-    if n.min() == 0 or m.min() == 0:
+    lengths = np.array([len(values) for values in series], dtype=np.int64)
+    if lengths.min() == 0:
         raise ValueError("DTW requires non-empty series")
+    n = lengths[index[:, 0]]
+    m = lengths[index[:, 1]]
     if window is None:
         effective = np.maximum(n, m)
     else:
         effective = np.maximum(window, np.abs(n - m))
     max_n = int(n.max())
     max_m = int(m.max())
-    # Right-padded value matrices; padding cells are masked off-band.
-    A = np.zeros((count, max_n), dtype=np.float64)
-    B = np.zeros((count, max_m), dtype=np.float64)
-    for slot in range(count):
-        A[slot, :n[slot]] = series_a[slot]
-        B[slot, :m[slot]] = series_b[slot]
+    width = max_n + max_m
+    # One padded row per distinct series, then one gather per side.
+    forward = np.zeros((len(series), int(lengths.max())), dtype=np.float64)
+    reverse = np.zeros((len(series), width), dtype=np.float64)
+    for slot, values in enumerate(series):
+        forward[slot, :len(values)] = values
+        reverse[slot, width - len(values):] = values[::-1]
+    A = forward[index[:, 0]]
+    R = reverse[index[:, 1]]
 
     inf = np.inf
     buffers = np.full((3, count, max_n + 1), inf)
     buffers[0, :, 0] = 0.0                   # D[0, 0] per pair
     results = np.zeros(count, dtype=np.float64)
+    # Pairs by the diagonal s = n + m that holds their corner D[n, m].
+    finish = n + m
+    by_finish = np.argsort(finish, kind="stable")
+    finish_bounds = np.searchsorted(finish[by_finish],
+                                    np.arange(width + 2))
     i_values = np.arange(1, max_n + 1)
-    pair_index = np.arange(count)[:, None]
-    ones = np.ones(count, dtype=np.int64)
-    for s in range(2, max_n + max_m + 1):
+    # Per-pair band bounds of every anti-diagonal (also clipped to the
+    # pair's own matrix, so padded rows/columns never compute), built
+    # in place to keep the (diagonals, pairs) temporaries few.
+    diagonals = np.arange(width + 1)[:, None]
+    lows = np.maximum(diagonals - m, 1)
+    bound = diagonals - effective
+    bound += 1
+    bound //= 2
+    np.maximum(lows, bound, out=lows)
+    highs = np.minimum(diagonals - 1, n)
+    np.add(diagonals, effective, out=bound)
+    bound //= 2
+    np.minimum(highs, bound, out=highs)
+    del bound
+    lefts = lows.min(axis=1)
+    rights = np.maximum(highs.max(axis=1), lefts)
+    for s, left, right in zip(range(2, width + 1), lefts[2:].tolist(),
+                              rights[2:].tolist()):
         current = buffers[s % 3]
         prev1 = buffers[(s - 1) % 3]
         prev2 = buffers[(s - 2) % 3]
-        # Per-pair band bounds on this anti-diagonal (also clip to the
-        # pair's own matrix, so padded rows/columns never compute).
-        lo = np.maximum(np.maximum(ones, s - m), (s - effective + 1) // 2)
-        hi = np.minimum(np.minimum(n, s - 1), (s + effective) // 2)
-        current[:] = inf
-        left = int(lo.min())
-        right = int(max(hi.max(), left))
+        # The span [left, right] moves at most one index per diagonal,
+        # so the next two diagonals read this one only inside a 1-cell
+        # margin around it; reset a 3-cell margin (as _dtw_wavefront
+        # does) and overwrite the span itself below.
+        current[:, max(0, left - 3):min(max_n, right + 3) + 1] = inf
         span = slice(left, right + 1)        # buffer indices == i
         i_span = i_values[left - 1:right]
-        mask = (i_span >= lo[:, None]) & (i_span <= hi[:, None])
-        j_span = np.clip(s - i_span - 1, 0, max_m - 1)
-        cost = np.abs(B[pair_index, j_span] - A[:, left - 1:right])
-        best = np.minimum(
-            np.minimum(prev2[:, left - 1:right], prev1[:, left - 1:right]),
-            prev1[:, span])
-        current[:, span] = np.where(mask, cost + best, inf)
-        done = (n + m) == s
-        if done.any():
+        mask = (i_span >= lows[s][:, None]) & (i_span <= highs[s][:, None])
+        cost = np.subtract(R[:, width - s + left:width - s + right + 1],
+                           A[:, left - 1:right])
+        np.abs(cost, out=cost)
+        best = np.minimum(prev2[:, left - 1:right], prev1[:, left - 1:right])
+        np.minimum(best, prev1[:, span], out=best)
+        cost += best
+        current[:, span] = np.where(mask, cost, inf)
+        done = by_finish[finish_bounds[s]:finish_bounds[s + 1]]
+        if len(done):
             results[done] = current[done, n[done]]
     return results
 
@@ -207,18 +270,20 @@ def similarity_score_batch(pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
 
     Normalisation mirrors the scalar path operation for operation
     (path-length × mean-absolute-level scale, then ``1 / (1 + d)``),
-    so each score is bit-identical to ``similarity_score(a, b)``.
+    so each score is bit-identical to ``similarity_score(a, b)``.  Each
+    distinct input series' level ``np.mean(np.abs(x))`` is computed
+    once per call — the same expression, hence the same bits — however
+    many pairs share it.
     """
-    series: List[Tuple[np.ndarray, np.ndarray]] = [
-        (np.asarray(a, dtype=np.float64).ravel(),
-         np.asarray(b, dtype=np.float64).ravel()) for a, b in pairs]
-    if not series:
-        return np.zeros(0, dtype=np.float64)
-    distances = dtw_distance_batch(series, window=window)
-    scales = np.array([(np.mean(np.abs(a)) + np.mean(np.abs(b))) / 2.0
-                       for a, b in series], dtype=np.float64)
-    lengths = np.array([dtw_path_length(len(a), len(b))
-                        for a, b in series], dtype=np.float64)
+    series, index = _distinct_series(pairs)
+    distances = _wavefront_batch(series, index, window)
+    levels = np.array([np.mean(np.abs(values)) for values in series],
+                      dtype=np.float64)
+    sizes = np.array([len(values) for values in series], dtype=np.int64)
+    scales = (levels[index[:, 0]] + levels[index[:, 1]]) / 2.0
+    # dtw_path_length, elementwise.
+    lengths = np.maximum(sizes[index[:, 0]],
+                         sizes[index[:, 1]]).astype(np.float64)
     flat = scales == 0
     denominator = np.where(flat, 1.0, lengths * scales)
     scores = 1.0 / (1.0 + distances / denominator)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import correlation
 from repro.core.correlation import (PAIR_FEATURE_NAMES, CorrelationAttack,
                                     optimal_time_window, precision_recall)
 from repro.core.costmodel import (AttackScenario, AttackerCostModel,
@@ -10,8 +11,12 @@ from repro.core.costmodel import (AttackScenario, AttackerCostModel,
 from repro.core.dataset import collect_pair, collect_trace
 from repro.core.drift import (DriftPoint, RetrainingPolicy,
                               days_until_below, decay_summary)
+from repro.core.features import volume_series
+from repro.lte.dci import Direction
+from repro.ml.dtw import similarity_score
 from repro.operators import LAB
 from repro.sniffer.trace import Trace
+from tests.ml.oracles import PAIR_BATCH, PAIR_SCALAR, pinned_pair_lane
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +32,60 @@ def call_pairs():
                                 duration_s=20.0, seed=300 + i)
         negatives.append((left, right))
     return positives, negatives
+
+
+def reference_features(attack, trace_a, trace_b):
+    """One pair's feature row the pre-batching way: eight
+    ``volume_series`` calls and four scalar ``similarity_score`` calls."""
+    def series(trace, direction, value):
+        return volume_series(trace, attack.bin_s, direction=direction,
+                             value=value)
+
+    def directional(a, b):
+        if len(a) == 0 or len(b) == 0:
+            return 0.0
+        return similarity_score(a, b, window=attack.dtw_window)
+
+    up, down = Direction.UPLINK, Direction.DOWNLINK
+    up_a_frames = series(trace_a, up, "frames")
+    down_a_frames = series(trace_a, down, "frames")
+    up_b_frames = series(trace_b, up, "frames")
+    down_b_frames = series(trace_b, down, "frames")
+    if (len(up_a_frames) + len(down_a_frames) == 0
+            or len(up_b_frames) + len(down_b_frames) == 0):
+        return np.zeros(len(PAIR_FEATURE_NAMES))
+    sim_total = 0.5 * (directional(up_a_frames, down_b_frames)
+                       + directional(down_a_frames, up_b_frames))
+    sim_ud = directional(series(trace_a, up, "bytes"),
+                         series(trace_b, down, "bytes"))
+    sim_du = directional(series(trace_a, down, "bytes"),
+                         series(trace_b, up, "bytes"))
+    bytes_a, bytes_b = float(trace_a.total_bytes), float(trace_b.total_bytes)
+    volume_ratio = (min(bytes_a, bytes_b) / max(bytes_a, bytes_b)
+                    if max(bytes_a, bytes_b) > 0 else 0.0)
+    dur_a, dur_b = trace_a.duration_s, trace_b.duration_s
+    duration_ratio = (min(dur_a, dur_b) / max(dur_a, dur_b)
+                      if max(dur_a, dur_b) > 0 else 0.0)
+    overlap = min(len(up_a_frames), len(down_b_frames))
+    activity = (float(np.mean((up_a_frames[:overlap] > 0)
+                              == (down_b_frames[:overlap] > 0)))
+                if overlap else 0.0)
+    return np.array([sim_total, sim_ud, sim_du, volume_ratio,
+                     duration_ratio, activity])
+
+
+def mixed_pairs(call_pairs, full):
+    """``full`` pairs of two-way traces (traces repeat across pairs) plus
+    pairs with an empty trace, an uplink-only trace, and a trace whose
+    records carry neither link direction (silent both ways)."""
+    positives, negatives = call_pairs
+    legs = [leg for pair in (*positives, *negatives) for leg in pair]
+    pairs = [(legs[k % len(legs)], legs[(5 * k + 1) % len(legs)])
+             for k in range(full)]
+    uplink_only = legs[0].direction_filtered(Direction.UPLINK)
+    no_link = Trace.from_arrays([0.0, 3.0], [7, 7], [2, 2], [500, 900])
+    return pairs + [(legs[2], Trace()), (Trace(), legs[3]),
+                    (uplink_only, uplink_only), (legs[4], no_link)]
 
 
 class TestCorrelationAttack:
@@ -81,6 +140,48 @@ class TestCorrelationAttack:
         positives, _ = call_pairs
         with pytest.raises(RuntimeError):
             CorrelationAttack().predict_pairs(positives)
+
+    def test_empty_pair_list_verdicts(self, call_pairs):
+        positives, negatives = call_pairs
+        attack = CorrelationAttack().fit(positives, negatives)
+        scores = attack.decision_scores([])
+        assert scores.shape == (0,) and scores.dtype == np.float64
+        verdicts = attack.predict_pairs([])
+        assert verdicts.shape == (0,) and verdicts.dtype == np.int64
+
+    def test_score_pair_equals_reference(self, call_pairs):
+        attack = CorrelationAttack()
+        for a, b in mixed_pairs(call_pairs, full=6):
+            score = attack.score_pair(a, b)
+            assert np.array_equal(score.features,
+                                  reference_features(attack, a, b))
+            assert score.similarity == score.features[0]
+
+    @pytest.mark.parametrize("lane", [None, PAIR_SCALAR, PAIR_BATCH],
+                             ids=["shipped", "scalar", "batch"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_batched_rows_equal_per_pair_rows(self, call_pairs, offset,
+                                              lane):
+        """Around the lane crossover: two-way pairs bring four
+        comparisons each, the extra pairs none."""
+        attack = CorrelationAttack()
+        pairs = mixed_pairs(
+            call_pairs, full=correlation.BATCH_MIN_COMPARISONS // 4 + offset)
+        expected = np.stack([attack.score_pair(a, b).features
+                             for a, b in pairs])
+        bound = correlation.BATCH_MIN_COMPARISONS if lane is None else lane
+        with pinned_pair_lane(bound):
+            rows = attack._pair_features(pairs)
+        assert np.array_equal(rows, expected)
+
+    def test_fit_weights_equal_on_both_lanes(self, call_pairs):
+        positives, negatives = call_pairs
+        weights = []
+        for lane in (PAIR_SCALAR, PAIR_BATCH):
+            with pinned_pair_lane(lane):
+                attack = CorrelationAttack().fit(positives, negatives)
+            weights.append(attack._model.weights_)
+        assert np.array_equal(weights[0], weights[1])
 
     def test_optimal_time_window_sweep(self, call_pairs):
         positives, _ = call_pairs

@@ -6,8 +6,9 @@ here as differential oracles: the golden and property suites (and the
 speedup guard in ``benchmarks/bench_inference.py``) assert that both
 lanes of :mod:`repro.ml.tables` are bit-identical to them.
 :func:`pinned_lane` forces one lane by moving the module's lane bound,
-and :func:`catalogue_windows` builds a labelled window set to fit
-hierarchical fingerprinters on.
+:func:`pinned_pair_lane` does the same for the correlation attack's
+pair scoring, and :func:`catalogue_windows` builds a labelled window
+set to fit hierarchical fingerprinters on.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ import contextlib
 import numpy as np
 
 from repro.apps import app_names, category_of
+from repro.core import correlation
 from repro.core.dataset import LabeledWindows
 from repro.ml import tables
 from repro.ml.base import LabelEncoder
@@ -81,6 +83,22 @@ def pinned_lane(bound: int):
         yield
     finally:
         tables.SCALAR_LANE_MAX = shipped
+
+
+#: ``pinned_pair_lane`` bounds: every call scalar, every call batched.
+PAIR_SCALAR = 1 << 30
+PAIR_BATCH = 0
+
+
+@contextlib.contextmanager
+def pinned_pair_lane(bound: int):
+    """Run the body with ``correlation.BATCH_MIN_COMPARISONS = bound``."""
+    shipped = correlation.BATCH_MIN_COMPARISONS
+    correlation.BATCH_MIN_COMPARISONS = bound
+    try:
+        yield
+    finally:
+        correlation.BATCH_MIN_COMPARISONS = shipped
 
 
 def catalogue_windows(n: int, n_features: int, shift: float,

@@ -7,7 +7,9 @@ anti-diagonal recurrence; every distance must be **bit-identical**
 low-bit drift would flip verdicts between the batched and scalar
 paths.  Windows cover unbanded, zero, narrow, exactly-|n-m|, and
 wider-than-matrix bands; lengths cover equal, mismatched, and
-single-sample series.
+single-sample series.  A pair's result must not depend on the batch
+around it: alone, permuted, or next to pairs of very different lengths
+and bands, and with one series object shared across many pairs.
 """
 
 import numpy as np
@@ -40,11 +42,22 @@ class TestDtwDistanceBatch:
         pairs = [(rng.normal(size=1), rng.normal(size=1)),
                  (rng.normal(size=1), rng.normal(size=50)),
                  (rng.normal(size=50), rng.normal(size=1)),
-                 (rng.normal(size=37), rng.normal(size=53))]
-        for window in (None, 0, 2, 10):
+                 (rng.normal(size=37), rng.normal(size=53)),
+                 (rng.normal(size=40), rng.normal(size=8)),
+                 (rng.normal(size=41), rng.normal(size=40))]
+        shared = pairs[3][1]
+        pairs += [(shared, pairs[0][0]), (pairs[4][0], shared),
+                  (shared, shared)]
+        order = rng.permutation(len(pairs))
+        for window in (None, 0, 2, 3, 10):
             batched = dtw_distance_batch(pairs, window=window)
+            permuted = dtw_distance_batch([pairs[k] for k in order],
+                                          window=window)
+            assert np.array_equal(permuted, batched[order])
             for slot, (a, b) in enumerate(pairs):
                 assert batched[slot] == dtw_distance(a, b, window=window)
+                assert batched[slot] == dtw_distance_batch(
+                    [(a, b)], window=window)[0]
 
     def test_window_narrower_than_length_gap(self):
         # |n - m| > window: the band must widen to keep the corner
@@ -81,6 +94,13 @@ class TestSimilarityScoreBatch:
     @pytest.mark.parametrize("window", [None, 0, 3])
     def test_bit_identical_to_scalar(self, window):
         pairs = _random_pairs(seed=17, count=10)
+        # One object in many pairs and on both sides, an equal-valued
+        # copy, list inputs and all-zero series.
+        shared = pairs[0][0]
+        pairs += [(shared, pairs[1][1]), (pairs[2][0], shared),
+                  (shared, shared), (shared, shared.copy()),
+                  (list(shared), pairs[3][1].tolist()),
+                  (np.zeros(6), shared), (np.zeros(4), np.zeros(7))]
         batched = similarity_score_batch(pairs, window=window)
         for slot, (a, b) in enumerate(pairs):
             assert batched[slot] == similarity_score(a, b, window=window)

@@ -7,8 +7,9 @@ outputs:
 * random training sets (clustered and pure-noise label assignments,
   shallow and unlimited depth, single-class degenerations) through the
   flattened ``ForestTable`` gather descent vs the object-graph walk;
-* random series pairs (mixed lengths, constant/zero series, any band
-  width) through ``dtw_distance_batch`` vs the scalar recurrence.
+* random series pairs (mixed lengths, constant/zero series, series
+  objects shared across pairs, any band width) through
+  ``dtw_distance_batch`` vs the scalar recurrence, alone and permuted.
 
 ``derandomize=True`` pins the example stream to the test id so CI
 failures replay locally without sharing a database.
@@ -85,7 +86,15 @@ class TestDtwEquivalence:
             b = rng.normal(size=m) * 5
             if degenerate and slot % 3 == 0:
                 a = np.zeros(n)           # constant / silent series
+            if slot % 4 == 3:
+                a = pairs[0][1]           # one object in several pairs
             pairs.append((a, b))
         batched = dtw_distance_batch(pairs, window=window)
+        order = rng.permutation(count)
+        assert np.array_equal(
+            dtw_distance_batch([pairs[k] for k in order], window=window),
+            batched[order])
         for slot, (a, b) in enumerate(pairs):
             assert batched[slot] == dtw_distance(a, b, window=window)
+            assert batched[slot] == dtw_distance_batch([(a, b)],
+                                                       window=window)[0]
