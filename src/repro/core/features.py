@@ -127,15 +127,6 @@ def _window_grid(start: float, end: float, stride_s: float
     return starts[starts <= end]
 
 
-def _segment_sum(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Per-segment sums (segments are adjacent; the last runs to the end).
-
-    Only for integer-valued data: reduceat's accumulation order is
-    unspecified, which is harmless exactly when every partial sum is an
-    integer float64 represents exactly."""
-    return np.add.reduceat(values, starts)
-
-
 def gather_segments(lo: np.ndarray, hi: np.ndarray
                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat gather indices for the ``[lo, hi)`` record segments.
@@ -152,8 +143,7 @@ def gather_segments(lo: np.ndarray, hi: np.ndarray
     offsets[0] = 0
     np.cumsum(counts, out=offsets[1:])
     total_len = int(offsets[-1])
-    flat = (np.repeat(lo, counts)
-            + np.arange(total_len) - np.repeat(offsets[:-1], counts))
+    flat = np.repeat(lo - offsets[:-1], counts) + np.arange(total_len)
     return flat, counts, offsets
 
 
@@ -217,73 +207,75 @@ def segment_feature_rows(svals: np.ndarray, tvals: np.ndarray,
                          burst_bytes: np.ndarray) -> np.ndarray:
     """Assemble per-window feature rows from gathered segment columns.
 
-    ``svals``/``tvals``/``dvals``/``rvals`` are the float64 sizes, times,
-    downlink flags and RNTIs of every (window, record) pair, gathered
-    with :func:`gather_segments`; the remaining arguments are the
-    per-window context columns the caller computed (batch: whole-trace
-    prefix sums; streaming: ring prefix sums with carried state).  The
-    in-window statistics computed here are a pure function of the
-    gathered segments, which is what makes the batch and streaming
-    paths bit-identical.
+    ``svals``/``tvals``/``dvals`` are the float64 sizes, times and
+    downlink flags and ``rvals`` the uint32 RNTIs of every (window,
+    record) pair of the non-empty windows, gathered with
+    :func:`gather_segments`; the remaining arguments are the per-window
+    context columns the caller computed (batch: whole-trace prefix sums;
+    streaming: ring prefix sums with carried state).  The in-window
+    statistics computed here are a pure function of the gathered
+    segments, which is what makes the batch and streaming paths
+    bit-identical.  It makes a fixed number of numpy calls whatever the
+    number of windows, because the streaming path calls it for one or
+    two windows at a time.
     """
     m = len(counts)
     if m == 0:
         return np.empty((0, N_FEATURES), dtype=np.float64)
     seg_starts = offsets[:-1]
     total_len = int(offsets[-1])
-    seg_ids = np.repeat(np.arange(m), counts)
-
+    seg_ids = np.repeat(np.arange(m, dtype=np.int64), counts)
     counts_f = counts.astype(np.float64)
-    total = _segment_sum(svals, seg_starts)
+
+    # The four integer-valued per-window sums in one reduceat: sizes,
+    # downlink flags, downlink bytes and distinct-RNTI flags.  Their
+    # partial sums are integers float64 holds exactly, so reduceat's
+    # unspecified accumulation order cannot change a bit.  Distinct
+    # RNTIs: sort (segment << 32 | rnti) keys and flag value changes;
+    # the sorted keys stay segment-major, so the flags line up with
+    # seg_starts.
+    integer_cols = np.empty((4, total_len), dtype=np.float64)
+    integer_cols[0] = svals
+    integer_cols[1] = dvals
+    np.multiply(svals, dvals, out=integer_cols[2])
+    keys = np.sort((seg_ids << 32) | rvals)
+    integer_cols[3, 0] = 1.0
+    np.not_equal(keys[1:], keys[:-1], out=integer_cols[3, 1:])
+    total, down_count, down_bytes, distinct = np.add.reduceat(
+        integer_cols, seg_starts, axis=1)
+
     mean = total / counts_f
-    dev = svals - np.repeat(mean, counts)
+    dev = svals - mean[seg_ids]
     std = np.sqrt(np.bincount(seg_ids, weights=dev * dev,
                               minlength=m) / counts_f)
     size_min = np.minimum.reduceat(svals, seg_starts)
     size_max = np.maximum.reduceat(svals, seg_starts)
 
     # Interarrival gaps: a compact array holding each window's count-1
-    # in-window diffs (cross-segment diffs dropped).  Single-record
-    # windows have no gaps and report mean 0, std 0.
-    gap_counts = counts - 1
-    diffs = tvals[1:] - tvals[:-1]
-    keep = np.ones(max(total_len - 1, 0), dtype=bool)
+    # in-window diffs (cross-segment diffs dropped; each kept diff
+    # belongs to its first record's segment).  Single-record windows
+    # have no gaps and report mean 0, std 0.
+    keep = np.ones(total_len - 1, dtype=bool)
     keep[offsets[1:-1] - 1] = False        # last position of each segment
-    gap_flat = diffs[keep]
-    gap_ids = np.repeat(np.arange(m), gap_counts)
-    gap_denom = np.maximum(gap_counts.astype(np.float64), 1.0)
+    gap_flat = (tvals[1:] - tvals[:-1])[keep]
+    gap_ids = seg_ids[:-1][keep]
+    gap_denom = np.maximum(counts_f - 1.0, 1.0)
     gap_mean = np.bincount(gap_ids, weights=gap_flat,
                            minlength=m) / gap_denom
-    gap_dev = gap_flat - np.repeat(gap_mean, gap_counts)
+    gap_dev = gap_flat - gap_mean[gap_ids]
     gap_std = np.sqrt(np.bincount(gap_ids, weights=gap_dev * gap_dev,
                                   minlength=m) / gap_denom)
 
-    down_count = _segment_sum(dvals, seg_starts)
     down_frac = down_count / counts_f
-    down_bytes = _segment_sum(svals * dvals, seg_starts)
-    safe_total = np.where(total > 0, total, 1.0)
-    byte_frac = np.where(total > 0, down_bytes / safe_total, 0.0)
+    byte_frac = np.divide(down_bytes, total, out=np.zeros(m),
+                          where=total > 0)
+    rnti_switches = distinct - 1.0
 
-    # Distinct RNTIs per window: stable-sort the gathered (segment,
-    # rnti) pairs and count value changes inside each segment.
-    order = np.lexsort((rvals, seg_ids))
-    r_sorted = rvals[order]
-    is_new = np.empty(total_len, dtype=np.float64)
-    is_new[0] = 1.0
-    if total_len > 1:
-        same_seg = seg_ids[order][1:] == seg_ids[order][:-1]
-        is_new[1:] = np.where(same_seg & (r_sorted[1:] == r_sorted[:-1]),
-                              0.0, 1.0)
-    rnti_switches = _segment_sum(is_new, seg_starts) - 1.0
-
-    out = np.empty((m, N_FEATURES), dtype=np.float64)
-    for column, values in enumerate((
-            counts_f, total, mean, std, size_min, size_max, gap_mean,
-            gap_std, down_frac, byte_frac, cumulative_time, gap_since_prev,
-            rnti_switches, frames_1s, bytes_1s, frames_5s, bytes_5s,
-            burst_age, burst_bytes)):
-        out[:, column] = values
-    return out
+    return np.array((
+        counts_f, total, mean, std, size_min, size_max, gap_mean,
+        gap_std, down_frac, byte_frac, cumulative_time, gap_since_prev,
+        rnti_switches, frames_1s, bytes_1s, frames_5s, bytes_5s,
+        burst_age, burst_bytes), dtype=np.float64).T.copy()
 
 
 def extract_features(trace: Trace,

@@ -40,6 +40,19 @@ TBS_DTYPE = np.int64
 _MIN_CAPACITY = 64
 
 
+def check_record_values(times: np.ndarray, tbs: np.ndarray) -> None:
+    """Reject non-finite record times and negative transport-block sizes.
+
+    Shared by :meth:`Trace.from_arrays` and the streaming ingest paths,
+    which call it before changing any state: one ``NaN`` clock would
+    otherwise disable every later time-order check.
+    """
+    if not np.isfinite(times).all():
+        raise ValueError("time_s must be finite")
+    if len(tbs) and tbs.min() < 0:
+        raise ValueError("tbs_bytes must be >= 0")
+
+
 @dataclass(frozen=True)
 class TraceRecord:
     """One decoded DCI: the 4-tuple of radio metadata the attack uses."""
@@ -333,12 +346,11 @@ class Trace:
         if not (len(times) == len(rntis) == len(dirs) == len(tbs)):
             raise ValueError("columns must have equal length")
         if validate and len(times):
+            check_record_values(times, tbs)
             if np.any(np.diff(times) < 0):
                 raise ValueError("records must be in time order")
             if times[0] < 0:
                 raise ValueError(f"time_s must be >= 0: {times[0]}")
-            if np.any(tbs < 0):
-                raise ValueError("tbs_bytes must be >= 0")
         trace = cls(**metadata)
         trace._set_columns(times, rntis, dirs, tbs, shared=True)
         return trace

@@ -10,12 +10,17 @@ whole trace.
 
 Two properties matter for bit-identity with the batch path:
 
-* the byte prefix is a strictly sequential fold (``np.cumsum`` with the
-  previous total carried in), so ``prefix_at(j)`` equals the batch's
-  ``size_prefix[j]`` bitwise for every j still addressable;
+* the byte prefix is a strictly sequential fold (an in-place
+  ``np.cumsum`` over ``[carry, sizes...]``), so ``prefix_at(j)`` equals
+  the batch's ``size_prefix[j]`` bitwise for every j still addressable;
 * pruning only ever removes records *strictly below* every query the
   windowizer will still issue, so ``base + searchsorted(view, q)``
   equals a searchsorted against the full history.
+
+The prefix column holds ``len + 1`` values: slot 0 is the byte total of
+every pruned record and slot ``i + 1`` the total through live record
+``i``, so ``prefix_at`` is one gather at ``j - base`` and never
+concatenates.
 
 The buffer is compacting rather than circular: pruning shifts the live
 suffix to the front and appends grow a power-of-two capacity, keeping
@@ -36,8 +41,8 @@ _MIN_CAPACITY = 1024
 class ColumnRing:
     """Compacting columnar buffer with absolute stream indexing."""
 
-    __slots__ = ("_times", "_rntis", "_dirs", "_tbs", "_csum",
-                 "_base", "_len", "_base_prefix", "high_water")
+    __slots__ = ("_times", "_rntis", "_dirs", "_tbs", "_prefix",
+                 "_base", "_len", "high_water")
 
     def __init__(self, capacity: int = _MIN_CAPACITY) -> None:
         capacity = max(int(capacity), 1)
@@ -45,10 +50,10 @@ class ColumnRing:
         self._rntis = np.empty(capacity, dtype=RNTI_DTYPE)
         self._dirs = np.empty(capacity, dtype=DIR_DTYPE)
         self._tbs = np.empty(capacity, dtype=TBS_DTYPE)
-        self._csum = np.empty(capacity, dtype=np.float64)
+        # _prefix[i] = bytes of records [0, base + i), for i <= len.
+        self._prefix = np.zeros(capacity + 1, dtype=np.float64)
         self._base = 0          # absolute index of slot 0
         self._len = 0           # live records
-        self._base_prefix = 0.0  # sum of sizes of records [0, base)
         self.high_water = 0
 
     # -- geometry -----------------------------------------------------------------
@@ -70,7 +75,7 @@ class ColumnRing:
     def nbytes(self) -> int:
         """Allocated column bytes (capacity, not occupancy)."""
         return (self._times.nbytes + self._rntis.nbytes + self._dirs.nbytes
-                + self._tbs.nbytes + self._csum.nbytes)
+                + self._tbs.nbytes + self._prefix.nbytes)
 
     # -- views (live suffix, zero-copy) ------------------------------------------
 
@@ -99,11 +104,14 @@ class ColumnRing:
             return
         while capacity < need:
             capacity *= 2
-        for name in ("_times", "_rntis", "_dirs", "_tbs", "_csum"):
+        for name in ("_times", "_rntis", "_dirs", "_tbs"):
             old = getattr(self, name)
             grown = np.empty(capacity, dtype=old.dtype)
             grown[:self._len] = old[:self._len]
             setattr(self, name, grown)
+        prefix = np.empty(capacity + 1, dtype=np.float64)
+        prefix[:self._len + 1] = self._prefix[:self._len + 1]
+        self._prefix = prefix
 
     def append(self, times: np.ndarray, rntis: np.ndarray,
                directions: np.ndarray, tbs_bytes: np.ndarray) -> None:
@@ -117,12 +125,13 @@ class ColumnRing:
         self._rntis[n:n + k] = rntis
         self._dirs[n:n + k] = directions
         self._tbs[n:n + k] = tbs_bytes
-        # Sequential fold with the carried total: bitwise-identical to
-        # the corresponding slice of np.cumsum over the whole history
+        # Sequential fold over [carry, sizes...] in place: slot n holds
+        # the carried total, so this is bitwise-identical to the
+        # corresponding slice of np.cumsum over the whole history
         # (np.add.accumulate is a strict left fold).
-        carry = self._csum[n - 1] if n else self._base_prefix
-        self._csum[n:n + k] = np.cumsum(
-            np.concatenate([[carry], tbs_bytes.astype(np.float64)]))[1:]
+        fold = self._prefix[n:n + k + 1]
+        fold[1:] = tbs_bytes
+        np.cumsum(fold, out=fold)
         self._len = n + k
         if self._len > self.high_water:
             self.high_water = self._len
@@ -132,11 +141,11 @@ class ColumnRing:
         drop = min(max(abs_index - self._base, 0), self._len)
         if drop == 0:
             return 0
-        self._base_prefix = float(self._csum[drop - 1])
         keep = self._len - drop
-        for name in ("_times", "_rntis", "_dirs", "_tbs", "_csum"):
+        for name in ("_times", "_rntis", "_dirs", "_tbs"):
             column = getattr(self, name)
             column[:keep] = column[drop:self._len]
+        self._prefix[:keep + 1] = self._prefix[drop:self._len + 1]
         self._base += drop
         self._len = keep
         return drop
@@ -146,8 +155,7 @@ class ColumnRing:
     @property
     def total_prefix(self) -> float:
         """Byte prefix at ``end`` — total bytes of every record seen."""
-        return float(self._csum[self._len - 1]) if self._len \
-            else self._base_prefix
+        return float(self._prefix[self._len])
 
     def prefix_at(self, abs_indices: np.ndarray) -> np.ndarray:
         """``size_prefix[j]`` (bytes of records [0, j)) per absolute index.
@@ -155,7 +163,5 @@ class ColumnRing:
         Valid for ``base <= j <= end``; bitwise equal to the batch
         path's ``np.concatenate([[0.0], np.cumsum(sizes)])[j]``.
         """
-        local = np.asarray(abs_indices) - self._base
-        prefix = np.concatenate([[self._base_prefix],
-                                 self._csum[:self._len]])
-        return prefix[local]
+        live = self._prefix[:self._len + 1]
+        return live[np.asarray(abs_indices) - self._base]

@@ -25,7 +25,7 @@ import numpy as np
 
 from .. import obs
 from ..lte.dci import Direction
-from ..sniffer.trace import TIME_DTYPE
+from ..sniffer.trace import TIME_DTYPE, check_record_values
 
 
 class StreamingVolume:
@@ -48,7 +48,8 @@ class StreamingVolume:
         self._value = value
         self._gap_threshold_s = gap_threshold_s
         self._start: Optional[float] = None
-        self._last_time: Optional[float] = None
+        self._last_time: Optional[float] = None      # kept-stream clock
+        self._last_raw_time: Optional[float] = None  # raw-stream clock
         self._series = np.zeros(0, dtype=np.float64)
         self._gap_starts: List[float] = []
         self._gap_ends: List[float] = []
@@ -56,16 +57,35 @@ class StreamingVolume:
 
     def ingest(self, times_s: np.ndarray, directions: np.ndarray,
                tbs_bytes: np.ndarray) -> None:
-        """Accumulate one chunk of records (stream order, sorted)."""
-        t = np.ascontiguousarray(times_s, dtype=TIME_DTYPE)
-        if self._direction is not None:
-            keep = np.asarray(directions) == self._direction
-            t = t[keep]
-            tbs_bytes = np.asarray(tbs_bytes)[keep]
+        """Accumulate one chunk of records.
+
+        Same ingest contract as the windowizer: records within a chunk
+        may arrive out of time order and are stably re-sorted; a chunk
+        with a non-finite time or a negative TBS, or whose earliest
+        record precedes the previous chunk's latest, is rejected with
+        ``ValueError`` before any state changes.
+        """
+        t = np.asarray(times_s, dtype=TIME_DTYPE)
+        d = np.asarray(directions)
+        s = np.asarray(tbs_bytes)
+        if not (len(t) == len(d) == len(s)):
+            raise ValueError("chunk columns must have equal lengths")
         if not len(t):
             return
-        if self._last_time is not None and t[0] < self._last_time:
-            raise ValueError("chunk regresses behind the stream clock")
+        check_record_values(t, s)
+        if len(t) > 1 and (t[1:] < t[:-1]).any():
+            order = np.argsort(t, kind="stable")
+            t, d, s = t[order], d[order], s[order]
+        if self._last_raw_time is not None and t[0] < self._last_raw_time:
+            raise ValueError(
+                f"chunk regresses below the stream clock: first record at "
+                f"{t[0]!r} < last seen {self._last_raw_time!r}")
+        self._last_raw_time = float(t[-1])
+        if self._direction is not None:
+            keep = d == self._direction
+            t, s = t[keep], s[keep]
+        if not len(t):
+            return
         if self._start is None:
             self._start = float(t[0])
         elif self._gap_threshold_s is not None \
@@ -89,7 +109,7 @@ class StreamingVolume:
         if self._value == "frames":
             weights = None
         else:
-            weights = np.asarray(tbs_bytes).astype(np.float64)
+            weights = s.astype(np.float64)
         self._series[:n_bins] += np.bincount(indices, weights=weights,
                                              minlength=n_bins)
         self._last_time = float(t[-1])

@@ -20,31 +20,44 @@ including one record at a time.  The equivalence rests on four facts:
   overlaps — which is when the stream clock (last ingested record
   time) passes ``max(win_end, mid + 2.5)``.
 
+A chunk costs a fixed, small number of numpy calls however many
+windows it closes — live feeds typically close one or two per chunk, so
+per-call overhead, not per-record work, sets the cost:
+
+* *one search per resolve* — every candidate window's ``[ws, we)``
+  bounds and its ±0.5 s / ±2.5 s context edges come from a single
+  ``searchsorted`` over the ring's local times; empty and invalid
+  windows are filtered afterwards;
+* the ring's byte prefix is read with one gather (see
+  :class:`~repro.stream.ring.ColumnRing` for the prefix layout);
+* resolved rows stay in the block the kernel produced them in.
+
 One feature cannot be resolved eagerly: ``burst_bytes`` spans the whole
 burst containing the window's last record, and a burst only ends at the
 next >0.5 s silence (or the end of the stream).  Windows whose burst is
-still open are parked in an emission reorder buffer with the feature
-deferred, and flushed the moment the burst closes — emission order
-stays grid order because pending windows always belong to the single
-currently-open burst.
+still open carry a NaN placeholder and wait in an emission reorder
+buffer of ``[rows, starts, ends, resolved]`` blocks.  Pending windows
+always belong to the single currently-open burst, so the deferred rows
+are always a suffix of the buffer: a burst close fills them with one
+slice per block, and emission order stays grid order.
 
 Memory is bounded: once the next unresolved window is known, every
 record older than ``min(win_start, mid - 2.5)`` of that window can
 never be referenced again and is pruned from the ring, as are capture
-gaps and closed bursts that no future window can overlap.
+gaps and bursts that no future window can overlap.
 
-Ingest contract (the streaming boundary bugfix this PR pins down):
-records *within* a chunk may arrive out of strict time order and are
-stably re-sorted; a chunk whose earliest record precedes the previous
-chunk's latest is rejected with ``ValueError`` before any state
-changes, so a mid-stream reconfiguration cannot silently corrupt
-windows already closed.
+Ingest contract: records *within* a chunk may arrive out of strict time
+order and are stably re-sorted.  A chunk is rejected with
+``ValueError`` before any state changes when it holds a non-finite time
+or a negative TBS, or when its earliest record precedes the previous
+chunk's latest — so a mid-stream reconfiguration or one corrupt record
+cannot silently corrupt windows already closed or disable later checks.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -55,13 +68,17 @@ from ..core.features import (FEATURE_NAMES, N_FEATURES, WindowConfig,
                              segment_feature_rows, valid_window_mask)
 from ..lte.dci import Direction
 from ..sniffer.trace import (DIR_DTYPE, RNTI_DTYPE, TBS_DTYPE, TIME_DTYPE,
-                             Trace)
+                             Trace, check_record_values)
 from .ring import ColumnRing
 
 #: Inter-record silence that ends a burst (matches the batch path).
 BURST_GAP_S = 0.5
 _CTX_HALF_1S = 0.5
 _CTX_HALF_5S = 2.5
+#: Context-edge offsets from a window's mid, in the order
+#: ``[lo_1s, hi_1s, lo_5s, hi_5s]`` (``mid + -h`` is ``mid - h`` bitwise).
+_CTX_EDGES = np.array([[-_CTX_HALF_1S], [_CTX_HALF_1S],
+                       [-_CTX_HALF_5S], [_CTX_HALF_5S]])
 _BURST_BYTES_COL = FEATURE_NAMES.index("burst_bytes")
 
 
@@ -97,16 +114,6 @@ class ClosedWindows:
             lag_s=np.concatenate([b.lag_s for b in batches]))
 
 
-@dataclass
-class _Pending:
-    """A resolved window waiting in the emission reorder buffer."""
-
-    row: np.ndarray
-    win_start: float
-    win_end: float
-    deferred: bool = field(default=False)  # burst_bytes awaits burst close
-
-
 class StreamingWindowizer:
     """Chunk-by-chunk windowizer, bit-identical to ``extract_features``."""
 
@@ -122,16 +129,20 @@ class StreamingWindowizer:
         self._last_raw_time: Optional[float] = None  # raw-stream clock
         self._next_k = 0                      # next unresolved grid index
         self._prev_nonempty_end: Optional[float] = None
-        # Open burst (start index / time / byte prefix) and closed
-        # bursts still overlapping resolvable windows.
-        self._burst_start_idx: Optional[int] = None
-        self._burst_start_time = 0.0
-        self._burst_start_prefix = 0.0
-        self._closed_bursts: deque = deque()
+        # Burst ledger, oldest first: start index, start time and total
+        # bytes of every burst still overlapping resolvable windows.  The
+        # last burst is the open one until the stream ends; its bytes are
+        # NaN until it closes (``_open_prefix`` is its start's prefix).
+        self._burst_idx: List[int] = []
+        self._burst_time: List[float] = []
+        self._burst_bytes: List[float] = []
+        self._open_prefix = 0.0
         # Capture-gap ledger (only populated when gap gating is on).
         self._gap_starts: List[float] = []
         self._gap_ends: List[float] = []
-        self._pending: "deque[_Pending]" = deque()
+        # Emission reorder buffer: ``[rows, starts, ends, resolved]``
+        # blocks in grid order; ``rows[resolved:]`` await burst_bytes.
+        self._pending: List[list] = []
         self._finished = False
         # Stats (plain ints: the service layer owns obs counters, but
         # window invalidation shares the batch path's counter).
@@ -151,7 +162,7 @@ class StreamingWindowizer:
     @property
     def backlog(self) -> int:
         """Resolved windows parked awaiting burst close."""
-        return len(self._pending)
+        return sum(len(block[0]) for block in self._pending)
 
     @property
     def ring_occupancy(self) -> int:
@@ -184,9 +195,10 @@ class StreamingWindowizer:
             raise ValueError("chunk columns must have equal lengths")
         if len(t) == 0:
             return ClosedWindows.empty()
+        check_record_values(t, s)
         # Within-chunk disorder is legal at the ring boundary: restore
         # time order with a *stable* sort so ties keep arrival order.
-        if len(t) > 1 and np.any(np.diff(t) < 0):
+        if len(t) > 1 and (t[1:] < t[:-1]).any():
             order = np.argsort(t, kind="stable")
             t, r, d, s = t[order], r[order], d[order], s[order]
             self.chunks_reordered += 1
@@ -219,8 +231,7 @@ class StreamingWindowizer:
         if self._start is not None:
             # The open burst runs to the end of the stream, exactly like
             # the batch path's final burst bound at n.
-            self._close_burst(self._ring.end, self._ring.total_prefix)
-            self._burst_start_idx = None
+            self._close_burst(self._ring.total_prefix)
             self._resolve(final=True)
         return self._drain()
 
@@ -231,25 +242,20 @@ class StreamingWindowizer:
         prev = self._last_time
         self._ring.append(t, r, d, s)
         self._last_time = float(t[-1])
-        if self._start is None:
+        if prev is None:
             self._start = float(t[0])
-            self._burst_start_idx = 0
-            self._burst_start_time = float(t[0])
-            self._burst_start_prefix = 0.0
+            self._open_burst(0, self._start, 0.0)
         # Consecutive-record diffs spanning the chunk boundary: the same
         # values np.diff(times) yields on the assembled trace.
         diffs = np.empty(len(t), dtype=np.float64)
         diffs[0] = t[0] - prev if prev is not None else 0.0
-        if len(t) > 1:
-            diffs[1:] = t[1:] - t[:-1]
+        np.subtract(t[1:], t[:-1], out=diffs[1:])
         boundaries = np.flatnonzero(diffs > BURST_GAP_S)
         if len(boundaries):
             starts = self._ring.prefix_at(first + boundaries)
             for p, prefix in zip(boundaries.tolist(), starts.tolist()):
-                self._close_burst(first + p, prefix)
-                self._burst_start_idx = first + p
-                self._burst_start_time = float(t[p])
-                self._burst_start_prefix = prefix
+                self._close_burst(prefix)
+                self._open_burst(first + p, float(t[p]), prefix)
         if self._config.gap_threshold_s is not None:
             gaps = np.flatnonzero(diffs > self._config.gap_threshold_s)
             for p in gaps.tolist():
@@ -257,15 +263,23 @@ class StreamingWindowizer:
                 self._gap_starts.append(gap_start)
                 self._gap_ends.append(float(t[p]))
 
-    def _close_burst(self, end_idx: int, prefix_end: float) -> None:
-        self._closed_bursts.append(
-            (self._burst_start_idx, self._burst_start_time,
-             self._burst_start_prefix, end_idx, prefix_end))
-        fill = prefix_end - self._burst_start_prefix
-        for entry in self._pending:
-            if entry.deferred:
-                entry.row[_BURST_BYTES_COL] = fill
-                entry.deferred = False
+    def _open_burst(self, start_idx: int, start_time: float,
+                    prefix: float) -> None:
+        self._burst_idx.append(start_idx)
+        self._burst_time.append(start_time)
+        self._burst_bytes.append(np.nan)
+        self._open_prefix = prefix
+
+    def _close_burst(self, prefix_end: float) -> None:
+        fill = prefix_end - self._open_prefix
+        self._burst_bytes[-1] = fill
+        # Deferred rows all belong to this burst and form the buffer's
+        # suffix: one slice per block fills them.
+        for block in self._pending:
+            rows, _, _, resolved = block
+            if resolved < len(rows):
+                rows[resolved:, _BURST_BYTES_COL] = fill
+                block[3] = len(rows)
 
     # -- window resolution --------------------------------------------------------
 
@@ -278,117 +292,96 @@ class StreamingWindowizer:
         k0 = self._next_k
         # Over-generate candidate ks, then apply the exact per-window
         # condition — mirrors _window_grid so float rounding can never
-        # add or drop a window.
+        # add or drop a window.  Starts, ends, mids and resolution times
+        # are nondecreasing in k, so the windows passing it are a prefix.
         if final:
-            guess = int(np.floor((clock - start) / stride)) \
+            guess = math.floor((clock - start) / stride) \
                 if clock > start else 0
             ks = np.arange(k0, max(guess + 2, k0), dtype=np.float64)
-            ws = start + ks * stride
-            ws = ws[ws <= clock]
         else:
             horizon = max(window_s, window_s / 2.0 + _CTX_HALF_5S)
-            guess = int(np.floor((clock - horizon - start) / stride))
+            guess = math.floor((clock - horizon - start) / stride)
             if guess + 2 <= k0:
                 return
             ks = np.arange(k0, guess + 2, dtype=np.float64)
-            ws = start + ks * stride
-            we = ws + window_s
-            resolvable = np.maximum(we, (ws + we) / 2.0 + _CTX_HALF_5S)
-            ws = ws[resolvable <= clock]
-        if not len(ws):
-            return
-        self._next_k += len(ws)
+        ws = start + ks * stride
         we = ws + window_s
         mid = (ws + we) / 2.0
-        T = self._ring.times
-        base = self._ring.base
-        lo = base + np.searchsorted(T, ws, side="left")
-        hi = base + np.searchsorted(T, we, side="left")
-        nonempty = hi > lo
-        if nonempty.any():
-            ws_ne, we_ne, mid_ne = ws[nonempty], we[nonempty], mid[nonempty]
-            lo_ne, hi_ne = lo[nonempty], hi[nonempty]
+        if final:
+            m = int(np.count_nonzero(ws <= clock))
+        else:
+            resolvable = np.maximum(we, mid + _CTX_HALF_5S)
+            m = int(np.count_nonzero(resolvable <= clock))
+        if not m:
+            return
+        self._next_k += m
+        ws, we, mid = ws[:m], we[:m], mid[:m]
+        # One search for every candidate's span and context edges.  All
+        # candidates sit at or above the next_k the last prune kept
+        # records for, so every query sees its full history.
+        queries = np.concatenate((ws, we, (mid + _CTX_EDGES).ravel()))
+        bounds = np.searchsorted(self._ring.times, queries,
+                                 side="left").reshape(6, m)
+        nonempty = np.flatnonzero(bounds[1] > bounds[0])
+        if len(nonempty):
+            ws, we = ws[nonempty], we[nonempty]
+            bounds = bounds[:, nonempty]
             gap_starts = np.asarray(self._gap_starts, dtype=np.float64)
             gap_ends = np.asarray(self._gap_ends, dtype=np.float64)
-            valid = valid_window_mask(ws_ne, we_ne, hi_ne - lo_ne,
+            valid = valid_window_mask(ws, we, bounds[1] - bounds[0],
                                       self._config, gap_starts, gap_ends)
-            invalidated = int(np.count_nonzero(~valid))
+            gap_prev = chain_gap_since_prev(ws, we, self._prev_nonempty_end)
+            self._prev_nonempty_end = float(we[-1])
+            invalidated = len(valid) - int(np.count_nonzero(valid))
             if invalidated:
                 self._invalidated_obs.inc(invalidated)
-            gap_prev = chain_gap_since_prev(ws_ne, we_ne,
-                                            self._prev_nonempty_end)
-            self._prev_nonempty_end = float(we_ne[-1])
-            if valid.any():
-                self._emit_rows(ws_ne[valid], we_ne[valid], mid_ne[valid],
-                                lo_ne[valid], hi_ne[valid], gap_prev[valid])
+                ws, we, gap_prev = ws[valid], we[valid], gap_prev[valid]
+                bounds = bounds[:, valid]
+            if len(ws):
+                self._emit_rows(ws, we, bounds, gap_prev)
         self._prune()
 
-    def _emit_rows(self, ws, we, mid, lo, hi, gap_prev) -> None:
+    def _emit_rows(self, ws, we, bounds, gap_prev) -> None:
+        """Feature rows for windows with ring-local ``bounds`` rows
+        ``[lo, hi, lo_1s, hi_1s, lo_5s, hi_5s]``, parked as one block."""
         ring = self._ring
-        T = ring.times
-        base = ring.base
-        m = len(ws)
-        flat, counts, offsets = gather_segments(lo - base, hi - base)
+        lo, hi = bounds[0], bounds[1]
+        flat, counts, offsets = gather_segments(lo, hi)
         svals = ring.tbs_bytes[flat].astype(np.float64)
-        tvals = T[flat]
+        tvals = ring.times[flat]
         dvals = (ring.directions[flat]
                  == int(Direction.DOWNLINK)).astype(np.float64)
         rvals = ring.rntis[flat]
 
         cumulative_time = ws - self._start
-        lo_1s = base + np.searchsorted(T, mid - _CTX_HALF_1S, side="left")
-        hi_1s = base + np.searchsorted(T, mid + _CTX_HALF_1S, side="left")
-        lo_5s = base + np.searchsorted(T, mid - _CTX_HALF_5S, side="left")
-        hi_5s = base + np.searchsorted(T, mid + _CTX_HALF_5S, side="left")
-        frames_1s = (hi_1s - lo_1s).astype(np.float64)
-        bytes_1s = ring.prefix_at(hi_1s) - ring.prefix_at(lo_1s)
-        frames_5s = (hi_5s - lo_5s).astype(np.float64)
-        bytes_5s = ring.prefix_at(hi_5s) - ring.prefix_at(lo_5s)
+        context = bounds[2:]
+        frames = (context[1::2] - context[0::2]).astype(np.float64)
+        prefix = ring.prefix_at(context + ring.base)
+        byte_sums = prefix[1::2] - prefix[0::2]
 
         # Burst columns: each window belongs to the burst containing its
-        # last record.  Closed bursts are fully known; windows in the
-        # open burst get burst_age now (it only needs the start) and a
-        # deferred burst_bytes.
+        # last record.  Windows in the open burst get burst_age now (it
+        # only needs the start) and the open burst's NaN burst_bytes,
+        # which marks them deferred.
         last = hi - 1
-        t_last = T[last - base]
-        burst_age = np.empty(m, dtype=np.float64)
-        burst_bytes = np.empty(m, dtype=np.float64)
-        if self._burst_start_idx is not None:
-            in_open = last >= self._burst_start_idx
-        else:
-            in_open = np.zeros(m, dtype=bool)
-        if in_open.any():
-            burst_age[in_open] = t_last[in_open] - self._burst_start_time
-            burst_bytes[in_open] = np.nan
-        closed = ~in_open
-        if closed.any():
-            cb_start = np.asarray([b[0] for b in self._closed_bursts],
-                                  dtype=np.int64)
-            cb_time = np.asarray([b[1] for b in self._closed_bursts],
-                                 dtype=np.float64)
-            cb_p0 = np.asarray([b[2] for b in self._closed_bursts],
-                               dtype=np.float64)
-            cb_p1 = np.asarray([b[4] for b in self._closed_bursts],
-                               dtype=np.float64)
-            pos = np.searchsorted(cb_start, last[closed], side="right") - 1
-            burst_age[closed] = t_last[closed] - cb_time[pos]
-            burst_bytes[closed] = cb_p1[pos] - cb_p0[pos]
+        pos = np.searchsorted(np.asarray(self._burst_idx),
+                              last + ring.base, side="right") - 1
+        burst_age = ring.times[last] - np.asarray(self._burst_time)[pos]
+        burst_bytes = np.asarray(self._burst_bytes)[pos]
 
         rows = segment_feature_rows(
             svals, tvals, dvals, rvals, counts, offsets, cumulative_time,
-            gap_prev, frames_1s, bytes_1s, frames_5s, bytes_5s,
+            gap_prev, frames[0], byte_sums[0], frames[1], byte_sums[1],
             burst_age, burst_bytes)
-        for i in range(m):
-            self._pending.append(_Pending(
-                row=rows[i], win_start=float(ws[i]), win_end=float(we[i]),
-                deferred=bool(in_open[i])))
+        deferred = int(np.count_nonzero(np.isnan(burst_bytes)))
+        self._pending.append([rows, ws, we, len(rows) - deferred])
 
     def _prune(self) -> None:
         """Drop ring records / gaps / bursts no future window can touch."""
         ws_next = self._start + float(self._next_k) * self._stride_s
         # The threshold must lower-bound every future searchsorted query
         # *bitwise*, so it is computed with the exact expression
-        # _emit_rows uses (mid = (ws + we) / 2.0, query = mid - 2.5), not
+        # _resolve uses (mid = (ws + we) / 2.0, query = mid - 2.5), not
         # an algebraic rearrangement: ws + w/2 - 2.5 can round one ulp
         # above (ws + (ws + w)) / 2 - 2.5 and prune a record sitting on a
         # later window's context edge.  IEEE add/divide are monotone, so
@@ -402,24 +395,36 @@ class StreamingWindowizer:
         while self._gap_ends and self._gap_ends[0] <= ws_next:
             self._gap_starts.pop(0)
             self._gap_ends.pop(0)
-        while self._closed_bursts \
-                and self._closed_bursts[0][3] <= self._ring.base:
-            self._closed_bursts.popleft()
+        # A burst ends where the next one starts.
+        while len(self._burst_idx) > 1 \
+                and self._burst_idx[1] <= self._ring.base:
+            del self._burst_idx[0], self._burst_time[0], self._burst_bytes[0]
 
     # -- emission ----------------------------------------------------------------
 
     def _drain(self) -> ClosedWindows:
-        if not self._pending or self._pending[0].deferred:
+        pending = self._pending
+        if not pending or pending[0][3] == 0:
             return ClosedWindows.empty()
-        rows, starts, ends = [], [], []
-        while self._pending and not self._pending[0].deferred:
-            entry = self._pending.popleft()
-            rows.append(entry.row)
-            starts.append(entry.win_start)
-            ends.append(entry.win_end)
+        ready = []
+        while pending:
+            rows, starts, ends, resolved = pending[0]
+            if resolved < len(rows):
+                # Part resolved: emit the head, keep the deferred tail.
+                if resolved:
+                    ready.append((rows[:resolved], starts[:resolved],
+                                  ends[:resolved]))
+                    pending[0] = [rows[resolved:], starts[resolved:],
+                                  ends[resolved:], 0]
+                break
+            ready.append((rows, starts, ends))
+            del pending[0]
+        if len(ready) == 1:
+            rows, starts, ends = ready[0]
+        else:
+            rows, starts, ends = (np.concatenate(column)
+                                  for column in zip(*ready))
         self.windows_closed += len(rows)
-        win_end = np.asarray(ends, dtype=np.float64)
         return ClosedWindows(
-            rows=np.stack(rows), win_start_s=np.asarray(starts),
-            win_end_s=win_end,
-            lag_s=np.maximum(0.0, self._last_time - win_end))
+            rows=rows, win_start_s=starts, win_end_s=ends,
+            lag_s=np.maximum(0.0, self._last_time - ends))

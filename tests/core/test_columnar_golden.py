@@ -21,11 +21,18 @@ from repro.core.features import (FEATURE_NAMES, N_FEATURES, WindowConfig,
                                  extract_features, volume_series)
 from repro.lte.dci import Direction
 from repro.sniffer.trace import Trace, TraceRecord
+from repro.stream import StreamingVolume
 
 RNG_SEEDS = [0, 1, 2, 3, 4]
 
 
-def random_trace(seed, n=None, tmax=20.0, duplicates=False):
+#: RNTI draws of the random traces: the usual C-RNTI range, and one
+#: window mix of 0, 0xFFFF and garbage values the decoder can emit.
+RNTIS = (0x100, 0x200, 0x300, 0x400)
+EDGE_RNTIS = (0, 0xFFFF, 0xFFFFFFFF, 0x7FFF_0001)
+
+
+def random_trace(seed, n=None, tmax=20.0, duplicates=False, rntis=RNTIS):
     rng = random.Random(seed)
     if n is None:
         n = rng.choice([0, 1, 2, 3, 17, 200, 800])
@@ -36,7 +43,7 @@ def random_trace(seed, n=None, tmax=20.0, duplicates=False):
     trace = Trace(label="app", category="cat", operator="Lab", cell="c0")
     for t in times:
         trace.append(TraceRecord(
-            time_s=t, rnti=rng.choice([0x100, 0x200, 0x300, 0x400]),
+            time_s=t, rnti=rng.choice(rntis),
             direction=rng.choice(list(Direction)),
             tbs_bytes=rng.randint(0, 5_000)))
     return trace
@@ -183,6 +190,22 @@ class TestExtractFeaturesGolden:
         assert np.array_equal(ref_extract_features(trace),
                               extract_features(trace))
 
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_edge_rntis_bit_identical(self, config):
+        trace = random_trace(3, n=800, duplicates=True, rntis=EDGE_RNTIS)
+        assert np.array_equal(ref_extract_features(trace, config),
+                              extract_features(trace, config))
+
+    def test_edge_rntis_in_one_window(self):
+        trace = Trace()
+        for offset, rnti in enumerate((0, 0xFFFF, 0xFFFFFFFF, 0,
+                                       0x7FFF_0001)):
+            trace.append(TraceRecord(1.0 + 0.01 * offset, rnti,
+                                     Direction.DOWNLINK, 100))
+        rows = extract_features(trace)
+        assert np.array_equal(rows, ref_extract_features(trace))
+        assert rows[0, FEATURE_NAMES.index("rnti_switches")] == 3.0
+
     def test_direction_filter_can_empty_everything(self):
         trace = Trace()
         trace.append(TraceRecord(0.0, 0x100, Direction.UPLINK, 10))
@@ -254,8 +277,6 @@ class TestVolumeSeriesGolden:
         # A final record landing exactly on a bin edge must OPEN that
         # bin (floor semantics), not be clamped back into the previous
         # one — batch and incremental accumulation agree on the count.
-        from repro.stream import StreamingVolume
-
         trace = Trace()
         for t in (0.0, 0.4, 1.7, 3.0):   # 3.0 == 3 * bin_s exactly
             trace.append(TraceRecord(t, 0x100, Direction.DOWNLINK, 100))
@@ -271,8 +292,6 @@ class TestVolumeSeriesGolden:
     @pytest.mark.parametrize("value", ["frames", "bytes"])
     def test_incremental_accumulation_bit_identical(self, seed, value):
         trace = random_trace(seed, duplicates=(seed % 2 == 0))
-        from repro.stream import StreamingVolume
-
         for bin_s, gap in ((1.0, None), (0.25, None), (0.5, 0.3)):
             expected = volume_series(trace, bin_s=bin_s, value=value,
                                      gap_threshold_s=gap)
@@ -284,6 +303,58 @@ class TestVolumeSeriesGolden:
                 actual = streaming.finalize()
                 assert len(actual) == len(expected)
                 assert np.array_equal(actual, expected, equal_nan=True)
+
+
+class TestStreamingVolumeIngestContract:
+    """Disordered chunks are re-sorted; bad chunks leave no trace."""
+
+    @staticmethod
+    def _state(streaming):
+        return (streaming.finalize(), streaming.n_bins,
+                list(streaming._gap_starts))
+
+    @pytest.mark.parametrize("value", ["frames", "bytes"])
+    def test_shuffled_chunks_match_batch(self, value):
+        trace = random_trace(2, n=200)
+        expected = volume_series(trace, bin_s=0.5, value=value,
+                                 gap_threshold_s=0.3)
+        streaming = StreamingVolume(bin_s=0.5, value=value,
+                                    gap_threshold_s=0.3)
+        rng = np.random.default_rng(4)
+        for times, _, directions, tbs in trace.iter_chunks(23):
+            order = rng.permutation(len(times))
+            streaming.ingest(times[order], directions[order], tbs[order])
+        assert np.array_equal(streaming.finalize(), expected,
+                              equal_nan=True)
+
+    def test_within_chunk_disorder(self):
+        streaming = StreamingVolume(bin_s=1.0)
+        streaming.ingest([0.0, 3.5, 1.2], [0, 0, 0], [10, 10, 10])
+        assert np.array_equal(streaming.finalize(), [1.0, 1.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("times, tbs", [
+        ([4.0, 3.0], [10, 10]),                  # regresses the clock
+        ([5.0, float("nan")], [10, 10]),         # non-finite time
+        ([5.0, float("inf")], [10, 10]),
+        ([5.0, 6.0], [10, -1]),                  # negative TBS
+    ])
+    def test_bad_chunk_rejected_before_state_changes(self, times, tbs):
+        streaming = StreamingVolume(bin_s=1.0, value="bytes",
+                                    gap_threshold_s=0.5)
+        streaming.ingest([0.0, 1.5, 4.2], [0, 0, 0], [10, 20, 30])
+        before = self._state(streaming)
+        with pytest.raises(ValueError):
+            streaming.ingest(times, [0] * len(times), tbs)
+        after = self._state(streaming)
+        assert np.array_equal(after[0], before[0], equal_nan=True)
+        assert after[1:] == before[1:]
+        # The stream goes on as if the bad chunk never arrived.
+        streaming.ingest([5.0], [0], [40])
+        expected = volume_series(Trace.from_arrays(
+            [0.0, 1.5, 4.2, 5.0], [0x100] * 4, [0] * 4, [10, 20, 30, 40]),
+            bin_s=1.0, value="bytes", gap_threshold_s=0.5)
+        assert np.array_equal(streaming.finalize(), expected,
+                              equal_nan=True)
 
 
 class TestFilterGolden:

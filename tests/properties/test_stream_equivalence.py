@@ -19,7 +19,8 @@ from repro.lte.rrc import RRCConnectionRelease
 from repro.sniffer.identity import IdentityMapper
 from repro.sniffer.owl import OWLTracker
 from repro.stream import StreamingVolume, StreamingWindowizer
-from tests.core.test_columnar_golden import random_trace
+from tests.core.test_columnar_golden import (EDGE_RNTIS, RNTIS,
+                                             random_trace)
 from tests.properties.strategies import ITEM_SEEDS, PLANS, SETTINGS
 
 _TRACE_SEEDS = st.integers(0, 30)
@@ -34,6 +35,7 @@ _CONFIGS = st.sampled_from([
     WindowConfig(min_frames=3),
     WindowConfig(gap_threshold_s=0.4),
     WindowConfig(stride_ms=40.0, min_frames=2, gap_threshold_s=0.6),
+    WindowConfig(window_ms=250.0, stride_ms=40.0),
 ])
 
 
@@ -66,9 +68,12 @@ def _stream(trace, config, sizes):
 
 
 @SETTINGS
-@given(trace_seed=_TRACE_SEEDS, sizes=_PARTITIONS, config=_CONFIGS)
-def test_any_partition_matches_batch_features(trace_seed, sizes, config):
-    trace = random_trace(trace_seed, duplicates=(trace_seed % 2 == 0))
+@given(trace_seed=_TRACE_SEEDS, sizes=_PARTITIONS, config=_CONFIGS,
+       rntis=st.sampled_from([RNTIS, EDGE_RNTIS]))
+def test_any_partition_matches_batch_features(trace_seed, sizes, config,
+                                              rntis):
+    trace = random_trace(trace_seed, duplicates=(trace_seed % 2 == 0),
+                         rntis=rntis)
     expected = extract_features(trace, config)
     actual = _stream(trace, config, sizes)
     assert actual.shape == expected.shape

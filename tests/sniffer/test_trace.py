@@ -91,6 +91,19 @@ class TestTrace:
         assert rebased.records[1].time_s == pytest.approx(1.5)
         assert rebased.label == trace.label
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_from_arrays_rejects_non_finite_times(self, bad):
+        columns = ([0.0, 0.5, bad], [0x100] * 3, [0] * 3, [10] * 3)
+        with pytest.raises(ValueError, match="finite"):
+            Trace.from_arrays(*columns)
+        # validate=False still adopts trusted columns as they are.
+        assert len(Trace.from_arrays(*columns, validate=False)) == 3
+
+    def test_from_arrays_rejects_negative_tbs(self):
+        with pytest.raises(ValueError, match="tbs_bytes"):
+            Trace.from_arrays([0.0, 1.0], [0x100] * 2, [0] * 2, [10, -1])
+
     def test_filters_preserve_metadata(self):
         trace = small_trace()
         for derived in (trace.direction_filtered(Direction.DOWNLINK),

@@ -58,11 +58,23 @@ class TestColumnRing:
         assert ring.prune_below(10) == 0
 
     def test_growth_and_high_water(self):
+        # Grows 4 -> 8 -> 16, prunes after every append; the prefix
+        # reads stay exact across each grow and prune.
+        tbs = (np.arange(64, dtype=TBS_DTYPE) * 37) % 1500
+        reference = np.concatenate(
+            [[0.0], np.cumsum(tbs.astype(np.float64))])
         ring = ColumnRing(capacity=4)
         for start in range(0, 64, 8):
             ring.append(*_chunk(np.arange(start, start + 8,
-                                          dtype=TIME_DTYPE)))
-            ring.prune_below(ring.end - 8)
+                                          dtype=TIME_DTYPE),
+                                tbs[start:start + 8]))
+            assert np.array_equal(
+                ring.prefix_at(np.arange(ring.base, ring.end + 1)),
+                reference[ring.base:ring.end + 1])
+            ring.prune_below(ring.end - 8 if start else 3)
+            assert np.array_equal(
+                ring.prefix_at(np.arange(ring.base, ring.end + 1)),
+                reference[ring.base:ring.end + 1])
         assert ring.high_water <= 16
         assert len(ring) == 8
 

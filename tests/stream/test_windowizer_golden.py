@@ -16,7 +16,8 @@ from repro.faults.generators import bursty_trace, synthetic_trace
 from repro.lte.dci import Direction
 from repro.sniffer.trace import Trace, TraceRecord
 from repro.stream import StreamingWindowizer
-from tests.core.test_columnar_golden import CONFIGS, random_trace
+from tests.core.test_columnar_golden import (CONFIGS, EDGE_RNTIS,
+                                             random_trace)
 
 CHUNKINGS = [1, 3, 17, 1000]
 
@@ -25,6 +26,15 @@ GATED_CONFIGS = [WindowConfig(min_frames=3),
                  WindowConfig(stride_ms=25.0, min_frames=2,
                               gap_threshold_s=0.6),
                  WindowConfig(window_ms=7000.0)]
+
+
+def sparse_trace():
+    """Records 0.37 s / 0.61 s apart: every window holds one record, and
+    bursts (split at >0.5 s silences) hold two."""
+    times = np.cumsum(np.tile([0.37, 0.61], 30))
+    n = len(times)
+    return Trace.from_arrays(times, np.full(n, 0x100), np.arange(n) % 2,
+                             (np.arange(n) * 37) % 1500)
 
 
 def stream_features(trace, config, chunk_records):
@@ -63,6 +73,8 @@ class TestStreamingEquivalence:
     @pytest.mark.parametrize("maker", [
         lambda: synthetic_trace(11, n_records=600, duration_s=30.0),
         lambda: bursty_trace(12, n_bursts=5),
+        sparse_trace,
+        lambda: random_trace(3, n=800, duplicates=True, rntis=EDGE_RNTIS),
     ])
     def test_generator_traces_bit_identical(self, maker):
         trace = maker()
@@ -168,6 +180,74 @@ class TestIngestContract:
         ok = Trace()
         ok.append(TraceRecord(2.0, 0x100, Direction.DOWNLINK, 10))
         windowizer.ingest_trace(ok)
+
+    @pytest.mark.parametrize("times, tbs", [
+        ([2.1, 2.2, float("nan")], [10, 10, 10]),   # chunk ending in NaN
+        ([2.1, float("inf")], [10, 10]),
+        ([float("-inf"), 2.1], [10, 10]),
+        ([2.1, 2.2], [10, -5]),                     # negative TBS
+    ])
+    def test_bad_chunk_rejected_before_state_changes(self, times, tbs):
+        trace = random_trace(8, n=300, tmax=6.0)
+        head = trace.time_sliced(0.0, 2.0)
+        tail = trace.time_sliced(2.3, 6.0)
+        config = WindowConfig(gap_threshold_s=0.05)
+        windowizer = StreamingWindowizer(config)
+        rows = [windowizer.ingest_trace(head).rows]
+
+        def state():
+            return (windowizer.records_seen, windowizer.records_kept,
+                    windowizer.windows_closed, windowizer.backlog,
+                    windowizer.ring_occupancy, windowizer.ring_high_water)
+
+        before = state()
+        n = len(times)
+        with pytest.raises(ValueError):
+            windowizer.ingest(times, [0x100] * n, [0] * n, tbs)
+        assert state() == before
+        # The clock is intact: later chunks close windows as if the bad
+        # chunk never arrived.
+        for chunk in tail.iter_chunks(25):
+            rows.append(windowizer.ingest(*chunk).rows)
+        rows.append(windowizer.finish().rows)
+        expected = extract_features(Trace.merged([head, tail]), config)
+        assert np.array_equal(np.concatenate(rows, axis=0), expected)
+
+    def test_open_burst_defers_rows_across_chunks(self):
+        # Burst A: a record every 10 ms over [0, 3); 0.7 s of silence;
+        # burst B: every 10 ms from 3.7 s on.
+        times = np.concatenate([np.arange(300) * 0.01,
+                                3.7 + np.arange(830) * 0.01])
+        n = len(times)
+        trace = Trace.from_arrays(times, np.full(n, 0x100),
+                                  np.arange(n) % 2,
+                                  (np.arange(n) * 37) % 1500)
+        columns = (trace.times_s, trace.rntis, trace.directions,
+                   trace.tbs_bytes)
+        windowizer = StreamingWindowizer(WindowConfig())
+        rows, backlogs = [], []
+        # 10-record chunks through A: windows resolve as the clock
+        # passes mid + 2.5 s, but their burst_bytes wait for A to close.
+        for lo in range(0, 300, 10):
+            batch = windowizer.ingest(*(c[lo:lo + 10] for c in columns))
+            assert len(batch) == 0
+            backlogs.append(windowizer.backlog)
+        assert 0 < backlogs[-3] < backlogs[-2] < backlogs[-1]
+        # One chunk closes A and runs the clock to 6.49 s: its resolve
+        # emits A's remaining windows resolved and B's first deferred,
+        # in one block the drain splits.
+        parked = windowizer.backlog
+        batch = windowizer.ingest(*(c[300:580] for c in columns))
+        assert len(batch) > parked
+        assert windowizer.backlog > 0
+        rows.append(batch.rows)
+        for lo in range(580, n, 64):
+            rows.append(windowizer.ingest(
+                *(c[lo:lo + 64] for c in columns)).rows)
+        rows.append(windowizer.finish().rows)
+        assert windowizer.backlog == 0
+        assert np.array_equal(np.concatenate(rows, axis=0),
+                              extract_features(trace, WindowConfig()))
 
     def test_finish_twice_raises(self):
         windowizer = StreamingWindowizer(WindowConfig())
