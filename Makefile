@@ -18,7 +18,8 @@ test-fast:
 ## cache semantics, and the burst-loss degradation integration test.
 test-faults:
 	$(PYTHON) -m pytest tests/faults tests/properties \
-		tests/integration/test_fault_degradation.py -q
+		tests/integration/test_fault_degradation.py \
+		tests/runtime/test_cache.py tests/runtime/test_cache_npz.py -q
 
 ## Attack scanner: detector findings vs the table driver results they
 ## run (with golden driver tables), golden reports, schema/baseline

@@ -1,4 +1,4 @@
-"""Project-wide symbol resolution: module tables, import graph, call graph.
+"""Project-wide symbol resolution: module tables and call graph.
 
 The per-file engine (:mod:`repro.analysis.engine`) sees one tree at a
 time, so a seed that dies at a function boundary or a cache key built
@@ -10,11 +10,10 @@ view those checks need:
   name), its top-level functions, its classes and their methods, and the
   module-level globals semantic rules care about;
 * :class:`ProjectGraph` — the project: every module keyed by dotted
-  name, an import graph restricted to in-project edges (the cache's
-  import-closure invalidation walks it), and call resolution from an
-  ``ast.Call`` to the :class:`FunctionInfo` it targets, following
-  ``from x import y`` chains, ``self.method``, ``Class(...)`` →
-  ``__init__``, and package re-exports.
+  name, and call resolution from an ``ast.Call`` to the
+  :class:`FunctionInfo` it targets, following ``from x import y``
+  chains, ``self.method``, ``Class(...)`` → ``__init__``, and package
+  re-exports.
 
 Resolution is deliberately conservative: anything it cannot prove
 (getattr, dynamic dispatch, external libraries) resolves to ``None``,
@@ -27,7 +26,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .engine import _dotted_module_name, dotted_name
 
@@ -101,7 +100,6 @@ class ModuleSymbols:
     tree: ast.Module
     is_package: bool
     imports: Dict[str, str] = field(default_factory=dict)
-    import_targets: List[str] = field(default_factory=list)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     classes: Dict[str, Dict[str, FunctionInfo]] = field(default_factory=dict)
     module_globals: Set[str] = field(default_factory=set)
@@ -130,7 +128,6 @@ def _collect_top_level(node: ast.stmt, symbols: ModuleSymbols,
             else:
                 head = alias.name.split(".")[0]
                 symbols.imports.setdefault(head, head)
-            symbols.import_targets.append(alias.name)
     elif isinstance(node, ast.ImportFrom):
         if node.level == 0:
             base_parts = (node.module or "").split(".") if node.module else []
@@ -144,7 +141,6 @@ def _collect_top_level(node: ast.stmt, symbols: ModuleSymbols,
                 continue
             target = f"{base}.{alias.name}" if base else alias.name
             symbols.imports[alias.asname or alias.name] = target
-            symbols.import_targets.append(target)
     elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         symbols.functions[node.name] = _make_function_info(node, dotted, None)
     elif isinstance(node, ast.ClassDef):
@@ -178,7 +174,7 @@ def _collect_top_level(node: ast.stmt, symbols: ModuleSymbols,
 
 
 class ProjectGraph:
-    """Modules, the in-project import graph, and call resolution."""
+    """Modules and call resolution."""
 
     def __init__(self, modules: Sequence[ModuleSymbols]) -> None:
         self.modules: Dict[str, ModuleSymbols] = {}
@@ -194,51 +190,6 @@ class ProjectGraph:
             for methods in symbols.classes.values():
                 for info in methods.values():
                     self.functions[info.qualname] = info
-        self.import_graph: Dict[str, FrozenSet[str]] = {
-            dotted: self._module_deps(symbols)
-            for dotted, symbols in self.modules.items()}
-        self._closures: Dict[str, FrozenSet[str]] = {}
-
-    # -- import graph -------------------------------------------------------------
-
-    def _internal_module(self, target: str) -> Optional[str]:
-        parts = target.split(".")
-        for cut in range(len(parts), 0, -1):
-            prefix = ".".join(parts[:cut])
-            if prefix in self.modules:
-                return prefix
-        return None
-
-    def _module_deps(self, symbols: ModuleSymbols) -> FrozenSet[str]:
-        deps: Set[str] = set()
-        for target in symbols.import_targets:
-            internal = self._internal_module(target)
-            if internal is not None and internal != symbols.dotted:
-                deps.add(internal)
-        return frozenset(deps)
-
-    def import_closure(self, dotted: str) -> FrozenSet[str]:
-        """``dotted`` plus every in-project module it transitively imports."""
-        cached = self._closures.get(dotted)
-        if cached is not None:
-            return cached
-        closure: Set[str] = set()
-        stack = [dotted]
-        while stack:
-            current = stack.pop()
-            if current in closure:
-                continue
-            closure.add(current)
-            stack.extend(sorted(self.import_graph.get(current, ())))
-        result = frozenset(closure)
-        self._closures[dotted] = result
-        return result
-
-    def reverse_closure(self, dotteds: Set[str]) -> FrozenSet[str]:
-        """Every module whose import closure touches any of ``dotteds``."""
-        return frozenset(
-            dotted for dotted in self.modules
-            if self.import_closure(dotted) & dotteds)
 
     # -- symbol / call resolution ---------------------------------------------------
 

@@ -30,9 +30,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from ..lte.dci import Direction
 from ..lte.network import TrafficEvent
-from ..lte.sim import seconds
 
 
 class AppCategory(enum.Enum):
@@ -143,12 +141,3 @@ def positive_gauss(rng: random.Random, mean: float, std: float,
                    floor: float = 1.0) -> float:
     """Gaussian sample clamped below at ``floor`` (sizes, gaps)."""
     return max(floor, rng.gauss(mean, std))
-
-
-def burst_event(rng: random.Random, gap_s: float, mean_bytes: float,
-                std_bytes: float, direction: Direction,
-                min_bytes: int = 64) -> TrafficEvent:
-    """Build one burst arrival with Gaussian size and fixed gap."""
-    size = int(positive_gauss(rng, mean_bytes, std_bytes, float(min_bytes)))
-    return TrafficEvent(gap_us=seconds(gap_s), direction=direction,
-                        size_bytes=size)

@@ -819,7 +819,7 @@ def _manifest_params(args: argparse.Namespace,
 
     A fault plan is recorded as its full document plus its fingerprint,
     so a manifest line is enough to re-derive the exact faulted dataset
-    (the fingerprint matches the ``faults=`` cache-key field).
+    (the trace cache holds clean captures; the plan is applied after).
     """
     skip = {"command", "obs_out", "faults"}
     params = {key: value for key, value in sorted(vars(args).items())

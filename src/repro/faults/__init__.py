@@ -6,7 +6,8 @@ experimental variable instead of an untested assumption:
 
 * :class:`FaultPlan` / :class:`FaultSpec` (:mod:`repro.faults.plan`) —
   the declarative, JSON-serialisable description of a noise campaign,
-  fingerprinted into trace-cache keys and obs run manifests;
+  fingerprinted into obs run manifests and applied to the clean
+  captures the trace cache returns;
 * the fault transforms (:mod:`repro.faults.transforms`) — seeded,
   composable corruptions of the columnar DCI stream (burst and i.i.d.
   capture loss, CRC-corrupt decodes, RNTI churn, clock skew, cell
@@ -22,12 +23,12 @@ Plans thread through the pipeline via ``runtime.configure(fault_plan=
 """
 
 from .plan import FaultPlan, FaultSpec
-from .transforms import (FaultInvariantError, apply_plan, apply_plan_set,
-                         fault_names, fault_param_names, get_fault,
-                         register_fault, validate_spec)
+from .transforms import (FaultInvariantError, apply_plan, fault_names,
+                         fault_param_names, get_fault, register_fault,
+                         validate_spec)
 
 __all__ = [
     "FaultInvariantError", "FaultPlan", "FaultSpec", "apply_plan",
-    "apply_plan_set", "fault_names", "fault_param_names", "get_fault",
-    "register_fault", "validate_spec",
+    "fault_names", "fault_param_names", "get_fault", "register_fault",
+    "validate_spec",
 ]

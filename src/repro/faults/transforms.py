@@ -29,7 +29,7 @@ from typing import Callable, Dict, List
 import numpy as np
 
 from ..lte.identifiers import CRNTI_MAX, CRNTI_MIN
-from ..sniffer.trace import Trace, TraceSet
+from ..sniffer.trace import Trace
 
 FaultFn = Callable[..., Trace]
 
@@ -339,11 +339,3 @@ def apply_plan(trace: Trace, plan, item_seed: int = 0) -> Trace:
         out = fn(out, plan.rng_for(index, item_seed), **spec.kwargs())
         _check_invariants(out, spec.name)
     return out
-
-
-def apply_plan_set(traces: TraceSet, plan, base_seed: int = 0) -> TraceSet:
-    """Apply ``plan`` across a TraceSet (item seeds = base_seed + index)."""
-    if plan is None or plan.is_noop:
-        return traces
-    return TraceSet([apply_plan(trace, plan, item_seed=base_seed + index)
-                     for index, trace in enumerate(traces)])

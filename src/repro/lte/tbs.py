@@ -229,28 +229,6 @@ def neg_pf_instantaneous_bytes_tuple() -> Tuple[float, ...]:
     return tuple(neg_pf_instantaneous_bytes_array().tolist())
 
 
-def prb_needed_batch(pending_bytes: np.ndarray,
-                     i_tbs: np.ndarray) -> np.ndarray:
-    """Unbounded-budget :func:`grant_for_bytes` for a batch of demands.
-
-    For each demand, the smallest PRB count whose TBS carries
-    ``pending_bytes`` at that ``i_tbs`` — i.e. what ``grant_for_bytes``
-    returns when ``max_prb`` is not binding.  Demands too large for even
-    ``MAX_PRB`` PRBs come back as ``MAX_PRB + 1``; callers treat any
-    need exceeding their remaining budget as a saturated grant, exactly
-    mirroring the scalar function's ``row[max_prb-1]//8 <= pending``
-    saturation edge.
-    """
-    pending = np.asarray(pending_bytes, dtype=np.int64)
-    itbs = np.asarray(i_tbs, dtype=np.int64)
-    table = tbs_bytes_array()
-    # Rows are non-decreasing, so "count of entries < pending" is the
-    # side="left" insertion point; one broadcast beats a per-unique-row
-    # searchsorted loop for the batch sizes the TTI loop sees.
-    return (table[itbs] < pending[:, None]).sum(axis=1,
-                                                dtype=np.int64) + 1
-
-
 def grant_for_bytes(pending_bytes: int, mcs: int, max_prb: int) -> Tuple[int, int]:
     """Pick the smallest PRB allocation carrying ``pending_bytes``.
 

@@ -1,8 +1,9 @@
 """JSONL run manifests: one line of provenance per experiment run.
 
 A manifest line answers, months later, "what exactly produced this
-table?": the command and its parameters, the simulator code
-fingerprint, per-stage span wall times, and the final metric snapshot
+table?": the command and its parameters, the code fingerprint (the
+digest of every ``repro`` source file plus numpy that the trace cache
+keys on), per-stage span wall times, and the final metric snapshot
 (decoder/tracker/mapper/cache/parallel-map counters).  Lines are
 appended, so one file accumulates a run history that ``repro report``
 renders.
@@ -13,7 +14,7 @@ Schema (version 1) — one JSON object per line::
       "schema": 1,
       "command":  "experiment",          # CLI command (or caller label)
       "params":   {...},                 # run parameters, JSON-safe
-      "code_fingerprint": "<sha256>",    # simulator source digest
+      "code_fingerprint": "<sha256>",    # repro source + numpy digest
       "started_unix": 1720000000.0,      # wall-clock start (epoch s)
       "wall_s":   12.34,                 # total run wall time
       "ok":       true,                  # false if the run raised

@@ -1,8 +1,8 @@
 """``repro.runtime`` — parallel execution + trace caching for the pipeline.
 
 One process-global configuration decides how much hardware the
-capture→train→attack pipeline may use and whether simulated traces are
-memoised on disk.  Hot paths ask this module for their executor
+capture→train→attack pipeline may use and whether simulated captures
+are memoised on disk.  Hot paths ask this module for their executor
 (:func:`mapper`) and their cache (:func:`trace_cache`) instead of
 hard-coding either, so a single CLI flag or environment variable tunes
 the whole pipeline:
@@ -11,6 +11,12 @@ the whole pipeline:
 * ``REPRO_TRACE_CACHE`` — ``0``/``off`` disables the on-disk cache;
 * ``REPRO_TRACE_CACHE_DIR`` — cache location (default: XDG cache home);
 * ``REPRO_TRACE_CACHE_MB`` — LRU size bound in megabytes.
+
+The cache holds clean simulations only, one ``TraceSet`` NPZ per
+capture or conversation, keyed on the capture parameters and the
+whole-source :func:`code_fingerprint`; the process-wide
+:func:`fault_plan` is applied to what the cache returns, so faulted
+and clean runs share entries.
 
 :func:`configure` sets knobs for the process; :func:`overrides` scopes
 them to a ``with`` block (used by experiment drivers' ``workers=``
@@ -124,14 +130,10 @@ def mapper(workers: Optional[int] = None) -> ParallelMap:
 def fault_plan() -> Optional[object]:
     """The process-wide FaultPlan, or ``None`` for fault-free runs.
 
-    Noop plans (no faults) normalise to ``None`` so a fault-free plan is
-    indistinguishable from no plan everywhere downstream — cache keys,
-    manifests, and the faulted-trace bytes themselves.
+    ``repro.faults.apply_plan`` treats ``None`` and noop plans alike,
+    so this returns the configured plan as is.
     """
-    plan = _config.fault_plan
-    if plan is not None and getattr(plan, "is_noop", False):
-        return None
-    return plan
+    return _config.fault_plan
 
 
 def trace_cache() -> Optional[TraceCache]:

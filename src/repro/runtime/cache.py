@@ -1,28 +1,31 @@
-"""Content-addressed on-disk cache for simulated traces.
+"""Content-addressed on-disk cache for simulated captures.
 
 Every experiment regenerates identical seeded traces from scratch; at
 ``full`` scale that is minutes of pure waste per table.  This cache
-keys each simulation on *everything that determines its output*:
+stores what the simulator produces — the *clean* capture, before any
+fault plan degrades it — keyed on everything that determines it:
 
 * the capture parameters (app, operator, duration, seed, day,
   background count, settle time);
-* a **code fingerprint** — a digest of every source file the simulator
-  executes (``lte``, ``apps``, ``sniffer``, ``operators`` packages plus
-  ``core/dataset.py``) — so editing the simulator silently invalidates
-  every stale entry without any manual versioning.
+* a **code fingerprint** — a digest of every ``*.py`` file under
+  ``src/repro`` plus the numpy version — so any source edit yields a
+  disjoint key space without manual versioning.  That invalidates more
+  than strictly needed, but no edit can leave a stale key.
 
-:class:`~repro.sniffer.trace.Trace` values are stored as
-*uncompressed* NPZ (``<sha256>.npz``) and read back memory-mapped
-(``mmap_mode="r"``), so a cache hit hands the simulator's columnar
-arrays to the feature pipeline zero-copy straight out of the page
-cache; everything else is pickled to ``<sha256>.pkl``.  Both lanes
-write via write-to-temp + ``os.replace``, so concurrent writers
+Every entry is one *uncompressed* :class:`~repro.sniffer.trace.TraceSet`
+NPZ (``<sha256>.npz``; a capture is a one-member set, a conversation a
+two-member set) read back memory-mapped (``mmap_mode="r"``), so a hit
+hands the columns to the feature pipeline zero-copy straight out of
+the page cache, and nothing read from the directory is ever unpickled.
+Writes go via write-to-temp + ``os.replace``, so concurrent writers
 (parallel pytest runs, multi-process fan-outs) can never leave a torn
-entry; the worst case is writing the same bytes twice.  A byte-size LRU bound keeps the
-directory from growing without limit: recency is ``st_mtime`` (hits
-touch their entry via ``os.utime``, which bumps atime *and* mtime),
-and eviction walks entries oldest-mtime first with a deterministic
-filename tie-break.
+entry; the worst case is writing the same bytes twice.  A byte-size
+LRU bound keeps the directory from growing without limit: recency is
+``st_mtime`` (hits touch their entry via ``os.utime``, which bumps
+atime *and* mtime), and eviction walks entries oldest-mtime first with
+a deterministic filename tie-break.  Legacy ``*.pkl`` entries are
+still listed, so the LRU bound and ``cache --clear`` remove them;
+nothing reads them.
 """
 
 from __future__ import annotations
@@ -30,11 +33,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import List, Optional
+
+import numpy as np
 
 from .. import obs
 
@@ -45,32 +49,30 @@ CACHE_MB_ENV = "REPRO_TRACE_CACHE_MB"    # LRU bound in megabytes
 
 DEFAULT_MAX_BYTES = 1 << 30              # 1 GiB
 
-#: Source trees whose code decides what a simulated trace looks like.
-_SIM_PACKAGES = ("lte", "apps", "sniffer", "operators")
-_SIM_MODULES = ("core/dataset.py",)
-
 _FINGERPRINT: Optional[str] = None
 
 
-def code_fingerprint() -> str:
-    """Digest of the simulator's source code (cached per process).
+def fingerprinted_files() -> List[Path]:
+    """The source files :func:`code_fingerprint` digests, in order."""
+    return sorted(Path(__file__).resolve().parent.parent.rglob("*.py"))
 
-    Any edit to the packages that produce traces yields a new
-    fingerprint, and therefore a disjoint key space: stale entries are
-    never *returned*, only eventually evicted by the LRU bound.
+
+def code_fingerprint() -> str:
+    """Digest of every ``repro`` source file and numpy (cached per process).
+
+    Any source edit yields a new fingerprint, and therefore a disjoint
+    key space: stale entries are never *returned*, only eventually
+    evicted by the LRU bound.
     """
     global _FINGERPRINT
     if _FINGERPRINT is None:
         root = Path(__file__).resolve().parent.parent
-        digest = hashlib.sha256()
-        paths = []
-        for package in _SIM_PACKAGES:
-            paths.extend(sorted((root / package).glob("*.py")))
-        paths.extend(root / module for module in _SIM_MODULES)
-        for path in paths:
+        digest = hashlib.sha256(f"numpy {np.__version__}\0".encode())
+        for path in fingerprinted_files():
             digest.update(str(path.relative_to(root)).encode())
             digest.update(b"\0")
             digest.update(path.read_bytes())
+            digest.update(b"\0")
         _FINGERPRINT = digest.hexdigest()
     return _FINGERPRINT
 
@@ -119,7 +121,7 @@ class CacheStats:
 
 
 class TraceCache:
-    """Content-addressed pickle store with an LRU byte bound.
+    """Content-addressed store of ``TraceSet`` NPZ entries, LRU-bounded.
 
     Args:
         directory: where entries live (created on demand).
@@ -156,62 +158,35 @@ class TraceCache:
         return hashlib.sha256(canonical.encode()).hexdigest()
 
     def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.pkl"
-
-    def _npz_path(self, key: str) -> Path:
         return self.directory / f"{key}.npz"
 
     # -- read / write -------------------------------------------------------------
 
     def get(self, key: str):
-        """The cached value, or ``None`` on miss (or torn/corrupt entry)."""
+        """The cached ``TraceSet``, or ``None`` on miss (or torn entry)."""
         with obs.span("cache.get"):
             return self._get(key)
 
     def _get(self, key: str):
-        # NPZ lane first: Trace entries come back memory-mapped, so a
-        # hit costs metadata reads only — record columns stay on disk
-        # until a consumer actually touches them.
-        from ..sniffer.trace import Trace
-        npz_path = self._npz_path(key)
-        try:
-            value = Trace.from_npz(npz_path, mmap_mode="r")
-        except FileNotFoundError:
-            pass                      # no NPZ entry: fall through to pickle
-        except Exception:
-            # Torn or incompatible NPZ: drop it and treat as a miss.
-            self.stats.misses += 1
-            self._misses_obs.inc()
-            try:
-                npz_path.unlink()
-            except OSError:
-                pass
-            return None
-        else:
-            self.stats.hits += 1
-            self._hits_obs.inc()
-            try:
-                os.utime(npz_path)
-            except OSError:
-                pass
-            return value
+        # Columns come back memory-mapped, so a hit costs metadata
+        # reads only — record data stays on disk until a consumer
+        # actually touches it.
+        from ..sniffer.trace import TraceSet
         path = self._path(key)
         try:
-            with path.open("rb") as handle:
-                value = pickle.load(handle)
+            value = TraceSet.from_npz(path, mmap_mode="r")
         except FileNotFoundError:
-            self.stats.misses += 1
-            self._misses_obs.inc()
-            return None
+            value = None
         except Exception:
-            # Corrupt or half-written by a pre-atomic-write version:
-            # drop it and treat as a miss.
-            self.stats.misses += 1
-            self._misses_obs.inc()
+            # Torn or incompatible entry: drop it and treat as a miss.
+            value = None
             try:
                 path.unlink()
             except OSError:
                 pass
+        if value is None:
+            self.stats.misses += 1
+            self._misses_obs.inc()
             return None
         self.stats.hits += 1
         self._hits_obs.inc()
@@ -222,28 +197,20 @@ class TraceCache:
         return value
 
     def put(self, key: str, value) -> None:
-        """Atomically store ``value``; concurrent writers never collide."""
+        """Atomically store a ``TraceSet``; concurrent writers never collide."""
         with obs.span("cache.put"):
             self._put(key, value)
 
     def _put(self, key: str, value) -> None:
-        from ..sniffer.trace import Trace
         self.directory.mkdir(parents=True, exist_ok=True)
-        if isinstance(value, Trace):
-            # Uncompressed NPZ keeps every column ZIP_STORED, which is
-            # the precondition for the zero-copy mmap read in _get.
-            path = self._npz_path(key)
-            writer = lambda handle: value.to_npz(handle, compressed=False)
-        else:
-            path = self._path(key)
-            writer = lambda handle: pickle.dump(
-                value, handle, protocol=pickle.HIGHEST_PROTOCOL)
         fd, tmp_name = tempfile.mkstemp(dir=str(self.directory),
                                         suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
-                writer(handle)
-            os.replace(tmp_name, path)
+                # Uncompressed NPZ keeps every column ZIP_STORED, which
+                # is the precondition for the zero-copy mmap read.
+                value.to_npz(handle, compressed=False)
+            os.replace(tmp_name, self._path(key))
         except BaseException:
             try:
                 os.unlink(tmp_name)
@@ -266,7 +233,8 @@ class TraceCache:
         come back sorted by ``(mtime, filename)``, least recently used
         first, so eviction order is deterministic even when several
         entries share one timestamp (coarse filesystem clocks, batch
-        writes).
+        writes).  Legacy ``*.pkl`` entries are listed too, so the bound
+        and :meth:`clear` still remove them.
         """
         out = []
         try:

@@ -6,7 +6,7 @@ deterministic ``json`` document for tooling.  JSON schema (version 1)::
     {
       "version": 1,
       "schema": 1,                      # finding schema version
-      "code_fingerprint": "…",          # digest of the attack sources
+      "code_fingerprint": "…",          # repro source digest, 16 hex
       "detectors": ["app-fingerprint", …],   # composition order
       "findings": [ {finding…}, … ],    # see repro.scan.findings
       "counts": {"app-fingerprint": 3, …},   # per detector, sorted
@@ -23,58 +23,16 @@ both round-trip through one schema validator.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import Counter
-from pathlib import Path
-from typing import List, Optional
+from typing import List
 
+from ..runtime import code_fingerprint
 from .engine import ScanResult
 from .findings import (SCHEMA_VERSION, SEVERITIES, max_severity,
                        validate_finding)
 
 REPORT_VERSION = 1
-
-#: Sources whose behaviour defines scan output: the scan package, the
-#: table drivers whose campaigns the detectors run, and the attack
-#: implementations underneath them.
-_FINGERPRINT_MODULES = (
-    "scan", "experiments/common.py", "experiments/table3_lab.py",
-    "experiments/table5_history.py", "experiments/table6_similarity.py",
-    "experiments/table7_correlation.py", "core/features.py",
-    "core/fingerprint.py", "core/history.py", "core/correlation.py",
-    "sniffer/identity.py", "stream/fusion.py",
-)
-
-_CODE_FINGERPRINT: Optional[str] = None
-
-
-def scan_code_fingerprint() -> str:
-    """Digest of the scanner + attack sources (cached per process).
-
-    Stamped into every report so a finding can always be traced to the
-    exact detector code that produced it — the report-level analogue of
-    the trace cache's :func:`~repro.runtime.cache.code_fingerprint`.
-    """
-    global _CODE_FINGERPRINT
-    if _CODE_FINGERPRINT is None:
-        root = Path(__file__).resolve().parent.parent
-        digest = hashlib.sha256()
-        paths: List[Path] = []
-        for entry in _FINGERPRINT_MODULES:
-            target = root / entry
-            if target.is_dir():
-                paths.extend(sorted(target.glob("*.py")))
-            else:
-                paths.append(target)
-        for path in paths:
-            digest.update(str(path.relative_to(root)).encode())
-            digest.update(b"\0")
-            digest.update(path.read_bytes())
-            digest.update(b"\0")
-        _CODE_FINGERPRINT = digest.hexdigest()[:16]
-    return _CODE_FINGERPRINT
-
 
 def as_document(result: ScanResult) -> dict:
     """The JSON-format report as a plain dict (deterministic ordering)."""
@@ -83,7 +41,9 @@ def as_document(result: ScanResult) -> dict:
     return {
         "version": REPORT_VERSION,
         "schema": SCHEMA_VERSION,
-        "code_fingerprint": scan_code_fingerprint(),
+        # The whole-source digest the trace cache keys on, so a finding
+        # traces back to the exact code that produced it.
+        "code_fingerprint": code_fingerprint()[:16],
         "detectors": list(result.detectors),
         "findings": [f.as_dict() for f in result.findings],
         "counts": {detector: counts[detector]

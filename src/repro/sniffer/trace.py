@@ -404,15 +404,6 @@ class Trace:
         """Materialised list of records (compatibility accessor)."""
         return list(self)
 
-    def record_at(self, index: int) -> TraceRecord:
-        """The record at ``index`` as a :class:`TraceRecord`."""
-        if not -self._n <= index < self._n:
-            raise IndexError(index)
-        return TraceRecord(time_s=float(self.times_s[index]),
-                           rnti=int(self.rntis[index]),
-                           direction=Direction(int(self.directions[index])),
-                           tbs_bytes=int(self.tbs_bytes[index]))
-
     def append(self, record: TraceRecord) -> None:
         n = self._n
         if n and record.time_s < self._times[n - 1]:

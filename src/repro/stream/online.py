@@ -86,12 +86,6 @@ class OnlineClassifier:
         closed = self.windowizer(source).finish()
         return self._classify(source, closed)
 
-    def finish_all(self) -> List[WindowVerdict]:
-        verdicts: List[WindowVerdict] = []
-        for source in self._source_order:
-            verdicts.extend(self.finish(source))
-        return verdicts
-
     def _classify(self, source: str,
                   closed: ClosedWindows) -> List[WindowVerdict]:
         if not len(closed):

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -101,17 +101,6 @@ class ClosedWindows:
                    win_start_s=np.empty(0, dtype=np.float64),
                    win_end_s=np.empty(0, dtype=np.float64),
                    lag_s=np.empty(0, dtype=np.float64))
-
-    @classmethod
-    def concat(cls, batches: Sequence["ClosedWindows"]) -> "ClosedWindows":
-        batches = [b for b in batches if len(b)]
-        if not batches:
-            return cls.empty()
-        return cls(
-            rows=np.concatenate([b.rows for b in batches], axis=0),
-            win_start_s=np.concatenate([b.win_start_s for b in batches]),
-            win_end_s=np.concatenate([b.win_end_s for b in batches]),
-            lag_s=np.concatenate([b.lag_s for b in batches]))
 
 
 class StreamingWindowizer:

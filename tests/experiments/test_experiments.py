@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro import runtime
+from repro.apps import app_names
+from repro.core.dataset import collect_trace, collect_traces
 from repro.experiments import (SCALES, Scale, ablations, format_table,
                                get_scale)
 from repro.experiments import cost_model as cost_experiment
@@ -9,7 +12,7 @@ from repro.experiments.table3_lab import run_fingerprinting
 from repro.experiments.table5_history import TABLE_V_SCRIPT, build_visits
 from repro.experiments.table6_similarity import conversational_apps
 from repro.experiments.table8_algorithms import CATEGORY_ORDER
-from repro.operators import LAB
+from repro.operators import LAB, TMOBILE
 
 #: A micro scale so experiment plumbing tests stay fast.
 MICRO = Scale(name="micro", traces_per_app=2, trace_duration_s=12.0,
@@ -95,6 +98,20 @@ class TestCostExperiment:
                                                    n_trees=4)
         assert units.collect_per_instance > 0
         assert units.train_per_instance >= 0
+
+    def test_warm_cache_does_not_price_collection(self, tmp_path):
+        # Warm exactly the entries measure_unit_costs would read.
+        with runtime.overrides(cache_enabled=True, cache_dir=tmp_path):
+            collect_trace("YouTube", operator=TMOBILE, duration_s=8.0,
+                          seed=1)
+            collect_traces(list(app_names()), operator=TMOBILE,
+                           traces_per_app=1, duration_s=8.0, seed=2)
+            runtime.reset_stats()
+            cost_experiment.measure_unit_costs(duration_s=8.0, seed=1,
+                                               n_trees=2)
+            stats = runtime.stats()
+        assert stats.simulations == 1 + len(app_names())
+        assert stats.cache.hits == 0
 
     def test_run_produces_breakdown(self):
         result = cost_experiment.run(MICRO, seed=2)

@@ -2,18 +2,18 @@
 
 The acceptance criteria for the fault subsystem live here: a plan with
 identical (params, seed) must yield bit-identical traces on the serial
-and process ParallelMap backends, must key the trace cache differently
-from an unfaulted run, and a fault-free plan must be indistinguishable
-from no plan at all.
+and process ParallelMap backends and with the trace cache cold, warm or
+off; the cache holds the clean capture only, so faulted and clean runs
+share one entry and an edited transform is never served stale; and a
+fault-free plan must be indistinguishable from no plan at all.
 """
 
 import numpy as np
 import pytest
 
 from repro import runtime
-from repro.core.dataset import (_trace_key, collect_pair, collect_trace,
-                                collect_traces)
-from repro.faults import FaultPlan, FaultSpec
+from repro.core.dataset import collect_pair, collect_trace, collect_traces
+from repro.faults import FaultPlan, FaultSpec, fault_names, transforms
 from repro.operators import LAB
 
 PLAN = FaultPlan.build(
@@ -74,17 +74,22 @@ class TestBackendBitIdentity:
 
 
 class TestCacheSemantics:
-    def test_faulted_key_differs_from_clean(self, tmp_path):
+    def test_faulted_run_hits_the_clean_entry(self, tmp_path):
         with runtime.overrides(cache_enabled=True, cache_dir=tmp_path):
-            cache = runtime.trace_cache()
-            clean = _trace_key(cache, "YouTube", LAB, 8.0, 4, 0, 0, 1.0)
-            faulted = _trace_key(cache, "YouTube", LAB, 8.0, 4, 0, 0, 1.0,
-                                 fault_plan=PLAN)
-            reseeded = _trace_key(
-                cache, "YouTube", LAB, 8.0, 4, 0, 0, 1.0,
+            faulted = collect_trace("YouTube", operator=LAB,
+                                    duration_s=8.0, seed=4,
+                                    fault_plan=PLAN)
+            runtime.reset_stats()
+            clean = collect_trace("YouTube", operator=LAB, duration_s=8.0,
+                                  seed=4)
+            reseeded = collect_trace(
+                "YouTube", operator=LAB, duration_s=8.0, seed=4,
                 fault_plan=FaultPlan(faults=PLAN.faults, seed=8))
-        assert clean != faulted
-        assert faulted != reseeded
+            stats = runtime.stats()
+        assert stats.simulations == 0
+        assert stats.cache.hits == 2
+        assert not np.array_equal(clean.times_s, faulted.times_s)
+        assert not np.array_equal(faulted.times_s, reseeded.times_s)
 
     def test_warm_cache_rerun_simulates_nothing(self, tmp_path):
         with runtime.overrides(cache_enabled=True, cache_dir=tmp_path):
@@ -98,21 +103,82 @@ class TestCacheSemantics:
             assert runtime.stats().simulations == 0
         assert_sets_identical(first, second)
 
-    def test_faulted_and_clean_runs_populate_disjoint_entries(self,
-                                                              tmp_path):
+    def test_faulted_and_clean_share_one_entry(self, tmp_path):
         with runtime.overrides(cache_enabled=True, cache_dir=tmp_path):
+            runtime.reset_stats()
             clean = collect_trace("YouTube", operator=LAB, duration_s=8.0,
                                   seed=4)
             faulted = collect_trace("YouTube", operator=LAB,
                                     duration_s=8.0, seed=4,
                                     fault_plan=PLAN)
-            runtime.reset_stats()
-            # Both entries are warm now; neither rerun simulates.
-            collect_trace("YouTube", operator=LAB, duration_s=8.0, seed=4)
-            collect_trace("YouTube", operator=LAB, duration_s=8.0, seed=4,
-                          fault_plan=PLAN)
-            assert runtime.stats().simulations == 0
+            assert runtime.stats().simulations == 1
+            assert len(runtime.trace_cache().entries()) == 1
         assert not np.array_equal(clean.times_s, faulted.times_s)
+
+    def test_swapped_transform_is_not_served_stale(self, tmp_path,
+                                                   monkeypatch):
+        plan = FaultPlan.build(FaultSpec.make("capture_loss", rate=0.2),
+                               seed=3)
+        kwargs = dict(operator=LAB, duration_s=8.0, seed=4)
+        with runtime.overrides(cache_enabled=True, cache_dir=tmp_path):
+            lossy = collect_trace("YouTube", fault_plan=plan, **kwargs)
+            # Edit the transform: capture_loss now keeps every record.
+            monkeypatch.setitem(transforms._REGISTRY, "capture_loss",
+                                lambda trace, rng, *, rate: trace)
+            edited = collect_trace("YouTube", fault_plan=plan, **kwargs)
+            clean = collect_trace("YouTube", **kwargs)
+        assert len(lossy) < len(clean)
+        assert_sets_identical([edited], [clean])
+
+
+#: Parameters that make each registered fault alter an 8 s capture.
+FAULT_PARAMS = {
+    "burst_loss": dict(rate=0.25, burst_s=0.5),
+    "capture_loss": dict(rate=0.2),
+    "cell_outage": dict(start_s=2.0, duration_s=1.5),
+    "clock_skew": dict(skew=1e-4, jitter_s=1e-3),
+    "corrupt_decode": dict(rate=0.1),
+    "duplicate_decode": dict(rate=0.1),
+    "rnti_churn": dict(interval_s=2.0),
+}
+
+
+def _bytes_of(traces):
+    return [(trace.metadata(),
+             [(c.dtype.str, c.tobytes()) for c in _columns(trace)])
+            for trace in traces]
+
+
+@pytest.mark.parametrize("name", fault_names())
+def test_cache_cold_warm_off_give_identical_faulted_bytes(name, tmp_path):
+    plan = FaultPlan.build(FaultSpec.make(name, **FAULT_PARAMS[name]),
+                           seed=5)
+
+    def collect():
+        trace = collect_trace("YouTube", operator=LAB, duration_s=8.0,
+                              seed=4, fault_plan=plan)
+        pair = collect_pair("WhatsApp Call", "call", operator=LAB,
+                            duration_s=8.0, seed=5, fault_plan=plan)
+        return _bytes_of([trace, *pair])
+
+    with runtime.overrides(cache_enabled=False):
+        off = collect()
+        clean = _bytes_of([collect_trace("YouTube", operator=LAB,
+                                         duration_s=8.0, seed=4)])
+    with runtime.overrides(cache_enabled=True, cache_dir=tmp_path):
+        cold = collect()
+        entries = {path: path.read_bytes()
+                   for path, _, _ in runtime.trace_cache().entries()}
+        runtime.reset_stats()
+        warm = collect()
+        stats = runtime.stats()
+    assert stats.simulations == 0 and stats.cache.hits == 2
+    assert cold == off
+    assert warm == off
+    assert off[0] != clean[0]
+    # Faulting a memory-mapped hit never writes through to the entry.
+    assert len(entries) == 2
+    assert {path: path.read_bytes() for path in entries} == entries
 
 
 class TestNoopEquivalence:

@@ -1,16 +1,30 @@
 """The on-disk trace cache: correctness, invalidation, bounds, stats."""
 
 import os
-import pickle
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import runtime
 from repro.core.dataset import (PairSpec, collect_pairs, collect_trace,
                                 collect_traces)
 from repro.operators import LAB, TMOBILE
 from repro.runtime.cache import (TraceCache, cache_enabled_from_env,
-                                 code_fingerprint, max_bytes_from_env)
+                                 code_fingerprint, fingerprinted_files,
+                                 max_bytes_from_env)
+from repro.sniffer.trace import Trace, TraceRecord, TraceSet
+
+
+def _set(label, n=4):
+    """A one-member TraceSet whose label tells entries apart."""
+    records = [TraceRecord(time_s=i * 1e-3, rnti=0x0070, direction=1,
+                           tbs_bytes=100 + i) for i in range(n)]
+    return TraceSet([Trace(records, label=label)])
+
+
+def _label(value):
+    return value.traces[0].label
 
 
 @pytest.fixture()
@@ -26,8 +40,8 @@ class TestTraceCacheUnit:
         cache = TraceCache(tmp_path, fingerprint="v1")
         key = cache.key(kind="trace", app="YouTube", seed=3)
         assert cache.get(key) is None
-        cache.put(key, {"payload": [1, 2, 3]})
-        assert cache.get(key) == {"payload": [1, 2, 3]}
+        cache.put(key, _set("payload"))
+        assert _label(cache.get(key)) == "payload"
         assert cache.stats.misses == 1
         assert cache.stats.stores == 1
         assert cache.stats.hits == 1
@@ -44,12 +58,12 @@ class TestTraceCacheUnit:
 
     def test_fingerprint_change_invalidates(self, tmp_path):
         old = TraceCache(tmp_path, fingerprint="code-v1")
-        old.put(old.key(kind="trace", seed=1), "stale")
+        old.put(old.key(kind="trace", seed=1), _set("stale"))
         new = TraceCache(tmp_path, fingerprint="code-v2")
         # Same parameters, new simulator code: must be a miss.
         assert new.get(new.key(kind="trace", seed=1)) is None
         # The old code version still finds its own entry.
-        assert old.get(old.key(kind="trace", seed=1)) == "stale"
+        assert _label(old.get(old.key(kind="trace", seed=1))) == "stale"
 
     def test_code_fingerprint_is_stable_hex(self):
         first = code_fingerprint()
@@ -57,19 +71,26 @@ class TestTraceCacheUnit:
         assert len(first) == 64
         int(first, 16)
 
+    def test_fingerprint_covers_every_source_file(self):
+        package = Path(repro.__file__).resolve().parent
+        assert fingerprinted_files() == sorted(package.rglob("*.py"))
+
     def test_corrupt_entry_is_a_miss_and_removed(self, tmp_path):
         cache = TraceCache(tmp_path, fingerprint="v1")
         key = cache.key(seed=9)
-        cache.put(key, "fine")
+        cache.put(key, _set("fine"))
         path = cache._path(key)
         path.write_bytes(b"\x80 torn write")
         assert cache.get(key) is None
         assert not path.exists()
 
     def test_lru_eviction_keeps_newest(self, tmp_path):
-        payload = b"x" * 512
-        bound = 3 * (len(pickle.dumps(payload)) + 32)
-        cache = TraceCache(tmp_path, max_bytes=bound, fingerprint="v1")
+        payload = _set("x", n=64)
+        probe = TraceCache(tmp_path / "probe", fingerprint="v1")
+        probe.put("size", payload)
+        bound = 3 * probe.total_bytes() + 32
+        cache = TraceCache(tmp_path / "lru", max_bytes=bound,
+                           fingerprint="v1")
         keys = [cache.key(seed=i) for i in range(8)]
         for index, key in enumerate(keys):
             cache.put(key, payload)
@@ -83,7 +104,7 @@ class TestTraceCacheUnit:
     def test_clear_empties_directory(self, tmp_path):
         cache = TraceCache(tmp_path, fingerprint="v1")
         for seed in range(3):
-            cache.put(cache.key(seed=seed), seed)
+            cache.put(cache.key(seed=seed), _set(str(seed)))
         assert cache.clear() == 3
         assert cache.entries() == []
 
@@ -169,7 +190,7 @@ class TestLRURecency:
     def test_entries_sorted_by_mtime_then_name(self, tmp_path):
         cache = TraceCache(tmp_path, fingerprint="v1")
         for name in ("bb", "aa", "cc"):
-            cache.put(name, name)
+            cache.put(name, _set(name))
         # Force one shared timestamp: ties must break by filename.
         for path, _, _ in cache.entries():
             os.utime(path, (1000.0, 1000.0))
@@ -178,25 +199,26 @@ class TestLRURecency:
 
     def test_get_bumps_recency_via_mtime(self, tmp_path):
         cache = TraceCache(tmp_path, fingerprint="v1")
-        cache.put("old", "old")
-        cache.put("new", "new")
+        cache.put("old", _set("old"))
+        cache.put("new", _set("new"))
         for path, _, _ in cache.entries():
             os.utime(path, (1000.0, 1000.0))
-        assert cache.get("old") == "old"  # bump: now most recent
+        assert _label(cache.get("old")) == "old"  # bump: now most recent
         names = [path.name for path, _, _ in cache.entries()]
-        assert names[-1] == "old.pkl"
+        assert names[-1] == "old.npz"
 
     def test_eviction_follows_recency_not_insertion(self, tmp_path):
-        payload = b"x" * 512
-        cache = TraceCache(tmp_path, fingerprint="v1",
-                           max_bytes=3 * 1024)
+        payload = _set("x", n=16)
+        cache = TraceCache(tmp_path, fingerprint="v1")
         cache.put("first", payload)
+        entry = cache.total_bytes()
         cache.put("second", payload)
+        cache.max_bytes = 3 * entry + 16
         # Age both, then touch "first" so "second" is the LRU victim.
         for path, _, _ in cache.entries():
             os.utime(path, (1000.0, 1000.0))
         assert cache.get("first") is not None
-        cache.put("third", b"y" * 2048)
+        cache.put("third", _set("y", n=48))
         names = {path.name for path, _, _ in cache.entries()}
-        assert "first.pkl" in names
-        assert "second.pkl" not in names
+        assert "first.npz" in names
+        assert "second.npz" not in names

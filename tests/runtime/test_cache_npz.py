@@ -1,10 +1,10 @@
-"""Trace cache entries persist as NPZ and read back memory-mapped."""
+"""Trace cache entries persist as TraceSet NPZ and read back memory-mapped."""
 
 import numpy as np
 import pytest
 
 from repro.runtime.cache import TraceCache
-from repro.sniffer.trace import Trace, TraceRecord
+from repro.sniffer.trace import Trace, TraceRecord, TraceSet
 
 
 def _mmap_backed(array):
@@ -29,16 +29,15 @@ def cache(tmp_path):
 
 def test_trace_values_stored_as_npz(cache, tmp_path):
     key = cache.key(kind="trace", app="Netflix")
-    cache.put(key, _trace())
-    assert (tmp_path / f"{key}.npz").exists()
-    assert not (tmp_path / f"{key}.pkl").exists()
+    cache.put(key, TraceSet([_trace()]))
+    assert [path.name for path in tmp_path.iterdir()] == [f"{key}.npz"]
 
 
 def test_trace_hit_is_mmap_backed_and_equal(cache):
     trace = _trace()
     key = cache.key(kind="trace")
-    cache.put(key, trace)
-    hit = cache.get(key)
+    cache.put(key, TraceSet([trace]))
+    (hit,) = cache.get(key)
     for name in ("times_s", "rntis", "directions", "tbs_bytes"):
         assert np.array_equal(getattr(hit, name), getattr(trace, name))
         assert _mmap_backed(getattr(hit, name)), f"{name} copied on hit"
@@ -46,14 +45,16 @@ def test_trace_hit_is_mmap_backed_and_equal(cache):
     assert cache.stats.hits == 1
 
 
-def test_non_trace_values_still_pickle(cache, tmp_path):
-    pair = (_trace(100), _trace(100))
+def test_pair_values_stored_as_one_npz(cache, tmp_path):
+    pair = TraceSet([_trace(100), _trace(60)])
     key = cache.key(kind="pair")
     cache.put(key, pair)
-    assert (tmp_path / f"{key}.pkl").exists()
+    assert [path.name for path in tmp_path.iterdir()] == [f"{key}.npz"]
     hit = cache.get(key)
-    assert len(hit) == 2
-    assert np.array_equal(hit[0].times_s, pair[0].times_s)
+    assert [len(leg) for leg in hit] == [100, 60]
+    for leg, original in zip(hit, pair):
+        assert np.array_equal(leg.times_s, original.times_s)
+        assert _mmap_backed(leg.times_s)
 
 
 def test_torn_npz_entry_is_a_miss_and_removed(cache, tmp_path):
@@ -65,10 +66,14 @@ def test_torn_npz_entry_is_a_miss_and_removed(cache, tmp_path):
 
 
 def test_npz_entries_participate_in_lru_accounting(cache, tmp_path):
-    cache.put(cache.key(kind="a"), _trace(500))
-    cache.put(cache.key(kind="b"), ["plain", "pickle"])
+    cache.put(cache.key(kind="a"), TraceSet([_trace(500)]))
+    # A pickle entry written by an older version: never read, but
+    # counted, evicted and cleared like any other entry.
+    (tmp_path / "legacy.pkl").write_bytes(b"\x80\x05N.")
+    assert cache.get("legacy") is None
     entries = cache.entries()
     assert len(entries) == 2
     suffixes = sorted(path.suffix for path, _, _ in entries)
     assert suffixes == [".npz", ".pkl"]
     assert cache.total_bytes() > 0
+    assert cache.clear() == 2

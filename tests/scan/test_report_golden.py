@@ -3,7 +3,7 @@
 The committed goldens pin the exact text and JSON a micro-scale scan
 renders (``REPRO_UPDATE_GOLDENS=1`` regenerates them).  The volatile
 ``code_fingerprint`` stamp — which by design changes whenever any
-attack source changes — is normalised to a fixed placeholder before
+``repro`` source file changes — is normalised to a fixed placeholder before
 comparison, so the goldens guard the *report*, and the stamp guards
 the code.
 """
@@ -14,16 +14,16 @@ from pathlib import Path
 
 import pytest
 
+from repro.runtime import code_fingerprint
 from repro.scan.report import (REPORT_VERSION, as_document, render_json,
-                               render_text, scan_code_fingerprint,
-                               validate_document)
+                               render_text, validate_document)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 PLACEHOLDER = "0" * 16
 
 
 def _normalise(text: str) -> str:
-    return text.replace(scan_code_fingerprint(), PLACEHOLDER)
+    return text.replace(code_fingerprint()[:16], PLACEHOLDER)
 
 
 def _check_golden(name: str, rendered: str) -> None:
