@@ -61,23 +61,21 @@ bench-lint:
 ## Simulator benchmark: TTI-loop grants/s on a 2048-UE cell, per-TTI
 ## cost across cell sizes for each lane, and the sharded city scaling
 ## sweep; writes BENCH_simulator.json and fails below the grants/s
-## floor or above a per-TTI ceiling (cf. `lte-fingerprint bench sim`).
+## floor or above a per-TTI ceiling.
 bench-sim:
 	$(PYTHON) benchmarks/bench_simulator.py
 
 ## Inference-plane benchmark: flattened forest predict vs the object
 ## descent, the small-batch forest lane sweep and the batched DTW
 ## similarity matrix vs its scalar reference; writes
-## BENCH_inference.json and fails below the floors
-## (cf. `lte-fingerprint bench infer`).
+## BENCH_inference.json and fails below the floors.
 bench-infer:
 	$(PYTHON) benchmarks/bench_inference.py
 
 ## Streaming data-plane benchmark: sustained windowizer ingest (output
 ## asserted bit-identical to extract_features, ring memory bounded) and
 ## end-to-end service throughput with p99 window-close latency; writes
-## BENCH_stream.json and fails below the floors
-## (cf. `lte-fingerprint bench stream`).
+## BENCH_stream.json and fails below the floors or above the ceilings.
 bench-stream:
 	$(PYTHON) benchmarks/bench_stream.py
 

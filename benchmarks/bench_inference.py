@@ -29,31 +29,27 @@ Every comparison asserts identical outputs before timing counts.
 Results land in ``BENCH_inference.json`` at the repo root, then two
 guards run per workload:
 
-* the batched path must be at least ``MIN_SPEEDUP``× faster than the
-  scalar reference on the same inputs; for the lane sweep, the shipped
-  lane must be at least ``MIN_LANE_SPEEDUP``× faster than the vector
-  lane at ``LANE_FLOOR_ROWS`` rows on the shallow model;
+* the batched path must be at least ``MIN_FOREST_SPEEDUP``× (forest)
+  or ``MIN_MATRIX_SPEEDUP``× (matrix) faster than the scalar reference
+  on the same inputs; for the lane sweep, the shipped lane must be at
+  least ``MIN_LANE_SPEEDUP``× faster than the vector lane at
+  ``LANE_FLOOR_ROWS`` rows on the shallow model;
 * the measured speedup must not regress by more than 2× against the
-  committed ``BENCH_inference.json`` (loaded before overwriting).
+  committed ``BENCH_inference.json``.
 
-Run via ``make bench-infer``, ``python -m repro.cli bench infer``, or
-``python benchmarks/bench_inference.py``.
+Run via ``make bench-infer`` or
+``PYTHONPATH=src python benchmarks/bench_inference.py``.
 """
 
-import json
-import os
-import sys
-import time
-from pathlib import Path
+import contextlib
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-SRC = REPO_ROOT / "src"
-OUT = REPO_ROOT / "BENCH_inference.json"
+import harness
+
+OUT = harness.REPO_ROOT / "BENCH_inference.json"
 
 MIN_FOREST_SPEEDUP = 5.0
 MIN_MATRIX_SPEEDUP = 3.0
 MIN_LANE_SPEEDUP = 3.0
-REGRESSION_FACTOR = 2.0
 ROUNDS = 3
 
 N_TREES = 100
@@ -84,6 +80,15 @@ DEEP_MAX_DEPTH = 14
 PAIR_LANE_PAIRS = (1, 2, 3, 4, 8, 16, 32)
 PAIR_LANE_CALLS = 10
 
+GUARDS = (
+    harness.floor("forest_predict.speedup", MIN_FOREST_SPEEDUP),
+    harness.regression("forest_predict.speedup"),
+    harness.floor("similarity_matrix.speedup", MIN_MATRIX_SPEEDUP),
+    harness.regression("similarity_matrix.speedup"),
+    harness.floor("small_batch_lane.speedup", MIN_LANE_SPEEDUP),
+    harness.regression("small_batch_lane.speedup"),
+)
+
 
 def _fit_forest():
     import numpy as np
@@ -108,16 +113,12 @@ def _bench_forest():
     flat = forest.predict_proba(X)
     legacy = forest_predict_proba(forest, X)
     if not np.array_equal(flat, legacy):
-        return None
-    object_s = flat_s = float("inf")
-    for _ in range(ROUNDS):
-        started = time.perf_counter()
-        forest_predict_proba(forest, X)
-        object_s = min(object_s, time.perf_counter() - started)
-        started = time.perf_counter()
-        forest.predict_proba(X)
-        flat_s = min(flat_s, time.perf_counter() - started)
-    return object_s, flat_s
+        raise RuntimeError("flattened forest diverged from the object "
+                           "descent")
+    best, _ = harness.best_of(
+        {"object": lambda _: forest_predict_proba(forest, X),
+         "table": lambda _: forest.predict_proba(X)}, ROUNDS)
+    return best["object"], best["table"]
 
 
 def _make_traces():
@@ -157,16 +158,13 @@ def _bench_matrix():
     batched = similarity_matrix(traces, dtw_window=DTW_WINDOW, workers=1)
     reference = scalar_reference()
     if not np.array_equal(batched, reference):
-        return None
-    scalar_s = batch_s = float("inf")
-    for _ in range(ROUNDS):
-        started = time.perf_counter()
-        scalar_reference()
-        scalar_s = min(scalar_s, time.perf_counter() - started)
-        started = time.perf_counter()
-        similarity_matrix(traces, dtw_window=DTW_WINDOW, workers=1)
-        batch_s = min(batch_s, time.perf_counter() - started)
-    return scalar_s, batch_s
+        raise RuntimeError("batched similarity matrix diverged from the "
+                           "scalar reference")
+    best, _ = harness.best_of(
+        {"scalar": lambda _: scalar_reference(),
+         "batched": lambda _: similarity_matrix(traces, dtw_window=DTW_WINDOW,
+                                                workers=1)}, ROUNDS)
+    return best["scalar"], best["batched"]
 
 
 def _shallow_model():
@@ -195,25 +193,27 @@ def _deep_model(n_features):
     return model.fit(windows), windows.X
 
 
-def _best_per_call(call, pin, variants, calls):
-    """Best per-call seconds of ``call()`` with each ``(name, bound)`` of
-    ``variants`` pinned by ``pin``, interleaved over ``LANE_ROUNDS``
-    rounds of ``calls`` calls; ``None`` if any two outputs differ."""
+@contextlib.contextmanager
+def _warm_lane(pin, bound, call):
+    """Pin one lane with ``pin(bound)``, then warm it with one untimed
+    ``call()``."""
+    with pin(bound):
+        call()
+        yield
+
+
+def _pinned_best(call, pin, bounds, calls):
+    """Best per-call seconds of ``call()`` with ``pin`` set to each of
+    ``bounds`` (by name), ``LANE_ROUNDS`` interleaved rounds of ``calls``
+    calls.  Raises if any two outputs differ."""
     import numpy as np
 
-    best = {name: float("inf") for name, _ in variants}
-    outputs = []
-    for _ in range(LANE_ROUNDS):
-        for name, bound in variants:
-            with pin(bound):
-                outputs.append(call())
-                started = time.perf_counter()
-                for _ in range(calls):
-                    call()
-                best[name] = min(best[name], (time.perf_counter()
-                                              - started) / calls)
-    if any(not np.array_equal(out, outputs[0]) for out in outputs):
-        return None
+    best, outputs = harness.best_of(
+        dict.fromkeys(bounds, lambda _: call()), LANE_ROUNDS, calls=calls,
+        setup=lambda name: _warm_lane(pin, bounds[name], call))
+    first, *rest = (out for outs in outputs.values() for out in outs)
+    if any(not np.array_equal(out, first) for out in rest):
+        raise RuntimeError(f"the lanes {sorted(bounds)} disagreed")
     return best
 
 
@@ -225,11 +225,9 @@ def _lane_point(model, X, rows):
     from tests.ml.oracles import SCALAR, VECTOR, pinned_lane
 
     probe = X[np.random.default_rng(rows).integers(0, len(X), rows)]
-    best = _best_per_call(lambda: model.predict_apps(probe), pinned_lane,
-                          (("shipped", shipped), ("scalar", SCALAR),
-                           ("vector", VECTOR)), LANE_CALLS)
-    if best is None:
-        return None
+    best = _pinned_best(lambda: model.predict_apps(probe), pinned_lane,
+                        {"shipped": shipped, "scalar": SCALAR,
+                         "vector": VECTOR}, LANE_CALLS)
     return {"rows": rows,
             "lane": "scalar" if rows <= shipped else "vector",
             **{f"{name}_us": round(value * 1e6, 1)
@@ -245,8 +243,6 @@ def _lane_sweep():
                                 ("deep", deep, X_deep)):
         forests = [model._category_model, *model._app_models.values()]
         points = [_lane_point(model, rows_X, rows) for rows in LANE_ROWS]
-        if any(point is None for point in points):
-            return None
         scalar_wins = [point["rows"] for point in points
                        if point["scalar_us"] <= point["vector_us"]]
         sweep[name] = {
@@ -279,12 +275,10 @@ def _pair_lane_point(attack, probes, count):
     from tests.ml.oracles import PAIR_BATCH, PAIR_SCALAR, pinned_pair_lane
 
     probe = probes[:count]
-    best = _best_per_call(lambda: attack.decision_scores(probe),
-                          pinned_pair_lane,
-                          (("shipped", shipped), ("scalar", PAIR_SCALAR),
-                           ("batch", PAIR_BATCH)), PAIR_LANE_CALLS)
-    if best is None:
-        return None
+    best = _pinned_best(lambda: attack.decision_scores(probe),
+                        pinned_pair_lane,
+                        {"shipped": shipped, "scalar": PAIR_SCALAR,
+                         "batch": PAIR_BATCH}, PAIR_LANE_CALLS)
     comparisons = 4 * count
     return {"pairs": count, "comparisons": comparisons,
             "lane": "batch" if comparisons >= shipped else "scalar",
@@ -299,8 +293,6 @@ def _pair_lane_sweep():
     attack, probes = _pair_attack()
     points = [_pair_lane_point(attack, probes, count)
               for count in PAIR_LANE_PAIRS]
-    if any(point is None for point in points):
-        return None
     scalar_wins = [point["pairs"] for point in points
                    if point["scalar_ms"] <= point["batch_ms"]]
     return {"batch_min_comparisons": BATCH_MIN_COMPARISONS,
@@ -308,132 +300,23 @@ def _pair_lane_sweep():
             "points": points}
 
 
-def _previous_speedups():
-    if not OUT.exists():
-        return {}
-    try:
-        results = json.loads(OUT.read_text())["results"]
-        return {name: results[name]["speedup"]
-                for name in ("forest_predict", "similarity_matrix",
-                             "small_batch_lane")
-                if name in results}
-    except (ValueError, KeyError, TypeError):
-        return {}
-
-
-def _guard(name, speedup, floor, previous) -> int:
-    if speedup < floor:
-        print(f"FAIL: {name} speedup {speedup:.1f}x below the "
-              f"{floor:.0f}x floor", file=sys.stderr)
-        return 1
-    recorded = previous.get(name)
-    if recorded is not None and speedup < recorded / REGRESSION_FACTOR:
-        print(f"FAIL: {name} speedup {speedup:.1f}x regressed more than "
-              f"{REGRESSION_FACTOR:.0f}x against the recorded "
-              f"{recorded:.1f}x", file=sys.stderr)
-        return 1
-    return 0
-
-
 def main() -> int:
-    sys.path.insert(0, str(SRC))
-    sys.path.insert(0, str(REPO_ROOT))     # the tests.ml.oracles oracle
-    previous = _previous_speedups()
-
-    forest_times = _bench_forest()
-    if forest_times is None:
-        print("FAIL: flattened forest diverged from the object descent",
-              file=sys.stderr)
-        return 1
-    object_s, flat_s = forest_times
-    forest_speedup = object_s / flat_s
-
-    matrix_times = _bench_matrix()
-    if matrix_times is None:
-        print("FAIL: batched similarity matrix diverged from the scalar "
-              "reference", file=sys.stderr)
-        return 1
-    scalar_s, batch_s = matrix_times
-    matrix_speedup = scalar_s / batch_s
-
     from repro.ml.tables import SCALAR_LANE_MAX
 
+    object_s, flat_s = _bench_forest()
+    forest_speedup = object_s / flat_s
+    scalar_s, batch_s = _bench_matrix()
+    matrix_speedup = scalar_s / batch_s
     sweep = _lane_sweep()
-    if sweep is None:
-        print("FAIL: the forest lanes disagreed on predict_apps",
-              file=sys.stderr)
-        return 1
     floor_point = next(point for point in sweep["shallow"]["points"]
                        if point["rows"] == LANE_FLOOR_ROWS)
     lane_speedup = floor_point["vector_us"] / floor_point["shipped_us"]
-
     pair_sweep = _pair_lane_sweep()
-    if pair_sweep is None:
-        print("FAIL: the pair-scoring lanes disagreed on decision_scores",
-              file=sys.stderr)
-        return 1
 
-    document = {
-        "description": "Inference-plane hot paths, best of "
-                       f"{ROUNDS}: {N_TREES}-tree forest predict_proba "
-                       f"over {N_ROWS} rows (object descent vs flattened "
-                       "node tables) and the all-pairs DTW similarity "
-                       f"matrix over {N_TRACES} traces (per-cell scalar "
-                       "reference vs chunked multi-pair wavefront), and "
-                       "per-call hierarchical predict_apps across batch "
-                       "sizes as shipped and pinned to each forest lane "
-                       f"(best of {LANE_ROUNDS} rounds of {LANE_CALLS} "
-                       "calls), and per-call correlation decision_scores "
-                       "across pair counts as shipped and pinned to each "
-                       "pair-scoring lane (best of "
-                       f"{LANE_ROUNDS} rounds of {PAIR_LANE_CALLS} calls).  "
-                       "Outputs asserted identical before timing.",
-        "workload": {
-            "n_trees": N_TREES,
-            "max_depth": MAX_DEPTH,
-            "predict_rows": N_ROWS,
-            "n_features": N_FEATURES,
-            "n_classes": N_CLASSES,
-            "n_traces": N_TRACES,
-            "dtw_window": DTW_WINDOW,
-            "rounds": ROUNDS,
-            # Both timed paths run single-worker so speedups measure the
-            # batched kernels, not process fan-out; cpu_count is recorded
-            # because the regression guard compares runs across hosts.
-            "cpu_count": os.cpu_count(),
-        },
-        "results": {
-            "forest_predict": {
-                "object_wall_s": object_s,
-                "table_wall_s": flat_s,
-                "speedup": forest_speedup,
-                "min_speedup": MIN_FOREST_SPEEDUP,
-            },
-            "similarity_matrix": {
-                "scalar_wall_s": scalar_s,
-                "batched_wall_s": batch_s,
-                "speedup": matrix_speedup,
-                "min_speedup": MIN_MATRIX_SPEEDUP,
-            },
-            "small_batch_lane": {
-                "scalar_lane_max": SCALAR_LANE_MAX,
-                "floor_model": "shallow",
-                "floor_rows": LANE_FLOOR_ROWS,
-                "shipped_us": floor_point["shipped_us"],
-                "vector_us": floor_point["vector_us"],
-                "speedup": lane_speedup,
-                "min_speedup": MIN_LANE_SPEEDUP,
-            },
-            "lane_sweep": sweep,
-            "pair_lane_sweep": pair_sweep,
-        },
-    }
-    OUT.write_text(json.dumps(document, indent=2) + "\n")
     print(f"forest predict: object {object_s:.3f} s, table {flat_s:.3f} s "
-          f"-> {forest_speedup:.1f}x (target >= {MIN_FOREST_SPEEDUP:.0f}x)")
+          f"-> {forest_speedup:.1f}x")
     print(f"similarity matrix: scalar {scalar_s:.3f} s, batched "
-          f"{batch_s:.3f} s -> {matrix_speedup:.1f}x "
-          f"(target >= {MIN_MATRIX_SPEEDUP:.0f}x)")
+          f"{batch_s:.3f} s -> {matrix_speedup:.1f}x")
     for name, model_sweep in sweep.items():
         print(f"lane sweep ({name}, {model_sweep['trees']} trees, depth "
               f"{model_sweep['max_depth']}): scalar lane wins up to "
@@ -445,7 +328,7 @@ def main() -> int:
                   f"{point['scalar_us']:7.1f} us, vector "
                   f"{point['vector_us']:7.1f} us")
     print(f"small-batch lane at {LANE_FLOOR_ROWS} rows: {lane_speedup:.1f}x "
-          f"the vector lane (target >= {MIN_LANE_SPEEDUP:.0f}x)")
+          f"the vector lane")
     print(f"pair-scoring lane sweep: scalar lane wins up to "
           f"{pair_sweep['largest_scalar_win_pairs']} pairs; shipped bound "
           f"{pair_sweep['batch_min_comparisons']} comparisons")
@@ -454,15 +337,45 @@ def main() -> int:
               f"{point['shipped_ms']:7.3f} ms, scalar "
               f"{point['scalar_ms']:7.3f} ms, batch "
               f"{point['batch_ms']:7.3f} ms")
-    print(f"-> {OUT.name}")
 
-    return (_guard("forest_predict", forest_speedup,
-                   MIN_FOREST_SPEEDUP, previous)
-            or _guard("similarity_matrix", matrix_speedup,
-                      MIN_MATRIX_SPEEDUP, previous)
-            or _guard("small_batch_lane", lane_speedup,
-                      MIN_LANE_SPEEDUP, previous))
+    return harness.record(
+        OUT,
+        "Inference-plane hot paths, best of "
+        f"{ROUNDS}: {N_TREES}-tree forest predict_proba "
+        f"over {N_ROWS} rows (object descent vs flattened "
+        "node tables) and the all-pairs DTW similarity "
+        f"matrix over {N_TRACES} traces (per-cell scalar "
+        "reference vs chunked multi-pair wavefront), and "
+        "per-call hierarchical predict_apps across batch "
+        "sizes as shipped and pinned to each forest lane "
+        f"(best of {LANE_ROUNDS} rounds of {LANE_CALLS} "
+        "calls), and per-call correlation decision_scores "
+        "across pair counts as shipped and pinned to each "
+        "pair-scoring lane (best of "
+        f"{LANE_ROUNDS} rounds of {PAIR_LANE_CALLS} calls).  "
+        "Outputs asserted identical before timing.",
+        # Both timed paths run single-worker so speedups measure the
+        # batched kernels, not process fan-out.
+        {"n_trees": N_TREES, "max_depth": MAX_DEPTH,
+         "predict_rows": N_ROWS, "n_features": N_FEATURES,
+         "n_classes": N_CLASSES, "n_traces": N_TRACES,
+         "dtw_window": DTW_WINDOW, "rounds": ROUNDS},
+        {"forest_predict": {"object_wall_s": object_s,
+                            "table_wall_s": flat_s,
+                            "speedup": forest_speedup},
+         "similarity_matrix": {"scalar_wall_s": scalar_s,
+                               "batched_wall_s": batch_s,
+                               "speedup": matrix_speedup},
+         "small_batch_lane": {"scalar_lane_max": SCALAR_LANE_MAX,
+                              "floor_model": "shallow",
+                              "floor_rows": LANE_FLOOR_ROWS,
+                              "shipped_us": floor_point["shipped_us"],
+                              "vector_us": floor_point["vector_us"],
+                              "speedup": lane_speedup},
+         "lane_sweep": sweep,
+         "pair_lane_sweep": pair_sweep},
+        GUARDS)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    harness.run(main)

@@ -14,33 +14,28 @@ root:
   scalar lane and to its array lane.  The sweep is the evidence for
   ``repro.lte.engine.SCALAR_LANE_MAX``.
 
-Three absolute guards then apply:
+The guards:
 
 * on the 2048-UE cell the eNodeB must sustain at least
   ``MIN_GRANTS_PER_S`` grants per second;
 * that rate must not regress by more than 2× against the committed
-  ``BENCH_simulator.json`` (loaded before overwriting);
+  ``BENCH_simulator.json``;
 * at every swept cell size, the shipped eNodeB and each pinned lane may
   cost at most ``MAX_TTI_US_BASE + MAX_TTI_US_PER_UE * ues``
   microseconds per TTI.
 
-Run via ``make bench-sim``, ``python -m repro.cli bench sim``, or
-``python benchmarks/bench_simulator.py``.
+Run via ``make bench-sim`` or
+``PYTHONPATH=src python benchmarks/bench_simulator.py``.
 """
 
-import json
-import os
-import sys
-import time
-from pathlib import Path
+import contextlib
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-SRC = REPO_ROOT / "src"
-OUT = REPO_ROOT / "BENCH_simulator.json"
+import harness
+
+OUT = harness.REPO_ROOT / "BENCH_simulator.json"
 
 #: Grants per second the saturated 2048-UE cell must sustain.
 MIN_GRANTS_PER_S = 1_500.0
-REGRESSION_FACTOR = 2.0
 ROUNDS = 3
 
 N_UES = 2048
@@ -65,7 +60,12 @@ LEGACY_NOTE = ("The deleted per-UE object TTI loop took 15.7x the array "
                "a 2-CPU host; 16.7x historically) and 1.2-2.9x the shipped "
                "eNodeB's per-TTI time across the crossover sweep.")
 
-sys.path.insert(0, str(SRC))
+#: Sweep variants: the eNodeB as shipped, and pinned to each lane by
+#: moving its lane bound (``None`` keeps the shipped bound).
+LANE_BOUNDS = {"default": None, "scalar_lane": 1 << 30, "array_lane": 0}
+
+GUARDS = (harness.floor("grants_per_s", MIN_GRANTS_PER_S),
+          harness.regression("grants_per_s"))
 
 
 def _build_network():
@@ -87,18 +87,20 @@ def _build_network():
 
 def _time_crowded_cell():
     """Best-of-``ROUNDS`` wall time of the timed span, and its grants."""
-    best = float("inf")
-    grants = 0
-    for _ in range(ROUNDS):
+
+    @contextlib.contextmanager
+    def warm(_):
         net = _build_network()
         net.run_for(WARM_S)            # connection setup + loop warm-up
-        enb = net.cells["bench"].enb
-        before = enb.grants_issued
-        started = time.perf_counter()
+        yield net, net.cells["bench"].enb.grants_issued
+
+    def timed_span(warmed):
+        net, before = warmed
         net.run_for(TIMED_S)
-        best = min(best, time.perf_counter() - started)
-        grants = enb.grants_issued - before
-    return best, grants
+        return net.cells["bench"].enb.grants_issued - before
+
+    best, grants = harness.best_of({"cell": timed_span}, ROUNDS, setup=warm)
+    return best["cell"], grants["cell"][-1]
 
 
 def _crossover_cell(scheduler_name, n_ues):
@@ -123,20 +125,25 @@ def _crossover_cell(scheduler_name, n_ues):
     return net, sniffer
 
 
-def _time_tti_us(scheduler_name, n_ues):
-    """Wall time of one TTI in microseconds, and the records captured.
+@contextlib.contextmanager
+def _warm_sweep_cell(scheduler_name, n_ues, bound):
+    """A warmed sweep cell with the eNodeB's lane bound set to ``bound``.
 
-    Every UE keeps a backlog for the whole run, so each millisecond is
-    one TTI: ``SWEEP_TIMED_S * 1000`` TTIs are timed.
+    Every UE keeps a backlog for the whole run, so each millisecond
+    after the warm-up is one TTI.
     """
-    net, sniffer = _crossover_cell(scheduler_name, n_ues)
-    net.run_for(SWEEP_WARM_S)
-    if net.cells["sweep"].enb.connected_count != n_ues:
-        raise RuntimeError("sweep UEs not connected before timing")
-    started = time.perf_counter()
-    net.run_for(SWEEP_TIMED_S)
-    elapsed = time.perf_counter() - started
-    return elapsed / (SWEEP_TIMED_S * 1000) * 1e6, sniffer.total_records
+    from repro.lte import engine as engine_module
+
+    shipped = engine_module.SCALAR_LANE_MAX
+    engine_module.SCALAR_LANE_MAX = shipped if bound is None else bound
+    try:
+        net, sniffer = _crossover_cell(scheduler_name, n_ues)
+        net.run_for(SWEEP_WARM_S)
+        if net.cells["sweep"].enb.connected_count != n_ues:
+            raise RuntimeError("sweep UEs not connected before timing")
+        yield net, sniffer
+    finally:
+        engine_module.SCALAR_LANE_MAX = shipped
 
 
 def _max_tti_us(n_ues):
@@ -144,37 +151,27 @@ def _max_tti_us(n_ues):
 
 
 def _crossover_point(scheduler_name, n_ues):
-    """Best-of-``ROUNDS`` per-TTI cost of the eNodeB and each lane.
+    """Best-of-``ROUNDS`` per-TTI cost of the eNodeB and each lane."""
+    from repro.lte.engine import SCALAR_LANE_MAX as shipped
 
-    ``default`` is the eNodeB as shipped; ``scalar_lane`` and
-    ``array_lane`` pin every TTI to one lane by moving the lane bound.
-    Rounds interleave the three variants so host drift hits all alike.
-    """
-    from repro.lte import engine as engine_module
+    def timed_span(cell):
+        net, sniffer = cell
+        net.run_for(SWEEP_TIMED_S)
+        return sniffer.total_records
 
-    shipped = engine_module.SCALAR_LANE_MAX
-    variants = (("default", shipped),
-                ("scalar_lane", 1 << 30),
-                ("array_lane", 0))
-    best = {name: float("inf") for name, _ in variants}
-    records = set()
-    try:
-        for _ in range(ROUNDS):
-            for name, bound in variants:
-                engine_module.SCALAR_LANE_MAX = bound
-                tti_us, captured = _time_tti_us(scheduler_name, n_ues)
-                best[name] = min(best[name], tti_us)
-                records.add(captured)
-    finally:
-        engine_module.SCALAR_LANE_MAX = shipped
+    best, captured = harness.best_of(
+        dict.fromkeys(LANE_BOUNDS, timed_span), ROUNDS,
+        setup=lambda name: _warm_sweep_cell(scheduler_name, n_ues,
+                                            LANE_BOUNDS[name]))
+    records = {count for counts in captured.values() for count in counts}
     if len(records) != 1:
         raise RuntimeError(f"lanes diverged at {scheduler_name} "
                            f"n={n_ues}: records {sorted(records)}")
     row = {"scheduler": scheduler_name, "ues": n_ues,
            "lane": "scalar" if n_ues <= shipped else "array"}
-    row.update({f"{name}_tti_us": round(value, 1)
-                for name, value in best.items()})
-    row["max_tti_us"] = _max_tti_us(n_ues)
+    row.update({f"{name}_tti_us":
+                round(seconds / (SWEEP_TIMED_S * 1000) * 1e6, 1)
+                for name, seconds in best.items()})
     row["records"] = records.pop()
     return row
 
@@ -198,10 +195,11 @@ def _shard_scaling():
     for shards, workers in ((1, 1), (2, 2), (4, 4)):
         mapper = ParallelMap(workers=workers,
                              backend="process" if workers > 1 else "serial")
-        started = time.perf_counter()
-        result = run_city(scenario, mapper, shards=shards)
+        wall_s, outputs = harness.best_of(
+            {"city": lambda _: run_city(scenario, mapper, shards=shards)}, 1)
+        result = outputs["city"][-1]
         sweep.append({"shards": shards, "workers": workers,
-                      "wall_s": time.perf_counter() - started,
+                      "wall_s": wall_s["city"],
                       "records": result.total_records,
                       "spilled_bytes": result.spilled_bytes})
     return sweep
@@ -210,89 +208,54 @@ def _shard_scaling():
 def main() -> int:
     from repro.lte.engine import SCALAR_LANE_MAX
 
-    previous_rate = None
-    if OUT.exists():
-        try:
-            previous_rate = json.loads(
-                OUT.read_text())["results"]["grants_per_s"]
-        except (ValueError, KeyError):
-            previous_rate = None
-
     wall_s, grants = _time_crowded_cell()
     grants_per_s = grants / wall_s
     crossover = _crossover_sweep()
     sweep = _shard_scaling()
 
-    document = {
-        "description": "Saturated single-cell TTI loop (proportional-fair"
-                       f", {N_UES} UEs, {TOTAL_PRB} PRB, "
-                       f"{int(TIMED_S * 1000)} TTIs timed) in grants per "
-                       f"second, best of {ROUNDS}; per-TTI crossover "
-                       "sweep over T-Mobile cells of 1-128 saturated UEs "
-                       "with a capture sniffer, as shipped and pinned to "
-                       "each lane; plus sharded city scaling sweep.",
-        "workload": {
-            "ues": N_UES,
-            "total_prb": TOTAL_PRB,
-            "timed_ttis": int(TIMED_S * 1000),
-            "rounds": ROUNDS,
-            # Shard scaling tracks available cores: per-(shard, epoch)
-            # tasks are independent, so on k >= shards cores the sweep
-            # approaches max per-shard time; on this host it is bounded
-            # by cpu_count.
-            "cpu_count": os.cpu_count(),
-        },
-        "results": {
-            "wall_s": wall_s,
-            "timed_grants": grants,
-            "grants_per_s": grants_per_s,
-            "min_grants_per_s": MIN_GRANTS_PER_S,
-            "crossover": {
-                "scalar_lane_max": SCALAR_LANE_MAX,
-                "max_tti_us_base": MAX_TTI_US_BASE,
-                "max_tti_us_per_ue": MAX_TTI_US_PER_UE,
-                "timed_ttis": int(SWEEP_TIMED_S * 1000),
-                "points": crossover,
-            },
-            "shard_sweep": sweep,
-            "legacy_note": LEGACY_NOTE,
-        },
-    }
-    OUT.write_text(json.dumps(document, indent=2) + "\n")
     print(f"simulator: {grants} grants in {wall_s:.3f} s -> "
-          f"{grants_per_s:,.0f} grants/s (floor {MIN_GRANTS_PER_S:,.0f}) "
-          f"-> {OUT.name}")
-    for row in crossover:
+          f"{grants_per_s:,.0f} grants/s")
+    ceilings = []
+    for index, row in enumerate(crossover):
+        ceiling = _max_tti_us(row["ues"])
         print(f"  {row['scheduler']:>17} n={row['ues']:<3} "
               f"default {row['default_tti_us']:7.1f} us ({row['lane']} lane)"
               f"  scalar {row['scalar_lane_tti_us']:7.1f}  "
               f"array {row['array_lane_tti_us']:7.1f}  "
-              f"ceiling {row['max_tti_us']:7.1f}")
+              f"ceiling {ceiling:7.1f}")
+        ceilings += [harness.ceiling(
+            f"crossover.points.{index}.{name}_tti_us", ceiling)
+            for name in LANE_BOUNDS]
     for entry in sweep:
         print(f"  city shards={entry['shards']} workers={entry['workers']}: "
               f"{entry['wall_s']:.3f} s, {entry['records']} records")
 
-    failed = False
-    if grants_per_s < MIN_GRANTS_PER_S:
-        print(f"FAIL: {grants_per_s:,.0f} grants/s below the "
-              f"{MIN_GRANTS_PER_S:,.0f} floor", file=sys.stderr)
-        failed = True
-    if (previous_rate is not None
-            and grants_per_s < previous_rate / REGRESSION_FACTOR):
-        print(f"FAIL: {grants_per_s:,.0f} grants/s regressed more than "
-              f"{REGRESSION_FACTOR:.0f}x against the recorded "
-              f"{previous_rate:,.0f}", file=sys.stderr)
-        failed = True
-    for row in crossover:
-        for name in ("default", "scalar_lane", "array_lane"):
-            tti_us = row[f"{name}_tti_us"]
-            if tti_us > row["max_tti_us"]:
-                print(f"FAIL: {name} {tti_us:.1f} us per TTI at "
-                      f"{row['scheduler']} n={row['ues']} (ceiling "
-                      f"{row['max_tti_us']:.1f} us)", file=sys.stderr)
-                failed = True
-    return 1 if failed else 0
+    return harness.record(
+        OUT,
+        "Saturated single-cell TTI loop (proportional-fair"
+        f", {N_UES} UEs, {TOTAL_PRB} PRB, "
+        f"{int(TIMED_S * 1000)} TTIs timed) in grants per "
+        f"second, best of {ROUNDS}; per-TTI crossover "
+        "sweep over T-Mobile cells of 1-128 saturated UEs "
+        "with a capture sniffer, as shipped and pinned to "
+        "each lane; plus sharded city scaling sweep.",
+        {"ues": N_UES, "total_prb": TOTAL_PRB,
+         "timed_ttis": int(TIMED_S * 1000), "rounds": ROUNDS},
+        {"wall_s": wall_s,
+         "timed_grants": grants,
+         "grants_per_s": grants_per_s,
+         "crossover": {
+             "scalar_lane_max": SCALAR_LANE_MAX,
+             "timed_ttis": int(SWEEP_TIMED_S * 1000),
+             "points": crossover,
+         },
+         # Per-(shard, epoch) tasks are independent, so on k >= shards
+         # cores the sweep approaches the max per-shard time; otherwise
+         # the host's core count bounds it.
+         "shard_sweep": sweep,
+         "legacy_note": LEGACY_NOTE},
+        GUARDS + tuple(ceilings))
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    harness.run(main)

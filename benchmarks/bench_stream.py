@@ -22,25 +22,22 @@ Results land in ``BENCH_stream.json`` at the repo root, then guards run:
   the measured values, so only a real regression trips them on slow
   shared runners);
 * neither throughput may regress by more than 2x against the committed
-  ``BENCH_stream.json`` (loaded before overwriting);
-* p99 close latency must stay under a generous absolute ceiling.
+  ``BENCH_stream.json``;
+* p99 close latency must stay under a generous absolute ceiling, and
+  the ring's high-water mark under ``MAX_RING_FRACTION`` of the stream.
 
-Run via ``make bench-stream``, ``python -m repro.cli bench stream``, or
-``python benchmarks/bench_stream.py``.
+Run via ``make bench-stream`` or
+``PYTHONPATH=src python benchmarks/bench_stream.py``.
 """
 
-import json
-import os
-import sys
+import contextlib
 import time
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-SRC = REPO_ROOT / "src"
-OUT = REPO_ROOT / "BENCH_stream.json"
+import harness
+
+OUT = harness.REPO_ROOT / "BENCH_stream.json"
 
 ROUNDS = 3
-REGRESSION_FACTOR = 2.0
 
 # Windowizer workload: a dense synthetic stream, chunked as `serve` does.
 N_RECORDS = 200_000
@@ -55,6 +52,17 @@ SERVE_TRACES_PER_APP = 2
 SERVE_DURATION_S = 30.0
 MIN_SERVICE_RECORDS_PER_S = 30_000.0
 MAX_CLOSE_P99_S = 0.100
+
+GUARDS = (
+    harness.floor("windowizer_ingest.records_per_s",
+                  MIN_INGEST_RECORDS_PER_S),
+    harness.regression("windowizer_ingest.records_per_s"),
+    harness.ceiling("windowizer_ingest.ring_high_water_records",
+                    MAX_RING_FRACTION * N_RECORDS),
+    harness.floor("service.records_per_s", MIN_SERVICE_RECORDS_PER_S),
+    harness.regression("service.records_per_s"),
+    harness.ceiling("service.close_p99_s", MAX_CLOSE_P99_S),
+)
 
 
 def _synthetic_columns():
@@ -93,18 +101,10 @@ def _bench_windowizer():
 
     streamed, windowizer = drain()
     if not np.array_equal(streamed, expected):
-        return None
-    if windowizer.ring_high_water > MAX_RING_FRACTION * len(trace):
-        print(f"FAIL: ring high water {windowizer.ring_high_water} "
-              f"exceeds {MAX_RING_FRACTION:.0%} of {len(trace)} records",
-              file=sys.stderr)
-        return None
-    best_s = float("inf")
-    for _ in range(ROUNDS):
-        started = time.perf_counter()
-        drain()
-        best_s = min(best_s, time.perf_counter() - started)
-    return (len(trace) / best_s, windowizer.ring_high_water,
+        raise RuntimeError("streaming windowizer diverged from "
+                           "extract_features")
+    best, _ = harness.best_of({"drain": lambda _: drain()}, ROUNDS)
+    return (len(trace) / best["drain"], windowizer.ring_high_water,
             windowizer.ring_nbytes)
 
 
@@ -124,15 +124,10 @@ def _bench_service():
                for index, trace in enumerate(traces.traces)]
     n_records = sum(len(trace) for _, trace in sources)
 
-    best_s = float("inf")
-    windows = 0
-    for _ in range(ROUNDS):
-        service = StreamService(model, sources,
-                                chunk_records=CHUNK_RECORDS)
-        started = time.perf_counter()
-        report = service.run()
-        best_s = min(best_s, time.perf_counter() - started)
-        windows = report.windows
+    best, reports = harness.best_of(
+        {"service": lambda service: service.run()}, ROUNDS,
+        setup=lambda _: contextlib.nullcontext(StreamService(
+            model, sources, chunk_records=CHUNK_RECORDS)))
 
     # p99 wall latency of window-closing ingest calls (the per-verdict
     # latency), measured against the classifier stage directly so each
@@ -152,105 +147,42 @@ def _bench_service():
             latencies.append(time.perf_counter() - started)
     ranked = np.sort(np.asarray(latencies))
     position = max(0, int(np.ceil(0.99 * len(ranked))) - 1)
-    return n_records / best_s, windows, float(ranked[position])
-
-
-def _previous_results():
-    if not OUT.exists():
-        return {}
-    try:
-        results = json.loads(OUT.read_text())["results"]
-        return {name: results[name]["records_per_s"]
-                for name in ("windowizer_ingest", "service")
-                if name in results}
-    except (ValueError, KeyError, TypeError):
-        return {}
-
-
-def _guard_throughput(name, records_per_s, floor, previous) -> int:
-    if records_per_s < floor:
-        print(f"FAIL: {name} throughput {records_per_s:,.0f} records/s "
-              f"below the {floor:,.0f} floor", file=sys.stderr)
-        return 1
-    recorded = previous.get(name)
-    if recorded is not None \
-            and records_per_s < recorded / REGRESSION_FACTOR:
-        print(f"FAIL: {name} throughput {records_per_s:,.0f} records/s "
-              f"regressed more than {REGRESSION_FACTOR:.0f}x against the "
-              f"recorded {recorded:,.0f}", file=sys.stderr)
-        return 1
-    return 0
+    return (n_records / best["service"], reports["service"][-1].windows,
+            float(ranked[position]))
 
 
 def main() -> int:
-    sys.path.insert(0, str(SRC))
-    previous = _previous_results()
-
-    ingest = _bench_windowizer()
-    if ingest is None:
-        print("FAIL: streaming windowizer diverged from extract_features",
-              file=sys.stderr)
-        return 1
-    ingest_rps, ring_high_water, ring_nbytes = ingest
-
+    ingest_rps, ring_high_water, ring_nbytes = _bench_windowizer()
     service_rps, windows, close_p99_s = _bench_service()
 
-    document = {
-        "description": "Streaming data plane, best of "
-                       f"{ROUNDS}: StreamingWindowizer draining "
-                       f"{N_RECORDS} synthetic records in "
-                       f"{CHUNK_RECORDS}-record chunks (output asserted "
-                       "np.array_equal to one-shot extract_features, "
-                       "ring memory asserted bounded), and StreamService "
-                       "end-to-end (windowize + forest descent + fusion) "
-                       "over simulator traces with the p99 wall latency "
-                       "of window-closing ingest calls.",
-        "workload": {
-            "n_records": N_RECORDS,
-            "span_s": SPAN_S,
-            "chunk_records": CHUNK_RECORDS,
-            "serve_apps": list(SERVE_APPS),
-            "serve_traces_per_app": SERVE_TRACES_PER_APP,
-            "serve_duration_s": SERVE_DURATION_S,
-            "rounds": ROUNDS,
-            # Wall-clock throughputs are host-dependent; cpu_count is
-            # recorded because the regression guard compares runs
-            # across hosts (cf. BENCH_simulator.json).
-            "cpu_count": os.cpu_count(),
-        },
-        "results": {
-            "windowizer_ingest": {
-                "records_per_s": ingest_rps,
-                "ring_high_water_records": ring_high_water,
-                "ring_nbytes": ring_nbytes,
-                "max_ring_fraction": MAX_RING_FRACTION,
-                "min_records_per_s": MIN_INGEST_RECORDS_PER_S,
-            },
-            "service": {
-                "records_per_s": service_rps,
-                "windows_closed": windows,
-                "close_p99_s": close_p99_s,
-                "max_close_p99_s": MAX_CLOSE_P99_S,
-                "min_records_per_s": MIN_SERVICE_RECORDS_PER_S,
-            },
-        },
-    }
-    OUT.write_text(json.dumps(document, indent=2) + "\n")
     print(f"windowizer ingest: {ingest_rps:,.0f} records/s "
           f"(ring high-water {ring_high_water} of {N_RECORDS} records)")
     print(f"service: {service_rps:,.0f} records/s, {windows} windows, "
-          f"close p99 {close_p99_s * 1e3:.2f} ms -> {OUT.name}")
-
-    status = (_guard_throughput("windowizer_ingest", ingest_rps,
-                                MIN_INGEST_RECORDS_PER_S, previous)
-              or _guard_throughput("service", service_rps,
-                                   MIN_SERVICE_RECORDS_PER_S, previous))
-    if close_p99_s > MAX_CLOSE_P99_S:
-        print(f"FAIL: close p99 {close_p99_s * 1e3:.1f} ms above the "
-              f"{MAX_CLOSE_P99_S * 1e3:.0f} ms ceiling", file=sys.stderr)
-        return 1
-    return status
+          f"close p99 {close_p99_s * 1e3:.2f} ms")
+    return harness.record(
+        OUT,
+        "Streaming data plane, best of "
+        f"{ROUNDS}: StreamingWindowizer draining "
+        f"{N_RECORDS} synthetic records in "
+        f"{CHUNK_RECORDS}-record chunks (output asserted "
+        "np.array_equal to one-shot extract_features, "
+        "ring memory bounded), and StreamService "
+        "end-to-end (windowize + forest descent + fusion) "
+        "over simulator traces with the p99 wall latency "
+        "of window-closing ingest calls.",
+        {"n_records": N_RECORDS, "span_s": SPAN_S,
+         "chunk_records": CHUNK_RECORDS,
+         "serve_apps": list(SERVE_APPS),
+         "serve_traces_per_app": SERVE_TRACES_PER_APP,
+         "serve_duration_s": SERVE_DURATION_S, "rounds": ROUNDS},
+        {"windowizer_ingest": {"records_per_s": ingest_rps,
+                               "ring_high_water_records": ring_high_water,
+                               "ring_nbytes": ring_nbytes},
+         "service": {"records_per_s": service_rps,
+                     "windows_closed": windows,
+                     "close_p99_s": close_p99_s}},
+        GUARDS)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    harness.run(main)

@@ -15,13 +15,9 @@ harness:
 * ``scan`` — run the attack scanner (:mod:`repro.scan`): every attack
   as a detector emitting confidence-scored findings into one text/JSON
   report, with suppression baselines and severity exit-code gating;
-* ``bench`` — run the component micro-benchmarks once (timings off),
-  ``bench sim`` for the simulator TTI-loop benchmark (writes
-  ``BENCH_simulator.json``, enforces its grants/s floor and per-TTI
-  ceilings), or
-  ``bench infer`` for the inference-plane benchmark (flattened forest
-  descent, forest lane sweep + batched DTW matrix, writes
-  ``BENCH_inference.json``);
+* ``bench`` — run the component micro-benchmarks once (timings off);
+  the per-layer guard scripts (``BENCH_*.json``) run directly as
+  ``benchmarks/bench_<name>.py``;
 * ``cache`` — inspect or clear the on-disk trace cache;
 * ``report`` — render JSONL run manifests written by ``--obs-out``;
 * ``lint`` — run the repo's static-analysis ruleset (determinism,
@@ -195,15 +191,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench", help="run component micro-benchmarks once (timings off)")
-    bench.add_argument("suite", nargs="?", default="components",
-                       choices=("components", "sim", "infer", "stream"),
-                       help="'components' (default) runs the pytest "
-                            "micro-benchmarks; 'sim' runs the simulator "
-                            "TTI-loop benchmark with its absolute guards; "
-                            "'infer' runs the inference-plane benchmark "
-                            "(flattened forest + batched DTW); 'stream' "
-                            "runs the streaming data-plane benchmark "
-                            "(sustained ingest + window-close latency)")
     bench.add_argument("--select", default=None,
                        help="pytest -k expression to pick benchmarks")
     _add_runtime_args(bench)
@@ -557,35 +544,12 @@ def _cmd_experiment(args: argparse.Namespace, manifest=None) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     """Run the component micro-benchmarks once with timing collection off.
 
-    This is the CI smoke path (``make bench-smoke`` calls it): every
-    benchmark body executes and asserts its invariants, but no rounds
-    are repeated, so runtime-layer regressions surface in seconds.
-
-    ``bench sim`` instead runs the standalone simulator benchmark
-    (``benchmarks/bench_simulator.py``) in a subprocess: it times the
-    TTI loop in grants/s on a crowded cell and per TTI across cell
-    sizes (as shipped and pinned to each lane), records
-    ``BENCH_simulator.json`` at the repo root, and exits non-zero if
-    the grants/s floor, its 2x regression guard or a per-TTI ceiling
-    fails.
-    ``bench infer`` does the same for the inference plane
-    (``benchmarks/bench_inference.py``): flattened-forest predict vs
-    the object descent, the small-batch forest lane vs the vector lane
-    and the batched similarity matrix vs its scalar reference, recorded
-    in ``BENCH_inference.json``.
+    This is the CI smoke path (``make bench-smoke`` runs the same
+    selection): every benchmark body in
+    ``benchmarks/test_component_speed.py`` executes and asserts its
+    invariants, but no rounds are repeated, so runtime-layer
+    regressions surface in seconds.
     """
-    standalone = {"sim": "bench_simulator.py",
-                  "infer": "bench_inference.py",
-                  "stream": "bench_stream.py"}
-    suite = getattr(args, "suite", "components")
-    if suite in standalone:
-        import subprocess
-        bench_script = Path(__file__).resolve().parents[2] \
-            / "benchmarks" / standalone[suite]
-        if not bench_script.exists():
-            print(f"benchmark not found at {bench_script}", file=sys.stderr)
-            return 1
-        return subprocess.run([sys.executable, str(bench_script)]).returncode
     try:
         import pytest
     except ImportError:  # pragma: no cover - pytest is a dev dependency

@@ -33,13 +33,18 @@ class CostResult:
     hardware_usd: float
 
     def table(self) -> str:
+        # Microseconds: per-instance train and classify costs are far
+        # below a millisecond and would print as 0.000 in seconds.
         unit_rows = [
-            ["collect one trace (s)", self.units.collect_per_instance],
-            ["extract features (s)", self.units.feature_per_instance],
-            ["train per instance (s)", self.units.train_per_instance],
-            ["classify per instance (s)", self.units.classify_per_instance],
+            ["collect one trace (µs)", self.units.collect_per_instance],
+            ["extract features (µs)", self.units.feature_per_instance],
+            ["train per instance (µs)", self.units.train_per_instance],
+            ["classify per instance (µs)",
+             self.units.classify_per_instance],
         ]
-        units = format_table(["Unit cost", "Seconds"], unit_rows,
+        units = format_table(["Unit cost", "Microseconds"],
+                             [[label, seconds * 1e6]
+                              for label, seconds in unit_rows],
                              title="Measured unit costs")
         cost_rows = [[task, seconds]
                      for task, seconds in self.breakdown.items()]

@@ -24,19 +24,19 @@ from .obfuscation import (NO_OBFUSCATION, ObfuscationConfig,
 from .rrc import (ControlMessage, HandoverEvent, PagingMessage, RACHPreamble,
                   RandomAccessResponse, RRCConnectionRelease,
                   RRCConnectionRequest, RRCConnectionSetup)
-from .scheduler import (Allocation, CrossTraffic, Demand, MACScheduler,
-                        make_scheduler, scheduler_names)
+from .scheduler import Allocation, CrossTraffic
 from .sim import SECOND_US, TTI_US, EventHandle, SimClock, seconds, to_seconds
 from .tbs import (MAX_MCS, MAX_PRB, N_ITBS, cqi_to_mcs, grant_for_bytes,
                   mcs_to_itbs, transport_block_bytes, transport_block_size)
 from .ue import UE, RRCState
+from .vecsched import scheduler_names
 
 __all__ = [
     "AppSessionHandle", "Allocation", "CaptureChannel", "Cell",
     "ChannelProfile", "ControlMessage", "CrossTraffic", "CRNTI_MAX",
-    "CRNTI_MIN", "DCIFormat", "DCIMessage", "DecodeError", "Demand",
+    "CRNTI_MIN", "DCIFormat", "DCIMessage", "DecodeError",
     "Direction", "ENodeB", "EPC", "EncodedDCI", "EventHandle",
-    "HandoverEvent", "IMSI", "LTENetwork", "MACScheduler", "MAX_MCS",
+    "HandoverEvent", "IMSI", "LTENetwork", "MAX_MCS",
     "MAX_PRB", "MobilityStep", "N_ITBS", "NO_OBFUSCATION", "ObfuscationConfig",
     "ObfuscationStats", "P_RNTI", "PagingMessage",
     "PDCCHTransmission", "RACHPreamble", "RandomAccessResponse",
@@ -44,7 +44,7 @@ __all__ = [
     "RRCConnectionSetup", "RRCState", "SECOND_US", "SI_RNTI", "SimClock",
     "SubscriberIdentity", "TMSIAllocator", "TrafficEvent", "TTI_US", "UE",
     "UEContext", "cqi_to_mcs", "crc16", "crc24a", "grant_for_bytes",
-    "is_crnti", "make_imsi", "make_scheduler", "mask_crc_with_rnti",
+    "is_crnti", "make_imsi", "mask_crc_with_rnti",
     "mcs_to_itbs", "scheduler_names", "seconds", "to_seconds",
     "transport_block_bytes", "transport_block_size", "unmask_rnti",
 ]

@@ -1,4 +1,4 @@
-"""Vectorised MAC schedulers: batched twins of :mod:`repro.lte.scheduler`.
+"""Vectorised MAC schedulers: the eNodeB's scheduling disciplines.
 
 The array-backed engine (:mod:`repro.lte.engine`) calls each scheduler
 once per direction per TTI through one of two entry points, matching
@@ -11,8 +11,9 @@ the engine's two lanes:
 
 Both run over one scheduler state — the RR rotation pointer, the dense
 PF averages — so the engine may switch entry points between any two
-TTIs.  Each scheduler here is grant-for-grant identical to its object
-twin through either entry point:
+TTIs.  Each scheduler here is grant-for-grant identical to its
+per-demand object reference (``tests/lte/oracles.py``) through either
+entry point:
 
 * the service **order** is reproduced exactly (RR rotation pointer, PF
   priority sort, MaxCQI sort — all stable, like ``sorted``);
@@ -183,7 +184,7 @@ def _scalar_grants(order: Sequence[int], pending: Sequence[int],
 
 
 class VectorRoundRobinScheduler:
-    """Batched twin of :class:`repro.lte.scheduler.RoundRobinScheduler`."""
+    """Round-robin: serve pending UEs cyclically, fair in turns."""
 
     name = "round-robin"
 
@@ -215,7 +216,7 @@ class VectorRoundRobinScheduler:
 
 
 class VectorProportionalFairScheduler:
-    """Batched twin of :class:`~repro.lte.scheduler.ProportionalFairScheduler`.
+    """Proportional fair: rank by instantaneous rate over average rate.
 
     The per-RNTI throughput average lives in a dense ``float64`` array
     over the whole 16-bit RNTI space, initialised to the dict twin's
@@ -321,7 +322,7 @@ class VectorProportionalFairScheduler:
 
 
 class VectorMaxCQIScheduler:
-    """Batched twin of :class:`repro.lte.scheduler.MaxCQIScheduler`."""
+    """Greedy max-CQI: serve the best-channel UE first."""
 
     name = "max-cqi"
 
@@ -360,3 +361,8 @@ def make_vector_scheduler(name: str):
         known = ", ".join(sorted(_VECTOR_SCHEDULERS))
         raise ValueError(f"unknown scheduler {name!r} (known: {known})")
     return factory()
+
+
+def scheduler_names() -> Tuple[str, ...]:
+    """Names of all registered scheduling disciplines."""
+    return tuple(sorted(_VECTOR_SCHEDULERS))

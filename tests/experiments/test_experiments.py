@@ -4,6 +4,7 @@ import pytest
 
 from repro import runtime
 from repro.apps import app_names
+from repro.core.costmodel import AttackScenario, UnitCosts
 from repro.core.dataset import collect_trace, collect_traces
 from repro.experiments import (SCALES, Scale, ablations, format_table,
                                get_scale)
@@ -112,6 +113,20 @@ class TestCostExperiment:
             stats = runtime.stats()
         assert stats.simulations == 1 + len(app_names())
         assert stats.cache.hits == 0
+
+    def test_unit_costs_print_in_microseconds(self):
+        result = cost_experiment.CostResult(
+            units=UnitCosts(collect_per_instance=0.25,
+                            feature_per_instance=0.007,
+                            train_per_instance=4.2e-5,
+                            classify_per_instance=1.5e-6),
+            scenario=AttackScenario(), breakdown={"collecting": 6.0},
+            hardware_usd=3750.0)
+        table = result.table()
+        assert "train per instance (µs)" in table
+        assert "42.000" in table
+        assert "1.500" in table
+        assert "6.000" in table        # the Eqs. 2-3 breakdown: seconds
 
     def test_run_produces_breakdown(self):
         result = cost_experiment.run(MICRO, seed=2)

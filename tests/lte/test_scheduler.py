@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lte.dci import Direction
-from repro.lte.scheduler import (CrossTraffic, Demand, MaxCQIScheduler,
-                                 ProportionalFairScheduler,
-                                 RoundRobinScheduler, make_scheduler,
-                                 scheduler_names)
+from repro.lte.scheduler import CrossTraffic
+from repro.lte.vecsched import scheduler_names
+from tests.lte.oracles import (Demand, MaxCQIScheduler,
+                               ProportionalFairScheduler, RoundRobinScheduler,
+                               make_scheduler)
 
 
 def demand(rnti, backlog=10_000, mcs=15, direction=Direction.DOWNLINK):

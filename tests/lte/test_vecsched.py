@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from repro.lte.dci import Direction
-from repro.lte.scheduler import Demand, make_scheduler
 from repro.lte.tbs import MAX_PRB
 from repro.lte.vecsched import (VectorProportionalFairScheduler,
                                 _sequential_grants, make_vector_scheduler)
+from tests.lte.oracles import Demand, make_scheduler
 
 
 def _random_demands(rng, count, allow_collisions=False):

@@ -52,6 +52,6 @@ class TestProfiles:
             assert cell.enb.cell_id == "c0"
 
     def test_scheduler_names_valid(self):
-        from repro.lte.scheduler import scheduler_names
+        from repro.lte.vecsched import scheduler_names
         for profile in PROFILES.values():
             assert profile.scheduler_name in scheduler_names()

@@ -29,9 +29,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.lte.dci import Direction
-from repro.lte.scheduler import Demand, make_scheduler
 from repro.lte.tbs import MAX_PRB
 from repro.lte.vecsched import make_vector_scheduler
+from tests.lte.oracles import Demand, make_scheduler
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 
