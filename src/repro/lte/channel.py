@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -101,6 +103,33 @@ class CaptureChannel:
         self.corrupted += 1
         index = self._rng.randrange(payload_len)
         return index, 1 << self._rng.randrange(8)
+
+    def draw_batch(self, count: int, payload_len: int
+                   ) -> Tuple[np.ndarray, List[Tuple[int, int, int]]]:
+        """Capture draws for ``count`` transmissions, in order.
+
+        Makes exactly the draws of ``count`` :meth:`deliver` calls, each
+        captured one followed by :meth:`draw_flip`, and keeps the same
+        counters.  Returns the captured mask and one ``(row, byte index,
+        bit mask)`` per corrupted transmission.
+        """
+        random_ = self._rng.random
+        randrange = self._rng.randrange
+        loss = self._profile.capture_loss
+        corruption = self._profile.corruption_prob
+        captured = np.ones(count, dtype=bool)
+        flips: List[Tuple[int, int, int]] = []
+        for row in range(count):
+            if random_() < loss:
+                captured[row] = False
+            elif corruption > 0.0 and random_() < corruption:
+                flips.append((row, randrange(payload_len),
+                              1 << randrange(8)))
+        kept = int(captured.sum())
+        self.captured += kept
+        self.lost += count - kept
+        self.corrupted += len(flips)
+        return captured, flips
 
     def corrupt(self, payload: bytes) -> bytes:
         """Possibly flip a bit in a captured payload (returns new bytes)."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .rrc import (ControlMessage, PagingMessage, RACHPreamble,
                   RandomAccessResponse, RRCConnectionRelease,
                   RRCConnectionRequest, RRCConnectionSetup)
 from .scheduler import Allocation, CrossTraffic
-from .sim import SECOND_US, TTI_US, SimClock
+from .sim import TTI_US, SimClock, seconds
 from .tbs import cqi_to_mcs, grant_for_bytes
 from .ue import UE
 from .vecsched import make_vector_scheduler
@@ -130,7 +130,7 @@ class ENodeB(TTILoop):
         self._dl_scheduler = make_vector_scheduler(scheduler_name)
         self._ul_scheduler = make_vector_scheduler(scheduler_name)
         self._total_prb = total_prb
-        self._inactivity_us = int(inactivity_timeout_s * SECOND_US)
+        self._inactivity_us = seconds(inactivity_timeout_s)
         self._cross_traffic = cross_traffic or CrossTraffic(mean_load=0.0)
         self._rnti_pool = RNTIAllocator(rng)
         self._contexts: Dict[int, UEContext] = {}        # rnti -> context
@@ -139,9 +139,13 @@ class ENodeB(TTILoop):
         self.pdcch_observers: List[PDCCHObserver] = []
         self.control_observers: List[ControlObserver] = []
         #: Columnar grant feed: one :class:`~repro.lte.engine.GrantBatch`
-        #: per direction per TTI (plus single-record batches for HARQ
-        #: retransmissions).
+        #: per span of TTIs (and per HARQ retransmission the clock fires).
         self.grant_batch_observers: List[GrantBatchObserver] = []
+        # The running span's grants: time, direction, RNTI, MCS, PRBs
+        # and TBS columns, aired by ``_flush_grants``.
+        self._span_columns: Tuple[List[int], ...] = tuple(
+            [] for _ in range(6))
+        self._in_span = False
         self.obfuscation = obfuscation or NO_OBFUSCATION
         self.obfuscation_stats = ObfuscationStats()
         # Padding / chaff mutate and extend the allocation list with
@@ -334,7 +338,7 @@ class ENodeB(TTILoop):
     # -- RNTI-refresh countermeasure (§VIII-B) -----------------------------------
 
     def _schedule_rnti_refresh(self, context: UEContext) -> None:
-        interval = int(self.obfuscation.rnti_refresh_s * SECOND_US)
+        interval = seconds(self.obfuscation.rnti_refresh_s)
         self._clock.schedule(interval, lambda: self._refresh_rnti(context))
 
     def _refresh_rnti(self, context: UEContext) -> None:

@@ -44,16 +44,35 @@ Both lanes make these draws in this order.  Step 3 is per-UE and
 Mersenne-Twister words (rejection sampling), so no numpy generator can
 reproduce the stream; it is a scalar loop in both lanes.
 
-Grants leave the cell as :class:`GrantBatch` columns so an attached
-sniffer can ingest whole TTIs without materialising per-record
+**TTI run-ahead.**  A busy burst runs as one *span*: after TTI(now),
+:meth:`TTILoop._on_tti` runs TTI(next) inline — no heap push and pop —
+while :meth:`~repro.lte.sim.SimClock.run_ahead` allows it: ``next`` lies
+inside the bound of the running ``run_until``/``run``, and every event
+due at or before ``next`` is one of this cell's own HARQ retransmits,
+which it fires first, in heap order, with the clock at their times.  At
+the first foreign event due by then (an app arrival, an RRC timer,
+another cell's TTI) the span ends and TTI(next) is scheduled as usual.
+This is exact.  At the end of TTI(now) the per-TTI path pushes TTI(next)
+with a sequence number above every queued event, so exactly the events
+due at or before ``next`` fire before it, and nothing fires in between;
+the span fires the same callbacks in the same order with the clock at
+the same times, so the rng draw order above is unchanged.
+
+Grants leave the cell as :class:`GrantBatch` columns.  While a span
+runs, :meth:`TTILoop._emit_grants` appends to per-cell column buffers;
+before ``_on_tti`` returns — so before any other event can fire — one
+:meth:`TTILoop._flush_grants` airs the whole span as one batch with
+per-record times and directions.  A lone TTI, or a retransmit the clock
+fires itself, is a span of one, so there is one emission path.  An
+attached sniffer ingests whole spans without per-record
 ``PDCCHTransmission`` objects; plain ``pdcch_observers`` still receive
-fully encoded transmissions.
+fully encoded transmissions, materialised from the same columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -74,15 +93,16 @@ _CQI_STEPS = (-1, 1)
 
 @dataclass(frozen=True)
 class GrantBatch:
-    """One TTI's grants for one direction, as parallel columns.
+    """One span's grants as parallel per-record columns.
 
-    ``rntis``, ``mcs``, ``n_prb`` and ``tbs_bytes`` are equal-length
-    int64 arrays in emission order — the exact per-record sequence the
-    cell airs as individual DCIs to its ``pdcch_observers``.
+    ``time_us``, ``direction`` (a :class:`Direction` value), ``rntis``,
+    ``mcs``, ``n_prb`` and ``tbs_bytes`` are equal-length int64 arrays
+    in emission order — the exact per-record sequence the cell airs as
+    individual DCIs to its ``pdcch_observers``.  Times never decrease.
     """
 
-    time_us: int
-    direction: Direction
+    time_us: np.ndarray
+    direction: np.ndarray
     rntis: np.ndarray
     mcs: np.ndarray
     n_prb: np.ndarray
@@ -93,6 +113,26 @@ class GrantBatch:
 
 
 GrantBatchObserver = Callable[[GrantBatch], None]
+
+
+class _Retransmit:
+    """A queued HARQ retransmission: the clock callback that re-airs a grant.
+
+    Its own type lets :meth:`TTILoop._on_tti` tell its cell's
+    retransmits from every other event when it runs ahead.
+    """
+
+    __slots__ = ("loop", "grant", "attempt")
+
+    def __init__(self, loop: "TTILoop",
+                 grant: Tuple[Direction, int, int, int, int],
+                 attempt: int) -> None:
+        self.loop = loop
+        self.grant = grant
+        self.attempt = attempt
+
+    def __call__(self) -> None:
+        self.loop._retransmit(self.grant, self.attempt)
 
 
 class TTILoop:
@@ -114,26 +154,40 @@ class TTILoop:
     # -- grant emission --------------------------------------------------------
 
     def _emit_grants(self, time_us: int, direction: Direction,
-                     rntis: Sequence[int], mcs: Sequence[int],
-                     n_prb: Sequence[int], tbs: Sequence[int]) -> None:
-        """Air one TTI's grants: int64 columns or lists of Python ints."""
-        if len(rntis) == 0:
+                     rntis: List[int], mcs: List[int], n_prb: List[int],
+                     tbs: List[int]) -> None:
+        """Buffer one TTI's grants (lists of Python ints) for the span."""
+        count = len(rntis)
+        if not count or not (self.grant_batch_observers
+                             or self.pdcch_observers):
             return
-        if self.grant_batch_observers:
-            columns = np.array((rntis, mcs, n_prb, tbs), dtype=np.int64)
-            batch = GrantBatch(time_us=time_us, direction=direction,
-                               rntis=columns[0], mcs=columns[1],
-                               n_prb=columns[2], tbs_bytes=columns[3])
-            for observer in self.grant_batch_observers:
-                observer(batch)
+        times, directions, span_rntis, span_mcs, span_prb, span_tbs = (
+            self._span_columns)
+        times.extend([time_us] * count)
+        directions.extend([int(direction)] * count)
+        span_rntis.extend(rntis)
+        span_mcs.extend(mcs)
+        span_prb.extend(n_prb)
+        span_tbs.extend(tbs)
+
+    def _flush_grants(self) -> None:
+        """Air the buffered span as one :class:`GrantBatch`."""
+        columns = self._span_columns
+        if not columns[0]:
+            return
+        table = np.array(columns, dtype=np.int64)
+        for column in columns:
+            column.clear()
+        batch = GrantBatch(*table)
+        for observer in self.grant_batch_observers:
+            observer(batch)
         if self.pdcch_observers:
             # Materialise per-record transmissions only when someone
             # actually listens for them.
-            fmt = (DCIFormat.FORMAT_1A if direction is Direction.DOWNLINK
-                   else DCIFormat.FORMAT_0)
-            for rnti, grant_mcs, grant_prb in zip(
-                    np.asarray(rntis).tolist(), np.asarray(mcs).tolist(),
-                    np.asarray(n_prb).tolist()):
+            for time_us, direction, rnti, grant_mcs, grant_prb in zip(
+                    *table[:5].tolist()):
+                fmt = (DCIFormat.FORMAT_1A if direction == Direction.DOWNLINK
+                       else DCIFormat.FORMAT_0)
                 dci = DCIMessage(fmt=fmt, rnti=rnti, mcs=grant_mcs,
                                  n_prb=grant_prb)
                 self._emit_pdcch(
@@ -151,21 +205,30 @@ class TTILoop:
             return
         if self._rng.random() >= self._profile.harq_bler:
             return
+        self._clock.schedule(
+            self._HARQ_RTT_TTIS * self._tti_us,
+            _Retransmit(self, (direction, rnti, mcs, n_prb, tbs), attempt))
 
-        def retransmit() -> None:
-            # The UE may have been released meanwhile; retransmissions
-            # to a retired RNTI are simply not sent.
-            if rnti not in self._contexts:
-                return
-            self._emit_grants(self._clock.now_us, direction, [rnti], [mcs],
-                              [n_prb], [tbs])
-            self.harq_retransmissions += 1
-            self.grants_issued += 1
-            self._grants_obs.inc()
-            self._maybe_retransmit(direction, rnti, mcs, n_prb, tbs,
-                                   attempt + 1)
+    def _retransmit(self, grant: Tuple[Direction, int, int, int, int],
+                    attempt: int) -> None:
+        """Re-air a grant; a clock-fired retransmit is a span of one."""
+        direction, rnti, mcs, n_prb, tbs = grant
+        # The UE may have been released meanwhile; retransmissions to a
+        # retired RNTI are simply not sent.
+        if rnti not in self._contexts:
+            return
+        self._emit_grants(self._clock.now_us, direction, [rnti], [mcs],
+                          [n_prb], [tbs])
+        self.harq_retransmissions += 1
+        self.grants_issued += 1
+        self._grants_obs.inc()
+        self._maybe_retransmit(direction, rnti, mcs, n_prb, tbs,
+                               attempt + 1)
+        if not self._in_span:
+            self._flush_grants()
 
-        self._clock.schedule(self._HARQ_RTT_TTIS * self._tti_us, retransmit)
+    def _is_own_retransmit(self, callback: Callable[[], None]) -> bool:
+        return type(callback) is _Retransmit and callback.loop is self
 
     # -- the TTI loop: scalar lane for small cells, array lane otherwise -------
 
@@ -175,7 +238,22 @@ class TTILoop:
             self._clock.schedule(self._tti_us, self._on_tti)
 
     def _on_tti(self) -> None:
-        now = self._clock.now_us
+        """Run one span of TTIs from now, then air its grants at once."""
+        clock = self._clock
+        now = clock.now_us
+        self._in_span = True
+        while self._tti(now):
+            now += self._tti_us
+            if not clock.run_ahead(now, self._is_own_retransmit):
+                clock.schedule_at(now, self._on_tti)
+                break
+        else:
+            self._tti_running = False
+        self._in_span = False
+        self._flush_grants()
+
+    def _tti(self, now: int) -> bool:
+        """One TTI on the lane the cell's size picks; returns any backlog."""
         self._ttis_obs.inc()
         occupied = self._cross_traffic.occupied_prb(self._total_prb,
                                                     self._rng)
@@ -183,13 +261,8 @@ class TTILoop:
         slots = self._ordered()
         # Read at call time so a test can pin either lane by patching it.
         if len(slots) <= SCALAR_LANE_MAX and not self._obfuscating:
-            any_backlog = self._scalar_tti(now, available, slots)
-        else:
-            any_backlog = self._array_tti(now, available, slots)
-        if any_backlog:
-            self._clock.schedule(self._tti_us, self._on_tti)
-        else:
-            self._tti_running = False
+            return self._scalar_tti(now, available, slots)
+        return self._array_tti(now, available, slots)
 
     def _scalar_tti(self, now: int, available: int,
                     slots: np.ndarray) -> bool:
@@ -296,12 +369,12 @@ class TTILoop:
             self.grants_issued += count
             self._grants_obs.inc(count)
             self.bytes_granted += granted_bytes
-            self._emit_grants(now, direction, grant_rntis, grant_mcs,
-                              grant_prb, grant_tbs)
+            grant_columns = (grant_rntis.tolist(), grant_mcs.tolist(),
+                             grant_prb.tolist(), grant_tbs.tolist())
+            self._emit_grants(now, direction, *grant_columns)
             if harq:
                 for rnti, grant_mcs_i, grant_prb_i, grant_tbs_i in zip(
-                        grant_rntis.tolist(), grant_mcs.tolist(),
-                        grant_prb.tolist(), grant_tbs.tolist()):
+                        *grant_columns):
                     self._maybe_retransmit(direction, rnti, grant_mcs_i,
                                            grant_prb_i, grant_tbs_i,
                                            attempt=1)
@@ -357,11 +430,6 @@ class TTILoop:
         allocations.extend(self._chaff_allocations(direction, available))
         if not allocations:
             return
-        out_rntis = np.empty(len(allocations), dtype=np.int64)
-        out_mcs = np.empty(len(allocations), dtype=np.int64)
-        out_prb = np.empty(len(allocations), dtype=np.int64)
-        out_tbs = np.empty(len(allocations), dtype=np.int64)
-        index = 0
         for allocation in allocations:  # repro: noqa[PAR004] — scalar padding/chaff path keeps its draw order
             slot = self._contexts[allocation.rnti].slot
             backlog_col[slot] = max(0, backlog_col[slot]
@@ -370,13 +438,12 @@ class TTILoop:
             self.grants_issued += 1
             self._grants_obs.inc()
             self.bytes_granted += allocation.tbs_bytes
-            out_rntis[index] = allocation.rnti
-            out_mcs[index] = allocation.mcs
-            out_prb[index] = allocation.n_prb
-            out_tbs[index] = allocation.tbs_bytes
-            index += 1
-        self._emit_grants(now, direction, out_rntis, out_mcs, out_prb,
-                          out_tbs)
+        self._emit_grants(now, direction,
+                          [allocation.rnti for allocation in allocations],
+                          [allocation.mcs for allocation in allocations],
+                          [allocation.n_prb for allocation in allocations],
+                          [allocation.tbs_bytes
+                           for allocation in allocations])
         if harq:
             for allocation in allocations:  # repro: noqa[PAR004] — HARQ draws must follow allocation order
                 self._maybe_retransmit(direction, allocation.rnti,

@@ -36,7 +36,7 @@ from .epc import EPC
 from .identifiers import IMSI, make_imsi
 from .rrc import ControlMessage, HandoverEvent
 from .scheduler import CrossTraffic
-from .sim import SECOND_US, SimClock, milliseconds, seconds
+from .sim import SimClock, milliseconds, seconds
 from .ue import UE
 
 
@@ -284,8 +284,7 @@ class LTENetwork:
         if duration_s < 0:
             raise ValueError(f"duration_s must be >= 0: {duration_s}")
         with obs.span("sim.run"):
-            self.clock.run_until(
-                self.clock.now_us + int(duration_s * SECOND_US))
+            self.clock.run_until(self.clock.now_us + seconds(duration_s))
 
     def _cell(self, cell_id: Optional[str]) -> Cell:
         if cell_id is None or cell_id not in self.cells:

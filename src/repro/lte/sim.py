@@ -12,6 +12,14 @@ prohibitively slow.  The kernel therefore combines two mechanisms:
 All simulation time is measured in integer **microseconds** to avoid
 floating-point drift in timer comparisons; helpers convert to/from
 seconds and milliseconds at the API boundary.
+
+While :meth:`SimClock.run_until` (or :meth:`SimClock.run`) fires
+events, the clock holds its **bound**: the end time of that call
+(unbounded for ``run``).  :meth:`SimClock.run_ahead` lets the callback
+being fired move the clock forward inline, but never past the bound, so
+a callback can only do work that the running call would have fired
+anyway.  Outside those two calls (a bare :meth:`SimClock.step`) there
+is no bound to run to, and ``run_ahead`` refuses.
 """
 
 from __future__ import annotations
@@ -85,6 +93,9 @@ class SimClock:
         self._now_us = start_us
         self._queue: list[_ScheduledEvent] = []
         self._sequence = itertools.count()
+        #: End time of the running ``run_until``/``run``; -inf outside
+        #: them, so a callback fired by a bare ``step`` cannot run ahead.
+        self._bound_us: float = float("-inf")
 
     @property
     def now_us(self) -> int:
@@ -125,23 +136,64 @@ class SimClock:
             return True
         return False
 
+    def run_ahead(self, time_us: int,
+                  inline: Callable[[Callable[[], None]], bool]) -> bool:
+        """Move the clock to ``time_us`` from inside a firing callback.
+
+        Fires, in heap order and with the clock at their times, the
+        pending events due at or before ``time_us`` whose callbacks
+        ``inline`` accepts, then sets the clock to ``time_us`` and
+        returns ``True``.  Returns ``False`` — with the clock at the
+        last event it fired — when ``time_us`` lies past the bound of
+        the running :meth:`run_until`/:meth:`run`, or when an event due
+        by then is one ``inline`` rejects; that event stays queued for
+        the running call to fire.  The events fired are exactly those
+        the running call would fire next, in the same order.
+        """
+        if time_us > self._bound_us:
+            return False
+        queue = self._queue
+        while queue:
+            event = queue[0]
+            if event.cancelled:
+                heapq.heappop(queue)
+                continue
+            if event.time_us > time_us:
+                break
+            if not inline(event.callback):
+                return False
+            heapq.heappop(queue)
+            self._now_us = event.time_us
+            event.callback()
+        self._now_us = time_us
+        return True
+
     def run_until(self, end_us: int) -> None:
         """Fire every event scheduled strictly before or at ``end_us``.
 
-        The clock is left at ``end_us`` even if the queue drained early,
-        so successive calls observe monotonically increasing time.
+        ``end_us`` is the bound :meth:`run_ahead` may not pass.  The
+        clock is left at ``end_us`` even if the queue drained early, so
+        successive calls observe monotonically increasing time.
         """
-        while True:
-            next_time = self.peek_next_time()
-            if next_time is None or next_time > end_us:
-                break
-            self.step()
+        outer, self._bound_us = self._bound_us, end_us
+        try:
+            while True:
+                next_time = self.peek_next_time()
+                if next_time is None or next_time > end_us:
+                    break
+                self.step()
+        finally:
+            self._bound_us = outer
         self._now_us = max(self._now_us, end_us)
 
     def run(self) -> None:
-        """Fire every pending event until the queue is empty."""
-        while self.step():
-            pass
+        """Fire every pending event until the queue is empty (no bound)."""
+        outer, self._bound_us = self._bound_us, float("inf")
+        try:
+            while self.step():
+                pass
+        finally:
+            self._bound_us = outer
 
     def pending_count(self) -> int:
         """Number of non-cancelled events still queued (for tests)."""

@@ -41,7 +41,7 @@ class CellSniffer:
         self.tracker = OWLTracker(confirm_threshold=confirm_threshold)
         self.mapper = IdentityMapper(cell=cell_id)
         self._builders: Dict[int, TraceBuilder] = {}
-        self.decoder.add_raw_sink(self._on_dci, batch=self._on_dci_batch)
+        self.decoder.add_batch_sink(self._on_dci_batch)
         self._control_log: List[ControlMessage] = []
 
     # -- wiring -------------------------------------------------------------------
@@ -50,7 +50,7 @@ class CellSniffer:
         """Hook this sniffer onto its cell's radio feeds.
 
         The decoder ingests the cell's columnar grant feed, one
-        :class:`~repro.lte.engine.GrantBatch` per direction per TTI.
+        :class:`~repro.lte.engine.GrantBatch` per span of TTIs.
         """
         network.observe(self.cell_id, control=self.on_control,
                         pdcch_batch=self.decoder.on_pdcch_batch)
@@ -61,38 +61,27 @@ class CellSniffer:
         self.tracker.on_control(message)
         self.mapper.on_control(message)
 
-    def _on_dci(self, time_s: float, rnti: int, direction: int,
-                tbs_bytes: int) -> None:
-        """Raw-sink callback: append primitives into per-RNTI buffers."""
-        self.tracker.on_dci(time_s, rnti)
-        builder = self._builders.get(rnti)
-        if builder is None:
-            builder = self._builders[rnti] = TraceBuilder()
-        builder.append(time_s, rnti, direction, tbs_bytes)
-
-    def _on_dci_batch(self, time_s: float, rntis: np.ndarray,
+    def _on_dci_batch(self, times_s: np.ndarray, rntis: np.ndarray,
                       directions: np.ndarray,
                       tbs_bytes: np.ndarray) -> None:
-        """Columnar sink: flush one grant batch into per-RNTI buffers.
+        """Batch sink: track a decoded span, then buffer it per RNTI.
 
-        The batch shares a timestamp, so splitting it by RNTI with one
-        stable argsort preserves each RNTI's record order exactly as the
-        per-record path would have appended it.
+        One stable argsort by RNTI splits the span; each RNTI's records
+        keep their order, exactly as per-record appends would leave them.
         """
-        self.tracker.on_dci_batch(time_s, rntis)
+        self.tracker.on_dci_batch(times_s, rntis)
         if len(rntis) == 1:
             # HARQ retransmissions arrive as single-record batches.
             rnti = int(rntis[0])
             builder = self._builders.get(rnti)
             if builder is None:
                 builder = self._builders[rnti] = TraceBuilder()
-            builder.append(time_s, rnti, int(directions[0]),
+            builder.append(float(times_s[0]), rnti, int(directions[0]),
                            int(tbs_bytes[0]))
             return
         order = np.argsort(rntis, kind="stable")
         ordered = rntis[order]
         boundaries = np.nonzero(np.diff(ordered))[0] + 1
-        times = np.full(len(rntis), time_s, dtype=np.float64)
         for start, stop in zip(
                 np.concatenate(([0], boundaries)),
                 np.concatenate((boundaries, [len(ordered)]))):
@@ -101,7 +90,7 @@ class CellSniffer:
             builder = self._builders.get(rnti)
             if builder is None:
                 builder = self._builders[rnti] = TraceBuilder()
-            builder.extend(times[:stop - start], rntis[picks],
+            builder.extend(times_s[picks], rntis[picks],
                            directions[picks], tbs_bytes[picks])
 
     # -- extraction ---------------------------------------------------------------------

@@ -10,15 +10,16 @@ tracking (:mod:`repro.sniffer.owl`) must filter, exactly as a real
 sniffer must.
 
 An attached sniffer ingests the eNodeB's columnar grant feed through
-:meth:`DCIDecoder.on_pdcch_batch`.  :meth:`DCIDecoder.on_pdcch` decodes
-one encoded transmission at a time (any ``pdcch_observers`` hook); it
-is the per-record reference the batch lanes must match.
+:meth:`DCIDecoder.on_pdcch_batch`, one span of TTIs per call.
+:meth:`DCIDecoder.on_pdcch` decodes one encoded transmission at a time
+(any ``pdcch_observers`` hook); it is the per-record reference the
+batch path must match.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -27,28 +28,27 @@ from ..lte.channel import CaptureChannel, ChannelProfile
 from ..lte.dci import (DCI_PAYLOAD_BYTES, DCIFormat, DCIMessage,
                        DecodeError, Direction, EncodedDCI,
                        PDCCHTransmission)
-from ..lte.identifiers import CRNTI_MAX, CRNTI_MIN, is_crnti
-from ..lte.sim import to_seconds
+from ..lte.identifiers import CRNTI_MAX, CRNTI_MIN
+from ..lte.sim import SECOND_US
 from .trace import TraceRecord
 
 RecordSink = Callable[[TraceRecord], None]
-#: Primitive sink: ``(time_s, rnti, direction, tbs_bytes)`` — the hot
-#: path used by the sniffer's columnar builders (no per-DCI objects).
-RawSink = Callable[[float, int, int, int], None]
-#: Columnar sink: ``(time_s, rntis, directions, tbs_bytes)`` — one call
-#: per grant batch, arrays in emission order.
-RawBatchSink = Callable[[float, np.ndarray, np.ndarray, np.ndarray], None]
+#: Columnar sink: ``(times_s, rntis, directions, tbs_bytes)`` — one call
+#: per grant batch, per-record arrays in emission order (the hot path:
+#: no per-DCI objects).
+BatchSink = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+                     None]
 
 
 class DCIDecoder:
     """Decodes PDCCH transmissions into trace records.
 
-    Attach :meth:`on_pdcch` to a cell via ``LTENetwork.observe``.
-    Decoded DCIs flow to registered sinks; statistics are kept for the
-    attack-cost accounting and for tests.  Two sink flavours exist:
-    primitive *raw* sinks (the columnar emit path — no ``TraceRecord``
-    allocation per DCI) and record sinks (compatibility; a record is
-    built only if at least one is registered).
+    Attach :meth:`on_pdcch_batch` (or :meth:`on_pdcch`) to a cell via
+    ``LTENetwork.observe``.  Decoded DCIs flow to registered sinks;
+    statistics are kept for the attack-cost accounting and for tests.
+    Two sink flavours exist: columnar *batch* sinks (the sniffer's
+    path) and record sinks (compatibility; a record is built only if
+    at least one is registered).
     """
 
     def __init__(self, capture_profile: Optional[ChannelProfile] = None,
@@ -59,7 +59,7 @@ class DCIDecoder:
                                        else random.Random(seed))
         self._drop_non_crnti = drop_non_crnti
         self._sinks: List[RecordSink] = []
-        self._raw_sinks: List[Tuple[RawSink, Optional[RawBatchSink]]] = []
+        self._batch_sinks: List[BatchSink] = []
         # Registry-backed counters behind the historical public
         # attributes (``decoded`` / ``rejected`` stay readable whether
         # or not observability is collecting).
@@ -83,17 +83,9 @@ class DCIDecoder:
         """Register a consumer of decoded :class:`TraceRecord` objects."""
         self._sinks.append(sink)
 
-    def add_raw_sink(self, sink: RawSink,
-                     batch: Optional[RawBatchSink] = None) -> None:
-        """Register a primitive consumer ``(time_s, rnti, dir, tbs)``.
-
-        ``batch`` optionally pairs a columnar counterpart: when the
-        decoder ingests a whole :class:`~repro.lte.engine.GrantBatch`
-        (:meth:`on_pdcch_batch`), the batch sink receives the surviving
-        records as arrays in one call *instead of* per-record calls to
-        ``sink`` — never both, so no record is delivered twice.
-        """
-        self._raw_sinks.append((sink, batch))
+    def add_batch_sink(self, sink: BatchSink) -> None:
+        """Register a columnar consumer of every decoded batch."""
+        self._batch_sinks.append(sink)
 
     def on_pdcch(self, transmission: PDCCHTransmission) -> None:
         """Observer callback: capture, blind-decode, fan out."""
@@ -113,30 +105,16 @@ class DCIDecoder:
         except DecodeError:
             self._rejected.inc()
             return
-        self._emit(to_seconds(transmission.time_us), dci.rnti,
-                   int(dci.direction), dci.tbs_bytes)
-
-    def _emit(self, time_s: float, rnti: int, direction: int,
-              tbs_bytes: int) -> None:
-        """Fan one decoded DCI out to the sinks (non-C-RNTIs rejected)."""
-        if self._drop_non_crnti and not is_crnti(rnti):
-            self._rejected.inc()
-            return
-        self._decoded.inc()
-        for raw_sink, _ in self._raw_sinks:
-            raw_sink(time_s, rnti, direction, tbs_bytes)
-        if self._sinks:
-            record = TraceRecord(time_s=time_s, rnti=rnti,
-                                 direction=Direction(direction),
-                                 tbs_bytes=tbs_bytes)
-            for sink in self._sinks:
-                sink(record)
+        self._deliver(np.array([transmission.time_us], dtype=np.int64),
+                      np.array([dci.rnti], dtype=np.int64),
+                      np.array([int(dci.direction)], dtype=np.int64),
+                      np.array([dci.tbs_bytes], dtype=np.int64), None)
 
     def on_pdcch_batch(self, batch) -> None:
-        """Columnar observer: ingest one grant batch without per-DCI objects.
+        """Columnar observer: decode one span of grants in one call.
 
-        Two lanes, both record-for-record equivalent to feeding each
-        grant through :meth:`on_pdcch`:
+        Record-for-record equivalent to feeding each grant through
+        :meth:`on_pdcch`, however the grants are split into batches:
 
         * **clean channel** (no loss, no corruption): every grant is
           captured and decodes back to exactly the columns the eNodeB
@@ -145,86 +123,92 @@ class DCIDecoder:
           at zero loss/corruption, and the capture rng is private to
           this decoder, so no other component sees the stream move.
         * **lossy channel**: the loss and corruption draws run per grant
-          in :meth:`on_pdcch`'s order.  The payload length is fixed, so
-          the draws need no payload: only a corrupted grant is encoded,
-          bit-flipped and blind-decoded, while an intact one goes to the
-          per-record sinks straight from the eNodeB's columns.
+          in :meth:`on_pdcch`'s order, into a keep mask.  The payload
+          length is fixed, so the draws need no payload: only the
+          corrupted rows are encoded, bit-flipped and blind-decoded, and
+          their decoded values overwrite those rows.
+
+        Either way the surviving records leave as one set of columns.
         """
-        count = len(batch.rntis)
+        count = len(batch)
         if count == 0:
             return
+        rntis = batch.rntis
+        directions = batch.direction
+        tbs = batch.tbs_bytes
         profile = self._capture._profile
         if profile.capture_loss > 0.0 or profile.corruption_prob > 0.0:
-            self._lossy_batch(batch)
-            return
-        self._capture.captured += count
-        self._captured_obs.inc(count)
-        rntis = batch.rntis
-        tbs = batch.tbs_bytes
+            keep, flips = self._capture.draw_batch(count, DCI_PAYLOAD_BYTES)
+            captured = int(keep.sum())
+            self._lost_obs.inc(count - captured)
+            self._corrupted_obs.inc(len(flips))
+            if flips:
+                rntis, directions, tbs = (rntis.copy(), directions.copy(),
+                                          tbs.copy())
+            for row, index, bit in flips:
+                dci = self._decode_corrupted(batch, row, index, bit)
+                if dci is None:
+                    self._rejected.inc()
+                    keep[row] = False
+                    continue
+                rntis[row] = dci.rnti
+                directions[row] = int(dci.direction)
+                tbs[row] = dci.tbs_bytes
+        else:
+            keep = None
+            captured = count
+            self._capture.captured += count
+        self._captured_obs.inc(captured)
+        self._deliver(batch.time_us, rntis, directions, tbs, keep)
+
+    @staticmethod
+    def _decode_corrupted(batch, row: int, index: int,
+                          bit: int) -> Optional[DCIMessage]:
+        """Re-encode one grant, flip one payload bit, blind-decode it."""
+        fmt = (DCIFormat.FORMAT_1A
+               if batch.direction[row] == Direction.DOWNLINK
+               else DCIFormat.FORMAT_0)
+        encoded = DCIMessage(fmt=fmt, rnti=int(batch.rntis[row]),
+                             mcs=int(batch.mcs[row]),
+                             n_prb=int(batch.n_prb[row])).encode()
+        payload = bytearray(encoded.payload)
+        payload[index] ^= bit
+        try:
+            return EncodedDCI(payload=bytes(payload),
+                              masked_crc=encoded.masked_crc).blind_decode()
+        except DecodeError:
+            return None
+
+    def _deliver(self, times_us: np.ndarray, rntis: np.ndarray,
+                 directions: np.ndarray, tbs: np.ndarray,
+                 keep: Optional[np.ndarray]) -> None:
+        """Drop non-C-RNTIs and fan the kept records out to the sinks."""
+        kept = len(rntis) if keep is None else int(keep.sum())
         if self._drop_non_crnti:
-            keep = (rntis >= CRNTI_MIN) & (rntis <= CRNTI_MAX)
-            if not keep.all():
-                dropped = count - int(keep.sum())
-                self._rejected.inc(dropped)
-                rntis = rntis[keep]
-                tbs = tbs[keep]
-        kept = len(rntis)
+            crnti = (rntis >= CRNTI_MIN) & (rntis <= CRNTI_MAX)
+            keep = crnti if keep is None else keep & crnti
+            survivors = int(keep.sum())
+            self._rejected.inc(kept - survivors)
+            kept = survivors
+        if keep is not None and kept < len(rntis):
+            times_us, rntis = times_us[keep], rntis[keep]
+            directions, tbs = directions[keep], tbs[keep]
         if kept == 0:
             return
         self._decoded.inc(kept)
-        time_s = to_seconds(batch.time_us)
-        directions = np.full(kept, int(batch.direction), dtype=np.int64)
-        for raw_sink, batch_sink in self._raw_sinks:
-            if batch_sink is not None:
-                batch_sink(time_s, rntis, directions, tbs)
-            else:
-                direction_int = int(batch.direction)
-                for index in range(kept):
-                    raw_sink(time_s, int(rntis[index]), direction_int,
-                             int(tbs[index]))
-        if self._sinks:
-            for index in range(kept):
-                record = TraceRecord(time_s=time_s, rnti=int(rntis[index]),
-                                     direction=batch.direction,
-                                     tbs_bytes=int(tbs[index]))
-                for sink in self._sinks:
-                    sink(record)
-
-    def _lossy_batch(self, batch) -> None:
-        """Capture draws per grant; blind-decode only the corrupted ones."""
-        deliver = self._capture.deliver
-        draw_flip = self._capture.draw_flip
-        fmt = (DCIFormat.FORMAT_1A if batch.direction is Direction.DOWNLINK
-               else DCIFormat.FORMAT_0)
-        direction = int(batch.direction)
-        time_s = to_seconds(batch.time_us)
-        rntis = batch.rntis.tolist()
-        tbs = batch.tbs_bytes.tolist()
-        lost = corrupted = 0
-        for index, rnti in enumerate(rntis):
-            if not deliver():
-                lost += 1
-                continue
-            flip = draw_flip(DCI_PAYLOAD_BYTES)
-            if flip is None:
-                self._emit(time_s, rnti, direction, tbs[index])
-                continue
-            corrupted += 1
-            encoded = DCIMessage(fmt=fmt, rnti=rnti,
-                                 mcs=int(batch.mcs[index]),
-                                 n_prb=int(batch.n_prb[index])).encode()
-            payload = bytearray(encoded.payload)
-            payload[flip[0]] ^= flip[1]
-            try:
-                dci = EncodedDCI(payload=bytes(payload),
-                                 masked_crc=encoded.masked_crc).blind_decode()
-            except DecodeError:
-                self._rejected.inc()
-                continue
-            self._emit(time_s, dci.rnti, int(dci.direction), dci.tbs_bytes)
-        self._lost_obs.inc(lost)
-        self._captured_obs.inc(len(rntis) - lost)
-        self._corrupted_obs.inc(corrupted)
+        times_s = times_us / SECOND_US
+        for batch_sink in self._batch_sinks:
+            batch_sink(times_s, rntis, directions, tbs)
+        if not self._sinks:
+            return
+        for time_s, rnti, direction, size in zip(
+                times_s.tolist(), rntis.tolist(), directions.tolist(),
+                tbs.tolist()):
+            record = TraceRecord(time_s=time_s, rnti=rnti,
+                                 direction=Direction(direction),
+                                 tbs_bytes=size)
+            for sink in self._sinks:
+                sink(record)
 
     @property
     def capture_stats(self) -> dict:

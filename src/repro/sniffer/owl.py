@@ -81,8 +81,118 @@ class OWLTracker:
         self.on_dci(record.time_s, record.rnti)
 
     def on_dci(self, now: float, rnti: int) -> None:
-        """Feed one blind-decoded DCI as primitives (the hot path)."""
+        """Feed one blind-decoded DCI as primitives."""
         self._expire_stale(now)
+        self._hit(now, rnti)
+
+    def on_dci_batch(self, now, rntis) -> None:
+        """Feed a batch of DCIs in one call: one time, or one per record.
+
+        ``now`` is a scalar every record shares, or an array of
+        per-record times that never decrease (a simulator span).  The
+        result is state-for-state what calling :meth:`on_dci` once per
+        record leaves: the same active set and dict order, candidates,
+        history and counters.  The batch splits at each record where an
+        expiry or the once-per-window candidate sweep may fall, and
+        that record goes through :meth:`on_dci`.  Between split points
+        every per-record expiry/sweep pass is a no-op, so the records
+        collapse per RNTI (:meth:`_absorb`).
+        """
+        rntis = np.asarray(rntis)
+        count = len(rntis)
+        if count == 0:
+            return
+        if isinstance(now, (float, int)):
+            times = np.full(count, now, dtype=np.float64)
+        else:
+            times = np.asarray(now, dtype=np.float64)
+            if times.ndim == 0:
+                times = np.full(count, times)
+            elif count > 1 and bool((times[1:] < times[:-1]).any()):
+                raise ValueError("per-record times must not decrease")
+        start = 0
+        while start < count:
+            stop = self._quiet_until(times, start)
+            if stop == start:
+                self.on_dci(float(times[start]), int(rntis[start]))
+                start += 1
+            elif start == 0 and stop == count:
+                self._absorb(times, rntis)
+                return
+            else:
+                self._absorb(times[start:stop], rntis[start:stop])
+                start = stop
+
+    def _quiet_until(self, times: np.ndarray, start: int) -> int:
+        """First record from ``start`` on where an expiry/sweep may fall.
+
+        Conservative and exact: an active entry's ``last_seen_s`` only
+        grows, and an entry confirmed from here on is seen no earlier
+        than ``times[start]``, so no entry can expire at a record ``t``
+        with ``t - floor <= expiry_s``.  Both masks are monotone in
+        ``t`` (float subtraction is), so the first flagged record is the
+        first of the run.
+        """
+        floor = float(times[start])
+        for activity in self._active.values():
+            if activity.last_seen_s < floor:
+                floor = activity.last_seen_s
+        last = float(times[-1])
+        if (last - self._last_sweep_s < self._window_s
+                and last - floor <= self._expiry_s):
+            return len(times)
+        rest = times[start:]
+        due = ((rest - self._last_sweep_s >= self._window_s)
+               | (rest - floor > self._expiry_s))
+        return start + int(np.argmax(due))
+
+    def _absorb(self, times: np.ndarray, rntis: np.ndarray) -> None:
+        """Records no expiry or sweep falls among, collapsed per RNTI.
+
+        An active RNTI takes all its records in one update.  Any other
+        runs the candidate rule record by record until it confirms, and
+        its remaining records become activity.  RNTIs do not interact
+        here, so only the order of confirmations is observable (the
+        active dict's order): they are applied in record order.
+        """
+        if len(rntis) == 1:
+            self._hit(float(times[0]), int(rntis[0]))
+            return
+        order = rntis.argsort(kind="stable")
+        ordered = rntis[order]
+        # Each RNTI's records are ordered[lo:hi]; ``ends`` holds hi - 1.
+        group_end = np.empty(len(ordered), dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=group_end[:-1])
+        group_end[-1] = True
+        ends = group_end.nonzero()[0]
+        confirms = []
+        hi = 0
+        for rnti, end, last in zip(ordered[ends].tolist(), ends.tolist(),
+                                   times[order[ends]].tolist()):
+            lo, hi = hi, end + 1
+            if not is_crnti(rnti):
+                continue
+            activity = self._active.get(rnti)
+            if activity is not None:
+                activity.last_seen_s = max(activity.last_seen_s, last)
+                activity.records += hi - lo
+                continue
+            picks = order[lo:hi]
+            for offset, time_s in enumerate(times[picks].tolist()):
+                if self._candidate_hit(time_s, rnti):
+                    confirms.append((int(picks[offset]), rnti, time_s,
+                                     hi - lo - offset - 1, last))
+                    break
+        confirms.sort()
+        for _, rnti, time_s, remaining, last in confirms:
+            self._confirm(rnti, time_s)
+            if remaining:
+                activity = self._active[rnti]
+                activity.last_seen_s = max(activity.last_seen_s, last)
+                activity.records += remaining
+
+    def _hit(self, now: float, rnti: int) -> None:
+        """One record's effect once expiry and sweep have run."""
         if not is_crnti(rnti):
             return
         activity = self._active.get(rnti)
@@ -94,58 +204,19 @@ class OWLTracker:
             activity.last_seen_s = max(activity.last_seen_s, now)
             activity.records += 1
             return
+        if self._candidate_hit(now, rnti):
+            self._confirm(rnti, now)
+
+    def _candidate_hit(self, now: float, rnti: int) -> bool:
+        """Count one sighting of a candidate; whether it now confirms."""
         candidate = self._candidates.get(rnti)
         if candidate is None or now - candidate.first_seen_s > self._window_s:
-            self._candidates[rnti] = _Candidate(first_seen_s=now,
-                                                last_seen_s=now)
-            candidate = self._candidates[rnti]
+            candidate = self._candidates[rnti] = _Candidate(
+                first_seen_s=now, last_seen_s=now)
         else:
             candidate.hits += 1
             candidate.last_seen_s = max(candidate.last_seen_s, now)
-        if candidate.hits >= self._threshold:
-            self._confirm(rnti, now)
-
-    def on_dci_batch(self, now: float, rntis) -> None:
-        """Feed one grant batch (same-timestamp records) in one call.
-
-        State-for-state equivalent to calling :meth:`on_dci` once per
-        record: records of one batch share a timestamp, so the per-record
-        expiry/sweep passes after the first are provably no-ops (every
-        touched entry has ``last_seen_s == now``), and per-RNTI counts
-        collapse analytically — ``h`` hits split into candidate hits up
-        to the confirm threshold, a confirmation, and activity records
-        for the remainder.  RNTI groups are mutually independent, so
-        processing them in sorted rather than emission order changes no
-        state.
-        """
-        self._expire_stale(now)
-        unique, counts = np.unique(np.asarray(rntis), return_counts=True)
-        for rnti, count in zip(unique.tolist(), counts.tolist()):
-            if not is_crnti(rnti):
-                continue
-            activity = self._active.get(rnti)
-            if activity is not None:
-                activity.last_seen_s = max(activity.last_seen_s, now)
-                activity.records += count
-                continue
-            candidate = self._candidates.get(rnti)
-            if (candidate is None
-                    or now - candidate.first_seen_s > self._window_s):
-                candidate = _Candidate(first_seen_s=now, last_seen_s=now)
-                self._candidates[rnti] = candidate
-            else:
-                candidate.hits += 1
-                candidate.last_seen_s = max(candidate.last_seen_s, now)
-            remaining = count - 1
-            if candidate.hits < self._threshold:
-                taken = min(remaining, self._threshold - candidate.hits)
-                candidate.hits += taken
-                if taken:
-                    candidate.last_seen_s = max(candidate.last_seen_s, now)
-                remaining -= taken
-            if candidate.hits >= self._threshold:
-                self._confirm(rnti, now)
-                self._active[rnti].records += remaining
+        return candidate.hits >= self._threshold
 
     def on_control(self, message: ControlMessage) -> None:
         """Feed one control-plane message."""

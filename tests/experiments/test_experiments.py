@@ -111,7 +111,8 @@ class TestCostExperiment:
             cost_experiment.measure_unit_costs(duration_s=8.0, seed=1,
                                                n_trees=2)
             stats = runtime.stats()
-        assert stats.simulations == 1 + len(app_names())
+        assert stats.simulations == (cost_experiment.TIMING_ROUNDS
+                                     + len(app_names()))
         assert stats.cache.hits == 0
 
     def test_unit_costs_print_in_microseconds(self):

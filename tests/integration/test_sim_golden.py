@@ -17,7 +17,10 @@ reproduced them before that loop was deleted.  They pin:
   the engine changes lanes mid-run in both directions;
 * the experiment driver path (``collect_trace``);
 * the sharded city simulator across shard counts {1, 2, 4} on both the
-  serial and the process ``ParallelMap`` backends.
+  serial and the process ``ParallelMap`` backends;
+* TTI run-ahead: scenarios built to stress the span rule give the same
+  bits with run-ahead on and off, and split ``run_for`` calls give the
+  bits of one call.
 """
 
 import hashlib
@@ -33,6 +36,7 @@ from repro.lte.dci import Direction
 from repro.lte import engine as engine_module
 from repro.lte.enb import ENodeB
 from repro.lte.network import LTENetwork
+from repro.lte.sim import SimClock
 from repro.lte.obfuscation import ObfuscationConfig
 from repro.lte.scheduler import CrossTraffic
 from repro.operators import LAB
@@ -130,6 +134,14 @@ CITY_DIGEST = (
 
 def _simulate(scheduler_name, cell_kwargs, capture_kwargs, nr=False,
               seed=42, duration_s=1.5):
+    net, sniffer = _golden_network(scheduler_name, cell_kwargs,
+                                   capture_kwargs, nr=nr, seed=seed)
+    net.run_for(duration_s)
+    return net.cells["golden"].enb, sniffer
+
+
+def _golden_network(scheduler_name, cell_kwargs, capture_kwargs, nr=False,
+                    seed=42):
     net = LTENetwork(seed=seed)
     if nr:
         add_nr_cell(net, "golden", **cell_kwargs)
@@ -151,8 +163,7 @@ def _simulate(scheduler_name, cell_kwargs, capture_kwargs, nr=False,
         net.clock.schedule(int(at_s * 1_000_000),
                            lambda u=ues[index], d=direction, s=size:
                            net.deliver_traffic(u, d, s))
-    net.run_for(duration_s)
-    return net.cells["golden"].enb, sniffer
+    return net, sniffer
 
 
 def _trace_digest(sniffer):
@@ -339,3 +350,157 @@ class TestShardedCityGoldens:
                           ParallelMap(workers=2, backend="process"),
                           shards=shards)
         assert _city_digest(result) == CITY_DIGEST
+
+
+# -- TTI run-ahead -------------------------------------------------------------
+
+
+def _per_tti(monkeypatch):
+    """Turn run-ahead off: every TTI goes through the clock's heap."""
+    monkeypatch.setattr(SimClock, "run_ahead",
+                        lambda self, time_us, inline: False)
+
+
+def _sniffer_state(sniffer):
+    """Everything a sniffer holds: records, counters, rng, tracker."""
+    tracker = sniffer.tracker
+    return (_trace_digest(sniffer), sniffer.decoder.capture_stats,
+            sniffer.decoder._capture._rng.getstate(),
+            list(tracker._active), tracker.candidate_count,
+            [(a.rnti, a.confirmed_s, a.last_seen_s, a.records)
+             for a in tracker.history()])
+
+
+def _probe(net, sniffers, log, at_us):
+    """A foreign event at ``at_us`` that logs what it can observe."""
+    def probe():
+        log.append((net.clock.now_us,
+                    [(cell.enb.grants_issued, cell.enb.harq_retransmissions)
+                     for cell in net.cells.values()],
+                    [sniffer.total_records for sniffer in sniffers]))
+    net.clock.schedule_at(at_us, probe)
+
+
+def _busy_cell(net, cell_id, harq_bler, capture, seed):
+    net.add_cell(cell_id, scheduler_name="proportional-fair", total_prb=25,
+                 channel_profile=ChannelProfile(harq_bler=harq_bler))
+    return CellSniffer(cell_id, seed=seed,
+                       capture_profile=ChannelProfile(**capture)
+                       ).attach(net)
+
+
+def _boundary_events(net, log):
+    """Foreign events land exactly on the busy loop's TTI boundaries."""
+    sniffer = _busy_cell(net, "a", 0.2,
+                         {"capture_loss": 0.05, "corruption_prob": 0.05}, 3)
+    ues = [net.add_ue(name=f"ue{i}") for i in range(2)]
+    net.deliver_traffic(ues[0], Direction.DOWNLINK, 1)
+    net.clock.schedule_at(100_000, lambda: net.deliver_traffic(
+        ues[0], Direction.DOWNLINK, 400_000))
+    for step in range(30):
+        at_us = 110_000 + step * 7_000
+        _probe(net, [sniffer], log, at_us)
+        net.clock.schedule_at(at_us, lambda u=ues[step % 2]:
+                              net.deliver_traffic(u, Direction.UPLINK, 900))
+    return [sniffer]
+
+
+def _harq_ties(net, log):
+    """Heavy HARQ: retransmits tie with TTIs of a long busy burst."""
+    sniffer = _busy_cell(net, "a", 0.45, {}, 4)
+    ues = [net.add_ue(name=f"ue{i}") for i in range(3)]
+    for index, ue in enumerate(ues):
+        net.deliver_traffic(ue, Direction.UPLINK, 1)
+        net.clock.schedule_at(150_000 + index * 1_000,
+                              lambda u=ue: net.deliver_traffic(
+                                  u, Direction.DOWNLINK, 250_000))
+    _probe(net, [sniffer], log, 400_000)
+    return [sniffer]
+
+
+def _off_grid_restarts(net, log):
+    """Short bursts restart the loop off the 1 ms grid between retransmits."""
+    sniffer = _busy_cell(net, "a", 0.4, {"corruption_prob": 0.1}, 5)
+    ue = net.add_ue(name="ue0")
+    net.deliver_traffic(ue, Direction.UPLINK, 1)
+    for burst in range(40):
+        at_us = 120_000 + burst * 6_300 + (burst % 7) * 111
+        net.clock.schedule_at(at_us, lambda: net.deliver_traffic(
+            ue, Direction.DOWNLINK, 3_000))
+        _probe(net, [sniffer], log, at_us + 2_000)
+    return [sniffer]
+
+
+def _two_cells(net, log):
+    """Two busy cells share the clock; their TTIs interleave."""
+    sniffers = [_busy_cell(net, "a", 0.2, {"capture_loss": 0.1}, 6),
+                _busy_cell(net, "b", 0.0, {}, 7)]
+    ues = [net.add_ue(name="ue-a", cell_id="a"),
+           net.add_ue(name="ue-b", cell_id="b")]
+    for index, ue in enumerate(ues):
+        net.deliver_traffic(ue, Direction.UPLINK, 1)
+        net.clock.schedule_at(100_000 + 300 * index,
+                              lambda u=ue: net.deliver_traffic(
+                                  u, Direction.DOWNLINK, 600_000))
+        net.clock.schedule_at(400_000 + 700 * index,
+                              lambda u=ue: net.deliver_traffic(
+                                  u, Direction.UPLINK, 80_000))
+    for step in range(10):
+        _probe(net, sniffers, log, 150_000 + step * 50_000)
+    return sniffers
+
+
+RUN_AHEAD_SCENARIOS = {"boundary-events": _boundary_events,
+                       "harq-ties": _harq_ties,
+                       "off-grid-restarts": _off_grid_restarts,
+                       "two-cells": _two_cells}
+
+
+def _run_scenario(build):
+    net = LTENetwork(seed=9)
+    log = []
+    sniffers = build(net, log)
+    batches = []
+    for cell in net.cells.values():
+        cell.enb.grant_batch_observers.append(batches.append)
+    net.run_for(1.2)
+    cells = [(cell.enb.grants_issued, cell.enb.bytes_granted,
+              cell.enb.harq_retransmissions) for cell in net.cells.values()]
+    state = (cells, log, [_sniffer_state(sniffer) for sniffer in sniffers])
+    return state, len(batches)
+
+
+@pytest.mark.parametrize("name", sorted(RUN_AHEAD_SCENARIOS))
+def test_run_ahead_matches_per_tti_scheduling(name, monkeypatch):
+    build = RUN_AHEAD_SCENARIOS[name]
+    spans, span_batches = _run_scenario(build)
+    _per_tti(monkeypatch)
+    per_tti, tti_batches = _run_scenario(build)
+    assert spans == per_tti
+    cells, log, sniffers = per_tti
+    assert log
+    assert cells[0][2] > 0
+    assert all(state[1]["decoded"] > 0 for state in sniffers)
+    if name != "two-cells":
+        assert span_batches < tti_batches
+
+
+def test_split_run_for_matches_one_call_and_stops_at_bound(monkeypatch):
+    ticks = []
+    tti = ENodeB._tti
+
+    def spy(self, now):
+        ticks.append(now)
+        return tti(self, now)
+
+    monkeypatch.setattr(ENodeB, "_tti", spy)
+    scenario = SCENARIOS[3]
+    whole = _simulate(*scenario, duration_s=1.5)
+    ticks.clear()
+    net, sniffer = _golden_network(*scenario)
+    for duration_s in (0.3043, 0.0005, 0.4002, 0.795):
+        net.run_for(duration_s)
+        assert max(ticks) <= net.clock.now_us
+    assert net.clock.now_us == 1_500_000
+    assert (_observed(net.cells["golden"].enb, sniffer)
+            == _observed(*whole) == GOLDENS[3])

@@ -5,6 +5,7 @@ import pytest
 from repro.lte.cell import MobilityStep
 from repro.lte.dci import Direction
 from repro.lte.network import LTENetwork, TrafficEvent
+from repro.lte.obfuscation import ObfuscationConfig
 from repro.lte.rrc import (HandoverEvent, PagingMessage,
                            RRCConnectionRequest)
 from repro.lte.sim import seconds
@@ -227,3 +228,41 @@ class TestObserve:
         requests = [m for m in control
                     if isinstance(m, RRCConnectionRequest)]
         assert requests and all(r.s_tmsi == ue.tmsi for r in requests)
+
+
+class TestSecondsToMicroseconds:
+    """Durations in seconds round to the nearest µs; they never truncate.
+
+    ``int(2.01 * 1e6)`` is 2,009,999: 38 of the durations 0.01 .. 20.00 s
+    lose a microsecond that way.
+    """
+
+    def test_run_for_advances_exactly(self, net):
+        expected = 0
+        for hundredths in range(1, 2001):
+            net.run_for(hundredths / 100)
+            expected += hundredths * 10_000
+            assert net.clock.now_us == expected
+
+    @staticmethod
+    def _connected(**cell_kwargs):
+        network = LTENetwork(seed=5)
+        network.add_cell("alpha", **cell_kwargs)
+        ue = network.add_ue()
+        network.cells["alpha"].enb.connect(ue)
+        return network, network.cells["alpha"].enb, ue
+
+    def test_inactivity_timer_fires_on_time(self):
+        network, _, ue = self._connected(inactivity_timeout_s=2.01)
+        network.clock.run_until(2_009_999)
+        assert ue.is_connected
+        network.clock.run_until(2_010_000)
+        assert not ue.is_connected
+
+    def test_rnti_refresh_fires_on_time(self):
+        network, enb, _ = self._connected(
+            obfuscation=ObfuscationConfig(rnti_refresh_s=2.01))
+        network.clock.run_until(2_009_999)
+        assert enb.obfuscation_stats.rnti_refreshes == 0
+        network.clock.run_until(2_010_000)
+        assert enb.obfuscation_stats.rnti_refreshes == 1

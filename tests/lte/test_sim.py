@@ -154,3 +154,102 @@ class TestSimClock:
         clock = SimClock()
         clock.run_until(end)
         assert clock.now_us == end
+
+
+class _Own:
+    """A callback that ``run_ahead`` is told to fire inline."""
+
+    def __init__(self, log, tag):
+        self.log, self.tag = log, tag
+
+    def __call__(self):
+        self.log.append(self.tag)
+
+
+def _own(callback):
+    return isinstance(callback, _Own)
+
+
+class TestRunAhead:
+    def test_refused_without_a_running_bound(self):
+        clock = SimClock()
+        results = []
+        clock.schedule(10, lambda: results.append(
+            clock.run_ahead(20, _own)))
+        assert clock.step()
+        assert results == [False]
+        assert clock.now_us == 10
+
+    def test_refused_past_the_bound(self):
+        clock = SimClock()
+        results = []
+
+        def ahead():
+            results.append(clock.run_ahead(30, _own))
+            results.append(clock.now_us)
+            results.append(clock.run_ahead(25, _own))
+            results.append(clock.now_us)
+
+        clock.schedule(10, ahead)
+        clock.run_until(25)
+        assert results == [False, 10, True, 25]
+
+    def test_fires_own_events_in_heap_order_at_their_times(self):
+        clock = SimClock()
+        log = []
+        clock.schedule(20, _Own(log, "b"))
+        clock.schedule(15, _Own(log, "a"))
+        clock.schedule(20, _Own(log, "c"))
+        clock.schedule(21, _Own(log, "late"))
+        cancelled = clock.schedule(18, _Own(log, "cancelled"))
+        cancelled.cancel()
+        clock.schedule(10, lambda: log.append(clock.run_ahead(20, _own)))
+        clock.run()
+        assert log == ["a", "b", "c", True, "late"]
+
+    def test_stops_at_the_first_foreign_event(self):
+        clock = SimClock()
+        log = []
+        clock.schedule(12, _Own(log, "own"))
+        clock.schedule(15, lambda: log.append(("foreign", clock.now_us)))
+        clock.schedule(18, _Own(log, "after"))
+
+        def ahead():
+            log.append(clock.run_ahead(20, _own))
+            log.append(clock.now_us)
+
+        clock.schedule(10, ahead)
+        clock.run_until(100)
+        assert log == ["own", False, 12, ("foreign", 15), "after"]
+
+    @given(st.lists(st.integers(min_value=0, max_value=400), max_size=30),
+           st.integers(min_value=0, max_value=500))
+    def test_property_ticker_fires_what_per_tick_scheduling_fires(
+            self, foreign, end):
+        """A ticker that runs ahead logs what one scheduling each tick does."""
+
+        def simulate(run_ahead):
+            clock = SimClock()
+            log = []
+            for at in foreign:
+                clock.schedule_at(at, lambda a=at: log.append(
+                    ("foreign", a, clock.now_us)))
+                if at % 3 == 0:
+                    clock.schedule_at(at + 5, _Own(log, ("own", at + 5)))
+
+            def tick():
+                now = clock.now_us
+                while True:
+                    log.append(("tick", now))
+                    if now >= 300:
+                        return
+                    now += 7
+                    if not (run_ahead and clock.run_ahead(now, _own)):
+                        clock.schedule_at(now, tick)
+                        return
+
+            clock.schedule_at(1, tick)
+            clock.run_until(end)
+            return log, clock.now_us
+
+        assert simulate(True) == simulate(False)

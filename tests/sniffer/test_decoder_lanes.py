@@ -21,8 +21,10 @@ from repro.sniffer.dci_decoder import DCIDecoder
 
 #: (capture_loss, corruption_prob).  ChannelProfile rejects a loss of
 #: exactly 1.0; the largest float below it loses every record unless
-#: ``random()`` returns its own maximum.
-CHANNELS = [(0.08, 0.014), (0.5, 0.5), (math.nextafter(1.0, 0.0), 0.0)]
+#: ``random()`` returns its own maximum.  At zero loss the lossy lane
+#: still makes one loss draw per grant.
+CHANNELS = [(0.08, 0.014), (0.5, 0.5), (math.nextafter(1.0, 0.0), 0.0),
+            (0.0, 0.2)]
 
 
 def _batches(seed, count=300):
@@ -37,7 +39,8 @@ def _batches(seed, count=300):
                for m, p in zip(mcs, n_prb)]
         direction = rng.choice((Direction.DOWNLINK, Direction.UPLINK))
         batches.append(GrantBatch(
-            time_us=tti * 1_000, direction=direction,
+            time_us=np.full(size, tti * 1_000, dtype=np.int64),
+            direction=np.full(size, int(direction), dtype=np.int64),
             rntis=np.array(rntis, dtype=np.int64),
             mcs=np.array(mcs, dtype=np.int64),
             n_prb=np.array(n_prb, dtype=np.int64),
@@ -52,7 +55,8 @@ def _decoder(loss, corruption):
         rng=random.Random(99))
     records, raw = [], []
     decoder.add_sink(records.append)
-    decoder.add_raw_sink(lambda *fields: raw.append(fields))
+    decoder.add_batch_sink(
+        lambda *columns: raw.extend(zip(*(c.tolist() for c in columns))))
     return decoder, records, raw
 
 
@@ -62,12 +66,14 @@ def test_lossy_batch_lane_equals_per_record_decoding(loss, corruption):
     scalar, scalar_records, scalar_raw = _decoder(loss, corruption)
     batched, batched_records, batched_raw = _decoder(loss, corruption)
     for batch in batches:
-        fmt = (DCIFormat.FORMAT_1A if batch.direction is Direction.DOWNLINK
-               else DCIFormat.FORMAT_0)
-        for rnti, mcs, n_prb in zip(batch.rntis.tolist(), batch.mcs.tolist(),
-                                    batch.n_prb.tolist()):
+        for time_us, direction, rnti, mcs, n_prb in zip(
+                batch.time_us.tolist(), batch.direction.tolist(),
+                batch.rntis.tolist(), batch.mcs.tolist(),
+                batch.n_prb.tolist()):
+            fmt = (DCIFormat.FORMAT_1A if direction == Direction.DOWNLINK
+                   else DCIFormat.FORMAT_0)
             scalar.on_pdcch(PDCCHTransmission(
-                time_us=batch.time_us,
+                time_us=time_us,
                 encoded=DCIMessage(fmt=fmt, rnti=rnti, mcs=mcs,
                                    n_prb=n_prb).encode()))
         batched.on_pdcch_batch(batch)
