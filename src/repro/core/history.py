@@ -23,6 +23,7 @@ import numpy as np
 from ..apps import category_of, make_app
 from ..lte.network import LTENetwork
 from ..lte.rrc import HandoverEvent
+from ..lte.sim import seconds
 from ..operators.profiles import LAB, OperatorProfile
 from ..sniffer.capture import CellSniffer
 from ..sniffer.identity import IMSICatcher
@@ -170,7 +171,7 @@ class HistoryAttack:
             if visit.zone != victim.serving_cell or index > 0:
                 move_at = max(0.0, visit.start_s - 1.0)
                 network.clock.schedule(
-                    int(move_at * 1_000_000),
+                    seconds(move_at),
                     lambda z=visit.zone: network.move_ue(victim, z))
             model = make_app(visit.app, day=day)
             network.start_app_session(victim, model, start_s=visit.start_s,

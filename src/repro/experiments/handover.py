@@ -24,6 +24,7 @@ from ..core.dataset import collect_traces, windows_from_traces
 from ..core.fingerprint import HierarchicalFingerprinter
 from ..lte.network import LTENetwork
 from ..lte.rrc import HandoverEvent
+from ..lte.sim import seconds
 from ..operators.profiles import LAB, OperatorProfile
 from ..sniffer.capture import CellSniffer
 from ..sniffer.identity import IMSICatcher
@@ -63,7 +64,7 @@ def _handover_capture(app: str, operator: OperatorProfile,
         if isinstance(m, HandoverEvent) else None))
     network.start_app_session(victim, make_app(app), start_s=0.2,
                               duration_s=duration_s, session_seed=seed + 7)
-    network.clock.schedule(int(duration_s / 2 * 1_000_000),
+    network.clock.schedule(seconds(duration_s / 2),
                            lambda: network.move_ue(victim, "dst"))
     network.run_for(duration_s + 2.0)
     source = sniffers["src"].trace_for_tmsi(victim.tmsi).rebased()

@@ -139,13 +139,14 @@ class ENodeB(TTILoop):
         self.pdcch_observers: List[PDCCHObserver] = []
         self.control_observers: List[ControlObserver] = []
         #: Columnar grant feed: one :class:`~repro.lte.engine.GrantBatch`
-        #: per span of TTIs (and per HARQ retransmission the clock fires).
+        #: per observation point (see :mod:`repro.lte.engine`).
         self.grant_batch_observers: List[GrantBatchObserver] = []
-        # The running span's grants: time, direction, RNTI, MCS, PRBs
-        # and TBS columns, aired by ``_flush_grants``.
+        # Grants not yet aired: time, direction, RNTI, MCS, PRBs and TBS
+        # columns, aired by ``_flush_grants``; ``_flush_deferred`` is
+        # set while the running clock call holds a flush for them.
         self._span_columns: Tuple[List[int], ...] = tuple(
             [] for _ in range(6))
-        self._in_span = False
+        self._flush_deferred = False
         self.obfuscation = obfuscation or NO_OBFUSCATION
         self.obfuscation_stats = ObfuscationStats()
         # Padding / chaff mutate and extend the allocation list with
@@ -176,6 +177,9 @@ class ENodeB(TTILoop):
             observer(transmission)
 
     def _emit_control(self, message: ControlMessage) -> None:
+        # An observation point: the grants aired before this message
+        # reach the observers first.
+        self._flush_grants()
         for observer in self.control_observers:
             observer(message)
 

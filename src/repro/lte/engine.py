@@ -58,15 +58,30 @@ due at or before ``next`` fire before it, and nothing fires in between;
 the span fires the same callbacks in the same order with the clock at
 the same times, so the rng draw order above is unchanged.
 
-Grants leave the cell as :class:`GrantBatch` columns.  While a span
-runs, :meth:`TTILoop._emit_grants` appends to per-cell column buffers;
-before ``_on_tti`` returns — so before any other event can fire — one
-:meth:`TTILoop._flush_grants` airs the whole span as one batch with
-per-record times and directions.  A lone TTI, or a retransmit the clock
-fires itself, is a span of one, so there is one emission path.  An
-attached sniffer ingests whole spans without per-record
+Grants leave the cell as :class:`GrantBatch` columns.
+:meth:`TTILoop._emit_grants` appends every TTI's grants, and every
+HARQ retransmit's, to per-cell column buffers across spans, and
+:meth:`TTILoop._flush_grants` airs what is buffered as one batch with
+per-record times and directions at the cell's next *observation point*:
+
+(a) the top of ``ENodeB._emit_control``, before any control observer
+    sees the message, so within a cell DCI records and control messages
+    keep their relative order;
+(b) the return of the running ``run_until``/``run``, through
+    :meth:`~repro.lte.sim.SimClock.defer` (under a bare ``step`` that
+    is the end of the span, so each span airs at once);
+(c) as soon as :data:`FLUSH_RECORDS` grants are buffered, so even one
+    long saturated span airs in bounded batches.
+
+This is exact: the decoder, tracker and trace builders give the same
+result however a run is cut into batches, and the capture rng belongs
+to the sniffer alone.  What changes is *when* DCI-fed state is
+complete: after ``run_for`` returns, and inside a control observer;
+read from a clock callback, it reflects only the last observation
+point.  An attached sniffer ingests batches without per-record
 ``PDCCHTransmission`` objects; plain ``pdcch_observers`` still receive
-fully encoded transmissions, materialised from the same columns.
+fully encoded transmissions, materialised from the same columns at the
+same points.
 """
 
 from __future__ import annotations
@@ -87,13 +102,20 @@ from .tbs import mcs_of_cqi_array
 #: ``crossover``) is the evidence for the value.
 SCALAR_LANE_MAX = 32
 
+#: Buffered grants that air at once, without waiting for an observation
+#: point: the bound on one :class:`GrantBatch` beyond one TTI's grants.
+FLUSH_RECORDS = 4096
+
 #: CQI random-walk steps — shared tuple so ``choice`` cost stays flat.
 _CQI_STEPS = (-1, 1)
 
 
 @dataclass(frozen=True)
 class GrantBatch:
-    """One span's grants as parallel per-record columns.
+    """A cell's grants since its last observation point, as columns.
+
+    One batch may cover many spans of TTIs and HARQ retransmits; at
+    most :data:`FLUSH_RECORDS` grants plus one TTI's.
 
     ``time_us``, ``direction`` (a :class:`Direction` value), ``rntis``,
     ``mcs``, ``n_prb`` and ``tbs_bytes`` are equal-length int64 arrays
@@ -156,7 +178,7 @@ class TTILoop:
     def _emit_grants(self, time_us: int, direction: Direction,
                      rntis: List[int], mcs: List[int], n_prb: List[int],
                      tbs: List[int]) -> None:
-        """Buffer one TTI's grants (lists of Python ints) for the span."""
+        """Buffer one TTI's grants (lists of Python ints) until they air."""
         count = len(rntis)
         if not count or not (self.grant_batch_observers
                              or self.pdcch_observers):
@@ -169,9 +191,21 @@ class TTILoop:
         span_mcs.extend(mcs)
         span_prb.extend(n_prb)
         span_tbs.extend(tbs)
+        if len(times) >= FLUSH_RECORDS:
+            self._flush_grants()
+
+    def _defer_flush(self) -> None:
+        """Air buffered grants when the running clock call returns."""
+        if self._span_columns[0] and not self._flush_deferred:
+            self._flush_deferred = True
+            self._clock.defer(self._deferred_flush)
+
+    def _deferred_flush(self) -> None:
+        self._flush_deferred = False
+        self._flush_grants()
 
     def _flush_grants(self) -> None:
-        """Air the buffered span as one :class:`GrantBatch`."""
+        """Air the buffered grants as one :class:`GrantBatch`."""
         columns = self._span_columns
         if not columns[0]:
             return
@@ -211,7 +245,7 @@ class TTILoop:
 
     def _retransmit(self, grant: Tuple[Direction, int, int, int, int],
                     attempt: int) -> None:
-        """Re-air a grant; a clock-fired retransmit is a span of one."""
+        """Re-air a grant, buffered like a TTI's grants."""
         direction, rnti, mcs, n_prb, tbs = grant
         # The UE may have been released meanwhile; retransmissions to a
         # retired RNTI are simply not sent.
@@ -224,8 +258,7 @@ class TTILoop:
         self._grants_obs.inc()
         self._maybe_retransmit(direction, rnti, mcs, n_prb, tbs,
                                attempt + 1)
-        if not self._in_span:
-            self._flush_grants()
+        self._defer_flush()
 
     def _is_own_retransmit(self, callback: Callable[[], None]) -> bool:
         return type(callback) is _Retransmit and callback.loop is self
@@ -238,10 +271,9 @@ class TTILoop:
             self._clock.schedule(self._tti_us, self._on_tti)
 
     def _on_tti(self) -> None:
-        """Run one span of TTIs from now, then air its grants at once."""
+        """Run one span of TTIs from now; its grants air later."""
         clock = self._clock
         now = clock.now_us
-        self._in_span = True
         while self._tti(now):
             now += self._tti_us
             if not clock.run_ahead(now, self._is_own_retransmit):
@@ -249,8 +281,7 @@ class TTILoop:
                 break
         else:
             self._tti_running = False
-        self._in_span = False
-        self._flush_grants()
+        self._defer_flush()
 
     def _tti(self, now: int) -> bool:
         """One TTI on the lane the cell's size picks; returns any backlog."""

@@ -151,6 +151,13 @@ class LTENetwork:
         :class:`~repro.lte.engine.GrantBatch` feed *instead of* the
         scalar ``pdcch`` observer receiving per-record transmissions,
         so a sniffer never ingests the same grant twice.
+
+        Grants reach ``pdcch``/``pdcch_batch`` at the cell's observation
+        points (:mod:`repro.lte.engine`): before each control message
+        reaches ``control``, when ``run_for`` returns, and every
+        :data:`~repro.lte.engine.FLUSH_RECORDS` grants.  State these
+        observers build is complete after ``run_for``; a clock callback
+        that reads it mid-run sees the last observation point.
         """
         cell = self._cell(cell_id)
         if pdcch_batch is not None:

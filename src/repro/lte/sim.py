@@ -20,6 +20,13 @@ being fired move the clock forward inline, but never past the bound, so
 a callback can only do work that the running call would have fired
 anyway.  Outside those two calls (a bare :meth:`SimClock.step`) there
 is no bound to run to, and ``run_ahead`` refuses.
+
+:meth:`SimClock.defer` hands the running call work to do once, just
+before it returns: each eNodeB airs the grants it buffered during the
+call that way (:mod:`repro.lte.engine`).  Each ``run_until``/``run``
+call, nested ones included, fires the callbacks deferred while it was
+the innermost running call.  Outside both calls there is nothing to
+wait for, and ``defer`` calls the callback at once.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 #: Number of microseconds in one LTE TTI (1 ms).
 TTI_US = 1_000
@@ -96,6 +103,9 @@ class SimClock:
         #: End time of the running ``run_until``/``run``; -inf outside
         #: them, so a callback fired by a bare ``step`` cannot run ahead.
         self._bound_us: float = float("-inf")
+        #: Callbacks deferred to the end of the innermost running
+        #: ``run_until``/``run``; ``None`` outside them.
+        self._deferred: Optional[List[Callable[[], None]]] = None
 
     @property
     def now_us(self) -> int:
@@ -168,6 +178,31 @@ class SimClock:
         self._now_us = time_us
         return True
 
+    def defer(self, callback: Callable[[], None]) -> None:
+        """Call ``callback`` once, just before the running call returns.
+
+        Inside :meth:`run_until`/:meth:`run` the callback waits for the
+        innermost running call to return; callbacks fire in the order
+        they were deferred, after the clock reaches the call's end
+        time.  With no such call running it is called at once.
+        """
+        if self._deferred is None:
+            callback()
+        else:
+            self._deferred.append(callback)
+
+    def _bounded(self, bound_us: float, fire: Callable[[], None]) -> None:
+        """Run ``fire`` under ``bound_us``, then the callbacks it deferred."""
+        outer = self._bound_us, self._deferred
+        self._bound_us, self._deferred = bound_us, []
+        try:
+            fire()
+        finally:
+            deferred = self._deferred
+            self._bound_us, self._deferred = outer
+            for callback in deferred:
+                callback()
+
     def run_until(self, end_us: int) -> None:
         """Fire every event scheduled strictly before or at ``end_us``.
 
@@ -175,25 +210,23 @@ class SimClock:
         clock is left at ``end_us`` even if the queue drained early, so
         successive calls observe monotonically increasing time.
         """
-        outer, self._bound_us = self._bound_us, end_us
-        try:
+        def fire() -> None:
             while True:
                 next_time = self.peek_next_time()
                 if next_time is None or next_time > end_us:
                     break
                 self.step()
-        finally:
-            self._bound_us = outer
-        self._now_us = max(self._now_us, end_us)
+            self._now_us = max(self._now_us, end_us)
+
+        self._bounded(end_us, fire)
 
     def run(self) -> None:
         """Fire every pending event until the queue is empty (no bound)."""
-        outer, self._bound_us = self._bound_us, float("inf")
-        try:
+        def fire() -> None:
             while self.step():
                 pass
-        finally:
-            self._bound_us = outer
+
+        self._bounded(float("inf"), fire)
 
     def pending_count(self) -> int:
         """Number of non-cancelled events still queued (for tests)."""

@@ -9,6 +9,13 @@ primitives, so the hot capture loop allocates no per-DCI objects.
 Higher layers then ask for a specific *user's* traffic — merging the
 per-RNTI fragments across RNTI refreshes via the learned TMSI bindings,
 which is precisely the paper's "trace grouping" step (§V).
+
+The cell airs its grants at observation points (:mod:`repro.lte.engine`),
+so the DCI-fed state — decoder counters, tracker, per-RNTI records — is
+complete once ``run_for`` returns, and inside a control observer up to
+that message.  Read from a clock callback, it reflects only the cell's
+last observation point; the control-fed mapper and control log are
+always current.
 """
 
 from __future__ import annotations
@@ -29,7 +36,11 @@ from .trace import Trace, TraceBuilder
 
 
 class CellSniffer:
-    """A passive sniffer deployed in one cell."""
+    """A passive sniffer deployed in one cell.
+
+    DCI-fed state is complete after ``run_for`` returns (see the module
+    docstring for reads during a run).
+    """
 
     def __init__(self, cell_id: str,
                  capture_profile: Optional[ChannelProfile] = None,
@@ -50,7 +61,7 @@ class CellSniffer:
         """Hook this sniffer onto its cell's radio feeds.
 
         The decoder ingests the cell's columnar grant feed, one
-        :class:`~repro.lte.engine.GrantBatch` per span of TTIs.
+        :class:`~repro.lte.engine.GrantBatch` per observation point.
         """
         network.observe(self.cell_id, control=self.on_control,
                         pdcch_batch=self.decoder.on_pdcch_batch)
@@ -64,21 +75,12 @@ class CellSniffer:
     def _on_dci_batch(self, times_s: np.ndarray, rntis: np.ndarray,
                       directions: np.ndarray,
                       tbs_bytes: np.ndarray) -> None:
-        """Batch sink: track a decoded span, then buffer it per RNTI.
+        """Batch sink: track a decoded batch, then buffer it per RNTI.
 
-        One stable argsort by RNTI splits the span; each RNTI's records
+        One stable argsort by RNTI splits the batch; each RNTI's records
         keep their order, exactly as per-record appends would leave them.
         """
         self.tracker.on_dci_batch(times_s, rntis)
-        if len(rntis) == 1:
-            # HARQ retransmissions arrive as single-record batches.
-            rnti = int(rntis[0])
-            builder = self._builders.get(rnti)
-            if builder is None:
-                builder = self._builders[rnti] = TraceBuilder()
-            builder.append(float(times_s[0]), rnti, int(directions[0]),
-                           int(tbs_bytes[0]))
-            return
         order = np.argsort(rntis, kind="stable")
         ordered = rntis[order]
         boundaries = np.nonzero(np.diff(ordered))[0] + 1

@@ -10,7 +10,8 @@ tracking (:mod:`repro.sniffer.owl`) must filter, exactly as a real
 sniffer must.
 
 An attached sniffer ingests the eNodeB's columnar grant feed through
-:meth:`DCIDecoder.on_pdcch_batch`, one span of TTIs per call.
+:meth:`DCIDecoder.on_pdcch_batch`, one batch per observation point
+of the cell (see :mod:`repro.lte.engine`).
 :meth:`DCIDecoder.on_pdcch` decodes one encoded transmission at a time
 (any ``pdcch_observers`` hook); it is the per-record reference the
 batch path must match.
@@ -111,7 +112,7 @@ class DCIDecoder:
                       np.array([dci.tbs_bytes], dtype=np.int64), None)
 
     def on_pdcch_batch(self, batch) -> None:
-        """Columnar observer: decode one span of grants in one call.
+        """Columnar observer: decode one grant batch in one call.
 
         Record-for-record equivalent to feeding each grant through
         :meth:`on_pdcch`, however the grants are split into batches:

@@ -89,7 +89,7 @@ class OWLTracker:
         """Feed a batch of DCIs in one call: one time, or one per record.
 
         ``now`` is a scalar every record shares, or an array of
-        per-record times that never decrease (a simulator span).  The
+        per-record times that never decrease (a simulator grant batch).  The
         result is state-for-state what calling :meth:`on_dci` once per
         record leaves: the same active set and dict order, candidates,
         history and counters.  The batch splits at each record where an

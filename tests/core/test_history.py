@@ -7,6 +7,7 @@ from repro.core.fingerprint import HierarchicalFingerprinter
 from repro.core.history import (HistoryAttack, HistoryFinding, ZoneVisit,
                                 evaluate_findings, segment_episodes)
 from repro.lte.dci import Direction
+from repro.lte.network import LTENetwork
 from repro.operators import LAB
 from repro.sniffer.trace import Trace, TraceRecord
 
@@ -156,6 +157,23 @@ class TestHistoryAttackEndToEnd:
         assert zones == {"Z1", "Z2"}
         summary = evaluate_findings(findings, visits)
         assert summary["detected"] == 2
+
+    def test_moves_land_on_the_scheduled_microsecond(self, fingerprinter,
+                                                     monkeypatch):
+        """A move 2.01 s in lands at 2,010,000 µs (truncation gave
+        2,009,999)."""
+        moves = []
+        move_ue = LTENetwork.move_ue
+
+        def spy(network, ue, target):
+            moves.append((network.clock.now_us, target))
+            move_ue(network, ue, target)
+
+        monkeypatch.setattr(LTENetwork, "move_ue", spy)
+        attack = HistoryAttack(fingerprinter, operator=LAB)
+        attack.run([ZoneVisit("Z1", "Skype", 0.0, 1.0),
+                    ZoneVisit("Z2", "Skype", 3.01, 1.0)], seed=2)
+        assert moves == [(2_010_000, "Z2")]
 
     def test_without_imsi_catcher_still_runs(self, fingerprinter):
         attack = HistoryAttack(fingerprinter, operator=LAB,

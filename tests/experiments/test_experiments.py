@@ -169,6 +169,23 @@ class TestExtensionExperiments:
         assert 0.0 <= result.nr_f_score <= 1.0
         assert "5G" in result.table()
 
+    def test_handover_lands_at_the_midpoint(self, monkeypatch):
+        """The midpoint move of a 4.02 s session lands at 2,010,000 µs
+        (truncation gave 2,009,999)."""
+        from repro.experiments.handover import _handover_capture
+        from repro.lte.network import LTENetwork
+
+        moves = []
+        move_ue = LTENetwork.move_ue
+
+        def spy(network, ue, target):
+            moves.append((network.clock.now_us, target))
+            move_ue(network, ue, target)
+
+        monkeypatch.setattr(LTENetwork, "move_ue", spy)
+        _handover_capture("Skype", LAB, 4.02, seed=3)
+        assert moves == [(2_010_000, "dst")]
+
     def test_handover_micro(self):
         from repro.experiments.handover import run
 

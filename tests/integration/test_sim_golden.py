@@ -20,7 +20,10 @@ reproduced them before that loop was deleted.  They pin:
   serial and the process ``ParallelMap`` backends;
 * TTI run-ahead: scenarios built to stress the span rule give the same
   bits with run-ahead on and off, and split ``run_for`` calls give the
-  bits of one call.
+  bits of one call;
+* grant batches at observation points: with control messages mid-run,
+  every control observer sees the sniffer state that immediate
+  delivery gives it, and ``FLUSH_RECORDS`` bounds every batch.
 """
 
 import hashlib
@@ -250,13 +253,14 @@ def test_nr_cell_trace_golden(cell_kwargs, capture_kwargs, lane, lane_spy,
     assert sniffer.total_records > 0
 
 
-def _crossing_simulation():
+def _crossing_network():
     """A PF cell that grows past the scalar-lane bound and shrinks back.
 
     Three UEs stay busy throughout; at 0.3 s every other UE sends one
     burst, which connects them and lifts the cell above
     ``SCALAR_LANE_MAX``; the 0.25 s inactivity timer then releases them
     again.  HARQ, capture loss/corruption and RNTI refresh all run.
+    Returns the network, its sniffer and the sampled peak UE count.
     """
     n_ues = engine_module.SCALAR_LANE_MAX + 6
     net = LTENetwork(seed=5)
@@ -285,12 +289,19 @@ def _crossing_simulation():
         net.clock.schedule(300_000 + index * 500,
                            lambda u=ue: net.deliver_traffic(
                                u, Direction.UPLINK, 20_000))
-    net.run_for(1.7)
+    return net, sniffer, peak
+
+
+def _crossing_observed(net, sniffer):
     enb = net.cells["crossing"].enb
-    observed = (_trace_digest(sniffer), enb.grants_issued,
-                enb.harq_retransmissions,
-                enb.obfuscation_stats.rnti_refreshes)
-    return enb, observed, peak[0]
+    return (_trace_digest(sniffer), enb.grants_issued,
+            enb.harq_retransmissions, enb.obfuscation_stats.rnti_refreshes)
+
+
+def _crossing_simulation():
+    net, sniffer, peak = _crossing_network()
+    net.run_for(1.7)
+    return net.cells["crossing"].enb, _crossing_observed(net, sniffer), peak[0]
 
 
 def test_crossing_scenario_switches_lanes_and_matches_legacy(lane_spy):
@@ -456,33 +467,45 @@ RUN_AHEAD_SCENARIOS = {"boundary-events": _boundary_events,
                        "two-cells": _two_cells}
 
 
-def _run_scenario(build):
+def _count_spans(monkeypatch):
+    """Count ``_on_tti`` calls: one per span of TTIs."""
+    calls = [0]
+    on_tti = ENodeB._on_tti
+
+    def spy(self):
+        calls[0] += 1
+        on_tti(self)
+
+    monkeypatch.setattr(ENodeB, "_on_tti", spy)
+    return calls
+
+
+def _run_scenario(build, span_calls):
+    span_calls[0] = 0
     net = LTENetwork(seed=9)
     log = []
     sniffers = build(net, log)
-    batches = []
-    for cell in net.cells.values():
-        cell.enb.grant_batch_observers.append(batches.append)
     net.run_for(1.2)
     cells = [(cell.enb.grants_issued, cell.enb.bytes_granted,
               cell.enb.harq_retransmissions) for cell in net.cells.values()]
     state = (cells, log, [_sniffer_state(sniffer) for sniffer in sniffers])
-    return state, len(batches)
+    return state, span_calls[0]
 
 
 @pytest.mark.parametrize("name", sorted(RUN_AHEAD_SCENARIOS))
 def test_run_ahead_matches_per_tti_scheduling(name, monkeypatch):
     build = RUN_AHEAD_SCENARIOS[name]
-    spans, span_batches = _run_scenario(build)
+    span_calls = _count_spans(monkeypatch)
+    spans, span_count = _run_scenario(build, span_calls)
     _per_tti(monkeypatch)
-    per_tti, tti_batches = _run_scenario(build)
+    per_tti, tti_count = _run_scenario(build, span_calls)
     assert spans == per_tti
     cells, log, sniffers = per_tti
     assert log
     assert cells[0][2] > 0
     assert all(state[1]["decoded"] > 0 for state in sniffers)
     if name != "two-cells":
-        assert span_batches < tti_batches
+        assert span_count < tti_count
 
 
 def test_split_run_for_matches_one_call_and_stops_at_bound(monkeypatch):
@@ -504,3 +527,133 @@ def test_split_run_for_matches_one_call_and_stops_at_bound(monkeypatch):
     assert net.clock.now_us == 1_500_000
     assert (_observed(net.cells["golden"].enb, sniffer)
             == _observed(*whole) == GOLDENS[3])
+
+
+# -- observation points ----------------------------------------------------------
+
+
+def _snapshot_at_control(net, sniffers):
+    """Log each sniffer's full state at every control message of its cell.
+
+    Registered after the sniffers, so each snapshot holds what a control
+    observer may read: every grant the cell aired before the message.
+    """
+    snapshots = []
+    for sniffer in sniffers:
+        net.observe(sniffer.cell_id,
+                    control=lambda message, s=sniffer: snapshots.append(
+                        (message, _sniffer_state(s))))
+    return snapshots
+
+
+def _collect_batches(net):
+    batches = []
+    for cell in net.cells.values():
+        cell.enb.grant_batch_observers.append(batches.append)
+    return batches
+
+
+def _crossing_points():
+    net, sniffer, _ = _crossing_network()
+    return net, [sniffer], 1.7, lambda: _crossing_observed(net, sniffer)
+
+
+def _refresh_golden_points():
+    scenario = SCENARIOS[4]
+    assert scenario[1]["obfuscation"].rnti_refresh_s is not None
+    net, sniffer = _golden_network(*scenario)
+    return net, [sniffer], 1.5, lambda: _observed(
+        net.cells["golden"].enb, sniffer)
+
+
+def _handover_points():
+    """Two busy cells; a victim hands over mid-burst, others go idle."""
+    net = LTENetwork(seed=21)
+    sniffers = []
+    for index, cell_id in enumerate(("src", "dst")):
+        net.add_cell(cell_id, scheduler_name="proportional-fair",
+                     total_prb=25, inactivity_timeout_s=0.3,
+                     channel_profile=ChannelProfile(harq_bler=0.1))
+        sniffers.append(CellSniffer(cell_id, seed=11 + index,
+                                    capture_profile=ChannelProfile(
+                                        capture_loss=0.05)).attach(net))
+    victim = net.add_ue(name="victim", cell_id="src")
+    others = [net.add_ue(name=f"ue{index}", cell_id=cell_id)
+              for index, cell_id in enumerate(("src", "dst", "dst"))]
+    for step in range(25):
+        at_us = 20_000 + step * 45_000
+        net.clock.schedule_at(at_us, lambda: net.deliver_traffic(
+            victim, Direction.DOWNLINK, 60_000))
+        ue = others[step % 3]
+        net.clock.schedule_at(at_us + 7_000 * (step % 4),
+                              lambda u=ue: net.deliver_traffic(
+                                  u, Direction.UPLINK, 9_000))
+    net.clock.schedule_at(520_500, lambda: net.move_ue(victim, "dst"))
+
+    def observed():
+        return ([(cell.enb.grants_issued, cell.enb.harq_retransmissions)
+                 for cell in net.cells.values()],
+                [_sniffer_state(sniffer) for sniffer in sniffers],
+                victim.serving_cell)
+
+    return net, sniffers, 1.6, observed
+
+
+OBSERVATION_SCENARIOS = {"crossing": (_crossing_points, CROSSING_GOLDEN),
+                         "rnti-refresh": (_refresh_golden_points,
+                                          GOLDENS[4]),
+                         "handover": (_handover_points, None)}
+
+
+def _observe_run(build):
+    net, sniffers, duration_s, observed = build()
+    snapshots = _snapshot_at_control(net, sniffers)
+    batches = _collect_batches(net)
+    net.run_for(duration_s)
+    return snapshots, observed(), len(batches)
+
+
+@pytest.mark.parametrize("name", sorted(OBSERVATION_SCENARIOS))
+def test_observation_points_match_immediate_delivery(name, monkeypatch):
+    """Coalesced grant batches give every control observer what per-emit
+    delivery gives it, and the same end state."""
+    build, golden = OBSERVATION_SCENARIOS[name]
+    shipped = _observe_run(build)
+    monkeypatch.setattr(engine_module, "FLUSH_RECORDS", 1)
+    immediate = _observe_run(build)
+    snapshots, end_state, batches = shipped
+    assert (snapshots, end_state) == immediate[:2]
+    if golden is not None:
+        assert end_state == golden
+    # Control messages fell in the middle of the run, between grants.
+    decoded = [state[1]["decoded"] for _, state in snapshots]
+    assert len(snapshots) > 4 and 0 < decoded[len(decoded) // 2]
+    assert batches < immediate[2]
+
+
+def test_flush_records_bounds_every_batch():
+    """A saturated cell's one long run airs batches of at most
+    ``FLUSH_RECORDS`` grants plus one TTI's."""
+    total_prb = 25
+    net = LTENetwork(seed=3)
+    net.add_cell("sat", total_prb=total_prb)
+    sniffer = CellSniffer("sat", seed=1).attach(net)
+    enb = net.cells["sat"].enb
+    lengths = []
+    enb.grant_batch_observers.append(lambda batch: lengths.append(len(batch)))
+    ues = [net.add_ue(name=f"ue{index}") for index in range(40)]
+    for ue in ues:
+        enb.connect(ue)
+
+    def feed():
+        for ue in ues:
+            enb.enqueue(ue, Direction.DOWNLINK, 8)
+            enb.enqueue(ue, Direction.UPLINK, 8)
+        net.clock.schedule(1_000, feed)
+
+    net.clock.schedule(1_000, feed)
+    net.run_for(0.5)
+    assert sum(lengths) == enb.grants_issued > 4 * engine_module.FLUSH_RECORDS
+    assert engine_module.FLUSH_RECORDS < max(lengths)
+    assert max(lengths) <= engine_module.FLUSH_RECORDS + total_prb
+    assert sniffer.decoder.capture_stats["decoded"] == enb.grants_issued

@@ -253,3 +253,85 @@ class TestRunAhead:
             return log, clock.now_us
 
         assert simulate(True) == simulate(False)
+
+
+class TestDefer:
+    def test_called_at_once_without_a_running_call(self):
+        clock = SimClock()
+        log = []
+        clock.defer(lambda: log.append("now"))
+        assert log == ["now"]
+        clock.schedule(10, lambda: clock.defer(
+            lambda: log.append(("step", clock.now_us))))
+        assert clock.step()
+        assert log == ["now", ("step", 10)]
+
+    def test_run_until_fires_once_in_order_at_its_end(self):
+        clock = SimClock()
+        log = []
+
+        def at(time_us):
+            log.append(("event", time_us))
+            clock.defer(lambda: log.append(("deferred", time_us,
+                                            clock.now_us)))
+
+        clock.schedule(10, lambda: at(10))
+        clock.schedule(20, lambda: at(20))
+        clock.run_until(50)
+        assert log == [("event", 10), ("event", 20),
+                       ("deferred", 10, 50), ("deferred", 20, 50)]
+        clock.run_until(60)
+        assert len(log) == 4
+
+    def test_run_fires_at_its_end(self):
+        clock = SimClock()
+        log = []
+        clock.schedule(10, lambda: clock.defer(lambda: log.append("a")))
+        clock.schedule(20, lambda: log.append("event"))
+        clock.schedule(30, lambda: clock.defer(lambda: log.append("b")))
+        clock.run()
+        assert log == ["event", "a", "b"]
+
+    def test_nested_run_until_fires_its_own_callbacks(self):
+        clock = SimClock()
+        log = []
+
+        def outer():
+            clock.defer(lambda: log.append("outer"))
+            clock.run_until(40)
+            log.append("nested returned")
+
+        clock.schedule(10, outer)
+        clock.schedule(30, lambda: clock.defer(lambda: log.append("inner")))
+        clock.schedule(60, lambda: log.append("event"))
+        clock.run_until(100)
+        assert log == ["inner", "nested returned", "event", "outer"]
+
+    def test_run_ahead_fires_no_deferred_callback(self):
+        clock = SimClock()
+        log = []
+        clock.schedule(15, _Own(log, "own"))
+
+        def ahead():
+            clock.defer(lambda: log.append("deferred"))
+            log.append(clock.run_ahead(20, _own))
+
+        clock.schedule(10, ahead)
+        clock.schedule(30, lambda: log.append("event"))
+        clock.run_until(50)
+        assert log == ["own", True, "event", "deferred"]
+
+    def test_fires_when_the_running_call_raises(self):
+        clock = SimClock()
+        log = []
+
+        def fail():
+            clock.defer(lambda: log.append("deferred"))
+            raise RuntimeError("boom")
+
+        clock.schedule(10, fail)
+        with pytest.raises(RuntimeError):
+            clock.run_until(50)
+        assert log == ["deferred"]
+        clock.defer(lambda: log.append("after"))
+        assert log == ["deferred", "after"]
