@@ -29,7 +29,7 @@ import numpy as np
 
 from .. import obs
 from .channel import ChannelProfile
-from .dci import Direction, PDCCHTransmission
+from .dci import Direction
 from .engine import GrantBatchObserver, TTILoop
 from .identifiers import RA_RNTI_MAX, RA_RNTI_MIN, RNTIAllocator
 from .obfuscation import (NO_OBFUSCATION, ObfuscationConfig,
@@ -43,7 +43,6 @@ from .tbs import cqi_to_mcs, grant_for_bytes
 from .ue import UE
 from .vecsched import make_vector_scheduler
 
-PDCCHObserver = Callable[[PDCCHTransmission], None]
 ControlObserver = Callable[[ControlMessage], None]
 
 #: The slot columns, all int64 and indexed by UE slot.
@@ -136,7 +135,6 @@ class ENodeB(TTILoop):
         self._contexts: Dict[int, UEContext] = {}        # rnti -> context
         self._context_by_ue: Dict[UE, UEContext] = {}
         self._tti_running = False
-        self.pdcch_observers: List[PDCCHObserver] = []
         self.control_observers: List[ControlObserver] = []
         #: Columnar grant feed: one :class:`~repro.lte.engine.GrantBatch`
         #: per observation point (see :mod:`repro.lte.engine`).
@@ -171,10 +169,6 @@ class ENodeB(TTILoop):
         self._grants_obs = obs.counter("sim.grants")
 
     # -- observer plumbing ----------------------------------------------------
-
-    def _emit_pdcch(self, transmission: PDCCHTransmission) -> None:
-        for observer in self.pdcch_observers:
-            observer(transmission)
 
     def _emit_control(self, message: ControlMessage) -> None:
         # An observation point: the grants aired before this message

@@ -78,10 +78,8 @@ result however a run is cut into batches, and the capture rng belongs
 to the sniffer alone.  What changes is *when* DCI-fed state is
 complete: after ``run_for`` returns, and inside a control observer;
 read from a clock callback, it reflects only the last observation
-point.  An attached sniffer ingests batches without per-record
-``PDCCHTransmission`` objects; plain ``pdcch_observers`` still receive
-fully encoded transmissions, materialised from the same columns at the
-same points.
+point.  An attached sniffer ingests the batches as columns, without
+per-record objects.
 """
 
 from __future__ import annotations
@@ -91,7 +89,7 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-from .dci import DCIFormat, DCIMessage, Direction, PDCCHTransmission
+from .dci import Direction
 from .scheduler import Allocation
 from .tbs import mcs_of_cqi_array
 
@@ -119,8 +117,8 @@ class GrantBatch:
 
     ``time_us``, ``direction`` (a :class:`Direction` value), ``rntis``,
     ``mcs``, ``n_prb`` and ``tbs_bytes`` are equal-length int64 arrays
-    in emission order — the exact per-record sequence the cell airs as
-    individual DCIs to its ``pdcch_observers``.  Times never decrease.
+    in emission order — the exact per-record sequence of DCIs the cell
+    airs.  Times never decrease.
     """
 
     time_us: np.ndarray
@@ -180,8 +178,7 @@ class TTILoop:
                      tbs: List[int]) -> None:
         """Buffer one TTI's grants (lists of Python ints) until they air."""
         count = len(rntis)
-        if not count or not (self.grant_batch_observers
-                             or self.pdcch_observers):
+        if not count or not self.grant_batch_observers:
             return
         times, directions, span_rntis, span_mcs, span_prb, span_tbs = (
             self._span_columns)
@@ -215,17 +212,6 @@ class TTILoop:
         batch = GrantBatch(*table)
         for observer in self.grant_batch_observers:
             observer(batch)
-        if self.pdcch_observers:
-            # Materialise per-record transmissions only when someone
-            # actually listens for them.
-            for time_us, direction, rnti, grant_mcs, grant_prb in zip(
-                    *table[:5].tolist()):
-                fmt = (DCIFormat.FORMAT_1A if direction == Direction.DOWNLINK
-                       else DCIFormat.FORMAT_0)
-                dci = DCIMessage(fmt=fmt, rnti=rnti, mcs=grant_mcs,
-                                 n_prb=grant_prb)
-                self._emit_pdcch(
-                    PDCCHTransmission(time_us=time_us, encoded=dci.encode()))
 
     def _maybe_retransmit(self, direction: Direction, rnti: int, mcs: int,
                           n_prb: int, tbs: int, attempt: int) -> None:

@@ -11,9 +11,8 @@ UEs — and provides the operations experiments need:
   inactivity timer later tears the connection down again;
 * ``move_ue`` / ``apply_itinerary`` for the handovers of the history
   attack;
-* ``observe`` to hang passive sniffers onto a cell's PDCCH feed (per
-  encoded transmission, or columnar grant batches) and its control
-  feed.
+* ``observe`` to hang passive sniffers onto a cell's PDCCH feed (as
+  columnar grant batches) and its control feed.
 
 Randomness is hierarchical: one master seed derives independent streams
 for the EPC, every cell, and every app session, so experiments are
@@ -30,7 +29,7 @@ from .. import obs
 from .cell import Cell, MobilityStep, validate_itinerary
 from .channel import ChannelProfile
 from .obfuscation import ObfuscationConfig
-from .dci import Direction, PDCCHTransmission
+from .dci import Direction
 from .enb import ENodeB
 from .epc import EPC
 from .identifiers import IMSI, make_imsi
@@ -141,29 +140,22 @@ class LTENetwork:
     def observe(
         self,
         cell_id: str,
-        pdcch: Optional[Callable[[PDCCHTransmission], None]] = None,
         control: Optional[Callable[[ControlMessage], None]] = None,
         pdcch_batch: Optional[Callable] = None,
     ) -> None:
         """Attach passive observers to one cell's radio feeds.
 
-        When ``pdcch_batch`` is given, it receives the cell's columnar
-        :class:`~repro.lte.engine.GrantBatch` feed *instead of* the
-        scalar ``pdcch`` observer receiving per-record transmissions,
-        so a sniffer never ingests the same grant twice.
-
-        Grants reach ``pdcch``/``pdcch_batch`` at the cell's observation
-        points (:mod:`repro.lte.engine`): before each control message
-        reaches ``control``, when ``run_for`` returns, and every
-        :data:`~repro.lte.engine.FLUSH_RECORDS` grants.  State these
-        observers build is complete after ``run_for``; a clock callback
-        that reads it mid-run sees the last observation point.
+        ``pdcch_batch`` receives the cell's grants as columnar
+        :class:`~repro.lte.engine.GrantBatch` objects at the cell's
+        observation points (:mod:`repro.lte.engine`): before each
+        control message reaches ``control``, when ``run_for`` returns,
+        and every :data:`~repro.lte.engine.FLUSH_RECORDS` grants.  State
+        it builds is complete after ``run_for``; a clock callback that
+        reads it mid-run sees the last observation point.
         """
         cell = self._cell(cell_id)
         if pdcch_batch is not None:
             cell.enb.grant_batch_observers.append(pdcch_batch)
-        elif pdcch is not None:
-            cell.enb.pdcch_observers.append(pdcch)
         if control is not None:
             cell.enb.control_observers.append(control)
         cell.sniffer_deployed = True

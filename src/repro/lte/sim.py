@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 #: Number of microseconds in one LTE TTI (1 ms).
@@ -58,35 +57,33 @@ def to_seconds(us: int) -> float:
     return us / SECOND_US
 
 
-@dataclass(order=True)
-class _ScheduledEvent:
-    """Internal heap entry.  Ordered by (time, sequence) for FIFO ties."""
-
-    time_us: int
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+#: Slots of a heap entry ``[time_us, sequence, callback]``.  Entries are
+#: plain lists so heap pushes and pops compare them in C; the sequence
+#: is unique, so ``(time_us, sequence)`` orders them with FIFO ties and
+#: the callback is never compared.  A cancelled entry's callback is
+#: ``None``.
+_TIME, _CALLBACK = 0, 2
 
 
 class EventHandle:
     """Handle returned by :meth:`SimClock.schedule`; allows cancellation."""
 
-    __slots__ = ("_event",)
+    __slots__ = ("_entry",)
 
-    def __init__(self, event: _ScheduledEvent) -> None:
-        self._event = event
+    def __init__(self, entry: list) -> None:
+        self._entry = entry
 
     def cancel(self) -> None:
         """Cancel the event.  Safe to call more than once or after firing."""
-        self._event.cancelled = True
+        self._entry[_CALLBACK] = None
 
     @property
     def cancelled(self) -> bool:
-        return self._event.cancelled
+        return self._entry[_CALLBACK] is None
 
     @property
     def time_us(self) -> int:
-        return self._event.time_us
+        return self._entry[_TIME]
 
 
 class SimClock:
@@ -98,7 +95,7 @@ class SimClock:
 
     def __init__(self, start_us: int = 0) -> None:
         self._now_us = start_us
-        self._queue: list[_ScheduledEvent] = []
+        self._queue: list[list] = []
         self._sequence = itertools.count()
         #: End time of the running ``run_until``/``run``; -inf outside
         #: them, so a callback fired by a bare ``step`` cannot run ahead.
@@ -121,9 +118,9 @@ class SimClock:
         """Schedule ``callback`` to fire ``delay_us`` microseconds from now."""
         if delay_us < 0:
             raise ValueError(f"cannot schedule in the past (delay_us={delay_us})")
-        event = _ScheduledEvent(self._now_us + delay_us, next(self._sequence), callback)
-        heapq.heappush(self._queue, event)
-        return EventHandle(event)
+        entry = [self._now_us + delay_us, next(self._sequence), callback]
+        heapq.heappush(self._queue, entry)
+        return EventHandle(entry)
 
     def schedule_at(self, time_us: int, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` at an absolute simulation time."""
@@ -131,18 +128,18 @@ class SimClock:
 
     def peek_next_time(self) -> Optional[int]:
         """Time of the next pending (non-cancelled) event, or ``None``."""
-        while self._queue and self._queue[0].cancelled:
+        while self._queue and self._queue[0][_CALLBACK] is None:
             heapq.heappop(self._queue)
-        return self._queue[0].time_us if self._queue else None
+        return self._queue[0][_TIME] if self._queue else None
 
     def step(self) -> bool:
         """Fire the next pending event.  Returns ``False`` if queue is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
+            time_us, _, callback = heapq.heappop(self._queue)
+            if callback is None:
                 continue
-            self._now_us = event.time_us
-            event.callback()
+            self._now_us = time_us
+            callback()
             return True
         return False
 
@@ -164,17 +161,17 @@ class SimClock:
             return False
         queue = self._queue
         while queue:
-            event = queue[0]
-            if event.cancelled:
+            due_us, _, callback = queue[0]
+            if callback is None:
                 heapq.heappop(queue)
                 continue
-            if event.time_us > time_us:
+            if due_us > time_us:
                 break
-            if not inline(event.callback):
+            if not inline(callback):
                 return False
             heapq.heappop(queue)
-            self._now_us = event.time_us
-            event.callback()
+            self._now_us = due_us
+            callback()
         self._now_us = time_us
         return True
 
@@ -230,4 +227,5 @@ class SimClock:
 
     def pending_count(self) -> int:
         """Number of non-cancelled events still queued (for tests)."""
-        return sum(1 for event in self._queue if not event.cancelled)
+        return sum(1 for entry in self._queue
+                   if entry[_CALLBACK] is not None)

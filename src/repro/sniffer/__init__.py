@@ -10,10 +10,9 @@ from .capture import CellSniffer
 from .dci_decoder import DCIDecoder
 from .identity import Binding, IdentityMapper, IMSICatcher
 from .owl import OWLTracker, RNTIActivity
-from .trace import Trace, TraceBuilder, TraceRecord, TraceSet
+from .trace import Trace, TraceBuilder, TraceSet
 
 __all__ = [
     "Binding", "CellSniffer", "DCIDecoder", "IMSICatcher", "IdentityMapper",
-    "OWLTracker", "RNTIActivity", "Trace", "TraceBuilder", "TraceRecord",
-    "TraceSet",
+    "OWLTracker", "RNTIActivity", "Trace", "TraceBuilder", "TraceSet",
 ]

@@ -12,9 +12,8 @@ sniffer must.
 An attached sniffer ingests the eNodeB's columnar grant feed through
 :meth:`DCIDecoder.on_pdcch_batch`, one batch per observation point
 of the cell (see :mod:`repro.lte.engine`).
-:meth:`DCIDecoder.on_pdcch` decodes one encoded transmission at a time
-(any ``pdcch_observers`` hook); it is the per-record reference the
-batch path must match.
+:meth:`DCIDecoder.on_pdcch` decodes one encoded transmission at a
+time; it is the per-record reference the batch path must match.
 """
 
 from __future__ import annotations
@@ -31,9 +30,7 @@ from ..lte.dci import (DCI_PAYLOAD_BYTES, DCIFormat, DCIMessage,
                        PDCCHTransmission)
 from ..lte.identifiers import CRNTI_MAX, CRNTI_MIN
 from ..lte.sim import SECOND_US
-from .trace import TraceRecord
 
-RecordSink = Callable[[TraceRecord], None]
 #: Columnar sink: ``(times_s, rntis, directions, tbs_bytes)`` — one call
 #: per grant batch, per-record arrays in emission order (the hot path:
 #: no per-DCI objects).
@@ -42,14 +39,11 @@ BatchSink = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 
 
 class DCIDecoder:
-    """Decodes PDCCH transmissions into trace records.
+    """Decodes PDCCH transmissions into trace record columns.
 
-    Attach :meth:`on_pdcch_batch` (or :meth:`on_pdcch`) to a cell via
-    ``LTENetwork.observe``.  Decoded DCIs flow to registered sinks;
+    Attach :meth:`on_pdcch_batch` to a cell via ``LTENetwork.observe``.
+    Decoded DCIs flow to the registered batch sinks as columns;
     statistics are kept for the attack-cost accounting and for tests.
-    Two sink flavours exist: columnar *batch* sinks (the sniffer's
-    path) and record sinks (compatibility; a record is built only if
-    at least one is registered).
     """
 
     def __init__(self, capture_profile: Optional[ChannelProfile] = None,
@@ -59,7 +53,6 @@ class DCIDecoder:
                                        rng if rng is not None
                                        else random.Random(seed))
         self._drop_non_crnti = drop_non_crnti
-        self._sinks: List[RecordSink] = []
         self._batch_sinks: List[BatchSink] = []
         # Registry-backed counters behind the historical public
         # attributes (``decoded`` / ``rejected`` stay readable whether
@@ -80,16 +73,12 @@ class DCIDecoder:
         """DCIs dropped: CRC/parse failure or non-C-RNTI."""
         return self._rejected.value
 
-    def add_sink(self, sink: RecordSink) -> None:
-        """Register a consumer of decoded :class:`TraceRecord` objects."""
-        self._sinks.append(sink)
-
     def add_batch_sink(self, sink: BatchSink) -> None:
         """Register a columnar consumer of every decoded batch."""
         self._batch_sinks.append(sink)
 
     def on_pdcch(self, transmission: PDCCHTransmission) -> None:
-        """Observer callback: capture, blind-decode, fan out."""
+        """Capture and blind-decode one transmission, then deliver it."""
         if not self._capture.deliver():
             self._lost_obs.inc()
             return
@@ -183,7 +172,7 @@ class DCIDecoder:
     def _deliver(self, times_us: np.ndarray, rntis: np.ndarray,
                  directions: np.ndarray, tbs: np.ndarray,
                  keep: Optional[np.ndarray]) -> None:
-        """Drop non-C-RNTIs and fan the kept records out to the sinks."""
+        """Drop non-C-RNTIs and hand the kept records to the sinks."""
         kept = len(rntis) if keep is None else int(keep.sum())
         if self._drop_non_crnti:
             crnti = (rntis >= CRNTI_MIN) & (rntis <= CRNTI_MAX)
@@ -200,16 +189,6 @@ class DCIDecoder:
         times_s = times_us / SECOND_US
         for batch_sink in self._batch_sinks:
             batch_sink(times_s, rntis, directions, tbs)
-        if not self._sinks:
-            return
-        for time_s, rnti, direction, size in zip(
-                times_s.tolist(), rntis.tolist(), directions.tolist(),
-                tbs.tolist()):
-            record = TraceRecord(time_s=time_s, rnti=rnti,
-                                 direction=Direction(direction),
-                                 tbs_bytes=size)
-            for sink in self._sinks:
-                sink(record)
 
     @property
     def capture_stats(self) -> dict:

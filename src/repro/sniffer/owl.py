@@ -29,7 +29,6 @@ from ..lte.identifiers import is_crnti
 from ..lte.rrc import (ControlMessage, RandomAccessResponse,
                        RRCConnectionRelease)
 from ..lte.sim import to_seconds
-from .trace import TraceRecord
 
 
 @dataclass
@@ -75,10 +74,6 @@ class OWLTracker:
         self._reconfirmed = obs.attr_counter("sniffer.tracker.reconfirmed")
 
     # -- ingestion ---------------------------------------------------------------
-
-    def on_record(self, record: TraceRecord) -> None:
-        """Feed one blind-decoded DCI record (compatibility wrapper)."""
-        self.on_dci(record.time_s, record.rnti)
 
     def on_dci(self, now: float, rnti: int) -> None:
         """Feed one blind-decoded DCI as primitives."""

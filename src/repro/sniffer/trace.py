@@ -11,10 +11,10 @@ runs, mirroring the paper's released dataset.
 Storage is **columnar**: a trace holds four parallel numpy arrays
 (``times_s``/``rntis``/``directions``/``tbs_bytes``) rather than a list
 of per-DCI objects, so filters, feature extraction and persistence are
-bulk array operations.  The record-style API (``append``, iteration,
-``records``) is preserved on top; the sniffer's emit path uses
-:class:`TraceBuilder`, which appends primitives into amortised-growth
-buffers and finalises once per capture.
+bulk array operations.  A trace's columns never change after it is
+built; the sniffer's emit path grows per-RNTI :class:`TraceBuilder`
+buffers one decoded batch at a time and finalises them once per
+capture.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import csv
 import json
 import re
 import zipfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
@@ -53,28 +52,12 @@ def check_record_values(times: np.ndarray, tbs: np.ndarray) -> None:
         raise ValueError("tbs_bytes must be >= 0")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One decoded DCI: the 4-tuple of radio metadata the attack uses."""
-
-    time_s: float
-    rnti: int
-    direction: Direction
-    tbs_bytes: int
-
-    def __post_init__(self) -> None:
-        if self.time_s < 0:
-            raise ValueError(f"time_s must be >= 0: {self.time_s}")
-        if self.tbs_bytes < 0:
-            raise ValueError(f"tbs_bytes must be >= 0: {self.tbs_bytes}")
-
-
 class TraceBuilder:
     """Amortised-growth columnar buffers for the sniffer's emit path.
 
-    The decoder appends primitives (no per-DCI object allocation); the
-    buffers double on overflow and are finalised into a :class:`Trace`
-    once per capture via :meth:`build`.
+    The decoder's batches are appended as columns (no per-DCI object
+    allocation); the buffers double on overflow and are finalised into
+    a :class:`Trace` once per capture via :meth:`build`.
     """
 
     __slots__ = ("_times", "_rntis", "_dirs", "_tbs", "_n")
@@ -98,20 +81,6 @@ class TraceBuilder:
             new[:self._n] = old[:self._n]
             setattr(self, name, new)
 
-    def append(self, time_s: float, rnti: int, direction: int,
-               tbs_bytes: int) -> None:
-        """Append one decoded DCI given as primitives."""
-        n = self._n
-        if n and time_s < self._times[n - 1]:
-            raise ValueError("records must be appended in time order")
-        if n == len(self._times):
-            self._grow()
-        self._times[n] = time_s
-        self._rntis[n] = rnti
-        self._dirs[n] = int(direction)
-        self._tbs[n] = tbs_bytes
-        self._n = n + 1
-
     # Views over the filled prefix (no copy).
     @property
     def times_s(self) -> np.ndarray:
@@ -130,10 +99,10 @@ class TraceBuilder:
         return self._tbs[:self._n]
 
     def extend(self, times_s, rntis, directions, tbs_bytes) -> None:
-        """Bulk-append parallel columns (one grant batch) in one call.
+        """Append parallel columns (one decoded batch) in one call.
 
-        Equivalent to ``append`` per record but copies whole slices;
-        the batch must not start before the last buffered record.
+        The batch must be in time order and must not start before the
+        last buffered record.
         """
         count = len(times_s)
         if count == 0:
@@ -288,47 +257,28 @@ def _checked_npz_columns(data, path: Path, extra: Sequence[str] = ()) -> Dict:
 class Trace:
     """A time-ordered sequence of records for one user plus metadata.
 
-    Backed by four parallel arrays; the record-style API (``append``,
-    ``records``, iteration) is a compatibility layer on top.
+    Backed by four parallel, exactly sized arrays that are never
+    written after the trace is built.
     """
 
-    __slots__ = ("_times", "_rntis", "_dirs", "_tbs", "_n", "_shared",
+    __slots__ = ("_times", "_rntis", "_dirs", "_tbs",
                  "label", "category", "operator", "cell", "day", "user")
 
-    def __init__(self, records: Optional[Sequence[TraceRecord]] = None,
-                 label: Optional[str] = None, category: Optional[str] = None,
+    def __init__(self, *, label: Optional[str] = None,
+                 category: Optional[str] = None,
                  operator: Optional[str] = None, cell: Optional[str] = None,
                  day: int = 0, user: Optional[str] = None) -> None:
+        """An empty trace; :meth:`from_arrays` builds one with records."""
         self.label = label
         self.category = category
         self.operator = operator
         self.cell = cell
         self.day = day
         self.user = user
-        self._set_columns(np.empty(0, TIME_DTYPE), np.empty(0, RNTI_DTYPE),
-                          np.empty(0, DIR_DTYPE), np.empty(0, TBS_DTYPE),
-                          shared=False)
-        if records:
-            times = np.array([r.time_s for r in records], dtype=TIME_DTYPE)
-            if len(times) > 1 and np.any(np.diff(times) < 0):
-                raise ValueError("records must be in time order")
-            self._set_columns(
-                times,
-                np.array([r.rnti for r in records], dtype=RNTI_DTYPE),
-                np.array([int(r.direction) for r in records],
-                         dtype=DIR_DTYPE),
-                np.array([r.tbs_bytes for r in records], dtype=TBS_DTYPE),
-                shared=False)
-
-    def _set_columns(self, times, rntis, dirs, tbs, shared: bool) -> None:
-        self._times = times
-        self._rntis = rntis
-        self._dirs = dirs
-        self._tbs = tbs
-        self._n = len(times)
-        # Shared columns (views into a builder or another trace) are
-        # copied on the first mutating append (copy-on-write).
-        self._shared = shared
+        self._times = np.empty(0, TIME_DTYPE)
+        self._rntis = np.empty(0, RNTI_DTYPE)
+        self._dirs = np.empty(0, DIR_DTYPE)
+        self._tbs = np.empty(0, TBS_DTYPE)
 
     @classmethod
     def from_arrays(cls, times_s, rntis, directions, tbs_bytes,
@@ -352,7 +302,8 @@ class Trace:
             if times[0] < 0:
                 raise ValueError(f"time_s must be >= 0: {times[0]}")
         trace = cls(**metadata)
-        trace._set_columns(times, rntis, dirs, tbs, shared=True)
+        trace._times, trace._rntis, trace._dirs, trace._tbs = (
+            times, rntis, dirs, tbs)
         return trace
 
     @classmethod
@@ -375,79 +326,44 @@ class Trace:
             np.concatenate([t.tbs_bytes for t in parts])[order],
             validate=False, **metadata)
 
-    # -- columnar views ------------------------------------------------------------
+    # -- columns ----------------------------------------------------------------------
 
     @property
     def times_s(self) -> np.ndarray:
         """Timestamps (f8 seconds), non-decreasing."""
-        return self._times[:self._n]
+        return self._times
 
     @property
     def rntis(self) -> np.ndarray:
         """Per-record RNTI (u4)."""
-        return self._rntis[:self._n]
+        return self._rntis
 
     @property
     def directions(self) -> np.ndarray:
         """Per-record link direction as ``int(Direction)`` (u1)."""
-        return self._dirs[:self._n]
+        return self._dirs
 
     @property
     def tbs_bytes(self) -> np.ndarray:
         """Per-record transport-block size in bytes (i8)."""
-        return self._tbs[:self._n]
-
-    # -- record-style compatibility API --------------------------------------------
-
-    @property
-    def records(self) -> List[TraceRecord]:
-        """Materialised list of records (compatibility accessor)."""
-        return list(self)
-
-    def append(self, record: TraceRecord) -> None:
-        n = self._n
-        if n and record.time_s < self._times[n - 1]:
-            raise ValueError("records must be appended in time order")
-        if self._shared or n == len(self._times):
-            capacity = max(_MIN_CAPACITY, 2 * n)
-            for name, dtype in (("_times", TIME_DTYPE),
-                                ("_rntis", RNTI_DTYPE),
-                                ("_dirs", DIR_DTYPE), ("_tbs", TBS_DTYPE)):
-                old = getattr(self, name)
-                new = np.empty(capacity, dtype=dtype)
-                new[:n] = old[:n]
-                setattr(self, name, new)
-            self._shared = False
-        self._times[n] = record.time_s
-        self._rntis[n] = record.rnti
-        self._dirs[n] = int(record.direction)
-        self._tbs[n] = record.tbs_bytes
-        self._n = n + 1
+        return self._tbs
 
     def __len__(self) -> int:
-        return self._n
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        times, rntis = self.times_s, self.rntis
-        dirs, tbs = self.directions, self.tbs_bytes
-        for i in range(self._n):
-            yield TraceRecord(time_s=float(times[i]), rnti=int(rntis[i]),
-                              direction=Direction(int(dirs[i])),
-                              tbs_bytes=int(tbs[i]))
+        return len(self._times)
 
     # -- aggregates -----------------------------------------------------------------
 
     @property
     def start_s(self) -> float:
-        return float(self._times[0]) if self._n else 0.0
+        return float(self._times[0]) if len(self) else 0.0
 
     @property
     def end_s(self) -> float:
-        return float(self._times[self._n - 1]) if self._n else 0.0
+        return float(self._times[-1]) if len(self) else 0.0
 
     @property
     def duration_s(self) -> float:
-        return self.end_s - self.start_s if self._n else 0.0
+        return self.end_s - self.start_s
 
     @property
     def total_bytes(self) -> int:
@@ -489,8 +405,9 @@ class Trace:
         if chunk_records <= 0:
             raise ValueError(
                 f"chunk_records must be positive: {chunk_records}")
-        for lo in range(0, self._n, chunk_records):
-            hi = min(lo + chunk_records, self._n)
+        count = len(self)
+        for lo in range(0, count, chunk_records):
+            hi = min(lo + chunk_records, count)
             yield (self.times_s[lo:hi], self.rntis[lo:hi],
                    self.directions[lo:hi], self.tbs_bytes[lo:hi])
 
@@ -507,7 +424,7 @@ class Trace:
 
     def rebased(self) -> "Trace":
         """A copy with time shifted so the first record is at t=0."""
-        if not self._n:
+        if not len(self):
             return self.index_sliced(0, 0)
         times = self.times_s
         return Trace.from_arrays(times - times[0], self.rntis,
@@ -535,7 +452,7 @@ class Trace:
             writer.writerow(self._CSV_FIELDS)
             writer.writerows(
                 (f"{times[i]:.6f}", int(rntis[i]), int(dirs[i]), int(tbs[i]))
-                for i in range(self._n))
+                for i in range(len(self)))
 
     @classmethod
     def from_csv(cls, path: Path) -> "Trace":
@@ -569,17 +486,24 @@ class Trace:
         path = Path(path)
         with path.open("w") as handle:
             handle.write(json.dumps({"meta": self.metadata()}) + "\n")
-            for record in self:
+            for time_s, rnti, direction, size in zip(
+                    self.times_s.tolist(), self.rntis.tolist(),
+                    self.directions.tolist(), self.tbs_bytes.tolist()):
                 handle.write(json.dumps({
-                    "t": round(record.time_s, 6), "rnti": record.rnti,
-                    "dir": int(record.direction), "tbs": record.tbs_bytes,
+                    "t": round(time_s, 6), "rnti": rnti,
+                    "dir": direction, "tbs": size,
                 }) + "\n")
 
     @classmethod
     def from_jsonl(cls, path: Path) -> "Trace":
-        """Read a trace previously written by :meth:`to_jsonl`."""
+        """Read a trace previously written by :meth:`to_jsonl`.
+
+        Record values are checked like :meth:`from_csv`'s: a malformed
+        line, a non-finite or negative time, a negative size or records
+        out of time order raise ``ValueError``.
+        """
         path = Path(path)
-        builder = TraceBuilder()
+        columns = ([], [], [], [])
         metadata: Dict = {}
         with path.open() as handle:
             for lineno, line in enumerate(handle, start=1):
@@ -590,13 +514,18 @@ class Trace:
                 # Malformed records surface as ValueError so callers
                 # (the serve CLI) can report bad input, not crash.
                 try:
-                    builder.append(obj["t"], obj["rnti"], obj["dir"],
-                                   obj["tbs"])
+                    row = (obj["t"], obj["rnti"], obj["dir"], obj["tbs"])
                 except (KeyError, TypeError, IndexError) as exc:
                     raise ValueError(
                         f"{path}:{lineno}: not a trace record "
                         f"(need t/rnti/dir/tbs): {exc}") from exc
-        trace = builder.build()
+                for column, value in zip(columns, row):
+                    column.append(value)
+        try:
+            trace = cls.from_arrays(*columns)
+        except TypeError as exc:
+            raise ValueError(f"{path}: not a trace record column: "
+                             f"{exc}") from exc
         trace.apply_metadata(metadata)
         return trace
 
@@ -626,7 +555,8 @@ class Trace:
         normal load.  Raises ``ValueError`` (naming the file and the
         defect) when the archive is missing columns, carries wrong
         dtypes, or its columns disagree on length — the signatures of
-        truncation.
+        truncation — and, like :meth:`from_csv`, when a record value is
+        out of range or the records are out of time order.
         """
         path = Path(path)
         if mmap_mode is not None:
@@ -638,15 +568,14 @@ class Trace:
                 trace = cls.from_arrays(columns["times_s"],
                                         columns["rntis"],
                                         columns["directions"],
-                                        columns["tbs_bytes"],
-                                        validate=False)
+                                        columns["tbs_bytes"])
                 trace.apply_metadata(metadata)
                 return trace
         with np.load(path) as data:
             columns = _checked_npz_columns(data, path)
             trace = cls.from_arrays(columns["times_s"], columns["rntis"],
                                     columns["directions"],
-                                    columns["tbs_bytes"], validate=False)
+                                    columns["tbs_bytes"])
             trace.apply_metadata(json.loads(str(data["meta"])))
         return trace
 

@@ -20,8 +20,9 @@ import pytest
 from repro.core.features import (FEATURE_NAMES, N_FEATURES, WindowConfig,
                                  extract_features, volume_series)
 from repro.lte.dci import Direction
-from repro.sniffer.trace import Trace, TraceRecord
+from repro.sniffer.trace import Trace
 from repro.stream import StreamingVolume
+from tests.traces import record_rows
 
 RNG_SEEDS = [0, 1, 2, 3, 4]
 
@@ -40,13 +41,13 @@ def random_trace(seed, n=None, tmax=20.0, duplicates=False, rntis=RNTIS):
     if duplicates and n >= 4:
         times[1] = times[0]
         times[n // 2] = times[n // 2 - 1]
-    trace = Trace(label="app", category="cat", operator="Lab", cell="c0")
-    for t in times:
-        trace.append(TraceRecord(
-            time_s=t, rnti=rng.choice(rntis),
-            direction=rng.choice(list(Direction)),
-            tbs_bytes=rng.randint(0, 5_000)))
-    return trace
+    columns = ([], [], [])
+    for _ in times:
+        columns[0].append(rng.choice(rntis))
+        columns[1].append(rng.choice(list(Direction)))
+        columns[2].append(rng.randint(0, 5_000))
+    return Trace.from_arrays(times, *columns, label="app", category="cat",
+                             operator="Lab", cell="c0")
 
 
 def seq_sum(values):
@@ -60,16 +61,16 @@ def seq_sum(values):
 # -- record-at-a-time reference implementations -------------------------------------
 
 
-def ref_window_row(recs, cumulative_time, gap_since_prev, context):
-    count = len(recs)
-    sizes = [float(r.tbs_bytes) for r in recs]
+def ref_window_row(times, rntis, directions, sizes, cumulative_time,
+                   gap_since_prev, context):
+    count = len(times)
     total = seq_sum(sizes)
     mean = total / count
     # square via multiplication: float ** 2 goes through pow() and is
     # not guaranteed to round identically to x * x
     std = math.sqrt(
         seq_sum([(s - mean) * (s - mean) for s in sizes]) / count)
-    gaps = [recs[i + 1].time_s - recs[i].time_s for i in range(count - 1)]
+    gaps = [times[i + 1] - times[i] for i in range(count - 1)]
     if gaps:
         gap_mean = seq_sum(gaps) / len(gaps)
         gap_std = math.sqrt(
@@ -78,26 +79,27 @@ def ref_window_row(recs, cumulative_time, gap_since_prev, context):
     else:
         gap_mean = gap_std = 0.0
     down_count = seq_sum(
-        [1.0 if r.direction is Direction.DOWNLINK else 0.0 for r in recs])
+        [1.0 if d == Direction.DOWNLINK else 0.0 for d in directions])
     down_bytes = seq_sum(
-        [s if r.direction is Direction.DOWNLINK else 0.0
-         for r, s in zip(recs, sizes)])
+        [s if d == Direction.DOWNLINK else 0.0
+         for d, s in zip(directions, sizes)])
     return [count, total, mean, std, min(sizes), max(sizes), gap_mean,
             gap_std, down_count / count,
             (down_bytes / total) if total > 0 else 0.0,
             cumulative_time, max(0.0, gap_since_prev),
-            float(len({r.rnti for r in recs}) - 1)] + context
+            float(len(set(rntis)) - 1)] + context
 
 
 def ref_extract_features(trace, config=None):
     config = config or WindowConfig()
     if config.direction is not None:
         trace = trace.direction_filtered(config.direction)
-    records = trace.records
-    if not records:
+    if not len(trace):
         return np.empty((0, N_FEATURES), dtype=np.float64)
-    times = [r.time_s for r in records]
-    sizes = [float(r.tbs_bytes) for r in records]
+    times = trace.times_s.tolist()
+    rntis = trace.rntis.tolist()
+    directions = trace.directions.tolist()
+    sizes = [float(size) for size in trace.tbs_bytes.tolist()]
     prefix = [0.0]
     for size in sizes:
         prefix.append(prefix[-1] + size)
@@ -131,7 +133,8 @@ def ref_extract_features(trace, config=None):
                        times[hi - 1] - times[b_lo],
                        prefix[b_hi] - prefix[b_lo]]
             rows.append(ref_window_row(
-                records[lo:hi], ws - start,
+                times[lo:hi], rntis[lo:hi], directions[lo:hi],
+                sizes[lo:hi], ws - start,
                 (ws - previous_end) if previous_end is not None else 0.0,
                 context))
             previous_end = we
@@ -144,15 +147,15 @@ def ref_extract_features(trace, config=None):
 def ref_volume_series(trace, bin_s=1.0, direction=None, value="frames"):
     if direction is not None:
         trace = trace.direction_filtered(direction)
-    records = trace.records
-    if not records:
+    if not len(trace):
         return np.zeros(0, dtype=np.float64)
-    start = records[0].time_s
-    n_bins = int(math.floor((records[-1].time_s - start) / bin_s)) + 1
+    times = trace.times_s.tolist()
+    start = times[0]
+    n_bins = int(math.floor((times[-1] - start) / bin_s)) + 1
     out = np.zeros(n_bins, dtype=np.float64)
-    for record in records:
-        idx = min(int((record.time_s - start) / bin_s), n_bins - 1)
-        out[idx] += 1.0 if value == "frames" else float(record.tbs_bytes)
+    for time_s, size in zip(times, trace.tbs_bytes.tolist()):
+        idx = min(int((time_s - start) / bin_s), n_bins - 1)
+        out[idx] += 1.0 if value == "frames" else float(size)
     return out
 
 
@@ -178,15 +181,13 @@ class TestExtractFeaturesGolden:
         assert extract_features(Trace()).shape == (0, N_FEATURES)
 
     def test_single_record(self):
-        trace = Trace()
-        trace.append(TraceRecord(1.5, 0x100, Direction.DOWNLINK, 800))
+        trace = Trace.from_arrays([1.5], [0x100], [Direction.DOWNLINK], [800])
         assert np.array_equal(ref_extract_features(trace),
                               extract_features(trace))
 
     def test_all_duplicate_timestamps(self):
-        trace = Trace()
-        for rnti in (0x100, 0x200, 0x100):
-            trace.append(TraceRecord(2.0, rnti, Direction.UPLINK, 10))
+        trace = Trace.from_arrays([2.0] * 3, [0x100, 0x200, 0x100],
+                                  [Direction.UPLINK] * 3, [10] * 3)
         assert np.array_equal(ref_extract_features(trace),
                               extract_features(trace))
 
@@ -197,18 +198,16 @@ class TestExtractFeaturesGolden:
                               extract_features(trace, config))
 
     def test_edge_rntis_in_one_window(self):
-        trace = Trace()
-        for offset, rnti in enumerate((0, 0xFFFF, 0xFFFFFFFF, 0,
-                                       0x7FFF_0001)):
-            trace.append(TraceRecord(1.0 + 0.01 * offset, rnti,
-                                     Direction.DOWNLINK, 100))
+        trace = Trace.from_arrays(
+            [1.0 + 0.01 * offset for offset in range(5)],
+            [0, 0xFFFF, 0xFFFFFFFF, 0, 0x7FFF_0001],
+            [Direction.DOWNLINK] * 5, [100] * 5)
         rows = extract_features(trace)
         assert np.array_equal(rows, ref_extract_features(trace))
         assert rows[0, FEATURE_NAMES.index("rnti_switches")] == 3.0
 
     def test_direction_filter_can_empty_everything(self):
-        trace = Trace()
-        trace.append(TraceRecord(0.0, 0x100, Direction.UPLINK, 10))
+        trace = Trace.from_arrays([0.0], [0x100], [Direction.UPLINK], [10])
         config = WindowConfig(direction=Direction.DOWNLINK)
         assert extract_features(trace, config).shape == (0, N_FEATURES)
 
@@ -231,10 +230,9 @@ class TestGapSincePrevChaining:
 
     @staticmethod
     def _trace(times):
-        trace = Trace()
-        for t in times:
-            trace.append(TraceRecord(t, 0x100, Direction.DOWNLINK, 100))
-        return trace
+        return Trace.from_arrays(times, [0x100] * len(times),
+                                 [Direction.DOWNLINK] * len(times),
+                                 [100] * len(times))
 
     def test_invalidated_window_still_anchors_gap(self):
         # w0 [0,0.1): 3 recs (valid) · w1 [0.1,0.2): 1 rec (min_frames
@@ -277,9 +275,9 @@ class TestVolumeSeriesGolden:
         # A final record landing exactly on a bin edge must OPEN that
         # bin (floor semantics), not be clamped back into the previous
         # one — batch and incremental accumulation agree on the count.
-        trace = Trace()
-        for t in (0.0, 0.4, 1.7, 3.0):   # 3.0 == 3 * bin_s exactly
-            trace.append(TraceRecord(t, 0x100, Direction.DOWNLINK, 100))
+        trace = Trace.from_arrays(       # 3.0 == 3 * bin_s exactly
+            [0.0, 0.4, 1.7, 3.0], [0x100] * 4, [Direction.DOWNLINK] * 4,
+            [100] * 4)
         series = volume_series(trace, bin_s=1.0)
         assert len(series) == 4
         assert np.array_equal(series, [2.0, 1.0, 0.0, 1.0])
@@ -362,22 +360,22 @@ class TestFilterGolden:
     def test_direction_filtered(self, seed):
         trace = random_trace(seed, duplicates=True)
         for direction in Direction:
-            expected = [r for r in trace.records if r.direction is direction]
-            assert trace.direction_filtered(direction).records == expected
+            expected = [r for r in record_rows(trace) if r[2] == direction]
+            assert record_rows(trace.direction_filtered(direction)) == expected
 
     @pytest.mark.parametrize("seed", RNG_SEEDS)
     def test_time_sliced(self, seed):
         trace = random_trace(seed)
         for t0, t1 in ((0.0, 5.0), (5.0, 5.0), (3.3, 17.2), (25.0, 30.0)):
-            expected = [r for r in trace.records if t0 <= r.time_s < t1]
-            assert trace.time_sliced(t0, t1).records == expected
+            expected = [r for r in record_rows(trace) if t0 <= r[0] < t1]
+            assert record_rows(trace.time_sliced(t0, t1)) == expected
 
     @pytest.mark.parametrize("seed", RNG_SEEDS)
     def test_rnti_filtered(self, seed):
         trace = random_trace(seed)
         for wanted in ({0x100}, {0x200, 0x400}, set(), {0x999}):
-            expected = [r for r in trace.records if r.rnti in wanted]
-            assert trace.rnti_filtered(wanted).records == expected
+            expected = [r for r in record_rows(trace) if r[1] in wanted]
+            assert record_rows(trace.rnti_filtered(wanted)) == expected
 
     @pytest.mark.parametrize("seed", RNG_SEEDS)
     def test_rebased(self, seed):
@@ -386,25 +384,16 @@ class TestFilterGolden:
         if not len(trace):
             assert len(rebased) == 0
             return
-        t0 = trace.records[0].time_s
-        expected = [TraceRecord(r.time_s - t0, r.rnti, r.direction,
-                                r.tbs_bytes) for r in trace.records]
-        assert rebased.records == expected
+        t0 = trace.start_s
+        expected = [(t - t0, rnti, direction, size)
+                    for t, rnti, direction, size in record_rows(trace)]
+        assert record_rows(rebased) == expected
 
     def test_filters_do_not_mutate_parent(self):
         trace = random_trace(3, n=60)
-        before = trace.records
+        before = record_rows(trace)
         trace.direction_filtered(Direction.DOWNLINK)
         trace.time_sliced(1.0, 9.0)
         trace.rnti_filtered({0x100})
         trace.rebased()
-        assert trace.records == before
-
-    def test_append_after_slice_keeps_views_intact(self):
-        # time_sliced shares storage; appending to the parent afterwards
-        # must copy-on-write rather than corrupt the child.
-        trace = random_trace(4, n=40)
-        child = trace.time_sliced(0.0, 50.0)
-        snapshot = child.records
-        trace.append(TraceRecord(100.0, 0x100, Direction.UPLINK, 1))
-        assert child.records == snapshot
+        assert record_rows(trace) == before

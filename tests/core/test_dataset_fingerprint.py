@@ -9,7 +9,8 @@ from repro.core.features import WindowConfig
 from repro.core.fingerprint import HierarchicalFingerprinter
 from repro.lte.dci import Direction
 from repro.operators import LAB, TMOBILE
-from repro.sniffer.trace import Trace, TraceRecord, TraceSet
+from repro.sniffer.trace import Trace, TraceSet
+from tests.traces import record_rows
 
 
 @pytest.fixture(scope="module")
@@ -38,12 +39,12 @@ class TestCollectTrace:
     def test_seed_reproducible(self):
         a = collect_trace("WhatsApp", duration_s=10.0, seed=5)
         b = collect_trace("WhatsApp", duration_s=10.0, seed=5)
-        assert a.records == b.records
+        assert record_rows(a) == record_rows(b)
 
     def test_different_seeds_differ(self):
         a = collect_trace("WhatsApp", duration_s=10.0, seed=5)
         b = collect_trace("WhatsApp", duration_s=10.0, seed=6)
-        assert a.records != b.records
+        assert record_rows(a) != record_rows(b)
 
     def test_background_adds_traffic(self):
         clean = collect_trace("YouTube", duration_s=10.0, seed=7)
@@ -56,7 +57,7 @@ class TestCollectTrace:
         carrier = collect_trace("Skype", operator=TMOBILE, duration_s=10.0,
                                 seed=8)
         # Same workload, noisier environment: different record stream.
-        assert lab.records != carrier.records
+        assert record_rows(lab) != record_rows(carrier)
 
 
 class TestCollectPair:
@@ -96,8 +97,8 @@ class TestWindowsFromTraces:
         assert (windows.app_labels == again.app_labels).all()
 
     def test_unlabelled_trace_rejected(self):
-        traces = TraceSet([Trace()])
-        traces.traces[0].append(TraceRecord(0.0, 1, Direction.UPLINK, 10))
+        traces = TraceSet([Trace.from_arrays([0.0], [1], [Direction.UPLINK],
+                                             [10])])
         with pytest.raises(ValueError):
             windows_from_traces(traces)
 

@@ -6,16 +6,13 @@ import pytest
 from repro.core.features import (FEATURE_NAMES, N_FEATURES, WindowConfig,
                                  extract_features, volume_series)
 from repro.lte.dci import Direction
-from repro.sniffer.trace import Trace, TraceRecord
+from repro.sniffer.trace import Trace
 
 F = {name: i for i, name in enumerate(FEATURE_NAMES)}
 
 
 def trace_from(tuples):
-    trace = Trace()
-    for t, rnti, direction, tbs in tuples:
-        trace.append(TraceRecord(t, rnti, direction, tbs))
-    return trace
+    return Trace.from_arrays(*zip(*tuples))
 
 
 @pytest.fixture

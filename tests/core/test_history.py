@@ -9,21 +9,22 @@ from repro.core.history import (HistoryAttack, HistoryFinding, ZoneVisit,
 from repro.lte.dci import Direction
 from repro.lte.network import LTENetwork
 from repro.operators import LAB
-from repro.sniffer.trace import Trace, TraceRecord
+from repro.sniffer.trace import Trace
 
 
 def trace_with_gaps():
     """Two activity episodes separated by 60 s of silence."""
-    trace = Trace()
+    times = []
     t = 0.0
     for _ in range(30):
-        trace.append(TraceRecord(t, 0x1, Direction.DOWNLINK, 500))
+        times.append(t)
         t += 0.2
     t += 60.0
     for _ in range(30):
-        trace.append(TraceRecord(t, 0x2, Direction.DOWNLINK, 500))
+        times.append(t)
         t += 0.2
-    return trace
+    return Trace.from_arrays(times, [0x1] * 30 + [0x2] * 30,
+                             [Direction.DOWNLINK] * 60, [500] * 60)
 
 
 class TestZoneVisit:
@@ -49,15 +50,13 @@ class TestSegmentation:
         assert len(episodes) == 1
 
     def test_short_episodes_dropped(self):
-        trace = Trace()
-        trace.append(TraceRecord(0.0, 0x1, Direction.DOWNLINK, 100))
-        trace.append(TraceRecord(0.5, 0x1, Direction.DOWNLINK, 100))
+        trace = Trace.from_arrays([0.0, 0.5], [0x1] * 2,
+                                  [Direction.DOWNLINK] * 2, [100] * 2)
         assert segment_episodes(trace, min_records=10) == []
 
     def test_thin_episodes_dropped(self):
-        trace = Trace()
-        for t in (0.0, 5.0):
-            trace.append(TraceRecord(t, 0x1, Direction.DOWNLINK, 100))
+        trace = Trace.from_arrays([0.0, 5.0], [0x1] * 2,
+                                  [Direction.DOWNLINK] * 2, [100] * 2)
         assert segment_episodes(trace, min_records=10) == []
 
     def test_empty_trace(self):

@@ -108,6 +108,15 @@ class TestServeCLI:
         assert main(["serve", "--model", str(campaign / "model.json"),
                      "--data", str(tmp_path / "none.npz")]) == 2
 
+    def test_serve_bad_record_values_is_bad_input(self, campaign, tmp_path):
+        from repro.sniffer.trace import Trace
+
+        feed = tmp_path / "feed.jsonl"
+        Trace.from_arrays([-1.0, 0.5], [0x100] * 2, [0] * 2, [10, 10],
+                          validate=False).to_jsonl(feed)
+        assert main(["serve", "--model", str(campaign / "model.json"),
+                     "--data", str(feed)]) == 2
+
     def test_serve_bad_model_is_bad_input(self, tmp_path):
         bogus = tmp_path / "model.json"
         bogus.write_text("{}")

@@ -6,7 +6,7 @@ import pytest
 
 from repro.fiveg.gnb import GNodeB
 from repro.lte.channel import ChannelProfile
-from repro.lte.dci import Direction
+from repro.lte.dci import DCIFormat, DCIMessage, Direction
 from repro.lte.enb import ENodeB
 from repro.lte.epc import EPC
 from repro.lte.identifiers import is_crnti, make_imsi
@@ -15,6 +15,13 @@ from repro.lte.rrc import (PagingMessage, RACHPreamble,
                            RRCConnectionRequest, RRCConnectionSetup)
 from repro.lte.sim import SECOND_US, SimClock
 from repro.lte.ue import UE, RRCState
+
+
+def observe_grants(enb):
+    """Record the cell's grant batches; returns the growing list."""
+    batches = []
+    enb.grant_batch_observers.append(batches.append)
+    return batches
 
 
 @pytest.fixture
@@ -103,38 +110,47 @@ class TestTraffic:
 
     def test_backlog_drains_via_grants(self, setup):
         clock, enb, ue = setup
-        transmissions = []
-        enb.pdcch_observers.append(transmissions.append)
+        batches = observe_grants(enb)
         enb.connect(ue)
         enb.enqueue(ue, Direction.DOWNLINK, 50_000)
         clock.run_until(2 * SECOND_US)
         context = enb.context_for(ue)
         assert context.dl_backlog == 0
-        granted = sum(t.encoded.blind_decode().tbs_bytes
-                      for t in transmissions)
-        assert granted >= 50_000
-        assert enb.grants_issued == len(transmissions)
+        assert sum(int(batch.tbs_bytes.sum()) for batch in batches) >= 50_000
+        assert enb.grants_issued == sum(len(batch) for batch in batches)
 
     def test_uplink_and_downlink_grants_use_correct_formats(self, setup):
         clock, enb, ue = setup
-        transmissions = []
-        enb.pdcch_observers.append(transmissions.append)
-        enb.connect(ue)
+        batches = observe_grants(enb)
+        rnti = enb.connect(ue)
         enb.enqueue(ue, Direction.DOWNLINK, 5_000)
         enb.enqueue(ue, Direction.UPLINK, 5_000)
         clock.run_until(SECOND_US)
-        directions = {t.encoded.blind_decode().direction
-                      for t in transmissions}
+        # Each grant row, aired as the DCI format of its direction,
+        # blind-decodes back to the row's RNTI, direction and size.
+        rows = [row for batch in batches for row in zip(
+            batch.direction.tolist(), batch.rntis.tolist(),
+            batch.mcs.tolist(), batch.n_prb.tolist(),
+            batch.tbs_bytes.tolist())]
+        directions = set()
+        for direction, grant_rnti, mcs, n_prb, tbs in rows:
+            fmt = (DCIFormat.FORMAT_1A if direction == Direction.DOWNLINK
+                   else DCIFormat.FORMAT_0)
+            dci = DCIMessage(fmt=fmt, rnti=grant_rnti, mcs=mcs,
+                             n_prb=n_prb).encode().blind_decode()
+            assert (dci.rnti, dci.direction, dci.tbs_bytes) == (
+                rnti, direction, tbs)
+            directions.add(dci.direction)
         assert directions == {Direction.DOWNLINK, Direction.UPLINK}
 
     def test_grants_address_the_ue_rnti(self, setup):
         clock, enb, ue = setup
-        transmissions = []
-        enb.pdcch_observers.append(transmissions.append)
+        batches = observe_grants(enb)
         rnti = enb.connect(ue)
         enb.enqueue(ue, Direction.DOWNLINK, 10_000)
         clock.run_until(SECOND_US)
-        assert all(t.encoded.blind_rnti() == rnti for t in transmissions)
+        assert batches
+        assert all((batch.rntis == rnti).all() for batch in batches)
 
     def test_tti_loop_stops_when_idle(self, setup):
         clock, enb, ue = setup
@@ -207,8 +223,7 @@ class TestHandover:
     def test_restore_backlog_resumes_grants(self, setup):
         clock, enb, ue = setup
         target = ENodeB("cell-y", clock, random.Random(5))
-        transmissions = []
-        target.pdcch_observers.append(transmissions.append)
+        batches = observe_grants(target)
         enb.connect(ue)
         enb.enqueue(ue, Direction.DOWNLINK, 50_000)
         clock.run_until(3_000)
@@ -216,7 +231,7 @@ class TestHandover:
         target.admit_handover(ue)
         target.restore_backlog(ue, handover.dl_backlog, handover.ul_backlog)
         clock.run_until(2 * SECOND_US)
-        assert transmissions
+        assert batches
         assert target.context_for(ue).dl_backlog == 0
 
     def test_restore_backlog_requires_connection(self, setup):

@@ -117,8 +117,9 @@ class TestGNodeB:
         network = self.make_network()
         ue = network.add_ue(name="victim")
         seen = []
-        network.observe("nr-0", pdcch=seen.append)
+        network.observe("nr-0", pdcch_batch=seen.append)
         network.deliver_traffic(ue, Direction.DOWNLINK, 50_000)
         network.run_for(3.0)
-        gaps = [b.time_us - a.time_us for a, b in zip(seen, seen[1:])]
+        times = [t for batch in seen for t in batch.time_us.tolist()]
+        gaps = [b - a for a, b in zip(times, times[1:])]
         assert gaps and min(g for g in gaps if g > 0) == NR_SLOT_US

@@ -84,12 +84,12 @@ class TestTrafficDelivery:
     def test_arrivals_during_connection_setup_are_buffered(self, net):
         ue = net.add_ue()
         seen = []
-        net.observe("alpha", pdcch=seen.append)
+        net.observe("alpha", pdcch_batch=seen.append)
         net.deliver_traffic(ue, Direction.UPLINK, 1_000)
         net.deliver_traffic(ue, Direction.UPLINK, 1_000)
         net.deliver_traffic(ue, Direction.DOWNLINK, 1_000)
         net.run_for(3.0)
-        granted = sum(t.encoded.blind_decode().tbs_bytes for t in seen)
+        granted = sum(int(batch.tbs_bytes.sum()) for batch in seen)
         assert granted >= 3_000
 
     def test_connected_ue_enqueues_directly(self, net):
@@ -178,14 +178,13 @@ class TestMobility:
         network = self.make_two_cell()
         ue = network.add_ue(cell_id="alpha")
         seen_beta = []
-        network.observe("beta", pdcch=seen_beta.append)
+        network.observe("beta", pdcch_batch=seen_beta.append)
         network.deliver_traffic(ue, Direction.UPLINK, 1)
         network.run_for(1.0)
         network.deliver_traffic(ue, Direction.DOWNLINK, 200_000)
         network.move_ue(ue, "beta")
         network.run_for(3.0)
-        granted = sum(t.encoded.blind_decode().tbs_bytes
-                      for t in seen_beta)
+        granted = sum(int(batch.tbs_bytes.sum()) for batch in seen_beta)
         assert granted >= 190_000
 
     def test_itinerary_validation(self):
@@ -208,10 +207,10 @@ class TestMobility:
 class TestObserve:
     def test_unknown_cell_rejected(self, net):
         with pytest.raises(ValueError):
-            net.observe("nope", pdcch=lambda t: None)
+            net.observe("nope", pdcch_batch=lambda batch: None)
 
     def test_marks_sniffer_deployed(self, net):
-        net.observe("alpha", pdcch=lambda t: None)
+        net.observe("alpha", pdcch_batch=lambda batch: None)
         assert net.cells["alpha"].sniffer_deployed
 
     def test_run_for_negative_rejected(self, net):

@@ -81,11 +81,11 @@ class TestPadding:
         assert enb.obfuscation_stats.padding_bytes > 0
         assert enb.obfuscation_stats.overhead_fraction > 0.0
         # The observed size distribution collapses onto few values.
-        sizes = {r.tbs_bytes for r in sniffer.trace_for_tmsi(ue.tmsi)}
+        sizes = set(sniffer.trace_for_tmsi(ue.tmsi).tbs_bytes.tolist())
         baseline_enb, base_ue, baseline = defended_capture(
             NO_OBFUSCATION, app="WhatsApp Call")
-        baseline_sizes = {r.tbs_bytes
-                          for r in baseline.trace_for_tmsi(base_ue.tmsi)}
+        baseline_sizes = set(
+            baseline.trace_for_tmsi(base_ue.tmsi).tbs_bytes.tolist())
         assert len(sizes) <= len(baseline_sizes)
 
     def test_padding_preserves_delivery(self):
@@ -118,8 +118,7 @@ class TestDefendedCellStillServes:
         assert enb.obfuscation_stats.useful_bytes > 10_000
         assert enb.obfuscation.enabled
         # Victim's QoS: uplink and downlink both flowed.
-        directions = {r.direction
-                      for r in sniffer.trace_for_rnti(
-                          sniffer.observed_rntis()[0])}
+        directions = set(sniffer.trace_for_rnti(
+            sniffer.observed_rntis()[0]).directions.tolist())
         assert Direction.DOWNLINK in directions or \
             Direction.UPLINK in directions

@@ -3,6 +3,7 @@
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
@@ -13,14 +14,16 @@ from repro.operators import LAB, TMOBILE
 from repro.runtime.cache import (TraceCache, cache_enabled_from_env,
                                  code_fingerprint, fingerprinted_files,
                                  max_bytes_from_env)
-from repro.sniffer.trace import Trace, TraceRecord, TraceSet
+from repro.sniffer.trace import Trace, TraceSet
+from tests.traces import record_rows
 
 
 def _set(label, n=4):
     """A one-member TraceSet whose label tells entries apart."""
-    records = [TraceRecord(time_s=i * 1e-3, rnti=0x0070, direction=1,
-                           tbs_bytes=100 + i) for i in range(n)]
-    return TraceSet([Trace(records, label=label)])
+    index = np.arange(n)
+    return TraceSet([Trace.from_arrays(index * 1e-3, np.full(n, 0x0070),
+                                       np.ones(n), 100 + index,
+                                       label=label)])
 
 
 def _label(value):
@@ -129,7 +132,7 @@ class TestPipelineCaching:
         kwargs = dict(operator=LAB, duration_s=8.0, seed=5)
         fresh = collect_trace("YouTube", **kwargs)
         again = collect_trace("YouTube", **kwargs)
-        assert again.records == fresh.records
+        assert record_rows(again) == record_rows(fresh)
         assert (again.label, again.category, again.operator) == \
                (fresh.label, fresh.category, fresh.operator)
         stats = runtime.stats()
@@ -137,7 +140,7 @@ class TestPipelineCaching:
         assert stats.cache.hits == 1
         with runtime.overrides(cache_enabled=False):
             uncached = collect_trace("YouTube", **kwargs)
-        assert uncached.records == fresh.records
+        assert record_rows(uncached) == record_rows(fresh)
 
     def test_warm_rerun_simulates_nothing(self, cached):
         kwargs = dict(operator=LAB, traces_per_app=2, duration_s=8.0,
@@ -149,7 +152,7 @@ class TestPipelineCaching:
         assert runtime.stats().simulations == after_cold    # zero new sims
         assert runtime.stats().cache.hits == 4
         for a, b in zip(cold, warm):
-            assert a.records == b.records
+            assert record_rows(a) == record_rows(b)
 
     def test_pairs_cached(self, cached):
         specs = [PairSpec(app_name="WhatsApp", kind="chat", operator=LAB,
@@ -159,8 +162,8 @@ class TestPipelineCaching:
         warm = collect_pairs(specs)
         assert runtime.stats().simulations == 2
         for (a1, b1), (a2, b2) in zip(cold, warm):
-            assert a1.records == a2.records
-            assert b1.records == b2.records
+            assert record_rows(a1) == record_rows(a2)
+            assert record_rows(b1) == record_rows(b2)
 
     def test_trace_and_pair_keyspaces_disjoint(self, cached):
         # A single trace and a pair with identical parameters must not

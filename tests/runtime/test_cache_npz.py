@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.runtime.cache import TraceCache
-from repro.sniffer.trace import Trace, TraceRecord, TraceSet
+from repro.sniffer.trace import Trace, TraceSet
 
 
 def _mmap_backed(array):
@@ -17,9 +17,10 @@ def _mmap_backed(array):
 
 
 def _trace(n=1_000):
-    records = [TraceRecord(time_s=i * 1e-3, rnti=0x0070, direction=1,
-                           tbs_bytes=100 + i) for i in range(n)]
-    return Trace(records, label="Netflix", cell="c0", day=2)
+    index = np.arange(n)
+    return Trace.from_arrays(index * 1e-3, np.full(n, 0x0070),
+                             np.ones(n), 100 + index, label="Netflix",
+                             cell="c0", day=2)
 
 
 @pytest.fixture

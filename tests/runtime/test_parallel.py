@@ -19,6 +19,7 @@ from repro.ml.crossval import cross_validate
 from repro.ml.forest import RandomForest
 from repro.operators import LAB
 from repro.runtime.parallel import ParallelMap, workers_from_env
+from tests.traces import record_rows
 
 
 def _square(x):
@@ -126,7 +127,7 @@ class TestPipelineDeterminism:
         parallel = collect_traces(["YouTube", "Skype"], workers=2, **kwargs)
         assert len(serial) == len(parallel) == 4
         for a, b in zip(serial, parallel):
-            assert a.records == b.records
+            assert record_rows(a) == record_rows(b)
             assert (a.label, a.category, a.operator) == \
                    (b.label, b.category, b.operator)
 
@@ -136,8 +137,8 @@ class TestPipelineDeterminism:
         serial = collect_pairs(specs, workers=1)
         parallel = collect_pairs(specs, workers=2)
         for (a1, b1), (a2, b2) in zip(serial, parallel):
-            assert a1.records == a2.records
-            assert b1.records == b2.records
+            assert record_rows(a1) == record_rows(a2)
+            assert record_rows(b1) == record_rows(b2)
 
     def test_forest_parallel_identical(self, small_windows):
         X, y = small_windows.X, small_windows.app_labels

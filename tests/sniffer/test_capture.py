@@ -32,7 +32,7 @@ class TestCellSniffer:
         rnti = sniffer.observed_rntis()[0]
         trace = sniffer.trace_for_rnti(rnti)
         assert len(trace) > 0
-        assert all(r.rnti == rnti for r in trace)
+        assert (trace.rntis == rnti).all()
 
     def test_trace_for_tmsi_merges_rnti_refreshes(self, scenario):
         network, ue, sniffer = scenario
@@ -63,8 +63,8 @@ class TestCellSniffer:
         assert alice_trace.total_bytes >= 30_000
         assert bob_trace.total_bytes >= 60_000
         # No cross-contamination: RNTI sets are disjoint.
-        assert ({r.rnti for r in alice_trace}
-                & {r.rnti for r in bob_trace} == set())
+        assert (set(alice_trace.rntis.tolist())
+                & set(bob_trace.rntis.tolist()) == set())
 
     def test_trace_for_unknown_tmsi_is_empty(self, scenario):
         network, ue, sniffer = scenario

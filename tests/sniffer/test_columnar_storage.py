@@ -4,34 +4,43 @@ import numpy as np
 import pytest
 
 from repro.lte.dci import Direction
-from repro.sniffer.trace import Trace, TraceBuilder, TraceRecord, TraceSet
+from repro.sniffer.trace import Trace, TraceBuilder, TraceSet
+from tests.traces import record_rows
 
 
 def make_trace(n=10, label="YouTube", t0=0.0):
-    trace = Trace(label=label, category="streaming", operator="Lab",
-                  cell="c0", day=1, user="victim")
-    for i in range(n):
-        trace.append(TraceRecord(t0 + 0.01 * i, 0x100 + (i % 3),
-                                 Direction(i % 2), 100 * i))
-    return trace
+    index = np.arange(n)
+    return Trace.from_arrays(t0 + 0.01 * index, 0x100 + index % 3,
+                             index % 2, 100 * index, label=label,
+                             category="streaming", operator="Lab",
+                             cell="c0", day=1, user="victim")
+
+
+def extend_one(builder, time_s, rnti, direction, tbs_bytes):
+    builder.extend([time_s], [rnti], [direction], [tbs_bytes])
 
 
 class TestTraceBuilder:
     def test_build_matches_record_appends(self):
         builder = TraceBuilder()
-        reference = Trace()
         for i in range(5):
-            builder.append(0.1 * i, 0x200, int(Direction.DOWNLINK), 42 + i)
-            reference.append(TraceRecord(0.1 * i, 0x200,
-                                         Direction.DOWNLINK, 42 + i))
+            extend_one(builder, 0.1 * i, 0x200, int(Direction.DOWNLINK),
+                       42 + i)
+        builder.extend([0.5, 0.6], [0x201, 0x202], [0, 1], [47, 48])
         built = builder.build(label="x")
-        assert built.records == reference.records
+        reference = Trace.from_arrays(
+            [0.1 * i for i in range(5)] + [0.5, 0.6],
+            [0x200] * 5 + [0x201, 0x202], [1] * 5 + [0, 1],
+            [42 + i for i in range(5)] + [47, 48])
+        assert record_rows(built) == record_rows(reference)
         assert built.label == "x"
 
     def test_growth_beyond_initial_capacity(self):
         builder = TraceBuilder()
-        for i in range(1000):
-            builder.append(0.001 * i, 0x100, 0, i)
+        for lo in range(0, 1000, 7):
+            index = np.arange(lo, min(lo + 7, 1000))
+            builder.extend(0.001 * index, np.full(len(index), 0x100),
+                           np.zeros(len(index)), index)
         assert len(builder) == 1000
         trace = builder.build()
         assert len(trace) == 1000
@@ -40,19 +49,22 @@ class TestTraceBuilder:
 
     def test_out_of_order_append_rejected(self):
         builder = TraceBuilder()
-        builder.append(1.0, 0x100, 0, 10)
+        extend_one(builder, 1.0, 0x100, 0, 10)
         with pytest.raises(ValueError):
-            builder.append(0.5, 0x100, 0, 10)
+            extend_one(builder, 0.5, 0x100, 0, 10)
+        with pytest.raises(ValueError):
+            builder.extend([2.0, 1.5], [0x100] * 2, [0] * 2, [10] * 2)
+        assert len(builder) == 1
 
     def test_equal_timestamps_allowed(self):
         builder = TraceBuilder()
-        builder.append(1.0, 0x100, 0, 10)
-        builder.append(1.0, 0x200, 1, 20)
-        assert len(builder.build()) == 2
+        extend_one(builder, 1.0, 0x100, 0, 10)
+        builder.extend([1.0, 1.0], [0x200, 0x300], [1, 1], [20, 30])
+        assert len(builder.build()) == 3
 
     def test_views_track_appends(self):
         builder = TraceBuilder()
-        builder.append(0.5, 0x111, 1, 7)
+        extend_one(builder, 0.5, 0x111, 1, 7)
         assert list(builder.times_s) == [0.5]
         assert list(builder.rntis) == [0x111]
 
@@ -63,7 +75,7 @@ class TestTraceNPZ:
         path = tmp_path / "t.npz"
         trace.to_npz(path)
         loaded = Trace.from_npz(path)
-        assert loaded.records == trace.records
+        assert record_rows(loaded) == record_rows(trace)
         assert loaded.metadata() == trace.metadata()
         assert np.array_equal(loaded.times_s, trace.times_s)
         assert loaded.times_s.dtype == trace.times_s.dtype
@@ -87,7 +99,7 @@ class TestTraceSetNPZ:
         loaded = TraceSet.from_npz(path)
         assert len(loaded) == 3
         for mine, theirs in zip(traces, loaded):
-            assert theirs.records == mine.records
+            assert record_rows(theirs) == record_rows(mine)
             assert theirs.metadata() == mine.metadata()
 
     def test_empty_set_round_trip(self, tmp_path):
@@ -101,7 +113,8 @@ class TestTraceSetNPZ:
         traces.to_npz(path)
         loaded = TraceSet.load(path)
         assert len(loaded) == 1
-        assert loaded.traces[0].records == traces.traces[0].records
+        assert (record_rows(loaded.traces[0])
+                == record_rows(traces.traces[0]))
 
     def test_load_autodetects_npz_in_directory(self, tmp_path):
         traces = TraceSet([make_trace(4)])

@@ -10,7 +10,6 @@ from repro.lte.identifiers import SI_RNTI
 from repro.lte.rrc import RandomAccessResponse, RRCConnectionRelease
 from repro.sniffer.dci_decoder import DCIDecoder
 from repro.sniffer.owl import OWLTracker
-from repro.sniffer.trace import TraceRecord
 
 
 def transmission(time_us=1_000, rnti=0x1000, mcs=10, n_prb=4,
@@ -19,23 +18,30 @@ def transmission(time_us=1_000, rnti=0x1000, mcs=10, n_prb=4,
     return PDCCHTransmission(time_us=time_us, encoded=msg.encode())
 
 
+def decoded_rows(decoder):
+    """Collect the decoder's output as ``(time_s, rnti, dir, tbs)`` rows."""
+    rows = []
+    decoder.add_batch_sink(lambda *columns: rows.extend(
+        zip(*(column.tolist() for column in columns))))
+    return rows
+
+
 class TestDCIDecoder:
     def test_clean_decode_reaches_sink(self):
         decoder = DCIDecoder()
-        records = []
-        decoder.add_sink(records.append)
+        records = decoded_rows(decoder)
         decoder.on_pdcch(transmission(rnti=0x2222))
         assert len(records) == 1
-        assert records[0].rnti == 0x2222
-        assert records[0].time_s == pytest.approx(0.001)
-        assert records[0].tbs_bytes > 0
+        time_s, rnti, _, tbs_bytes = records[0]
+        assert rnti == 0x2222
+        assert time_s == pytest.approx(0.001)
+        assert tbs_bytes > 0
 
     def test_loss_drops_transmissions(self):
         profile = ChannelProfile(capture_loss=0.5)
         decoder = DCIDecoder(capture_profile=profile,
                              rng=random.Random(3))
-        records = []
-        decoder.add_sink(records.append)
+        records = decoded_rows(decoder)
         for index in range(1_000):
             decoder.on_pdcch(transmission(time_us=index * 1_000))
         assert 300 < len(records) < 700
@@ -44,16 +50,14 @@ class TestDCIDecoder:
 
     def test_non_crnti_rejected_by_default(self):
         decoder = DCIDecoder()
-        records = []
-        decoder.add_sink(records.append)
+        records = decoded_rows(decoder)
         decoder.on_pdcch(transmission(rnti=SI_RNTI))
         assert records == []
         assert decoder.rejected == 1
 
     def test_non_crnti_kept_when_requested(self):
         decoder = DCIDecoder(drop_non_crnti=False)
-        records = []
-        decoder.add_sink(records.append)
+        records = decoded_rows(decoder)
         decoder.on_pdcch(transmission(rnti=SI_RNTI))
         assert len(records) == 1
 
@@ -61,8 +65,7 @@ class TestDCIDecoder:
         profile = ChannelProfile(corruption_prob=0.9)
         decoder = DCIDecoder(capture_profile=profile,
                              rng=random.Random(5))
-        records = []
-        decoder.add_sink(records.append)
+        records = decoded_rows(decoder)
         for index in range(500):
             decoder.on_pdcch(transmission(time_us=index * 1_000))
         # Corrupted payloads blind-decode to garbage RNTIs (usually
@@ -72,29 +75,24 @@ class TestDCIDecoder:
 
 
 class TestOWLTracker:
-    def record(self, t, rnti=0x3000):
-        return TraceRecord(time_s=t, rnti=rnti,
-                           direction=DCIFormat.FORMAT_1A.direction,
-                           tbs_bytes=100)
-
     def test_confirm_after_threshold(self):
         tracker = OWLTracker(confirm_threshold=3, confirm_window_s=1.0)
-        tracker.on_record(self.record(0.0))
-        tracker.on_record(self.record(0.1))
+        tracker.on_dci(0.0, 0x3000)
+        tracker.on_dci(0.1, 0x3000)
         assert not tracker.is_active(0x3000)
-        tracker.on_record(self.record(0.2))
+        tracker.on_dci(0.2, 0x3000)
         assert tracker.is_active(0x3000)
 
     def test_sporadic_noise_not_confirmed(self):
         """Hits spread wider than the window never accumulate."""
         tracker = OWLTracker(confirm_threshold=3, confirm_window_s=0.5)
         for t in (0.0, 1.0, 2.0, 3.0, 4.0):
-            tracker.on_record(self.record(t))
+            tracker.on_dci(t, 0x3000)
         assert not tracker.is_active(0x3000)
 
     def test_threshold_one_confirms_immediately(self):
         tracker = OWLTracker(confirm_threshold=1)
-        tracker.on_record(self.record(0.0))
+        tracker.on_dci(0.0, 0x3000)
         assert tracker.is_active(0x3000)
 
     def test_invalid_threshold(self):
@@ -109,7 +107,7 @@ class TestOWLTracker:
 
     def test_release_retires_rnti(self):
         tracker = OWLTracker(confirm_threshold=1)
-        tracker.on_record(self.record(0.0))
+        tracker.on_dci(0.0, 0x3000)
         tracker.on_control(RRCConnectionRelease(time_us=2_000_000,
                                                 crnti=0x3000))
         assert not tracker.is_active(0x3000)
@@ -120,21 +118,21 @@ class TestOWLTracker:
 
     def test_inactivity_expiry(self):
         tracker = OWLTracker(confirm_threshold=1, expiry_s=5.0)
-        tracker.on_record(self.record(0.0))
-        tracker.on_record(self.record(20.0, rnti=0x5000))
+        tracker.on_dci(0.0, 0x3000)
+        tracker.on_dci(20.0, 0x5000)
         assert not tracker.is_active(0x3000)
         assert tracker.is_active(0x5000)
 
     def test_activity_record_counts(self):
         tracker = OWLTracker(confirm_threshold=1)
         for t in (0.0, 0.1, 0.2):
-            tracker.on_record(self.record(t))
+            tracker.on_dci(t, 0x3000)
         activity = tracker.activity(0x3000)
         assert activity.records == 2   # first hit confirmed, rest counted
 
     def test_non_crnti_records_ignored(self):
         tracker = OWLTracker(confirm_threshold=1)
-        tracker.on_record(self.record(0.0, rnti=SI_RNTI))
+        tracker.on_dci(0.0, SI_RNTI)
         assert tracker.active_rntis() == set()
 
 

@@ -69,15 +69,14 @@ def _sniff(loss, corruption, batches):
                               capture_profile=ChannelProfile(
                                   capture_loss=loss,
                                   corruption_prob=corruption))
-    records, raw = [], []
-    sniffer.decoder.add_sink(records.append)
+    raw = []
     sniffer.decoder.add_batch_sink(
         lambda *columns: raw.extend(zip(*(c.tolist() for c in columns))))
     for batch in batches:
         sniffer.decoder.on_pdcch_batch(batch)
     traces = {rnti: sniffer.trace_for_rnti(rnti)
               for rnti in sniffer.observed_rntis()}
-    return (records, raw,
+    return (raw,
             {rnti: (trace.times_s.tolist(), trace.directions.tolist(),
                     trace.tbs_bytes.tolist())
              for rnti, trace in traces.items()},

@@ -1,24 +1,28 @@
 """Tests for trace containers and persistence."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lte.dci import Direction
-from repro.sniffer.trace import Trace, TraceRecord, TraceSet
+from repro.sniffer.trace import Trace, TraceSet
+from tests.traces import record_rows
 
 
-def record(t, rnti=0x1000, direction=Direction.DOWNLINK, tbs=500):
-    return TraceRecord(time_s=t, rnti=rnti, direction=direction,
-                       tbs_bytes=tbs)
+def trace_of(times, rntis=None, directions=None, **metadata):
+    """Records at ``times``, by default DL records of RNTI 0x1000, 500 B."""
+    count = len(times)
+    return Trace.from_arrays(times, rntis or [0x1000] * count,
+                             directions or [Direction.DOWNLINK] * count,
+                             [500] * count, **metadata)
 
 
 def small_trace():
-    trace = Trace(label="YouTube", category="streaming", operator="Lab",
-                  cell="c0", day=3, user="victim")
-    for t in (0.0, 0.1, 0.25, 1.0):
-        trace.append(record(t))
-    return trace
+    return trace_of((0.0, 0.1, 0.25, 1.0), label="YouTube",
+                    category="streaming", operator="Lab", cell="c0", day=3,
+                    user="victim")
 
 
 record_lists = st.lists(
@@ -29,22 +33,14 @@ record_lists = st.lists(
     min_size=0, max_size=50)
 
 
-class TestTraceRecord:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TraceRecord(time_s=-1.0, rnti=1, direction=Direction.UPLINK,
-                        tbs_bytes=10)
-        with pytest.raises(ValueError):
-            TraceRecord(time_s=0.0, rnti=1, direction=Direction.UPLINK,
-                        tbs_bytes=-1)
-
-
 class TestTrace:
-    def test_append_enforces_time_order(self):
-        trace = Trace()
-        trace.append(record(1.0))
-        with pytest.raises(ValueError):
-            trace.append(record(0.5))
+    def test_from_arrays_enforces_time_order(self):
+        with pytest.raises(ValueError, match="time order"):
+            trace_of([1.0, 0.5])
+
+    def test_from_arrays_rejects_negative_time(self):
+        with pytest.raises(ValueError, match="time_s"):
+            trace_of([-1.0, 0.5])
 
     def test_duration_and_totals(self):
         trace = small_trace()
@@ -63,32 +59,26 @@ class TestTrace:
         assert times == pytest.approx([0.1, 0.15, 0.75])
 
     def test_direction_filter(self):
-        trace = Trace()
-        trace.append(record(0.0, direction=Direction.UPLINK))
-        trace.append(record(0.1, direction=Direction.DOWNLINK))
+        trace = trace_of([0.0, 0.1], directions=[Direction.UPLINK,
+                                                 Direction.DOWNLINK])
         down = trace.direction_filtered(Direction.DOWNLINK)
-        assert len(down) == 1
-        assert down.records[0].direction is Direction.DOWNLINK
+        assert down.directions.tolist() == [Direction.DOWNLINK]
 
     def test_time_slice_half_open(self):
         trace = small_trace()
         sliced = trace.time_sliced(0.1, 1.0)
-        assert [r.time_s for r in sliced] == [0.1, 0.25]
+        assert sliced.times_s.tolist() == [0.1, 0.25]
 
     def test_rnti_filter(self):
-        trace = Trace()
-        trace.append(record(0.0, rnti=1_000))
-        trace.append(record(0.1, rnti=2_000))
+        trace = trace_of([0.0, 0.1], rntis=[1_000, 2_000])
         filtered = trace.rnti_filtered({1_000})
-        assert [r.rnti for r in filtered] == [1_000]
+        assert filtered.rntis.tolist() == [1_000]
 
     def test_rebased_shifts_to_zero(self):
-        trace = Trace()
-        trace.append(record(5.0))
-        trace.append(record(6.5))
+        trace = trace_of([5.0, 6.5])
         rebased = trace.rebased()
-        assert rebased.records[0].time_s == 0.0
-        assert rebased.records[1].time_s == pytest.approx(1.5)
+        assert rebased.times_s[0] == 0.0
+        assert rebased.times_s[1] == pytest.approx(1.5)
         assert rebased.label == trace.label
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
@@ -119,7 +109,7 @@ class TestPersistence:
         path = tmp_path / "t.csv"
         trace.to_csv(path)
         loaded = Trace.from_csv(path)
-        assert loaded.records == trace.records
+        assert record_rows(loaded) == record_rows(trace)
         assert loaded.metadata() == trace.metadata()
 
     def test_jsonl_round_trip(self, tmp_path):
@@ -127,7 +117,7 @@ class TestPersistence:
         path = tmp_path / "t.jsonl"
         trace.to_jsonl(path)
         loaded = Trace.from_jsonl(path)
-        assert loaded.records == trace.records
+        assert record_rows(loaded) == record_rows(trace)
         assert loaded.metadata() == trace.metadata()
 
     def test_jsonl_malformed_record_is_value_error(self, tmp_path):
@@ -141,6 +131,55 @@ class TestPersistence:
         with pytest.raises(ValueError):
             Trace.from_jsonl(path)
 
+    def test_jsonl_bytes_are_pinned(self, tmp_path):
+        # Times are written rounded to the microsecond: 0.1 + 0.2 is 0.3.
+        trace = Trace.from_arrays(
+            [0.0, 0.1 + 0.2, 1.25], [0x100, 0x1FF, 0xFFFF], [1, 0, 1],
+            [0, 42, 5000], label="YouTube", category="streaming",
+            operator="Lab", cell="c0", day=2, user="victim")
+        path = tmp_path / "t.jsonl"
+        trace.to_jsonl(path)
+        assert path.read_bytes() == (
+            b'{"meta": {"label": "YouTube", "category": "streaming", '
+            b'"operator": "Lab", "cell": "c0", "day": 2, '
+            b'"user": "victim"}}\n'
+            b'{"t": 0.0, "rnti": 256, "dir": 1, "tbs": 0}\n'
+            b'{"t": 0.3, "rnti": 511, "dir": 0, "tbs": 42}\n'
+            b'{"t": 1.25, "rnti": 65535, "dir": 1, "tbs": 5000}\n')
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl", "npz", "npz-mmap"])
+    @pytest.mark.parametrize("times, tbs", [
+        ([0.0, float("nan")], [10, 10]),          # non-finite time
+        ([-1.0, 0.5], [10, 10]),                  # negative time
+        ([0.0, 0.5], [10, -1]),                   # negative TBS
+        ([1.0, 0.5], [10, 10]),                   # out of time order
+    ])
+    def test_every_reader_rejects_bad_record_values(self, tmp_path, fmt,
+                                                    times, tbs):
+        # The serve CLI maps ValueError to exit 2 for every feed format.
+        trace = Trace.from_arrays(times, [0x100] * 2, [0] * 2, tbs,
+                                  validate=False)
+        suffix = fmt.split("-")[0]
+        path = tmp_path / f"feed.{suffix}"
+        if suffix == "csv":
+            trace.to_csv(path)
+            read = Trace.from_csv
+        elif suffix == "jsonl":
+            trace.to_jsonl(path)
+            read = Trace.from_jsonl
+        else:
+            trace.to_npz(path, compressed=False)
+            read = functools.partial(
+                Trace.from_npz, mmap_mode="r" if fmt == "npz-mmap" else None)
+        with pytest.raises(ValueError):
+            read(path)
+
+    def test_jsonl_null_value_is_value_error(self, tmp_path):
+        path = tmp_path / "null.jsonl"
+        path.write_text('{"t": 0.5, "rnti": null, "dir": 0, "tbs": 10}\n')
+        with pytest.raises(ValueError):
+            Trace.from_jsonl(path)
+
     def test_csv_missing_columns_is_value_error(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time_s,rnti\n0.1,257\n")
@@ -150,18 +189,18 @@ class TestPersistence:
     @settings(max_examples=25)
     @given(record_lists)
     def test_property_csv_round_trip(self, tmp_path_factory, tuples):
-        trace = Trace(label="x", category="voip")
-        for t, rnti, direction, tbs in sorted(tuples):
-            trace.append(TraceRecord(round(t, 6), rnti, direction, tbs))
+        records = [(round(t, 6), rnti, direction, tbs)
+                   for t, rnti, direction, tbs in sorted(tuples)]
+        trace = Trace.from_arrays(*(zip(*records) if records
+                                    else ([], [], [], [])),
+                                  label="x", category="voip")
         path = tmp_path_factory.mktemp("rt") / "trace.csv"
         trace.to_csv(path)
         loaded = Trace.from_csv(path)
         assert len(loaded) == len(trace)
-        for mine, theirs in zip(trace, loaded):
-            assert theirs.time_s == pytest.approx(mine.time_s, abs=1e-6)
-            assert theirs.rnti == mine.rnti
-            assert theirs.direction == mine.direction
-            assert theirs.tbs_bytes == mine.tbs_bytes
+        for mine, theirs in zip(record_rows(trace), record_rows(loaded)):
+            assert theirs[0] == pytest.approx(mine[0], abs=1e-6)
+            assert theirs[1:] == mine[1:]
 
 
 class TestTraceSet:

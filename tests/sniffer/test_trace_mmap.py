@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sniffer.trace import Trace, TraceRecord, TraceSet
+from repro.sniffer.trace import Trace, TraceSet
 
 
 def _mmap_backed(array):
@@ -17,9 +17,9 @@ def _mmap_backed(array):
 
 
 def _large_trace(n=5_000, **metadata):
-    records = [TraceRecord(time_s=i * 1e-3, rnti=0x0070, direction=i % 2,
-                           tbs_bytes=57 + (i % 311)) for i in range(n)]
-    return Trace(records, **metadata)
+    index = np.arange(n)
+    return Trace.from_arrays(index * 1e-3, np.full(n, 0x0070), index % 2,
+                             57 + index % 311, **metadata)
 
 
 COLUMNS = ("times_s", "rntis", "directions", "tbs_bytes")

@@ -14,7 +14,7 @@ from repro.core.features import (N_FEATURES, WindowConfig,
                                  extract_features)
 from repro.faults.generators import bursty_trace, synthetic_trace
 from repro.lte.dci import Direction
-from repro.sniffer.trace import Trace, TraceRecord
+from repro.sniffer.trace import Trace
 from repro.stream import StreamingWindowizer
 from tests.core.test_columnar_golden import (CONFIGS, EDGE_RNTIS,
                                              random_trace)
@@ -169,17 +169,15 @@ class TestIngestContract:
 
     def test_cross_chunk_regression_rejected(self):
         windowizer = StreamingWindowizer(WindowConfig())
-        first = Trace()
-        first.append(TraceRecord(1.0, 0x100, Direction.DOWNLINK, 10))
-        windowizer.ingest_trace(first)
-        stale = Trace()
-        stale.append(TraceRecord(0.5, 0x100, Direction.DOWNLINK, 10))
+        def one_record(time_s):
+            return Trace.from_arrays([time_s], [0x100],
+                                     [Direction.DOWNLINK], [10])
+
+        windowizer.ingest_trace(one_record(1.0))
         with pytest.raises(ValueError):
-            windowizer.ingest_trace(stale)
+            windowizer.ingest_trace(one_record(0.5))
         # The failed chunk must not have corrupted state.
-        ok = Trace()
-        ok.append(TraceRecord(2.0, 0x100, Direction.DOWNLINK, 10))
-        windowizer.ingest_trace(ok)
+        windowizer.ingest_trace(one_record(2.0))
 
     @pytest.mark.parametrize("times, tbs", [
         ([2.1, 2.2, float("nan")], [10, 10, 10]),   # chunk ending in NaN
