@@ -98,10 +98,6 @@ class GNodeB(ENodeB):
         self._register(ue, rnti)
         return rnti
 
-    @property
-    def suci_generator(self) -> SUCIGenerator:
-        return self._suci_generator
-
 
 def add_nr_cell(network: LTENetwork, cell_id: str,
                 channel_profile: Optional[ChannelProfile] = None,

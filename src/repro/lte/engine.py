@@ -3,28 +3,24 @@
 :class:`TTILoop` is the grant-loop half of :class:`repro.lte.enb.ENodeB`.
 The eNB keeps every connected UE's scalar state — RNTI, downlink and
 uplink backlog, CQI, last-activity time — in parallel int64 columns
-indexed by the UE's slot; each TTI turns those backlogs into DCI
-grants on one of two lanes over the same columns:
+indexed by the UE's slot, and turns those backlogs into DCI grants on
+one of two lanes over the same columns:
 
-* the **scalar lane** (:meth:`TTILoop._scalar_tti`) while the cell has
+* the **scalar lane** (:meth:`TTILoop._scalar_span`) while the cell has
   at most :data:`SCALAR_LANE_MAX` connected UEs and no padding or
-  chaff.  It reads the columns as Python ints, calls each scheduler's
-  ``allocate_scalar`` entry point and writes the drained backlogs back.
-  This is the paper's regime — one victim or one conversation pair per
-  cell — where a TTI touches a handful of UEs and the array lane's fixed
-  cost of small numpy calls would dominate.
-* the **array lane** (:meth:`TTILoop._array_tti`) for crowded or
-  obfuscating cells: demands, grants and drains for all UEs at once
-  with array operations (:mod:`repro.lte.vecsched`).  Padding and chaff
-  always take it, through the eNB's padding/chaff helpers on
+  chaff: the paper's regime — one victim or one conversation pair per
+  cell — where a TTI touches a handful of UEs and small numpy calls
+  would dominate.  It calls each scheduler's ``allocate_scalar``.
+* the **array lane** (:meth:`TTILoop._array_tti`), one call per TTI, for
+  crowded or obfuscating cells: demands, grants and drains for all UEs
+  at once with array operations (:mod:`repro.lte.vecsched`).  Padding
+  and chaff always take it, through the eNB's padding/chaff helpers on
   materialised allocations, so their scalar draws keep their order.
 
 The schedulers keep one state for both entry points (the RR rotation
 pointer, the dense PF averages), so a cell changes lanes between any two
-TTIs with no copy or migration.  ``SCALAR_LANE_MAX`` comes from the
-crossover sweep in ``benchmarks/bench_simulator.py``: below it the
-scalar lane is the faster one, above it the array lane's cost grows
-more slowly with the UE count.
+spans with no copy or migration.  ``SCALAR_LANE_MAX`` comes from the
+crossover sweep in ``benchmarks/bench_simulator.py``.
 
 **Both lanes emit the same bits.**  The golden suite
 (``tests/integration/test_sim_golden.py``) pins committed trace digests
@@ -39,30 +35,38 @@ happen in exactly the same order.  Per TTI the draw order is
 3. one ``random()`` per UE for the CQI walk, plus a ``choice`` on step
    events, in RRC-connection (dict) order.
 
-Both lanes make these draws in this order.  Step 3 is per-UE and
-*cannot* be batched: ``Random.choice`` consumes a variable number of
-Mersenne-Twister words (rejection sampling), so no numpy generator can
-reproduce the stream; it is a scalar loop in both lanes.
+Step 3 *cannot* be batched: ``Random.choice`` consumes a variable
+number of Mersenne-Twister words (rejection sampling), so no numpy
+generator can reproduce the stream; it is a scalar loop in both lanes.
 
 **TTI run-ahead.**  A busy burst runs as one *span*: after TTI(now),
-:meth:`TTILoop._on_tti` runs TTI(next) inline — no heap push and pop —
-while :meth:`~repro.lte.sim.SimClock.run_ahead` allows it: ``next`` lies
+the lane runs TTI(next) inline — no heap push and pop — while
+:meth:`~repro.lte.sim.SimClock.run_ahead` allows it: ``next`` lies
 inside the bound of the running ``run_until``/``run``, and every event
 due at or before ``next`` is one of this cell's own HARQ retransmits,
 which it fires first, in heap order, with the clock at their times.  At
 the first foreign event due by then (an app arrival, an RRC timer,
-another cell's TTI) the span ends and TTI(next) is scheduled as usual.
-This is exact.  At the end of TTI(now) the per-TTI path pushes TTI(next)
-with a sequence number above every queued event, so exactly the events
-due at or before ``next`` fire before it, and nothing fires in between;
-the span fires the same callbacks in the same order with the clock at
-the same times, so the rng draw order above is unchanged.
+another cell's TTI) the span ends and :meth:`TTILoop._on_tti` schedules
+TTI(next) as usual.  This is exact.  At the end of TTI(now) a per-TTI
+loop would push TTI(next) with a sequence number above every queued
+event, so exactly the events due at or before ``next`` fire before it,
+and nothing fires in between; the span fires the same callbacks in the
+same order with the clock at the same times, so the rng draw order
+above is unchanged.
 
-Grants leave the cell as :class:`GrantBatch` columns.
-:meth:`TTILoop._emit_grants` appends every TTI's grants, and every
-HARQ retransmit's, to per-cell column buffers across spans, and
-:meth:`TTILoop._flush_grants` airs what is buffered as one batch with
-per-record times and directions at the cell's next *observation point*:
+No foreign event fires inside a span, so the cell's UEs and lane
+cannot change in it.  The scalar lane runs a whole span in one Python
+frame: it reads RNTIs, CQIs and backlogs once into lists, and when the
+span ends writes back the granted UEs' backlogs and last-activity
+times, any stepped CQIs and the counters, before the foreign event that
+ends the span (an enqueue, an inactivity check, RRC) can read them.
+Own retransmits touch only the grant buffers and the cell's counters.
+
+Grants leave the cell as :class:`GrantBatch` columns.  Both lanes and
+every HARQ retransmit append their grants to per-cell column buffers
+across spans, and :meth:`TTILoop._flush_grants` airs what is buffered
+as one batch with per-record times and directions at the cell's next
+*observation point*:
 
 (a) the top of ``ENodeB._emit_control``, before any control observer
     sees the message, so within a cell DCI records and control messages
@@ -85,13 +89,13 @@ per-record objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .dci import Direction
 from .scheduler import Allocation
-from .tbs import mcs_of_cqi_array
+from .tbs import CQI_TO_MCS, mcs_of_cqi_array
 
 #: Largest connected-UE count whose TTIs run on the scalar lane.  Below
 #: it, the array lane's fixed cost of small numpy calls outweighs the
@@ -106,6 +110,9 @@ FLUSH_RECORDS = 4096
 
 #: CQI random-walk steps — shared tuple so ``choice`` cost stays flat.
 _CQI_STEPS = (-1, 1)
+
+#: Record values of the two directions in a :class:`GrantBatch`.
+_DL, _UL = int(Direction.DOWNLINK), int(Direction.UPLINK)
 
 
 @dataclass(frozen=True)
@@ -138,8 +145,8 @@ GrantBatchObserver = Callable[[GrantBatch], None]
 class _Retransmit:
     """A queued HARQ retransmission: the clock callback that re-airs a grant.
 
-    Its own type lets :meth:`TTILoop._on_tti` tell its cell's
-    retransmits from every other event when it runs ahead.
+    Its own type lets a span of TTIs tell its cell's retransmits from
+    every other event when it runs ahead.
     """
 
     __slots__ = ("loop", "grant", "attempt")
@@ -260,97 +267,129 @@ class TTILoop:
         """Run one span of TTIs from now; its grants air later."""
         clock = self._clock
         now = clock.now_us
-        while self._tti(now):
-            now += self._tti_us
-            if not clock.run_ahead(now, self._is_own_retransmit):
-                clock.schedule_at(now, self._on_tti)
-                break
-        else:
-            self._tti_running = False
-        self._defer_flush()
-
-    def _tti(self, now: int) -> bool:
-        """One TTI on the lane the cell's size picks; returns any backlog."""
-        self._ttis_obs.inc()
-        occupied = self._cross_traffic.occupied_prb(self._total_prb,
-                                                    self._rng)
-        available = max(1, self._total_prb - occupied)
         slots = self._ordered()
         # Read at call time so a test can pin either lane by patching it.
         if len(slots) <= SCALAR_LANE_MAX and not self._obfuscating:
-            return self._scalar_tti(now, available, slots)
-        return self._array_tti(now, available, slots)
+            resume = self._scalar_span(now, slots)
+        else:
+            resume = None
+            while self._array_tti(now, slots):
+                now += self._tti_us
+                if not clock.run_ahead(now, self._is_own_retransmit):
+                    resume = now
+                    break
+        if resume is None:
+            self._tti_running = False
+        else:
+            clock.schedule_at(resume, self._on_tti)
+        self._defer_flush()
 
-    def _scalar_tti(self, now: int, available: int,
-                    slots: np.ndarray) -> bool:
-        """One TTI on Python ints read from the engine columns.
+    def _scalar_span(self, now: int, slots: np.ndarray) -> Optional[int]:
+        """Run a span of TTIs from ``now`` on the scalar lane, in one frame.
 
-        Same grants, state writes and rng draws as :meth:`_array_tti`;
-        the schedulers' ``allocate_scalar`` entry points run over the
-        state their ``allocate_batch`` twins keep.  Every loop here is
-        bounded by ``SCALAR_LANE_MAX`` connected UEs.  Returns whether
-        any UE still holds backlog.
+        Returns the time of the TTI a foreign event interrupts, or
+        ``None`` once no UE holds backlog.
         """
-        slot_list = self._slot_list
+        clock, rng, profile = self._clock, self._rng, self._profile
+        draw, pick = rng.random, rng.choice
+        occupied_prb = self._cross_traffic.occupied_prb
+        run_ahead, schedule = clock.run_ahead, clock.schedule
+        own, observers = self._is_own_retransmit, self.grant_batch_observers
+        step_prob, bler = profile.cqi_step_prob, profile.harq_bler
+        total_prb, tti_us = self._total_prb, self._tti_us
+        times, directions, span_rntis, span_mcs, span_prb, span_tbs = (
+            self._span_columns)
         rntis = self._arr_rnti[slots].tolist()
-        cqi_column = self._arr_cqi[slots]
-        cqis = cqi_column.tolist()
-        mcs = mcs_of_cqi_array()[cqi_column].tolist()
-        harq = self._profile.harq_bler > 0.0
-        last_col = self._arr_last
-        any_backlog = False
-        for direction, scheduler, backlog_col in (
-                (Direction.DOWNLINK, self._dl_scheduler, self._arr_dl),
-                (Direction.UPLINK, self._ul_scheduler, self._arr_ul)):
-            backlog = backlog_col[slots].tolist()
-            if all(backlog):
-                # Every UE has data: the demand batch is the whole cell.
-                demand = None
-                positions, grant_prb, grant_tbs = scheduler.allocate_scalar(
-                    rntis, backlog, mcs, available)
-            else:
-                demand = [index for index, pending in enumerate(backlog)
-                          if pending > 0]
-                if not demand:
+        cqis = self._arr_cqi[slots].tolist()
+        mcs = [CQI_TO_MCS[cqi] for cqi in cqis]
+        dl, ul = self._arr_dl[slots].tolist(), self._arr_ul[slots].tolist()
+        lanes = ((Direction.DOWNLINK, _DL, self._dl_scheduler.allocate_scalar,
+                  dl),
+                 (Direction.UPLINK, _UL, self._ul_scheduler.allocate_scalar,
+                  ul))
+        ttis = issued = granted = 0
+        stepped_any = False
+        granted_at = {}  # UE index -> time of its last grant in the span
+        while True:
+            ttis += 1
+            available = max(1, total_prb - occupied_prb(total_prb, rng))
+            busy = False
+            for direction, code, allocate, backlog in lanes:
+                if not any(backlog):
                     continue
-                positions, grant_prb, grant_tbs = scheduler.allocate_scalar(
-                    [rntis[index] for index in demand],
-                    [backlog[index] for index in demand],
-                    [mcs[index] for index in demand], available)
-            grant_rntis = []
-            grant_mcs = []
-            for position, size in zip(positions, grant_tbs):
-                index = position if demand is None else demand[position]
-                left = backlog[index] - size
-                backlog[index] = left if left > 0 else 0
-                slot = slot_list[index]
-                backlog_col[slot] = backlog[index]
-                last_col[slot] = now
-                grant_rntis.append(rntis[index])
-                grant_mcs.append(mcs[index])
-            any_backlog = any_backlog or any(backlog)
-            granted_bytes = sum(grant_tbs)
-            self.obfuscation_stats.useful_bytes += granted_bytes
-            count = len(grant_tbs)
-            self.grants_issued += count
-            self._grants_obs.inc(count)
-            self.bytes_granted += granted_bytes
-            self._emit_grants(now, direction, grant_rntis, grant_mcs,
-                              grant_prb, grant_tbs)
-            if harq:
-                for rnti, rate, n_prb, size in zip(grant_rntis, grant_mcs,
-                                                   grant_prb, grant_tbs):
-                    self._maybe_retransmit(direction, rnti, rate, n_prb,
-                                           size, attempt=1)
-        self._walk_cqi(slots, cqis)
-        return any_backlog
+                if all(backlog):
+                    # Every UE has data: the demand batch is the whole cell.
+                    demand = None
+                    positions, grant_prb, grant_tbs = allocate(
+                        rntis, backlog, mcs, available)
+                else:
+                    demand = [index for index, pending in enumerate(backlog)
+                              if pending > 0]
+                    positions, grant_prb, grant_tbs = allocate(
+                        [rntis[index] for index in demand],
+                        [backlog[index] for index in demand],
+                        [mcs[index] for index in demand], available)
+                grant_rntis, grant_mcs = [], []
+                for position, size in zip(positions, grant_tbs):
+                    index = position if demand is None else demand[position]
+                    left = backlog[index] - size
+                    backlog[index] = left if left > 0 else 0
+                    granted_at[index] = now
+                    grant_rntis.append(rntis[index])
+                    grant_mcs.append(mcs[index])
+                busy = busy or any(backlog)
+                count = len(grant_tbs)
+                issued += count
+                granted += sum(grant_tbs)
+                if count and observers:
+                    times.extend([now] * count)
+                    directions.extend([code] * count)
+                    span_rntis.extend(grant_rntis)
+                    span_mcs.extend(grant_mcs)
+                    span_prb.extend(grant_prb)
+                    span_tbs.extend(grant_tbs)
+                    if len(times) >= FLUSH_RECORDS:
+                        self._flush_grants()
+                if bler > 0.0:
+                    for rnti, rate, n_prb, size in zip(
+                            grant_rntis, grant_mcs, grant_prb, grant_tbs):
+                        if draw() < bler:
+                            schedule(self._HARQ_RTT_TTIS * tti_us,
+                                     _Retransmit(self, (direction, rnti, rate,
+                                                        n_prb, size), 1))
+            for index, cqi in enumerate(cqis):
+                if draw() < step_prob:
+                    stepped = min(max(cqi + pick(_CQI_STEPS),
+                                      profile.cqi_floor), profile.cqi_ceiling)
+                    cqis[index] = stepped
+                    mcs[index] = CQI_TO_MCS[stepped]
+                    stepped_any = True
+            if not busy:
+                break
+            now += tti_us
+            if not run_ahead(now, own):
+                break
+        for index, at in granted_at.items():
+            slot = self._slot_list[index]
+            self._arr_dl[slot], self._arr_ul[slot] = dl[index], ul[index]
+            self._arr_last[slot] = at
+        if stepped_any:
+            self._arr_cqi[slots] = cqis
+        self._ttis_obs.inc(ttis)
+        self._grants_obs.inc(issued)
+        self.grants_issued += issued
+        self.bytes_granted += granted
+        self.obfuscation_stats.useful_bytes += granted
+        return now if busy else None
 
-    def _array_tti(self, now: int, available: int,
-                   slots: np.ndarray) -> bool:
+    def _array_tti(self, now: int, slots: np.ndarray) -> bool:
         """One TTI over whole UE columns: the lane for crowded cells.
 
         Returns whether any UE still holds backlog.
         """
+        self._ttis_obs.inc()
+        available = max(1, self._total_prb - self._cross_traffic.occupied_prb(
+            self._total_prb, self._rng))
         rntis = self._arr_rnti[slots]
         mcs = mcs_of_cqi_array()[self._arr_cqi[slots]]
         harq = self._profile.harq_bler > 0.0
@@ -406,8 +445,8 @@ class TTILoop:
         ``cqi_step_prob`` it moves one step, clamped to the profile's
         floor and ceiling.  The *shared* eNB rng must advance
         draw-for-draw in context order (``Random.choice`` rejection-
-        samples a variable number of words), so this stays a scalar
-        loop in both lanes.
+        samples a variable number of words), so this is a scalar loop;
+        the array lane calls it, the scalar span runs it inline.
         """
         profile = self._profile
         step_prob = profile.cqi_step_prob

@@ -81,10 +81,6 @@ class EventHandle:
     def cancelled(self) -> bool:
         return self._entry[_CALLBACK] is None
 
-    @property
-    def time_us(self) -> int:
-        return self._entry[_TIME]
-
 
 class SimClock:
     """Priority-queue simulation clock.

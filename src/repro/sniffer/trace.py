@@ -38,6 +38,9 @@ TBS_DTYPE = np.int64
 
 _MIN_CAPACITY = 64
 
+#: The record values of a direction: ``int(Direction)``.
+_DIRECTIONS = (int(Direction.UPLINK), int(Direction.DOWNLINK))
+
 
 def check_record_values(times: np.ndarray, tbs: np.ndarray) -> None:
     """Reject non-finite record times and negative transport-block sizes.
@@ -50,6 +53,22 @@ def check_record_values(times: np.ndarray, tbs: np.ndarray) -> None:
         raise ValueError("time_s must be finite")
     if len(tbs) and tbs.min() < 0:
         raise ValueError("tbs_bytes must be >= 0")
+
+
+def check_record_fields(rntis, directions) -> None:
+    """Reject RNTIs that no 16-bit C-RNTI holds and non-:class:`Direction`
+    directions, before a dtype cast wraps or overflows them.
+
+    The trace readers apply it to what they parse.  Traces built in
+    memory keep the full u4/u1 column ranges, on which the feature,
+    stream and correlation code is tested with edge values, so
+    :meth:`Trace.from_arrays` does not.
+    """
+    rntis = np.asarray(rntis)
+    if rntis.size and not 0 <= rntis.min() <= rntis.max() <= 0xFFFF:
+        raise ValueError("rnti must be a 16-bit RNTI in [0, 0xFFFF]")
+    if not np.isin(directions, _DIRECTIONS).all():
+        raise ValueError("dir must be 0 (uplink) or 1 (downlink)")
 
 
 class TraceBuilder:
@@ -471,10 +490,12 @@ class Trace:
                 raise ValueError(
                     f"{path}: expected 4 record columns "
                     f"(time_s,rnti,direction,tbs_bytes), got {len(columns)}")
+            # Parsed wide, so the range check sees the values as written.
+            rntis = np.array(columns[1], dtype=np.int64)
+            directions = np.array(columns[2], dtype=np.int64)
+            check_record_fields(rntis, directions)
             trace = cls.from_arrays(
-                np.array(columns[0], dtype=TIME_DTYPE),
-                np.array(columns[1], dtype=RNTI_DTYPE),
-                np.array(columns[2], dtype=DIR_DTYPE),
+                np.array(columns[0], dtype=TIME_DTYPE), rntis, directions,
                 np.array(columns[3], dtype=TBS_DTYPE))
         else:
             trace = cls()
@@ -499,8 +520,9 @@ class Trace:
         """Read a trace previously written by :meth:`to_jsonl`.
 
         Record values are checked like :meth:`from_csv`'s: a malformed
-        line, a non-finite or negative time, a negative size or records
-        out of time order raise ``ValueError``.
+        line, an RNTI outside 16 bits, a direction that is no
+        :class:`Direction`, a non-finite or negative time, a negative
+        size or records out of time order raise ``ValueError``.
         """
         path = Path(path)
         columns = ([], [], [], [])
@@ -522,6 +544,7 @@ class Trace:
                 for column, value in zip(columns, row):
                     column.append(value)
         try:
+            check_record_fields(columns[1], columns[2])
             trace = cls.from_arrays(*columns)
         except TypeError as exc:
             raise ValueError(f"{path}: not a trace record column: "
@@ -565,6 +588,7 @@ class Trace:
                 metadata = json.loads(_load_npz_meta(path))
                 mapped["meta"] = True
                 columns = _checked_npz_columns(mapped, path)
+                check_record_fields(columns["rntis"], columns["directions"])
                 trace = cls.from_arrays(columns["times_s"],
                                         columns["rntis"],
                                         columns["directions"],
@@ -573,6 +597,7 @@ class Trace:
                 return trace
         with np.load(path) as data:
             columns = _checked_npz_columns(data, path)
+            check_record_fields(columns["rntis"], columns["directions"])
             trace = cls.from_arrays(columns["times_s"], columns["rntis"],
                                     columns["directions"],
                                     columns["tbs_bytes"])

@@ -117,6 +117,12 @@ class TestServeCLI:
         assert main(["serve", "--model", str(campaign / "model.json"),
                      "--data", str(feed)]) == 2
 
+    def test_serve_out_of_range_rnti_is_bad_input(self, campaign, tmp_path):
+        feed = tmp_path / "feed.jsonl"
+        feed.write_text('{"t": 0.0, "rnti": -1, "dir": 0, "tbs": 10}\n')
+        assert main(["serve", "--model", str(campaign / "model.json"),
+                     "--data", str(feed)]) == 2
+
     def test_serve_bad_model_is_bad_input(self, tmp_path):
         bogus = tmp_path / "model.json"
         bogus.write_text("{}")

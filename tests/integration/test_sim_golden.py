@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro import obs
 from repro.core.dataset import collect_trace
 from repro.fiveg.gnb import NR_SLOT_US, GNodeB, add_nr_cell
 from repro.lte.channel import ChannelProfile
@@ -195,13 +196,14 @@ def _obfuscating(cell_kwargs):
 
 @pytest.fixture
 def lane_spy(monkeypatch):
-    """Count the eNodeB's TTIs per lane, and record lane changes.
+    """Count the eNodeB's scalar spans and array TTIs, and record lane
+    changes.
 
     ``counts["changes"]`` lists the lanes in the order they took over.
     """
     counts = {"scalar": 0, "array": 0, "changes": []}
-    for lane in ("scalar", "array"):
-        original = getattr(ENodeB, f"_{lane}_tti")
+    for lane, method in (("scalar", "_scalar_span"), ("array", "_array_tti")):
+        original = getattr(ENodeB, method)
 
         def spy(self, *args, _lane=lane, _original=original):
             counts[_lane] += 1
@@ -209,7 +211,7 @@ def lane_spy(monkeypatch):
                 counts["changes"].append(_lane)
             return _original(self, *args)
 
-        monkeypatch.setattr(ENodeB, f"_{lane}_tti", spy)
+        monkeypatch.setattr(ENodeB, method, spy)
     return counts
 
 
@@ -251,6 +253,39 @@ def test_nr_cell_trace_golden(cell_kwargs, capture_kwargs, lane, lane_spy,
     assert _observed(gnb, sniffer) == golden
     _assert_lane(lane_spy, lane, cell_kwargs)
     assert sniffer.total_records > 0
+
+
+def _lane_states(scenario, lane, monkeypatch):
+    """Live-slot columns and counters at every split of a pinned run."""
+    monkeypatch.setattr(engine_module, "SCALAR_LANE_MAX", LANE_BOUNDS[lane])
+    with obs.override(True):
+        net, _ = _golden_network(*scenario)
+    enb = net.cells["golden"].enb
+    states = []
+    for _ in range(30):
+        net.run_for(0.05)
+        slots = enb._ordered()
+        states.append(([getattr(enb, name)[slots].tolist() for name in
+                        ("_arr_dl", "_arr_ul", "_arr_cqi", "_arr_last")],
+                       enb.obfuscation_stats.useful_bytes,
+                       enb._ttis_obs.value, enb._grants_obs.value))
+    return states
+
+
+@pytest.mark.parametrize("scheduler_name,cell_kwargs,capture_kwargs", [
+    scenario for scenario in SCENARIOS if not _obfuscating(scenario[1])])
+def test_lanes_leave_the_same_columns_and_counters(
+        scheduler_name, cell_kwargs, capture_kwargs, lane_spy, monkeypatch):
+    """Both lanes write the same slot columns and counters, mid-burst
+    and at the end, though the scalar lane writes them once per span."""
+    scenario = (scheduler_name, cell_kwargs, capture_kwargs)
+    scalar = _lane_states(scenario, "scalar", monkeypatch)
+    array = _lane_states(scenario, "array", monkeypatch)
+    assert scalar == array
+    assert lane_spy["scalar"] > 0 and lane_spy["array"] > 0
+    assert any(any(columns[0]) or any(columns[1])
+               for columns, *_ in scalar)
+    assert scalar[-1][2] > 0 and scalar[-1][3] > 0
 
 
 def _crossing_network():
@@ -508,19 +543,15 @@ def test_run_ahead_matches_per_tti_scheduling(name, monkeypatch):
         assert span_count < tti_count
 
 
-def test_split_run_for_matches_one_call_and_stops_at_bound(monkeypatch):
+def test_split_run_for_matches_one_call_and_stops_at_bound():
+    # A TTI runs only when the one before left backlog, so every TTI
+    # airs at least one grant: the batches' times cover every TTI.
     ticks = []
-    tti = ENodeB._tti
-
-    def spy(self, now):
-        ticks.append(now)
-        return tti(self, now)
-
-    monkeypatch.setattr(ENodeB, "_tti", spy)
     scenario = SCENARIOS[3]
     whole = _simulate(*scenario, duration_s=1.5)
-    ticks.clear()
     net, sniffer = _golden_network(*scenario)
+    net.cells["golden"].enb.grant_batch_observers.append(
+        lambda batch: ticks.extend(batch.time_us.tolist()))
     for duration_s in (0.3043, 0.0005, 0.4002, 0.795):
         net.run_for(duration_s)
         assert max(ticks) <= net.clock.now_us

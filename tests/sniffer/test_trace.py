@@ -174,6 +174,47 @@ class TestPersistence:
         with pytest.raises(ValueError):
             read(path)
 
+    @pytest.mark.parametrize("fmt, rnti, direction", [
+        (fmt, rnti, direction)
+        for rnti, direction in [(-1, 0),          # negative RNTI
+                                (0x10000, 0),     # RNTI wider than 16 bits
+                                (0x100, 2),       # no Direction
+                                (0x100, 300)]     # no Direction, not a u1
+        for fmt in ["csv", "jsonl", "npz", "npz-mmap"]
+        # The NPZ column dtypes (u4, u1) cannot hold -1 or 300.
+        if fmt in ("csv", "jsonl") or (rnti >= 0 and direction < 256)])
+    def test_every_reader_rejects_bad_identity_fields(self, tmp_path, fmt,
+                                                      rnti, direction):
+        suffix = fmt.split("-")[0]
+        path = tmp_path / f"feed.{suffix}"
+        if suffix == "csv":
+            path.write_text("time_s,rnti,direction,tbs_bytes\n"
+                            "0.0,256,0,10\n"
+                            f"0.5,{rnti},{direction},10\n")
+            read = Trace.from_csv
+        elif suffix == "jsonl":
+            path.write_text(
+                '{"t": 0.0, "rnti": 256, "dir": 0, "tbs": 10}\n'
+                f'{{"t": 0.5, "rnti": {rnti}, "dir": {direction}, '
+                '"tbs": 10}\n')
+            read = Trace.from_jsonl
+        else:
+            Trace.from_arrays([0.0, 0.5], [0x100, rnti], [0, direction],
+                              [10, 10], validate=False).to_npz(
+                                  path, compressed=False)
+            read = functools.partial(
+                Trace.from_npz, mmap_mode="r" if fmt == "npz-mmap" else None)
+        with pytest.raises(ValueError, match="rnti|dir"):
+            read(path)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl", "npz"])
+    def test_readers_accept_the_16_bit_rnti_bounds(self, tmp_path, fmt):
+        trace = Trace.from_arrays([0.0, 0.5], [0, 0xFFFF], [0, 1], [1, 1])
+        path = tmp_path / f"feed.{fmt}"
+        getattr(trace, f"to_{fmt}")(path)
+        loaded = getattr(Trace, f"from_{fmt}")(path)
+        assert record_rows(loaded) == record_rows(trace)
+
     def test_jsonl_null_value_is_value_error(self, tmp_path):
         path = tmp_path / "null.jsonl"
         path.write_text('{"t": 0.5, "rnti": null, "dir": 0, "tbs": 10}\n')
