@@ -6,7 +6,8 @@ prediction time in:
 
 * **forest predict** — a 100-tree Random Forest classifying a large
   window batch, once through the legacy per-tree object descent (the
-  oracle in ``tests/ml/oracles.py``) and once through the flattened
+  oracle in ``tests/ml/oracles.py``, walking pointer graphs it builds
+  from the forest's table before timing) and once through the flattened
   node-table descent (all trees × all rows in one level-synchronous
   gather loop);
 * **small-batch lane sweep** — per-call ``predict_apps`` of a
@@ -107,16 +108,20 @@ def _fit_forest():
 def _bench_forest():
     import numpy as np
 
-    from tests.ml.oracles import forest_predict_proba
+    from tests.ml.oracles import object_forest, walk_forest_proba
 
     forest, X = _fit_forest()
+    # The pointer graphs are built once, outside the timed region, so
+    # "object" times the walk alone.
+    roots = object_forest(forest)
     flat = forest.predict_proba(X)
-    legacy = forest_predict_proba(forest, X)
+    legacy = walk_forest_proba(roots, X, forest.n_classes_)
     if not np.array_equal(flat, legacy):
         raise RuntimeError("flattened forest diverged from the object "
                            "descent")
     best, _ = harness.best_of(
-        {"object": lambda _: forest_predict_proba(forest, X),
+        {"object": lambda _: walk_forest_proba(roots, X,
+                                               forest.n_classes_),
          "table": lambda _: forest.predict_proba(X)}, ROUNDS)
     return best["object"], best["table"]
 
@@ -234,6 +239,14 @@ def _lane_point(model, X, rows):
                for name, value in best.items()}}
 
 
+def _table_depth(table):
+    """Deepest leaf depth over a forest table's trees."""
+    from repro.ml.tree import DecisionTree
+
+    return max(DecisionTree.from_table(table.tree(index)).depth()
+               for index in range(table.n_trees))
+
+
 def _lane_sweep():
     """Per-call ``predict_apps`` cost across batch sizes and lanes."""
     shallow, X = _shallow_model()
@@ -247,8 +260,8 @@ def _lane_sweep():
                        if point["scalar_us"] <= point["vector_us"]]
         sweep[name] = {
             "trees": sum(forest.n_trees for forest in forests),
-            "max_depth": max(tree.depth() for forest in forests
-                             for tree in forest.trees_),
+            "max_depth": max(_table_depth(forest.table())
+                             for forest in forests),
             "nodes": int(sum(forest.table().n_nodes.sum()
                              for forest in forests)),
             "largest_scalar_win_rows": max(scalar_wins, default=0),

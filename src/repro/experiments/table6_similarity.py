@@ -53,9 +53,6 @@ class SimilarityResult:
                             title="Table VI — similarity of communicating "
                                   "pairs, D(T_w, T_a)")
 
-    def mean(self, env: str, app: str) -> float:
-        return self.scores[env][app][0]
-
     def env_average(self, env: str) -> float:
         return float(np.mean([self.scores[env][a][0] for a in self.apps]))
 

@@ -38,11 +38,6 @@ class WindowSweepResult:
         return format_table(["Window (ms)", "Macro F", "Windows"], rows,
                             title="Window-size sweep (§VI)")
 
-    def best_size_ms(self) -> float:
-        index = max(range(len(self.f_scores)),
-                    key=lambda i: self.f_scores[i])
-        return self.sizes_ms[index]
-
 
 @obs.timed("experiment.window")
 def run(scale="fast", seed: int = 97,

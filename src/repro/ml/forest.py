@@ -4,6 +4,10 @@ Breiman-style: each tree is trained on a bootstrap resample with
 per-node feature subsampling (``max_features="sqrt"``), and prediction
 averages the trees' leaf distributions (soft voting).  The paper's
 Weka configuration — 100 trees, seed 1 — is the default.
+
+A fitted forest *is* its :class:`repro.ml.tables.ForestTable`: each
+tree's fit writes a node table, and the forest stacks them once at the
+end of :meth:`RandomForest.fit`.
 """
 
 from __future__ import annotations
@@ -16,20 +20,23 @@ import numpy as np
 
 from .. import obs, runtime
 from .base import Classifier, check_fit_inputs
-from .tables import ForestTable, predict_proba_sums
+from .tables import ForestTable, TreeTable, predict_proba_sums
 from .tree import DecisionTree
 
 
 def _fit_one_tree(task: Tuple[np.ndarray, int], *, X: np.ndarray,
                   y: np.ndarray, n_classes: int, max_depth: Optional[int],
                   min_samples_leaf: int,
-                  max_features: Union[str, int, None]) -> DecisionTree:
-    """ParallelMap work function: fit one tree on pre-derived randomness."""
+                  max_features: Union[str, int, None]) -> TreeTable:
+    """ParallelMap work function: fit one tree on pre-derived randomness.
+
+    Returns the tree's node table, so pool workers pickle arrays back.
+    """
     indices, tree_seed = task
     tree = DecisionTree(max_depth=max_depth, min_samples_split=2,
                         min_samples_leaf=min_samples_leaf,
                         max_features=max_features, seed=tree_seed)
-    return tree.fit(X[indices], y[indices], n_classes=n_classes)
+    return tree.fit(X[indices], y[indices], n_classes=n_classes).table()
 
 
 class RandomForest(Classifier):
@@ -60,7 +67,6 @@ class RandomForest(Classifier):
         self.max_features = max_features
         self.seed = seed
         self.workers = workers
-        self.trees_: List[DecisionTree] = []
         self._table: Optional[ForestTable] = None
         self.n_classes_: int = 0
 
@@ -81,69 +87,41 @@ class RandomForest(Classifier):
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
                 max_features=self.max_features)
-            self.trees_ = runtime.mapper(self.workers).map(work, tasks)
-            self._table = None
+            self._table = ForestTable.from_trees(
+                runtime.mapper(self.workers).map(work, tasks))
             obs.counter("ml.forest.trees_fit").inc(self.n_trees)
         return self
 
     # -- the stacked node table -------------------------------------------------------
 
     def table(self) -> ForestTable:
-        """All member trees as one padded node-table stack (cached).
-
-        Compiled lazily on the first prediction, so fitting in pool
-        workers never pickles the redundant flat layout back.
-        """
+        """All member trees as one padded node-table stack."""
         if self._table is None:
-            if not self.trees_:
-                raise RuntimeError("forest is not fitted")
-            self._table = ForestTable.from_trees(
-                [tree.to_table() for tree in self.trees_])
+            raise RuntimeError("forest is not fitted")
         return self._table
 
     @classmethod
     def from_table(cls, table: ForestTable, seed: int = 1) -> "RandomForest":
         """A prediction-ready forest over an existing node-table stack.
 
-        The object trees are *not* materialised — the table may be a
-        read-only ``np.memmap`` view of an NPZ artefact, and prediction
-        only gathers from it.  Use :meth:`materialize_trees` when the
-        fit-side representation is needed.
+        The table may be a read-only ``np.memmap`` view of an NPZ
+        artefact: prediction only gathers from it.
         """
         forest = cls(n_trees=table.n_trees, seed=seed)
         forest.n_classes_ = table.n_classes
         forest._table = table
         return forest
 
-    def materialize_trees(self) -> List[DecisionTree]:
-        """Rebuild (and install) the object trees from the node table."""
-        if not self.trees_:
-            table = self.table()
-            self.trees_ = [DecisionTree.from_table(table.tree(index))
-                           for index in range(table.n_trees)]
-        return self.trees_
-
     # -- inference -------------------------------------------------------------------
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return predict_proba_joint([self], X)[0]
 
-    def __getstate__(self) -> dict:
-        """Pickle without the table the trees rebuild (kept if no trees)."""
-        state = self.__dict__.copy()
-        if self.trees_:
-            state["_table"] = None
-        return state
-
     def feature_importances(self) -> np.ndarray:
         """Crude importance: how often each feature is used for a split.
 
-        Derived from the public flattened node tables — a bincount over
-        every tree's split-feature column — instead of walking private
-        ``_Node`` graphs.
+        A bincount over every tree's split-feature column.
         """
-        if not self.trees_ and self._table is None:
-            raise RuntimeError("forest is not fitted")
         counts = self.table().split_counts()
         total = counts.sum()
         return counts / total if total else counts
@@ -157,8 +135,6 @@ def predict_proba_joint(forests: Sequence[RandomForest],
     X = np.asarray(X, dtype=np.float64)
     tables = []
     for forest in forests:
-        if not forest.trees_ and forest._table is None:
-            raise RuntimeError("forest is not fitted")
         table = forest.table()
         if X.ndim != 2 or X.shape[1] != table.n_features:
             raise ValueError(

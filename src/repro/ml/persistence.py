@@ -6,15 +6,20 @@ provides the equivalent capability in two lanes:
 * **JSON** — forests (and the fingerprinting pipeline built on them,
   see :func:`repro.core.fingerprint.save_fingerprinter`) serialise to
   plain JSON so a model trained on one machine classifies on another
-  with no pickle-security caveats.
-* **NPZ** — the flattened node tables (:mod:`repro.ml.tables`) write
-  as an *uncompressed* NPZ archive whose members load back as
-  read-only ``np.memmap`` views, mirroring the trace plane's zero-copy
-  lane: a long-running attack service pages model bytes in on demand
-  and shares them across ParallelMap workers instead of copying a
-  parsed object graph per process.
+  with no pickle-security caveats.  Each tree is a nested
+  ``d/f/t/l/r`` dict written from, and parsed back into, its node
+  table; loading validates the structure.
+* **NPZ** — the node tables (:mod:`repro.ml.tables`) write as an
+  *uncompressed* NPZ archive whose members load back as read-only
+  ``np.memmap`` views, mirroring the trace plane's zero-copy lane: a
+  long-running attack service pages model bytes in on demand and
+  shares them across ParallelMap workers instead of copying them per
+  process.
 
-:func:`load_forest` auto-detects the lane from the file bytes.
+Both lanes read and write the one form of a fitted forest, its
+:class:`repro.ml.tables.ForestTable`, so a model loaded from either
+saves to either.  :func:`load_forest` auto-detects the lane from the
+file bytes.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ import numpy as np
 
 from ..sniffer.trace import mmap_npz_arrays
 from .forest import RandomForest
-from .tables import ForestTable
-from .tree import DecisionTree, _Node
+from .tables import LEAF, ForestTable, TreeTable
+from .tree import DecisionTree
 
 FORMAT_VERSION = 1
 
@@ -48,71 +53,123 @@ _NPZ_DTYPES = {
 }
 
 
-def _node_to_dict(node: _Node) -> Dict:
-    payload: Dict = {"d": [round(float(v), 9) for v in node.distribution]}
-    if not node.is_leaf:
-        payload["f"] = node.feature
-        payload["t"] = node.threshold
-        payload["l"] = _node_to_dict(node.left)
-        payload["r"] = _node_to_dict(node.right)
-    return payload
+def _table_to_dict(table: TreeTable) -> Dict:
+    """One tree's nested ``d/f/t/l/r`` node dicts, built from its table.
+
+    Every node's dict exists before any is linked to its children, so
+    no recursion is needed, whatever the tree's depth.
+    """
+    thresholds = table.thresholds.tolist()
+    left = table.left.tolist()
+    right = table.right.tolist()
+    nodes = [{"d": [round(value, 9) for value in row]}
+             for row in table.leaf_proba.tolist()]
+    for slot, feature in enumerate(table.features.tolist()):
+        if feature != LEAF:
+            nodes[slot].update(f=feature, t=thresholds[slot],
+                               l=nodes[left[slot]], r=nodes[right[slot]])
+    return {"n_classes": table.n_classes, "n_features": table.n_features,
+            "root": nodes[0]}
 
 
-def _node_from_dict(payload: Dict) -> _Node:
-    node = _Node(distribution=np.array(payload["d"], dtype=np.float64))
-    if "f" in payload:
-        node.feature = int(payload["f"])
-        node.threshold = float(payload["t"])
-        node.left = _node_from_dict(payload["l"])
-        node.right = _node_from_dict(payload["r"])
-    return node
+def _table_from_dict(payload: Dict) -> TreeTable:
+    """Parse and validate one tree written by :func:`_table_to_dict`.
+
+    The nested dicts are numbered in preorder, left subtree first (the
+    layout the fit writes), with an explicit stack: a left child is
+    the next row, a right child's row is patched in when it is
+    reached.  Malformed payloads raise ``ValueError``.
+    """
+    try:
+        n_classes = int(payload["n_classes"])
+        features, thresholds, left, right, rows = [], [], [], [], []
+        stack = [(payload["root"], None)]
+        while stack:
+            node, right_of = stack.pop()
+            slot = len(features)
+            if right_of is not None:
+                right[right_of] = slot
+            if len(node["d"]) != n_classes:
+                raise ValueError(
+                    f"tree node {slot} has {len(node['d'])} class "
+                    f"frequencies, expected {n_classes}")
+            rows.append(node["d"])
+            right.append(0)
+            if "f" in node:
+                features.append(int(node["f"]))
+                thresholds.append(float(node["t"]))
+                left.append(slot + 1)
+                stack.append((node["r"], slot))
+                stack.append((node["l"], None))
+            else:
+                features.append(LEAF)
+                thresholds.append(0.0)
+                left.append(0)
+        table = TreeTable(
+            features=np.array(features, dtype=np.int64),
+            thresholds=np.array(thresholds, dtype=np.float64),
+            left=np.array(left, dtype=np.int64),
+            right=np.array(right, dtype=np.int64),
+            leaf_proba=np.array(rows, dtype=np.float64).reshape(
+                len(rows), n_classes),
+            n_features=int(payload["n_features"]))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed tree payload: {exc!r}") from None
+    return table.validate()
 
 
 def tree_to_dict(tree: DecisionTree) -> Dict:
     """Serialise a fitted decision tree."""
-    if tree._root is None:
+    if tree._table is None:
         raise ValueError("cannot serialise an unfitted tree")
-    return {
-        "n_classes": tree.n_classes_,
-        "n_features": tree.n_features_,
-        "root": _node_to_dict(tree._root),
-    }
+    return _table_to_dict(tree._table)
 
 
 def tree_from_dict(payload: Dict) -> DecisionTree:
     """Rebuild a decision tree serialised by :func:`tree_to_dict`."""
-    tree = DecisionTree()
-    tree.n_classes_ = int(payload["n_classes"])
-    tree.n_features_ = int(payload["n_features"])
-    tree._root = _node_from_dict(payload["root"])
-    return tree
+    return DecisionTree.from_table(_table_from_dict(payload))
 
 
 def forest_to_dict(forest: RandomForest) -> Dict:
-    """Serialise a fitted Random Forest."""
-    if not forest.trees_:
+    """Serialise a fitted Random Forest (fit here or loaded)."""
+    if forest._table is None:
         raise ValueError("cannot serialise an unfitted forest")
+    table = forest._table
     return {
         "format": FORMAT_VERSION,
         "kind": "random-forest",
         "n_trees": forest.n_trees,
         "n_classes": forest.n_classes_,
         "seed": forest.seed,
-        "trees": [tree_to_dict(tree) for tree in forest.trees_],
+        "trees": [_table_to_dict(table.tree(index))
+                  for index in range(table.n_trees)],
     }
 
 
 def forest_from_dict(payload: Dict) -> RandomForest:
-    """Rebuild a Random Forest serialised by :func:`forest_to_dict`."""
+    """Rebuild a Random Forest serialised by :func:`forest_to_dict`.
+
+    Every tree is parsed into a validated node table and the stack is
+    checked against the header, so a malformed model fails here with
+    ``ValueError`` rather than at its first prediction.
+    """
     if payload.get("kind") != "random-forest":
         raise ValueError(f"not a serialised forest: {payload.get('kind')!r}")
     if payload.get("format") != FORMAT_VERSION:
         raise ValueError(f"unsupported format {payload.get('format')!r}")
-    forest = RandomForest(n_trees=int(payload["n_trees"]),
-                          seed=int(payload.get("seed", 1)))
-    forest.n_classes_ = int(payload["n_classes"])
-    forest.trees_ = [tree_from_dict(t) for t in payload["trees"]]
-    return forest
+    try:
+        trees = payload["trees"]
+        n_trees = int(payload["n_trees"])
+        n_classes = int(payload["n_classes"])
+        seed = int(payload.get("seed", 1))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed forest payload: {exc!r}") from None
+    table = ForestTable.from_trees([_table_from_dict(tree) for tree in trees])
+    if table.n_trees != n_trees or table.n_classes != n_classes:
+        raise ValueError(f"forest payload holds {table.n_trees} trees × "
+                         f"{table.n_classes} classes, declared "
+                         f"{n_trees} × {n_classes}")
+    return RandomForest.from_table(table, seed=seed)
 
 
 def save_forest(forest: RandomForest, path: Path) -> None:

@@ -1,11 +1,10 @@
-"""Flattened decision-tree node tables — the inference-plane layout.
+"""Flattened decision-tree node tables — the one form of a fitted tree.
 
-The object ``_Node`` graph is the *fit-side* representation: recursive
-splitting wants pointers.  Inference wants arrays: classifying every
-window the sniffer emits is a pure gather workload, so a fitted tree is
-compiled into a struct-of-arrays node table (feature / threshold /
-child indices / per-node class distribution, preorder, root at 0) and a
-whole forest stacks its tables into one padded 2-D layout.  Prediction
+The CART fit (:mod:`repro.ml.tree`) writes each tree as a
+struct-of-arrays node table (feature / threshold / child indices /
+per-node class distribution, preorder, root at 0), and a forest stacks
+its tables into one padded 2-D layout.  Classifying every window the
+sniffer emits is a pure gather workload over these arrays.  Prediction
 then becomes a *level-synchronous descent*: one integer "current node"
 matrix of shape (trees, rows) is advanced with `np.where` gathers until
 every lane sits on a leaf — no per-tree Python loop, no per-node index
@@ -17,8 +16,8 @@ walk over the cached preorder lists of every tree of several forests
 (:func:`descend_scalar`).  Both lanes make the exact comparisons
 (``x <= threshold``) on the same float64 values and sum the exact leaf
 distributions in tree order, so predictions are bit-identical to the
-object walk (``tests/ml/oracles.py``, pinned by the golden and
-Hypothesis suites).
+test-side object walk (``tests/ml/oracles.py``, pinned by the golden
+and Hypothesis suites).
 
 The arrays are also the persistence format: ``repro.ml.persistence``
 saves them as an uncompressed NPZ that loads back with ``np.memmap``
@@ -90,9 +89,9 @@ class TreeTable:
     """One fitted tree as parallel node arrays (preorder, root = 0).
 
     ``leaf_proba`` carries the class distribution of *every* node (the
-    object representation stores one per node too — internal
-    distributions survive round-trips), but only leaf rows are ever
-    gathered during prediction.
+    JSON format stores one per node too, so internal distributions
+    survive round-trips), but only leaf rows are ever gathered during
+    prediction.
     """
 
     features: np.ndarray        # (n_nodes,) int64; LEAF marks a leaf
@@ -134,24 +133,6 @@ class TreeTable:
                 self.n_features:
             raise ValueError("split feature index out of range")
         return self
-
-    def descend(self, X: np.ndarray) -> np.ndarray:
-        """Leaf index per row of ``X`` (level-synchronous, no loops)."""
-        node = np.zeros(len(X), dtype=np.intp)
-        feature = self.features[node]
-        internal = feature >= 0
-        while internal.any():
-            safe = np.where(internal, feature, 0)
-            go_left = X[np.arange(len(X)), safe] <= self.thresholds[node]
-            child = np.where(go_left, self.left[node], self.right[node])
-            node = np.where(internal, child, node)
-            feature = self.features[node]
-            internal = feature >= 0
-        return node
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Leaf distribution per row — bit-identical to the object walk."""
-        return self.leaf_proba[self.descend(X)]
 
     def split_counts(self) -> np.ndarray:
         """Number of internal nodes splitting on each feature."""

@@ -6,33 +6,21 @@ computed with cumulative class counts, so the exact best threshold is
 found in O(n log n) per feature without Python-level loops over
 samples.  Supports the randomisation hooks Random Forest needs
 (``max_features`` subsampling per node).
+
+The fit writes the tree straight into its node table
+(:class:`repro.ml.tables.TreeTable`, preorder, root at 0), the only
+form a fitted tree has.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from .base import Classifier, check_fit_inputs
-from .tables import LEAF, TreeTable
-
-
-@dataclass
-class _Node:
-    """One tree node; leaves carry a class distribution."""
-
-    distribution: np.ndarray               # normalised class frequencies
-    feature: int = -1                      # -1 marks a leaf
-    threshold: float = 0.0
-    left: Optional["_Node"] = None
-    right: Optional["_Node"] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
+from .tables import LEAF, ForestTable, TreeTable, predict_proba_sums
 
 
 def _resolve_max_features(max_features: Union[str, int, None],
@@ -85,7 +73,6 @@ class DecisionTree(Classifier):
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.seed = seed
-        self._root: Optional[_Node] = None
         self._table: Optional[TreeTable] = None
         self.n_classes_: int = 0
         self.n_features_: int = 0
@@ -107,25 +94,46 @@ class DecisionTree(Classifier):
         self._y = y
         self._idx = np.arange(len(y), dtype=np.intp)
         self._scratch = np.empty(len(y), dtype=np.intp)
-        self._root = self._build(0, len(y), depth=0)
-        self._table = None
-        del self._X, self._y, self._idx, self._scratch
+        # Node rows (feature, threshold, left, right, distribution),
+        # appended in preorder by _build.
+        self._rows = ([], [], [], [], [])
+        self._build(0, len(y), depth=0)
+        features, thresholds, left, right, distributions = self._rows
+        self._table = TreeTable(
+            features=np.array(features, dtype=np.int64),
+            thresholds=np.array(thresholds, dtype=np.float64),
+            left=np.array(left, dtype=np.int64),
+            right=np.array(right, dtype=np.int64),
+            leaf_proba=np.array(distributions, dtype=np.float64),
+            n_features=self.n_features_)
+        del self._X, self._y, self._idx, self._scratch, self._rows
         return self
 
-    def _build(self, lo: int, hi: int, depth: int) -> _Node:
+    def _build(self, lo: int, hi: int, depth: int) -> int:
+        """Append the subtree over ``_idx[lo:hi]``; return its root's row.
+
+        The node's row goes in before its children's (preorder, left
+        subtree first) and its child indices are patched once both
+        subtrees are in.
+        """
         idx = self._idx[lo:hi]
         n = hi - lo
         counts = np.bincount(self._y[idx],
                              minlength=self.n_classes_).astype(np.float64)
-        distribution = counts / n
-        node = _Node(distribution=distribution)
+        features, thresholds, left, right, distributions = self._rows
+        slot = len(features)
+        features.append(LEAF)
+        thresholds.append(0.0)
+        left.append(0)
+        right.append(0)
+        distributions.append(counts / n)
         if (n < self.min_samples_split
                 or (self.max_depth is not None and depth >= self.max_depth)
                 or counts.max() == n):
-            return node
+            return slot
         split = self._best_split(idx, counts)
         if split is None:
-            return node
+            return slot
         feature, threshold = split
         mask = self._X[idx, feature] <= threshold
         n_left = int(np.count_nonzero(mask))
@@ -134,11 +142,11 @@ class DecisionTree(Classifier):
         scratch[:n_left] = idx[mask]
         scratch[n_left:] = idx[~mask]
         idx[:] = scratch
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._build(lo, lo + n_left, depth + 1)
-        node.right = self._build(lo + n_left, hi, depth + 1)
-        return node
+        features[slot] = feature
+        thresholds[slot] = threshold
+        left[slot] = self._build(lo, lo + n_left, depth + 1)
+        right[slot] = self._build(lo + n_left, hi, depth + 1)
+        return slot
 
     def _best_split(self, idx: np.ndarray, counts: np.ndarray):
         """Exact gini-optimal (feature, threshold) or ``None``.
@@ -223,112 +231,55 @@ class DecisionTree(Classifier):
                 best = (feature, float(threshold))
         return best
 
-    # -- the flattened node table -----------------------------------------------------
-
-    def to_table(self) -> TreeTable:
-        """Compile the fitted tree into a flat node table.
-
-        Layout: preorder (parent before children, left subtree before
-        right), root at index 0 — deterministic, so serialising the
-        table and rebuilding via :meth:`from_table` round-trips
-        exactly.  Iterative, so unlimited-depth trees cannot blow the
-        recursion limit.
-        """
-        if self._root is None:
-            raise RuntimeError("tree is not fitted")
-        entries = []
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            entries.append(node)
-            if not node.is_leaf:
-                stack.append(node.right)   # left pops (and indexes) first
-                stack.append(node.left)
-        index = {id(node): slot for slot, node in enumerate(entries)}
-        count = len(entries)
-        features = np.full(count, LEAF, dtype=np.int64)
-        thresholds = np.zeros(count, dtype=np.float64)
-        left = np.zeros(count, dtype=np.int64)
-        right = np.zeros(count, dtype=np.int64)
-        leaf_proba = np.zeros((count, self.n_classes_), dtype=np.float64)
-        for slot, node in enumerate(entries):
-            leaf_proba[slot] = node.distribution
-            if not node.is_leaf:
-                features[slot] = node.feature
-                thresholds[slot] = node.threshold
-                left[slot] = index[id(node.left)]
-                right[slot] = index[id(node.right)]
-        return TreeTable(features=features, thresholds=thresholds,
-                         left=left, right=right, leaf_proba=leaf_proba,
-                         n_features=self.n_features_)
+    # -- the node table --------------------------------------------------------------
 
     @classmethod
     def from_table(cls, table: TreeTable) -> "DecisionTree":
-        """Rebuild the object tree from a flat node table."""
-        table.validate()
-        count = table.n_nodes
-        nodes = [_Node(distribution=np.array(table.leaf_proba[slot]),
-                       feature=int(table.features[slot]),
-                       threshold=float(table.thresholds[slot]))
-                 for slot in range(count)]
-        for slot, node in enumerate(nodes):
-            if not node.is_leaf:
-                node.left = nodes[int(table.left[slot])]
-                node.right = nodes[int(table.right[slot])]
+        """A fitted tree over an existing (validated) node table."""
         tree = cls()
+        tree._table = table.validate()
         tree.n_classes_ = table.n_classes
         tree.n_features_ = table.n_features
-        tree._root = nodes[0]
-        tree._table = table
         return tree
 
     def table(self) -> TreeTable:
-        """The flattened node table (compiled once, then cached)."""
+        """The fitted tree's node table."""
         if self._table is None:
-            self._table = self.to_table()
+            raise RuntimeError("tree is not fitted")
         return self._table
 
     # -- inference -------------------------------------------------------------------
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        if self._root is None:
-            raise RuntimeError("tree is not fitted")
+        """Leaf distribution per row, through a one-tree forest table.
+
+        A one-tree sum is its single term, so this equals the tree's
+        own leaf distributions bit for bit on either descent lane.
+        """
+        table = self.table()
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features_:
             raise ValueError(
                 f"X must have shape (n, {self.n_features_}), got {X.shape}")
-        return self.table().predict_proba(X)
+        return predict_proba_sums([ForestTable.from_trees([table])], X)[0]
 
     def depth(self) -> int:
         """Actual depth of the fitted tree (0 = a lone leaf).
 
-        Iterative so unlimited-depth trees cannot blow the recursion
-        limit.
+        Walks the table level by level, so unlimited-depth trees cannot
+        blow the recursion limit.
         """
-        if self._root is None:
-            raise RuntimeError("tree is not fitted")
-        deepest = 0
-        stack = [(self._root, 0)]
-        while stack:
-            node, level = stack.pop()
-            if node.is_leaf:
-                if level > deepest:
-                    deepest = level
-                continue
-            stack.append((node.left, level + 1))
-            stack.append((node.right, level + 1))
-        return deepest
+        table = self.table()
+        frontier = np.zeros(1, dtype=np.int64)
+        level = 0
+        while True:
+            parents = frontier[table.features[frontier] >= 0]
+            if not parents.size:
+                return level
+            frontier = np.concatenate([table.left[parents],
+                                       table.right[parents]])
+            level += 1
 
     def node_count(self) -> int:
-        """Total number of nodes in the fitted tree (iterative walk)."""
-        if self._root is None:
-            raise RuntimeError("tree is not fitted")
-        count = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            if not node.is_leaf:
-                stack.append(node.left)
-                stack.append(node.right)
-        return count
+        """Total number of nodes in the fitted tree."""
+        return self.table().n_nodes

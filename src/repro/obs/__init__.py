@@ -187,26 +187,6 @@ class Histogram:
         return {"bounds": list(self.bounds), "counts": list(self.counts),
                 "sum": self.sum, "n": self.n}
 
-    def quantile(self, q: float) -> float:
-        """Upper-bound estimate of the ``q``-quantile (0 < q <= 1).
-
-        Returns the smallest bucket bound whose cumulative count covers
-        ``q`` of the observations; values in the overflow bucket report
-        the largest bound (the histogram cannot resolve beyond it).
-        Returns 0.0 before any observation.
-        """
-        if not 0.0 < q <= 1.0:
-            raise ValueError(f"q must be in (0, 1]: {q}")
-        if self.n == 0:
-            return 0.0
-        target = q * self.n
-        cumulative = 0
-        for bound, count in zip(self.bounds, self.counts):
-            cumulative += count
-            if cumulative >= target:
-                return float(bound)
-        return float(self.bounds[-1])
-
 
 class _NullHistogram:
     __slots__ = ()
@@ -214,9 +194,6 @@ class _NullHistogram:
 
     def observe(self, value: float) -> None:
         pass
-
-    def quantile(self, q: float) -> float:
-        return 0.0
 
 
 class SpanStats:

@@ -71,6 +71,29 @@ def check_record_fields(rntis, directions) -> None:
         raise ValueError("dir must be 0 (uplink) or 1 (downlink)")
 
 
+def int64_column(values, field: str) -> np.ndarray:
+    """A parsed record column as int64, neither truncated nor overflowed.
+
+    The CSV and JSONL readers parse RNTI, direction and TBS through it:
+    a non-integral number such as ``1.5`` and a value outside int64
+    raise ``ValueError`` naming ``field``, where a plain cast would
+    truncate the first and raise ``OverflowError`` on the second.
+    """
+    column = np.asarray(values)
+    if column.dtype.kind == "f" and not (
+            (column == np.trunc(column)) & (column >= -2.0 ** 63)
+            & (column < 2.0 ** 63)).all():
+        raise ValueError(f"{field} must be an int64 integer")
+    if column.dtype.kind == "u" and column.size \
+            and column.max() > np.iinfo(np.int64).max:
+        raise ValueError(f"{field} must be an int64 integer")
+    try:
+        return np.array(column, dtype=np.int64)
+    except (OverflowError, ValueError) as exc:
+        raise ValueError(f"{field} must be an int64 integer: "
+                         f"{exc}") from None
+
+
 class TraceBuilder:
     """Amortised-growth columnar buffers for the sniffer's emit path.
 
@@ -491,12 +514,12 @@ class Trace:
                     f"{path}: expected 4 record columns "
                     f"(time_s,rnti,direction,tbs_bytes), got {len(columns)}")
             # Parsed wide, so the range check sees the values as written.
-            rntis = np.array(columns[1], dtype=np.int64)
-            directions = np.array(columns[2], dtype=np.int64)
+            rntis = int64_column(columns[1], "rnti")
+            directions = int64_column(columns[2], "dir")
             check_record_fields(rntis, directions)
             trace = cls.from_arrays(
                 np.array(columns[0], dtype=TIME_DTYPE), rntis, directions,
-                np.array(columns[3], dtype=TBS_DTYPE))
+                int64_column(columns[3], "tbs"))
         else:
             trace = cls()
         trace.apply_metadata(metadata)
@@ -520,7 +543,8 @@ class Trace:
         """Read a trace previously written by :meth:`to_jsonl`.
 
         Record values are checked like :meth:`from_csv`'s: a malformed
-        line, an RNTI outside 16 bits, a direction that is no
+        line, a non-integral or int64-overflowing RNTI, direction or
+        size, an RNTI outside 16 bits, a direction that is no
         :class:`Direction`, a non-finite or negative time, a negative
         size or records out of time order raise ``ValueError``.
         """
@@ -544,8 +568,11 @@ class Trace:
                 for column, value in zip(columns, row):
                     column.append(value)
         try:
-            check_record_fields(columns[1], columns[2])
-            trace = cls.from_arrays(*columns)
+            rntis = int64_column(columns[1], "rnti")
+            directions = int64_column(columns[2], "dir")
+            check_record_fields(rntis, directions)
+            trace = cls.from_arrays(columns[0], rntis, directions,
+                                    int64_column(columns[3], "tbs"))
         except TypeError as exc:
             raise ValueError(f"{path}: not a trace record column: "
                              f"{exc}") from exc

@@ -50,11 +50,6 @@ class VerdictFusion:
         self._cells: Dict[str, List[str]] = {}
         self._victim_order: List[str] = []
 
-    @property
-    def victims(self) -> List[str]:
-        """Victims seen so far, in first-contribution order."""
-        return list(self._victim_order)
-
     def add(self, victim: str, cell: str,
             verdicts: Iterable[WindowVerdict]) -> None:
         """Fold one cell's window verdicts into a victim's tally."""

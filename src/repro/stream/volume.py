@@ -114,10 +114,6 @@ class StreamingVolume:
                                              minlength=n_bins)
         self._last_time = float(t[-1])
 
-    def ingest_trace(self, trace) -> None:
-        """Accumulate a whole trace (or trace chunk) in one call."""
-        self.ingest(trace.times_s, trace.directions, trace.tbs_bytes)
-
     @property
     def n_bins(self) -> int:
         return len(self._series)

@@ -145,10 +145,6 @@ class StreamingWindowizer:
     # -- introspection -----------------------------------------------------------
 
     @property
-    def config(self) -> WindowConfig:
-        return self._config
-
-    @property
     def backlog(self) -> int:
         """Resolved windows parked awaiting burst close."""
         return sum(len(block[0]) for block in self._pending)

@@ -123,6 +123,39 @@ class TestServeCLI:
         assert main(["serve", "--model", str(campaign / "model.json"),
                      "--data", str(feed)]) == 2
 
+    def test_serve_unrepresentable_record_is_bad_input(self, campaign,
+                                                       tmp_path):
+        # Non-integral or int64-overflowing fields, never truncated.
+        feeds = {
+            "big_tbs.jsonl": '{"t": 0.0, "rnti": 256, "dir": 0, '
+                             '"tbs": 100000000000000000000}\n',
+            "float_tbs.jsonl": '{"t": 0.0, "rnti": 256, "dir": 0, '
+                               '"tbs": 2.7}\n',
+            "big_rnti.csv": "time_s,rnti,direction,tbs_bytes\n"
+                            "0.0,100000000000000000000,0,10\n",
+        }
+        for name, text in feeds.items():
+            feed = tmp_path / name
+            feed.write_text(text)
+            assert main(["serve", "--model", str(campaign / "model.json"),
+                         "--data", str(feed)]) == 2, name
+
+    def test_serve_malformed_model_is_bad_input(self, campaign, tmp_path):
+        import json
+
+        from repro.sniffer.trace import TraceSet
+
+        payload = json.loads((campaign / "model.json").read_text())
+        root = payload["category_model"]["trees"][0]["root"]
+        root["f"] = 99                   # no such feature
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(payload))
+        source = tmp_path / "feed.npz"
+        TraceSet.from_npz(campaign / "traces" / "traces.npz") \
+            .traces[0].to_npz(source)
+        assert main(["serve", "--model", str(bad),
+                     "--data", str(source)]) == 2
+
     def test_serve_bad_model_is_bad_input(self, tmp_path):
         bogus = tmp_path / "model.json"
         bogus.write_text("{}")

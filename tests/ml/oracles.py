@@ -1,10 +1,12 @@
 """Reference predictors the inference plane is pinned against.
 
-The object ``_Node`` graph is the fit-side form of a tree; before the
-flattened node tables existed, prediction walked it.  These walks stay
-here as differential oracles: the golden and property suites (and the
-speedup guard in ``benchmarks/bench_inference.py``) assert that both
-lanes of :mod:`repro.ml.tables` are bit-identical to them.
+A fitted tree exists only as a node table; before the tables existed,
+trees were pointer graphs and prediction walked them.  This module
+rebuilds that pointer graph from a :class:`TreeTable` on the test side
+and keeps its walk as the independent differential oracle: the golden
+and property suites (and the speedup guard in
+``benchmarks/bench_inference.py``) assert that both lanes of
+:mod:`repro.ml.tables` are bit-identical to it.
 :func:`pinned_lane` forces one lane by moving the module's lane bound,
 :func:`pinned_pair_lane` does the same for the correlation attack's
 pair scoring, and :func:`catalogue_windows` builds a labelled window
@@ -12,6 +14,8 @@ set to fit hierarchical fingerprinters on.
 """
 
 import contextlib
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -21,23 +25,52 @@ from repro.core.dataset import LabeledWindows
 from repro.ml import tables
 from repro.ml.base import LabelEncoder
 from repro.ml.forest import RandomForest
+from repro.ml.tables import TreeTable
 from repro.ml.tree import DecisionTree
 
 
-def tree_predict_proba(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
-    """Object-graph descent of one fitted tree.
+@dataclass
+class Node:
+    """One pointer-graph tree node; leaves carry a class distribution."""
+
+    distribution: np.ndarray               # normalised class frequencies
+    feature: int = -1                      # -1 marks a leaf
+    threshold: float = 0.0
+    left: Optional["Node"] = None
+    right: Optional["Node"] = None
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.feature < 0
+
+
+def object_tree(table: TreeTable) -> Node:
+    """The pointer graph of one node table; returns the root."""
+    nodes = [Node(np.array(table.leaf_proba[slot]),
+                  int(table.features[slot]), float(table.thresholds[slot]))
+             for slot in range(table.n_nodes)]
+    for slot, node in enumerate(nodes):
+        if not node.is_leaf:
+            node.left = nodes[int(table.left[slot])]
+            node.right = nodes[int(table.right[slot])]
+    return nodes[0]
+
+
+def object_forest(forest: RandomForest) -> list:
+    """The pointer-graph roots of every tree of a fitted forest."""
+    table = forest.table()
+    return [object_tree(table.tree(index)) for index in range(table.n_trees)]
+
+
+def walk_proba(root: Node, X: np.ndarray, n_classes: int) -> np.ndarray:
+    """Object-graph descent of one tree.
 
     Routes index groups down the pointer tree exactly as the pre-table
     implementation did.
     """
-    if tree._root is None:
-        raise RuntimeError("tree is not fitted")
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != tree.n_features_:
-        raise ValueError(
-            f"X must have shape (n, {tree.n_features_}), got {X.shape}")
-    out = np.empty((len(X), tree.n_classes_), dtype=np.float64)
-    stack = [(tree._root, np.arange(len(X)))]
+    out = np.empty((len(X), n_classes), dtype=np.float64)
+    stack = [(root, np.arange(len(X)))]
     while stack:
         node, idx = stack.pop()
         if len(idx) == 0:
@@ -51,22 +84,28 @@ def tree_predict_proba(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def forest_predict_proba(forest: RandomForest, X: np.ndarray) -> np.ndarray:
-    """Per-tree object descent of a forest, summed in tree order.
-
-    A forest loaded from a node table walks object trees rebuilt from
-    it; the forest itself is left as it was.
-    """
-    trees = forest.trees_
-    if not trees:
-        table = forest.table()
-        trees = [DecisionTree.from_table(table.tree(index))
-                 for index in range(table.n_trees)]
+def walk_forest_proba(roots, X: np.ndarray, n_classes: int) -> np.ndarray:
+    """Per-tree object descent of prebuilt roots, summed in tree order."""
     X = np.asarray(X, dtype=np.float64)
-    total = np.zeros((len(X), forest.n_classes_), dtype=np.float64)
-    for tree in trees:
-        total += tree_predict_proba(tree, X)
-    return total / forest.n_trees
+    total = np.zeros((len(X), n_classes), dtype=np.float64)
+    for root in roots:
+        total += walk_proba(root, X, n_classes)
+    return total / len(roots)
+
+
+def tree_predict_proba(tree, X: np.ndarray) -> np.ndarray:
+    """Object-graph descent of a fitted tree or a bare node table."""
+    table = tree.table() if isinstance(tree, DecisionTree) else tree
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != table.n_features:
+        raise ValueError(
+            f"X must have shape (n, {table.n_features}), got {X.shape}")
+    return walk_proba(object_tree(table), X, table.n_classes)
+
+
+def forest_predict_proba(forest: RandomForest, X: np.ndarray) -> np.ndarray:
+    """Per-tree object descent of a forest, summed in tree order."""
+    return walk_forest_proba(object_forest(forest), X, forest.n_classes_)
 
 
 #: Lane bounds that pin every batch to the scalar or the vector lane.

@@ -1,5 +1,7 @@
 """Tests for model persistence (forests and the fingerprinter)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,37 @@ class TestForestPersistence:
         with pytest.raises(ValueError):
             forest_from_dict(payload)
 
+    def test_npz_loaded_forest_saves_as_json(self, tmp_path):
+        X, y = blobs()
+        forest = RandomForest(n_trees=4, max_depth=5, seed=3).fit(X, y)
+        path = tmp_path / "forest.npz"
+        save_forest_npz(forest, path)
+        assert (json.dumps(forest_to_dict(load_forest_npz(path)))
+                == json.dumps(forest_to_dict(forest)))
+
+    @pytest.mark.parametrize("defect", [
+        "split_feature_out_of_range", "child_out_of_range",
+        "distribution_length", "missing_node_key", "missing_tree_key"])
+    def test_malformed_json_rejected_at_load(self, defect):
+        X, y = blobs()
+        payload = forest_to_dict(
+            RandomForest(n_trees=2, max_depth=3, seed=1).fit(X, y))
+        tree = payload["trees"][1]
+        root = tree["root"]
+        assert "f" in root
+        if defect == "split_feature_out_of_range":
+            root["f"] = tree["n_features"]
+        elif defect == "child_out_of_range":
+            root["l"] = 99               # an index, not a nested node
+        elif defect == "distribution_length":
+            root["r"]["d"] = root["r"]["d"][:-1]
+        elif defect == "missing_node_key":
+            del root["t"]
+        else:
+            del tree["n_features"]
+        with pytest.raises(ValueError):
+            forest_from_dict(payload)
+
 
 class TestForestNpzPersistence:
     def test_round_trip_bit_identical(self, tmp_path):
@@ -103,16 +136,23 @@ class TestForestNpzPersistence:
                               copied.predict_proba(X))
 
     def test_materialize_trees_round_trips(self, tmp_path):
+        # Every member tree of a loaded forest comes back as the same
+        # node table, and predicts the same as a standalone tree.
         X, y = blobs()
         forest = RandomForest(n_trees=3, max_depth=4, seed=5).fit(X, y)
         path = tmp_path / "forest.npz"
         save_forest_npz(forest, path)
-        clone = load_forest_npz(path)
-        trees = clone.materialize_trees()
-        assert len(trees) == forest.n_trees
-        for original, rebuilt in zip(forest.trees_, trees):
-            assert np.array_equal(original.predict_proba(X),
-                                  rebuilt.predict_proba(X))
+        original, loaded = forest.table(), load_forest_npz(path).table()
+        assert loaded.n_trees == forest.n_trees
+        for index in range(loaded.n_trees):
+            tree, clone = original.tree(index), loaded.tree(index)
+            for name in ("features", "thresholds", "left", "right",
+                         "leaf_proba"):
+                assert np.array_equal(getattr(tree, name),
+                                      getattr(clone, name))
+            assert np.array_equal(
+                DecisionTree.from_table(tree).predict_proba(X),
+                DecisionTree.from_table(clone).predict_proba(X))
 
     def test_load_forest_auto_detects_lane(self, tmp_path):
         X, y = blobs()

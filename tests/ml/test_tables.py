@@ -1,11 +1,12 @@
 """Golden equivalence: flattened node tables vs the object descent.
 
-The inference plane rides on ``repro.ml.tables``; these tests pin the
-whole compilation chain — ``DecisionTree.to_table`` / ``from_table``
+The fit writes each tree as a ``repro.ml.tables`` node table; these
+tests pin the chain from there — ``DecisionTree.table`` / ``from_table``
 round-trips, the padded ``ForestTable`` stack, and the gather descent —
 **bit-identical** (``np.array_equal``, not ``allclose``) to the
-pointer-chasing object walk (``tests/ml/oracles.py``) across depths,
-degenerate trees and input dtypes.
+pointer-chasing object walk the test-side oracle rebuilds from each
+table (``tests/ml/oracles.py``) across depths, degenerate trees and
+input dtypes.
 """
 
 import numpy as np
@@ -39,7 +40,7 @@ class TestTreeTableRoundTrip:
     def test_round_trip_bit_identical(self, max_depth):
         X, y = noisy()
         tree = DecisionTree(max_depth=max_depth).fit(X, y)
-        clone = DecisionTree.from_table(tree.to_table())
+        clone = DecisionTree.from_table(tree.table())
         probe = np.random.default_rng(7).normal(size=(200, X.shape[1]))
         assert np.array_equal(tree.predict_proba(probe),
                               clone.predict_proba(probe))
@@ -48,7 +49,7 @@ class TestTreeTableRoundTrip:
         X = np.zeros((10, 2))
         y = np.zeros(10, dtype=np.int64)
         tree = DecisionTree().fit(X, y)
-        table = tree.to_table()
+        table = tree.table()
         assert table.n_nodes == 1
         assert table.features[0] < 0
         clone = DecisionTree.from_table(table)
@@ -59,12 +60,12 @@ class TestTreeTableRoundTrip:
         X, y = blobs()
         tree = DecisionTree(max_depth=6).fit(X, y)
         probe = np.random.default_rng(1).normal(size=(150, X.shape[1]))
-        assert np.array_equal(tree.to_table().predict_proba(probe),
+        assert np.array_equal(tree.predict_proba(probe),
                               tree_predict_proba(tree, probe))
 
     def test_unfitted_rejected(self):
         with pytest.raises(RuntimeError):
-            DecisionTree().to_table()
+            DecisionTree().table()
 
     def test_validate_rejects_bad_children(self):
         table = TreeTable(
@@ -141,8 +142,8 @@ class TestForestTable:
 
     def test_stack_pads_to_widest_tree(self):
         X, y = blobs()
-        deep = DecisionTree(max_depth=8).fit(X, y).to_table()
-        stump = DecisionTree(max_depth=1).fit(X, y).to_table()
+        deep = DecisionTree(max_depth=8).fit(X, y).table()
+        stump = DecisionTree(max_depth=1).fit(X, y).table()
         stack = ForestTable.from_trees([deep, stump])
         assert stack.features.shape[1] == max(deep.n_nodes, stump.n_nodes)
         assert np.array_equal(stack.tree(0).features, deep.features)
@@ -165,7 +166,7 @@ class TestForestTable:
         table = forest.table()
         total = np.zeros((len(probe), table.n_classes))
         for index in range(table.n_trees):
-            total += table.tree(index).predict_proba(probe)
+            total += tree_predict_proba(table.tree(index), probe)
         for bound in (SCALAR, VECTOR):
             with pinned_lane(bound):
                 assert np.array_equal(
@@ -174,8 +175,9 @@ class TestForestTable:
     def test_split_counts_match_object_trees(self):
         X, y = blobs()
         forest = RandomForest(n_trees=7, max_depth=5, seed=3).fit(X, y)
-        by_tree = sum(tree.table().split_counts()
-                      for tree in forest.trees_)
+        table = forest.table()
+        by_tree = sum(table.tree(index).split_counts()
+                      for index in range(table.n_trees))
         assert np.array_equal(forest.table().split_counts(), by_tree)
 
     def test_empty_stack_rejected(self):
@@ -184,8 +186,8 @@ class TestForestTable:
 
     def test_mismatched_trees_rejected(self):
         X, y = blobs()
-        a = DecisionTree(max_depth=2).fit(X, y).to_table()
-        b = DecisionTree(max_depth=2).fit(X[:, :3], y).to_table()
+        a = DecisionTree(max_depth=2).fit(X, y).table()
+        b = DecisionTree(max_depth=2).fit(X[:, :3], y).table()
         with pytest.raises(ValueError, match="n_features"):
             ForestTable.from_trees([a, b])
 

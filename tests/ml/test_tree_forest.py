@@ -83,14 +83,17 @@ class TestDecisionTree:
         X, y = blobs(n_per_class=30, spread=3.0)
         tree = DecisionTree(min_samples_leaf=10).fit(X, y)
 
-        def leaf_sizes(node, X_node):
-            if node.is_leaf:
-                return [len(X_node)]
-            mask = X_node[:, node.feature] <= node.threshold
-            return (leaf_sizes(node.left, X_node[mask])
-                    + leaf_sizes(node.right, X_node[~mask]))
+        table = tree.table()
 
-        assert min(leaf_sizes(tree._root, X)) >= 10
+        def leaf_sizes(node, X_node):
+            feature = table.features[node]
+            if feature < 0:
+                return [len(X_node)]
+            mask = X_node[:, feature] <= table.thresholds[node]
+            return (leaf_sizes(table.left[node], X_node[mask])
+                    + leaf_sizes(table.right[node], X_node[~mask]))
+
+        assert min(leaf_sizes(0, X)) >= 10
 
     def test_deterministic_given_seed(self):
         X, y = blobs(spread=2.0)
@@ -136,8 +139,9 @@ class TestDecisionTree:
         X = np.array([[0.0, 7.0], [0.2, 3.0], [0.9, 5.0], [1.0, 1.0]])
         y = np.array([0, 0, 1, 1])
         tree = DecisionTree(max_depth=1).fit(X, y)
-        assert tree._root.feature == 0
-        assert 0.2 < tree._root.threshold < 0.9
+        table = tree.table()
+        assert table.features[0] == 0
+        assert 0.2 < table.thresholds[0] < 0.9
         assert accuracy(y, tree.predict(X)) == 1.0
 
     def test_constant_features_yield_leaf(self):

@@ -66,7 +66,7 @@ class TestForestEquivalence:
         y = rng.integers(0, classes, size=rows)
         tree = DecisionTree(max_depth=max_depth).fit(
             X, y, n_classes=classes)
-        clone = DecisionTree.from_table(tree.to_table())
+        clone = DecisionTree.from_table(tree.table())
         probe = rng.normal(size=(50, features))
         assert np.array_equal(tree.predict_proba(probe),
                               clone.predict_proba(probe))

@@ -189,10 +189,10 @@ class TestForestLanes:
         rng = np.random.default_rng(8)
         X = rng.normal(size=(200, 4))
         y = rng.integers(0, 3, size=200)
-        deep = DecisionTree().fit(X, y).to_table()
-        stump = DecisionTree(max_depth=1).fit(X, y).to_table()
+        deep = DecisionTree().fit(X, y).table()
+        stump = DecisionTree(max_depth=1).fit(X, y).table()
         leaf = DecisionTree().fit(X, np.zeros(200, dtype=np.int64),
-                                  n_classes=3).to_table()
+                                  n_classes=3).table()
         assert leaf.n_nodes == 1
         forest = RandomForest.from_table(
             ForestTable.from_trees([leaf, deep, stump, leaf, deep]))

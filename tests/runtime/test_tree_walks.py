@@ -5,22 +5,32 @@ import sys
 import numpy as np
 
 from repro.ml.forest import RandomForest
-from repro.ml.tree import DecisionTree, _Node
+from repro.ml.tables import LEAF, ForestTable, TreeTable
+from repro.ml.tree import DecisionTree
+
+
+def _deep_table(depth: int) -> TreeTable:
+    """A node table that is one long left spine, in preorder.
+
+    Spine node ``k`` sits at row ``k``; its left child is the next
+    spine row and its right child a leaf at row ``2 * depth - k``.
+    """
+    count = 2 * depth + 1
+    spine = np.arange(depth)
+    features = np.full(count, LEAF, dtype=np.int64)
+    features[spine] = 0
+    left = np.zeros(count, dtype=np.int64)
+    right = np.zeros(count, dtype=np.int64)
+    left[spine] = spine + 1
+    right[spine] = 2 * depth - spine
+    return TreeTable(features=features, thresholds=np.zeros(count),
+                     left=left, right=right,
+                     leaf_proba=np.full((count, 2), 0.5), n_features=1)
 
 
 def _deep_tree(depth: int) -> DecisionTree:
     """A fitted-looking tree that is one long left spine."""
-    distribution = np.array([0.5, 0.5])
-    leaf = _Node(distribution=distribution)
-    root = leaf
-    for _ in range(depth):
-        root = _Node(distribution=distribution, feature=0, threshold=0.0,
-                     left=root, right=_Node(distribution=distribution))
-    tree = DecisionTree()
-    tree._root = root
-    tree.n_classes_ = 2
-    tree.n_features_ = 1
-    return tree
+    return DecisionTree.from_table(_deep_table(depth))
 
 
 def test_depth_beyond_recursion_limit():
@@ -37,9 +47,8 @@ def test_node_count_beyond_recursion_limit():
 
 def test_feature_importances_beyond_recursion_limit():
     depth = sys.getrecursionlimit() + 500
-    forest = RandomForest(n_trees=1)
-    forest.trees_ = [_deep_tree(depth)]
-    forest.n_classes_ = 2
+    forest = RandomForest.from_table(
+        ForestTable.from_trees([_deep_table(depth)]))
     importances = forest.feature_importances()
     assert importances.shape == (1,)
     assert importances[0] == 1.0

@@ -1,7 +1,9 @@
 """Tests for trace containers and persistence."""
 
 import functools
+import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -153,22 +155,34 @@ class TestPersistence:
         ([-1.0, 0.5], [10, 10]),                  # negative time
         ([0.0, 0.5], [10, -1]),                   # negative TBS
         ([1.0, 0.5], [10, 10]),                   # out of time order
+        ([0.0, 0.5], [10, 2.7]),                  # non-integral TBS
+        ([0.0, 0.5], [10, 10 ** 20]),             # TBS wider than int64
     ])
     def test_every_reader_rejects_bad_record_values(self, tmp_path, fmt,
                                                     times, tbs):
         # The serve CLI maps ValueError to exit 2 for every feed format.
-        trace = Trace.from_arrays(times, [0x100] * 2, [0] * 2, tbs,
-                                  validate=False)
         suffix = fmt.split("-")[0]
         path = tmp_path / f"feed.{suffix}"
         if suffix == "csv":
-            trace.to_csv(path)
+            path.write_text("time_s,rnti,direction,tbs_bytes\n" + "".join(
+                f"{time_s},256,0,{size}\n" for time_s, size in zip(times, tbs)))
             read = Trace.from_csv
         elif suffix == "jsonl":
-            trace.to_jsonl(path)
+            path.write_text("".join(
+                json.dumps({"t": time_s, "rnti": 256, "dir": 0,
+                            "tbs": size}) + "\n"
+                for time_s, size in zip(times, tbs)))
             read = Trace.from_jsonl
         else:
-            trace.to_npz(path, compressed=False)
+            # The NPZ TBS column is int64: a size it cannot hold can
+            # only arrive in a column of another dtype.
+            sizes = np.asarray(tbs)
+            if sizes.dtype != np.int64:
+                sizes = sizes.astype(np.float64)
+            np.savez(path, times_s=np.asarray(times, dtype=np.float64),
+                     rntis=np.full(2, 0x100, dtype=np.uint32),
+                     directions=np.zeros(2, dtype=np.uint8),
+                     tbs_bytes=sizes, meta=np.array(json.dumps({})))
             read = functools.partial(
                 Trace.from_npz, mmap_mode="r" if fmt == "npz-mmap" else None)
         with pytest.raises(ValueError):
@@ -179,10 +193,15 @@ class TestPersistence:
         for rnti, direction in [(-1, 0),          # negative RNTI
                                 (0x10000, 0),     # RNTI wider than 16 bits
                                 (0x100, 2),       # no Direction
-                                (0x100, 300)]     # no Direction, not a u1
+                                (0x100, 300),     # no Direction, not a u1
+                                (1.5, 0),         # non-integral RNTI
+                                (0x100, 2.7),     # non-integral direction
+                                (10 ** 20, 0)]    # RNTI wider than int64
         for fmt in ["csv", "jsonl", "npz", "npz-mmap"]
-        # The NPZ column dtypes (u4, u1) cannot hold -1 or 300.
-        if fmt in ("csv", "jsonl") or (rnti >= 0 and direction < 256)])
+        # The NPZ column dtypes (u4, u1) hold only integers in range.
+        if fmt in ("csv", "jsonl")
+        or (isinstance(rnti, int) and 0 <= rnti < 2 ** 32
+            and isinstance(direction, int) and 0 <= direction < 256)])
     def test_every_reader_rejects_bad_identity_fields(self, tmp_path, fmt,
                                                       rnti, direction):
         suffix = fmt.split("-")[0]
