@@ -1,9 +1,8 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast test-faults test-scan bench bench-features \
-	bench-smoke bench-lint bench-sim bench-infer bench-stream \
-	clean-cache lint report
+.PHONY: test test-fast test-faults test-scan results bench-columnar \
+	bench-lint bench-sim bench-infer bench-stream clean-cache lint report
 
 ## Tier-1: full test suite (what CI runs).
 test:
@@ -30,22 +29,18 @@ test-scan:
 	$(PYTHON) -m pytest tests/scan tests/test_baseline.py \
 		tests/properties/test_scan_invariants.py -q
 
-## Component micro-benchmarks with timing enabled (slow; writes results/).
-bench:
-	$(PYTHON) -m pytest benchmarks/test_component_speed.py -q
+## Paper tables and figures: regenerate every benchmarks/results/*.txt
+## with the trace cache off (each driver asserts the paper's shape),
+## then fail if any committed table changed.
+results:
+	REPRO_TRACE_CACHE=0 $(PYTHON) -m pytest benchmarks -q
+	git diff --exit-code -- benchmarks/results
 
-## Columnar data-plane benchmarks only: feature extraction, trace
-## filters, tree fit, NPZ persistence (cf. BENCH_columnar.json).
-bench-features:
-	$(PYTHON) -m pytest benchmarks/test_component_speed.py -q \
-		-k "feature or filter or tree_fit or npz"
-
-## Smoke run of the same benchmarks with timing assertions off — catches
-## runtime-layer regressions (import errors, broken fan-out, cache bugs)
-## without slowing tier-1.  Same thing `lte-fingerprint bench` runs.
-bench-smoke:
-	$(PYTHON) -m pytest benchmarks/test_component_speed.py -q \
-		--benchmark-disable -p no:cacheprovider
+## Columnar data-plane benchmark: feature extraction, trace filters,
+## tree fit, CSV/NPZ persistence and a warm trace-cache collect; writes
+## BENCH_columnar.json and fails on a >2x regression.
+bench-columnar:
+	$(PYTHON) benchmarks/bench_columnar.py
 
 ## Static analysis: the repo's determinism / numeric-safety /
 ## parallel-safety / obs-coverage ruleset (repro.analysis).  Exits

@@ -1,10 +1,10 @@
-"""Shared benchmark infrastructure.
+"""Shared fixtures of the paper-table tests.
 
-Every benchmark regenerates one paper table/figure at the ``fast``
-scale, asserts the *shape* of the result (who wins, which direction the
-curve moves), and writes the rendered table to
-``benchmarks/results/<name>.txt`` so the regenerated artefacts are
-inspectable after a run.
+Every ``test_*.py`` here regenerates one paper table/figure at the
+``fast`` scale, asserts the *shape* of the result (who wins, which
+direction the curve moves), and writes the rendered table to
+``benchmarks/results/<name>.txt``.  ``make results`` runs them all with
+the trace cache off and fails if a committed table changed.
 """
 
 from pathlib import Path

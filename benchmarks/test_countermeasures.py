@@ -9,9 +9,8 @@ tracking coverage, and wasted airtime per defence.
 from repro.experiments.countermeasures import run
 
 
-def test_countermeasures(benchmark, save_table):
-    result = benchmark.pedantic(lambda: run("fast", seed=131),
-                                rounds=1, iterations=1)
+def test_countermeasures(save_table):
+    result = run("fast", seed=131)
     save_table("countermeasures", result.table())
 
     undefended = result.outcome("none")

@@ -10,9 +10,8 @@ import numpy as np
 from repro.experiments.fig8_drift import run
 
 
-def test_fig8_drift(benchmark, save_table):
-    result = benchmark.pedantic(lambda: run("fast", seed=71),
-                                rounds=1, iterations=1)
+def test_fig8_drift(save_table):
+    result = run("fast", seed=71)
     save_table("fig8_drift", result.table())
 
     series = result.series()

@@ -10,9 +10,8 @@ import numpy as np
 from repro.experiments.fig9_noise import run
 
 
-def test_fig9_noise(benchmark, save_table):
-    result = benchmark.pedantic(lambda: run("fast", seed=83),
-                                rounds=1, iterations=1)
+def test_fig9_noise(save_table):
+    result = run("fast", seed=83)
     save_table("fig9_noise", result.table())
 
     assert result.levels[0] == 0

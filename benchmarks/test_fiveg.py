@@ -8,9 +8,8 @@ measures both on simulated NR cells.
 from repro.experiments.fiveg import run
 
 
-def test_fiveg_transfer(benchmark, save_table):
-    result = benchmark.pedantic(lambda: run("fast", seed=151),
-                                rounds=1, iterations=1)
+def test_fiveg_transfer(save_table):
+    result = run("fast", seed=151)
     save_table("fiveg", result.table())
 
     # (a) Fingerprinting transfers: NR accuracy within a few points of

@@ -8,9 +8,8 @@ IMSI-catcher stitching across cells recovers full-session accuracy.
 from repro.experiments.handover import run
 
 
-def test_handover(benchmark, save_table):
-    result = benchmark.pedantic(lambda: run("fast", seed=171),
-                                rounds=1, iterations=1)
+def test_handover(save_table):
+    result = run("fast", seed=171)
     save_table("handover", result.table())
 
     assert result.attempts == 9

@@ -8,9 +8,8 @@ three direction views (Down+UP / Down / UP) remain usable.
 from repro.experiments.table3_lab import run
 
 
-def test_table3_lab(benchmark, save_table):
-    result = benchmark.pedantic(lambda: run("fast", seed=11),
-                                rounds=1, iterations=1)
+def test_table3_lab(save_table):
+    result = run("fast", seed=11)
     save_table("table3_lab", result.table())
 
     # Every score is a valid rate and the overall level is high.

@@ -8,9 +8,8 @@ from repro.experiments.table3_lab import run as run_lab
 from repro.experiments.table4_realworld import run
 
 
-def test_table4_realworld(benchmark, save_table):
-    result = benchmark.pedantic(lambda: run("fast", seed=23),
-                                rounds=1, iterations=1)
+def test_table4_realworld(save_table):
+    result = run("fast", seed=23)
     save_table("table4_realworld", result.table())
 
     assert set(result.per_carrier) == {"Verizon", "AT&T", "T-Mobile"}
@@ -20,15 +19,10 @@ def test_table4_realworld(benchmark, save_table):
         assert mean_f > 0.55, f"{carrier}: {mean_f:.3f}"
 
 
-def test_table4_lab_beats_carriers(benchmark, save_table):
+def test_table4_lab_beats_carriers(save_table):
     """The paper's headline contrast: lab > real world."""
-
-    def contrast():
-        lab = run_lab("fast", seed=23)
-        carriers = run("fast", seed=23)
-        return lab, carriers
-
-    lab, carriers = benchmark.pedantic(contrast, rounds=1, iterations=1)
+    lab = run_lab("fast", seed=23)
+    carriers = run("fast", seed=23)
     lab_f = lab.mean_f("Down")
     carrier_f = max(carriers.mean_f(c) for c in carriers.per_carrier)
     save_table("table4_contrast",

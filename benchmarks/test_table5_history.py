@@ -7,9 +7,8 @@ attacker reconstructs the timeline with ~83 % success (10/12).
 from repro.experiments.table5_history import run
 
 
-def test_table5_history(benchmark, save_table):
-    result = benchmark.pedantic(lambda: run("fast", seed=31),
-                                rounds=1, iterations=1)
+def test_table5_history(save_table):
+    result = run("fast", seed=31)
     save_table("table5_history", result.table())
 
     assert result.summary["visits"] == 12

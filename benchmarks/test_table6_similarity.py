@@ -7,9 +7,8 @@ Paper's shape: lab similarity means top the carriers (0.75-0.93 vs
 from repro.experiments.table6_similarity import run
 
 
-def test_table6_similarity(benchmark, save_table):
-    result = benchmark.pedantic(lambda: run("fast", seed=41),
-                                rounds=1, iterations=1)
+def test_table6_similarity(save_table):
+    result = run("fast", seed=41)
     save_table("table6_similarity", result.table())
 
     assert len(result.apps) == 6

@@ -10,9 +10,8 @@ import numpy as np
 from repro.experiments.table7_correlation import run
 
 
-def test_table7_correlation(benchmark, save_table):
-    result = benchmark.pedantic(lambda: run("fast", seed=53),
-                                rounds=1, iterations=1)
+def test_table7_correlation(save_table):
+    result = run("fast", seed=53)
     save_table("table7_correlation", result.table())
 
     voip = ("Facebook Call", "WhatsApp Call", "Skype")

@@ -8,9 +8,8 @@ is tuned by cross-validation.
 from repro.experiments.table8_algorithms import run
 
 
-def test_table8_algorithms(benchmark, save_table):
-    result = benchmark.pedantic(lambda: run("fast", seed=67),
-                                rounds=1, iterations=1)
+def test_table8_algorithms(save_table):
+    result = run("fast", seed=67)
     save_table("table8_algorithms", result.table())
 
     assert set(result.averages) == {"LR", "kNN", "CNN", "RF"}

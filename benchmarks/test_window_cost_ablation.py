@@ -7,9 +7,8 @@ from repro.experiments.cost_model import run as run_cost
 from repro.experiments.window_sweep import run as run_window
 
 
-def test_window_sweep(benchmark, save_table):
-    result = benchmark.pedantic(lambda: run_window("fast", seed=97),
-                                rounds=1, iterations=1)
+def test_window_sweep(save_table):
+    result = run_window("fast", seed=97)
     save_table("window_sweep", result.table())
 
     assert len(result.sizes_ms) == 6
@@ -23,9 +22,8 @@ def test_window_sweep(benchmark, save_table):
     assert all(0.0 <= f <= 1.0 for f in result.f_scores)
 
 
-def test_cost_model(benchmark, save_table):
-    result = benchmark.pedantic(lambda: run_cost("fast", seed=3),
-                                rounds=1, iterations=1)
+def test_cost_model(save_table):
+    result = run_cost("fast", seed=3)
     save_table("cost_model", result.table())
 
     breakdown = result.breakdown
@@ -40,9 +38,8 @@ def test_cost_model(benchmark, save_table):
     assert result.hardware_usd >= 1_500
 
 
-def test_ablation_hierarchy(benchmark, save_table):
-    result = benchmark.pedantic(lambda: run_hierarchy("fast", seed=113),
-                                rounds=1, iterations=1)
+def test_ablation_hierarchy(save_table):
+    result = run_hierarchy("fast", seed=113)
     save_table("ablation_hierarchy", result.table())
     # Both pipelines work; the soft hierarchy is not materially worse.
     assert result.hierarchical_f > 0.7
@@ -50,10 +47,8 @@ def test_ablation_hierarchy(benchmark, save_table):
     assert abs(result.hierarchical_f - result.flat_f) < 0.15
 
 
-def test_ablation_forest(benchmark, save_table):
-    result = benchmark.pedantic(
-        lambda: run_forest("fast", seed=127, tree_counts=(5, 20, 60)),
-        rounds=1, iterations=1)
+def test_ablation_forest(save_table):
+    result = run_forest("fast", seed=127, tree_counts=(5, 20, 60))
     save_table("ablation_forest", result.table())
 
     accuracies = [acc for _, acc, _ in result.tree_curve]

@@ -15,9 +15,6 @@ harness:
 * ``scan`` — run the attack scanner (:mod:`repro.scan`): every attack
   as a detector emitting confidence-scored findings into one text/JSON
   report, with suppression baselines and severity exit-code gating;
-* ``bench`` — run the component micro-benchmarks once (timings off);
-  the per-layer guard scripts (``BENCH_*.json``) run directly as
-  ``benchmarks/bench_<name>.py``;
 * ``cache`` — inspect or clear the on-disk trace cache;
 * ``report`` — render JSONL run manifests written by ``--obs-out``;
 * ``lint`` — run the repo's static-analysis ruleset (determinism,
@@ -188,12 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="fault-injection plan applied to every "
                                  "capture (see EXPERIMENTS.md)")
     _add_runtime_args(experiment)
-
-    bench = sub.add_parser(
-        "bench", help="run component micro-benchmarks once (timings off)")
-    bench.add_argument("--select", default=None,
-                       help="pytest -k expression to pick benchmarks")
-    _add_runtime_args(bench)
 
     scan = sub.add_parser(
         "scan", help="run the attack scanner (repro.scan detectors)")
@@ -541,33 +532,6 @@ def _cmd_experiment(args: argparse.Namespace, manifest=None) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run the component micro-benchmarks once with timing collection off.
-
-    This is the CI smoke path (``make bench-smoke`` runs the same
-    selection): every benchmark body in
-    ``benchmarks/test_component_speed.py`` executes and asserts its
-    invariants, but no rounds are repeated, so runtime-layer
-    regressions surface in seconds.
-    """
-    try:
-        import pytest
-    except ImportError:  # pragma: no cover - pytest is a dev dependency
-        print("bench requires pytest (and pytest-benchmark)",
-              file=sys.stderr)
-        return 1
-    bench_file = Path(__file__).resolve().parents[2] / "benchmarks" \
-        / "test_component_speed.py"
-    if not bench_file.exists():
-        print(f"benchmark suite not found at {bench_file}", file=sys.stderr)
-        return 1
-    pytest_args = [str(bench_file), "-q", "--benchmark-disable",
-                   "-p", "no:cacheprovider"]
-    if args.select:
-        pytest_args += ["-k", args.select]
-    return int(pytest.main(pytest_args))
-
-
 def _parse_ids(text: Optional[str]) -> Optional[List[str]]:
     """A comma-separated id list (``--select``, ``--detectors``)."""
     if not text:
@@ -799,8 +763,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     from .obs.manifest import run_scope
 
     args = _build_parser().parse_args(argv)
-    if args.command in ("collect", "train", "experiment", "bench",
-                        "serve", "scan"):
+    if args.command in ("collect", "train", "experiment", "serve",
+                        "scan"):
         try:
             fault_plan = _load_fault_plan(args)
         except ValueError as exc:
@@ -817,9 +781,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 return _cmd_experiment(args, manifest)
             if args.command == "serve":
                 return _cmd_serve(args, manifest)
-            if args.command == "scan":
-                return _cmd_scan(args, manifest)
-            return _cmd_bench(args)
+            return _cmd_scan(args, manifest)
     if args.command == "classify":
         return _cmd_classify(args)
     if args.command == "cache":

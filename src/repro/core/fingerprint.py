@@ -217,6 +217,19 @@ def save_fingerprinter(model: HierarchicalFingerprinter, path) -> None:
     Path(path).write_text(json.dumps(payload))
 
 
+#: Header keys of a saved fingerprinter: the JSON types each admits
+#: (booleans never) and how an error names them.
+_HEADER = {
+    "direction": ((int, type(None)), "an integer or null"),
+    "window_ms": ((int, float), "a number"),
+    "stride_ms": ((int, float, type(None)), "a number or null"),
+    "apps": (list, "a list of strings"),
+    "categories": (list, "a list of strings"),
+    "category_model": (dict, "an object"),
+    "app_models": (dict, "an object"),
+}
+
+
 def load_fingerprinter(path) -> HierarchicalFingerprinter:
     """Load a pipeline saved by :func:`save_fingerprinter`."""
     import json
@@ -230,8 +243,18 @@ def load_fingerprinter(path) -> HierarchicalFingerprinter:
     from .dataset import LabeledWindows
 
     payload = json.loads(Path(path).read_text())
-    if payload.get("kind") != "hierarchical-fingerprinter":
+    if not isinstance(payload, dict) \
+            or payload.get("kind") != "hierarchical-fingerprinter":
         raise ValueError("not a serialised fingerprinter")
+    for key, (kinds, what) in _HEADER.items():
+        if key not in payload:
+            raise ValueError(f"fingerprinter header lacks {key!r}")
+        value = payload[key]
+        if isinstance(value, bool) or not isinstance(value, kinds) or (
+                isinstance(value, list)
+                and not all(isinstance(item, str) for item in value)):
+            raise ValueError(f"fingerprinter header {key!r} must be "
+                             f"{what}, got {value!r:.60}")
     direction = (Direction(payload["direction"])
                  if payload["direction"] is not None else None)
     model = HierarchicalFingerprinter(

@@ -80,8 +80,10 @@ class ForestAblation:
     feature_modes: Dict[str, float]              # max_features -> accuracy
 
     def table(self) -> str:
-        rows = [[trees, acc, secs] for trees, acc, secs in self.tree_curve]
-        trees = format_table(["Trees", "Accuracy", "Fit (s)"], rows,
+        # Fit seconds stay out of the table, so it renders the same on
+        # every host.
+        rows = [[trees, acc] for trees, acc, _ in self.tree_curve]
+        trees = format_table(["Trees", "Accuracy"], rows,
                              title="Ablation — forest size")
         rows = [[mode, acc] for mode, acc in self.feature_modes.items()]
         feats = format_table(["max_features", "Accuracy"], rows,

@@ -24,7 +24,8 @@ import numpy as np
 
 
 #: Band half-width at which the vectorised anti-diagonal sweep overtakes
-#: the scalar banded scan (measured; see benchmarks/test_component_speed).
+#: the scalar banded scan (measured; benchmarks/bench_inference.py times
+#: the DTW paths).
 _WAVEFRONT_MIN_WINDOW = 48
 
 

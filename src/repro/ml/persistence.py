@@ -153,8 +153,9 @@ def forest_from_dict(payload: Dict) -> RandomForest:
     checked against the header, so a malformed model fails here with
     ``ValueError`` rather than at its first prediction.
     """
-    if payload.get("kind") != "random-forest":
-        raise ValueError(f"not a serialised forest: {payload.get('kind')!r}")
+    kind = payload.get("kind") if isinstance(payload, dict) else None
+    if kind != "random-forest":
+        raise ValueError(f"not a serialised forest: {kind!r}")
     if payload.get("format") != FORMAT_VERSION:
         raise ValueError(f"unsupported format {payload.get('format')!r}")
     try:

@@ -19,7 +19,7 @@ disabled, :func:`counter` and friends hand out shared *null* objects
 whose methods are no-ops, and :func:`span` returns a reusable null
 context manager — the instrumented hot paths pay one attribute load
 and one no-op call, nothing else, which is how the <5 % overhead
-target on ``make bench-features`` is met.
+target on ``make bench-columnar`` is met.
 
 Components whose counters back **public attributes** (e.g.
 ``DCIDecoder.decoded``) use :func:`attr_counter` instead: the returned

@@ -156,13 +156,50 @@ class TestServeCLI:
         assert main(["serve", "--model", str(bad),
                      "--data", str(source)]) == 2
 
+    def _serve_with_header(self, campaign, tmp_path, key, value=None):
+        """Exit code of ``serve`` on the campaign model with header
+        ``key`` set to ``value``, or deleted when ``value`` is None."""
+        import json
+
+        from repro.sniffer.trace import TraceSet
+
+        payload = json.loads((campaign / "model.json").read_text())
+        if value is None:
+            del payload[key]
+        else:
+            payload[key] = value
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(payload))
+        source = tmp_path / "feed.npz"
+        TraceSet.from_npz(campaign / "traces" / "traces.npz") \
+            .traces[0].to_npz(source)
+        return main(["serve", "--model", str(bad), "--data", str(source)])
+
+    @pytest.mark.parametrize("key", ["direction", "window_ms", "stride_ms",
+                                     "apps", "categories", "category_model",
+                                     "app_models"])
+    def test_serve_model_missing_header_key_is_bad_input(self, campaign,
+                                                         tmp_path, key):
+        assert self._serve_with_header(campaign, tmp_path, key) == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("window_ms", "100"), ("stride_ms", "25"), ("window_ms", True),
+        ("direction", True), ("apps", 3), ("categories", [1, 2]),
+        ("category_model", []), ("app_models", []),
+        ("app_models", {"0": []})])
+    def test_serve_model_wrong_header_type_is_bad_input(self, campaign,
+                                                        tmp_path, key,
+                                                        value):
+        assert self._serve_with_header(campaign, tmp_path, key, value) == 2
+
     def test_serve_bad_model_is_bad_input(self, tmp_path):
         bogus = tmp_path / "model.json"
-        bogus.write_text("{}")
         feed = tmp_path / "feed.csv"
         feed.write_text("time_s,rnti,direction,tbs_bytes\n")
-        assert main(["serve", "--model", str(bogus),
-                     "--data", str(feed)]) == 2
+        for text in ("{}", "[]", '{"kind": "hierarchical-fingerprinter"}'):
+            bogus.write_text(text)
+            assert main(["serve", "--model", str(bogus),
+                         "--data", str(feed)]) == 2, text
 
     def test_serve_bad_chunk_records(self, campaign, tmp_path):
         assert main(["serve", "--model", str(campaign / "model.json"),

@@ -2,7 +2,7 @@
 
 Guards, baselines, the document layout and the timing loop, driven by
 fake measurements that finish in milliseconds; plus a check that every
-guard the four scripts declare finds its baseline value in the
+guard the five scripts declare finds its baseline value in the
 committed ``BENCH_*.json`` files.
 """
 
@@ -31,7 +31,8 @@ def _load(name):
 
 harness = _load("harness")
 
-SCRIPTS = {"bench_lint": "BENCH_lint.json",
+SCRIPTS = {"bench_columnar": "BENCH_columnar.json",
+           "bench_lint": "BENCH_lint.json",
            "bench_simulator": "BENCH_simulator.json",
            "bench_inference": "BENCH_inference.json",
            "bench_stream": "BENCH_stream.json"}
