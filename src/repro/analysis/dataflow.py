@@ -38,11 +38,24 @@ from .engine import _is_mapper_call, dotted_name, names_in
 from .graph import (FunctionInfo, ModuleSymbols, ProjectGraph,
                     map_arguments, module_symbols)
 
-#: Constructors that turn a seed into a generator object (the same set
-#: DET002/DET004 sanction as the seeded-RNG pattern).
+#: Constructors that turn a seed into a generator object (the seeded-RNG
+#: pattern DET002 sanctions).
 RNG_CONSTRUCTORS = frozenset({
     "np.random.default_rng", "numpy.random.default_rng",
     "random.Random", "np.random.Generator", "numpy.random.Generator",
+})
+
+#: Sampler methods of generator objects (``np.random.Generator`` /
+#: ``random.Random``), which are also the global-RNG functions of the
+#: ``random`` / ``np.random`` modules: SEED001's fault-layer draw check
+#: and DET002.
+GENERATOR_SAMPLERS = frozenset({
+    "rand", "randn", "randint", "random", "random_sample", "ranf",
+    "sample", "choice", "choices", "shuffle", "permutation", "normal",
+    "uniform", "standard_normal", "poisson", "exponential", "binomial",
+    "bytes", "randrange", "gauss", "normalvariate", "getrandbits",
+    "seed", "integers", "standard_exponential", "standard_gamma",
+    "multinomial",
 })
 
 #: Registered seed derivations: a seed funnelled through one of these
@@ -75,9 +88,7 @@ _SANITIZERS = frozenset({
 })
 
 #: Loader names whose result is (or may be) a read-only mmap view.
-_MMAP_LOADERS = frozenset({
-    "load_forest_npz", "load_forest", "mmap_npz_arrays", "memmap",
-})
+_MMAP_LOADERS = frozenset({"memmap"})
 
 #: Packages whose module-state mutations are deterministic by design
 #: (obs registry, runtime memoisation): never a FLOW001 witness.
@@ -217,6 +228,8 @@ class FunctionFacts:
     taint_edges: List[Tuple[str, FrozenSet[str]]] = field(
         default_factory=list)
     rng: List[RngConstruct] = field(default_factory=list)
+    #: ``name.sampler(...)`` calls on a bare name (SEED001, fault layer).
+    draws: List[ast.Call] = field(default_factory=list)
     live: Set[str] = field(default_factory=set)
     uses: List[ParamUse] = field(default_factory=list)
     callees: List[str] = field(default_factory=list)
@@ -545,6 +558,10 @@ class _FunctionScan:
                 node=node, constructor=name or "",
                 resolved_params=facts.resolve(seed_names),
                 derived=derived, constant=not seed_names))
+        if (isinstance(node.func, ast.Attribute)
+                and node.func.attr in GENERATOR_SAMPLERS
+                and isinstance(node.func.value, ast.Name)):
+            facts.draws.append(node)
         # Taint sources assigned to locals.
         if self._is_loader_call(node):
             parent = self.parents.get(node)

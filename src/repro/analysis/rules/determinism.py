@@ -12,7 +12,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Tuple
 
-from ..engine import ModuleContext, Rule, call_name, names_in, register
+from ..dataflow import GENERATOR_SAMPLERS
+from ..engine import ModuleContext, Rule, call_name, register
 
 #: Attribute-chain suffixes that read the wall clock.  ``perf_counter``
 #: and ``monotonic`` are deliberately absent: they measure durations,
@@ -22,17 +23,10 @@ _WALL_CLOCK_SUFFIXES = (
     "datetime.today", "date.today",
 )
 
-#: Sampling functions of the *global* (process-state) RNGs.  Seeded
-#: generator objects (``np.random.default_rng(seed)``,
-#: ``random.Random(seed)``) are the sanctioned pattern.
-_GLOBAL_SAMPLERS = frozenset({
-    "rand", "randn", "randint", "random", "random_sample", "ranf",
-    "sample", "choice", "choices", "shuffle", "permutation", "normal",
-    "uniform", "standard_normal", "poisson", "exponential", "binomial",
-    "bytes", "randrange", "gauss", "normalvariate", "getrandbits",
-    "seed",
-})
-
+#: Modules whose sampling functions (the generator sampler names) draw
+#: from the *global* process-state RNG.  Seeded generator objects
+#: (``np.random.default_rng(seed)``, ``random.Random(seed)``) are the
+#: sanctioned pattern.
 _RANDOM_MODULE_PREFIXES = ("random.", "np.random.", "numpy.random.")
 
 
@@ -84,7 +78,7 @@ class UnseededRandomRule(Rule):
         for prefix in _RANDOM_MODULE_PREFIXES:
             if name.startswith(prefix):
                 member = name[len(prefix):]
-                if member in _GLOBAL_SAMPLERS:
+                if member in GENERATOR_SAMPLERS:
                     yield node, (
                         f"`{name}()` uses the shared global RNG state; "
                         f"use a seeded generator object "
@@ -150,115 +144,3 @@ class SetIterationRule(Rule):
             if name in self._MATERIALIZERS and node.args and _is_set_expr(
                     node.args[0]):
                 yield node, message
-
-
-#: Sampler *methods* of generator objects (np.random.Generator /
-#: random.Random); superset of the module-level names DET002 watches.
-_GENERATOR_SAMPLERS = _GLOBAL_SAMPLERS | frozenset({
-    "integers", "standard_exponential", "standard_gamma", "multinomial",
-})
-
-#: Constructors that turn a seed into a generator object.
-_RNG_CONSTRUCTORS = (
-    "np.random.default_rng", "numpy.random.default_rng",
-    "random.Random", "np.random.Generator", "numpy.random.Generator",
-)
-
-
-def _walk_skipping_nested(func: ast.AST) -> Iterator[ast.AST]:
-    """Walk a function body without descending into nested functions.
-
-    Nested defs/lambdas get their own FunctionDef dispatch (or their
-    own closure-scoped parameters), so reporting them from the
-    enclosing function would double-count every finding.
-    """
-    stack = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        yield node
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda)):
-            stack.extend(ast.iter_child_nodes(node))
-
-
-def _parameter_names(func) -> frozenset:
-    args = func.args
-    names = [a.arg for a in (args.posonlyargs + args.args + args.kwonlyargs)]
-    if args.vararg is not None:
-        names.append(args.vararg.arg)
-    if args.kwarg is not None:
-        names.append(args.kwarg.arg)
-    return frozenset(names)
-
-
-def _argument_names(call: ast.Call) -> frozenset:
-    """Names referenced in a call's *arguments* (the callee excluded)."""
-    found = set()
-    for arg in list(call.args) + [kw.value for kw in call.keywords]:
-        found |= names_in(arg)
-    return frozenset(found)
-
-
-@register
-class FaultSeedProvenanceRule(Rule):
-    """DET004: fault transforms / trace generators must seed from a
-    parameter.
-
-    The fault subsystem's whole contract is that corrupting a trace is
-    a pure function of ``(plan, seed)``: transforms receive their
-    generator as a parameter (derived by ``FaultPlan.rng_for``) and the
-    synthetic-trace generators construct theirs from an explicit
-    ``seed`` argument.  An RNG materialised from a constant — or drawn
-    from a name with no traceable seed parameter — reintroduces hidden
-    state the cache key and the property harness cannot see, so inside
-    :mod:`repro.faults` this rule flags both.
-    """
-
-    id = "DET004"
-    family = "determinism"
-    title = "fault-layer RNG without an explicit seed parameter"
-    node_types = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-    def applies_to(self, module: ModuleContext) -> bool:
-        return module.in_package("faults")
-
-    def check(self, node,
-              module: ModuleContext) -> Iterator[Tuple[ast.AST, str]]:
-        params = _parameter_names(node)
-        seeded = set()
-        for child in ast.walk(node):
-            if not isinstance(child, ast.Assign) or not isinstance(
-                    child.value, ast.Call):
-                continue
-            if call_name(child.value) not in _RNG_CONSTRUCTORS:
-                continue
-            if _argument_names(child.value):
-                for target in child.targets:
-                    if isinstance(target, ast.Name):
-                        seeded.add(target.id)
-        for child in _walk_skipping_nested(node):
-            if not isinstance(child, ast.Call):
-                continue
-            name = call_name(child)
-            if name in _RNG_CONSTRUCTORS:
-                # A seed expression naming *no* variable at all is a
-                # constant (or absent) — the hidden-seed smell.  Local
-                # derivations of a seed parameter (hash digests, index
-                # arithmetic) reference at least one name and pass.
-                if not _argument_names(child):
-                    yield child, (
-                        f"`{name}(...)` in repro.faults must derive its "
-                        f"seed from an explicit seed parameter, not a "
-                        f"constant — hidden seeds break (plan, seed) "
-                        f"reproducibility")
-                continue
-            if (isinstance(child.func, ast.Attribute)
-                    and child.func.attr in _GENERATOR_SAMPLERS
-                    and isinstance(child.func.value, ast.Name)):
-                base = child.func.value.id
-                if base not in params and base not in seeded:
-                    yield child, (
-                        f"`{base}.{child.func.attr}()` draws from an RNG "
-                        f"with no traceable seed parameter; accept the "
-                        f"generator (or its seed) as an explicit function "
-                        f"parameter")

@@ -7,9 +7,10 @@ express: they run over :class:`repro.analysis.dataflow.ProjectAnalysis`
 * **SEED001** — every seeded-RNG construction must trace, through local
   flows and across call edges, to an explicit seed parameter (or
   ``self``) or a registered derivation (SHA-256 schemes, ``rng_for``).
-  Generalises DET004 beyond :mod:`repro.faults`, which keeps its own
-  stricter in-package rule and is excluded here to avoid
-  double-reporting.
+  Inside :mod:`repro.faults`, whose contract is that corrupting a trace
+  is a pure function of ``(plan, seed)``, it is stricter: every sampler
+  draw (``rng.uniform(...)``) must come from a parameter or from a
+  generator the function constructs from a seed.
 * **SEED002** — a seed-like parameter (``seed``, ``*_seed``, ``rng``,
   ...) that is accepted but never used locally nor forwarded into any
   *live* parameter of a resolved callee: the seed dies in transit and
@@ -21,10 +22,10 @@ express: they run over :class:`repro.analysis.dataflow.ProjectAnalysis`
   backends diverge — exactly the bit-identity the runtime contract
   promises.  (PAR001 checks picklability; this checks purity.)
 * **FLOW002** — no in-place writes into arrays that can alias a
-  read-only memory-mapped view (``from_npz(..., mmap_mode="r")``,
-  ``load_forest_npz``): at best they crash with ``not writeable``, at
-  worst (``mmap_mode="r+"``) they corrupt the cache entry every other
-  run reads.
+  read-only memory-mapped view (``from_npz(..., mmap_mode=…)``): at
+  best they crash with ``not writeable``, at worst
+  (``mmap_mode="r+"``) they corrupt the cache entry every other run
+  reads.
 * **CACHE001** — parameters that flow into a cached value must also
   flow into its cache key: an omitted knob means two different
   configurations share one cache entry, and the second run silently
@@ -37,8 +38,8 @@ from __future__ import annotations
 
 from typing import Iterator, Set, Tuple
 
-from ..dataflow import ProjectAnalysis, _value_names
-from ..engine import ProjectRule, register
+from ..dataflow import RNG_CONSTRUCTORS, ProjectAnalysis, _value_names
+from ..engine import ProjectRule, dotted_name, register
 
 #: Parameters that steer *how* a value is computed, never its bytes.
 _KEY_EXEMPT = frozenset({
@@ -62,7 +63,7 @@ class SeedProvenanceRule(ProjectRule):
                       ) -> Iterator[Tuple[object, object, str]]:
         for facts in analysis.iter_facts():
             if _in_faults(facts.symbols.dotted):
-                continue  # DET004 owns the fault layer, stricter rules
+                yield from self._fault_draws(facts)
             for construct in facts.rng:
                 if construct.derived or construct.resolved_params:
                     continue
@@ -74,6 +75,24 @@ class SeedProvenanceRule(ProjectRule):
                     f"this construction (or derive it with a "
                     f"registered scheme like FaultPlan.rng_for) so "
                     f"replays and cache keys see the same stream")
+
+    @staticmethod
+    def _fault_draws(facts) -> Iterator[Tuple[object, object, str]]:
+        """Fault-layer draws from a name that is neither a parameter
+        nor bound to a seeded construction in the function."""
+        for draw in facts.draws:
+            base = draw.func.value.id
+            if base in facts.all_params:
+                continue
+            source = facts.assign_calls.get(base)
+            if (source is not None
+                    and dotted_name(source.func) in RNG_CONSTRUCTORS
+                    and (source.args or source.keywords)):
+                continue
+            yield facts.symbols, draw, (
+                f"`{base}.{draw.func.attr}()` draws from an RNG with no "
+                f"traceable seed parameter; accept the generator (or "
+                f"its seed) as an explicit function parameter")
 
 
 @register
@@ -147,8 +166,8 @@ class MmapWriteRule(ProjectRule):
                     continue
                 yield facts.symbols, write.node, (
                     f"{write.what} targets `{write.base}`, which can "
-                    f"alias a read-only mmap view (from_npz/"
-                    f"load_forest_npz); copy before mutating — "
+                    f"alias a read-only mmap view (from_npz(..., "
+                    f"mmap_mode=…)); copy before mutating — "
                     f"in-place writes crash on read-only maps and "
                     f"corrupt shared cache entries on writable ones")
             for callee, param, name, node in facts.direct_args:

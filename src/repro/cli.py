@@ -135,8 +135,8 @@ def _build_parser() -> argparse.ArgumentParser:
     source = serve.add_mutually_exclusive_group(required=True)
     source.add_argument("--data", type=Path, nargs="+", default=None,
                         metavar="TRACE",
-                        help="trace sources (.npz / .jsonl / .csv), one "
-                             "feed per file")
+                        help="trace sources (.npz set archive / .jsonl "
+                             "/ .csv), one feed per trace")
     source.add_argument("--sim", action="store_true",
                         help="stream a live city-sim feed instead of "
                              "recorded traces")
@@ -292,19 +292,32 @@ def _cmd_collect(args: argparse.Namespace, manifest=None) -> int:
     return 0
 
 
+def _load_dataset(path: Path):
+    """The training set at ``--data``, or ``None`` after reporting why
+    it is unusable: bad input, so the caller exits 2 (the --faults
+    exit-code convention)."""
+    from .sniffer.trace import TraceSet
+
+    try:
+        traces = TraceSet.load(path)
+    except (OSError, ValueError) as exc:
+        print(f"cannot read traces from {path}: {exc}", file=sys.stderr)
+        return None
+    if not len(traces):
+        print(f"no traces found in {path}", file=sys.stderr)
+        return None
+    return traces
+
+
 def _cmd_train(args: argparse.Namespace, manifest=None) -> int:
     from .core.dataset import windows_from_traces
     from .core.features import WindowConfig
     from .core.fingerprint import HierarchicalFingerprinter
     from .ml.crossval import train_test_split
     from .ml.metrics import classification_report
-    from .sniffer.trace import TraceSet
 
-    traces = TraceSet.load(args.data)
-    if not len(traces):
-        # Bad input, not a runtime failure: the --faults exit-code
-        # convention (2 = malformed/unusable input).
-        print(f"no traces found in {args.data}", file=sys.stderr)
+    traces = _load_dataset(args.data)
+    if traces is None:
         return 2
     config = WindowConfig(window_ms=args.window_ms)
     windows = windows_from_traces(traces, config)
@@ -350,11 +363,10 @@ def _train_indices(X_all, X_train) -> List[int]:
 def _cmd_classify(args: argparse.Namespace) -> int:
     from .core.dataset import windows_from_traces
     from .core.fingerprint import HierarchicalFingerprinter
-    from .sniffer.trace import Trace, TraceSet
+    from .sniffer.trace import Trace
 
-    traces = TraceSet.load(args.data)
-    if not len(traces):
-        print(f"no traces found in {args.data}", file=sys.stderr)
+    traces = _load_dataset(args.data)
+    if traces is None:
         return 2
     windows = windows_from_traces(traces)
     model = HierarchicalFingerprinter(n_trees=args.trees)
@@ -375,16 +387,25 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_stream_trace(path: Path):
-    """Load one serve source by extension (.npz / .jsonl / .csv)."""
-    from .sniffer.trace import Trace
+def _load_stream_sources(path: Path):
+    """The serve sources of one file, by extension (.npz / .jsonl / .csv).
+
+    A set archive (what ``collect --format npz`` writes) yields one
+    source per trace, named ``stem[i]``; a one-trace archive, a JSONL
+    or a CSV trace yields one source named ``stem``.
+    """
+    from .sniffer.trace import Trace, TraceSet
 
     if path.suffix == ".npz":
-        return Trace.from_npz(path)
+        traces = TraceSet.from_npz(path).traces
+        if len(traces) == 1:
+            return [(path.stem, traces[0])]
+        return [(f"{path.stem}[{index}]", trace)
+                for index, trace in enumerate(traces)]
     if path.suffix == ".jsonl":
-        return Trace.from_jsonl(path)
+        return [(path.stem, Trace.from_jsonl(path))]
     if path.suffix == ".csv":
-        return Trace.from_csv(path)
+        return [(path.stem, Trace.from_csv(path))]
     raise ValueError(f"unsupported trace format: {path.name} "
                      "(expected .npz, .jsonl, or .csv)")
 
@@ -418,11 +439,8 @@ def _serve_sources(args: argparse.Namespace):
         return [(cell_id, result.traces[cell_id])
                 for cell_id in scenario.cell_ids()
                 if cell_id in result.traces]
-    sources = []
-    for path in args.data:
-        trace = _load_stream_trace(path)
-        sources.append((path.stem, trace))
-    return sources
+    return [source for path in args.data
+            for source in _load_stream_sources(path)]
 
 
 def _cmd_serve(args: argparse.Namespace, manifest=None) -> int:

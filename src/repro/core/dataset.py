@@ -87,6 +87,7 @@ def _simulate_trace(spec: _TraceSpec) -> TraceSet:
                                   duration_s=duration_s,
                                   session_seed=seed + 4)
     network.run_for(duration_s + spec.settle_s)
+    network.close()
     trace = sniffer.trace_for_tmsi(victim.tmsi).rebased()
     trace.label = spec.app_name
     trace.category = category_of(spec.app_name).value
@@ -126,6 +127,7 @@ def _simulate_pair(spec: PairSpec) -> TraceSet:
                               duration_s=spec.duration_s,
                               session_seed=seed + 3)
     network.run_for(spec.duration_s + 2.0)
+    network.close()
     legs = TraceSet()
     for user in (user_a, user_b):
         trace = sniffer.trace_for_tmsi(user.tmsi).rebased()

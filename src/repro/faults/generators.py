@@ -3,7 +3,7 @@
 The fault layer's invariants are quantified over *arbitrary* traces,
 not just simulator output, so the property harness needs cheap random
 trace generators whose every draw is a pure function of an explicit
-``seed`` parameter (the DET004 lint rule holds this module to that).
+``seed`` parameter (the SEED001 lint rule holds this module to that).
 Three shapes cover the structures the faults interact with:
 
 * :func:`synthetic_trace` — uniform arrival times, several RNTIs, both

@@ -11,7 +11,7 @@ contract would silently corrupt every downstream consumer):
 * ``tbs_bytes`` stays non-negative — a corrupt decode yields a garbage
   *value*, never an impossible one;
 * all four columns keep equal length and trace metadata is preserved;
-* every random draw comes from the ``rng`` parameter (the DET004 lint
+* every random draw comes from the ``rng`` parameter (the SEED001 lint
   rule enforces this), so output is a pure function of
   ``(input, plan, seed)``.
 

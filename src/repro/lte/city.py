@@ -148,6 +148,7 @@ def _run_cell_epoch(scenario: CityScenario, cell_id: str, epoch: int,
         context = enb.context_for(ue)
         if context is not None and context.total_backlog > 0:
             residuals[slot] = (context.dl_backlog, context.ul_backlog)
+    net.close()
     trace = Trace.merged(
         [sniffer.trace_for_rnti(rnti) for rnti in sniffer.observed_rntis()],
         cell=cell_id)

@@ -168,6 +168,19 @@ class ENodeB(TTILoop):
         self._ttis_obs = obs.counter("sim.ttis")
         self._grants_obs = obs.counter("sim.grants")
 
+    def close(self) -> None:
+        """Forget the connected UEs' contexts and detach every observer.
+
+        A :class:`UEContext` points back at its eNB, and an observer
+        usually at a sniffer; the cell's clock must be cleared too
+        (:meth:`LTENetwork.close` does both) for the deployment to be
+        freed by reference counting rather than the cyclic GC.
+        """
+        self._contexts.clear()
+        self._context_by_ue.clear()
+        self.control_observers.clear()
+        self.grant_batch_observers.clear()
+
     # -- observer plumbing ----------------------------------------------------
 
     def _emit_control(self, message: ControlMessage) -> None:

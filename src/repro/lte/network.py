@@ -285,6 +285,21 @@ class LTENetwork:
         with obs.span("sim.run"):
             self.clock.run_until(self.clock.now_us + seconds(duration_s))
 
+    def close(self) -> None:
+        """End the simulation: drop pending events and per-cell state.
+
+        Scheduled callbacks, RRC contexts and HARQ retransmissions all
+        point back at the network or the eNodeB that holds them.  Once
+        closed, the deployment is freed by reference counting as soon
+        as its last outside reference goes, without waiting for a
+        cyclic-GC pass; it cannot run again.
+        """
+        self.clock.clear()
+        self._pending.clear()
+        self._connecting.clear()
+        for cell in self.cells.values():
+            cell.enb.close()
+
     def _cell(self, cell_id: Optional[str]) -> Cell:
         if cell_id is None or cell_id not in self.cells:
             raise ValueError(f"unknown cell {cell_id!r}")

@@ -171,6 +171,15 @@ class SimClock:
         self._now_us = time_us
         return True
 
+    def clear(self) -> None:
+        """Drop every pending event without firing it.
+
+        A scheduled callback holds the object that scheduled it, which
+        holds this clock; clearing the queue once a simulation is over
+        breaks those reference cycles.
+        """
+        self._queue.clear()
+
     def defer(self, callback: Callable[[], None]) -> None:
         """Call ``callback`` once, just before the running call returns.
 

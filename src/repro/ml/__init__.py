@@ -19,9 +19,8 @@ from .metrics import (ClassScores, accuracy, classification_report,
                       confusion_matrix, macro_f_score, per_class_scores,
                       weighted_accuracy, weighted_f_score)
 from .neural import ConvNet
-from .persistence import (forest_from_dict, forest_to_dict, load_forest,
-                          load_forest_npz, save_forest, save_forest_npz,
-                          tree_from_dict, tree_to_dict)
+from .persistence import (forest_from_dict, forest_to_dict, tree_from_dict,
+                          tree_to_dict)
 from .tables import ForestTable, TreeTable
 from .tree import DecisionTree
 
@@ -33,8 +32,7 @@ __all__ = [
     "classification_report", "confusion_matrix", "cross_validate",
     "dtw_alignment", "dtw_distance", "dtw_distance_batch",
     "forest_from_dict", "forest_to_dict",
-    "k_fold_indices", "load_forest", "load_forest_npz", "macro_f_score",
-    "per_class_scores", "save_forest", "save_forest_npz",
+    "k_fold_indices", "macro_f_score", "per_class_scores",
     "similarity_score", "similarity_score_batch", "softmax",
     "train_test_split", "tree_from_dict", "tree_to_dict",
     "tune_knn_k", "weighted_accuracy", "weighted_f_score",

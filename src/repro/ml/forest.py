@@ -102,11 +102,7 @@ class RandomForest(Classifier):
 
     @classmethod
     def from_table(cls, table: ForestTable, seed: int = 1) -> "RandomForest":
-        """A prediction-ready forest over an existing node-table stack.
-
-        The table may be a read-only ``np.memmap`` view of an NPZ
-        artefact: prediction only gathers from it.
-        """
+        """A prediction-ready forest over an existing node-table stack."""
         forest = cls(n_trees=table.n_trees, seed=seed)
         forest.n_classes_ = table.n_classes
         forest._table = table

@@ -1,56 +1,26 @@
-"""Model persistence: JSON for interchange, mmap-able NPZ for serving.
+"""Model persistence: forests as plain JSON.
 
 The paper's artefact release includes "the trained model"; this module
-provides the equivalent capability in two lanes:
-
-* **JSON** — forests (and the fingerprinting pipeline built on them,
-  see :func:`repro.core.fingerprint.save_fingerprinter`) serialise to
-  plain JSON so a model trained on one machine classifies on another
-  with no pickle-security caveats.  Each tree is a nested
-  ``d/f/t/l/r`` dict written from, and parsed back into, its node
-  table; loading validates the structure.
-* **NPZ** — the node tables (:mod:`repro.ml.tables`) write as an
-  *uncompressed* NPZ archive whose members load back as read-only
-  ``np.memmap`` views, mirroring the trace plane's zero-copy lane: a
-  long-running attack service pages model bytes in on demand and
-  shares them across ParallelMap workers instead of copying them per
-  process.
-
-Both lanes read and write the one form of a fitted forest, its
-:class:`repro.ml.tables.ForestTable`, so a model loaded from either
-saves to either.  :func:`load_forest` auto-detects the lane from the
-file bytes.
+provides the equivalent capability.  Forests (and the fingerprinting
+pipeline built on them, see
+:func:`repro.core.fingerprint.save_fingerprinter`) serialise to plain
+JSON so a model trained on one machine classifies on another with no
+pickle-security caveats.  Each tree is a nested ``d/f/t/l/r`` dict
+written from, and parsed back into, its node table
+(:mod:`repro.ml.tables`); loading validates the structure.
 """
 
 from __future__ import annotations
 
-import json
-import zipfile
-from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
-from ..sniffer.trace import mmap_npz_arrays
 from .forest import RandomForest
 from .tables import LEAF, ForestTable, TreeTable
 from .tree import DecisionTree
 
 FORMAT_VERSION = 1
-
-#: Version of the NPZ node-table layout.
-NPZ_FORMAT_VERSION = 1
-
-#: Array members of a forest NPZ artefact, in canonical order.
-NPZ_MEMBERS = ("features", "thresholds", "left", "right", "leaf_proba",
-               "n_nodes", "meta")
-
-#: Expected dtype per member (``meta`` packs the scalar header fields).
-_NPZ_DTYPES = {
-    "features": np.int64, "thresholds": np.float64, "left": np.int64,
-    "right": np.int64, "leaf_proba": np.float64, "n_nodes": np.int64,
-    "meta": np.int64,
-}
 
 
 def _table_to_dict(table: TreeTable) -> Dict:
@@ -171,104 +141,3 @@ def forest_from_dict(payload: Dict) -> RandomForest:
                          f"{table.n_classes} classes, declared "
                          f"{n_trees} × {n_classes}")
     return RandomForest.from_table(table, seed=seed)
-
-
-def save_forest(forest: RandomForest, path: Path) -> None:
-    """Write a fitted forest to a JSON file."""
-    Path(path).write_text(json.dumps(forest_to_dict(forest)))
-
-
-# -- the NPZ node-table lane ------------------------------------------------------
-
-
-def save_forest_npz(forest: RandomForest, path: Path) -> None:
-    """Write a fitted forest's flattened node tables as NPZ.
-
-    ``np.savez`` (uncompressed) on purpose: stored members sit
-    contiguously in the archive, so :func:`load_forest_npz` can map
-    them with ``np.memmap`` instead of copying.
-    """
-    table = forest.table()
-    meta = np.array([NPZ_FORMAT_VERSION, table.n_trees, table.n_classes,
-                     table.n_features, forest.seed], dtype=np.int64)
-    np.savez(Path(path), features=table.features,
-             thresholds=table.thresholds, left=table.left,
-             right=table.right, leaf_proba=table.leaf_proba,
-             n_nodes=table.n_nodes, meta=meta)
-
-
-def _checked_forest_arrays(data, path: Path) -> Dict[str, np.ndarray]:
-    """Validate an NPZ artefact's members before trusting them."""
-    arrays: Dict[str, np.ndarray] = {}
-    missing = [name for name in NPZ_MEMBERS if name not in data]
-    if missing:
-        raise ValueError(f"{path}: forest NPZ is missing arrays "
-                         f"{missing} (truncated or foreign file?)")
-    for name in NPZ_MEMBERS:
-        array = data[name]
-        if array.dtype != _NPZ_DTYPES[name]:
-            raise ValueError(
-                f"{path}: forest NPZ member {name!r} has dtype "
-                f"{array.dtype}, expected "
-                f"{np.dtype(_NPZ_DTYPES[name])}")
-        arrays[name] = array
-    if arrays["meta"].shape != (5,):
-        raise ValueError(f"{path}: forest NPZ meta header has shape "
-                         f"{arrays['meta'].shape}, expected (5,)")
-    return arrays
-
-
-def load_forest_npz(path: Path,
-                    mmap_mode: Optional[str] = "r") -> RandomForest:
-    """Read a forest written by :func:`save_forest_npz`.
-
-    With ``mmap_mode`` (the default ``"r"``), node-table members are
-    memory-mapped read-only — the returned forest predicts straight
-    out of the page cache, zero-copy, and the mapping is shared across
-    processes.  Compressed or foreign archives fall back to a normal
-    copying load; structural defects raise ``ValueError`` naming the
-    file.
-    """
-    path = Path(path)
-    arrays = None
-    if mmap_mode is not None:
-        arrays = mmap_npz_arrays(path, NPZ_MEMBERS, mmap_mode)
-    if arrays is None:
-        with np.load(path) as data:
-            arrays = {name: np.array(data[name]) for name in data.files
-                      if name in _NPZ_DTYPES}
-    arrays = _checked_forest_arrays(arrays, path)
-    version, n_trees, n_classes, n_features, seed = \
-        (int(value) for value in arrays["meta"])
-    if version != NPZ_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported forest NPZ format "
-                         f"{version}")
-    table = ForestTable(features=arrays["features"],
-                        thresholds=arrays["thresholds"],
-                        left=arrays["left"], right=arrays["right"],
-                        leaf_proba=arrays["leaf_proba"],
-                        n_nodes=arrays["n_nodes"],
-                        n_features=n_features)
-    try:
-        table.validate()
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if (table.n_trees != n_trees or table.n_classes != n_classes
-            or table.leaf_proba.ndim != 3):
-        raise ValueError(f"{path}: forest NPZ arrays disagree with the "
-                         f"meta header ({table.n_trees} trees × "
-                         f"{table.n_classes} classes vs declared "
-                         f"{n_trees} × {n_classes})")
-    return RandomForest.from_table(table, seed=seed)
-
-
-def load_forest(path: Path) -> RandomForest:
-    """Read a forest from either persistence lane (auto-detected).
-
-    NPZ artefacts are ZIP archives; anything else is treated as the
-    JSON interchange format.
-    """
-    path = Path(path)
-    if zipfile.is_zipfile(path):
-        return load_forest_npz(path)
-    return forest_from_dict(json.loads(path.read_text()))

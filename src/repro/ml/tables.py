@@ -20,9 +20,7 @@ test-side object walk (``tests/ml/oracles.py``, pinned by the golden
 and Hypothesis suites).
 
 The arrays are also the persistence format: ``repro.ml.persistence``
-saves them as an uncompressed NPZ that loads back with ``np.memmap``
-(zero-copy, shareable across processes) — the model-artifact analogue
-of the trace plane's NPZ lane.
+writes each tree's JSON from its table and parses it back into one.
 """
 
 from __future__ import annotations
@@ -168,7 +166,7 @@ class ForestTable:
 
     @property
     def nbytes(self) -> int:
-        """Total column bytes — what an mmap'd model pins per forest."""
+        """Total column bytes — what a loaded model pins per forest."""
         return (self.features.nbytes + self.thresholds.nbytes
                 + self.left.nbytes + self.right.nbytes
                 + self.leaf_proba.nbytes + self.n_nodes.nbytes)

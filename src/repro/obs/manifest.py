@@ -125,7 +125,9 @@ def run_scope(command: str, params: Optional[dict] = None,
 
 
 def read_manifests(path: Union[str, Path]) -> List[dict]:
-    """Parse a JSONL manifest file, skipping torn/blank lines."""
+    """Parse a JSONL manifest file, skipping torn, blank and foreign
+    lines (a JSON value that is not an object with a ``schema`` and a
+    ``command``)."""
     out: List[dict] = []
     with Path(path).open("r", encoding="utf-8") as handle:
         for raw in handle:
@@ -136,7 +138,8 @@ def read_manifests(path: Union[str, Path]) -> List[dict]:
                 line = json.loads(raw)
             except json.JSONDecodeError:
                 continue
-            if isinstance(line, dict):
+            if isinstance(line, dict) and "schema" in line \
+                    and "command" in line:
                 out.append(line)
     return out
 

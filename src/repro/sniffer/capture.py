@@ -21,6 +21,7 @@ always current.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -52,7 +53,11 @@ class CellSniffer:
         self.tracker = OWLTracker(confirm_threshold=confirm_threshold)
         self.mapper = IdentityMapper(cell=cell_id)
         self._builders: Dict[int, TraceBuilder] = {}
-        self.decoder.add_batch_sink(self._on_dci_batch)
+        # Bound to the sniffer's parts, not to the sniffer: a sink that
+        # held the sniffer would close a sniffer -> decoder -> sink
+        # cycle that only the cyclic GC could free.
+        self.decoder.add_batch_sink(
+            partial(self._on_dci_batch, self.tracker, self._builders))
         self._control_log: List[ControlMessage] = []
 
     # -- wiring -------------------------------------------------------------------
@@ -72,7 +77,10 @@ class CellSniffer:
         self.tracker.on_control(message)
         self.mapper.on_control(message)
 
-    def _on_dci_batch(self, times_s: np.ndarray, rntis: np.ndarray,
+    @staticmethod
+    def _on_dci_batch(tracker: OWLTracker,
+                      builders: Dict[int, TraceBuilder],
+                      times_s: np.ndarray, rntis: np.ndarray,
                       directions: np.ndarray,
                       tbs_bytes: np.ndarray) -> None:
         """Batch sink: track a decoded batch, then buffer it per RNTI.
@@ -80,7 +88,7 @@ class CellSniffer:
         One stable argsort by RNTI splits the batch; each RNTI's records
         keep their order, exactly as per-record appends would leave them.
         """
-        self.tracker.on_dci_batch(times_s, rntis)
+        tracker.on_dci_batch(times_s, rntis)
         order = np.argsort(rntis, kind="stable")
         ordered = rntis[order]
         boundaries = np.nonzero(np.diff(ordered))[0] + 1
@@ -89,9 +97,9 @@ class CellSniffer:
                 np.concatenate((boundaries, [len(ordered)]))):
             rnti = int(ordered[start])
             picks = order[start:stop]
-            builder = self._builders.get(rnti)
+            builder = builders.get(rnti)
             if builder is None:
-                builder = self._builders[rnti] = TraceBuilder()
+                builder = builders[rnti] = TraceBuilder()
             builder.extend(times_s[picks], rntis[picks],
                            directions[picks], tbs_bytes[picks])
 

@@ -4,9 +4,10 @@ A *trace* is the paper's unit of data: the time-ordered sequence of
 decoded DCI metadata for one user — ``(timestamp, RNTI, direction,
 frame size)`` — as extracted by their customised srsLTE ``pdsch_ue``
 (§V, Table II).  Traces carry metadata (app label, operator, cell, day)
-used for training-set construction, and persist to CSV/JSONL (row
-interchange) or NPZ (fast batch storage) so datasets survive across
-runs, mirroring the paper's released dataset.
+used for training-set construction.  A trace persists to CSV/JSONL
+(row interchange) and a :class:`TraceSet` to one NPZ archive (fast
+batch storage), so datasets survive across runs, mirroring the paper's
+released dataset.
 
 Storage is **columnar**: a trace holds four parallel numpy arrays
 (``times_s``/``rntis``/``directions``/``tbs_bytes``) rather than a list
@@ -23,6 +24,7 @@ import csv
 import json
 import re
 import zipfile
+import zlib
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
@@ -67,7 +69,11 @@ def check_record_fields(rntis, directions) -> None:
     rntis = np.asarray(rntis)
     if rntis.size and not 0 <= rntis.min() <= rntis.max() <= 0xFFFF:
         raise ValueError("rnti must be a 16-bit RNTI in [0, 0xFFFF]")
-    if not np.isin(directions, _DIRECTIONS).all():
+    # Two comparisons, not ``np.isin``: a sort-based membership test
+    # costs ~20x more on the set reader's hot path.
+    directions = np.asarray(directions)
+    uplink, downlink = _DIRECTIONS
+    if not ((directions == uplink) | (directions == downlink)).all():
         raise ValueError("dir must be 0 (uplink) or 1 (downlink)")
 
 
@@ -168,7 +174,8 @@ class TraceBuilder:
                                  self.tbs_bytes, validate=False, **metadata)
 
 
-#: Expected dtype of every NPZ column (also the columnar storage dtypes).
+#: Expected dtype of every array of a set archive (the record columns
+#: use the columnar storage dtypes).
 _NPZ_DTYPES = {"times_s": TIME_DTYPE, "rntis": RNTI_DTYPE,
                "directions": DIR_DTYPE, "tbs_bytes": TBS_DTYPE,
                "offsets": np.int64}
@@ -190,8 +197,7 @@ def _npz_member_offset(path: Path, info: "zipfile.ZipInfo") -> int:
         handle.seek(info.header_offset)
         local = handle.read(30)
     if len(local) < 30 or local[:4] != b"PK\x03\x04":
-        raise ValueError(f"{path}: corrupt local ZIP header for "
-                         f"{info.filename!r}")
+        raise ValueError(f"corrupt local ZIP header for {info.filename!r}")
     name_length = int.from_bytes(local[26:28], "little")
     extra_length = int.from_bytes(local[28:30], "little")
     return info.header_offset + 30 + name_length + extra_length
@@ -211,12 +217,9 @@ def _mmap_npz_columns(path: Path, names: Sequence[str],
     zip members, so the mapping is done by hand: each ``<name>.npy``
     member written by ``np.savez`` is stored (not deflated), its array
     data sitting contiguously in the archive after the local ZIP header
-    and the ``.npy`` header.  Works for C-order arrays of any
-    dimensionality — the trace lane maps 1-D columns, the model lane
-    (:mod:`repro.ml.persistence`) maps stacked 2-D/3-D node tables.
-    Returns ``None`` when any member is compressed, Fortran-ordered,
-    or uses an unknown ``.npy`` format version — callers fall back to
-    a normal copying load.
+    and the ``.npy`` header.  Returns ``None`` when any member is
+    missing, compressed, Fortran-ordered, or uses an unknown ``.npy``
+    format version — the caller falls back to a normal copying load.
     """
     arrays: Dict[str, np.ndarray] = {}
     with zipfile.ZipFile(path) as archive:
@@ -246,42 +249,55 @@ def _mmap_npz_columns(path: Path, names: Sequence[str],
     return arrays
 
 
-def mmap_npz_arrays(path: Path, names: Sequence[str],
-                    mmap_mode: str = "r") -> Optional[Dict[str, np.ndarray]]:
-    """Public entry to the uncompressed-NPZ memory-mapping fast path.
+#: What a truncated, torn or foreign file raises on the way through
+#: ``zipfile``/``np.load`` (a bad ``.npy`` header or short member data
+#: is a ``ValueError``).
+_NPZ_READ_ERRORS = (zipfile.BadZipFile, EOFError, zlib.error, ValueError)
 
-    Same contract as the internal helper: ``None`` signals "fall back
-    to ``np.load``" (compressed member, foreign format), never an
-    exception for a well-formed archive.
+
+def _read_npz(path: Path, mmap_mode: Optional[str]):
+    """The arrays present in a set archive, and its metadata list.
+
+    With ``mmap_mode`` the arrays of an uncompressed archive are
+    memory-mapped; otherwise (or when that is impossible) they are
+    copied into RAM.  The metadata is ``None`` when the archive has no
+    ``meta`` member.  Nothing is validated here.
     """
-    return _mmap_npz_columns(Path(path), names, mmap_mode)
+    arrays = None
+    if mmap_mode is not None:
+        arrays = _mmap_npz_columns(path, tuple(_NPZ_DTYPES), mmap_mode)
+    data = np.load(path)
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError("a bare .npy array, not an NPZ archive")
+    with data:
+        metas = json.loads(str(data["meta"])) if "meta" in data else None
+        if arrays is None:
+            arrays = {name: data[name] for name in _NPZ_DTYPES
+                      if name in data}
+    return arrays, metas
 
 
-def _load_npz_meta(path: Path) -> str:
-    """Read only the JSON ``meta`` member of an NPZ archive."""
-    with np.load(path) as data:
-        if "meta" not in data:
-            raise ValueError(f"{path}: NPZ archive is missing arrays "
-                             f"['meta'] (truncated or foreign file?)")
-        return str(data["meta"])
-
-
-def _checked_npz_columns(data, path: Path, extra: Sequence[str] = ()) -> Dict:
-    """Validate an NPZ archive's columns before trusting their lengths.
+def _checked_npz_columns(arrays: Dict, metas, path: Path) -> Dict:
+    """Validate an NPZ archive's arrays before trusting their lengths.
 
     A truncated download or a partially written archive must fail here
     with a message naming the file and the defect, not as an index error
     (or silent short read) deep inside feature extraction.  Checks:
-    every required array is present, each has the canonical dtype, each
-    is one-dimensional, and the four record columns are equally long.
+    every array and the metadata list are present, the metadata is a
+    list of objects, each array has the canonical dtype and is
+    one-dimensional, and the four record columns are equally long.
     """
-    required = list(_NPZ_COLUMNS) + list(extra) + ["meta"]
-    missing = [name for name in required if name not in data]
+    missing = [name for name in _NPZ_DTYPES if name not in arrays]
+    if metas is None:
+        missing.append("meta")
     if missing:
         raise ValueError(f"{path}: NPZ archive is missing arrays {missing} "
                          f"(truncated or foreign file?)")
-    columns = {name: data[name] for name in required if name != "meta"}
-    for name, column in columns.items():
+    if not (isinstance(metas, list)
+            and all(isinstance(meta, dict) for meta in metas)):
+        raise ValueError(f"{path}: 'meta' must be a list of per-trace "
+                         f"metadata objects (not a TraceSet archive?)")
+    for name, column in arrays.items():
         expected = np.dtype(_NPZ_DTYPES[name])
         if column.dtype != expected:
             raise ValueError(f"{path}: column '{name}' has dtype "
@@ -289,11 +305,11 @@ def _checked_npz_columns(data, path: Path, extra: Sequence[str] = ()) -> Dict:
         if column.ndim != 1:
             raise ValueError(f"{path}: column '{name}' must be "
                              f"one-dimensional, got shape {column.shape}")
-    lengths = {name: len(columns[name]) for name in _NPZ_COLUMNS}
+    lengths = {name: len(arrays[name]) for name in _NPZ_COLUMNS}
     if len(set(lengths.values())) != 1:
         raise ValueError(f"{path}: record columns have mismatched lengths "
                          f"{lengths} (truncated archive?)")
-    return columns
+    return arrays
 
 
 class Trace:
@@ -579,58 +595,6 @@ class Trace:
         trace.apply_metadata(metadata)
         return trace
 
-    def to_npz(self, path, compressed: bool = True) -> None:
-        """Write the four columns + metadata as one NPZ file.
-
-        ``compressed=False`` stores members raw (``np.savez``), which is
-        what makes the archive memory-mappable by
-        ``from_npz(..., mmap_mode="r")`` — the zero-copy spill format of
-        the sharded simulator and the trace cache.  ``path`` may also be
-        an open binary file object (for atomic temp-file writes).
-        """
-        saver = np.savez_compressed if compressed else np.savez
-        target = path if hasattr(path, "write") else Path(path)
-        saver(target, times_s=self.times_s, rntis=self.rntis,
-              directions=self.directions, tbs_bytes=self.tbs_bytes,
-              meta=np.array(json.dumps(self.metadata())))
-
-    @classmethod
-    def from_npz(cls, path: Path, mmap_mode: Optional[str] = None) -> "Trace":
-        """Read a trace previously written by :meth:`to_npz`.
-
-        With ``mmap_mode`` (e.g. ``"r"``), columns of an *uncompressed*
-        archive are memory-mapped read-only instead of copied into RAM —
-        the kernel pages record data in on demand and may share it
-        across processes.  Compressed archives silently fall back to a
-        normal load.  Raises ``ValueError`` (naming the file and the
-        defect) when the archive is missing columns, carries wrong
-        dtypes, or its columns disagree on length — the signatures of
-        truncation — and, like :meth:`from_csv`, when a record value is
-        out of range or the records are out of time order.
-        """
-        path = Path(path)
-        if mmap_mode is not None:
-            mapped = _mmap_npz_columns(path, _NPZ_COLUMNS, mmap_mode)
-            if mapped is not None:
-                metadata = json.loads(_load_npz_meta(path))
-                mapped["meta"] = True
-                columns = _checked_npz_columns(mapped, path)
-                check_record_fields(columns["rntis"], columns["directions"])
-                trace = cls.from_arrays(columns["times_s"],
-                                        columns["rntis"],
-                                        columns["directions"],
-                                        columns["tbs_bytes"])
-                trace.apply_metadata(metadata)
-                return trace
-        with np.load(path) as data:
-            columns = _checked_npz_columns(data, path)
-            check_record_fields(columns["rntis"], columns["directions"])
-            trace = cls.from_arrays(columns["times_s"], columns["rntis"],
-                                    columns["directions"],
-                                    columns["tbs_bytes"])
-            trace.apply_metadata(json.loads(str(data["meta"])))
-        return trace
-
     def metadata(self) -> Dict:
         return {"label": self.label, "category": self.category,
                 "operator": self.operator, "cell": self.cell,
@@ -734,33 +698,32 @@ class TraceSet:
 
         Validates the archive before slicing: columns present with the
         canonical dtypes and equal lengths, and the offsets array
-        consistent with both the metadata list and the record count.  A
-        truncated or torn archive raises ``ValueError`` naming the file
-        instead of silently yielding short traces.
+        consistent with both the metadata list and the record count.
+        Every record gets the checks :meth:`Trace.from_csv` applies: a
+        16-bit RNTI, a :class:`Direction`, a finite non-negative time,
+        a non-negative size, and time order within each trace.  A
+        truncated, torn or foreign file or a bad record raises
+        ``ValueError`` naming the file instead of silently yielding
+        short or corrupt traces.
 
         With ``mmap_mode``, the columns of an uncompressed archive are
         memory-mapped and each trace becomes a zero-copy slice view —
-        the read side of the sharded simulator's spill handoff.
+        the read side of the sharded simulator's spill handoff and of
+        the trace cache.
         """
         path = Path(path)
-        if mmap_mode is not None:
-            names = list(_NPZ_COLUMNS) + ["offsets"]
-            mapped = _mmap_npz_columns(path, names, mmap_mode)
-            if mapped is not None:
-                metas = json.loads(_load_npz_meta(path))
-                mapped["meta"] = True
-                columns = _checked_npz_columns(mapped, path,
-                                               extra=["offsets"])
-                return cls._from_columns(columns, metas, path)
-        with np.load(path) as data:
-            columns = _checked_npz_columns(data, path, extra=["offsets"])
-            metas = json.loads(str(data["meta"]))
-            return cls._from_columns(columns, metas, path)
+        try:
+            arrays, metas = _read_npz(path, mmap_mode)
+        except _NPZ_READ_ERRORS as exc:
+            raise ValueError(f"{path}: unreadable NPZ archive (truncated "
+                             f"or foreign file?): {exc}") from None
+        columns = _checked_npz_columns(arrays, metas, path)
+        return cls._from_columns(columns, metas, path)
 
     @classmethod
     def _from_columns(cls, columns: Dict, metas: List[Dict],
                       path: Path) -> "TraceSet":
-        """Slice validated NPZ columns into traces (shared by both loads)."""
+        """Check validated NPZ columns' records and slice them into traces."""
         offsets = columns["offsets"]
         times, rntis = columns["times_s"], columns["rntis"]
         dirs, tbs = columns["directions"], columns["tbs_bytes"]
@@ -769,16 +732,23 @@ class TraceSet:
                 f"{path}: offsets length {len(offsets)} does not match "
                 f"{len(metas)} metadata entries (expected "
                 f"{len(metas) + 1})")
-        if len(offsets) and int(offsets[0]) != 0:
+        if int(offsets[0]) != 0:
             raise ValueError(f"{path}: offsets must start at 0, got "
                              f"{int(offsets[0])}")
         if np.any(np.diff(offsets) < 0):
             raise ValueError(f"{path}: offsets must be non-decreasing")
-        if len(offsets) and int(offsets[-1]) != len(times):
+        if int(offsets[-1]) != len(times):
             raise ValueError(
                 f"{path}: offsets end at {int(offsets[-1])} but the "
                 f"archive holds {len(times)} records "
                 f"(truncated archive?)")
+        try:
+            # Plain views of mapped columns: numpy operations on the
+            # ``np.memmap`` subclass cost more per call.
+            _check_set_records(*(np.asarray(column) for column in (
+                times, rntis, dirs, tbs, offsets)))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         traces: List[Trace] = []
         for index, metadata in enumerate(metas):
             lo, hi = int(offsets[index]), int(offsets[index + 1])
@@ -788,3 +758,26 @@ class TraceSet:
             trace.apply_metadata(metadata)
             traces.append(trace)
         return cls(traces)
+
+
+def _check_set_records(times, rntis, dirs, tbs, offsets) -> None:
+    """``from_arrays(validate=True)`` and the reader field checks, applied
+    to every trace of a set in a few passes over its concatenated columns.
+
+    A time may only fall back where a trace starts, so the steps into
+    each trace's first record are blanked before the order check.
+    """
+    check_record_fields(rntis, dirs)
+    if not len(times):
+        return
+    check_record_values(times, tbs)
+    steps = np.diff(times)
+    starts = offsets[1:-1]
+    steps[starts[(starts > 0) & (starts < len(times))] - 1] = 0.0
+    backwards = np.flatnonzero(steps < 0)
+    if len(backwards):
+        index = int(np.searchsorted(offsets, backwards[0] + 1,
+                                    side="right")) - 1
+        raise ValueError(f"trace {index}: records must be in time order")
+    if times.min() < 0:
+        raise ValueError(f"time_s must be >= 0: {times.min()}")

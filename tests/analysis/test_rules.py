@@ -90,28 +90,28 @@ def test_det003_negative_sorted_set():
     assert rules_fired(src) == []
 
 
-# -- DET004: fault-layer RNG provenance -------------------------------------------
+# -- SEED001 in repro.faults: draws trace to a seed parameter --------------------
 
-#: Inside repro.faults, where DET004 scopes.
+#: Inside repro.faults, where SEED001 also checks sampler draws.
 _FAULTS = Path("repro/faults/fixture.py")
 
 
-def test_det004_positive_constant_seed():
+def test_seed001_faults_positive_constant_seed():
     src = ("import numpy as np\n"
            "def make_trace(n=10):\n"
            "    rng = np.random.default_rng(42)\n"
            "    return rng.uniform(0.0, 1.0, n)\n")
-    assert rules_fired(src, _FAULTS) == ["DET004"]
+    assert rules_fired(src, _FAULTS) == ["SEED001"]
 
 
-def test_det004_positive_untraceable_sampler():
+def test_seed001_faults_positive_untraceable_sampler():
     src = ("_rng = None\n"
            "def corrupt(trace):\n"
            "    return _rng.uniform(0.0, 1.0)\n")
-    assert rules_fired(src, _FAULTS) == ["DET004"]
+    assert rules_fired(src, _FAULTS) == ["SEED001"]
 
 
-def test_det004_negative_seed_parameter():
+def test_seed001_faults_negative_seed_parameter():
     src = ("import numpy as np\n"
            "def make_trace(seed, n=10):\n"
            "    rng = np.random.default_rng(seed)\n"
@@ -119,16 +119,16 @@ def test_det004_negative_seed_parameter():
     assert rules_fired(src, _FAULTS) == []
 
 
-def test_det004_negative_rng_parameter():
+def test_seed001_faults_negative_rng_parameter():
     src = ("def capture_loss(trace, rng, *, rate=0.1):\n"
            "    keep = rng.random(8) >= rate\n"
            "    return keep\n")
     assert rules_fired(src, _FAULTS) == []
 
 
-def test_det004_negative_derived_seed_material():
-    # plan.rng_for hashes its parameters into a digest first; a seed
-    # expression referencing *any* local name is treated as derived.
+def test_seed001_faults_negative_derived_seed_material():
+    # plan.rng_for hashes its parameters into a digest first: a
+    # registered derivation.
     src = ("import hashlib\n"
            "import numpy as np\n"
            "def rng_for(seed, index):\n"
@@ -138,14 +138,23 @@ def test_det004_negative_derived_seed_material():
     assert rules_fired(src, _FAULTS) == []
 
 
-def test_det004_negative_outside_faults_package():
-    # Outside repro.faults the stricter DET004 stays silent; the
-    # whole-program SEED001 takes over the constant-seed case there.
+def test_seed001_faults_positive_constant_seed_outside_faults_package():
+    # The constant-seed construction is reported everywhere.
     src = ("import numpy as np\n"
            "def make_trace(n=10):\n"
            "    rng = np.random.default_rng(42)\n"
            "    return rng.uniform(0.0, 1.0, n)\n")
     assert rules_fired(src, GENERIC) == ["SEED001"]
+
+
+def test_seed001_faults_negative_draw_outside_faults_package():
+    # Outside repro.faults only the construction is checked: a draw
+    # from a generator that is neither a parameter nor built here is
+    # the caller's business.
+    src = ("_rng = None\n"
+           "def corrupt(trace):\n"
+           "    return _rng.uniform(0.0, 1.0)\n")
+    assert rules_fired(src, GENERIC) == []
 
 
 # -- NUM001: unvalidated scatter --------------------------------------------------
@@ -488,7 +497,7 @@ def test_ruleset_covers_all_five_families():
 
 
 @pytest.mark.parametrize("rule_id", [
-    "DET001", "DET002", "DET003", "DET004", "NUM001", "NUM002", "NUM003",
+    "DET001", "DET002", "DET003", "NUM001", "NUM002", "NUM003",
     "PAR001", "PAR002", "PAR003", "PAR004", "PAR005", "OBS001", "OBS002",
     "SEED001", "SEED002", "FLOW001", "FLOW002", "CACHE001",
 ])

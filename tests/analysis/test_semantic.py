@@ -75,13 +75,13 @@ def test_seed001_negative_registered_derivation():
     assert fired(src) == []
 
 
-def test_seed001_skips_faults_package():
-    # repro.faults keeps DET004's stricter in-package check; SEED001
-    # stays out to avoid double-reporting the same construction.
+def test_seed001_covers_faults_package():
+    # The fault layer is no longer skipped: a constant seed there is
+    # reported once, by SEED001.
     src = ("import random\n"
            "def corrupt():\n"
            "    return random.Random(7)\n")
-    assert fired(src, Path("repro/faults/fixture.py")) == ["DET004"]
+    assert fired(src, Path("repro/faults/fixture.py")) == ["SEED001"]
 
 
 def test_seed001_interprocedural_seed_crosses_modules(tmp_path):
@@ -219,31 +219,32 @@ def test_flow001_interprocedural_mutation_via_callee(tmp_path):
 
 
 def test_flow002_positive_write_into_loader_view():
-    src = ("from repro.sniffer.trace import mmap_npz_arrays\n"
+    src = ("from repro.sniffer.trace import TraceSet\n"
            "def clamp(path):\n"
-           "    arrays = mmap_npz_arrays(path, ['times_s'])\n"
-           "    view = arrays['times_s']\n"
+           "    traces = TraceSet.from_npz(path, mmap_mode='r')\n"
+           "    view = traces.traces[0].times_s\n"
            "    view[0] = 0.0\n"
            "    return view\n")
     assert fired(src) == ["FLOW002"]
 
 
 def test_flow002_negative_copy_before_write():
-    src = ("from repro.sniffer.trace import mmap_npz_arrays\n"
+    src = ("from repro.sniffer.trace import TraceSet\n"
            "def clamp(path):\n"
-           "    arrays = mmap_npz_arrays(path, ['times_s'])\n"
-           "    owned = arrays['times_s'].copy()\n"
+           "    traces = TraceSet.from_npz(path, mmap_mode='r')\n"
+           "    owned = traces.traces[0].times_s.copy()\n"
            "    owned[0] = 0.0\n"
            "    return owned\n")
     assert fired(src) == []
 
 
 def test_flow002_negative_dict_insert_is_not_array_write():
-    src = ("from repro.sniffer.trace import mmap_npz_arrays\n"
+    src = ("from repro.sniffer.trace import TraceSet\n"
            "def annotate(path):\n"
-           "    arrays = mmap_npz_arrays(path, ['times_s'])\n"
-           "    arrays['meta'] = True\n"
-           "    return arrays\n")
+           "    traces = TraceSet.from_npz(path, mmap_mode='r')\n"
+           "    columns = {'times_s': traces.traces[0].times_s}\n"
+           "    columns['meta'] = True\n"
+           "    return columns\n")
     assert fired(src) == []
 
 
@@ -254,11 +255,11 @@ def test_flow002_interprocedural_tainted_arg_written_by_callee(tmp_path):
             "    arr[:n] = 0\n"
             "    return arr\n"),
         "repro/core/driver.py": (
-            "from repro.sniffer.trace import mmap_npz_arrays\n"
+            "from repro.sniffer.trace import TraceSet\n"
             "from repro.core.mutate import zero_head\n"
             "def run(path):\n"
-            "    arrays = mmap_npz_arrays(path, ['times_s'])\n"
-            "    view = arrays['times_s']\n"
+            "    traces = TraceSet.from_npz(path, mmap_mode='r')\n"
+            "    view = traces.traces[0].times_s\n"
             "    return zero_head(view, 4)\n"),
     })
     flow = [f for f in result.findings if f.rule == "FLOW002"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.faults.generators import synthetic_trace, synthetic_trace_set
-from repro.sniffer.trace import Trace, TraceSet
+from repro.sniffer.trace import TraceSet
 
 
 def _rewrite(src, dst, mutate):
@@ -19,8 +19,9 @@ def _rewrite(src, dst, mutate):
 
 @pytest.fixture()
 def trace_npz(tmp_path):
+    """A one-trace set archive."""
     path = tmp_path / "trace.npz"
-    synthetic_trace(3, label="app").to_npz(path)
+    TraceSet([synthetic_trace(3, label="app")]).to_npz(path)
     return path
 
 
@@ -32,8 +33,10 @@ def set_npz(tmp_path):
 
 
 class TestTraceFromNpz:
+    """A single trace read back from NPZ: a one-trace set archive."""
+
     def test_roundtrip_is_clean(self, trace_npz):
-        trace = Trace.from_npz(trace_npz)
+        (trace,) = TraceSet.from_npz(trace_npz).traces
         assert trace.label == "app"
         assert len(trace) > 0
 
@@ -43,13 +46,13 @@ class TestTraceFromNpz:
                  lambda arrays: arrays.update(
                      times_s=arrays["times_s"][:-3]))
         with pytest.raises(ValueError, match="mismatched lengths"):
-            Trace.from_npz(bad)
+            TraceSet.from_npz(bad)
 
     def test_missing_column_rejected(self, trace_npz, tmp_path):
         bad = tmp_path / "bad.npz"
         _rewrite(trace_npz, bad, lambda arrays: arrays.pop("rntis"))
         with pytest.raises(ValueError, match="missing arrays"):
-            Trace.from_npz(bad)
+            TraceSet.from_npz(bad)
 
     def test_wrong_dtype_rejected(self, trace_npz, tmp_path):
         bad = tmp_path / "bad.npz"
@@ -57,7 +60,7 @@ class TestTraceFromNpz:
                  lambda arrays: arrays.update(
                      rntis=arrays["rntis"].astype(np.int64)))
         with pytest.raises(ValueError, match="dtype"):
-            Trace.from_npz(bad)
+            TraceSet.from_npz(bad)
 
     def test_non_1d_column_rejected(self, trace_npz, tmp_path):
         bad = tmp_path / "bad.npz"
@@ -65,7 +68,7 @@ class TestTraceFromNpz:
                  lambda arrays: arrays.update(
                      tbs_bytes=arrays["tbs_bytes"].reshape(-1, 1)))
         with pytest.raises(ValueError, match="one-dimensional"):
-            Trace.from_npz(bad)
+            TraceSet.from_npz(bad)
 
 
 class TestTraceSetFromNpz:
@@ -140,3 +143,70 @@ class TestTraceSetFromNpz:
         _rewrite(set_npz, bad, lambda arrays: arrays.pop("meta"))
         with pytest.raises(ValueError, match="named.npz"):
             TraceSet.from_npz(bad)
+
+
+@pytest.mark.parametrize("mmap_mode", [None, "r"])
+class TestRecordChecks:
+    """The set reader applies the record contract of every other reader
+    (``check_record_fields`` and ``from_arrays(validate=True)``), on the
+    copying and the memory-mapped load alike."""
+
+    @staticmethod
+    def _save(path, times, rntis, directions, offsets=None):
+        count = len(times)
+        offsets = [0, count] if offsets is None else offsets
+        np.savez(path, times_s=np.asarray(times, dtype=np.float64),
+                 rntis=np.asarray(rntis, dtype=np.uint32),
+                 directions=np.asarray(directions, dtype=np.uint8),
+                 tbs_bytes=np.full(count, 10, dtype=np.int64),
+                 offsets=np.asarray(offsets, dtype=np.int64),
+                 meta=np.array(json.dumps([{}] * (len(offsets) - 1))))
+        return path
+
+    @pytest.mark.parametrize("times, rntis, directions, match", [
+        ([0.0, 0.5], [0x100, 0x10000], [0, 1], "rnti"),
+        ([0.0, 0.5], [0x100, 0x100], [0, 2], "dir"),
+        ([1.0, 0.5], [0x100, 0x100], [0, 1], "time order"),
+        ([0.0, float("nan")], [0x100, 0x100], [0, 1], "finite"),
+        ([-1.0, 0.5], [0x100, 0x100], [0, 1], ">= 0"),
+    ])
+    def test_bad_record_rejected_naming_the_file(self, tmp_path, mmap_mode,
+                                                 times, rntis, directions,
+                                                 match):
+        bad = self._save(tmp_path / "named.npz", times, rntis, directions)
+        with pytest.raises(ValueError, match=match) as excinfo:
+            TraceSet.from_npz(bad, mmap_mode=mmap_mode)
+        assert "named.npz" in str(excinfo.value)
+
+    def test_time_order_is_per_trace(self, tmp_path, mmap_mode):
+        # Each trace starts its own clock: a time may fall back only
+        # where a trace starts.
+        path = self._save(tmp_path / "set.npz", [0.0, 2.0, 1.0, 3.0],
+                          [0x100] * 4, [0, 1, 0, 1], offsets=[0, 2, 4])
+        loaded = TraceSet.from_npz(path, mmap_mode=mmap_mode)
+        assert [len(trace) for trace in loaded] == [2, 2]
+        bad = self._save(tmp_path / "bad.npz", [0.0, 2.0, 1.0, 3.0],
+                         [0x100] * 4, [0, 1, 0, 1], offsets=[0, 1, 4])
+        with pytest.raises(ValueError, match="trace 1: records must be "
+                                             "in time order"):
+            TraceSet.from_npz(bad, mmap_mode=mmap_mode)
+
+    @pytest.mark.parametrize("size", [0, 22, 300])
+    def test_truncated_archive_rejected(self, set_npz, tmp_path, mmap_mode,
+                                        size):
+        bad = tmp_path / "cut.npz"
+        bad.write_bytes(set_npz.read_bytes()[:size])
+        with pytest.raises(ValueError, match="cut.npz"):
+            TraceSet.from_npz(bad, mmap_mode=mmap_mode)
+
+    def test_foreign_file_rejected(self, tmp_path, mmap_mode):
+        for name, payload in [("text.npz", b"time_s,rnti\n0.0,1\n"),
+                              ("bare.npz", None)]:
+            bad = tmp_path / name
+            if payload is None:
+                with bad.open("wb") as handle:
+                    np.save(handle, np.arange(3))
+            else:
+                bad.write_bytes(payload)
+            with pytest.raises(ValueError, match=name):
+                TraceSet.from_npz(bad, mmap_mode=mmap_mode)

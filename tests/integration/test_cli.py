@@ -67,27 +67,54 @@ class TestCLI:
             main(["frobnicate"])
 
 
-class TestServeCLI:
-    @pytest.fixture(scope="class")
-    def campaign(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("serve")
-        data = root / "traces"
-        assert main(["collect", "--out", str(data), "--format", "npz",
-                     "--apps", "YouTube", "Skype", "--traces", "2",
-                     "--duration", "10", "--seed", "7"]) == 0
-        model = root / "model.json"
-        assert main(["train", "--data", str(data / "traces.npz"),
-                     "--trees", "8", "--save-model", str(model)]) == 0
-        return root
+@pytest.fixture(scope="module")
+def campaign(tmp_path_factory):
+    """The README flow's first two steps: ``collect --format npz`` of
+    2 apps × 2 traces, then ``train --save-model`` on the archive."""
+    root = tmp_path_factory.mktemp("serve")
+    data = root / "traces"
+    assert main(["collect", "--out", str(data), "--format", "npz",
+                 "--apps", "YouTube", "Skype", "--traces", "2",
+                 "--duration", "10", "--seed", "7"]) == 0
+    model = root / "model.json"
+    assert main(["train", "--data", str(data / "traces.npz"),
+                 "--trees", "8", "--save-model", str(model)]) == 0
+    return root
 
+
+def _one_trace_archive(campaign, path):
+    """The first trace of the campaign archive as a one-trace set."""
+    from repro.sniffer.trace import TraceSet
+
+    traces = TraceSet.from_npz(campaign / "traces" / "traces.npz")
+    TraceSet(traces.traces[:1]).to_npz(path)
+    return path
+
+
+def _write_bad_archive(path, defect):
+    """A set archive with one defect that every reader must reject."""
+    from repro.sniffer.trace import Trace, TraceSet
+
+    times, rntis, dirs = [0.0, 0.5], [0x100, 0x100], [0, 1]
+    if defect == "rnti":
+        rntis[1] = 0x10000
+    elif defect == "direction":
+        dirs[1] = 2
+    elif defect == "time-order":
+        times = [0.5, 0.0]
+    trace = Trace.from_arrays(times, rntis, dirs, [10, 10], validate=False,
+                              label="YouTube")
+    TraceSet([trace]).to_npz(path)
+    if defect == "truncated":
+        path.write_bytes(path.read_bytes()[:300])
+    return path
+
+
+class TestServeCLI:
     def test_serve_recorded_sources(self, campaign, tmp_path, capsys):
         import json
 
-        from repro.sniffer.trace import TraceSet
-
-        traces = TraceSet.from_npz(campaign / "traces" / "traces.npz")
-        source = tmp_path / "feed.npz"
-        traces.traces[0].to_npz(source)
+        source = _one_trace_archive(campaign, tmp_path / "feed.npz")
         out = tmp_path / "verdicts.jsonl"
         assert main(["serve", "--model", str(campaign / "model.json"),
                      "--data", str(source), "--out", str(out),
@@ -97,6 +124,35 @@ class TestServeCLI:
         assert "window" in kinds and "trace" in kinds and "fused" in kinds
         summary = capsys.readouterr().out
         assert "windows closed" in summary
+
+    def test_serve_reads_the_collect_archive(self, campaign, capsys):
+        # The README flow end to end: serve the set archive collect
+        # wrote, one source per trace.
+        assert main(["serve", "--model", str(campaign / "model.json"),
+                     "--data",
+                     str(campaign / "traces" / "traces.npz")]) == 0
+        out = capsys.readouterr().out
+        assert "sources:        4" in out
+        for index in range(4):
+            assert f"  traces[{index}]: " in out
+
+    def test_serve_one_trace_archive_keeps_the_stem(self, campaign,
+                                                    tmp_path, capsys):
+        source = _one_trace_archive(campaign, tmp_path / "feed.npz")
+        assert main(["serve", "--model", str(campaign / "model.json"),
+                     "--data", str(source)]) == 0
+        assert "  feed: " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("defect", ["rnti", "direction", "time-order",
+                                        "truncated"])
+    def test_bad_archive_is_bad_input(self, campaign, tmp_path, capsys,
+                                      defect):
+        bad = _write_bad_archive(tmp_path / "bad.npz", defect)
+        assert main(["serve", "--model", str(campaign / "model.json"),
+                     "--data", str(bad)]) == 2
+        assert main(["train", "--data", str(bad), "--trees", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "bad.npz" in err and "Traceback" not in err
 
     def test_serve_sim_feed(self, campaign, capsys):
         assert main(["serve", "--sim", "--sim-cells", "2",
@@ -143,16 +199,12 @@ class TestServeCLI:
     def test_serve_malformed_model_is_bad_input(self, campaign, tmp_path):
         import json
 
-        from repro.sniffer.trace import TraceSet
-
         payload = json.loads((campaign / "model.json").read_text())
         root = payload["category_model"]["trees"][0]["root"]
         root["f"] = 99                   # no such feature
         bad = tmp_path / "model.json"
         bad.write_text(json.dumps(payload))
-        source = tmp_path / "feed.npz"
-        TraceSet.from_npz(campaign / "traces" / "traces.npz") \
-            .traces[0].to_npz(source)
+        source = _one_trace_archive(campaign, tmp_path / "feed.npz")
         assert main(["serve", "--model", str(bad),
                      "--data", str(source)]) == 2
 
@@ -161,8 +213,6 @@ class TestServeCLI:
         ``key`` set to ``value``, or deleted when ``value`` is None."""
         import json
 
-        from repro.sniffer.trace import TraceSet
-
         payload = json.loads((campaign / "model.json").read_text())
         if value is None:
             del payload[key]
@@ -170,9 +220,7 @@ class TestServeCLI:
             payload[key] = value
         bad = tmp_path / "model.json"
         bad.write_text(json.dumps(payload))
-        source = tmp_path / "feed.npz"
-        TraceSet.from_npz(campaign / "traces" / "traces.npz") \
-            .traces[0].to_npz(source)
+        source = _one_trace_archive(campaign, tmp_path / "feed.npz")
         return main(["serve", "--model", str(bad), "--data", str(source)])
 
     @pytest.mark.parametrize("key", ["direction", "window_ms", "stride_ms",
@@ -205,3 +253,53 @@ class TestServeCLI:
         assert main(["serve", "--model", str(campaign / "model.json"),
                      "--data", str(tmp_path / "feed.npz"),
                      "--chunk-records", "0"]) == 2
+
+
+def _bad_csv_dataset(root):
+    """A trace directory whose one CSV row has an RNTI of -5."""
+    data = root / "data"
+    data.mkdir()
+    (data / "trace_000000.csv").write_text(
+        "time_s,rnti,direction,tbs_bytes\n0.0,-5,0,10\n")
+    return data
+
+
+def _bad_plan(root):
+    plan = root / "plan.json"
+    plan.write_text('{"faults": [{"kind": "no-such-fault"}]}')
+    return plan
+
+
+#: Every subcommand that reads a user file (or, for scan, a user id
+#: list), fed one malformed input: argv built under a scratch dir.
+BAD_INPUT = {
+    "collect --faults": lambda root, campaign: [
+        "collect", "--out", str(root / "out"), "--apps", "Skype",
+        "--traces", "1", "--duration", "2", "--faults",
+        str(_bad_plan(root))],
+    "train": lambda root, campaign: [
+        "train", "--data", str(_bad_csv_dataset(root))],
+    "classify": lambda root, campaign: [
+        "classify", "--data", str(_bad_csv_dataset(root)), "--trace",
+        str(root / "data" / "trace_000000.csv")],
+    "serve": lambda root, campaign: [
+        "serve", "--model", str(campaign / "model.json"), "--data",
+        str(_write_bad_archive(root / "cut.npz", "truncated"))],
+    "experiment --faults": lambda root, campaign: [
+        "experiment", "table3", "--faults", str(_bad_plan(root))],
+    "scan --detectors": lambda root, campaign: [
+        "scan", "--detectors", "no-such-detector", "--scale", "smoke"],
+    "lint --baseline": lambda root, campaign: [
+        "lint", "--baseline", str(_bad_plan(root)), str(root)],
+    "report": lambda root, campaign: [
+        "report", str(_bad_plan(root))],
+}
+
+
+@pytest.mark.parametrize("command", sorted(BAD_INPUT))
+def test_bad_input_exits_2(command, campaign, tmp_path, capsys):
+    # Bad input exits 2 with a message, never a traceback (exit 1 is
+    # for runtime failures after the inputs validated).
+    assert main(BAD_INPUT[command](tmp_path, campaign)) == 2
+    err = capsys.readouterr().err
+    assert err.strip() and "Traceback" not in err

@@ -6,6 +6,7 @@ print the current digests.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from repro.core.fingerprint import (HierarchicalFingerprinter,
                                     save_fingerprinter)
 from repro.ml.forest import RandomForest
-from repro.ml.persistence import save_forest
+from repro.ml.persistence import forest_to_dict
 from tests.ml.oracles import catalogue_windows
 
 #: Seeded forest fits: name -> (RandomForest kwargs, fit n_classes).
@@ -66,9 +67,8 @@ def table_digest(forest: RandomForest) -> str:
 
 
 def forest_json_digest(tmp_dir) -> str:
-    path = tmp_dir / "forest.json"
-    save_forest(_fit("default"), path)
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    payload = json.dumps(forest_to_dict(_fit("default")))
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def fingerprinter_json_digest(tmp_dir) -> str:

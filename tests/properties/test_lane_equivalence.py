@@ -11,8 +11,7 @@ signed zeros count):
 * single-class forests of lone-leaf trees, where ``np.sum`` would
   switch to pairwise summation and change the low bits;
 * float32 and strided probes;
-* models round-tripped through JSON, a copying NPZ load and an
-  ``np.memmap`` NPZ load;
+* models round-tripped through JSON;
 * ``HierarchicalFingerprinter.predict_apps`` against the
   four-``predict_proba`` soft-routing composition written out below.
 
@@ -20,6 +19,8 @@ Each lane is forced by moving the module's lane bound
 (``pinned_lane``), the way the simulator's golden suite pins the
 eNodeB lanes.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -29,8 +30,7 @@ from repro.core.fingerprint import (HierarchicalFingerprinter,
                                     load_fingerprinter, save_fingerprinter)
 from repro.ml import tables
 from repro.ml.forest import RandomForest
-from repro.ml.persistence import (load_forest, load_forest_npz,
-                                  save_forest, save_forest_npz)
+from repro.ml.persistence import forest_from_dict, forest_to_dict
 from repro.ml.tables import ForestTable, TreeTable, descend_scalar
 from repro.ml.tree import DecisionTree
 from tests.ml.oracles import (SCALAR, VECTOR, catalogue_windows,
@@ -203,36 +203,25 @@ class TestForestLanes:
 
 
 @pytest.fixture(scope="module")
-def saved_forest(tmp_path_factory):
+def saved_forest():
+    """A fitted forest round-tripped through its JSON text."""
     rng = np.random.default_rng(21)
     X = rng.normal(size=(300, 5))
     y = rng.integers(0, 4, size=300)
     forest = RandomForest(n_trees=9, seed=3).fit(X, y)
-    root = tmp_path_factory.mktemp("lanes")
-    save_forest(forest, root / "forest.json")
-    save_forest_npz(forest, root / "forest.npz")
-    return forest, root
+    return forest_from_dict(json.loads(json.dumps(forest_to_dict(forest))))
 
 
 class TestLoadedModelLanes:
-    @pytest.mark.parametrize("loader", ["json", "npz-copy", "npz-mmap"])
+    @pytest.mark.parametrize("loader", ["json"])
     def test_loaded_forest_lanes_match_oracle(self, saved_forest, loader):
-        forest, root = saved_forest
-        if loader == "json":
-            loaded = load_forest(root / "forest.json")
-        elif loader == "npz-copy":
-            loaded = load_forest_npz(root / "forest.npz", mmap_mode=None)
-        else:
-            loaded = load_forest_npz(root / "forest.npz")
-            assert isinstance(loaded.table().features, np.memmap)
         rng = np.random.default_rng(4)
         for rows in BATCH_SIZES:
             probe = rng.normal(size=(rows, 5))
             # JSON rounds the stored distributions, so a JSON model is
             # pinned to the oracle walk of its own trees.
-            expected = forest_predict_proba(
-                loaded if loader == "json" else forest, probe)
-            assert_lanes_match(loaded, probe, expected)
+            assert_lanes_match(saved_forest, probe,
+                               forest_predict_proba(saved_forest, probe))
 
 
 # -- the hierarchical fingerprinter ------------------------------------------------

@@ -70,11 +70,13 @@ class TestTraceBuilder:
 
 
 class TestTraceNPZ:
+    """One trace through the NPZ archive, as a one-trace set."""
+
     def test_round_trip(self, tmp_path):
         trace = make_trace()
         path = tmp_path / "t.npz"
-        trace.to_npz(path)
-        loaded = Trace.from_npz(path)
+        TraceSet([trace]).to_npz(path)
+        (loaded,) = TraceSet.from_npz(path).traces
         assert record_rows(loaded) == record_rows(trace)
         assert loaded.metadata() == trace.metadata()
         assert np.array_equal(loaded.times_s, trace.times_s)
@@ -83,8 +85,8 @@ class TestTraceNPZ:
     def test_empty_round_trip(self, tmp_path):
         trace = Trace(label="empty")
         path = tmp_path / "e.npz"
-        trace.to_npz(path)
-        loaded = Trace.from_npz(path)
+        TraceSet([trace]).to_npz(path)
+        (loaded,) = TraceSet.from_npz(path).traces
         assert len(loaded) == 0
         assert loaded.label == "empty"
 

@@ -182,9 +182,11 @@ class TestPersistence:
             np.savez(path, times_s=np.asarray(times, dtype=np.float64),
                      rntis=np.full(2, 0x100, dtype=np.uint32),
                      directions=np.zeros(2, dtype=np.uint8),
-                     tbs_bytes=sizes, meta=np.array(json.dumps({})))
+                     tbs_bytes=sizes, offsets=np.array([0, 2]),
+                     meta=np.array(json.dumps([{}])))
             read = functools.partial(
-                Trace.from_npz, mmap_mode="r" if fmt == "npz-mmap" else None)
+                TraceSet.from_npz,
+                mmap_mode="r" if fmt == "npz-mmap" else None)
         with pytest.raises(ValueError):
             read(path)
 
@@ -218,11 +220,12 @@ class TestPersistence:
                 '"tbs": 10}\n')
             read = Trace.from_jsonl
         else:
-            Trace.from_arrays([0.0, 0.5], [0x100, rnti], [0, direction],
-                              [10, 10], validate=False).to_npz(
-                                  path, compressed=False)
+            TraceSet([Trace.from_arrays(
+                [0.0, 0.5], [0x100, rnti], [0, direction], [10, 10],
+                validate=False)]).to_npz(path, compressed=False)
             read = functools.partial(
-                Trace.from_npz, mmap_mode="r" if fmt == "npz-mmap" else None)
+                TraceSet.from_npz,
+                mmap_mode="r" if fmt == "npz-mmap" else None)
         with pytest.raises(ValueError, match="rnti|dir"):
             read(path)
 
@@ -230,8 +233,12 @@ class TestPersistence:
     def test_readers_accept_the_16_bit_rnti_bounds(self, tmp_path, fmt):
         trace = Trace.from_arrays([0.0, 0.5], [0, 0xFFFF], [0, 1], [1, 1])
         path = tmp_path / f"feed.{fmt}"
-        getattr(trace, f"to_{fmt}")(path)
-        loaded = getattr(Trace, f"from_{fmt}")(path)
+        if fmt == "npz":
+            TraceSet([trace]).to_npz(path)
+            (loaded,) = TraceSet.from_npz(path).traces
+        else:
+            getattr(trace, f"to_{fmt}")(path)
+            loaded = getattr(Trace, f"from_{fmt}")(path)
         assert record_rows(loaded) == record_rows(trace)
 
     def test_jsonl_null_value_is_value_error(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Zero-copy NPZ: ``from_npz(mmap_mode=...)`` maps columns off disk."""
+"""Zero-copy NPZ: ``TraceSet.from_npz(mmap_mode=...)`` maps columns."""
 
 import numpy as np
 import pytest
@@ -25,11 +25,20 @@ def _large_trace(n=5_000, **metadata):
 COLUMNS = ("times_s", "rntis", "directions", "tbs_bytes")
 
 
+def _save_one(trace, path, compressed):
+    TraceSet([trace]).to_npz(path, compressed=compressed)
+
+
+def _load_one(path, mmap_mode=None):
+    (trace,) = TraceSet.from_npz(path, mmap_mode=mmap_mode).traces
+    return trace
+
+
 def test_from_npz_mmap_does_not_copy_columns(tmp_path):
     path = tmp_path / "trace.npz"
     trace = _large_trace(label="Netflix", cell="c0", day=3)
-    trace.to_npz(path, compressed=False)
-    mapped = Trace.from_npz(path, mmap_mode="r")
+    _save_one(trace, path, compressed=False)
+    mapped = _load_one(path, mmap_mode="r")
     for name in COLUMNS:
         original = getattr(trace, name)
         column = getattr(mapped, name)
@@ -44,8 +53,8 @@ def test_from_npz_mmap_does_not_copy_columns(tmp_path):
 def test_from_npz_compressed_falls_back_to_copy(tmp_path):
     path = tmp_path / "trace.npz"
     trace = _large_trace(n=500)
-    trace.to_npz(path, compressed=True)   # deflated members: not mappable
-    loaded = Trace.from_npz(path, mmap_mode="r")
+    _save_one(trace, path, compressed=True)   # deflated: not mappable
+    loaded = _load_one(path, mmap_mode="r")
     for name in COLUMNS:
         assert np.array_equal(getattr(loaded, name), getattr(trace, name))
         assert not _mmap_backed(getattr(loaded, name))
@@ -54,8 +63,8 @@ def test_from_npz_compressed_falls_back_to_copy(tmp_path):
 def test_from_npz_without_mmap_mode_is_unchanged(tmp_path):
     path = tmp_path / "trace.npz"
     trace = _large_trace(n=300)
-    trace.to_npz(path, compressed=False)
-    loaded = Trace.from_npz(path)
+    _save_one(trace, path, compressed=False)
+    loaded = _load_one(path)
     for name in COLUMNS:
         assert np.array_equal(getattr(loaded, name), getattr(trace, name))
         assert not _mmap_backed(getattr(loaded, name))
@@ -80,7 +89,7 @@ def test_traceset_from_npz_mmap_round_trip(tmp_path):
 
 def test_mmap_mode_rejects_writable_maps(tmp_path):
     path = tmp_path / "trace.npz"
-    _large_trace(n=100).to_npz(path, compressed=False)
-    mapped = Trace.from_npz(path, mmap_mode="r")
+    _save_one(_large_trace(n=100), path, compressed=False)
+    mapped = _load_one(path, mmap_mode="r")
     with pytest.raises((ValueError, OSError)):
         mapped.times_s[0] = -1.0
