@@ -44,7 +44,7 @@ WARM_S = 0.5           # all UEs finish RRC setup before timing starts
 TIMED_S = 0.5          # 500 TTIs
 
 #: Crossover sweep: cell sizes, disciplines and timed span per point.
-SWEEP_UES = (1, 2, 4, 8, 16, 32, 64, 128)
+SWEEP_UES = (1, 2, 4, 8, 16, 32, 64, 96, 128)
 SWEEP_SCHEDULERS = ("round-robin", "proportional-fair")
 SWEEP_WARM_S = 0.1
 SWEEP_TIMED_S = 0.3

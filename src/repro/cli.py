@@ -392,7 +392,10 @@ def _load_stream_sources(path: Path):
 
     A set archive (what ``collect --format npz`` writes) yields one
     source per trace, named ``stem[i]``; a one-trace archive, a JSONL
-    or a CSV trace yields one source named ``stem``.
+    or a CSV trace yields one source named ``stem``.  Each trace of a
+    set archive is a separate capture, so it is its own victim, named
+    like its source: ``collect`` marks every capture ``user="victim"``,
+    which would fuse them all into one.
     """
     from .sniffer.trace import Trace, TraceSet
 
@@ -400,8 +403,11 @@ def _load_stream_sources(path: Path):
         traces = TraceSet.from_npz(path).traces
         if len(traces) == 1:
             return [(path.stem, traces[0])]
-        return [(f"{path.stem}[{index}]", trace)
-                for index, trace in enumerate(traces)]
+        sources = []
+        for index, trace in enumerate(traces):
+            trace.user = f"{path.stem}[{index}]"
+            sources.append((trace.user, trace))
+        return sources
     if path.suffix == ".jsonl":
         return [(path.stem, Trace.from_jsonl(path))]
     if path.suffix == ".csv":

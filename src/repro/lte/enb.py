@@ -39,7 +39,7 @@ from .rrc import (ControlMessage, PagingMessage, RACHPreamble,
                   RRCConnectionRequest, RRCConnectionSetup)
 from .scheduler import Allocation, CrossTraffic
 from .sim import TTI_US, SimClock, seconds
-from .tbs import cqi_to_mcs, grant_for_bytes
+from .tbs import MAX_PRB, cqi_to_mcs, grant_for_bytes
 from .ue import UE
 from .vecsched import make_vector_scheduler
 
@@ -121,6 +121,9 @@ class ENodeB(TTILoop):
                 f"inactivity_timeout_s must be positive: {inactivity_timeout_s}")
         if tti_us <= 0:
             raise ValueError(f"tti_us must be positive: {tti_us}")
+        if not 1 <= total_prb <= MAX_PRB:
+            raise ValueError(
+                f"total_prb out of range [1, {MAX_PRB}]: {total_prb}")
         self.cell_id = cell_id
         self._tti_us = tti_us
         self._clock = clock

@@ -10,16 +10,17 @@ one of two lanes over the same columns:
   at most :data:`SCALAR_LANE_MAX` connected UEs and no padding or
   chaff: the paper's regime — one victim or one conversation pair per
   cell — where a TTI touches a handful of UEs and small numpy calls
-  would dominate.  It calls each scheduler's ``allocate_scalar``.
+  would dominate.  It runs the ``grant_for_bytes`` loop itself, inline,
+  in the service order of each scheduler's ``open_span``.
 * the **array lane** (:meth:`TTILoop._array_tti`), one call per TTI, for
   crowded or obfuscating cells: demands, grants and drains for all UEs
   at once with array operations (:mod:`repro.lte.vecsched`).  Padding
   and chaff always take it, through the eNB's padding/chaff helpers on
   materialised allocations, so their scalar draws keep their order.
 
-The schedulers keep one state for both entry points (the RR rotation
-pointer, the dense PF averages), so a cell changes lanes between any two
-spans with no copy or migration.  ``SCALAR_LANE_MAX`` comes from the
+The schedulers keep one state for both lanes (the RR rotation pointer,
+the dense PF averages), so a cell changes lanes between any two spans
+with no copy or migration.  ``SCALAR_LANE_MAX`` comes from the
 crossover sweep in ``benchmarks/bench_simulator.py``.
 
 **Both lanes emit the same bits.**  The golden suite
@@ -29,9 +30,11 @@ one scenario that crosses the bound both ways.  The shared eNB
 :class:`random.Random` stream makes this subtle: every scalar draw must
 happen in exactly the same order.  Per TTI the draw order is
 
-1. ``CrossTraffic.occupied_prb`` (one ``gauss``, only when configured);
+1. the cross-traffic ``gauss`` of ``CrossTraffic.occupied_prb``, only
+   when configured (the scalar lane draws it from locals);
 2. per direction (DL first): chaff draws, then one ``random()`` per
-   allocation when ``harq_bler > 0`` (in allocation order);
+   allocation when ``harq_bler > 0`` (in allocation order; the scalar
+   lane draws it right after each grant, as allocation draws nothing);
 3. one ``random()`` per UE for the CQI walk, plus a ``choice`` on step
    events, in RRC-connection (dict) order.
 
@@ -56,10 +59,11 @@ above is unchanged.
 
 No foreign event fires inside a span, so the cell's UEs and lane
 cannot change in it.  The scalar lane runs a whole span in one Python
-frame: it reads RNTIs, CQIs and backlogs once into lists, and when the
-span ends writes back the granted UEs' backlogs and last-activity
-times, any stepped CQIs and the counters, before the foreign event that
-ends the span (an enqueue, an inactivity check, RRC) can read them.
+frame: it reads RNTIs, CQIs and backlogs, and through ``open_span``
+each scheduler's state, once; when the span ends it writes back the
+scheduler state, the granted UEs' backlogs and last-activity times, any
+stepped CQIs and the counters, before the foreign event that ends the
+span (an enqueue, an inactivity check, RRC) can read them.
 Own retransmits touch only the grant buffers and the cell's counters.
 
 Grants leave the cell as :class:`GrantBatch` columns.  Both lanes and
@@ -89,20 +93,23 @@ per-record objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from bisect import bisect_left
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .dci import Direction
 from .scheduler import Allocation
-from .tbs import CQI_TO_MCS, mcs_of_cqi_array
+from .tbs import (CQI_TO_MCS, itbs_of_mcs_tuple, mcs_of_cqi_array,
+                  tbs_bytes_rows)
 
 #: Largest connected-UE count whose TTIs run on the scalar lane.  Below
 #: it, the array lane's fixed cost of small numpy calls outweighs the
 #: per-UE Python loop; the crossover sweep in
 #: ``benchmarks/bench_simulator.py`` (``BENCH_simulator.json``,
-#: ``crossover``) is the evidence for the value.
-SCALAR_LANE_MAX = 32
+#: ``crossover``) is the evidence for the value: round-robin's scalar
+#: lane is cheaper through 128 UEs, proportional-fair's through 96.
+SCALAR_LANE_MAX = 96
 
 #: Buffered grants that air at once, without waiting for an observation
 #: point: the bound on one :class:`GrantBatch` beyond one TTI's grants.
@@ -291,72 +298,78 @@ class TTILoop:
         ``None`` once no UE holds backlog.
         """
         clock, rng, profile = self._clock, self._rng, self._profile
-        draw, pick = rng.random, rng.choice
-        occupied_prb = self._cross_traffic.occupied_prb
+        draw, pick, gauss = rng.random, rng.choice, rng.gauss
         run_ahead, schedule = clock.run_ahead, clock.schedule
         own, observers = self._is_own_retransmit, self.grant_batch_observers
         step_prob, bler = profile.cqi_step_prob, profile.harq_bler
         total_prb, tti_us = self._total_prb, self._tti_us
+        # CrossTraffic.occupied_prb's draw and clamp, over locals; with
+        # total_prb >= 1 a load of at most 0.95 leaves at least one PRB.
+        load_mean = self._cross_traffic.mean_load
+        load_spread = load_mean * self._cross_traffic.burstiness
+        rows, i_tbs = tbs_bytes_rows(), itbs_of_mcs_tuple()
         times, directions, span_rntis, span_mcs, span_prb, span_tbs = (
             self._span_columns)
         rntis = self._arr_rnti[slots].tolist()
         cqis = self._arr_cqi[slots].tolist()
         mcs = [CQI_TO_MCS[cqi] for cqi in cqis]
         dl, ul = self._arr_dl[slots].tolist(), self._arr_ul[slots].tolist()
-        lanes = ((Direction.DOWNLINK, _DL, self._dl_scheduler.allocate_scalar,
-                  dl),
-                 (Direction.UPLINK, _UL, self._ul_scheduler.allocate_scalar,
-                  ul))
+        everyone = list(range(len(rntis)))
+        dl_span = self._dl_scheduler.open_span(rntis)
+        ul_span = self._ul_scheduler.open_span(rntis)
+        lanes = ((Direction.DOWNLINK, _DL, dl_span.order, dl_span.settle, dl),
+                 (Direction.UPLINK, _UL, ul_span.order, ul_span.settle, ul))
         ttis = issued = granted = 0
         stepped_any = False
         granted_at = {}  # UE index -> time of its last grant in the span
         while True:
             ttis += 1
-            available = max(1, total_prb - occupied_prb(total_prb, rng))
+            available = total_prb
+            if load_mean > 0.0:
+                load = gauss(load_mean, load_spread)
+                load = 0.0 if load < 0.0 else 0.95 if load > 0.95 else load
+                available = total_prb - int(total_prb * load)
             busy = False
-            for direction, code, allocate, backlog in lanes:
+            for direction, code, order, settle, backlog in lanes:
                 if not any(backlog):
                     continue
-                if all(backlog):
-                    # Every UE has data: the demand batch is the whole cell.
-                    demand = None
-                    positions, grant_prb, grant_tbs = allocate(
-                        rntis, backlog, mcs, available)
-                else:
-                    demand = [index for index, pending in enumerate(backlog)
-                              if pending > 0]
-                    positions, grant_prb, grant_tbs = allocate(
-                        [rntis[index] for index in demand],
-                        [backlog[index] for index in demand],
-                        [mcs[index] for index in demand], available)
-                grant_rntis, grant_mcs = [], []
-                for position, size in zip(positions, grant_tbs):
-                    index = position if demand is None else demand[position]
-                    left = backlog[index] - size
-                    backlog[index] = left if left > 0 else 0
+                demand = everyone if all(backlog) else [
+                    index for index, pending in enumerate(backlog)
+                    if pending > 0]
+                served = {}
+                remaining = available
+                # grant_for_bytes; a saturating backlog takes all PRBs left.
+                for index in order(demand, mcs):
+                    if remaining <= 0:
+                        break
+                    rate, pending = mcs[index], backlog[index]
+                    row = rows[i_tbs[rate]]
+                    if row[remaining - 1] <= pending:
+                        n_prb = remaining
+                    else:
+                        n_prb = bisect_left(row, pending, 0, remaining) + 1
+                    size = row[n_prb - 1]
+                    remaining -= n_prb
+                    backlog[index] = pending - size if pending > size else 0
                     granted_at[index] = now
-                    grant_rntis.append(rntis[index])
-                    grant_mcs.append(mcs[index])
+                    rnti = rntis[index]
+                    served[rnti] = size
+                    issued += 1
+                    granted += size
+                    if observers:
+                        times.append(now)
+                        directions.append(code)
+                        span_rntis.append(rnti)
+                        span_mcs.append(rate)
+                        span_prb.append(n_prb)
+                        span_tbs.append(size)
+                    if bler > 0.0 and draw() < bler:
+                        schedule(self._HARQ_RTT_TTIS * tti_us, _Retransmit(
+                            self, (direction, rnti, rate, n_prb, size), 1))
+                settle(served)
                 busy = busy or any(backlog)
-                count = len(grant_tbs)
-                issued += count
-                granted += sum(grant_tbs)
-                if count and observers:
-                    times.extend([now] * count)
-                    directions.extend([code] * count)
-                    span_rntis.extend(grant_rntis)
-                    span_mcs.extend(grant_mcs)
-                    span_prb.extend(grant_prb)
-                    span_tbs.extend(grant_tbs)
-                    if len(times) >= FLUSH_RECORDS:
-                        self._flush_grants()
-                if bler > 0.0:
-                    for rnti, rate, n_prb, size in zip(
-                            grant_rntis, grant_mcs, grant_prb, grant_tbs):
-                        if draw() < bler:
-                            schedule(self._HARQ_RTT_TTIS * tti_us,
-                                     _Retransmit(self, (direction, rnti, rate,
-                                                        n_prb, size), 1))
+                if len(times) >= FLUSH_RECORDS:
+                    self._flush_grants()
             for index, cqi in enumerate(cqis):
                 if draw() < step_prob:
                     stepped = min(max(cqi + pick(_CQI_STEPS),
@@ -369,6 +382,8 @@ class TTILoop:
             now += tti_us
             if not run_ahead(now, own):
                 break
+        dl_span.close()
+        ul_span.close()
         for index, at in granted_at.items():
             slot = self._slot_list[index]
             self._arr_dl[slot], self._arr_ul[slot] = dl[index], ul[index]

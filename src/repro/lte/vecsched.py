@@ -1,46 +1,47 @@
 """Vectorised MAC schedulers: the eNodeB's scheduling disciplines.
 
-The array-backed engine (:mod:`repro.lte.engine`) calls each scheduler
-once per direction per TTI through one of two entry points, matching
-the engine's two lanes:
+The array-backed engine (:mod:`repro.lte.engine`) drives each scheduler
+through one of two entry points, matching the engine's two lanes:
 
-* ``allocate_batch`` (array lane, crowded cells) takes parallel arrays
-  of RNTI, backlog and MCS for every UE with pending data;
-* ``allocate_scalar`` (scalar lane, at most ``SCALAR_LANE_MAX`` UEs)
-  takes the same three columns as Python lists and loops over them.
+* ``allocate_batch`` (array lane, crowded cells), once per direction
+  per TTI, takes parallel arrays of RNTI, backlog and MCS for every UE
+  with pending data and returns grant arrays;
+* ``open_span(rntis)`` (scalar lane, at most ``SCALAR_LANE_MAX`` UEs),
+  once per span of TTIs, reads the discipline's state for the span's
+  UEs into Python values.  Per TTI its ``order(demand, mcs)`` gives the
+  service order over UE indices and ``settle(served)`` updates the
+  state; the engine runs the grant loop in between; ``close()`` writes
+  the state back.
 
-Both run over one scheduler state — the RR rotation pointer, the dense
-PF averages — so the engine may switch entry points between any two
-TTIs.  Each scheduler here is grant-for-grant identical to its
-per-demand object reference (``tests/lte/oracles.py``) through either
-entry point:
+Both keep one scheduler state (the RR rotation pointer, the dense PF
+averages), so the engine may switch lanes between any two spans.  Each
+scheduler is grant-for-grant identical to its per-demand object
+reference (``tests/lte/oracles.py``) through either entry point:
 
 * the service **order** is reproduced exactly (RR rotation pointer, PF
   priority sort, MaxCQI sort — all stable, like ``sorted``);
 * the shared PRB budget is consumed **sequentially** in that order —
   in the batch entry via a closed-form "terminal index" computation
-  (see ``_sequential_grants``), in the scalar entry via the
-  ``grant_for_bytes`` loop itself (``_scalar_grants``) — including the
-  saturation edge where the final grant absorbs *all* remaining PRBs;
+  (see ``_sequential_grants``), on the scalar lane by the engine's
+  ``grant_for_bytes`` loop — including the saturation edge where the
+  final grant absorbs *all* remaining PRBs;
 * PF keeps its throughput average in a dense float64 array indexed by
-  RNTI, updated with the same ``(1-a)*avg + a*served`` expression in
-  both entries, so every average is IEEE-identical to the dict-based
-  implementation.
+  RNTI (Python floats within a span), updated with the same
+  ``(1-a)*avg + a*served`` expression on both lanes, so every average
+  is IEEE-identical to the dict-based implementation.
 
 Nothing here draws randomness; determinism is inherited from the inputs.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .tbs import (MAX_PRB, itbs_of_mcs_array, itbs_of_mcs_tuple,
                   neg_pf_instantaneous_bytes_array,
-                  neg_pf_instantaneous_bytes_tuple, tbs_bytes_array,
-                  tbs_bytes_rows)
+                  neg_pf_instantaneous_bytes_tuple, tbs_bytes_array)
 
 #: Grants for one direction of one TTI: positions into the demand batch
 #: (in service order), PRBs granted, and TBS bytes granted.
@@ -49,9 +50,6 @@ GrantArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
 _EMPTY_GRANTS: GrantArrays = (np.empty(0, dtype=np.int64),
                               np.empty(0, dtype=np.int64),
                               np.empty(0, dtype=np.int64))
-
-#: The same triple as Python lists: the scalar entry points' result.
-GrantLists = Tuple[List[int], List[int], List[int]]
 
 #: Size of the dense PF state arrays: the full 16-bit RNTI space.
 _RNTI_SPACE = 1 << 16
@@ -148,42 +146,21 @@ def _sequential_grants(order: np.ndarray, pending: np.ndarray,
     return positions, n_prb, tbs
 
 
-def _scalar_grants(order: Sequence[int], pending: Sequence[int],
-                   mcs: Sequence[int], total_prb: int) -> GrantLists:
-    """:func:`_sequential_grants` on Python ints, for the scalar lane.
+class _StatelessSpan:
+    """A scheduler that is its own scalar-lane span: its ``order`` moves
+    what state it has (a Python int), so nothing settles or closes."""
 
-    This is the scalar ``grant_for_bytes`` loop itself: a saturating
-    demand takes every remaining PRB, any other takes the smallest
-    fitting count (``bisect_left`` on the non-decreasing TBS row).
-    """
-    if not 1 <= total_prb <= MAX_PRB:
-        raise ValueError(
-            f"max_prb out of range [1, {MAX_PRB}]: {total_prb}")
-    if min(pending, default=1) <= 0:
-        raise ValueError("demand backlog must be positive")
-    rows = tbs_bytes_rows()
-    i_tbs = itbs_of_mcs_tuple()
-    positions: List[int] = []
-    prbs: List[int] = []
-    sizes: List[int] = []
-    remaining = total_prb
-    for position in order:
-        if remaining <= 0:
-            break
-        row = rows[i_tbs[mcs[position]]]
-        backlog = pending[position]
-        if row[remaining - 1] <= backlog:
-            n_prb = remaining
-        else:
-            n_prb = bisect_left(row, backlog, 0, remaining) + 1
-        positions.append(position)
-        prbs.append(n_prb)
-        sizes.append(row[n_prb - 1])
-        remaining -= n_prb
-    return positions, prbs, sizes
+    def open_span(self, rntis: Sequence[int]) -> "_StatelessSpan":
+        return self
+
+    def settle(self, served: Dict[int, int]) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
 
 
-class VectorRoundRobinScheduler:
+class VectorRoundRobinScheduler(_StatelessSpan):
     """Round-robin: serve pending UEs cyclically, fair in turns."""
 
     name = "round-robin"
@@ -203,16 +180,11 @@ class VectorRoundRobinScheduler:
         i_tbs = itbs_of_mcs_array()[mcs]
         return _sequential_grants(order, pending, i_tbs, total_prb)
 
-    def allocate_scalar(self, rntis: Sequence[int], pending: Sequence[int],
-                        mcs: Sequence[int], total_prb: int) -> GrantLists:
-        """:meth:`allocate_batch` on Python lists (same rotation pointer)."""
-        count = len(rntis)
-        if count == 0:
-            return [], [], []
-        start = self._next_index % count
-        self._next_index = (start + 1) % count
-        order = [*range(start, count), *range(start)]
-        return _scalar_grants(order, pending, mcs, total_prb)
+    def order(self, demand: List[int], mcs: Sequence[int]) -> List[int]:
+        """:meth:`allocate_batch`'s rotation over ``demand`` (UE indices)."""
+        start = self._next_index % len(demand)
+        self._next_index = (start + 1) % len(demand)
+        return demand[start:] + demand[:start] if start else demand
 
 
 class VectorProportionalFairScheduler:
@@ -271,46 +243,9 @@ class VectorProportionalFairScheduler:
         self._served[granted_rntis] = 0.0
         return positions, n_prb, tbs
 
-    def allocate_scalar(self, rntis: Sequence[int], pending: Sequence[int],
-                        mcs: Sequence[int], total_prb: int) -> GrantLists:
-        """:meth:`allocate_batch` on Python lists, over the same averages.
-
-        Reads and writes the dense ``_avg`` array element by element with
-        the batched path's exact float expressions, so either path may
-        run any TTI.  The decay sweep walks ``_known``, which holds only
-        live RNTIs once the eNB forgets released ones.
-        """
-        count = len(rntis)
-        if count == 0:
-            return [], [], []
-        avg = self._avg
-        if count == 1:
-            order = [0]  # one demand: nothing to rank
-        else:
-            neg_instantaneous = neg_pf_instantaneous_bytes_tuple()
-            i_tbs = itbs_of_mcs_tuple()
-            neg_priority = [neg_instantaneous[i_tbs[rate]]
-                            / max(avg.item(rnti), 1e-9)
-                            for rnti, rate in zip(rntis, mcs)]
-            order = sorted(range(count), key=neg_priority.__getitem__)
-        positions, n_prb, tbs = _scalar_grants(order, pending, mcs,
-                                               total_prb)
-        # Last grant wins for a duplicated RNTI, as in the batched path.
-        served = {}
-        for position, size in zip(positions, tbs):
-            served[rntis[position]] = size
-        known_mask = self._known_mask
-        for rnti in rntis:
-            if not known_mask.item(rnti):
-                new = np.asarray(rntis, dtype=np.int64)
-                self._known = np.union1d(self._known, new)
-                known_mask[new] = True
-                break
-        keep = 1.0 - self._alpha
-        alpha = self._alpha
-        for rnti in self._known.tolist():
-            avg[rnti] = keep * avg.item(rnti) + alpha * served.get(rnti, 0.0)
-        return positions, n_prb, tbs
+    def open_span(self, rntis: Sequence[int]) -> "_ProportionalFairSpan":
+        """The scalar lane's view of the averages for a span over ``rntis``."""
+        return _ProportionalFairSpan(self, rntis)
 
     def forget(self, rnti: int) -> None:
         """Drop a released RNTI from the average (same as dict ``pop``)."""
@@ -321,13 +256,65 @@ class VectorProportionalFairScheduler:
             self._known = np.delete(self._known, index)
 
 
-class VectorMaxCQIScheduler:
+class _ProportionalFairSpan:
+    """PF state for one scalar span: the span's averages as Python floats.
+
+    Ranks and decays with the batched path's exact float expressions and
+    writes the averages and new members back at :meth:`close`.  Members
+    of ``_known`` outside the span (the eNB forgets every RNTI it
+    retires, so its spans have none) take the span's decay steps at
+    :meth:`close`, one multiply-add per step.
+    """
+
+    __slots__ = ("_scheduler", "_rntis", "_avg", "_members", "_steps",
+                 "_keep", "_alpha")
+
+    def __init__(self, scheduler: VectorProportionalFairScheduler,
+                 rntis: Sequence[int]) -> None:
+        self._scheduler, self._rntis, self._steps = scheduler, rntis, 0
+        self._keep, self._alpha = 1.0 - scheduler._alpha, scheduler._alpha
+        self._avg = {rnti: scheduler._avg.item(rnti) for rnti in rntis}
+        self._members = {rnti for rnti in self._avg
+                         if scheduler._known_mask.item(rnti)}
+
+    def order(self, demand: List[int], mcs: Sequence[int]) -> List[int]:
+        """The PF ranking of ``allocate_batch``, over the span's floats."""
+        rntis, avg = self._rntis, self._avg
+        if len(self._members) < len(avg):
+            self._members.update([rntis[index] for index in demand])
+        if len(demand) == 1:
+            return demand
+        neg, i_tbs = neg_pf_instantaneous_bytes_tuple(), itbs_of_mcs_tuple()
+        return sorted(demand, key=lambda index: (
+            neg[i_tbs[mcs[index]]] / max(avg[rntis[index]], 1e-9)))
+
+    def settle(self, served: Dict[int, int]) -> None:
+        """Decay every member; ``served`` maps RNTI to its granted bytes."""
+        keep, alpha, avg = self._keep, self._alpha, self._avg
+        for rnti in self._members:
+            avg[rnti] = keep * avg[rnti] + alpha * served.get(rnti, 0.0)
+        self._steps += 1
+
+    def close(self) -> None:
+        """Write the span's averages and members back to the scheduler."""
+        scheduler = self._scheduler
+        avg, known_mask = scheduler._avg, scheduler._known_mask
+        outside = [rnti for rnti in scheduler._known.tolist()
+                   if rnti not in self._avg]
+        for _ in range(self._steps if outside else 0):
+            avg[outside] = self._keep * avg[outside] + self._alpha * 0.0
+        for rnti in self._members:
+            avg[rnti] = self._avg[rnti]
+        new = [rnti for rnti in self._members if not known_mask.item(rnti)]
+        if new:
+            scheduler._known = np.union1d(scheduler._known, new)
+            known_mask[new] = True
+
+
+class VectorMaxCQIScheduler(_StatelessSpan):
     """Greedy max-CQI: serve the best-channel UE first."""
 
     name = "max-cqi"
-
-    def __init__(self) -> None:
-        pass
 
     def allocate_batch(self, rntis: np.ndarray, pending: np.ndarray,
                        mcs: np.ndarray, total_prb: int) -> GrantArrays:
@@ -337,13 +324,11 @@ class VectorMaxCQIScheduler:
         i_tbs = itbs_of_mcs_array()[mcs]
         return _sequential_grants(order, pending, i_tbs, total_prb)
 
-    def allocate_scalar(self, rntis: Sequence[int], pending: Sequence[int],
-                        mcs: Sequence[int], total_prb: int) -> GrantLists:
-        """:meth:`allocate_batch` on Python lists (stable MCS ranking)."""
-        if not rntis:
-            return [], [], []
-        order = sorted(range(len(rntis)), key=lambda i: -mcs[i])
-        return _scalar_grants(order, pending, mcs, total_prb)
+    def order(self, demand: List[int], mcs: Sequence[int]) -> List[int]:
+        """:meth:`allocate_batch`'s stable MCS ranking of ``demand``."""
+        if len(demand) == 1:
+            return demand
+        return sorted(demand, key=lambda index: -mcs[index])
 
 
 _VECTOR_SCHEDULERS = {

@@ -530,12 +530,15 @@ class Trace:
                     f"{path}: expected 4 record columns "
                     f"(time_s,rnti,direction,tbs_bytes), got {len(columns)}")
             # Parsed wide, so the range check sees the values as written.
-            rntis = int64_column(columns[1], "rnti")
-            directions = int64_column(columns[2], "dir")
-            check_record_fields(rntis, directions)
-            trace = cls.from_arrays(
-                np.array(columns[0], dtype=TIME_DTYPE), rntis, directions,
-                int64_column(columns[3], "tbs"))
+            try:
+                rntis = int64_column(columns[1], "rnti")
+                directions = int64_column(columns[2], "dir")
+                check_record_fields(rntis, directions)
+                trace = cls.from_arrays(
+                    np.array(columns[0], dtype=TIME_DTYPE), rntis,
+                    directions, int64_column(columns[3], "tbs"))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
         else:
             trace = cls()
         trace.apply_metadata(metadata)
@@ -592,6 +595,8 @@ class Trace:
         except TypeError as exc:
             raise ValueError(f"{path}: not a trace record column: "
                              f"{exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
         trace.apply_metadata(metadata)
         return trace
 

@@ -43,6 +43,21 @@ class TestCLI:
     def test_train_empty_dir_fails(self, tmp_path):
         assert main(["train", "--data", str(tmp_path)]) == 2
 
+    def test_train_names_the_file_with_a_bad_record(self, tmp_path,
+                                                     capsys):
+        from repro.sniffer.trace import Trace
+
+        for index, rnti in enumerate([0x100, 0x101]):
+            Trace.from_arrays([0.0, 0.5], [rnti] * 2, [0, 1], [10, 10],
+                              label="YouTube").to_csv(
+                tmp_path / f"trace_{index:06d}.csv")
+        bad = tmp_path / "trace_000001.csv"
+        bad.write_text(bad.read_text().replace(",257,", ",-5,"))
+        assert main(["train", "--data", str(tmp_path), "--trees", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "trace_000001.csv" in err and "rnti" in err
+        assert "trace_000000.csv" not in err
+
     def test_classify_empty_dir_fails(self, tmp_path):
         missing = tmp_path / "none"
         missing.mkdir()
@@ -135,6 +150,15 @@ class TestServeCLI:
         assert "sources:        4" in out
         for index in range(4):
             assert f"  traces[{index}]: " in out
+        # Each capture is its own victim: one fused verdict per source,
+        # each from its one cell, none merging the four captures.
+        fused = [line for line in out.splitlines()
+                 if line.startswith("  fused ")]
+        assert len(fused) == 4
+        for index in range(4):
+            assert sum(line.startswith(f"  fused traces[{index}]: ")
+                       for line in fused) == 1
+        assert all(line.endswith("across 1 cells)") for line in fused)
 
     def test_serve_one_trace_archive_keeps_the_stem(self, campaign,
                                                     tmp_path, capsys):
@@ -172,6 +196,15 @@ class TestServeCLI:
                           validate=False).to_jsonl(feed)
         assert main(["serve", "--model", str(campaign / "model.json"),
                      "--data", str(feed)]) == 2
+
+    def test_serve_names_the_feed_with_a_bad_record(self, campaign,
+                                                    tmp_path, capsys):
+        feed = tmp_path / "bad_feed.jsonl"
+        feed.write_text('{"t": 0.0, "rnti": -5, "dir": 0, "tbs": 10}\n')
+        assert main(["serve", "--model", str(campaign / "model.json"),
+                     "--data", str(feed)]) == 2
+        err = capsys.readouterr().err
+        assert "bad_feed.jsonl" in err and "rnti" in err
 
     def test_serve_out_of_range_rnti_is_bad_input(self, campaign, tmp_path):
         feed = tmp_path / "feed.jsonl"

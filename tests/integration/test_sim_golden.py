@@ -288,16 +288,23 @@ def test_lanes_leave_the_same_columns_and_counters(
     assert scalar[-1][2] > 0 and scalar[-1][3] > 0
 
 
+#: The scalar-lane bound the crossing scenario runs under: its cell is
+#: sized from this, not from the shipped ``SCALAR_LANE_MAX``, so the
+#: golden pins one scenario whatever the tuned bound is.
+CROSSING_BOUND = 32
+
+
 def _crossing_network():
     """A PF cell that grows past the scalar-lane bound and shrinks back.
 
     Three UEs stay busy throughout; at 0.3 s every other UE sends one
     burst, which connects them and lifts the cell above
-    ``SCALAR_LANE_MAX``; the 0.25 s inactivity timer then releases them
+    ``CROSSING_BOUND``; the 0.25 s inactivity timer then releases them
     again.  HARQ, capture loss/corruption and RNTI refresh all run.
     Returns the network, its sniffer and the sampled peak UE count.
+    Run it with ``SCALAR_LANE_MAX`` set to ``CROSSING_BOUND``.
     """
-    n_ues = engine_module.SCALAR_LANE_MAX + 6
+    n_ues = CROSSING_BOUND + 6
     net = LTENetwork(seed=5)
     net.add_cell("crossing", scheduler_name="proportional-fair",
                  total_prb=50, inactivity_timeout_s=0.25,
@@ -339,7 +346,9 @@ def _crossing_simulation():
     return net.cells["crossing"].enb, _crossing_observed(net, sniffer), peak[0]
 
 
-def test_crossing_scenario_switches_lanes_and_matches_legacy(lane_spy):
+def test_crossing_scenario_switches_lanes_and_matches_legacy(lane_spy,
+                                                            monkeypatch):
+    monkeypatch.setattr(engine_module, "SCALAR_LANE_MAX", CROSSING_BOUND)
     enb, observed, peak = _crossing_simulation()
     bound = engine_module.SCALAR_LANE_MAX
     assert peak > bound
@@ -649,6 +658,7 @@ def test_observation_points_match_immediate_delivery(name, monkeypatch):
     """Coalesced grant batches give every control observer what per-emit
     delivery gives it, and the same end state."""
     build, golden = OBSERVATION_SCENARIOS[name]
+    monkeypatch.setattr(engine_module, "SCALAR_LANE_MAX", CROSSING_BOUND)
     shipped = _observe_run(build)
     monkeypatch.setattr(engine_module, "FLUSH_RECORDS", 1)
     immediate = _observe_run(build)
@@ -665,6 +675,16 @@ def test_observation_points_match_immediate_delivery(name, monkeypatch):
 def test_flush_records_bounds_every_batch():
     """A saturated cell's one long run airs batches of at most
     ``FLUSH_RECORDS`` grants plus one TTI's."""
+    _assert_flush_records_bound_batches()
+
+
+def test_flush_records_bounds_every_array_batch(monkeypatch):
+    """The same bound with the saturated cell pinned to the array lane."""
+    monkeypatch.setattr(engine_module, "SCALAR_LANE_MAX", LANE_BOUNDS["array"])
+    _assert_flush_records_bound_batches()
+
+
+def _assert_flush_records_bound_batches():
     total_prb = 25
     net = LTENetwork(seed=3)
     net.add_cell("sat", total_prb=total_prb)

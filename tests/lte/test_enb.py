@@ -14,6 +14,7 @@ from repro.lte.rrc import (PagingMessage, RACHPreamble,
                            RandomAccessResponse, RRCConnectionRelease,
                            RRCConnectionRequest, RRCConnectionSetup)
 from repro.lte.sim import SECOND_US, SimClock
+from repro.lte.tbs import MAX_PRB
 from repro.lte.ue import UE, RRCState
 
 
@@ -192,6 +193,19 @@ class TestInactivity:
         with pytest.raises(ValueError):
             ENodeB("c", SimClock(), random.Random(0),
                    inactivity_timeout_s=0.0)
+
+
+class TestPRBBudget:
+    @pytest.mark.parametrize("total_prb", [0, -1, MAX_PRB + 1])
+    def test_prb_budget_out_of_range_rejected_at_construction(self,
+                                                              total_prb):
+        with pytest.raises(ValueError, match="total_prb"):
+            ENodeB("c", SimClock(), random.Random(0), total_prb=total_prb)
+
+    @pytest.mark.parametrize("total_prb", [1, MAX_PRB])
+    def test_prb_budget_bounds_accepted(self, total_prb):
+        enb = ENodeB("c", SimClock(), random.Random(0), total_prb=total_prb)
+        assert enb._total_prb == total_prb
 
 
 class TestHandover:

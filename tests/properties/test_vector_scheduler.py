@@ -15,11 +15,12 @@ generator deliberately covers the paper-relevant corner cases:
 * degenerate budgets (1 PRB) and saturating backlogs (many MB against a
   handful of PRBs).
 
-The engine's scalar lane calls each vector scheduler's
-``allocate_scalar`` over the same state ``allocate_batch`` keeps, so a
-third property runs one random state sequence through both entry
-points, and through a scheduler that switches between them, and asserts
-identical grants and bit-identical PF averages.
+The engine's scalar lane drives each vector scheduler through
+``open_span`` over the same state ``allocate_batch`` keeps, so a third
+property cuts one random TTI sequence into spans, runs it through both
+entry points and through a scheduler that switches between them span by
+span, and asserts identical grants and bit-identical scheduler state
+after every span.
 
 ``derandomize=True`` pins the example stream to the test id so CI
 failures replay locally without sharing a database.
@@ -31,7 +32,7 @@ from hypothesis import given, settings, strategies as st
 from repro.lte.dci import Direction
 from repro.lte.tbs import MAX_PRB
 from repro.lte.vecsched import make_vector_scheduler
-from tests.lte.oracles import Demand, make_scheduler
+from tests.lte.oracles import Demand, MACScheduler, make_scheduler
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -117,42 +118,87 @@ def test_pf_averages_identical_across_rnti_release(load, total_prb,
         assert float(vector._avg[demand.rnti]) == expected
 
 
-#: One state sequence: per round a load, a budget, and which lane the
-#: lane-switching scheduler takes; optionally an RNTI to release after.
-_ROUNDS = st.lists(
-    st.tuples(_LOADS, st.integers(1, MAX_PRB), st.booleans(),
-              st.one_of(st.none(), st.integers(0, 15))),
-    min_size=1, max_size=6)
+#: One state sequence cut into spans: per span its TTIs (a load and a
+#: budget each), which lane the lane-switching scheduler takes, and
+#: optionally an RNTI to release after it.
+_SPANS = st.lists(
+    st.tuples(st.lists(st.tuples(_LOADS, st.integers(1, MAX_PRB)),
+                       min_size=1, max_size=4),
+              st.booleans(), st.one_of(st.none(), st.integers(0, 15))),
+    min_size=1, max_size=5)
+
+
+def _run_span(scheduler, ttis):
+    """Drive ``open_span`` like the engine's scalar lane, one span of TTIs.
+
+    The span's UEs are every demand of every TTI in it, so each TTI's
+    demand is a run of UE indices; grants come from the oracle's
+    ``grant_for_bytes`` loop between ``order`` and ``settle``.
+    """
+    demands = [d for load, _ in ttis for d in _build_demands(load)]
+    rntis = [d.rnti for d in demands]
+    mcs = [d.mcs for d in demands]
+    span = scheduler.open_span(rntis)
+    grants, offset = [], 0
+    for load, total_prb in ttis:
+        count = len(_build_demands(load))
+        demand = list(range(offset, offset + count))
+        positions, n_prb, tbs = [], [], []
+        served = {}
+        remaining = total_prb
+        for index in span.order(demand, mcs):
+            if remaining <= 0:
+                break
+            allocation = MACScheduler._grant(demands[index], remaining)
+            remaining -= allocation.n_prb
+            positions.append(index - offset)
+            n_prb.append(allocation.n_prb)
+            tbs.append(allocation.tbs_bytes)
+            served[allocation.rnti] = allocation.tbs_bytes
+        span.settle(served)
+        grants.append([positions, n_prb, tbs])
+        offset += count
+    span.close()
+    return grants
+
+
+def _run_batch(scheduler, ttis):
+    grants = []
+    for load, total_prb in ttis:
+        rntis, pending, mcs = _batch(_build_demands(load))
+        grants.append([part.tolist() for part in scheduler.allocate_batch(
+            rntis, pending, mcs, total_prb)])
+    return grants
+
+
+def _assert_same_state(name, scheduler, reference):
+    if name == "proportional-fair":
+        # A bool first: a failing assert on two 512 KiB byte strings
+        # would have pytest diff them.
+        same_bits = scheduler._avg.tobytes() == reference._avg.tobytes()
+        assert same_bits, "PF averages differ bit for bit"
+        assert np.array_equal(scheduler._known, reference._known)
+        assert np.array_equal(scheduler._known_mask, reference._known_mask)
+    else:
+        assert vars(scheduler) == vars(reference)
 
 
 @SETTINGS
-@given(name=_SCHEDULER_NAMES, rounds=_ROUNDS)
-def test_scalar_entry_point_equals_allocate_batch(name, rounds):
+@given(name=_SCHEDULER_NAMES, spans=_SPANS)
+def test_scalar_entry_point_equals_allocate_batch(name, spans):
     batched = make_vector_scheduler(name)
-    scalar = make_vector_scheduler(name)
+    spanned = make_vector_scheduler(name)
     switching = make_vector_scheduler(name)
-    for load, total_prb, scalar_lane, release in rounds:
-        demands = _build_demands(load)
-        rntis, pending, mcs = _batch(demands)
-        expected = [part.tolist() for part in batched.allocate_batch(
-            rntis, pending, mcs, total_prb)]
-        lists = (rntis.tolist(), pending.tolist(), mcs.tolist())
-        assert list(scalar.allocate_scalar(*lists, total_prb)) == expected
-        # A scheduler may change lanes between any two TTIs.
-        if scalar_lane:
-            got = list(switching.allocate_scalar(*lists, total_prb))
-        else:
-            got = [part.tolist() for part in switching.allocate_batch(
-                rntis, pending, mcs, total_prb)]
-        assert got == expected
+    for ttis, scalar_lane, release in spans:
+        expected = _run_batch(batched, ttis)
+        assert _run_span(spanned, ttis) == expected
+        # A scheduler may change lanes between any two spans.
+        run = _run_span if scalar_lane else _run_batch
+        assert run(switching, ttis) == expected
+        for scheduler in (spanned, switching):
+            _assert_same_state(name, scheduler, batched)
         if release is not None and name == "proportional-fair":
-            victim = demands[release % len(demands)].rnti
-            for scheduler in (batched, scalar, switching):
+            load = ttis[0][0]
+            victim = _build_demands(load)[release % len(load[0])].rnti
+            for scheduler in (batched, spanned, switching):
                 scheduler.forget(victim)
-    if name == "proportional-fair":
-        for scheduler in (scalar, switching):
-            assert scheduler._avg.tobytes() == batched._avg.tobytes()
-            assert np.array_equal(scheduler._known, batched._known)
-    else:
-        for scheduler in (scalar, switching):
-            assert vars(scheduler) == vars(batched)
