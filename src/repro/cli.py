@@ -392,28 +392,30 @@ def _load_stream_sources(path: Path):
 
     A set archive (what ``collect --format npz`` writes) yields one
     source per trace, named ``stem[i]``; a one-trace archive, a JSONL
-    or a CSV trace yields one source named ``stem``.  Each trace of a
-    set archive is a separate capture, so it is its own victim, named
-    like its source: ``collect`` marks every capture ``user="victim"``,
-    which would fuse them all into one.
+    or a CSV trace yields one source named ``stem``.  ``collect`` names
+    every capture's user ``VICTIM_USER``, which would fuse separate
+    captures into one victim, so a source with that user becomes its
+    own victim, named like the source.  A trace with any other user
+    fuses with that user's other sources across cells.
     """
+    from .core.dataset import VICTIM_USER
     from .sniffer.trace import Trace, TraceSet
 
     if path.suffix == ".npz":
         traces = TraceSet.from_npz(path).traces
-        if len(traces) == 1:
-            return [(path.stem, traces[0])]
-        sources = []
-        for index, trace in enumerate(traces):
-            trace.user = f"{path.stem}[{index}]"
-            sources.append((trace.user, trace))
-        return sources
-    if path.suffix == ".jsonl":
-        return [(path.stem, Trace.from_jsonl(path))]
-    if path.suffix == ".csv":
-        return [(path.stem, Trace.from_csv(path))]
-    raise ValueError(f"unsupported trace format: {path.name} "
-                     "(expected .npz, .jsonl, or .csv)")
+        names = ([path.stem] if len(traces) == 1 else
+                 [f"{path.stem}[{index}]" for index in range(len(traces))])
+    elif path.suffix == ".jsonl":
+        traces, names = [Trace.from_jsonl(path)], [path.stem]
+    elif path.suffix == ".csv":
+        traces, names = [Trace.from_csv(path)], [path.stem]
+    else:
+        raise ValueError(f"unsupported trace format: {path.name} "
+                         "(expected .npz, .jsonl, or .csv)")
+    for name, trace in zip(names, traces):
+        if trace.user == VICTIM_USER:
+            trace.user = name
+    return list(zip(names, traces))
 
 
 def _serve_model(args: argparse.Namespace):

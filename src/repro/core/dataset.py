@@ -28,6 +28,9 @@ from ..sniffer.capture import CellSniffer
 from ..sniffer.trace import Trace, TraceSet
 from .features import WindowConfig, extract_features
 
+#: The user name of every capture's victim UE.
+VICTIM_USER = "victim"
+
 
 def _scaled_day(day: int, operator: OperatorProfile) -> int:
     """Apply the operator's drift multiplier to the nominal day."""
@@ -74,7 +77,7 @@ def _simulate_trace(spec: _TraceSpec) -> TraceSet:
     operator, seed, duration_s = spec.operator, spec.seed, spec.duration_s
     network = LTENetwork(seed=seed, **operator.network_kwargs())
     network.add_cell("cell-0", **operator.cell_kwargs())
-    victim = network.add_ue(name="victim")
+    victim = network.add_ue(name=VICTIM_USER)
     sniffer = CellSniffer("cell-0", capture_profile=operator.capture_channel,
                           seed=seed + 1).attach(network)
     model = make_app(spec.app_name, day=_scaled_day(spec.day, operator))

@@ -11,23 +11,27 @@ Each non-empty window becomes one feature vector; the layout is fixed
 and named in :data:`FEATURE_NAMES` so models, importances and tests can
 refer to features symbolically.
 
-The implementation is fully vectorised over the trace's columnar
-arrays: all window bounds come from one batched ``searchsorted``, and
-every per-window statistic is computed with ``np.add.reduceat`` /
-``np.minimum.reduceat`` / ``np.maximum.reduceat`` over a gathered
-segment view — no Python-level loop over windows.  Integer-valued sums
-are exact in float64 under any accumulation order; fractional sums use
-``np.bincount``'s strictly sequential accumulation, so every value is
-bit-identical to a record-at-a-time implementation that accumulates one
-record after another (the golden equivalence suite in
-``tests/core/test_columnar_golden.py`` holds it to that, exactly).
+One function turns windows into rows: :func:`resolve_windows` takes
+record columns, their byte prefix, a slice of the window grid and the
+capture-gap and burst ledgers, and returns the feature rows of the
+slice.  Both paths call it — the batch :func:`extract_features` once
+over a whole trace, and :class:`repro.stream.StreamingWindowizer` once
+per chunk over the windows that chunk closes, on its ring buffer's live
+suffix — so streaming a trace in arbitrary chunk sizes reproduces the
+batch output bit for bit (``tests/stream`` holds it to
+``np.array_equal``).
 
-The per-window statistics kernel is shared with the streaming data
-plane: :func:`segment_feature_rows` consumes gathered segment columns
-plus the window-context columns, and :mod:`repro.stream` feeds it the
-same values from its ring buffer — which is why streaming a trace in
-arbitrary chunk sizes reproduces this module's output bit for bit
-(``tests/stream`` holds it to ``np.array_equal``).
+The resolve is fully vectorised: the window spans come from one
+batched ``searchsorted``, the context edges of the windows that hold
+records from a second, and every per-window statistic from
+``np.add.reduceat`` / ``np.minimum.reduceat`` / ``np.maximum.reduceat``
+over a gathered segment view — no Python-level loop over windows.
+Integer-valued sums are exact in float64 under any accumulation order;
+fractional sums use ``np.bincount``'s strictly sequential
+accumulation, so every value is bit-identical to a record-at-a-time
+implementation that accumulates one record after another (the golden
+equivalence suite in ``tests/core/test_columnar_golden.py`` holds it
+to that, exactly).
 """
 
 from __future__ import annotations
@@ -70,6 +74,16 @@ FEATURE_NAMES: Tuple[str, ...] = (
 )
 
 N_FEATURES = len(FEATURE_NAMES)
+
+#: Inter-record silence that ends a burst.
+BURST_GAP_S = 0.5
+#: Half-widths of the two context spans around a window's mid.
+CTX_HALF_1S = 0.5
+CTX_HALF_5S = 2.5
+#: Context-edge offsets from a window's mid, in the order
+#: ``[lo_1s, hi_1s, lo_5s, hi_5s]`` (``mid + -h`` is ``mid - h`` bitwise).
+_CTX_EDGES = np.array([[-CTX_HALF_1S], [CTX_HALF_1S],
+                       [-CTX_HALF_5S], [CTX_HALF_5S]])
 
 
 @dataclass(frozen=True)
@@ -127,26 +141,6 @@ def _window_grid(start: float, end: float, stride_s: float
     return starts[starts <= end]
 
 
-def gather_segments(lo: np.ndarray, hi: np.ndarray
-                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat gather indices for the ``[lo, hi)`` record segments.
-
-    Returns ``(flat, counts, offsets)``: indexing a column with ``flat``
-    yields segment k's records at ``offsets[k]:offsets[k+1]``.  Shared
-    by the batch path and the streaming windowizer so both gather in
-    the same element order (which the sequential ``bincount`` sums in
-    :func:`segment_feature_rows` depend on).
-    """
-    counts = hi - lo
-    m = len(counts)
-    offsets = np.empty(m + 1, dtype=np.intp)
-    offsets[0] = 0
-    np.cumsum(counts, out=offsets[1:])
-    total_len = int(offsets[-1])
-    flat = np.repeat(lo - offsets[:-1], counts) + np.arange(total_len)
-    return flat, counts, offsets
-
-
 def gap_intervals(times: np.ndarray, gap_threshold_s: float
                   ) -> Tuple[np.ndarray, np.ndarray]:
     """Capture-gap intervals: inter-record silences over the threshold."""
@@ -154,46 +148,99 @@ def gap_intervals(times: np.ndarray, gap_threshold_s: float
     return times[gap_index], times[gap_index + 1]
 
 
-def valid_window_mask(win_start: np.ndarray, win_end: np.ndarray,
-                      counts: np.ndarray, config: WindowConfig,
-                      gap_starts: np.ndarray, gap_ends: np.ndarray
-                      ) -> np.ndarray:
-    """Completeness gate over non-empty windows (see WindowConfig).
+def resolve_windows(times: np.ndarray, rntis: np.ndarray,
+                    directions: np.ndarray, tbs: np.ndarray,
+                    prefix: np.ndarray, ws: np.ndarray, we: np.ndarray,
+                    start: float, prev_end: Optional[float],
+                    config: WindowConfig,
+                    gap_starts: np.ndarray, gap_ends: np.ndarray,
+                    burst_idx: np.ndarray, burst_time: np.ndarray,
+                    burst_bytes: np.ndarray
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                               Optional[float]]:
+    """Feature rows of the grid windows ``[ws, we)`` over record columns.
 
-    ``gap_starts``/``gap_ends`` are the capture-gap intervals from
-    :func:`gap_intervals` (empty arrays when gap detection is off).  At
-    the defaults every non-empty window is valid.
+    ``times``/``rntis``/``directions``/``tbs`` are time-sorted record
+    columns (a whole trace, or a ring buffer's live suffix) holding
+    every record each window's span and ±2.5 s context can reach;
+    ``prefix[j]`` is the byte total of the records before local index
+    ``j`` (plus any carried total: only differences are read).
+    ``start`` is the first record's time and ``prev_end`` the end of the
+    last non-empty window before ``ws[0]`` (``None`` at a trace start).
+    ``gap_starts``/``gap_ends`` are the capture-gap intervals (empty
+    when gap detection is off).  The burst ledger gives, per burst, its
+    first record's local index, that record's time and the burst's
+    total bytes — NaN while the burst is still open, which the rows of
+    the windows in it carry as their ``burst_bytes``.
+
+    Returns ``(rows, ws, we, prev_end)``: the rows and bounds of the
+    windows that hold records and pass the completeness gate (see
+    :class:`WindowConfig`), and the end of the last non-empty window,
+    to carry into the next call.
     """
-    valid = np.ones(len(win_start), dtype=bool)
-    if config.min_frames > 1:
-        valid &= counts >= config.min_frames
-    if len(gap_starts):
-        overlapping = (
-            np.searchsorted(gap_starts, win_end, side="left")
-            - np.searchsorted(gap_ends, win_start, side="right"))
-        valid &= overlapping <= 0
-    return valid
+    span = np.searchsorted(times, np.concatenate((ws, we)),
+                           side="left").reshape(2, len(ws))
+    nonempty = np.flatnonzero(span[1] > span[0])
+    if not len(nonempty):
+        return np.empty((0, N_FEATURES)), ws[:0], we[:0], prev_end
+    ws, we, span = ws[nonempty], we[nonempty], span[:, nonempty]
 
+    # gap_since_prev, "silence before this window": the hop from the
+    # previous window that held traffic, clamped at 0 for overlapping
+    # strides.  It chains over non-empty windows *before* the gate: an
+    # invalidated window held (partially captured) traffic, which is
+    # not silence (regression-tested in tests/core/test_features.py).
+    gap_prev = np.zeros(len(ws), dtype=np.float64)
+    gap_prev[1:] = np.maximum(0.0, ws[1:] - we[:-1])
+    if prev_end is not None:
+        gap_prev[0] = max(0.0, ws[0] - prev_end)
+    prev_end = float(we[-1])
 
-def chain_gap_since_prev(win_start: np.ndarray, win_end: np.ndarray,
-                         prev_end_s: Optional[float]) -> np.ndarray:
-    """``gap_since_prev`` over consecutive *non-empty* windows.
+    # Completeness gate: windows too sparse or overlapping a capture gap
+    # are invalidated rather than fed to the classifier as if complete.
+    # At the defaults every non-empty window passes.
+    if config.min_frames > 1 or len(gap_starts):
+        valid = span[1] - span[0] >= config.min_frames
+        if len(gap_starts):
+            valid &= (np.searchsorted(gap_starts, we, side="left")
+                      - np.searchsorted(gap_ends, ws, side="right")) <= 0
+        invalidated = len(ws) - int(np.count_nonzero(valid))
+        if invalidated:
+            obs.counter("features.windows_invalidated").inc(invalidated)
+            ws, we, gap_prev = ws[valid], we[valid], gap_prev[valid]
+            span = span[:, valid]
+            if not len(ws):
+                return np.empty((0, N_FEATURES)), ws, we, prev_end
 
-    The feature is documented as "silence before this window": the hop
-    from the previous window that actually held traffic, clamped at 0
-    for overlapping strides.  It chains across windows the completeness
-    gate invalidates — an invalidated window held (partially captured)
-    traffic, which is not silence.  ``prev_end_s`` carries the previous
-    non-empty window's end across streaming chunk boundaries (``None``
-    for the start of a trace, where the feature is defined as 0).
-    """
-    m = len(win_start)
-    gap = np.zeros(m, dtype=np.float64)
-    if m > 1:
-        gap[1:] = np.maximum(0.0, win_start[1:] - win_end[:-1])
-    if m and prev_end_s is not None:
-        gap[0] = max(0.0, win_start[0] - prev_end_s)
-    return gap
+    # Gather per-(window, record) segments so overlapping strides work:
+    # segment k occupies flat[offsets[k]:offsets[k+1]].
+    lo, hi = span
+    counts = hi - lo
+    offsets = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=offsets[1:])
+    flat = np.repeat(lo - offsets[:-1], counts) + np.arange(offsets[-1])
+
+    # Context: frames and bytes within mid ± 0.5 s and mid ± 2.5 s, one
+    # search for the windows that survived.
+    mid = (ws + we) / 2.0
+    context = np.searchsorted(times, (mid + _CTX_EDGES).ravel(),
+                              side="left").reshape(4, len(ws))
+    frames = (context[1::2] - context[0::2]).astype(np.float64)
+    edge_bytes = prefix[context]
+    byte_sums = edge_bytes[1::2] - edge_bytes[0::2]
+
+    # Current burst: the latest burst start at or before the window's
+    # last record.
+    last = hi - 1
+    burst = np.searchsorted(burst_idx, last, side="right") - 1
+
+    rows = segment_feature_rows(
+        tbs[flat].astype(np.float64), times[flat],
+        (directions[flat] == int(Direction.DOWNLINK)).astype(np.float64),
+        rntis[flat], counts, offsets, ws - start, gap_prev,
+        frames[0], byte_sums[0], frames[1], byte_sums[1],
+        times[last] - burst_time[burst], burst_bytes[burst])
+    return rows, ws, we, prev_end
 
 
 def segment_feature_rows(svals: np.ndarray, tvals: np.ndarray,
@@ -209,19 +256,15 @@ def segment_feature_rows(svals: np.ndarray, tvals: np.ndarray,
 
     ``svals``/``tvals``/``dvals`` are the float64 sizes, times and
     downlink flags and ``rvals`` the uint32 RNTIs of every (window,
-    record) pair of the non-empty windows, gathered with
-    :func:`gather_segments`; the remaining arguments are the per-window
-    context columns the caller computed (batch: whole-trace prefix sums;
-    streaming: ring prefix sums with carried state).  The in-window
-    statistics computed here are a pure function of the gathered
-    segments, which is what makes the batch and streaming paths
-    bit-identical.  It makes a fixed number of numpy calls whatever the
-    number of windows, because the streaming path calls it for one or
-    two windows at a time.
+    record) pair of at least one non-empty window, segment k at
+    ``offsets[k]:offsets[k+1]``; the remaining arguments are the
+    per-window context columns :func:`resolve_windows` computed.  The
+    in-window statistics are a pure function of the gathered segments.
+    It makes a fixed number of numpy calls whatever the number of
+    windows, because the streaming path resolves one or two windows at
+    a time.
     """
     m = len(counts)
-    if m == 0:
-        return np.empty((0, N_FEATURES), dtype=np.float64)
     seg_starts = offsets[:-1]
     total_len = int(offsets[-1])
     seg_ids = np.repeat(np.arange(m, dtype=np.int64), counts)
@@ -290,100 +333,28 @@ def extract_features(trace: Trace,
     config = config or WindowConfig()
     if config.direction is not None:
         trace = trace.direction_filtered(config.direction)
-    n = len(trace)
-    if n == 0:
-        return np.empty((0, N_FEATURES), dtype=np.float64)
-
-    times = trace.times_s
-    sizes = trace.tbs_bytes.astype(np.float64)
-    downs = (trace.directions == int(Direction.DOWNLINK))
-    rntis = trace.rntis
-
-    start = times[0]
-    end = times[-1]
-    window_s = config.window_ms / 1000.0
-    stride_s = config.effective_stride_ms / 1000.0
-
-    # All window bounds from two batched searchsorted calls.
-    win_start = _window_grid(float(start), float(end), stride_s)
-    win_end = win_start + window_s
-    lo = np.searchsorted(times, win_start, side="left")
-    hi = np.searchsorted(times, win_end, side="left")
-    nonempty = hi > lo
-    if not nonempty.any():
-        return np.empty((0, N_FEATURES), dtype=np.float64)
-    win_start, win_end = win_start[nonempty], win_end[nonempty]
-    lo, hi = lo[nonempty], hi[nonempty]
-
-    # Completeness gating (capture-loss degradation, see WindowConfig):
-    # windows that are too sparse or that straddle a capture gap are
-    # invalidated rather than fed to the classifier as if complete.  At
-    # the defaults (min_frames=1, gap_threshold_s=None) ``valid`` keeps
-    # every non-empty window and the output is bit-identical to the
-    # gate's absence.
+    if not len(trace):
+        return np.empty((0, N_FEATURES))
+    times, tbs = trace.times_s, trace.tbs_bytes
+    start = float(times[0])
+    ws = _window_grid(start, float(times[-1]),
+                      config.effective_stride_ms / 1000.0)
+    prefix = np.concatenate([[0.0], np.cumsum(tbs.astype(np.float64))])
     if config.gap_threshold_s is not None:
         gap_starts, gap_ends = gap_intervals(times, config.gap_threshold_s)
     else:
-        gap_starts = gap_ends = np.empty(0, dtype=np.float64)
-    valid = valid_window_mask(win_start, win_end, hi - lo, config,
-                              gap_starts, gap_ends)
-    invalidated = int(np.count_nonzero(~valid))
-    if invalidated:
-        obs.counter("features.windows_invalidated").inc(invalidated)
-
-    # gap_since_prev chains over *non-empty* windows before the gate is
-    # applied: an invalidated window held traffic, which must not be
-    # reported as silence to the window after it (regression-tested in
-    # tests/core/test_features.py).
-    gap_since_prev = chain_gap_since_prev(win_start, win_end, None)
-
-    if not valid.any():
-        return np.empty((0, N_FEATURES), dtype=np.float64)
-    win_start, win_end = win_start[valid], win_end[valid]
-    lo, hi = lo[valid], hi[valid]
-    gap_since_prev = gap_since_prev[valid]
-
-    # Gather per-(window, record) segments so overlapping strides work:
-    # segment k occupies rows offsets[k]:offsets[k+1] of the flat view.
-    # Sums of integer-valued columns are exact in float64 whatever the
-    # accumulation order, so reduceat is safe for them; genuinely
-    # fractional sums go through np.bincount's strictly sequential
-    # accumulation — see segment_feature_rows and the golden suite.
-    flat, counts, offsets = gather_segments(lo, hi)
-    svals = sizes[flat]
-    tvals = times[flat]
-    dvals = downs[flat].astype(np.float64)
-    rvals = rntis[flat]
-
-    cumulative_time = win_start - start
-
-    # -- surrounding context (prefix sums + batched searchsorted) ----------------
-    size_prefix = np.concatenate([[0.0], np.cumsum(sizes)])
-    mid = (win_start + win_end) / 2.0
-    lo_1s = np.searchsorted(times, mid - 0.5, side="left")
-    hi_1s = np.searchsorted(times, mid + 0.5, side="left")
-    lo_5s = np.searchsorted(times, mid - 2.5, side="left")
-    hi_5s = np.searchsorted(times, mid + 2.5, side="left")
-    frames_1s = (hi_1s - lo_1s).astype(np.float64)
-    bytes_1s = size_prefix[hi_1s] - size_prefix[lo_1s]
-    frames_5s = (hi_5s - lo_5s).astype(np.float64)
-    bytes_5s = size_prefix[hi_5s] - size_prefix[lo_5s]
-
-    # Current burst: the latest burst start at or before the last record
-    # in the window; the burst ends where the next one starts.
-    gaps_all = np.diff(times)
-    burst_starts = np.concatenate([[0], np.flatnonzero(gaps_all > 0.5) + 1])
-    burst_bounds = np.append(burst_starts, n)
-    burst_pos = np.searchsorted(burst_starts, hi - 1, side="right") - 1
-    burst_lo = burst_starts[burst_pos]
-    burst_hi = burst_bounds[burst_pos + 1]
-    burst_age = times[hi - 1] - times[burst_lo]
-    burst_bytes = size_prefix[burst_hi] - size_prefix[burst_lo]
-
-    return segment_feature_rows(svals, tvals, dvals, rvals, counts, offsets,
-                                cumulative_time, gap_since_prev,
-                                frames_1s, bytes_1s, frames_5s, bytes_5s,
-                                burst_age, burst_bytes)
+        gap_starts = gap_ends = np.empty(0)
+    # A burst starts at the first record and after every silence over
+    # BURST_GAP_S, and ends where the next one starts.
+    burst_idx = np.concatenate(
+        [[0], np.flatnonzero(np.diff(times) > BURST_GAP_S) + 1])
+    burst_bytes = (prefix[np.append(burst_idx[1:], len(times))]
+                   - prefix[burst_idx])
+    rows, _, _, _ = resolve_windows(
+        times, trace.rntis, trace.directions, tbs, prefix, ws,
+        ws + config.window_ms / 1000.0, start, None, config,
+        gap_starts, gap_ends, burst_idx, times[burst_idx], burst_bytes)
+    return rows
 
 
 def volume_series(trace: Trace, bin_s: float = 1.0,
@@ -421,9 +392,7 @@ def volume_series(trace: Trace, bin_s: float = 1.0,
     # equals n_bins-1 by construction, and floor is monotone over the
     # sorted times — so no index can exceed n_bins-1 and a final record
     # landing exactly on a bin boundary *opens* that bin (it is a
-    # partial last bin, never truncated).  The incremental accumulator
-    # (repro.stream.StreamingVolume) mirrors this arithmetic; the
-    # golden suite pins both to the same bin count.
+    # partial last bin, never truncated).
     n_bins = int(np.floor((times[-1] - start) / bin_s)) + 1
     indices = ((times - start) / bin_s).astype(np.int64)
     if value == "frames":
@@ -433,12 +402,11 @@ def volume_series(trace: Trace, bin_s: float = 1.0,
     series = np.bincount(indices, weights=weights,
                          minlength=n_bins).astype(np.float64)
     if gap_threshold_s is not None:
-        gap_index = np.flatnonzero(np.diff(times) > gap_threshold_s)
-        if len(gap_index):
+        gap_starts, gap_ends = gap_intervals(times, gap_threshold_s)
+        if len(gap_starts):
             edges = start + bin_s * np.arange(n_bins + 1)
-            blind = (np.searchsorted(times[gap_index], edges[1:],
-                                     side="left")
-                     - np.searchsorted(times[gap_index + 1], edges[:-1],
+            blind = (np.searchsorted(gap_starts, edges[1:], side="left")
+                     - np.searchsorted(gap_ends, edges[:-1],
                                        side="right")) > 0
             series[blind] = np.nan
             obs.counter("features.bins_invalidated").inc(

@@ -132,13 +132,3 @@ def _run_forest(resolved, seed: int, operator: OperatorProfile,
         feature_modes[str(mode)] = accuracy(y_test, model.predict(X_test))
     return ForestAblation(tree_curve=tree_curve,
                           feature_modes=feature_modes)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run_hierarchy().table())
-    print()
-    print(run_forest().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

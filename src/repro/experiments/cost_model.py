@@ -120,11 +120,3 @@ def run(scale="fast", seed: int = 3,
     return CostResult(units=units, scenario=scenario,
                       breakdown=model.breakdown(),
                       hardware_usd=deployment_cost_usd(n_cells))
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -143,12 +143,4 @@ def run(scale="fast", seed: int = 131,
     return CountermeasureResult(outcomes=outcomes)
 
 
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
-
-
 __all__ = ["DEFENCES", "CountermeasureResult", "DefenceOutcome", "run"]

@@ -61,11 +61,3 @@ def run(scale="fast", seed: int = 71,
         n_trees=resolved.n_trees)
     return DriftResult(points=points, threshold=threshold,
                        crossing_day=days_until_below(points, threshold))
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

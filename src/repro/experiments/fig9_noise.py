@@ -85,11 +85,3 @@ def run(scale="fast", seed: int = 83, target_app: str = "YouTube",
             noise_instances.append(len(test_windows.X))
     return NoiseResult(target_app=target_app, levels=list(levels),
                        f_scores=f_scores, noise_instances=noise_instances)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -158,11 +158,3 @@ def run(scale="fast", seed: int = 151,
         lte_linkable_sessions=lte_links / max(1, lte_sessions),
         nr_distinct_sucis=len(set(suci_values)) / max(1, nr_sessions),
         nr_repeated_sucis=repeated)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -106,11 +106,3 @@ def run(scale="fast", seed: int = 171,
     accuracy = {view: sum(hits) / len(hits)
                 for view, hits in views.items()}
     return HandoverResult(accuracy=accuracy, attempts=attempts)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -55,10 +55,6 @@ class RobustnessResult:
             title=f"Robustness — {self.fault} degradation "
                   f"(floor {1.0 / self.n_apps:.3f})")
 
-    def degradation(self) -> float:
-        """Total macro-F drop from clean to the severest level."""
-        return self.f_scores[0] - self.f_scores[-1]
-
     @property
     def floor(self) -> float:
         """The random-guess macro F-score for this label set."""
@@ -113,11 +109,3 @@ def run(scale="fast", seed: int = 29, fault: str = "burst_loss",
     return RobustnessResult(fault=fault, rates=list(rates),
                             f_scores=f_scores, test_windows=test_windows,
                             n_apps=len(app_list))
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

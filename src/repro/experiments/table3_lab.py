@@ -136,11 +136,3 @@ def run(scale="fast", seed: int = 11,
     with runtime.overrides(workers=workers):
         return run_fingerprinting(operator or LAB, get_scale(scale),
                                   seed=seed)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -62,11 +62,3 @@ def run(scale="fast", seed: int = 23,
             per_carrier[carrier.name] = run_fingerprinting(
                 carrier, resolved, views=views, seed=seed + 97 * index)
     return RealWorldResult(per_carrier=per_carrier, apps=list(app_names()))
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

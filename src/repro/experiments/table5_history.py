@@ -69,10 +69,6 @@ class HistoryResult:
                 f"/{self.summary['visits']}"
                 f" = {self.summary['success_rate']:.0%}")
 
-    @property
-    def success_rate(self) -> float:
-        return self.summary["success_rate"]
-
 
 def build_visits(scale: Scale, gap_s: float = 60.0) -> List[ZoneVisit]:
     """Lay the 12 scripted attempts on one continuous timeline.
@@ -118,11 +114,3 @@ def run(scale="fast", seed: int = 31,
     summary = evaluate_findings(findings, visits)
     return HistoryResult(findings=findings, summary=summary,
                          attack=attack)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

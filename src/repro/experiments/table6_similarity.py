@@ -91,11 +91,3 @@ def run(scale="fast", seed: int = 41, bin_s: float = 1.0,
             per_app[app] = (float(np.mean(values)), float(np.std(values)))
         scores[environment.name] = per_app
     return SimilarityResult(scores=scores, apps=apps)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -134,11 +134,3 @@ def run(scale="fast", seed: int = 53,
                 result.y_pred[cell] = y_pred
             scores[environment.name] = per_app
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

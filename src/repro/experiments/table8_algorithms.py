@@ -121,11 +121,3 @@ def _run(resolved, seed: int, operator: OperatorProfile,
     return AlgorithmResult(per_category=per_category, averages=averages,
                            fit_seconds=fit_seconds, tuned_k=tuned_k,
                            k_curve=k_curve)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -78,11 +78,3 @@ def _run(resolved, seed: int, operator: OperatorProfile,
         counts.append(len(w_test.X))
     return WindowSweepResult(sizes_ms=list(sizes_ms), f_scores=f_scores,
                              window_counts=counts)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -8,8 +8,6 @@ a long-running service.  The layers, bottom to top:
 * :class:`~repro.stream.windowizer.StreamingWindowizer` — ingests DCI
   chunks, closes feature windows as their time bound passes,
   bit-identical to :func:`repro.core.features.extract_features`;
-* :class:`~repro.stream.volume.StreamingVolume` — incremental
-  :func:`repro.core.features.volume_series`;
 * :class:`~repro.stream.online.OnlineClassifier` — per-window forest
   verdicts over closed windows, per-source vote accumulation;
 * :class:`~repro.stream.fusion.VerdictFusion` — multi-cell per-victim
@@ -22,7 +20,6 @@ from .fusion import FusedVerdict, VerdictFusion
 from .online import OnlineClassifier, WindowVerdict
 from .ring import ColumnRing
 from .service import ServiceReport, StreamService, interleave_chunks
-from .volume import StreamingVolume
 from .windowizer import ClosedWindows, StreamingWindowizer
 
 __all__ = [
@@ -32,7 +29,6 @@ __all__ = [
     "OnlineClassifier",
     "ServiceReport",
     "StreamService",
-    "StreamingVolume",
     "StreamingWindowizer",
     "VerdictFusion",
     "WindowVerdict",

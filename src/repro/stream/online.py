@@ -111,9 +111,6 @@ class OnlineClassifier:
 
     # -- per-source trace verdicts ------------------------------------------------
 
-    def window_count(self, source: str) -> int:
-        return self._emitted.get(source, 0)
-
     def vote_counts(self, source: str) -> np.ndarray:
         """Accumulated per-app vote counts for one source (copy)."""
         return self._votes[source].copy()

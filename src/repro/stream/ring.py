@@ -157,11 +157,16 @@ class ColumnRing:
         """Byte prefix at ``end`` — total bytes of every record seen."""
         return float(self._prefix[self._len])
 
+    @property
+    def prefix(self) -> np.ndarray:
+        """Byte prefix of the live suffix, zero-copy: slot ``i`` holds
+        the bytes of records ``[0, base + i)``, for ``i <= len``."""
+        return self._prefix[:self._len + 1]
+
     def prefix_at(self, abs_indices: np.ndarray) -> np.ndarray:
         """``size_prefix[j]`` (bytes of records [0, j)) per absolute index.
 
         Valid for ``base <= j <= end``; bitwise equal to the batch
         path's ``np.concatenate([[0.0], np.cumsum(sizes)])[j]``.
         """
-        live = self._prefix[:self._len + 1]
-        return live[np.asarray(abs_indices) - self._base]
+        return self.prefix[np.asarray(abs_indices) - self._base]

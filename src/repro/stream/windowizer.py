@@ -4,33 +4,26 @@
 and emits, in grid order, exactly the per-window feature rows
 ``extract_features`` would produce for the whole trace — bit for bit
 (``np.array_equal``), for *any* partition of the stream into chunks,
-including one record at a time.  The equivalence rests on four facts:
+including one record at a time.  Both paths turn grid windows into rows
+with the one :func:`repro.core.features.resolve_windows`; the
+windowizer only decides *which* windows to resolve and *over which*
+records:
 
 * window starts are ``start + k * stride`` computed by multiplication,
   so the streaming side generates the identical float64 grid for any
   ``k`` range;
-* the byte prefix in the :class:`~repro.stream.ring.ColumnRing` is a
-  strict sequential fold with a carried total, bitwise-equal to the
-  batch ``np.cumsum``;
-* the in-window statistics kernel
-  (:func:`repro.core.features.segment_feature_rows`) is shared with the
-  batch path and is a pure function of the gathered segments;
-* a window is only *resolved* once every record that can influence it
+* a window is only resolved once every record that can influence it
   has arrived — its own span, its ±2.5 s context, its capture-gap
   overlaps — which is when the stream clock (last ingested record
-  time) passes ``max(win_end, mid + 2.5)``.
+  time) passes ``max(win_end, mid + 2.5)``;
+* the records are the :class:`~repro.stream.ring.ColumnRing`'s live
+  suffix, whose byte prefix is a strict sequential fold with a carried
+  total, bitwise-equal to the batch ``np.cumsum``.
 
-A chunk costs a fixed, small number of numpy calls however many
-windows it closes — live feeds typically close one or two per chunk, so
-per-call overhead, not per-record work, sets the cost:
-
-* *one search per resolve* — every candidate window's ``[ws, we)``
-  bounds and its ±0.5 s / ±2.5 s context edges come from a single
-  ``searchsorted`` over the ring's local times; empty and invalid
-  windows are filtered afterwards;
-* the ring's byte prefix is read with one gather (see
-  :class:`~repro.stream.ring.ColumnRing` for the prefix layout);
-* resolved rows stay in the block the kernel produced them in.
+A chunk costs one resolve call however many windows it closes — live
+feeds typically close one or two per chunk, so per-call overhead, not
+per-record work, sets the cost — and resolved rows stay in the block
+the resolve produced them in.
 
 One feature cannot be resolved eagerly: ``burst_bytes`` spans the whole
 burst containing the window's last record, and a burst only ends at the
@@ -62,23 +55,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from .. import obs
-from ..core.features import (FEATURE_NAMES, N_FEATURES, WindowConfig,
-                             chain_gap_since_prev, gather_segments,
-                             segment_feature_rows, valid_window_mask)
-from ..lte.dci import Direction
+from ..core.features import (BURST_GAP_S, CTX_HALF_5S, FEATURE_NAMES,
+                             N_FEATURES, WindowConfig, resolve_windows)
 from ..sniffer.trace import (DIR_DTYPE, RNTI_DTYPE, TBS_DTYPE, TIME_DTYPE,
                              Trace, check_record_values)
 from .ring import ColumnRing
 
-#: Inter-record silence that ends a burst (matches the batch path).
-BURST_GAP_S = 0.5
-_CTX_HALF_1S = 0.5
-_CTX_HALF_5S = 2.5
-#: Context-edge offsets from a window's mid, in the order
-#: ``[lo_1s, hi_1s, lo_5s, hi_5s]`` (``mid + -h`` is ``mid - h`` bitwise).
-_CTX_EDGES = np.array([[-_CTX_HALF_1S], [_CTX_HALF_1S],
-                       [-_CTX_HALF_5S], [_CTX_HALF_5S]])
 _BURST_BYTES_COL = FEATURE_NAMES.index("burst_bytes")
 
 
@@ -133,14 +115,13 @@ class StreamingWindowizer:
         # blocks in grid order; ``rows[resolved:]`` await burst_bytes.
         self._pending: List[list] = []
         self._finished = False
-        # Stats (plain ints: the service layer owns obs counters, but
-        # window invalidation shares the batch path's counter).
+        # Stats (plain ints: the service layer owns obs counters, and
+        # window invalidation counts in the shared resolve).
         self.records_seen = 0
         self.records_kept = 0
         self.records_dropped_direction = 0
         self.chunks_reordered = 0
         self.windows_closed = 0
-        self._invalidated_obs = obs.counter("features.windows_invalidated")
 
     # -- introspection -----------------------------------------------------------
 
@@ -284,96 +265,52 @@ class StreamingWindowizer:
                 if clock > start else 0
             ks = np.arange(k0, max(guess + 2, k0), dtype=np.float64)
         else:
-            horizon = max(window_s, window_s / 2.0 + _CTX_HALF_5S)
+            horizon = max(window_s, window_s / 2.0 + CTX_HALF_5S)
             guess = math.floor((clock - horizon - start) / stride)
             if guess + 2 <= k0:
                 return
             ks = np.arange(k0, guess + 2, dtype=np.float64)
         ws = start + ks * stride
         we = ws + window_s
-        mid = (ws + we) / 2.0
         if final:
             m = int(np.count_nonzero(ws <= clock))
         else:
-            resolvable = np.maximum(we, mid + _CTX_HALF_5S)
+            resolvable = np.maximum(we, (ws + we) / 2.0 + CTX_HALF_5S)
             m = int(np.count_nonzero(resolvable <= clock))
         if not m:
             return
         self._next_k += m
-        ws, we, mid = ws[:m], we[:m], mid[:m]
-        # One search for every candidate's span and context edges.  All
-        # candidates sit at or above the next_k the last prune kept
-        # records for, so every query sees its full history.
-        queries = np.concatenate((ws, we, (mid + _CTX_EDGES).ravel()))
-        bounds = np.searchsorted(self._ring.times, queries,
-                                 side="left").reshape(6, m)
-        nonempty = np.flatnonzero(bounds[1] > bounds[0])
-        if len(nonempty):
-            ws, we = ws[nonempty], we[nonempty]
-            bounds = bounds[:, nonempty]
-            gap_starts = np.asarray(self._gap_starts, dtype=np.float64)
-            gap_ends = np.asarray(self._gap_ends, dtype=np.float64)
-            valid = valid_window_mask(ws, we, bounds[1] - bounds[0],
-                                      self._config, gap_starts, gap_ends)
-            gap_prev = chain_gap_since_prev(ws, we, self._prev_nonempty_end)
-            self._prev_nonempty_end = float(we[-1])
-            invalidated = len(valid) - int(np.count_nonzero(valid))
-            if invalidated:
-                self._invalidated_obs.inc(invalidated)
-                ws, we, gap_prev = ws[valid], we[valid], gap_prev[valid]
-                bounds = bounds[:, valid]
-            if len(ws):
-                self._emit_rows(ws, we, bounds, gap_prev)
-        self._prune()
-
-    def _emit_rows(self, ws, we, bounds, gap_prev) -> None:
-        """Feature rows for windows with ring-local ``bounds`` rows
-        ``[lo, hi, lo_1s, hi_1s, lo_5s, hi_5s]``, parked as one block."""
+        # All candidates sit at or above the next_k the last prune kept
+        # records for, so the ring holds every record they can reach.
         ring = self._ring
-        lo, hi = bounds[0], bounds[1]
-        flat, counts, offsets = gather_segments(lo, hi)
-        svals = ring.tbs_bytes[flat].astype(np.float64)
-        tvals = ring.times[flat]
-        dvals = (ring.directions[flat]
-                 == int(Direction.DOWNLINK)).astype(np.float64)
-        rvals = ring.rntis[flat]
-
-        cumulative_time = ws - self._start
-        context = bounds[2:]
-        frames = (context[1::2] - context[0::2]).astype(np.float64)
-        prefix = ring.prefix_at(context + ring.base)
-        byte_sums = prefix[1::2] - prefix[0::2]
-
-        # Burst columns: each window belongs to the burst containing its
-        # last record.  Windows in the open burst get burst_age now (it
-        # only needs the start) and the open burst's NaN burst_bytes,
-        # which marks them deferred.
-        last = hi - 1
-        pos = np.searchsorted(np.asarray(self._burst_idx),
-                              last + ring.base, side="right") - 1
-        burst_age = ring.times[last] - np.asarray(self._burst_time)[pos]
-        burst_bytes = np.asarray(self._burst_bytes)[pos]
-
-        rows = segment_feature_rows(
-            svals, tvals, dvals, rvals, counts, offsets, cumulative_time,
-            gap_prev, frames[0], byte_sums[0], frames[1], byte_sums[1],
-            burst_age, burst_bytes)
-        deferred = int(np.count_nonzero(np.isnan(burst_bytes)))
-        self._pending.append([rows, ws, we, len(rows) - deferred])
+        rows, ws, we, self._prev_nonempty_end = resolve_windows(
+            ring.times, ring.rntis, ring.directions, ring.tbs_bytes,
+            ring.prefix, ws[:m], we[:m], start, self._prev_nonempty_end,
+            self._config, np.asarray(self._gap_starts, dtype=np.float64),
+            np.asarray(self._gap_ends, dtype=np.float64),
+            np.asarray(self._burst_idx) - ring.base,
+            np.asarray(self._burst_time), np.asarray(self._burst_bytes))
+        if len(rows):
+            # Rows in the still-open burst carry its NaN burst_bytes.
+            deferred = int(np.count_nonzero(
+                np.isnan(rows[:, _BURST_BYTES_COL])))
+            self._pending.append([rows, ws, we, len(rows) - deferred])
+        self._prune()
 
     def _prune(self) -> None:
         """Drop ring records / gaps / bursts no future window can touch."""
         ws_next = self._start + float(self._next_k) * self._stride_s
         # The threshold must lower-bound every future searchsorted query
         # *bitwise*, so it is computed with the exact expression
-        # _resolve uses (mid = (ws + we) / 2.0, query = mid - 2.5), not
-        # an algebraic rearrangement: ws + w/2 - 2.5 can round one ulp
-        # above (ws + (ws + w)) / 2 - 2.5 and prune a record sitting on a
-        # later window's context edge.  IEEE add/divide are monotone, so
-        # mid_k is nondecreasing in k and this bounds all future queries.
+        # resolve_windows uses (mid = (ws + we) / 2.0, query = mid -
+        # 2.5), not an algebraic rearrangement: ws + w/2 - 2.5 can round
+        # one ulp above (ws + (ws + w)) / 2 - 2.5 and prune a record
+        # sitting on a later window's context edge.  IEEE add/divide are
+        # monotone, so mid_k is nondecreasing in k and this bounds all
+        # future queries.
         we_next = ws_next + self._window_s
         mid_next = (ws_next + we_next) / 2.0
-        threshold = min(ws_next, mid_next - _CTX_HALF_5S)
+        threshold = min(ws_next, mid_next - CTX_HALF_5S)
         cut = self._ring.base + int(np.searchsorted(
             self._ring.times, threshold, side="left"))
         self._ring.prune_below(cut)

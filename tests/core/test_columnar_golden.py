@@ -21,7 +21,6 @@ from repro.core.features import (FEATURE_NAMES, N_FEATURES, WindowConfig,
                                  extract_features, volume_series)
 from repro.lte.dci import Direction
 from repro.sniffer.trace import Trace
-from repro.stream import StreamingVolume
 from tests.traces import record_rows
 
 RNG_SEEDS = [0, 1, 2, 3, 4]
@@ -274,85 +273,13 @@ class TestVolumeSeriesGolden:
     def test_final_record_on_bin_boundary_opens_partial_bin(self):
         # A final record landing exactly on a bin edge must OPEN that
         # bin (floor semantics), not be clamped back into the previous
-        # one — batch and incremental accumulation agree on the count.
+        # one.
         trace = Trace.from_arrays(       # 3.0 == 3 * bin_s exactly
             [0.0, 0.4, 1.7, 3.0], [0x100] * 4, [Direction.DOWNLINK] * 4,
             [100] * 4)
         series = volume_series(trace, bin_s=1.0)
         assert len(series) == 4
         assert np.array_equal(series, [2.0, 1.0, 0.0, 1.0])
-        streaming = StreamingVolume(bin_s=1.0)
-        for chunk in trace.iter_chunks(1):
-            streaming.ingest(chunk[0], chunk[2], chunk[3])
-        assert np.array_equal(streaming.finalize(), series)
-
-    @pytest.mark.parametrize("seed", RNG_SEEDS)
-    @pytest.mark.parametrize("value", ["frames", "bytes"])
-    def test_incremental_accumulation_bit_identical(self, seed, value):
-        trace = random_trace(seed, duplicates=(seed % 2 == 0))
-        for bin_s, gap in ((1.0, None), (0.25, None), (0.5, 0.3)):
-            expected = volume_series(trace, bin_s=bin_s, value=value,
-                                     gap_threshold_s=gap)
-            for chunk_records in (1, 7, 1000):
-                streaming = StreamingVolume(bin_s=bin_s, value=value,
-                                            gap_threshold_s=gap)
-                for chunk in trace.iter_chunks(chunk_records):
-                    streaming.ingest(chunk[0], chunk[2], chunk[3])
-                actual = streaming.finalize()
-                assert len(actual) == len(expected)
-                assert np.array_equal(actual, expected, equal_nan=True)
-
-
-class TestStreamingVolumeIngestContract:
-    """Disordered chunks are re-sorted; bad chunks leave no trace."""
-
-    @staticmethod
-    def _state(streaming):
-        return (streaming.finalize(), streaming.n_bins,
-                list(streaming._gap_starts))
-
-    @pytest.mark.parametrize("value", ["frames", "bytes"])
-    def test_shuffled_chunks_match_batch(self, value):
-        trace = random_trace(2, n=200)
-        expected = volume_series(trace, bin_s=0.5, value=value,
-                                 gap_threshold_s=0.3)
-        streaming = StreamingVolume(bin_s=0.5, value=value,
-                                    gap_threshold_s=0.3)
-        rng = np.random.default_rng(4)
-        for times, _, directions, tbs in trace.iter_chunks(23):
-            order = rng.permutation(len(times))
-            streaming.ingest(times[order], directions[order], tbs[order])
-        assert np.array_equal(streaming.finalize(), expected,
-                              equal_nan=True)
-
-    def test_within_chunk_disorder(self):
-        streaming = StreamingVolume(bin_s=1.0)
-        streaming.ingest([0.0, 3.5, 1.2], [0, 0, 0], [10, 10, 10])
-        assert np.array_equal(streaming.finalize(), [1.0, 1.0, 0.0, 1.0])
-
-    @pytest.mark.parametrize("times, tbs", [
-        ([4.0, 3.0], [10, 10]),                  # regresses the clock
-        ([5.0, float("nan")], [10, 10]),         # non-finite time
-        ([5.0, float("inf")], [10, 10]),
-        ([5.0, 6.0], [10, -1]),                  # negative TBS
-    ])
-    def test_bad_chunk_rejected_before_state_changes(self, times, tbs):
-        streaming = StreamingVolume(bin_s=1.0, value="bytes",
-                                    gap_threshold_s=0.5)
-        streaming.ingest([0.0, 1.5, 4.2], [0, 0, 0], [10, 20, 30])
-        before = self._state(streaming)
-        with pytest.raises(ValueError):
-            streaming.ingest(times, [0] * len(times), tbs)
-        after = self._state(streaming)
-        assert np.array_equal(after[0], before[0], equal_nan=True)
-        assert after[1:] == before[1:]
-        # The stream goes on as if the bad chunk never arrived.
-        streaming.ingest([5.0], [0], [40])
-        expected = volume_series(Trace.from_arrays(
-            [0.0, 1.5, 4.2, 5.0], [0x100] * 4, [0] * 4, [10, 20, 30, 40]),
-            bin_s=1.0, value="bytes", gap_threshold_s=0.5)
-        assert np.array_equal(streaming.finalize(), expected,
-                              equal_nan=True)
 
 
 class TestFilterGolden:

@@ -160,6 +160,36 @@ class TestServeCLI:
                        for line in fused) == 1
         assert all(line.endswith("across 1 cells)") for line in fused)
 
+    def test_serve_separate_captures_are_separate_victims(
+            self, campaign, tmp_path, capsys):
+        from repro.sniffer.trace import TraceSet
+
+        traces = TraceSet.from_npz(campaign / "traces" / "traces.npz")
+        feeds = [tmp_path / f"trace_{index:06d}.csv" for index in range(2)]
+        for trace, feed in zip(traces.traces, feeds):
+            trace.to_csv(feed)
+        assert main(["serve", "--model", str(campaign / "model.json"),
+                     "--data", *map(str, feeds)]) == 0
+        fused = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("  fused ")]
+        assert len(fused) == 2
+        for feed in feeds:
+            assert sum(line.startswith(f"  fused {feed.stem}: ")
+                       and line.endswith("across 1 cells)")
+                       for line in fused) == 1
+
+        # A user other than collect's default still fuses across cells.
+        for trace, feed in zip(traces.traces, feeds):
+            trace.user = "alice"
+            trace.to_csv(feed)
+        assert main(["serve", "--model", str(campaign / "model.json"),
+                     "--data", *map(str, feeds)]) == 0
+        fused = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("  fused ")]
+        assert len(fused) == 1
+        assert fused[0].startswith("  fused alice: ")
+        assert fused[0].endswith("across 2 cells)")
+
     def test_serve_one_trace_archive_keeps_the_stem(self, campaign,
                                                     tmp_path, capsys):
         source = _one_trace_archive(campaign, tmp_path / "feed.npz")

@@ -18,7 +18,7 @@ from repro.faults.generators import bursty_trace, synthetic_trace
 from repro.lte.rrc import RRCConnectionRelease
 from repro.sniffer.identity import IdentityMapper
 from repro.sniffer.owl import OWLTracker
-from repro.stream import StreamingVolume, StreamingWindowizer
+from repro.stream import StreamingWindowizer
 from tests.core.test_columnar_golden import (EDGE_RNTIS, RNTIS,
                                              random_trace)
 from tests.properties.strategies import ITEM_SEEDS, PLANS, SETTINGS
@@ -101,23 +101,6 @@ def test_bursty_traces_stream_identically(trace_seed, sizes):
     expected = extract_features(trace, config)
     actual = _stream(trace, config, sizes)
     assert np.array_equal(actual, expected)
-
-
-@SETTINGS
-@given(trace_seed=st.integers(0, 10), sizes=_PARTITIONS,
-       value=st.sampled_from(["frames", "bytes"]))
-def test_volume_partition_invariance(trace_seed, sizes, value):
-    from repro.core.features import volume_series
-
-    trace = synthetic_trace(trace_seed, n_records=200)
-    expected = volume_series(trace, bin_s=0.5, value=value,
-                             gap_threshold_s=0.7)
-    streaming = StreamingVolume(bin_s=0.5, value=value,
-                                gap_threshold_s=0.7)
-    for chunk in _chunks(trace, sizes):
-        streaming.ingest(chunk[0], chunk[2], chunk[3])
-    assert np.array_equal(streaming.finalize(), expected,
-                          equal_nan=True)
 
 
 @SETTINGS

@@ -10,6 +10,7 @@ suffix of the stream.
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.features import (N_FEATURES, WindowConfig,
                                  extract_features)
 from repro.faults.generators import bursty_trace, synthetic_trace
@@ -83,6 +84,38 @@ class TestStreamingEquivalence:
         for chunk_records in (1, 64):
             actual, _ = stream_features(trace, config, chunk_records)
             assert np.array_equal(actual, expected)
+
+    # WindowConfig(window_ms=7000) sets no gate, so it invalidates none.
+    @pytest.mark.parametrize("config", [
+        config for config in GATED_CONFIGS
+        if config.min_frames > 1 or config.gap_threshold_s is not None])
+    def test_invalidated_windows_counted_alike(self, config):
+        trace = bursty_trace(12, n_bursts=5)
+        columns = (trace.times_s, trace.rntis, trace.directions,
+                   trace.tbs_bytes)
+
+        def stream():
+            windowizer = StreamingWindowizer(config)
+            cuts = np.cumsum(np.resize([1, 7, 23, 64], len(trace)))
+            start = 0
+            for end in cuts[cuts < len(trace)].tolist() + [len(trace)]:
+                windowizer.ingest(*(column[start:end] for column in columns))
+                start = end
+            windowizer.finish()
+
+        def invalidated(run):
+            obs.reset()
+            try:
+                with obs.override(True):
+                    run()
+                return obs.snapshot()["counters"].get(
+                    "features.windows_invalidated", 0)
+            finally:
+                obs.reset()
+
+        batch = invalidated(lambda: extract_features(trace, config))
+        assert batch > 0
+        assert invalidated(stream) == batch
 
     def test_window_bounds_match_grid(self):
         trace = random_trace(3, n=300)
