@@ -287,18 +287,29 @@ def similarity_matrix(traces: Sequence[Trace], bin_s: float = 1.0,
     so only the upper triangle including the diagonal is computed.
 
     Each trace is binned into its volume series exactly once, up
-    front; workers receive plain arrays, never Trace objects.  Cells
-    fan out in contiguous *chunks* over ``ParallelMap.map_batched``,
-    and every chunk runs one batched multi-pair DTW wavefront instead
-    of a Python recurrence per cell.  Scores are reassembled by index
-    and bit-identical to the scalar per-cell path for any worker count
-    and any ``chunk_size``.
+    front; workers receive plain arrays, never Trace objects.  Cells,
+    ordered by band spread and length, fan out in contiguous *chunks*
+    over ``ParallelMap.map_batched``, and every chunk runs one batched
+    multi-pair DTW wavefront instead of a Python recurrence per cell.
+    Scores are reassembled by index and bit-identical to the scalar
+    per-cell path for any worker count and any ``chunk_size``.
     """
     n = len(traces)
     series = [_bin_volume_series(trace, bin_s) for trace in traces]
     up = [pair[0] for pair in series]
     down = [pair[1] for pair in series]
+    up_len = np.array([len(values) for values in up], dtype=np.int64)
+    down_len = np.array([len(values) for values in down], dtype=np.int64)
     rows, cols = np.triu_indices(n)
+    # Cells ordered by band spread (the length gap that widens a DTW
+    # band), then by length, so each chunk's batched wavefront sweeps a
+    # tight band; scores go back to their cells by index.
+    spread = np.maximum(np.abs(up_len[rows] - down_len[cols]),
+                        np.abs(down_len[rows] - up_len[cols]))
+    longest = np.maximum(np.maximum(up_len[rows], down_len[cols]),
+                         np.maximum(down_len[rows], up_len[cols]))
+    order = np.lexsort((longest, spread))
+    rows, cols = rows[order], cols[order]
     pairs = list(zip(rows.tolist(), cols.tolist()))
     mapper = runtime.mapper(workers)
     if chunk_size is None:

@@ -160,17 +160,18 @@ def dtw_distance_batch(pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
     candidate user pairing on a cell — thousands of independent DTW
     problems with one band setting.  This kernel runs the existing
     anti-diagonal wavefront across all of them simultaneously: cells
-    live in stacked ``(pairs, diag)`` buffers, one elementwise
-    add/min per anti-diagonal advances every pair's recurrence, and a
-    per-pair Sakoe-Chiba mask keeps off-band (and out-of-matrix) cells
-    at ``inf``.  Each in-band cell evaluates the exact IEEE add + min
-    of Eq. 1, so every returned distance is bit-identical to
-    ``dtw_distance(a, b, window=window)`` on that pair alone — for any
-    mix of lengths, any band width (including ``window=0``), and
-    either scalar strategy the single-pair path would have picked.
+    live in ``(cell, pair)`` buffers with the pair index minor, so one
+    elementwise add/min per anti-diagonal advances every pair's
+    recurrence over contiguous memory, and a per-pair Sakoe-Chiba mask
+    keeps off-band (and out-of-matrix) cells at ``inf``.  Each in-band
+    cell evaluates the exact IEEE add + min of Eq. 1, so every returned
+    distance is bit-identical to ``dtw_distance(a, b, window=window)``
+    on that pair alone — for any mix of lengths, any band width
+    (including ``window=0``), and either scalar strategy the
+    single-pair path would have picked.
     Each distinct input series is padded once (the ``b`` side
     reversed), so every anti-diagonal reads its costs' operands as
-    contiguous slices; see :func:`_wavefront_batch`.
+    contiguous row blocks; see :func:`_wavefront_batch`.
     """
     return _wavefront_batch(*_distinct_series(pairs), window)
 
@@ -179,13 +180,21 @@ def _wavefront_batch(series: List[np.ndarray], index: np.ndarray,
                      window: Optional[int]) -> np.ndarray:
     """DTW distance of ``series[index[k, 0]]`` vs ``series[index[k, 1]]``.
 
-    Every anti-diagonal reads both operands as contiguous slices: ``a``
-    rows are right-padded, ``b`` rows are stored reversed and
-    right-aligned in ``max_n + max_m`` columns.  Row ``i`` of diagonal
-    ``s`` costs ``|a[i - 1] - b[j]|`` with ``j = s - i - 1``, and
-    ``b[j]`` sits at column ``max_n + max_m - s + i``, so one
-    diagonal's ``b`` values are one slice.  Padding cells are masked
-    off-band.
+    Pair-minor layout: the DP buffers are ``(3, max_n + 1, pairs)`` and
+    the operands ``(rows, pairs)``, so row ``i`` of every array holds
+    cell ``i`` of all pairs side by side.  A diagonal's band spans only
+    a few rows but hundreds of pairs; with the pair index minor, every
+    elementwise op runs over ``span`` rows of ``pairs`` contiguous
+    doubles rather than ``pairs`` strided rows of a few cells each,
+    where numpy's per-row loop overhead dominated the arithmetic.
+
+    Both operands are read as contiguous row blocks: ``A`` row
+    ``i - 1`` holds every pair's ``a[i - 1]`` (zero past its end);
+    ``R`` holds ``b`` reversed and bottom-aligned in ``max_n + max_m``
+    rows.  Row ``i`` of diagonal ``s`` costs ``|a[i - 1] - b[j]|`` with
+    ``j = s - i - 1``, and ``b[j]`` sits at row ``max_n + max_m - s +
+    i``, so one diagonal's ``b`` values are one row block.  Padding
+    cells are masked off-band.
     """
     if window is not None and window < 0:
         raise ValueError(f"window must be >= 0: {window}")
@@ -204,25 +213,26 @@ def _wavefront_batch(series: List[np.ndarray], index: np.ndarray,
     max_n = int(n.max())
     max_m = int(m.max())
     width = max_n + max_m
-    # One padded row per distinct series, then one gather per side.
-    forward = np.zeros((len(series), int(lengths.max())), dtype=np.float64)
-    reverse = np.zeros((len(series), width), dtype=np.float64)
+    # One padded column per distinct series, then one gather per side
+    # straight into the (rows, pairs) layout.
+    forward = np.zeros((int(lengths.max()), len(series)), dtype=np.float64)
+    reverse = np.zeros((width, len(series)), dtype=np.float64)
     for slot, values in enumerate(series):
-        forward[slot, :len(values)] = values
-        reverse[slot, width - len(values):] = values[::-1]
-    A = forward[index[:, 0]]
-    R = reverse[index[:, 1]]
+        forward[:len(values), slot] = values
+        reverse[width - len(values):, slot] = values[::-1]
+    A = np.take(forward[:max_n], index[:, 0], axis=1)
+    R = np.take(reverse, index[:, 1], axis=1)
 
     inf = np.inf
-    buffers = np.full((3, count, max_n + 1), inf)
-    buffers[0, :, 0] = 0.0                   # D[0, 0] per pair
+    buffers = np.full((3, max_n + 1, count), inf)
+    buffers[0, 0] = 0.0                      # D[0, 0] per pair
     results = np.zeros(count, dtype=np.float64)
     # Pairs by the diagonal s = n + m that holds their corner D[n, m].
     finish = n + m
     by_finish = np.argsort(finish, kind="stable")
     finish_bounds = np.searchsorted(finish[by_finish],
                                     np.arange(width + 2))
-    i_values = np.arange(1, max_n + 1)
+    i_values = np.arange(1, max_n + 1)[:, None]
     # Per-pair band bounds of every anti-diagonal (also clipped to the
     # pair's own matrix, so padded rows/columns never compute), built
     # in place to keep the (diagonals, pairs) temporaries few.
@@ -246,22 +256,23 @@ def _wavefront_batch(series: List[np.ndarray], index: np.ndarray,
         prev2 = buffers[(s - 2) % 3]
         # The span [left, right] moves at most one index per diagonal,
         # so the next two diagonals read this one only inside a 1-cell
-        # margin around it; reset a 3-cell margin (as _dtw_wavefront
-        # does) and overwrite the span itself below.
-        current[:, max(0, left - 3):min(max_n, right + 3) + 1] = inf
-        span = slice(left, right + 1)        # buffer indices == i
+        # margin around it; reset a 3-cell margin on either side (as
+        # _dtw_wavefront does) and overwrite the span itself in place.
+        current[max(0, left - 3):left] = inf
+        current[right + 1:min(max_n, right + 3) + 1] = inf
+        span = current[left:right + 1]       # buffer rows == i
         i_span = i_values[left - 1:right]
-        mask = (i_span >= lows[s][:, None]) & (i_span <= highs[s][:, None])
-        cost = np.subtract(R[:, width - s + left:width - s + right + 1],
-                           A[:, left - 1:right])
-        np.abs(cost, out=cost)
-        best = np.minimum(prev2[:, left - 1:right], prev1[:, left - 1:right])
-        np.minimum(best, prev1[:, span], out=best)
-        cost += best
-        current[:, span] = np.where(mask, cost, inf)
+        off_band = (i_span < lows[s]) | (i_span > highs[s])
+        np.subtract(R[width - s + left:width - s + right + 1],
+                    A[left - 1:right], out=span)
+        np.abs(span, out=span)
+        best = np.minimum(prev2[left - 1:right], prev1[left - 1:right])
+        np.minimum(best, prev1[left:right + 1], out=best)
+        span += best
+        np.copyto(span, inf, where=off_band)
         done = by_finish[finish_bounds[s]:finish_bounds[s + 1]]
         if len(done):
-            results[done] = current[done, n[done]]
+            results[done] = current[n[done], done]
     return results
 
 

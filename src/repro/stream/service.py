@@ -29,7 +29,9 @@ Instrumentation (PR 3 obs registry, all instruments created up front):
 
 from __future__ import annotations
 
+import heapq
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -75,6 +77,16 @@ def interleave_chunks(traces: Sequence[Trace],
             return
         yield best, heads[best]
         heads[best] = next(iterators[best], None)
+
+
+def _lags_from_p99(count: int) -> int:
+    """How many of ``count`` lags rank at or above their p99.
+
+    The p99 is the lag at ascending rank ``p = max(0, ceil(0.99 count)
+    - 1)``, the smallest of the ``count - p`` largest lags: about 1 %
+    of them.  Non-decreasing in ``count``.
+    """
+    return count - max(0, math.ceil(0.99 * count) - 1)
 
 
 @dataclass
@@ -133,7 +145,19 @@ class StreamService:
         self._model_gauge = obs.gauge("stream.model_bytes")
         self._lag_hist = obs.histogram("stream.window_close_lag_s",
                                        LAG_BUCKETS_S)
-        self._lag_values: List[float] = []
+        # The p99 lag needs only the largest lags: at most
+        # _lags_from_p99(bound) of them for any window count up to
+        # ``bound``.  A source closes at most the windows of the grid
+        # over its time span, ``start + k * stride`` for
+        # k <= floor(span / stride) + 1 (core.features._window_grid).
+        stride_s = (config or model.window_config).effective_stride_ms \
+            / 1000.0
+        bound = sum(math.floor((float(trace.times_s.max())
+                                - float(trace.times_s.min())) / stride_s)
+                    + 2 for _, trace in sources if len(trace))
+        self._lag_capacity = _lags_from_p99(bound)
+        self._lag_count = 0
+        self._lag_top: List[float] = []     # min-heap of the largest lags
         model_bytes = 0
         if model._category_model is not None:
             model_bytes += model._category_model.table().nbytes
@@ -216,7 +240,11 @@ class StreamService:
         self._backlog_gauge.set(float(windowizer.backlog))
         for verdict in verdicts:
             self._lag_hist.observe(verdict.lag_s)
-            self._lag_values.append(verdict.lag_s)
+            self._lag_count += 1
+            if len(self._lag_top) < self._lag_capacity:
+                heapq.heappush(self._lag_top, verdict.lag_s)
+            else:
+                heapq.heappushpop(self._lag_top, verdict.lag_s)
         self._fusion.add(self._victims[name], name, verdicts)
 
     def _write_verdicts(self, handle, verdicts: List[WindowVerdict],
@@ -253,10 +281,9 @@ class StreamService:
         spans = source_spans(self._sources)
         report.findings = [finding_from_fused(fused, spans=spans)
                            for fused in report.fused]
-        if self._lag_values:
-            ranked = np.sort(np.asarray(self._lag_values))
-            position = max(0, int(np.ceil(0.99 * len(ranked))) - 1)
-            report.lag_p99_s = float(ranked[position])
+        if self._lag_count:
+            report.lag_p99_s = float(heapq.nlargest(
+                _lags_from_p99(self._lag_count), self._lag_top)[-1])
         if handle is None:
             return
         for name, _ in self._sources:

@@ -102,3 +102,23 @@ class TestSimilarityMatrix:
 
     def test_empty_population(self):
         assert similarity_matrix([]).shape == (0, 0)
+
+    @pytest.mark.parametrize("chunk_size", [1, 4, 9, None])
+    def test_cell_order_and_chunk_size_cannot_change_results(
+            self, chunk_size):
+        # Captures of different spans give series of different lengths,
+        # so the cells sort into different chunks; permuting the users
+        # reorders the cells as well.  Every score must land in its own
+        # cell, unchanged.
+        traces = []
+        for index, span_s in enumerate((6.0, 31.0, 14.0, 22.0, 9.0, 40.0)):
+            traces += _make_traces(count=1, span_s=span_s, seed=index)
+        expected = _reference(traces)
+        order = np.random.default_rng(chunk_size or 0).permutation(
+            len(traces))
+        permuted = similarity_matrix([traces[k] for k in order],
+                                     workers=1, chunk_size=chunk_size)
+        assert np.array_equal(permuted, expected[np.ix_(order, order)])
+        assert np.array_equal(
+            similarity_matrix(traces, workers=1, chunk_size=chunk_size),
+            expected)

@@ -366,3 +366,76 @@ def test_bad_input_exits_2(command, campaign, tmp_path, capsys):
     assert main(BAD_INPUT[command](tmp_path, campaign)) == 2
     err = capsys.readouterr().err
     assert err.strip() and "Traceback" not in err
+
+
+class TestCacheCLI:
+    def test_report_then_clear(self, tmp_path, capsys):
+        from repro import runtime
+
+        cache_dir = tmp_path / "cache"
+        with runtime.overrides(cache_enabled=True):
+            assert main(["collect", "--out", str(tmp_path / "traces"),
+                         "--apps", "Skype", "--traces", "1",
+                         "--duration", "4", "--cache-dir",
+                         str(cache_dir)]) == 0
+            stored = len(list(cache_dir.glob("*.npz")))
+            assert stored >= 1
+            capsys.readouterr()
+            assert main(["cache", "--cache-dir", str(cache_dir)]) == 0
+            out = capsys.readouterr().out
+            assert f"directory:   {cache_dir}" in out
+            assert f"entries:     {stored}" in out
+            assert "MiB (bound" in out and "fingerprint:" in out
+            assert main(["cache", "--clear", "--cache-dir",
+                         str(cache_dir)]) == 0
+            assert capsys.readouterr().out.strip() == \
+                f"cleared {stored} entries from {cache_dir}"
+            assert not list(cache_dir.glob("*.npz"))
+            assert main(["cache", "--cache-dir", str(cache_dir)]) == 0
+            assert "entries:     0" in capsys.readouterr().out
+
+    def test_disabled_cache(self, tmp_path, capsys):
+        from repro import runtime
+
+        with runtime.overrides(cache_enabled=False):
+            assert main(["cache", "--cache-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.strip() == \
+            "trace cache is disabled (REPRO_TRACE_CACHE=0)"
+
+
+class TestExperimentManifest:
+    def test_result_summary_lands_in_the_manifest(self, tmp_path,
+                                                  monkeypatch):
+        # The manifest's result holds a result dataclass's str, int,
+        # float and bool fields plus mean_f(); other fields stay out.
+        import dataclasses
+
+        from repro import obs
+        from repro.experiments import table6_similarity
+        from repro.obs.manifest import read_manifests
+
+        @dataclasses.dataclass
+        class Result:
+            name: str = "stub"
+            runs: int = 3
+            score: float = 0.75
+            passed: bool = True
+            rows: tuple = (1, 2)
+
+            def table(self):
+                return "stub table"
+
+            def mean_f(self):
+                return 0.5
+
+        monkeypatch.setattr(table6_similarity, "run",
+                            lambda scale: Result())
+        out = tmp_path / "runs.jsonl"
+        with obs.override(False):
+            assert main(["experiment", "table6", "--obs-out",
+                         str(out)]) == 0
+        (line,) = read_manifests(out)
+        assert line["command"] == "experiment"
+        assert line["result"] == {"name": "stub", "runs": 3,
+                                  "score": 0.75, "passed": True,
+                                  "mean_f": 0.5}

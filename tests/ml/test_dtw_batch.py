@@ -10,6 +10,9 @@ wider-than-matrix bands; lengths cover equal, mismatched, and
 single-sample series.  A pair's result must not depend on the batch
 around it: alone, permuted, or next to pairs of very different lengths
 and bands, and with one series object shared across many pairs.
+Batches hold both more pairs and fewer pairs than the padded series
+length, so a swapped pair/cell axis in the kernel's buffers cannot
+pass.
 """
 
 import numpy as np
@@ -66,6 +69,39 @@ class TestDtwDistanceBatch:
         b = np.arange(8, dtype=np.float64)
         assert dtw_distance_batch([(a, b)], window=2)[0] == \
             dtw_distance(a, b, window=2)
+
+    @pytest.mark.parametrize("window", [None, 0, 3])
+    def test_more_pairs_than_padded_length(self, window):
+        # 200 pairs against a padded length of at most 40 + 1: a swapped
+        # pair/cell axis cannot hide behind a square buffer.
+        pairs = _random_pairs(count=200, seed=31, lo=5, hi=41)
+        batched = dtw_distance_batch(pairs, window=window)
+        for slot, (a, b) in enumerate(pairs):
+            assert batched[slot] == dtw_distance(a, b, window=window)
+
+    @pytest.mark.parametrize("window", [None, 0, 3])
+    def test_fewer_pairs_than_padded_length(self, window):
+        pairs = _random_pairs(count=4, seed=37, lo=50, hi=90)
+        batched = dtw_distance_batch(pairs, window=window)
+        for slot, (a, b) in enumerate(pairs):
+            assert batched[slot] == dtw_distance(a, b, window=window)
+
+    def test_length_gap_wider_than_window_among_equal_lengths(self):
+        # One pair's band widens to |n - m| = 27 > window while its
+        # neighbours keep the 2-cell band.
+        rng = np.random.default_rng(41)
+        pairs = [(rng.normal(size=30), rng.normal(size=30))
+                 for _ in range(6)]
+        pairs.insert(3, (rng.normal(size=35), rng.normal(size=8)))
+        batched = dtw_distance_batch(pairs, window=2)
+        for slot, (a, b) in enumerate(pairs):
+            assert batched[slot] == dtw_distance(a, b, window=2)
+
+    def test_any_pair_of_a_large_batch_equals_its_lone_distance(self):
+        pairs = _random_pairs(count=700, seed=43, lo=1, hi=45)
+        batched = dtw_distance_batch(pairs, window=3)
+        for slot, (a, b) in enumerate(pairs):
+            assert batched[slot] == dtw_distance(a, b, window=3)
 
     def test_identical_series_zero(self):
         a = np.random.default_rng(1).normal(size=30)

@@ -1,6 +1,10 @@
-"""End-to-end service tests: interleaving, JSONL output, obs wiring."""
+"""End-to-end service tests: interleaving, JSONL output, obs wiring,
+the exact p99 close lag and the memory its heap takes."""
 
+import gc
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +12,18 @@ import pytest
 from repro import obs
 from repro.core.dataset import collect_traces, windows_from_traces
 from repro.core.fingerprint import HierarchicalFingerprinter
+from repro.sniffer.trace import Trace
 from repro.stream import StreamService, interleave_chunks
 from repro.stream.service import ServiceReport
+
+
+def _tiled(trace, copies):
+    """``copies`` back-to-back replays of ``trace``, 1 s apart."""
+    span = float(trace.times_s[-1]) + 1.0
+    return Trace.from_arrays(
+        np.concatenate([trace.times_s + k * span for k in range(copies)]),
+        np.tile(trace.rntis, copies), np.tile(trace.directions, copies),
+        np.tile(trace.tbs_bytes, copies), user=trace.user)
 
 
 @pytest.fixture(scope="module")
@@ -138,3 +152,53 @@ class TestStreamService:
         assert service.tracker("c0") is not None
         with pytest.raises(KeyError):
             service.on_control("ghost", message)
+
+    def test_lag_p99_is_the_rank_over_every_window(self, fitted,
+                                                   tmp_path):
+        # Long enough that the service keeps only the top lags.
+        model, traces = fitted
+        out = tmp_path / "verdicts.jsonl"
+        report = StreamService(
+            model, [("a", _tiled(traces.traces[0], 20)),
+                    ("b", _tiled(traces.traces[3], 15))],
+            chunk_records=97, out_path=out).run()
+        lags = sorted(json.loads(line)["lag_s"]
+                      for line in out.read_text().splitlines()
+                      if json.loads(line)["type"] == "window")
+        assert len(lags) == report.windows > 500
+        position = max(0, math.ceil(0.99 * len(lags)) - 1)
+        assert report.lag_p99_s == lags[position]
+
+    def test_lag_memory_bounded_by_the_p99_heap(self, fitted):
+        # A 10x longer stream keeps at most the lags ranked at or above
+        # the p99 of its window grid: a list slot and a float each.
+        # Python objects only (numpy buffers, the bounded ring's among
+        # them, live in their own tracemalloc domain); the slack covers
+        # the interpreter's free lists, whatever the stream's length.
+        model, traces = fitted
+        base = traces.traces[0]
+        python_objects = [tracemalloc.DomainFilter(True, 0)]
+
+        def retained(copies):
+            trace = _tiled(base, copies)
+            gc.collect()
+            tracemalloc.start()
+            before = tracemalloc.take_snapshot().filter_traces(
+                python_objects)
+            service = StreamService(model, [("cell", trace)])
+            report = service.run()
+            after = tracemalloc.take_snapshot().filter_traces(
+                python_objects)
+            tracemalloc.stop()
+            grown = sum(stat.size_diff for stat in
+                        after.compare_to(before, "filename"))
+            return grown, report, trace
+
+        retained(6)                          # first-use caches
+        short, short_report, _ = retained(6)
+        long, long_report, trace = retained(60)
+        assert long_report.windows >= 10 * short_report.windows
+        grid = math.floor(float(trace.times_s[-1] - trace.times_s[0])
+                          / 0.1) + 2
+        heap = grid - max(0, math.ceil(0.99 * grid) - 1)
+        assert long - short <= heap * (8 + 24) + 8192
