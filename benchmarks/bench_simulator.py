@@ -8,11 +8,15 @@ root:
 * a saturated 2048-UE cell — every UE holding a large backlog, so each
   TTI runs the full scheduler + grant path on the array lane — timed
   as grants per second over ``TIMED_S`` of simulated air time;
-* a crossover sweep over T-Mobile cells of 1-128 saturated UEs with a
+* a crossover sweep over T-Mobile cells of 1-2048 saturated UEs with a
   T-Mobile capture sniffer attached, round-robin and proportional-fair:
   per-TTI microseconds of the eNodeB as shipped and pinned to its
   scalar lane and to its array lane.  The sweep is the evidence for
-  ``repro.lte.engine.SCALAR_LANE_MAX``.
+  ``repro.lte.engine.SCALAR_LANE_MAX``, and its points above the bound
+  put the scalar lane's cost next to the array lane's in crowded cells;
+* the same per-TTI cost for one saturated UE on a cell that pads every
+  grant and sends chaff (the countermeasures table's "padding + chaff"
+  defence), which runs on the scalar lane at any cell size.
 
 The guards:
 
@@ -22,7 +26,7 @@ The guards:
   ``BENCH_simulator.json``;
 * at every swept cell size, the shipped eNodeB and each pinned lane may
   cost at most ``MAX_TTI_US_BASE + MAX_TTI_US_PER_UE * ues``
-  microseconds per TTI.
+  microseconds per TTI, and so may the padding+chaff cell.
 
 Run via ``make bench-sim`` or
 ``PYTHONPATH=src python benchmarks/bench_simulator.py``.
@@ -44,7 +48,7 @@ WARM_S = 0.5           # all UEs finish RRC setup before timing starts
 TIMED_S = 0.5          # 500 TTIs
 
 #: Crossover sweep: cell sizes, disciplines and timed span per point.
-SWEEP_UES = (1, 2, 4, 8, 16, 32, 64, 96, 128)
+SWEEP_UES = (1, 2, 4, 8, 16, 32, 64, 96, 128, 256, 512, 2048)
 SWEEP_SCHEDULERS = ("round-robin", "proportional-fair")
 SWEEP_WARM_S = 0.1
 SWEEP_TIMED_S = 0.3
@@ -52,6 +56,12 @@ SWEEP_TIMED_S = 0.3
 #: eNodeB and each pinned lane: a fixed cost plus a per-UE cost.
 MAX_TTI_US_BASE = 300.0
 MAX_TTI_US_PER_UE = 6.0
+
+#: The padding+chaff point: the countermeasures table's combined
+#: defence on a proportional-fair cell of one saturated UE.
+OBFUSCATED_SCHEDULER = "proportional-fair"
+OBFUSCATED_UES = 1
+OBFUSCATION = {"padding_quantum": 1_500, "chaff_probability": 0.10}
 
 #: The legacy per-UE object loop was deleted; its last measurements
 #: are kept here as history.
@@ -103,10 +113,11 @@ def _time_crowded_cell():
     return best["cell"], grants["cell"][-1]
 
 
-def _crossover_cell(scheduler_name, n_ues):
+def _crossover_cell(scheduler_name, n_ues, obfuscation=None):
     """One T-Mobile cell of ``n_ues`` saturated UEs plus a capture sniffer."""
     from repro.lte.dci import Direction
     from repro.lte.network import LTENetwork
+    from repro.lte.obfuscation import ObfuscationConfig
     from repro.operators import TMOBILE
     from repro.sniffer.capture import CellSniffer
 
@@ -114,7 +125,8 @@ def _crossover_cell(scheduler_name, n_ues):
     net.add_cell("sweep", scheduler_name=scheduler_name,
                  total_prb=TMOBILE.total_prb,
                  channel_profile=TMOBILE.serving_channel,
-                 cross_traffic=TMOBILE.cross_traffic)
+                 cross_traffic=TMOBILE.cross_traffic,
+                 obfuscation=ObfuscationConfig(**(obfuscation or {})))
     sniffer = CellSniffer("sweep", capture_profile=TMOBILE.capture_channel,
                           seed=5).attach(net)
     for index in range(n_ues):
@@ -126,7 +138,7 @@ def _crossover_cell(scheduler_name, n_ues):
 
 
 @contextlib.contextmanager
-def _warm_sweep_cell(scheduler_name, n_ues, bound):
+def _warm_sweep_cell(scheduler_name, n_ues, bound, obfuscation=None):
     """A warmed sweep cell with the eNodeB's lane bound set to ``bound``.
 
     Every UE keeps a backlog for the whole run, so each millisecond
@@ -137,7 +149,7 @@ def _warm_sweep_cell(scheduler_name, n_ues, bound):
     shipped = engine_module.SCALAR_LANE_MAX
     engine_module.SCALAR_LANE_MAX = shipped if bound is None else bound
     try:
-        net, sniffer = _crossover_cell(scheduler_name, n_ues)
+        net, sniffer = _crossover_cell(scheduler_name, n_ues, obfuscation)
         net.run_for(SWEEP_WARM_S)
         if net.cells["sweep"].enb.connected_count != n_ues:
             raise RuntimeError("sweep UEs not connected before timing")
@@ -150,17 +162,22 @@ def _max_tti_us(n_ues):
     return MAX_TTI_US_BASE + MAX_TTI_US_PER_UE * n_ues
 
 
+def _timed_sweep_span(cell):
+    net, sniffer = cell
+    net.run_for(SWEEP_TIMED_S)
+    return sniffer.total_records
+
+
+def _tti_us(seconds):
+    return round(seconds / (SWEEP_TIMED_S * 1000) * 1e6, 1)
+
+
 def _crossover_point(scheduler_name, n_ues):
     """Best-of-``ROUNDS`` per-TTI cost of the eNodeB and each lane."""
     from repro.lte.engine import SCALAR_LANE_MAX as shipped
 
-    def timed_span(cell):
-        net, sniffer = cell
-        net.run_for(SWEEP_TIMED_S)
-        return sniffer.total_records
-
     best, captured = harness.best_of(
-        dict.fromkeys(LANE_BOUNDS, timed_span), ROUNDS,
+        dict.fromkeys(LANE_BOUNDS, _timed_sweep_span), ROUNDS,
         setup=lambda name: _warm_sweep_cell(scheduler_name, n_ues,
                                             LANE_BOUNDS[name]))
     records = {count for counts in captured.values() for count in counts}
@@ -169,11 +186,21 @@ def _crossover_point(scheduler_name, n_ues):
                            f"n={n_ues}: records {sorted(records)}")
     row = {"scheduler": scheduler_name, "ues": n_ues,
            "lane": "scalar" if n_ues <= shipped else "array"}
-    row.update({f"{name}_tti_us":
-                round(seconds / (SWEEP_TIMED_S * 1000) * 1e6, 1)
+    row.update({f"{name}_tti_us": _tti_us(seconds)
                 for name, seconds in best.items()})
     row["records"] = records.pop()
     return row
+
+
+def _obfuscated_point():
+    """Best-of-``ROUNDS`` per-TTI cost of the padding+chaff cell."""
+    best, captured = harness.best_of(
+        {"default": _timed_sweep_span}, ROUNDS,
+        setup=lambda _: _warm_sweep_cell(OBFUSCATED_SCHEDULER,
+                                         OBFUSCATED_UES, None, OBFUSCATION))
+    return {"scheduler": OBFUSCATED_SCHEDULER, "ues": OBFUSCATED_UES,
+            **OBFUSCATION, "default_tti_us": _tti_us(best["default"]),
+            "records": captured["default"][-1]}
 
 
 def _crossover_sweep():
@@ -211,6 +238,7 @@ def main() -> int:
     wall_s, grants = _time_crowded_cell()
     grants_per_s = grants / wall_s
     crossover = _crossover_sweep()
+    obfuscated = _obfuscated_point()
     sweep = _shard_scaling()
 
     print(f"simulator: {grants} grants in {wall_s:.3f} s -> "
@@ -218,7 +246,7 @@ def main() -> int:
     ceilings = []
     for index, row in enumerate(crossover):
         ceiling = _max_tti_us(row["ues"])
-        print(f"  {row['scheduler']:>17} n={row['ues']:<3} "
+        print(f"  {row['scheduler']:>17} n={row['ues']:<4} "
               f"default {row['default_tti_us']:7.1f} us ({row['lane']} lane)"
               f"  scalar {row['scalar_lane_tti_us']:7.1f}  "
               f"array {row['array_lane_tti_us']:7.1f}  "
@@ -226,6 +254,11 @@ def main() -> int:
         ceilings += [harness.ceiling(
             f"crossover.points.{index}.{name}_tti_us", ceiling)
             for name in LANE_BOUNDS]
+    ceiling = _max_tti_us(obfuscated["ues"])
+    print(f"  {obfuscated['scheduler']:>17} n={obfuscated['ues']:<4} "
+          f"padding+chaff {obfuscated['default_tti_us']:7.1f} us  "
+          f"ceiling {ceiling:7.1f}")
+    ceilings.append(harness.ceiling("obfuscated.default_tti_us", ceiling))
     for entry in sweep:
         print(f"  city shards={entry['shards']} workers={entry['workers']}: "
               f"{entry['wall_s']:.3f} s, {entry['records']} records")
@@ -236,9 +269,10 @@ def main() -> int:
         f", {N_UES} UEs, {TOTAL_PRB} PRB, "
         f"{int(TIMED_S * 1000)} TTIs timed) in grants per "
         f"second, best of {ROUNDS}; per-TTI crossover "
-        "sweep over T-Mobile cells of 1-128 saturated UEs "
+        "sweep over T-Mobile cells of 1-2048 saturated UEs "
         "with a capture sniffer, as shipped and pinned to "
-        "each lane; plus sharded city scaling sweep.",
+        "each lane, and a one-UE padding+chaff cell as "
+        "shipped; plus sharded city scaling sweep.",
         {"ues": N_UES, "total_prb": TOTAL_PRB,
          "timed_ttis": int(TIMED_S * 1000), "rounds": ROUNDS},
         {"wall_s": wall_s,
@@ -249,6 +283,7 @@ def main() -> int:
              "timed_ttis": int(SWEEP_TIMED_S * 1000),
              "points": crossover,
          },
+         "obfuscated": obfuscated,
          # Per-(shard, epoch) tasks are independent, so on k >= shards
          # cores the sweep approaches the max per-shard time; otherwise
          # the host's core count bounds it.

@@ -72,18 +72,22 @@ def _load_fault_plan(args: argparse.Namespace):
     return FaultPlan.from_file(path)
 
 
-def _configure_runtime(args: argparse.Namespace, fault_plan=None) -> None:
-    """Apply --workers/--no-cache/--cache-dir/--obs-out to the runtime."""
+def _runtime_overrides(args: argparse.Namespace, fault_plan=None):
+    """--workers/--no-cache/--cache-dir/--faults as runtime overrides.
+
+    The returned context manager scopes them to one command, so a
+    caller of :func:`main` keeps its own runtime settings; --obs-out
+    enables observability at once.
+    """
     # Enable collection *before* any pipeline component is constructed:
     # instruments are fetched at __init__ time.
     if getattr(args, "obs_out", None) is not None:
         obs.enable()
-    runtime.configure(
+    plan = {} if fault_plan is None else {"fault_plan": fault_plan}
+    return runtime.overrides(
         workers=getattr(args, "workers", None),
         cache_enabled=False if getattr(args, "no_cache", False) else None,
-        cache_dir=getattr(args, "cache_dir", None))
-    if fault_plan is not None:
-        runtime.configure(fault_plan=fault_plan)
+        cache_dir=getattr(args, "cache_dir", None), **plan)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -796,9 +800,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-        _configure_runtime(args, fault_plan)
-        with run_scope(args.command, _manifest_params(args, fault_plan),
-                       out=args.obs_out) as manifest:
+        with _runtime_overrides(args, fault_plan), run_scope(
+                args.command, _manifest_params(args, fault_plan),
+                out=args.obs_out) as manifest:
             if args.command == "collect":
                 return _cmd_collect(args, manifest)
             if args.command == "train":

@@ -24,7 +24,7 @@ from .obfuscation import (NO_OBFUSCATION, ObfuscationConfig,
 from .rrc import (ControlMessage, HandoverEvent, PagingMessage, RACHPreamble,
                   RandomAccessResponse, RRCConnectionRelease,
                   RRCConnectionRequest, RRCConnectionSetup)
-from .scheduler import Allocation, CrossTraffic
+from .scheduler import CrossTraffic
 from .sim import SECOND_US, TTI_US, EventHandle, SimClock, seconds, to_seconds
 from .tbs import (MAX_MCS, MAX_PRB, N_ITBS, cqi_to_mcs, grant_for_bytes,
                   mcs_to_itbs, transport_block_bytes, transport_block_size)
@@ -32,7 +32,7 @@ from .ue import UE, RRCState
 from .vecsched import scheduler_names
 
 __all__ = [
-    "AppSessionHandle", "Allocation", "CaptureChannel", "Cell",
+    "AppSessionHandle", "CaptureChannel", "Cell",
     "ChannelProfile", "ControlMessage", "CrossTraffic", "CRNTI_MAX",
     "CRNTI_MIN", "DCIFormat", "DCIMessage", "DecodeError",
     "Direction", "ENodeB", "EPC", "EncodedDCI", "EventHandle",

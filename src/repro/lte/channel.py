@@ -13,8 +13,9 @@ Two distinct channels matter to the reproduction:
 CQI evolves as a bounded random walk per UE — a standard stand-in for
 slow fading — so consecutive grants to the same UE are correlated, just
 as they are on a real link.  The eNB advances the walk each TTI: the
-array lane on its CQI column (:meth:`repro.lte.engine.TTILoop._walk_cqi`),
-the scalar lane inline in :meth:`repro.lte.engine.TTILoop._scalar_span`.
+array lane (crowded cells without padding or chaff) on its CQI column
+(:meth:`repro.lte.engine.TTILoop._walk_cqi`), the scalar lane inline in
+:meth:`repro.lte.engine.TTILoop._scalar_span`.
 """
 
 from __future__ import annotations

@@ -37,9 +37,9 @@ from .obfuscation import (NO_OBFUSCATION, ObfuscationConfig,
 from .rrc import (ControlMessage, PagingMessage, RACHPreamble,
                   RandomAccessResponse, RRCConnectionRelease,
                   RRCConnectionRequest, RRCConnectionSetup)
-from .scheduler import Allocation, CrossTraffic
+from .scheduler import CrossTraffic
 from .sim import TTI_US, SimClock, seconds
-from .tbs import MAX_PRB, cqi_to_mcs, grant_for_bytes
+from .tbs import MAX_PRB, cqi_to_mcs
 from .ue import UE
 from .vecsched import make_vector_scheduler
 
@@ -150,9 +150,8 @@ class ENodeB(TTILoop):
         self._flush_deferred = False
         self.obfuscation = obfuscation or NO_OBFUSCATION
         self.obfuscation_stats = ObfuscationStats()
-        # Padding / chaff mutate and extend the allocation list with
-        # scalar rng draws; those TTIs always take the array lane's
-        # padding/chaff path to keep the draw order exact.
+        # Padding and chaff add scalar rng draws to each TTI; they run on
+        # the scalar lane at any cell size (see ``TTILoop._pad_and_chaff``).
         self._obfuscating = (self.obfuscation.padding_quantum > 0
                              or self.obfuscation.chaff_probability > 0.0)
         self._capacity = 16
@@ -395,47 +394,3 @@ class ENodeB(TTILoop):
             self.release(context.ue)
         else:
             self._schedule_inactivity_check(context)
-
-    # -- padding / chaff countermeasures (§VIII-B) ----------------------------------
-
-    def _pad_allocations(self, allocations, available: int):
-        """Round each grant up to the padding quantum (morphing defence)."""
-        quantum = self.obfuscation.padding_quantum
-        leftover = available - sum(a.n_prb for a in allocations)
-        padded = []
-        for allocation in allocations:
-            target = -(-allocation.tbs_bytes // quantum) * quantum
-            budget = allocation.n_prb + max(0, leftover)
-            n_prb, tbs = grant_for_bytes(target, allocation.mcs, budget)
-            if tbs > allocation.tbs_bytes and n_prb >= allocation.n_prb:
-                leftover -= n_prb - allocation.n_prb
-                self.obfuscation_stats.padding_bytes += (
-                    tbs - allocation.tbs_bytes)
-                padded.append(Allocation(rnti=allocation.rnti,
-                                         direction=allocation.direction,
-                                         mcs=allocation.mcs, n_prb=n_prb,
-                                         tbs_bytes=tbs))
-            else:
-                padded.append(allocation)
-        return padded
-
-    def _chaff_allocations(self, direction: Direction, available: int):
-        """Dummy grants for idle UEs, blurring interarrival structure."""
-        probability = self.obfuscation.chaff_probability
-        if probability <= 0.0 or not self._contexts:
-            return []
-        if self._rng.random() >= probability:
-            return []
-        backlog = self._backlog_column(direction)
-        idle = [context for context in self._contexts.values()
-                if backlog[context.slot] == 0]
-        if not idle:
-            return []
-        target = self._rng.choice(idle)
-        size = self._rng.randint(64, self.obfuscation.chaff_max_bytes)
-        mcs = target.mcs
-        n_prb, tbs = grant_for_bytes(size, mcs, max(1, available // 4))
-        self.obfuscation_stats.chaff_bytes += tbs
-        self.obfuscation_stats.chaff_grants += 1
-        return [Allocation(rnti=target.rnti, direction=direction, mcs=mcs,
-                           n_prb=n_prb, tbs_bytes=tbs)]

@@ -7,16 +7,16 @@ indexed by the UE's slot, and turns those backlogs into DCI grants on
 one of two lanes over the same columns:
 
 * the **scalar lane** (:meth:`TTILoop._scalar_span`) while the cell has
-  at most :data:`SCALAR_LANE_MAX` connected UEs and no padding or
-  chaff: the paper's regime — one victim or one conversation pair per
-  cell — where a TTI touches a handful of UEs and small numpy calls
-  would dominate.  It runs the ``grant_for_bytes`` loop itself, inline,
-  in the service order of each scheduler's ``open_span``.
+  at most :data:`SCALAR_LANE_MAX` connected UEs, and at any size when
+  it pads or sends chaff: the paper's regime — one victim or one
+  conversation pair per cell — where a TTI touches a handful of UEs and
+  small numpy calls would dominate.  It runs the ``grant_for_bytes``
+  loop itself, inline, in the service order of each scheduler's
+  ``open_span``; padding and chaff (:meth:`TTILoop._pad_and_chaff`)
+  rework each direction's grants on the span's lists.
 * the **array lane** (:meth:`TTILoop._array_tti`), one call per TTI, for
-  crowded or obfuscating cells: demands, grants and drains for all UEs
-  at once with array operations (:mod:`repro.lte.vecsched`).  Padding
-  and chaff always take it, through the eNB's padding/chaff helpers on
-  materialised allocations, so their scalar draws keep their order.
+  crowded cells without padding or chaff: demands, grants and drains
+  for all UEs at once with array operations (:mod:`repro.lte.vecsched`).
 
 The schedulers keep one state for both lanes (the RR rotation pointer,
 the dense PF averages), so a cell changes lanes between any two spans
@@ -32,9 +32,12 @@ happen in exactly the same order.  Per TTI the draw order is
 
 1. the cross-traffic ``gauss`` of ``CrossTraffic.occupied_prb``, only
    when configured (the scalar lane draws it from locals);
-2. per direction (DL first): chaff draws, then one ``random()`` per
-   allocation when ``harq_bler > 0`` (in allocation order; the scalar
-   lane draws it right after each grant, as allocation draws nothing);
+2. per direction (DL first): the chaff draws (``random()``, then on a
+   hit ``choice`` and ``randint``), then one ``random()`` per grant when
+   ``harq_bler > 0``, over the padded grants in grant order and then
+   the chaff grant.  Allocation and padding draw nothing; on a cell
+   without padding or chaff the scalar lane draws HARQ right after each
+   grant;
 3. one ``random()`` per UE for the CQI walk, plus a ``choice`` on step
    events, in RRC-connection (dict) order.
 
@@ -94,14 +97,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from bisect import bisect_left
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .dci import Direction
-from .scheduler import Allocation
-from .tbs import (CQI_TO_MCS, itbs_of_mcs_tuple, mcs_of_cqi_array,
-                  tbs_bytes_rows)
+from .tbs import (CQI_TO_MCS, grant_for_bytes, itbs_of_mcs_tuple,
+                  mcs_of_cqi_array, tbs_bytes_rows)
 
 #: Largest connected-UE count whose TTIs run on the scalar lane.  Below
 #: it, the array lane's fixed cost of small numpy calls outweighs the
@@ -276,7 +278,7 @@ class TTILoop:
         now = clock.now_us
         slots = self._ordered()
         # Read at call time so a test can pin either lane by patching it.
-        if len(slots) <= SCALAR_LANE_MAX and not self._obfuscating:
+        if len(slots) <= SCALAR_LANE_MAX or self._obfuscating:
             resume = self._scalar_span(now, slots)
         else:
             resume = None
@@ -300,8 +302,14 @@ class TTILoop:
         clock, rng, profile = self._clock, self._rng, self._profile
         draw, pick, gauss = rng.random, rng.choice, rng.gauss
         run_ahead, schedule = clock.run_ahead, clock.schedule
-        own, observers = self._is_own_retransmit, self.grant_batch_observers
-        step_prob, bler = profile.cqi_step_prob, profile.harq_bler
+        own, step_prob = self._is_own_retransmit, profile.cqi_step_prob
+        # An obfuscating cell draws HARQ after its padding and chaff, in
+        # _pad_and_chaff, so its inline draw is off; that method reads
+        # the grants off the span columns, so they are recorded even
+        # without observers.
+        obfuscating = self._obfuscating
+        bler = 0.0 if obfuscating else profile.harq_bler
+        record = bool(self.grant_batch_observers) or obfuscating
         total_prb, tti_us = self._total_prb, self._tti_us
         # CrossTraffic.occupied_prb's draw and clamp, over locals; with
         # total_prb >= 1 a load of at most 0.95 leaves at least one PRB.
@@ -332,6 +340,10 @@ class TTILoop:
             busy = False
             for direction, code, order, settle, backlog in lanes:
                 if not any(backlog):
+                    if obfuscating:  # an idle direction still draws chaff
+                        self._pad_and_chaff(now, direction, {}, available,
+                                            available, backlog, rntis, mcs,
+                                            granted_at)
                     continue
                 demand = everyone if all(backlog) else [
                     index for index, pending in enumerate(backlog)
@@ -356,7 +368,7 @@ class TTILoop:
                     served[rnti] = size
                     issued += 1
                     granted += size
-                    if observers:
+                    if record:
                         times.append(now)
                         directions.append(code)
                         span_rntis.append(rnti)
@@ -367,6 +379,10 @@ class TTILoop:
                         schedule(self._HARQ_RTT_TTIS * tti_us, _Retransmit(
                             self, (direction, rnti, rate, n_prb, size), 1))
                 settle(served)
+                if obfuscating:
+                    self._pad_and_chaff(now, direction, served, remaining,
+                                        available, backlog, rntis, mcs,
+                                        granted_at)
                 busy = busy or any(backlog)
                 if len(times) >= FLUSH_RECORDS:
                     self._flush_grants()
@@ -397,8 +413,69 @@ class TTILoop:
         self.obfuscation_stats.useful_bytes += granted
         return now if busy else None
 
+    def _pad_and_chaff(self, now: int, direction: Direction,
+                       served: Dict[int, int], leftover: int,
+                       available: int, backlog: List[int], rntis: List[int],
+                       mcs: List[int], granted_at: Dict[int, int]) -> None:
+        """Padding, chaff and HARQ draws for one direction of a span's TTI.
+
+        The direction's grants are the last ``len(served)`` entries of
+        the span columns; ``served`` holds their unpadded sizes and
+        ``leftover`` the PRBs they left.  Padding rounds each grant up to
+        the padding quantum from the leftover PRBs and drains the backlog
+        by the extra bytes; chaff gives one UE that had no backlog in
+        this direction a dummy grant; then every grant, padded or chaff,
+        takes its HARQ draw, in that order.
+        """
+        config, stats = self.obfuscation, self.obfuscation_stats
+        columns = self._span_columns
+        times, _, span_rntis, span_mcs, span_prb, span_tbs = columns
+        first = len(times) - len(served)
+        added = 0
+        quantum = config.padding_quantum
+        if quantum > 0 and served:
+            position = {rnti: index for index, rnti in enumerate(rntis)}
+            for at in range(first, len(times)):
+                size, n_prb = span_tbs[at], span_prb[at]
+                padded_prb, padded = grant_for_bytes(
+                    -(-size // quantum) * quantum, span_mcs[at],
+                    n_prb + max(0, leftover))
+                if padded > size and padded_prb >= n_prb:
+                    leftover -= padded_prb - n_prb
+                    span_prb[at], span_tbs[at] = padded_prb, padded
+                    index = position[span_rntis[at]]
+                    backlog[index] = max(0, backlog[index] - (padded - size))
+                    added += padded - size
+            stats.padding_bytes += added
+        probability = config.chaff_probability
+        if probability > 0.0 and rntis and self._rng.random() < probability:
+            idle = [index for index, pending in enumerate(backlog)
+                    if pending == 0 and rntis[index] not in served]
+            if idle:
+                target = self._rng.choice(idle)
+                size = self._rng.randint(64, config.chaff_max_bytes)
+                n_prb, tbs = grant_for_bytes(size, mcs[target],
+                                             max(1, available // 4))
+                for column, value in zip(columns, (
+                        now, int(direction), rntis[target], mcs[target],
+                        n_prb, tbs)):
+                    column.append(value)
+                granted_at[target] = now
+                stats.chaff_bytes += tbs
+                stats.chaff_grants += 1
+                added += tbs
+                self.grants_issued += 1
+                self._grants_obs.inc()
+        self.bytes_granted += added
+        if self._profile.harq_bler > 0.0:
+            for at in range(first, len(times)):
+                self._maybe_retransmit(direction, span_rntis[at],
+                                       span_mcs[at], span_prb[at],
+                                       span_tbs[at], attempt=1)
+
     def _array_tti(self, now: int, slots: np.ndarray) -> bool:
-        """One TTI over whole UE columns: the lane for crowded cells.
+        """One TTI over whole UE columns: the lane for crowded cells
+        without padding or chaff.
 
         Returns whether any UE still holds backlog.
         """
@@ -413,21 +490,12 @@ class TTILoop:
                 (Direction.UPLINK, self._ul_scheduler, self._arr_ul)):
             backlog = backlog_col[slots]
             demand_positions = np.nonzero(backlog > 0)[0]
-            if len(demand_positions):
-                positions, grant_prb, grant_tbs = scheduler.allocate_batch(
-                    rntis[demand_positions], backlog[demand_positions],
-                    mcs[demand_positions], available)
-                grant_positions = demand_positions[positions]
-            else:
-                grant_positions = np.empty(0, dtype=np.int64)
-                grant_prb = grant_tbs = grant_positions
-            if self._obfuscating:
-                self._obfuscated_tti(direction, now, rntis, mcs,
-                                     grant_positions, grant_prb, grant_tbs,
-                                     backlog_col, available, harq)
+            if not len(demand_positions):
                 continue
-            if not len(grant_positions):
-                continue
+            positions, grant_prb, grant_tbs = scheduler.allocate_batch(
+                rntis[demand_positions], backlog[demand_positions],
+                mcs[demand_positions], available)
+            grant_positions = demand_positions[positions]
             grant_rntis = rntis[grant_positions]
             grant_mcs = mcs[grant_positions]
             granted_bytes = int(grant_tbs.sum())
@@ -481,42 +549,3 @@ class TTILoop:
                 stepped_any = True
         if stepped_any:
             self._arr_cqi[slots] = cqis
-
-    def _obfuscated_tti(self, direction: Direction, now: int,
-                        rntis: np.ndarray, mcs: np.ndarray,
-                        grant_positions: np.ndarray, grant_prb: np.ndarray,
-                        grant_tbs: np.ndarray, backlog_col: np.ndarray,
-                        available: int, harq: bool) -> None:
-        """Padding/chaff path: the eNB's helpers over materialised grants."""
-        allocations = [
-            Allocation(rnti=int(rntis[position]), direction=direction,
-                       mcs=int(mcs[position]), n_prb=int(prb),
-                       tbs_bytes=int(tbs))
-            for position, prb, tbs in zip(grant_positions, grant_prb,
-                                          grant_tbs)]
-        self.obfuscation_stats.useful_bytes += sum(
-            a.tbs_bytes for a in allocations)
-        if self.obfuscation.padding_quantum > 0:
-            allocations = self._pad_allocations(allocations, available)
-        allocations.extend(self._chaff_allocations(direction, available))
-        if not allocations:
-            return
-        for allocation in allocations:  # repro: noqa[PAR004] — scalar padding/chaff path keeps its draw order
-            slot = self._contexts[allocation.rnti].slot
-            backlog_col[slot] = max(0, backlog_col[slot]
-                                    - allocation.tbs_bytes)
-            self._arr_last[slot] = now
-            self.grants_issued += 1
-            self._grants_obs.inc()
-            self.bytes_granted += allocation.tbs_bytes
-        self._emit_grants(now, direction,
-                          [allocation.rnti for allocation in allocations],
-                          [allocation.mcs for allocation in allocations],
-                          [allocation.n_prb for allocation in allocations],
-                          [allocation.tbs_bytes
-                           for allocation in allocations])
-        if harq:
-            for allocation in allocations:  # repro: noqa[PAR004] — HARQ draws must follow allocation order
-                self._maybe_retransmit(direction, allocation.rnti,
-                                       allocation.mcs, allocation.n_prb,
-                                       allocation.tbs_bytes, attempt=1)

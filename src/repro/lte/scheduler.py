@@ -8,28 +8,16 @@ eNodeB runs round-robin, proportional-fair and greedy max-CQI through
 the batched schedulers of :mod:`repro.lte.vecsched`, and operator
 profiles choose.
 
-:class:`Allocation` carries grants through the eNodeB's padding/chaff
-path; :class:`CrossTraffic` is the ambient load that shrinks every
-TTI's PRB budget.
+:class:`CrossTraffic` is the ambient load that shrinks every TTI's PRB
+budget.  The engine carries grants as span columns
+(:mod:`repro.lte.engine`), so no grant type lives here; the per-demand
+reference schedulers in ``tests/lte/oracles.py`` define their own.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-
-from .dci import Direction
-
-
-@dataclass(frozen=True)
-class Allocation:
-    """A grant decided by the scheduler, ready to be signalled as DCI."""
-
-    rnti: int
-    direction: Direction
-    mcs: int
-    n_prb: int
-    tbs_bytes: int
 
 
 @dataclass

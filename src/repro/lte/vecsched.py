@@ -3,15 +3,16 @@
 The array-backed engine (:mod:`repro.lte.engine`) drives each scheduler
 through one of two entry points, matching the engine's two lanes:
 
-* ``allocate_batch`` (array lane, crowded cells), once per direction
-  per TTI, takes parallel arrays of RNTI, backlog and MCS for every UE
-  with pending data and returns grant arrays;
-* ``open_span(rntis)`` (scalar lane, at most ``SCALAR_LANE_MAX`` UEs),
-  once per span of TTIs, reads the discipline's state for the span's
-  UEs into Python values.  Per TTI its ``order(demand, mcs)`` gives the
-  service order over UE indices and ``settle(served)`` updates the
-  state; the engine runs the grant loop in between; ``close()`` writes
-  the state back.
+* ``allocate_batch`` (array lane: crowded cells without padding or
+  chaff), once per direction per TTI, takes parallel arrays of RNTI,
+  backlog and MCS for every UE with pending data and returns grant
+  arrays;
+* ``open_span(rntis)`` (scalar lane: at most ``SCALAR_LANE_MAX`` UEs,
+  or a padding/chaff cell of any size), once per span of TTIs, reads
+  the discipline's state for the span's UEs into Python values.  Per
+  TTI its ``order(demand, mcs)`` gives the service order over UE
+  indices and ``settle(served)`` updates the state; the engine runs the
+  grant loop in between; ``close()`` writes the state back.
 
 Both keep one scheduler state (the RR rotation pointer, the dense PF
 averages), so the engine may switch lanes between any two spans.  Each

@@ -403,6 +403,29 @@ class TestCacheCLI:
             "trace cache is disabled (REPRO_TRACE_CACHE=0)"
 
 
+def _runtime_settings():
+    from repro import runtime
+
+    cache = runtime.trace_cache()
+    return (runtime.resolve_workers(), runtime.fault_plan(),
+            None if cache is None else cache.directory)
+
+
+def test_pipeline_command_leaves_the_callers_runtime_settings(tmp_path):
+    # --workers, --no-cache, --cache-dir and --faults end with the call.
+    from repro.faults import FaultPlan, FaultSpec
+
+    plan = tmp_path / "plan.json"
+    FaultPlan.build(FaultSpec.make("burst_loss", rate=0.3, burst_s=0.5),
+                    seed=7).to_file(plan)
+    before = _runtime_settings()
+    assert main(["collect", "--out", str(tmp_path / "out"), "--apps",
+                 "Skype", "--traces", "1", "--duration", "2",
+                 "--no-cache", "--workers", "2", "--cache-dir",
+                 str(tmp_path / "cache"), "--faults", str(plan)]) == 0
+    assert _runtime_settings() == before
+
+
 class TestExperimentManifest:
     def test_result_summary_lands_in_the_manifest(self, tmp_path,
                                                   monkeypatch):

@@ -11,10 +11,13 @@ reproduced them before that loop was deleted.  They pin:
 * a single-cell LTE scenario sweep, and the same knobs on a 5G NR cell
   (0.5 ms slots, proportional-fair, 100 PRB), each run once with every
   TTI pinned to the eNodeB's array lane and once pinned to its scalar
-  lane, since every scenario here sits below the crossover;
+  lane, since every scenario here sits below the crossover (a cell
+  with padding or chaff runs on the scalar lane under either pin);
 * a crossing scenario whose connections push the cell above
   ``SCALAR_LANE_MAX`` and whose inactivity releases bring it back, so
-  the engine changes lanes mid-run in both directions;
+  the engine changes lanes mid-run in both directions, and the same
+  cell with padding and chaff, which stays on the scalar lane;
+* the overhead counters of padding and chaff;
 * the experiment driver path (``collect_trace``);
 * the sharded city simulator across shard counts {1, 2, 4} on both the
   serial and the process ``ParallelMap`` backends;
@@ -73,6 +76,12 @@ SCENARIOS = [
                                        chaff_probability=0.2,
                                        rnti_refresh_s=0.6)},
      {}),
+    ("proportional-fair",
+     {"channel_profile": ChannelProfile(harq_bler=0.12),
+      "cross_traffic": CrossTraffic(mean_load=0.3),
+      "obfuscation": ObfuscationConfig(padding_quantum=8,
+                                       chaff_probability=0.2)},
+     {}),
 ]
 
 #: ``SCENARIOS[i]`` must reproduce ``GOLDENS[i]``.
@@ -92,7 +101,19 @@ GOLDENS = [
     Golden("16ff1613c49a87b0944aefd5b9be7596"
            "1c9ff25cf7c8d8cf1ff5dd3336df9e46",
            983, 2420772, 0, 7),
+    Golden("8b6db521413d487293e21a8e80709cbb"
+           "74e40059254cdf0ee24793adfbaa63a9",
+           1494, 2430710, 177, 4),
 ]
+
+#: Overhead counters of the obfuscating scenarios: useful, padding and
+#: chaff bytes, and chaff grants.  Keyed by ``SCENARIOS`` index, and by
+#: ``"nr"`` for the obfuscating ``NR_SCENARIOS`` entry.
+OVERHEAD_GOLDENS = {
+    4: (2282255, 255, 138262, 251),
+    5: (2282266, 212, 148232, 338),
+    "nr": (2282170, 245, 91594, 134),
+}
 
 #: NR scenario sweep on a gNodeB (proportional-fair, 100 PRB, 0.5 ms
 #: slots): clean; HARQ with capture loss and corruption; padding, chaff
@@ -221,7 +242,8 @@ LANE_BOUNDS = {"array": 0, "scalar": 1 << 30}
 
 
 def _assert_lane(lane_spy, lane, cell_kwargs):
-    ran = "array" if _obfuscating(cell_kwargs) else lane
+    # Padding and chaff run on the scalar lane at any cell size.
+    ran = "scalar" if _obfuscating(cell_kwargs) else lane
     assert lane_spy[ran] > 0
     assert lane_spy["scalar" if ran == "array" else "array"] == 0
 
@@ -294,22 +316,23 @@ def test_lanes_leave_the_same_columns_and_counters(
 CROSSING_BOUND = 32
 
 
-def _crossing_network():
+def _crossing_network(obfuscation=ObfuscationConfig(rnti_refresh_s=0.4)):
     """A PF cell that grows past the scalar-lane bound and shrinks back.
 
     Three UEs stay busy throughout; at 0.3 s every other UE sends one
     burst, which connects them and lifts the cell above
     ``CROSSING_BOUND``; the 0.25 s inactivity timer then releases them
-    again.  HARQ, capture loss/corruption and RNTI refresh all run.
-    Returns the network, its sniffer and the sampled peak UE count.
-    Run it with ``SCALAR_LANE_MAX`` set to ``CROSSING_BOUND``.
+    again.  HARQ, capture loss/corruption and ``obfuscation`` (by
+    default RNTI refresh alone) all run.  Returns the network, its
+    sniffer and the sampled peak UE count.  Run it with
+    ``SCALAR_LANE_MAX`` set to ``CROSSING_BOUND``.
     """
     n_ues = CROSSING_BOUND + 6
     net = LTENetwork(seed=5)
     net.add_cell("crossing", scheduler_name="proportional-fair",
                  total_prb=50, inactivity_timeout_s=0.25,
                  channel_profile=ChannelProfile(harq_bler=0.1),
-                 obfuscation=ObfuscationConfig(rnti_refresh_s=0.4))
+                 obfuscation=obfuscation)
     sniffer = CellSniffer("crossing", seed=3,
                           capture_profile=ChannelProfile(
                               capture_loss=0.05,
@@ -356,6 +379,64 @@ def test_crossing_scenario_switches_lanes_and_matches_legacy(lane_spy,
     assert lane_spy["changes"] == ["scalar", "array", "scalar"]
     assert observed == CROSSING_GOLDEN
     assert CROSSING_GOLDEN[3] > 0
+
+
+def _overhead(enb):
+    stats = enb.obfuscation_stats
+    return (stats.useful_bytes, stats.padding_bytes, stats.chaff_bytes,
+            stats.chaff_grants)
+
+
+@pytest.mark.parametrize("key", sorted(OVERHEAD_GOLDENS, key=str))
+def test_obfuscation_overhead_golden(key):
+    """Padding and chaff account the bytes and grants they add."""
+    if key == "nr":
+        enb, _ = _simulate(None, *NR_SCENARIOS[2], nr=True)
+    else:
+        enb, _ = _simulate(*SCENARIOS[key])
+    assert _overhead(enb) == OVERHEAD_GOLDENS[key]
+    assert enb.bytes_granted == sum(OVERHEAD_GOLDENS[key][:3])
+
+
+def test_unobserved_obfuscating_cell_counts_like_a_watched_one():
+    """Padding and chaff read their grants off the span columns, which a
+    cell fills even without grant observers; each observation point
+    empties them."""
+    scheduler_name, cell_kwargs, capture_kwargs = SCENARIOS[5]
+    net, _ = _golden_network(scheduler_name, cell_kwargs, capture_kwargs)
+    enb = net.cells["golden"].enb
+    enb.grant_batch_observers.clear()
+    for _ in range(15):
+        net.run_for(0.1)
+        assert not any(enb._span_columns)
+    golden = GOLDENS[5]
+    assert (enb.grants_issued, enb.bytes_granted, enb.harq_retransmissions,
+            _overhead(enb)) == (golden.grants_issued, golden.bytes_granted,
+                                golden.harq_retransmissions,
+                                OVERHEAD_GOLDENS[5])
+
+
+#: The crossing cell with padding and chaff on top of HARQ and RNTI
+#: refresh: trace digest, grants, HARQ retransmissions, RNTI refreshes,
+#: bytes granted and the overhead counters.
+CROWDED_OBFUSCATING_GOLDEN = (
+    "3d7c3ba175bc79f870bcadff8566fbf1d6b56dad484a8a6cf6a55aade3be27ac",
+    819, 90, 55, 1519285, (1425101, 1422, 92762, 165))
+
+
+def test_crowded_obfuscating_cell_runs_on_the_scalar_lane(lane_spy,
+                                                          monkeypatch):
+    """Padding and chaff hold their draw order in a cell of more than
+    ``SCALAR_LANE_MAX`` UEs, where HARQ draws follow the chaff."""
+    monkeypatch.setattr(engine_module, "SCALAR_LANE_MAX", CROSSING_BOUND)
+    net, sniffer, peak = _crossing_network(ObfuscationConfig(
+        padding_quantum=8, chaff_probability=0.2, rnti_refresh_s=0.4))
+    net.run_for(1.7)
+    enb = net.cells["crossing"].enb
+    assert peak[0] > CROSSING_BOUND
+    assert (*_crossing_observed(net, sniffer), enb.bytes_granted,
+            _overhead(enb)) == CROWDED_OBFUSCATING_GOLDEN
+    assert lane_spy["array"] == 0 and lane_spy["scalar"] > 0
 
 
 def _driver_digest():

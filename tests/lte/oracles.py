@@ -15,8 +15,18 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.lte.dci import Direction
-from repro.lte.scheduler import Allocation
 from repro.lte.tbs import grant_for_bytes, mcs_to_itbs, transport_block_bytes
+
+
+@dataclass(frozen=True)
+class Allocation:
+    """A grant decided by a scheduler, ready to be signalled as DCI."""
+
+    rnti: int
+    direction: Direction
+    mcs: int
+    n_prb: int
+    tbs_bytes: int
 
 
 @dataclass
