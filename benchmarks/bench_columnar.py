@@ -15,8 +15,8 @@ seconds per call:
 * **persistence** — ``TraceSet`` save and load of an 8-trace set, as
   one CSV file per trace and as one NPZ archive;
 * **warm trace cache** — ``collect_traces`` of a 6-capture campaign
-  served from the on-disk cache (memory-mapped NPZ reads), asserted to
-  run zero simulations.
+  served from the on-disk cache (one uncompressed NPZ read per
+  capture), asserted to run zero simulations.
 
 Results land in ``BENCH_columnar.json`` at the repo root.  Every value
 has a regression guard: no more than 2x slower than the committed file.

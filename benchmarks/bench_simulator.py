@@ -16,7 +16,10 @@ root:
   put the scalar lane's cost next to the array lane's in crowded cells;
 * the same per-TTI cost for one saturated UE on a cell that pads every
   grant and sends chaff (the countermeasures table's "padding + chaff"
-  defence), which runs on the scalar lane at any cell size.
+  defence), which runs on the scalar lane at any cell size;
+* the city sweep: ``run_city`` of 8 cells at 1, 2 and 4 shards, with
+  each point's wall time, record count and ``spilled_bytes`` (the
+  record-column bytes the shard tasks returned by value).
 
 The guards:
 

@@ -37,6 +37,7 @@ simulation / forest fitting out over processes, ``--no-cache`` /
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -72,22 +73,21 @@ def _load_fault_plan(args: argparse.Namespace):
     return FaultPlan.from_file(path)
 
 
+@contextlib.contextmanager
 def _runtime_overrides(args: argparse.Namespace, fault_plan=None):
-    """--workers/--no-cache/--cache-dir/--faults as runtime overrides.
-
-    The returned context manager scopes them to one command, so a
-    caller of :func:`main` keeps its own runtime settings; --obs-out
-    enables observability at once.
-    """
-    # Enable collection *before* any pipeline component is constructed:
-    # instruments are fetched at __init__ time.
-    if getattr(args, "obs_out", None) is not None:
-        obs.enable()
+    """--workers/--no-cache/--cache-dir/--faults/--obs-out, scoped to one
+    command, so a caller of :func:`main` keeps its own runtime and
+    observability settings."""
+    # --obs-out turns collection on *before* any pipeline component is
+    # constructed: instruments are fetched at __init__ time.
+    observe = (obs.override(True) if getattr(args, "obs_out", None)
+               is not None else contextlib.nullcontext())
     plan = {} if fault_plan is None else {"fault_plan": fault_plan}
-    return runtime.overrides(
-        workers=getattr(args, "workers", None),
-        cache_enabled=False if getattr(args, "no_cache", False) else None,
-        cache_dir=getattr(args, "cache_dir", None), **plan)
+    with observe, runtime.overrides(
+            workers=getattr(args, "workers", None),
+            cache_enabled=False if getattr(args, "no_cache", False) else None,
+            cache_dir=getattr(args, "cache_dir", None), **plan):
+        yield
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -23,11 +23,11 @@ count or backend:
   Because migration is computed outside the workers from seeds alone,
   it cannot depend on scheduling or sharding.
 
-* **Zero-copy trace handoff.**  A worker never pickles columnar arrays
-  back through the pool.  It spills its shard's traces to an
-  *uncompressed* NPZ file and returns only the path; the driver
-  memory-maps the spill (``TraceSet.from_npz(..., mmap_mode="r")``) so
-  record data crosses the process boundary through the page cache.
+* **Traces return by value.**  A (shard, epoch) task returns its
+  cells' traces and residuals through the pool like any other result;
+  the driver shifts each fragment onto the city clock and merges the
+  fragments of a cell once, after the last epoch.  Nothing touches
+  the disk.
 
 Shards are contiguous groups of cells; one (shard, epoch) work item is
 small, so the driver uses :meth:`ParallelMap.map_batched` to amortise
@@ -40,16 +40,14 @@ from __future__ import annotations
 
 import hashlib
 import random
-import tempfile
 from dataclasses import dataclass, field
 from functools import partial
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..runtime.parallel import ParallelMap
 from ..sniffer.capture import CellSniffer
-from ..sniffer.trace import Trace, TraceSet
+from ..sniffer.trace import Trace
 from .channel import ChannelProfile
 from .dci import Direction
 from .network import LTENetwork
@@ -93,6 +91,7 @@ class CityResult:
     """Per-cell merged traces plus run accounting."""
 
     traces: Dict[str, Trace] = field(default_factory=dict)
+    #: Record-column bytes the shard tasks returned, over all epochs.
     spilled_bytes: int = 0
     epochs: int = 0
     shards: int = 0
@@ -155,24 +154,15 @@ def _run_cell_epoch(scenario: CityScenario, cell_id: str, epoch: int,
     return trace, residuals
 
 
-def _run_shard_epoch(scenario: CityScenario, spill_dir: str,
-                     payload) -> Tuple[str, List[Residuals]]:
-    """Worker task: simulate one shard's cells for one epoch, spill traces.
+def _run_shard_epoch(scenario: CityScenario,
+                     payload) -> List[Tuple[Trace, Residuals]]:
+    """Worker task: simulate one shard's cells for one epoch.
 
-    Returns the spill path plus per-cell residuals — the only data that
-    crosses the pool boundary by value.
+    Returns one ``(trace, residuals)`` pair per cell, in shard order.
     """
-    shard_index, epoch, cells = payload
-    traces: List[Trace] = []
-    residuals: List[Residuals] = []
-    for cell_id, carried in cells:
-        trace, residual = _run_cell_epoch(scenario, cell_id, epoch, carried)
-        traces.append(trace)
-        residuals.append(residual)
-    spill_path = (Path(spill_dir)
-                  / f"epoch{epoch:04d}_shard{shard_index:04d}.npz")
-    TraceSet(traces).to_npz(spill_path, compressed=False)
-    return str(spill_path), residuals
+    epoch, cells = payload
+    return [_run_cell_epoch(scenario, cell_id, epoch, carried)
+            for cell_id, carried in cells]
 
 
 def _shard_cells(cell_ids: Sequence[str], shards: int) -> List[List[str]]:
@@ -186,13 +176,13 @@ def _shard_cells(cell_ids: Sequence[str], shards: int) -> List[List[str]]:
 
 
 def run_city(scenario: CityScenario, mapper: Optional[ParallelMap] = None,
-             shards: int = 1, spill_dir: Optional[Path] = None) -> CityResult:
+             shards: int = 1) -> CityResult:
     """Run a sharded city scenario; bit-identical for any shards/backend.
 
     Each epoch fans (shard, epoch) tasks through ``mapper.map_batched``;
-    workers spill traces as uncompressed NPZ and the driver maps them
-    back zero-copy.  At every epoch boundary the seeded migration pass
-    moves residual backlog between neighbouring cells.
+    each returns its cells' traces and residuals by value.  At every
+    epoch boundary the seeded migration pass moves residual backlog
+    between neighbouring cells.
     """
     mapper = mapper or ParallelMap(workers=1)
     cells = scenario.cell_ids()
@@ -200,24 +190,20 @@ def run_city(scenario: CityScenario, mapper: Optional[ParallelMap] = None,
     carried: Dict[str, Residuals] = {cell_id: {} for cell_id in cells}
     fragments: Dict[str, List[Trace]] = {cell_id: [] for cell_id in cells}
     spilled_bytes = 0
-    with obs.span("sim.city"), tempfile.TemporaryDirectory() as tmp_dir:
-        spill_root = Path(spill_dir) if spill_dir is not None else Path(
-            tmp_dir)
-        spill_root.mkdir(parents=True, exist_ok=True)
+    with obs.span("sim.city"):
         for epoch in range(scenario.epochs):
             payloads = [
-                (shard_index, epoch,
-                 [(cell_id, carried[cell_id]) for cell_id in shard])
-                for shard_index, shard in enumerate(shard_lists)]
-            worker = partial(_run_shard_epoch, scenario, str(spill_root))
-            results = mapper.map_batched(worker, payloads)
+                (epoch, [(cell_id, carried[cell_id]) for cell_id in shard])
+                for shard in shard_lists]
+            results = mapper.map_batched(
+                partial(_run_shard_epoch, scenario), payloads)
             epoch_residuals: Dict[str, Residuals] = {}
             offset_s = epoch * scenario.epoch_s
-            for shard, (spill_path, residuals) in zip(shard_lists, results):
-                spilled_bytes += Path(spill_path).stat().st_size
-                spilled = TraceSet.from_npz(spill_path, mmap_mode="r")
-                for cell_id, trace, residual in zip(shard, spilled.traces,
-                                                    residuals):
+            for shard, returned in zip(shard_lists, results):
+                for cell_id, (trace, residual) in zip(shard, returned):
+                    spilled_bytes += sum(column.nbytes for column in (
+                        trace.times_s, trace.rntis, trace.directions,
+                        trace.tbs_bytes))
                     if len(trace):
                         times = trace.times_s + offset_s
                         fragments[cell_id].append(Trace.from_arrays(

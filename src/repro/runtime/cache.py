@@ -14,9 +14,11 @@ fault plan degrades it — keyed on everything that determines it:
 
 Every entry is one *uncompressed* :class:`~repro.sniffer.trace.TraceSet`
 NPZ (``<sha256>.npz``; a capture is a one-member set, a conversation a
-two-member set) read back memory-mapped (``mmap_mode="r"``), so a hit
-hands the columns to the feature pipeline zero-copy straight out of
-the page cache, and nothing read from the directory is ever unpickled.
+two-member set), stored raw because that writes and reads back faster
+than deflated members.  A hit is one plain
+:meth:`~repro.sniffer.trace.TraceSet.from_npz` read, which checks every
+record as any archive read does, and nothing read from the directory
+is ever unpickled.
 Writes go via write-to-temp + ``os.replace``, so concurrent writers
 (parallel pytest runs, multi-process fan-outs) can never leave a torn
 entry; the worst case is writing the same bytes twice.  A byte-size
@@ -168,13 +170,10 @@ class TraceCache:
             return self._get(key)
 
     def _get(self, key: str):
-        # Columns come back memory-mapped, so a hit costs metadata
-        # reads only — record data stays on disk until a consumer
-        # actually touches it.
         from ..sniffer.trace import TraceSet
         path = self._path(key)
         try:
-            value = TraceSet.from_npz(path, mmap_mode="r")
+            value = TraceSet.from_npz(path)
         except FileNotFoundError:
             value = None
         except Exception:
@@ -207,8 +206,6 @@ class TraceCache:
                                         suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
-                # Uncompressed NPZ keeps every column ZIP_STORED, which
-                # is the precondition for the zero-copy mmap read.
                 value.to_npz(handle, compressed=False)
             os.replace(tmp_name, self._path(key))
         except BaseException:

@@ -183,97 +183,28 @@ _NPZ_DTYPES = {"times_s": TIME_DTYPE, "rntis": RNTI_DTYPE,
 _NPZ_COLUMNS = ("times_s", "rntis", "directions", "tbs_bytes")
 
 
-def _npz_member_offset(path: Path, info: "zipfile.ZipInfo") -> int:
-    """Absolute file offset of a stored ZIP member's raw data.
+#: What a truncated, torn or foreign file raises on its way through
+#: ``zipfile``/``np.load`` once it is open: a bad ``.npy`` header or
+#: short member data is a ``ValueError``; a member flagged encrypted, an
+#: unknown compression method or ZIP version a ``RuntimeError`` (or its
+#: subclass ``NotImplementedError``); bzip2 over foreign bytes an
+#: ``OSError``.
+_NPZ_READ_ERRORS = (zipfile.BadZipFile, EOFError, zlib.error, ValueError,
+                    RuntimeError, OSError)
 
-    The central directory's ``header_offset`` points at the member's
-    *local* file header; the name and extra fields recorded there may
-    differ in length from the central copy, so the local header itself
-    is parsed for the two length fields (ZIP local header layout: name
-    length at offset 26, extra length at offset 28, data follows the
-    30-byte fixed part).
+
+def _read_npz(handle):
+    """The arrays present in an open set archive, and its metadata list.
+
+    The metadata is ``None`` when the archive has no ``meta`` member.
+    Nothing is validated here.
     """
-    with open(path, "rb") as handle:
-        handle.seek(info.header_offset)
-        local = handle.read(30)
-    if len(local) < 30 or local[:4] != b"PK\x03\x04":
-        raise ValueError(f"corrupt local ZIP header for {info.filename!r}")
-    name_length = int.from_bytes(local[26:28], "little")
-    extra_length = int.from_bytes(local[28:30], "little")
-    return info.header_offset + 30 + name_length + extra_length
-
-
-_NPY_HEADER_READERS = {
-    (1, 0): np.lib.format.read_array_header_1_0,
-    (2, 0): np.lib.format.read_array_header_2_0,
-}
-
-
-def _mmap_npz_columns(path: Path, names: Sequence[str],
-                      mmap_mode: str) -> Optional[Dict[str, np.ndarray]]:
-    """Memory-map the named members of an *uncompressed* NPZ archive.
-
-    ``np.load(..., mmap_mode=...)`` silently ignores the request for
-    zip members, so the mapping is done by hand: each ``<name>.npy``
-    member written by ``np.savez`` is stored (not deflated), its array
-    data sitting contiguously in the archive after the local ZIP header
-    and the ``.npy`` header.  Returns ``None`` when any member is
-    missing, compressed, Fortran-ordered, or uses an unknown ``.npy``
-    format version — the caller falls back to a normal copying load.
-    """
-    arrays: Dict[str, np.ndarray] = {}
-    with zipfile.ZipFile(path) as archive:
-        known = set(archive.namelist())
-        for name in names:
-            member = name + ".npy"
-            if member not in known:
-                return None
-            info = archive.getinfo(member)
-            if info.compress_type != zipfile.ZIP_STORED:
-                return None
-            with archive.open(member) as handle:
-                version = np.lib.format.read_magic(handle)
-                reader = _NPY_HEADER_READERS.get(version)
-                if reader is None:
-                    return None
-                shape, fortran_order, dtype = reader(handle)
-                header_size = handle.tell()
-            if fortran_order:
-                return None
-            if any(side == 0 for side in shape):
-                arrays[name] = np.empty(shape, dtype=dtype)
-                continue
-            offset = _npz_member_offset(path, info) + header_size
-            arrays[name] = np.memmap(path, dtype=dtype, mode=mmap_mode,
-                                     offset=offset, shape=shape)
-    return arrays
-
-
-#: What a truncated, torn or foreign file raises on the way through
-#: ``zipfile``/``np.load`` (a bad ``.npy`` header or short member data
-#: is a ``ValueError``).
-_NPZ_READ_ERRORS = (zipfile.BadZipFile, EOFError, zlib.error, ValueError)
-
-
-def _read_npz(path: Path, mmap_mode: Optional[str]):
-    """The arrays present in a set archive, and its metadata list.
-
-    With ``mmap_mode`` the arrays of an uncompressed archive are
-    memory-mapped; otherwise (or when that is impossible) they are
-    copied into RAM.  The metadata is ``None`` when the archive has no
-    ``meta`` member.  Nothing is validated here.
-    """
-    arrays = None
-    if mmap_mode is not None:
-        arrays = _mmap_npz_columns(path, tuple(_NPZ_DTYPES), mmap_mode)
-    data = np.load(path)
+    data = np.load(handle)
     if not isinstance(data, np.lib.npyio.NpzFile):
         raise ValueError("a bare .npy array, not an NPZ archive")
     with data:
         metas = json.loads(str(data["meta"])) if "meta" in data else None
-        if arrays is None:
-            arrays = {name: data[name] for name in _NPZ_DTYPES
-                      if name in data}
+        arrays = {name: data[name] for name in _NPZ_DTYPES if name in data}
     return arrays, metas
 
 
@@ -674,8 +605,9 @@ class TraceSet:
 
         Orders of magnitude faster than the per-row CSV format for
         dataset round-trips; CSV/JSONL remain for interchange.
-        ``compressed=False`` stores members raw so ``from_npz(...,
-        mmap_mode="r")`` can hand the columns back zero-copy.
+        ``compressed=False`` stores members raw: a larger file, but
+        faster to write and to read back, which is why the trace cache
+        uses it; archives that are kept suit the compressed default.
         """
         counts = np.array([len(t) for t in self.traces], dtype=np.int64)
         offsets = np.concatenate([[0], np.cumsum(counts)])
@@ -697,8 +629,7 @@ class TraceSet:
               meta=np.array(meta))
 
     @classmethod
-    def from_npz(cls, path: Path,
-                 mmap_mode: Optional[str] = None) -> "TraceSet":
+    def from_npz(cls, path: Path) -> "TraceSet":
         """Load a set previously written by :meth:`to_npz`.
 
         Validates the archive before slicing: columns present with the
@@ -709,19 +640,16 @@ class TraceSet:
         a non-negative size, and time order within each trace.  A
         truncated, torn or foreign file or a bad record raises
         ``ValueError`` naming the file instead of silently yielding
-        short or corrupt traces.
-
-        With ``mmap_mode``, the columns of an uncompressed archive are
-        memory-mapped and each trace becomes a zero-copy slice view —
-        the read side of the sharded simulator's spill handoff and of
-        the trace cache.
+        short or corrupt traces; a missing file raises
+        ``FileNotFoundError``.
         """
         path = Path(path)
-        try:
-            arrays, metas = _read_npz(path, mmap_mode)
-        except _NPZ_READ_ERRORS as exc:
-            raise ValueError(f"{path}: unreadable NPZ archive (truncated "
-                             f"or foreign file?): {exc}") from None
+        with open(path, "rb") as handle:
+            try:
+                arrays, metas = _read_npz(handle)
+            except _NPZ_READ_ERRORS as exc:
+                raise ValueError(f"{path}: unreadable NPZ archive (truncated "
+                                 f"or foreign file?): {exc}") from None
         columns = _checked_npz_columns(arrays, metas, path)
         return cls._from_columns(columns, metas, path)
 
@@ -748,10 +676,7 @@ class TraceSet:
                 f"archive holds {len(times)} records "
                 f"(truncated archive?)")
         try:
-            # Plain views of mapped columns: numpy operations on the
-            # ``np.memmap`` subclass cost more per call.
-            _check_set_records(*(np.asarray(column) for column in (
-                times, rntis, dirs, tbs, offsets)))
+            _check_set_records(times, rntis, dirs, tbs, offsets)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         traces: List[Trace] = []

@@ -176,7 +176,7 @@ def test_cache_cold_warm_off_give_identical_faulted_bytes(name, tmp_path):
     assert cold == off
     assert warm == off
     assert off[0] != clean[0]
-    # Faulting a memory-mapped hit never writes through to the entry.
+    # Faulting a cache hit never writes through to the entry.
     assert len(entries) == 2
     assert {path: path.read_bytes() for path in entries} == entries
 

@@ -120,8 +120,17 @@ def _write_bad_archive(path, defect):
     trace = Trace.from_arrays(times, rntis, dirs, [10, 10], validate=False,
                               label="YouTube")
     TraceSet([trace]).to_npz(path)
+    data = bytearray(path.read_bytes())
+    # The first central directory entry: general-purpose flag bits at
+    # byte 8, compression method at byte 10.
+    entry = data.find(b"PK\x01\x02")
     if defect == "truncated":
-        path.write_bytes(path.read_bytes()[:300])
+        data = data[:300]
+    elif defect == "compression":
+        data[entry + 10:entry + 12] = (99).to_bytes(2, "little")
+    elif defect == "encrypted":
+        data[entry + 8] |= 0x01
+    path.write_bytes(bytes(data))
     return path
 
 
@@ -198,7 +207,8 @@ class TestServeCLI:
         assert "  feed: " in capsys.readouterr().out
 
     @pytest.mark.parametrize("defect", ["rnti", "direction", "time-order",
-                                        "truncated"])
+                                        "truncated", "compression",
+                                        "encrypted"])
     def test_bad_archive_is_bad_input(self, campaign, tmp_path, capsys,
                                       defect):
         bad = _write_bad_archive(tmp_path / "bad.npz", defect)
@@ -424,6 +434,23 @@ def test_pipeline_command_leaves_the_callers_runtime_settings(tmp_path):
                  "--no-cache", "--workers", "2", "--cache-dir",
                  str(tmp_path / "cache"), "--faults", str(plan)]) == 0
     assert _runtime_settings() == before
+
+
+def test_obs_out_leaves_the_callers_observability_setting(tmp_path):
+    # --obs-out collects for the one call, then observability reads as
+    # it did before main.
+    import json
+
+    from repro import obs
+
+    out = tmp_path / "runs.jsonl"
+    with obs.override(False):
+        assert main(["collect", "--out", str(tmp_path / "out"), "--apps",
+                     "Skype", "--traces", "1", "--duration", "2",
+                     "--no-cache", "--obs-out", str(out)]) == 0
+        assert not obs.enabled()
+    (line,) = [json.loads(raw) for raw in out.read_text().splitlines()]
+    assert line["spans"], "--obs-out collected nothing during the call"
 
 
 class TestExperimentManifest:

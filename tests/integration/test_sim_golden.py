@@ -49,6 +49,7 @@ from repro.lte.scheduler import CrossTraffic
 from repro.operators import LAB
 from repro.runtime.parallel import ParallelMap
 from repro.sniffer.capture import CellSniffer
+from repro.sniffer.trace import TraceSet
 
 
 @dataclass(frozen=True)
@@ -486,6 +487,31 @@ class TestShardedCityGoldens:
                           ParallelMap(workers=2, backend="process"),
                           shards=shards)
         assert _city_digest(result) == CITY_DIGEST
+
+    def test_traces_return_by_value(self, monkeypatch):
+        # No shard task spills an archive: an NPZ write raises, in the
+        # driver and in the forked workers that inherit the patch.
+        def no_archive(self, path, compressed=True):
+            raise AssertionError(f"run_city wrote {path}")
+
+        monkeypatch.setattr(TraceSet, "to_npz", no_archive)
+        serial = run_city(self.SCENARIO,
+                          ParallelMap(workers=1, backend="serial"), shards=2)
+        def fallbacks():
+            return obs.snapshot()["counters"].get(
+                "runtime.parallel.serial_fallbacks", 0)
+
+        with obs.override(True):
+            before = fallbacks()
+            process = run_city(self.SCENARIO,
+                               ParallelMap(workers=2, backend="process"),
+                               shards=2)
+            assert fallbacks() == before, "the process run fell back"
+        assert _city_digest(serial) == _city_digest(process) == CITY_DIGEST
+        # Each record is returned once, in the epoch that produced it:
+        # 8 + 4 + 1 + 8 column bytes.
+        assert serial.spilled_bytes == process.spilled_bytes \
+            == 21 * serial.total_records
 
 
 # -- TTI run-ahead -------------------------------------------------------------

@@ -1,19 +1,10 @@
-"""Trace cache entries persist as TraceSet NPZ and read back memory-mapped."""
+"""Trace cache entries persist as TraceSet NPZ and read back equal."""
 
 import numpy as np
 import pytest
 
 from repro.runtime.cache import TraceCache
 from repro.sniffer.trace import Trace, TraceSet
-
-
-def _mmap_backed(array):
-    node = array
-    while node is not None:
-        if isinstance(node, np.memmap):
-            return True
-        node = node.base
-    return False
 
 
 def _trace(n=1_000):
@@ -34,14 +25,13 @@ def test_trace_values_stored_as_npz(cache, tmp_path):
     assert [path.name for path in tmp_path.iterdir()] == [f"{key}.npz"]
 
 
-def test_trace_hit_is_mmap_backed_and_equal(cache):
+def test_trace_hit_is_equal(cache):
     trace = _trace()
     key = cache.key(kind="trace")
     cache.put(key, TraceSet([trace]))
     (hit,) = cache.get(key)
     for name in ("times_s", "rntis", "directions", "tbs_bytes"):
         assert np.array_equal(getattr(hit, name), getattr(trace, name))
-        assert _mmap_backed(getattr(hit, name)), f"{name} copied on hit"
     assert hit.label == "Netflix" and hit.cell == "c0" and hit.day == 2
     assert cache.stats.hits == 1
 
@@ -55,7 +45,6 @@ def test_pair_values_stored_as_one_npz(cache, tmp_path):
     assert [len(leg) for leg in hit] == [100, 60]
     for leg, original in zip(hit, pair):
         assert np.array_equal(leg.times_s, original.times_s)
-        assert _mmap_backed(leg.times_s)
 
 
 def test_torn_npz_entry_is_a_miss_and_removed(cache, tmp_path):

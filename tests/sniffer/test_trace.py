@@ -1,6 +1,5 @@
 """Tests for trace containers and persistence."""
 
-import functools
 import json
 
 import numpy as np
@@ -149,7 +148,7 @@ class TestPersistence:
             b'{"t": 0.3, "rnti": 511, "dir": 0, "tbs": 42}\n'
             b'{"t": 1.25, "rnti": 65535, "dir": 1, "tbs": 5000}\n')
 
-    @pytest.mark.parametrize("fmt", ["csv", "jsonl", "npz", "npz-mmap"])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl", "npz"])
     @pytest.mark.parametrize("times, tbs", [
         ([0.0, float("nan")], [10, 10]),          # non-finite time
         ([-1.0, 0.5], [10, 10]),                  # negative time
@@ -161,13 +160,12 @@ class TestPersistence:
     def test_every_reader_rejects_bad_record_values(self, tmp_path, fmt,
                                                     times, tbs):
         # The serve CLI maps ValueError to exit 2 for every feed format.
-        suffix = fmt.split("-")[0]
-        path = tmp_path / f"feed.{suffix}"
-        if suffix == "csv":
+        path = tmp_path / f"feed.{fmt}"
+        if fmt == "csv":
             path.write_text("time_s,rnti,direction,tbs_bytes\n" + "".join(
                 f"{time_s},256,0,{size}\n" for time_s, size in zip(times, tbs)))
             read = Trace.from_csv
-        elif suffix == "jsonl":
+        elif fmt == "jsonl":
             path.write_text("".join(
                 json.dumps({"t": time_s, "rnti": 256, "dir": 0,
                             "tbs": size}) + "\n"
@@ -184,9 +182,7 @@ class TestPersistence:
                      directions=np.zeros(2, dtype=np.uint8),
                      tbs_bytes=sizes, offsets=np.array([0, 2]),
                      meta=np.array(json.dumps([{}])))
-            read = functools.partial(
-                TraceSet.from_npz,
-                mmap_mode="r" if fmt == "npz-mmap" else None)
+            read = TraceSet.from_npz
         with pytest.raises(ValueError):
             read(path)
 
@@ -199,21 +195,20 @@ class TestPersistence:
                                 (1.5, 0),         # non-integral RNTI
                                 (0x100, 2.7),     # non-integral direction
                                 (10 ** 20, 0)]    # RNTI wider than int64
-        for fmt in ["csv", "jsonl", "npz", "npz-mmap"]
+        for fmt in ["csv", "jsonl", "npz"]
         # The NPZ column dtypes (u4, u1) hold only integers in range.
         if fmt in ("csv", "jsonl")
         or (isinstance(rnti, int) and 0 <= rnti < 2 ** 32
             and isinstance(direction, int) and 0 <= direction < 256)])
     def test_every_reader_rejects_bad_identity_fields(self, tmp_path, fmt,
                                                       rnti, direction):
-        suffix = fmt.split("-")[0]
-        path = tmp_path / f"feed.{suffix}"
-        if suffix == "csv":
+        path = tmp_path / f"feed.{fmt}"
+        if fmt == "csv":
             path.write_text("time_s,rnti,direction,tbs_bytes\n"
                             "0.0,256,0,10\n"
                             f"0.5,{rnti},{direction},10\n")
             read = Trace.from_csv
-        elif suffix == "jsonl":
+        elif fmt == "jsonl":
             path.write_text(
                 '{"t": 0.0, "rnti": 256, "dir": 0, "tbs": 10}\n'
                 f'{{"t": 0.5, "rnti": {rnti}, "dir": {direction}, '
@@ -223,9 +218,7 @@ class TestPersistence:
             TraceSet([Trace.from_arrays(
                 [0.0, 0.5], [0x100, rnti], [0, direction], [10, 10],
                 validate=False)]).to_npz(path, compressed=False)
-            read = functools.partial(
-                TraceSet.from_npz,
-                mmap_mode="r" if fmt == "npz-mmap" else None)
+            read = TraceSet.from_npz
         with pytest.raises(ValueError, match="rnti|dir"):
             read(path)
 
