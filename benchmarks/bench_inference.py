@@ -24,7 +24,12 @@ prediction time in:
   fitted correlation attack at 1-32 pairs, as shipped and pinned to
   each lane of its feature assembly (scalar ``similarity_score`` calls
   vs one ``similarity_score_batch``).  The sweep is the evidence for
-  ``BATCH_MIN_COMPARISONS``.
+  ``BATCH_MIN_COMPARISONS``;
+* **DTW dispatch sweep** — one-pair ``dtw_distance`` strategies, the
+  scalar banded scan vs the vectorised anti-diagonal wavefront, over
+  full bands of 48-300 cells and over band half-widths 32-96 on
+  300-cell series.  The sweep is the evidence for
+  ``_WAVEFRONT_MIN_WINDOW``.
 
 Every comparison asserts identical outputs before timing counts.
 Results land in ``BENCH_inference.json`` at the repo root, then two
@@ -80,6 +85,14 @@ DEEP_MAX_DEPTH = 14
 #: pair is four directional comparisons.
 PAIR_LANE_PAIRS = (1, 2, 3, 4, 8, 16, 32)
 PAIR_LANE_CALLS = 10
+
+#: DTW dispatch sweep: full-band series lengths, and the band
+#: half-widths swept on ``DTW_SWEEP_LENGTH``-cell series (each timed
+#: over ``LANE_ROUNDS`` interleaved rounds of ``DTW_SWEEP_CALLS``).
+DTW_FULL_LENGTHS = (48, 60, 90, 120, 180, 300)
+DTW_SWEEP_LENGTH = 300
+DTW_SWEEP_WINDOWS = (32, 48, 56, 64, 68, 72, 80, 96)
+DTW_SWEEP_CALLS = 3
 
 GUARDS = (
     harness.floor("forest_predict.speedup", MIN_FOREST_SPEEDUP),
@@ -313,6 +326,47 @@ def _pair_lane_sweep():
             "points": points}
 
 
+def _dtw_point(n, window):
+    """Best one-pair ms of each DTW strategy on ``n``-cell series."""
+    import numpy as np
+
+    from repro.ml import dtw
+
+    rng = np.random.default_rng(n + (window or 0))
+    a, b = rng.normal(size=n) * 10.0, rng.normal(size=n) * 10.0
+    effective = n if window is None else window
+    best, outputs = harness.best_of(
+        {"scan": lambda _: dtw._dtw_banded_scan(a, b, window),
+         "wavefront": lambda _: dtw._dtw_wavefront(a, b, effective)},
+        LANE_ROUNDS, calls=DTW_SWEEP_CALLS)
+    if len({value for values in outputs.values() for value in values}) != 1:
+        raise RuntimeError(f"DTW strategies disagreed at n={n}, "
+                           f"window={window}")
+    return {"n": n, "window": window,
+            "lane": ("wavefront" if effective >= dtw._WAVEFRONT_MIN_WINDOW
+                     else "scan"),
+            **{f"{name}_ms": round(value * 1e3, 3)
+               for name, value in best.items()}}
+
+
+def _dtw_dispatch_sweep():
+    """One-pair DTW cost of both strategies, full band and banded."""
+    from repro.ml.dtw import _WAVEFRONT_MIN_WINDOW
+
+    sweep = {"wavefront_min_window": _WAVEFRONT_MIN_WINDOW}
+    for name, points in (
+            ("full_band", [_dtw_point(n, None) for n in DTW_FULL_LENGTHS]),
+            ("banded", [_dtw_point(DTW_SWEEP_LENGTH, window)
+                        for window in DTW_SWEEP_WINDOWS])):
+        key = "n" if name == "full_band" else "window"
+        sweep[name] = {
+            "largest_scan_win": max(
+                (point[key] for point in points
+                 if point["scan_ms"] <= point["wavefront_ms"]), default=0),
+            "points": points}
+    return sweep
+
+
 def main() -> int:
     from repro.ml.tables import SCALAR_LANE_MAX
 
@@ -325,6 +379,7 @@ def main() -> int:
                        if point["rows"] == LANE_FLOOR_ROWS)
     lane_speedup = floor_point["vector_us"] / floor_point["shipped_us"]
     pair_sweep = _pair_lane_sweep()
+    dtw_sweep = _dtw_dispatch_sweep()
 
     print(f"forest predict: object {object_s:.3f} s, table {flat_s:.3f} s "
           f"-> {forest_speedup:.1f}x")
@@ -350,6 +405,16 @@ def main() -> int:
               f"{point['shipped_ms']:7.3f} ms, scalar "
               f"{point['scalar_ms']:7.3f} ms, batch "
               f"{point['batch_ms']:7.3f} ms")
+    print(f"DTW dispatch sweep: wavefront from band half-width "
+          f"{dtw_sweep['wavefront_min_window']}; the scan wins up to "
+          f"n={dtw_sweep['full_band']['largest_scan_win']} (full band) "
+          f"and window {dtw_sweep['banded']['largest_scan_win']} "
+          f"(n={DTW_SWEEP_LENGTH})")
+    for point in (*dtw_sweep["full_band"]["points"],
+                  *dtw_sweep["banded"]["points"]):
+        print(f"  n={point['n']:3d} window={point['window']!s:>4}: scan "
+              f"{point['scan_ms']:7.3f} ms, wavefront "
+              f"{point['wavefront_ms']:7.3f} ms")
 
     return harness.record(
         OUT,
@@ -365,7 +430,10 @@ def main() -> int:
         "calls), and per-call correlation decision_scores "
         "across pair counts as shipped and pinned to each "
         "pair-scoring lane (best of "
-        f"{LANE_ROUNDS} rounds of {PAIR_LANE_CALLS} calls).  "
+        f"{LANE_ROUNDS} rounds of {PAIR_LANE_CALLS} calls), and "
+        "one-pair dtw_distance by strategy, scalar banded scan vs "
+        f"wavefront (best of {LANE_ROUNDS} rounds of "
+        f"{DTW_SWEEP_CALLS} calls).  "
         "Outputs asserted identical before timing.",
         # Both timed paths run single-worker so speedups measure the
         # batched kernels, not process fan-out.
@@ -386,7 +454,8 @@ def main() -> int:
                               "vector_us": floor_point["vector_us"],
                               "speedup": lane_speedup},
          "lane_sweep": sweep,
-         "pair_lane_sweep": pair_sweep},
+         "pair_lane_sweep": pair_sweep,
+         "dtw_dispatch_sweep": dtw_sweep},
         GUARDS)
 
 

@@ -313,8 +313,20 @@ def _load_dataset(path: Path):
     return traces
 
 
-def _cmd_train(args: argparse.Namespace, manifest=None) -> int:
+def _training_windows(path: Path, traces, config=None):
+    """The labelled windows of ``traces``, or ``None`` after reporting
+    why they cannot train a model (an unlabelled trace): bad input, so
+    the caller exits 2."""
     from .core.dataset import windows_from_traces
+
+    try:
+        return windows_from_traces(traces, config)
+    except ValueError as exc:
+        print(f"cannot train on {path}: {exc}", file=sys.stderr)
+        return None
+
+
+def _cmd_train(args: argparse.Namespace, manifest=None) -> int:
     from .core.features import WindowConfig
     from .core.fingerprint import HierarchicalFingerprinter
     from .ml.crossval import train_test_split
@@ -324,18 +336,16 @@ def _cmd_train(args: argparse.Namespace, manifest=None) -> int:
     if traces is None:
         return 2
     config = WindowConfig(window_ms=args.window_ms)
-    windows = windows_from_traces(traces, config)
+    windows = _training_windows(args.data, traces, config)
+    if windows is None:
+        return 2
     X_train, X_test, y_train, y_test = train_test_split(
         windows.X, windows.app_labels, seed=args.seed)
     # Re-wrap the training split as a LabeledWindows for the pipeline.
     import numpy as np
 
-    mask = np.zeros(len(windows.X), dtype=bool)
-    # train_test_split shuffles, so refit on the full set and report CV
-    # style scores on the held-out fraction trained separately.
     model = HierarchicalFingerprinter(window_config=config,
                                       n_trees=args.trees, seed=args.seed)
-    del mask
     subset = windows.subset(np.isin(np.arange(len(windows.X)),
                                     _train_indices(windows.X, X_train)))
     model.fit(subset)
@@ -365,14 +375,15 @@ def _train_indices(X_all, X_train) -> List[int]:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    from .core.dataset import windows_from_traces
     from .core.fingerprint import HierarchicalFingerprinter
     from .sniffer.trace import Trace
 
     traces = _load_dataset(args.data)
     if traces is None:
         return 2
-    windows = windows_from_traces(traces)
+    windows = _training_windows(args.data, traces)
+    if windows is None:
+        return 2
     model = HierarchicalFingerprinter(n_trees=args.trees)
     model.fit(windows)
     try:

@@ -55,10 +55,10 @@ _OPPOSITE = (1, 0, 3, 2)
 #: single ``similarity_score_batch`` beats scalar ``similarity_score``
 #: calls.  Measured by the pair-scoring lane sweep of
 #: ``benchmarks/bench_inference.py`` (``pair_lane_sweep`` in
-#: BENCH_inference.json): scalar calls win at 1 pair and mostly at 2,
-#: the batch from 3 pairs (four comparisons each), so the bound is 12
+#: BENCH_inference.json): scalar calls win up to 3 pairs, the batch
+#: from 4 pairs (four comparisons each), so the bound is 16
 #: comparisons.
-BATCH_MIN_COMPARISONS = 12
+BATCH_MIN_COMPARISONS = 16
 
 
 @dataclass(frozen=True)

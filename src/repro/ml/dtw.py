@@ -23,10 +23,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 
-#: Band half-width at which the vectorised anti-diagonal sweep overtakes
-#: the scalar banded scan (measured; benchmarks/bench_inference.py times
-#: the DTW paths).
-_WAVEFRONT_MIN_WINDOW = 48
+#: Band half-width from which one pair runs the vectorised anti-diagonal
+#: sweep instead of the scalar banded scan.  The dispatch sweep in
+#: benchmarks/bench_inference.py times both: on 300-cell series the scan
+#: won every half-width up to 48 in all four runs and 56 in three, the
+#: wavefront from 64 in all.  Full bands favour the scan to 90-120
+#: cells, but one bound serves both.
+_WAVEFRONT_MIN_WINDOW = 64
 
 
 def dtw_distance(a: np.ndarray, b: np.ndarray,
@@ -38,11 +41,13 @@ def dtw_distance(a: np.ndarray, b: np.ndarray,
         window: optional Sakoe-Chiba band half-width; ``None`` = full.
 
     Both internal strategies evaluate the exact recurrence cell by cell
-    (IEEE add + exact min), so the result is bit-identical whichever
-    path runs: a narrow band uses a scalar scan over the band only, a
-    wide band uses a NumPy-vectorised anti-diagonal wavefront (every
-    cell on one anti-diagonal depends only on the previous two, so the
-    whole diagonal is computed at once with elementwise ops).
+    (IEEE add + exact min): a narrow band uses a scalar scan over the
+    band only, a wide band uses a NumPy-vectorised anti-diagonal
+    wavefront (every cell on one anti-diagonal depends only on the
+    previous two, so the whole diagonal is computed at once with
+    elementwise ops).  Where no cost is NaN the result is bit-identical
+    whichever path runs; a NaN cost spreads through ``np.minimum`` but
+    only through the diagonal term of the scan's compares.
     """
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
@@ -61,34 +66,37 @@ def dtw_distance(a: np.ndarray, b: np.ndarray,
 
 def _dtw_banded_scan(a: np.ndarray, b: np.ndarray,
                      window: Optional[int]) -> float:
-    """Narrow-band path: scalar scan over the band in Python floats.
+    """Narrow-band path: the whole recurrence on Python floats.
 
     The ``current[j-1]`` term makes the in-row recurrence inherently
-    sequential; for small bands plain Python floats beat NumPy scalar
-    indexing by ~2.5x while computing the identical IEEE operations.
+    sequential, so both series are converted to lists once and every
+    cell costs ``abs(b[j-1] - a[i-1])`` inline: no NumPy call per row,
+    which on a 3–35-cell band costs more than the row's arithmetic.
+    Every cell runs one IEEE subtract, ``abs``, two compares and one
+    add in a fixed order; ``tests/ml/oracles.py`` keeps a version of
+    this scan that takes each row's costs from one NumPy call, and the
+    two agree bit for bit (NaN, ±inf and −0.0 included).
     """
-    n, m = len(a), len(b)
+    m = len(b)
     inf = float("inf")
     previous = [inf] * (m + 1)
     previous[0] = 0.0
-    a_values = a.tolist()
-    for i in range(1, n + 1):
+    b_values = b.tolist()
+    for i, value in enumerate(a.tolist(), start=1):
         current = [inf] * (m + 1)
         if window is None:
             lo, hi = 1, m
         else:
             lo, hi = max(1, i - window), min(m, i + window)
-        cost = np.abs(b[lo - 1:hi] - a_values[i - 1]).tolist()
         run = inf
-        for offset in range(hi - lo + 1):
-            j = lo + offset
+        for j in range(lo, hi + 1):
             best = previous[j - 1]
             up = previous[j]
             if up < best:
                 best = up
             if run < best:
                 best = run
-            run = cost[offset] + best
+            run = abs(b_values[j - 1] - value) + best
             current[j] = run
         previous = current
     return float(previous[m])

@@ -243,6 +243,10 @@ def _checked_npz_columns(arrays: Dict, metas, path: Path) -> Dict:
     return arrays
 
 
+#: Metadata fields that hold text (or null).
+_TEXT_METADATA = ("label", "category", "operator", "cell", "user")
+
+
 class Trace:
     """A time-ordered sequence of records for one user plus metadata.
 
@@ -472,7 +476,7 @@ class Trace:
                 raise ValueError(f"{path}: {exc}") from exc
         else:
             trace = cls()
-        trace.apply_metadata(metadata)
+        trace.apply_metadata(metadata, path)
         return trace
 
     def to_jsonl(self, path: Path) -> None:
@@ -528,7 +532,7 @@ class Trace:
                              f"{exc}") from exc
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
-        trace.apply_metadata(metadata)
+        trace.apply_metadata(metadata, path)
         return trace
 
     def metadata(self) -> Dict:
@@ -536,12 +540,34 @@ class Trace:
                 "operator": self.operator, "cell": self.cell,
                 "day": self.day, "user": self.user}
 
-    def apply_metadata(self, metadata: Dict) -> None:
+    def apply_metadata(self, metadata: Dict, source: object) -> None:
+        """Set the metadata fields from a reader's JSON object.
+
+        ``label``, ``category``, ``operator``, ``cell`` and ``user``
+        must be strings or null; ``day`` an integer (an integral float
+        counts, a bool does not) or null, which reads as day 0.  Any
+        other value raises ``ValueError`` naming ``source``.
+        """
+        if not isinstance(metadata, dict):
+            raise ValueError(f"{source}: trace metadata must be a JSON "
+                             f"object, got {type(metadata).__name__}")
+        for key in _TEXT_METADATA:
+            value = metadata.get(key)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"{source}: metadata {key!r} must be a "
+                                 f"string or null, got {value!r}")
+        day = metadata.get("day")
+        if day is None:
+            day = 0
+        elif (isinstance(day, bool) or not isinstance(day, (int, float))
+              or (isinstance(day, float) and not day.is_integer())):
+            raise ValueError(f"{source}: metadata 'day' must be an "
+                             f"integer, got {day!r}")
         self.label = metadata.get("label")
         self.category = metadata.get("category")
         self.operator = metadata.get("operator")
         self.cell = metadata.get("cell")
-        self.day = int(metadata.get("day", 0) or 0)
+        self.day = int(day)
         self.user = metadata.get("user")
 
 
@@ -685,7 +711,7 @@ class TraceSet:
             trace = Trace.from_arrays(times[lo:hi], rntis[lo:hi],
                                       dirs[lo:hi], tbs[lo:hi],
                                       validate=False)
-            trace.apply_metadata(metadata)
+            trace.apply_metadata(metadata, f"{path}: trace {index}")
             traces.append(trace)
         return cls(traces)
 

@@ -337,6 +337,33 @@ def _bad_csv_dataset(root):
     return data
 
 
+def _unlabelled_archive(root):
+    """A valid one-trace archive whose trace carries no label, and the
+    same trace as ``probe.csv`` beside it."""
+    from repro.sniffer.trace import Trace, TraceSet
+
+    path = root / "unlabelled.npz"
+    trace = Trace.from_arrays([0.0, 0.5], [0x100, 0x100], [0, 1], [10, 10])
+    TraceSet([trace]).to_npz(path)
+    trace.to_csv(root / "probe.csv")
+    return path
+
+
+def _bad_day_archive(root):
+    """A one-trace archive whose metadata ``day`` is a list."""
+    import json
+
+    import numpy as np
+
+    path = root / "day.npz"
+    np.savez(path, times_s=np.array([0.0, 0.5]),
+             rntis=np.full(2, 0x100, dtype=np.uint32),
+             directions=np.array([0, 1], dtype=np.uint8),
+             tbs_bytes=np.full(2, 10), offsets=np.array([0, 2]),
+             meta=np.array(json.dumps([{"day": [1], "label": "YouTube"}])))
+    return path
+
+
 def _bad_plan(root):
     plan = root / "plan.json"
     plan.write_text('{"faults": [{"kind": "no-such-fault"}]}')
@@ -352,6 +379,13 @@ BAD_INPUT = {
         str(_bad_plan(root))],
     "train": lambda root, campaign: [
         "train", "--data", str(_bad_csv_dataset(root))],
+    "train (metadata)": lambda root, campaign: [
+        "train", "--data", str(_bad_day_archive(root))],
+    "train (unlabelled)": lambda root, campaign: [
+        "train", "--data", str(_unlabelled_archive(root))],
+    "classify (unlabelled)": lambda root, campaign: [
+        "classify", "--data", str(_unlabelled_archive(root)), "--trace",
+        str(root / "probe.csv")],
     "classify": lambda root, campaign: [
         "classify", "--data", str(_bad_csv_dataset(root)), "--trace",
         str(root / "data" / "trace_000000.csv")],

@@ -10,7 +10,9 @@ and property suites (and the speedup guard in
 :func:`pinned_lane` forces one lane by moving the module's lane bound,
 :func:`pinned_pair_lane` does the same for the correlation attack's
 pair scoring, and :func:`catalogue_windows` builds a labelled window
-set to fit hierarchical fingerprinters on.
+set to fit hierarchical fingerprinters on.  :func:`banded_scan` is the
+narrow-band DTW scan with each band row's costs taken from one NumPy
+call, the reference the bits of the live float scan are pinned to.
 """
 
 import contextlib
@@ -22,7 +24,7 @@ import numpy as np
 from repro.apps import app_names, category_of
 from repro.core import correlation
 from repro.core.dataset import LabeledWindows
-from repro.ml import tables
+from repro.ml import dtw, tables
 from repro.ml.base import LabelEncoder
 from repro.ml.forest import RandomForest
 from repro.ml.tables import TreeTable
@@ -106,6 +108,50 @@ def tree_predict_proba(tree, X: np.ndarray) -> np.ndarray:
 def forest_predict_proba(forest: RandomForest, X: np.ndarray) -> np.ndarray:
     """Per-tree object descent of a forest, summed in tree order."""
     return walk_forest_proba(object_forest(forest), X, forest.n_classes_)
+
+
+def banded_scan(a: np.ndarray, b: np.ndarray,
+                window: Optional[int]) -> float:
+    """The narrow-band DTW scan with one NumPy cost row per band row."""
+    n, m = len(a), len(b)
+    inf = float("inf")
+    previous = [inf] * (m + 1)
+    previous[0] = 0.0
+    a_values = a.tolist()
+    for i in range(1, n + 1):
+        current = [inf] * (m + 1)
+        if window is None:
+            lo, hi = 1, m
+        else:
+            lo, hi = max(1, i - window), min(m, i + window)
+        cost = np.abs(b[lo - 1:hi] - a_values[i - 1]).tolist()
+        run = inf
+        for offset in range(hi - lo + 1):
+            j = lo + offset
+            best = previous[j - 1]
+            up = previous[j]
+            if up < best:
+                best = up
+            if run < best:
+                best = run
+            run = cost[offset] + best
+            current[j] = run
+        previous = current
+    return float(previous[m])
+
+
+def dtw_distance(a, b, window: Optional[int] = None) -> float:
+    """``repro.ml.dtw.dtw_distance`` with :func:`banded_scan` as its
+    narrow-band path; wide bands run the live wavefront."""
+    a = np.asarray(a, dtype=np.float64).ravel()
+    b = np.asarray(b, dtype=np.float64).ravel()
+    n, m = len(a), len(b)
+    if window is not None:
+        window = max(window, abs(n - m))
+    effective = max(n, m) if window is None else window
+    if effective >= dtw._WAVEFRONT_MIN_WINDOW:
+        return dtw._dtw_wavefront(a, b, effective)
+    return banded_scan(a, b, window)
 
 
 #: Lane bounds that pin every batch to the scalar or the vector lane.

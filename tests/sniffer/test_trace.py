@@ -222,6 +222,68 @@ class TestPersistence:
         with pytest.raises(ValueError, match="rnti|dir"):
             read(path)
 
+    @staticmethod
+    def _write_with_metadata(path, fmt, metadata):
+        """One two-record capture whose metadata object is ``metadata``."""
+        records = [(0.0, 256, 0, 10), (0.5, 256, 1, 10)]
+        if fmt == "csv":
+            path.write_text(f"# {json.dumps(metadata)}\n"
+                            "time_s,rnti,direction,tbs_bytes\n" + "".join(
+                                f"{t},{r},{d},{b}\n" for t, r, d, b in records))
+            return Trace.from_csv
+        if fmt == "jsonl":
+            path.write_text(json.dumps({"meta": metadata}) + "\n" + "".join(
+                json.dumps({"t": t, "rnti": r, "dir": d, "tbs": b}) + "\n"
+                for t, r, d, b in records))
+            return Trace.from_jsonl
+        np.savez(path, times_s=np.array([0.0, 0.5]),
+                 rntis=np.full(2, 256, dtype=np.uint32),
+                 directions=np.array([0, 1], dtype=np.uint8),
+                 tbs_bytes=np.full(2, 10), offsets=np.array([0, 2]),
+                 meta=np.array(json.dumps([metadata])))
+        return lambda source: TraceSet.from_npz(source).traces[0]
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl", "npz"])
+    @pytest.mark.parametrize("metadata", [
+        {"day": [1], "label": "YouTube"},         # was a TypeError
+        {"day": {}},                              # was read as day 0
+        {"day": True},
+        {"day": 1.5},
+        {"day": "2"},
+        {"label": 5},
+        {"category": ["voip"]},
+        {"operator": 1.0},
+        {"cell": {"id": 0}},
+        {"user": False},
+    ], ids=repr)
+    def test_every_reader_rejects_bad_metadata(self, tmp_path, fmt,
+                                               metadata):
+        path = tmp_path / f"feed.{fmt}"
+        read = self._write_with_metadata(path, fmt, metadata)
+        with pytest.raises(ValueError, match=f"{path.name}.*metadata"):
+            read(path)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_metadata_that_is_no_object_is_value_error(self, tmp_path, fmt):
+        path = tmp_path / f"feed.{fmt}"
+        read = self._write_with_metadata(path, fmt, [1, 2])
+        with pytest.raises(ValueError, match=f"{path.name}.*JSON object"):
+            read(path)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl", "npz"])
+    def test_readers_accept_null_metadata_and_integral_days(self, tmp_path,
+                                                            fmt):
+        path = tmp_path / f"feed.{fmt}"
+        read = self._write_with_metadata(path, fmt, {
+            "label": "Skype", "category": None, "operator": None,
+            "cell": "c1", "day": 4.0, "user": None})
+        loaded = read(path)
+        assert (loaded.label, loaded.cell, loaded.day) == ("Skype", "c1", 4)
+        assert type(loaded.day) is int
+        path = tmp_path / f"null-day.{fmt}"
+        read = self._write_with_metadata(path, fmt, {"day": None})
+        assert read(path).day == 0
+
     @pytest.mark.parametrize("fmt", ["csv", "jsonl", "npz"])
     def test_readers_accept_the_16_bit_rnti_bounds(self, tmp_path, fmt):
         trace = Trace.from_arrays([0.0, 0.5], [0, 0xFFFF], [0, 1], [1, 1])
